@@ -1,0 +1,116 @@
+"""Golden corpus: the sha256 of every file the CLI writes for a fixed set of
+scenarios, so that output is pinned across code versions.
+
+A hash may change only when output changes on purpose, and each such change
+is recorded in CHANGES.md. After one, rewrite `golden/hashes.json` with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and review the diff of that file before committing it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from stakesim.cli import main
+
+from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+HASHES = GOLDEN / "hashes.json"
+DEMO = ROOT / "scenarios" / "double-sign.json"
+
+RUN_FILES = ("trace.jsonl", "report.json", "report.txt")
+
+# case -> (scenario document, exit code of `run`, files `run` leaves behind)
+CASES = {
+    "shipped/double-sign": (lambda: json.loads(DEMO.read_text(encoding="utf-8")), 0, RUN_FILES),
+    "shipped/grieving": (
+        lambda: json.loads((ROOT / "scenarios" / "grieving.json").read_text(encoding="utf-8")),
+        0,
+        RUN_FILES,
+    ),
+    "quiet": (quiet_scenario_doc, 0, RUN_FILES),
+    "attack": (lambda: attack_scenario_doc(random.Random(99), "1/2"), 0, RUN_FILES),
+    "breach": (breach_scenario_doc, 2, ("trace-partial.jsonl",)),
+}
+for _path in sorted((GOLDEN / "scenarios").glob("*.json")):
+    CASES[_path.stem] = ((lambda p=_path: json.loads(p.read_text(encoding="utf-8"))), 0, RUN_FILES)
+
+# one failing point (gamma 3/2) between two good ones
+SWEEP_AXIS = "econ.gamma=1/2,3/2,1"
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.is_file()
+    }
+
+
+def run_case(name: str, work: Path) -> dict[str, str]:
+    """Run one case through the CLI and hash what it wrote."""
+    make_doc, code, files = CASES[name]
+    scenario = work / "scenario.json"
+    scenario.write_text(json.dumps(make_doc()), encoding="utf-8")
+    out = work / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == code
+    digests = _digests(out)
+    assert sorted(digests) == sorted(files)
+    if code == 0:
+        assert main(["analyze", "--trace", str(out / "trace.jsonl")]) == 0
+    return digests
+
+
+def run_sweep(work: Path) -> dict[str, str]:
+    out = work / "sweep"
+    assert main(["sweep", "--scenario", str(DEMO), "--set", SWEEP_AXIS, "--out", str(out)]) == 0
+    digests = _digests(out)
+    assert sorted(digests) == ["report-0000.json", "report-0002.json", "sweep.json"]
+    return digests
+
+
+def current_hashes(work: Path) -> dict[str, dict[str, str]]:
+    hashes = {}
+    for name in CASES:
+        (work / name).mkdir(parents=True)
+        hashes[name] = run_case(name, work / name)
+    hashes["sweep"] = run_sweep(work)
+    return hashes
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, dict[str, str]]:
+    return json.loads(HASHES.read_text(encoding="utf-8"))
+
+
+def test_corpus_lists_every_case(golden):
+    assert sorted(golden) == sorted([*CASES, "sweep"])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_output_matches_golden(name, golden, tmp_path, capsys):
+    assert run_case(name, tmp_path) == golden[name]
+    capsys.readouterr()
+
+
+def test_sweep_output_matches_golden(golden, tmp_path, capsys):
+    assert run_sweep(tmp_path) == golden["sweep"]
+    capsys.readouterr()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = current_hashes(Path(tmp))
+    HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    sys.stderr.write(f"wrote {HASHES}\n")
