@@ -10,10 +10,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DuplicateIdError,
@@ -245,9 +245,6 @@ class ChainTimeline:
 
     def validators_by_id(self) -> dict[str, ValidatorState]:
         return {v.id: v for v in self.validators}
-
-    def transactions_by_id(self) -> dict[str, TransactionRecord]:
-        return {t.id: t for t in self.transactions}
 
 
 def _check_unique(kind: str, ids: Iterable[str]) -> None:

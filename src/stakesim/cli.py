@@ -17,7 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-from .econ import PfcKind
 from .engine import run as run_engine
 from .engine import sweep as run_sweep
 from .errors import InvariantBreachError, ScenarioError, StakesimError
@@ -30,11 +29,7 @@ from .report import (
 )
 from .resolution import classify_reveal
 from .scenario import canonical_json, load_scenario, scenario_hash
-from .version import __version__
-
-
-def _bound(name: str) -> PfcKind:
-    return BOUND_ALIASES[name]
+from .version import SCHEMA_VERSION, __version__
 
 
 def _write_trace(path: Path, lines: list[str]) -> None:
@@ -46,14 +41,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        trace = run_engine(scenario, seed=args.seed, bound_kind=_bound(args.bound))
+        trace = run_engine(scenario, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
     except InvariantBreachError as exc:
         records = getattr(exc, "trace_records", None)
         if records is not None:
-            _write_trace(
-                out / "trace-partial.jsonl",
-                [canonical_json({"tick": r.tick, "kind": r.kind, **r.payload}) for r in records],
-            )
+            _write_trace(out / "trace-partial.jsonl", [r.to_line() for r in records])
         raise
     _write_trace(out / "trace.jsonl", trace.to_lines())
     (out / "report.json").write_text(trace.report.to_json() + "\n", encoding="utf-8")
@@ -96,7 +88,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = run_sweep(doc, grid, seed=args.seed, bound_kind=_bound(args.bound))
+    results = run_sweep(doc, grid, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
     index = []
     for res in results:
         row = {"point": res["point"], "overrides": res["overrides"], "ok": res["ok"], "error": res["error"]}
@@ -134,7 +126,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     tl, tp, ep = scenario.timeline, scenario.timing, scenario.econ
     lines = [
-        f"scenario {scenario_hash(scenario)[:16]} (schema 1, tool {__version__})",
+        f"scenario {scenario_hash(scenario)[:16]} (schema {SCHEMA_VERSION}, tool {__version__})",
         f"  horizon {tl.horizon}, seed {scenario.seed}",
         f"  timing: t_fin={tp.t_fin} t_rev={tp.t_rev} t_ws={tp.t_ws} t_cr={tp.t_cr} slash_delay={tp.slash_delay}",
         f"  econ: {ep.n_validators} validators x stake {frac_str(ep.stake_per_validator)}"

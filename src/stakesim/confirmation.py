@@ -15,7 +15,7 @@ conflicting post still lands inside the watch window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -114,17 +114,4 @@ def decide_bridge_naive(
     conflicting post past this window, so this rule confirms headers that
     later revert. Tests demonstrate the failure; never use for real flow.
     """
-    end = header_posted_at + tp.t_rev
-    if any(header_posted_at <= p < end for p in conflicting_posts):
-        return ConfirmationDecision(
-            tx_id=tx_id,
-            rule=ConfirmationRule.BRIDGE_RULE,
-            status=DecisionStatus.INVALIDATED,
-            earliest_offchain_tick=None,
-        )
-    return ConfirmationDecision(
-        tx_id=tx_id,
-        rule=ConfirmationRule.BRIDGE_RULE,
-        status=DecisionStatus.CONFIRMED,
-        earliest_offchain_tick=end,
-    )
+    return decide_bridge(header_posted_at, conflicting_posts, replace(tp, t_cr=0), tx_id=tx_id)

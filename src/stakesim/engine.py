@@ -8,15 +8,14 @@ immediately and flips every transactor to the secure rule until the
 scenario's scripted attack-over epoch.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
-only ever walks sorted structures, and the only randomness source is the
-seeded generator (which the scripted strategies never touch).
+only ever walks sorted structures and nothing is sampled. The seed only
+labels the run_start record and the report.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -34,19 +33,19 @@ from .chain import (
     epoch_of,
 )
 from .confirmation import (
-    ConfirmationDecision,
     DecisionStatus,
     contests,
     decide_bridge,
     decide_bridge_naive,
     decide_secure,
 )
-from .econ import EconParams, Mechanism, PfcKind, bribe_is_dominant
-from .errors import InvariantBreachError, InvariantViolationError
+from .econ import Mechanism, PfcKind, bribe_is_dominant
+from .errors import InvariantBreachError, InvariantViolationError, ScenarioError, StakesimError
 from .insurance import (
     HarmedExecution,
     InsuranceBid,
     InsuranceLedger,
+    InsuranceLot,
     RevertedExecution,
     SettlementRecord,
     coverage_check,
@@ -56,9 +55,16 @@ from .insurance import (
 )
 from .policies import StrategyKind
 from .rational import frac_str
-from .report import ReportDocument, build_report
+from .report import ReportDocument, build_report, settlement_doc
 from .resolution import RevealClass, resolve
-from .scenario import ForkEventMeta, Scenario, canonical_json, scenario_hash
+from .scenario import (
+    ForkEventMeta,
+    Scenario,
+    canonical_json,
+    econ_to_doc,
+    scenario_hash,
+    timing_to_doc,
+)
 from .version import SCHEMA_VERSION, __version__
 
 _PH_EPOCH, _PH_FINALIZE, _PH_EXECUTE, _PH_REVEAL = 0, 1, 2, 3
@@ -70,14 +76,16 @@ class TraceRecord:
     kind: str
     payload: dict
 
+    def to_line(self) -> str:
+        return canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})
+
 
 @dataclass
 class SimTrace:
-    """Ordered event log plus the final report and karma summary."""
+    """Ordered event log plus the final report."""
 
     records: list[TraceRecord]
     report: ReportDocument
-    karma_doc: dict
     effective_timeline: ChainTimeline
     settlements: list[SettlementRecord]
     ledger: InsuranceLedger
@@ -85,9 +93,11 @@ class SimTrace:
     reverted: set[str]
 
     def to_lines(self) -> list[str]:
-        return [
-            canonical_json({"tick": r.tick, "kind": r.kind, **r.payload}) for r in self.records
-        ]
+        return [r.to_line() for r in self.records]
+
+
+def _lot_ref(lot: InsuranceLot) -> dict:
+    return {"id": lot.id, "buyer": lot.buyer, "coverage": frac_str(lot.coverage)}
 
 
 def _select_signers(validators: tuple[ValidatorState, ...], fraction: Fraction) -> frozenset[str]:
@@ -108,6 +118,14 @@ def _select_signers(validators: tuple[ValidatorState, ...], fraction: Fraction) 
     return frozenset(chosen)
 
 
+_ATTACK_EVENT_IDS = {
+    StrategyKind.DOUBLE_SIGN_AT: "atk-double-sign",
+    StrategyKind.LONG_RANGE_AT: "atk-long-range",
+    StrategyKind.GRIEVING_BUYOUT: "atk-grieving",
+    StrategyKind.BRIBERY_PROBE: "atk-bribery",
+}
+
+
 def _strategy_events(
     sc: Scenario,
 ) -> tuple[list[ForkRevealEvent], dict[str, ForkEventMeta], Optional[dict]]:
@@ -118,58 +136,38 @@ def _strategy_events(
     st = sc.strategy
     tp = sc.timing
     validators = sc.timeline.validators
+    log = None
     if st.kind is StrategyKind.NONE:
         return [], {}, None
 
-    if st.kind is StrategyKind.DOUBLE_SIGN_AT:
-        signers = _select_signers(validators, st.stake_fraction)
-        ev = ForkRevealEvent(
-            id="atk-double-sign",
-            diverges_from_block_finalized_at=st.target_t0,
-            revealed_at=st.tick,
-            double_signers=signers,
-        )
-        return [ev], {ev.id: ForkEventMeta(adversary_wins=True)}, None
-
-    if st.kind is StrategyKind.LONG_RANGE_AT:
-        ev = ForkRevealEvent(
-            id="atk-long-range",
-            diverges_from_block_finalized_at=st.target_t0,
-            revealed_at=st.tick,
-            double_signers=st.exited_set,
-        )
-        return [ev], {ev.id: ForkEventMeta(adversary_wins=True)}, None
+    if st.kind is StrategyKind.BRIBERY_PROBE:
+        # attack only if the bribe schedule actually dominates
+        ep_probe = replace(sc.econ, bribe_fail=st.bribe_fail, bribe_success=st.bribe_success)
+        mech = Mechanism(st.mechanism)
+        dominant = bribe_is_dominant(mech, ep_probe)
+        log = {
+            "mechanism": mech.value,
+            "bribe_fail": frac_str(st.bribe_fail),
+            "bribe_success": frac_str(st.bribe_success),
+            "dominant": dominant,
+            "attack_proceeds": dominant,
+        }
+        if not dominant:
+            return [], {}, log
 
     if st.kind is StrategyKind.GRIEVING_BUYOUT:
         # every controlled validator double-signs in the scripted epoch's
         # ambiguous window; the buyout itself happens at auction time
         t0 = epoch_bounds(st.attack_epoch, tp.t_rev)[0]
-        ev = ForkRevealEvent(
-            id="atk-grieving",
-            diverges_from_block_finalized_at=t0,
-            revealed_at=t0 + tp.t_fin,
-            double_signers=frozenset(v.id for v in validators),
-        )
-        return [ev], {ev.id: ForkEventMeta(adversary_wins=True)}, None
-
-    # BRIBERY_PROBE: attack only if the bribe schedule actually dominates
-    ep_probe = replace(sc.econ, bribe_fail=st.bribe_fail, bribe_success=st.bribe_success)
-    mech = Mechanism(st.mechanism)
-    dominant = bribe_is_dominant(mech, ep_probe)
-    log = {
-        "mechanism": mech.value,
-        "bribe_fail": frac_str(st.bribe_fail),
-        "bribe_success": frac_str(st.bribe_success),
-        "dominant": dominant,
-        "attack_proceeds": dominant,
-    }
-    if not dominant:
-        return [], {}, log
-    signers = _select_signers(validators, st.stake_fraction)
+        revealed, signers = t0 + tp.t_fin, frozenset(v.id for v in validators)
+    elif st.kind is StrategyKind.LONG_RANGE_AT:
+        t0, revealed, signers = st.target_t0, st.tick, st.exited_set
+    else:  # DOUBLE_SIGN_AT, or a dominant BRIBERY_PROBE
+        t0, revealed, signers = st.target_t0, st.tick, _select_signers(validators, st.stake_fraction)
     ev = ForkRevealEvent(
-        id="atk-bribery",
-        diverges_from_block_finalized_at=st.target_t0,
-        revealed_at=st.tick,
+        id=_ATTACK_EVENT_IDS[st.kind],
+        diverges_from_block_finalized_at=t0,
+        revealed_at=revealed,
         double_signers=signers,
     )
     return [ev], {ev.id: ForkEventMeta(adversary_wins=True)}, log
@@ -182,7 +180,6 @@ class _Run:
         self.sc = sc
         self.seed = seed
         self.bound_kind = bound_kind
-        self.rng = random.Random(seed)  # reserved for sampling behaviors
         self.tp = sc.timing
         self.ep = sc.econ
 
@@ -204,7 +201,6 @@ class _Run:
         self.reverted: set[str] = set()
         self.waiting: dict[str, TransactionRecord] = {}
         self.reverted_executions: list[RevertedExecution] = []
-        self.settlements: list[SettlementRecord] = []
         self.secure_mode = False
         self.attack_over_passed = False
         self.adversary_validators: set[str] = set()
@@ -233,31 +229,15 @@ class _Run:
             scenario_hash=scenario_hash(sc),
             seed=self.seed,
             horizon=horizon,
-            timing={
-                "t_fin": tp.t_fin,
-                "t_rev": tp.t_rev,
-                "t_ws": tp.t_ws,
-                "t_cr": tp.t_cr,
-                "slash_delay": tp.slash_delay,
-            },
-            econ={
-                "stake_per_validator": frac_str(self.ep.stake_per_validator),
-                "n_validators": self.ep.n_validators,
-                "reward": frac_str(self.ep.reward),
-                "bribe_fail": frac_str(self.ep.bribe_fail),
-                "bribe_success": frac_str(self.ep.bribe_success),
-                "gamma": frac_str(self.ep.gamma),
-                "tvl": frac_str(self.ep.tvl),
-            },
+            timing=timing_to_doc(tp),
+            econ=econ_to_doc(self.ep),
         )
         if self.probe_log is not None:
             self.rec(0, "bribery_probe", **self.probe_log)
 
         last_epoch = epoch_of(horizon, tp.t_rev)
-        for e in range(last_epoch + 1):
-            start = epoch_bounds(e, tp.t_rev)[0]
-            if start <= horizon:
-                self.push(start, _PH_EPOCH, "epoch", e)
+        for e in range(last_epoch + 1):  # epoch e starts at e * t_rev <= horizon
+            self.push(epoch_bounds(e, tp.t_rev)[0], _PH_EPOCH, "epoch", e)
         for tx in self.timeline.transactions:
             self.push(tx.finalized_at, _PH_FINALIZE, "finalize", tx)
         for ev in self.timeline.fork_events:
@@ -279,19 +259,13 @@ class _Run:
     # -- epoch boundary -----------------------------------------------------
 
     def on_epoch(self, tick: Tick, e: EpochIndex):
-        tp = self.tp
         self.rec(tick, "epoch_start", epoch=e)
 
-        released = release_lots(e, self.timeline, self.ledger)
+        released = release_lots(e, self.ledger)
         if self.attack_over_passed and e - 2 >= 0:
             released += self.ledger.release_after_settlement(e - 2)
         if released:
-            self.rec(
-                tick,
-                "released",
-                epoch=e,
-                lots=[{"id": l.id, "buyer": l.buyer, "coverage": frac_str(l.coverage)} for l in released],
-            )
+            self.rec(tick, "released", epoch=e, lots=[_lot_ref(l) for l in released])
 
         self.ledger.activate(e)
 
@@ -318,9 +292,7 @@ class _Run:
                 available=frac_str(avail),
                 lots=[
                     {
-                        "id": l.id,
-                        "buyer": l.buyer,
-                        "coverage": frac_str(l.coverage),
+                        **_lot_ref(l),
                         "premium_rate": frac_str(l.premium_rate),
                         "premium_paid": frac_str(l.premium_paid),
                         "covering_epoch": l.covering_epoch,
@@ -337,12 +309,7 @@ class _Run:
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
             for c in range(0, max(e - 1, 0)):
                 for lot in self.ledger.release_after_settlement(c):
-                    self.rec(
-                        tick,
-                        "released",
-                        epoch=e,
-                        lots=[{"id": lot.id, "buyer": lot.buyer, "coverage": frac_str(lot.coverage)}],
-                    )
+                    self.rec(tick, "released", epoch=e, lots=[_lot_ref(lot)])
             self.reevaluate_waiting(tick)
 
     def reevaluate_waiting(self, tick: Tick):
@@ -510,27 +477,7 @@ class _Run:
         if outcome.slashable:
             self.adversary_validators.update(ev.double_signers)
             settlement = settle_slash(ev, outcome, self.ledger, self.ep, harmed=harms)
-            self.settlements.append(settlement)
-            self.rec(
-                tick,
-                "settlement",
-                event=ev.id,
-                slashed=frac_str(settlement.slashed),
-                insurance_budget=frac_str(settlement.insurance_budget),
-                claims=[
-                    {
-                        "transactor": c.transactor,
-                        "covering_epoch": c.covering_epoch,
-                        "harm": frac_str(c.harm),
-                        "capped": frac_str(c.capped),
-                        "paid": frac_str(c.paid),
-                    }
-                    for c in settlement.claims
-                ],
-                paid=frac_str(settlement.paid_total),
-                burned=frac_str(settlement.burned),
-                breach=settlement.invariant_breach,
-            )
+            self.rec(tick, "settlement", **settlement_doc(settlement))
             if settlement.invariant_breach:
                 owed = sum((c.capped for c in settlement.claims), Fraction(0))
                 err = InvariantBreachError(
@@ -547,22 +494,21 @@ class _Run:
     # -- wrap-up ----------------------------------------------------------------
 
     def finish(self, horizon: Tick) -> SimTrace:
-        effective_txs = [
-            replace(tx, rule=self.effective_rule.get(tx.id, tx.rule))
-            for tx in self.timeline.transactions
-        ]
-        effective_timeline = build_timeline(
-            horizon=horizon,
-            transactions=effective_txs,
-            fork_events=self.timeline.fork_events,
-            validators=self.timeline.validators,
+        # rule is not a sort key, so the validated timeline stays valid
+        effective_timeline = replace(
+            self.timeline,
+            transactions=tuple(
+                replace(tx, rule=self.effective_rule.get(tx.id, tx.rule))
+                for tx in self.timeline.transactions
+            ),
         )
         # the ledger follows the run's effective view from here on
         self.ledger.timeline = effective_timeline
 
+        settlements = self.ledger.settlements
         karma = karma_report(
             self.ledger,
-            self.settlements,
+            settlements,
             reverted_executions=self.reverted_executions,
             adversary_validators=sorted(self.adversary_validators),
             adversary_transactors=sorted(self.sc.adversary_transactors),
@@ -572,21 +518,19 @@ class _Run:
             self.tp,
             self.ep,
             self.ledger,
-            self.settlements,
+            settlements,
             karma,
             self.bound_kind,
             scenario_hash=scenario_hash(self.sc),
             seed=self.seed,
         )
-        karma_doc = report.doc["karma"]
-        self.rec(horizon, "karma", **karma_doc)
+        self.rec(horizon, "karma", **report.doc["karma"])
         self.rec(horizon, "report", **report.doc)
         return SimTrace(
             records=self.records,
             report=report,
-            karma_doc=karma_doc,
             effective_timeline=effective_timeline,
-            settlements=self.settlements,
+            settlements=settlements,
             ledger=self.ledger,
             executed=self.executed,
             reverted=self.reverted,
@@ -603,6 +547,20 @@ def run(
     return _Run(scenario, actual_seed, bound_kind).run()
 
 
+def _set_path(doc: Any, path: str, value: Any, source: str) -> None:
+    """Set dotted `path` in a scenario document, creating missing objects."""
+    node, where = doc, source
+    *parents, leaf = path.split(".")
+    for key in parents:
+        if not isinstance(node, dict):
+            break
+        node = node.setdefault(key, {})
+        where = f"{where}.{key}"
+    if not isinstance(node, dict):
+        raise ScenarioError(f"cannot set {path!r} inside a non-object", path=where)
+    node[leaf] = value
+
+
 def sweep(
     template_doc: dict,
     grid: dict[str, list],
@@ -613,8 +571,9 @@ def sweep(
 
     Grid keys look like "econ.gamma" or "timing.t_rev"; values are lists.
     Points are visited in deterministic order (keys as given, values in
-    listed order, rightmost fastest). A failing point is recorded with its
-    error and does not abort the sweep.
+    listed order, rightmost fastest). A point that fails with a domain
+    error is recorded with its error and does not abort the sweep; any
+    other exception is a bug and propagates.
     """
     import copy
     import itertools
@@ -626,14 +585,11 @@ def sweep(
     for n, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         overrides = dict(zip(keys, combo))
         doc = copy.deepcopy(template_doc)
+        source = f"<sweep point {n}>"
         try:
             for path, value in overrides.items():
-                parts = path.split(".")
-                node = doc
-                for p in parts[:-1]:
-                    node = node.setdefault(p, {})
-                node[parts[-1]] = value
-            sc = parse_scenario(doc, source=f"<sweep point {n}>")
+                _set_path(doc, path, value, source)
+            sc = parse_scenario(doc, source=source)
             trace = run(sc, seed=seed, bound_kind=bound_kind)
             results.append(
                 {
@@ -644,7 +600,7 @@ def sweep(
                     "report": trace.report.doc,
                 }
             )
-        except Exception as exc:  # record, keep sweeping
+        except StakesimError as exc:  # record, keep sweeping
             results.append(
                 {
                     "point": n,

@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
     ConfirmationRule,
     EconParams,
     EpochIndex,
-    Tick,
     TimingParams,
     TransactionRecord,
     TxKind,
@@ -277,12 +276,6 @@ class InsuranceLedger:
             share = lot.premium_paid * amount / lot.coverage
             self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + share
 
-    def _free_backing(self, lot: InsuranceLot) -> None:
-        # a slashed validator's backing is gone; it never re-enters the pool
-        for v, amount in lot.backing.items():
-            if v not in self.slashed_validators:
-                self.earmark_free[v] += amount
-
     def mark_settled(self, event_id: str) -> None:
         self._settled_events.add(event_id)
 
@@ -298,28 +291,39 @@ class InsuranceLedger:
             and classify_reveal(ev, self.tp) in SLASHABLE_CLASSES
         ]
 
+    def _release(self, covering_epoch: EpochIndex, excused: AbstractSet[str]) -> list[InsuranceLot]:
+        """Release the active lots covering `covering_epoch` if every
+        slashable reveal in their watch window is in `excused`.
+
+        Released backing re-enters the pool and the premium pays out to the
+        backers.
+        """
+        lots = [
+            lot
+            for lot in self.lots
+            if lot.covering_epoch == covering_epoch and lot.state is LotState.ACTIVE_COVERAGE
+        ]
+        if not lots or any(ev.id not in excused for ev in self._window_blockers(covering_epoch)):
+            return []
+        for lot in lots:
+            lot.transition(LotState.RELEASED)
+            # a slashed validator's backing is gone; it never re-enters the pool
+            for v, amount in lot.backing.items():
+                if v not in self.slashed_validators:
+                    self.earmark_free[v] += amount
+            self._credit_premium(lot)
+        return lots
+
     def release_after_settlement(self, covering_epoch: EpochIndex) -> list[InsuranceLot]:
         """Release lots whose watch window only saw already-settled attacks.
 
         Used once the scenario declares the attack over; unclaimed coverage
         unlocks and its backing (minus slashed validators') returns.
         """
-        released = []
-        for lot in self.lots:
-            if lot.covering_epoch != covering_epoch or lot.state is not LotState.ACTIVE_COVERAGE:
-                continue
-            blockers = self._window_blockers(covering_epoch)
-            if all(ev.id in self._settled_events for ev in blockers):
-                lot.transition(LotState.RELEASED)
-                self._free_backing(lot)
-                self._credit_premium(lot)
-                released.append(lot)
-        return released
+        return self._release(covering_epoch, self._settled_events)
 
 
-def release_lots(
-    epoch_now: EpochIndex, timeline: ChainTimeline, ledger: InsuranceLedger
-) -> list[InsuranceLot]:
+def release_lots(epoch_now: EpochIndex, ledger: InsuranceLedger) -> list[InsuranceLot]:
     """Release every lot two epochs past its covering window, if quiet.
 
     A lot covering epoch c releases at epoch c + 2 provided no slashable
@@ -327,19 +331,9 @@ def release_lots(
     backing re-enters the pool and the premium pays out to the backers.
     """
     covering = epoch_now - RELEASE_LAG_EPOCHS
-    released = []
     if covering < 0:
-        return released
-    quiet = not ledger._window_blockers(covering)
-    if not quiet:
-        return released
-    for lot in ledger.lots:
-        if lot.covering_epoch == covering and lot.state is LotState.ACTIVE_COVERAGE:
-            lot.transition(LotState.RELEASED)
-            ledger._free_backing(lot)
-            ledger._credit_premium(lot)
-            released.append(lot)
-    return released
+        return []
+    return ledger._release(covering, frozenset())
 
 
 def coverage_check(
@@ -412,54 +406,26 @@ class SettlementRecord:
             )
 
 
-def _default_harms(
-    ev: ForkRevealEvent, ledger: InsuranceLedger
-) -> list[HarmedExecution]:
-    """Insured immediate executions sitting on the reverted fork.
-
-    The divergence block itself is the common ancestor and survives; blocks
-    strictly between it and the reveal are reverted. An execution already
-    performed by then (at its recorded off-chain tick, else at finalization)
-    is harm.
-    """
-    harms = []
-    for tx in ledger.timeline.transactions:
-        if tx.kind is not TxKind.HYBRID or tx.rule is not ConfirmationRule.INSURED_IMMEDIATE:
-            continue
-        if not (ev.diverges_from_block_finalized_at < tx.finalized_at < ev.revealed_at):
-            continue
-        executed_at = tx.offchain_executed_at if tx.offchain_executed_at is not None else tx.finalized_at
-        if executed_at < ev.revealed_at:
-            harms.append(
-                HarmedExecution(
-                    tx_id=tx.id,
-                    transactor=tx.transactor,
-                    covering_epoch=epoch_of(tx.finalized_at, ledger.tp.t_rev),
-                    value=tx.value,
-                )
-            )
-    return harms
-
-
 def settle_slash(
     ev: ForkRevealEvent,
     outcome: ResolutionOutcome,
     ledger: InsuranceLedger,
     ep: EconParams,
-    harmed: Optional[Sequence[HarmedExecution]] = None,
+    *,
+    harmed: Sequence[HarmedExecution],
 ) -> SettlementRecord:
     """Distribute one slash: gamma share to claims, remainder burned.
 
-    Claims are grouped per transactor and covering epoch, capped at the
-    coverage bought, and paid from the gamma budget; any shortfall scales
-    all claims pro-rata and flags the settlement as an invariant breach.
+    `harmed` lists the insured executions the reverted fork undid (the
+    engine derives them from the executions it actually performed). Claims
+    are grouped per transactor and covering epoch, capped at the coverage
+    bought, and paid from the gamma budget; any shortfall scales all claims
+    pro-rata and flags the settlement as an invariant breach.
     """
     if not outcome.slashable or outcome.event_id != ev.id:
         raise SettleOnUnslashableError(f"event {ev.id!r} is not slashable as resolved")
     slashed = outcome.slashable_stake
     budget = ep.gamma * slashed
-    if harmed is None:
-        harmed = _default_harms(ev, ledger)
 
     grouped: dict[tuple[str, EpochIndex], Fraction] = {}
     for h in harmed:

@@ -27,6 +27,7 @@ from .chain import (
 )
 from .econ import (
     Mechanism,
+    PfcBound,
     PfcKind,
     SafetyVerdict,
     cost_of_corruption,
@@ -36,6 +37,7 @@ from .econ import (
 from .errors import ScenarioError
 from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord
 from .rational import as_fraction, frac_decimal, frac_str
+from .scenario import parse_run_header
 from .version import SCHEMA_VERSION, __version__
 
 BOUND_ALIASES = {
@@ -103,6 +105,46 @@ def _epoch_rows(
     return rows
 
 
+def _coc_doc(ep: EconParams) -> dict:
+    return {
+        "token_toxicity": frac_str(cost_of_corruption(Mechanism.TOKEN_TOXICITY, ep)),
+        "slashing": frac_str(cost_of_corruption(Mechanism.SLASHING, ep)),
+    }
+
+
+def _ladder_doc(ladder: Sequence[PfcBound]) -> list[dict]:
+    return [
+        {
+            "kind": b.kind.value,
+            "value": frac_str(b.value),
+            "witness_window_start": b.witness_window_start,
+        }
+        for b in ladder
+    ]
+
+
+def settlement_doc(s: SettlementRecord) -> dict:
+    """One settlement, as both the trace record and the report entry."""
+    return {
+        "event": s.event_id,
+        "slashed": frac_str(s.slashed),
+        "insurance_budget": frac_str(s.insurance_budget),
+        "paid": frac_str(s.paid_total),
+        "burned": frac_str(s.burned),
+        "breach": s.invariant_breach,
+        "claims": [
+            {
+                "transactor": c.transactor,
+                "covering_epoch": c.covering_epoch,
+                "harm": frac_str(c.harm),
+                "capped": frac_str(c.capped),
+                "paid": frac_str(c.paid),
+            }
+            for c in s.claims
+        ],
+    }
+
+
 def build_report(
     timeline: ChainTimeline,
     tp: TimingParams,
@@ -149,18 +191,8 @@ def build_report(
         "tool_version": __version__,
         "scenario_hash": scenario_hash,
         "seed": seed,
-        "coc": {
-            "token_toxicity": frac_str(cost_of_corruption(Mechanism.TOKEN_TOXICITY, ep)),
-            "slashing": frac_str(cost_of_corruption(Mechanism.SLASHING, ep)),
-        },
-        "ladder": [
-            {
-                "kind": b.kind.value,
-                "value": frac_str(b.value),
-                "witness_window_start": b.witness_window_start,
-            }
-            for b in ladder
-        ],
+        "coc": _coc_doc(ep),
+        "ladder": _ladder_doc(ladder),
         "verdict": {
             "bound_kind": verdict.bound_kind.value,
             "coc": frac_str(verdict.coc),
@@ -170,27 +202,7 @@ def build_report(
             "uninsured_buffer_ok": verdict.uninsured_buffer_ok,
         },
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage),
-        "settlements": [
-            {
-                "event": s.event_id,
-                "slashed": frac_str(s.slashed),
-                "insurance_budget": frac_str(s.insurance_budget),
-                "paid": frac_str(s.paid_total),
-                "burned": frac_str(s.burned),
-                "breach": s.invariant_breach,
-                "claims": [
-                    {
-                        "transactor": c.transactor,
-                        "covering_epoch": c.covering_epoch,
-                        "harm": frac_str(c.harm),
-                        "capped": frac_str(c.capped),
-                        "paid": frac_str(c.paid),
-                    }
-                    for c in s.claims
-                ],
-            }
-            for s in settlements
-        ],
+        "settlements": [settlement_doc(s) for s in settlements],
         "totals": {
             "slashed": frac_str(sum((s.slashed for s in settlements), Fraction(0))),
             "paid": frac_str(sum((s.paid_total for s in settlements), Fraction(0))),
@@ -288,17 +300,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     header = next((r for r in records if r["kind"] == "run_start"), None)
     if header is None:
         raise ScenarioError("trace has no run_start record", path=source)
-    tp = TimingParams(**{k: header["timing"][k] for k in ("t_fin", "t_rev", "t_ws", "t_cr", "slash_delay")})
-    e = header["econ"]
-    ep = EconParams(
-        stake_per_validator=as_fraction(e["stake_per_validator"]),
-        n_validators=e["n_validators"],
-        reward=as_fraction(e["reward"]),
-        bribe_fail=as_fraction(e["bribe_fail"]),
-        bribe_success=as_fraction(e["bribe_success"]),
-        gamma=as_fraction(e["gamma"]),
-        tvl=as_fraction(e["tvl"]),
-    )
+    horizon, tp, ep = parse_run_header(header, f"{source}:run_start")
 
     txs = []
     for r in records:
@@ -316,7 +318,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
             )
         )
     timeline = ChainTimeline(
-        horizon=header["horizon"],
+        horizon=horizon,
         transactions=tuple(sorted(txs, key=lambda t: (t.finalized_at, t.id))),
     )
 
@@ -358,18 +360,8 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
             burned += as_fraction(r["burned"])
 
     return {
-        "coc": {
-            "token_toxicity": frac_str(cost_of_corruption(Mechanism.TOKEN_TOXICITY, ep)),
-            "slashing": frac_str(coc),
-        },
-        "ladder": [
-            {
-                "kind": b.kind.value,
-                "value": frac_str(b.value),
-                "witness_window_start": b.witness_window_start,
-            }
-            for b in ladder
-        ],
+        "coc": _coc_doc(ep),
+        "ladder": _ladder_doc(ladder),
         "verdict_flags": {
             "strong_safety": strong,
             "uninsured_buffer_ok": uninsured_buffer_ok,

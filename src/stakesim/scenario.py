@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -52,6 +52,9 @@ _TOP_KEYS = {
     "adversary",
     "attack_over_epoch",
 }
+
+_TIMING_KEYS = ("t_fin", "t_rev", "t_ws", "t_cr", "slash_delay")
+_ECON_KEYS = ("stake_per_validator", "n_validators", "reward", "bribe_fail", "bribe_success", "gamma", "tvl")
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,14 @@ def _fail(path: str, message: str):
     raise ScenarioError(message, path=path)
 
 
+def _rewrap(exc: StakesimError, path: str):
+    """Re-raise a domain error met while building the value at `path`. A
+    ScenarioError already cites its own, more precise path."""
+    if isinstance(exc, ScenarioError):
+        raise exc
+    _fail(path, str(exc))
+
+
 def _need(doc: dict, key: str, path: str):
     if key not in doc:
         _fail(path, f"missing required key {key!r}")
@@ -116,12 +127,78 @@ def _as_str(x, path: str) -> str:
     return x
 
 
+def _as_list(x, path: str) -> list:
+    if not isinstance(x, list):
+        _fail(path, "expected a list")
+    return x
+
+
 def _check_keys(doc: dict, allowed: set[str], path: str):
     if not isinstance(doc, dict):
         _fail(path, f"expected an object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         _fail(path, f"unknown keys {unknown}")
+
+
+def _parse_timing(tdoc: Any, path: str) -> TimingParams:
+    """The timing block; t_cr and slash_delay default to 0."""
+    _check_keys(tdoc, set(_TIMING_KEYS), path)
+    try:
+        return TimingParams(
+            t_fin=_as_int(_need(tdoc, "t_fin", path), f"{path}.t_fin"),
+            t_rev=_as_int(_need(tdoc, "t_rev", path), f"{path}.t_rev"),
+            t_ws=_as_int(_need(tdoc, "t_ws", path), f"{path}.t_ws"),
+            t_cr=_as_int(tdoc.get("t_cr", 0), f"{path}.t_cr"),
+            slash_delay=_as_int(tdoc.get("slash_delay", 0), f"{path}.slash_delay"),
+        )
+    except StakesimError as exc:
+        _rewrap(exc, path)
+
+
+def _parse_econ(edoc: Any, path: str) -> EconParams:
+    """The econ block; every value but the validator set defaults to 0."""
+    _check_keys(edoc, set(_ECON_KEYS), path)
+    try:
+        return EconParams(
+            stake_per_validator=_as_value(
+                _need(edoc, "stake_per_validator", path), f"{path}.stake_per_validator"
+            ),
+            n_validators=_as_int(_need(edoc, "n_validators", path), f"{path}.n_validators"),
+            reward=_as_value(edoc.get("reward", 0), f"{path}.reward"),
+            bribe_fail=_as_value(edoc.get("bribe_fail", 0), f"{path}.bribe_fail"),
+            bribe_success=_as_value(edoc.get("bribe_success", 0), f"{path}.bribe_success"),
+            gamma=_as_value(edoc.get("gamma", 0), f"{path}.gamma"),
+            tvl=_as_value(edoc.get("tvl", 0), f"{path}.tvl"),
+        )
+    except StakesimError as exc:
+        _rewrap(exc, path)
+
+
+def _exact_block(block: Any, parse, dump, path: str):
+    """Parse a block that must already be in canonical form: every key
+    present and every value exactly as `dump` writes it back."""
+    value = parse(block, path)
+    for key, canonical in dump(value).items():
+        if key not in block:
+            _fail(path, f"missing required key {key!r}")
+        if block[key] != canonical:
+            _fail(f"{path}.{key}", f"expected canonical {canonical!r}, got {block[key]!r}")
+    return value
+
+
+def parse_run_header(header: dict, path: str) -> tuple[Tick, TimingParams, EconParams]:
+    """Horizon, timing and econ of a trace's run_start record.
+
+    Unlike a scenario, a header has no defaults: a missing key or a
+    non-canonical value is an error, so re-analysis never silently
+    substitutes a value the run did not use.
+    """
+    return (
+        _as_int(_need(header, "horizon", path), f"{path}.horizon"),
+        _exact_block(_need(header, "timing", path), _parse_timing, timing_to_doc, f"{path}.timing"),
+        _exact_block(_need(header, "econ", path), _parse_econ, econ_to_doc, f"{path}.econ"),
+    )
 
 
 def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
@@ -134,41 +211,8 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
     horizon = _as_int(_need(doc, "horizon", source), f"{source}.horizon")
     seed = _as_int(doc.get("seed", 0), f"{source}.seed")
 
-    tdoc = _need(doc, "timing", source)
-    _check_keys(tdoc, {"t_fin", "t_rev", "t_ws", "t_cr", "slash_delay"}, f"{source}.timing")
-    try:
-        timing = TimingParams(
-            t_fin=_as_int(_need(tdoc, "t_fin", f"{source}.timing"), f"{source}.timing.t_fin"),
-            t_rev=_as_int(_need(tdoc, "t_rev", f"{source}.timing"), f"{source}.timing.t_rev"),
-            t_ws=_as_int(_need(tdoc, "t_ws", f"{source}.timing"), f"{source}.timing.t_ws"),
-            t_cr=_as_int(tdoc.get("t_cr", 0), f"{source}.timing.t_cr"),
-            slash_delay=_as_int(tdoc.get("slash_delay", 0), f"{source}.timing.slash_delay"),
-        )
-    except StakesimError as exc:
-        _fail(f"{source}.timing", str(exc))
-
-    edoc = _need(doc, "econ", source)
-    _check_keys(
-        edoc,
-        {"stake_per_validator", "n_validators", "reward", "bribe_fail", "bribe_success", "gamma", "tvl"},
-        f"{source}.econ",
-    )
-    try:
-        econ = EconParams(
-            stake_per_validator=_as_value(
-                _need(edoc, "stake_per_validator", f"{source}.econ"), f"{source}.econ.stake_per_validator"
-            ),
-            n_validators=_as_int(
-                _need(edoc, "n_validators", f"{source}.econ"), f"{source}.econ.n_validators"
-            ),
-            reward=_as_value(edoc.get("reward", 0), f"{source}.econ.reward"),
-            bribe_fail=_as_value(edoc.get("bribe_fail", 0), f"{source}.econ.bribe_fail"),
-            bribe_success=_as_value(edoc.get("bribe_success", 0), f"{source}.econ.bribe_success"),
-            gamma=_as_value(edoc.get("gamma", 0), f"{source}.econ.gamma"),
-            tvl=_as_value(edoc.get("tvl", 0), f"{source}.econ.tvl"),
-        )
-    except StakesimError as exc:
-        _fail(f"{source}.econ", str(exc))
+    timing = _parse_timing(_need(doc, "timing", source), f"{source}.timing")
+    econ = _parse_econ(_need(doc, "econ", source), f"{source}.econ")
 
     validators = _parse_validators(doc.get("validators"), econ, f"{source}.validators")
 
@@ -189,19 +233,19 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
 
     transactions = [
         _parse_transaction(item, timing, policies, default_policy, f"{source}.transactions[{i}]")
-        for i, item in enumerate(doc.get("transactions", []))
+        for i, item in enumerate(_as_list(doc.get("transactions", []), f"{source}.transactions"))
     ]
 
     fork_events = []
     fork_meta: dict[str, ForkEventMeta] = {}
-    for i, item in enumerate(doc.get("fork_events", [])):
+    for i, item in enumerate(_as_list(doc.get("fork_events", []), f"{source}.fork_events")):
         ev, meta = _parse_fork_event(item, timing, f"{source}.fork_events[{i}]")
         fork_events.append(ev)
         fork_meta[ev.id] = meta
 
     bids = tuple(
         _parse_bid(item, f"{source}.insurance_bids[{i}]")
-        for i, item in enumerate(doc.get("insurance_bids", []))
+        for i, item in enumerate(_as_list(doc.get("insurance_bids", []), f"{source}.insurance_bids"))
     )
 
     adoc = doc.get("adversary", {})
@@ -209,7 +253,7 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
     strategy = _parse_strategy(adoc.get("strategy", {"kind": "none"}), f"{source}.adversary.strategy")
     adversary_transactors = frozenset(
         _as_str(t, f"{source}.adversary.transactors[{i}]")
-        for i, t in enumerate(adoc.get("transactors", []))
+        for i, t in enumerate(_as_list(adoc.get("transactors", []), f"{source}.adversary.transactors"))
     )
 
     attack_over = doc.get("attack_over_epoch")
@@ -226,7 +270,7 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
             validators=validators,
         )
     except StakesimError as exc:
-        _fail(source, str(exc))
+        _rewrap(exc, source)
 
     return Scenario(
         timeline=timeline,
@@ -254,10 +298,8 @@ def _parse_validators(vdoc, econ: EconParams, path: str) -> list[ValidatorState]
             )
             for i in range(econ.n_validators)
         ]
-    if not isinstance(vdoc, list):
-        _fail(path, "expected a list")
     out = []
-    for i, item in enumerate(vdoc):
+    for i, item in enumerate(_as_list(vdoc, path)):
         p = f"{path}[{i}]"
         _check_keys(item, {"id", "stake", "earmarked_fraction", "exit_tick"}, p)
         exit_tick = item.get("exit_tick")
@@ -273,7 +315,7 @@ def _parse_validators(vdoc, econ: EconParams, path: str) -> list[ValidatorState]
                 )
             )
         except StakesimError as exc:
-            _fail(p, str(exc))
+            _rewrap(exc, p)
     return out
 
 
@@ -336,7 +378,7 @@ def _parse_transaction(
             insured_epoch=insured_epoch,
         )
     except StakesimError as exc:
-        _fail(path, str(exc))
+        _rewrap(exc, path)
 
 
 def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkRevealEvent, ForkEventMeta]:
@@ -352,9 +394,7 @@ def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkReveal
     wins = item.get("adversary_wins", True)
     if not isinstance(wins, bool):
         _fail(f"{path}.adversary_wins", f"expected a boolean, got {wins!r}")
-    signers = item.get("double_signers", [])
-    if not isinstance(signers, list):
-        _fail(f"{path}.double_signers", "expected a list of validator ids")
+    signers = _as_list(item.get("double_signers", []), f"{path}.double_signers")
     try:
         ev = ForkRevealEvent(
             id=_as_str(_need(item, "id", path), f"{path}.id"),
@@ -364,7 +404,7 @@ def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkReveal
             double_signer_stake=_as_value(item.get("double_signer_stake", 0), f"{path}.double_signer_stake"),
         )
     except StakesimError as exc:
-        _fail(path, str(exc))
+        _rewrap(exc, path)
     return ev, ForkEventMeta(adversary_wins=wins, bridge_post_delay=delay)
 
 
@@ -378,7 +418,7 @@ def _parse_bid(item, path: str) -> InsuranceBid:
             premium_rate=_as_value(_need(item, "premium_rate", path), f"{path}.premium_rate"),
         )
     except StakesimError as exc:
-        _fail(path, str(exc))
+        _rewrap(exc, path)
 
 
 _STRATEGY_KEYS = {
@@ -402,10 +442,9 @@ def _parse_strategy(item, path: str) -> AdversaryStrategy:
     if "stake_fraction" in item:
         kwargs["stake_fraction"] = _as_value(item["stake_fraction"], f"{path}.stake_fraction")
     if "exited_set" in item:
-        if not isinstance(item["exited_set"], list):
-            _fail(f"{path}.exited_set", "expected a list of validator ids")
+        exited = _as_list(item["exited_set"], f"{path}.exited_set")
         kwargs["exited_set"] = frozenset(
-            _as_str(s, f"{path}.exited_set[{j}]") for j, s in enumerate(item["exited_set"])
+            _as_str(s, f"{path}.exited_set[{j}]") for j, s in enumerate(exited)
         )
     if "premium_rate" in item:
         kwargs["premium_rate"] = _as_value(item["premium_rate"], f"{path}.premium_rate")
@@ -420,7 +459,7 @@ def _parse_strategy(item, path: str) -> AdversaryStrategy:
     try:
         return AdversaryStrategy(**kwargs)
     except StakesimError as exc:
-        _fail(path, str(exc))
+        _rewrap(exc, path)
 
 
 # -- serialization ----------------------------------------------------------
@@ -432,22 +471,8 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "schema_version": SCHEMA_VERSION,
         "horizon": sc.timeline.horizon,
         "seed": sc.seed,
-        "timing": {
-            "t_fin": sc.timing.t_fin,
-            "t_rev": sc.timing.t_rev,
-            "t_ws": sc.timing.t_ws,
-            "t_cr": sc.timing.t_cr,
-            "slash_delay": sc.timing.slash_delay,
-        },
-        "econ": {
-            "stake_per_validator": frac_str(sc.econ.stake_per_validator),
-            "n_validators": sc.econ.n_validators,
-            "reward": frac_str(sc.econ.reward),
-            "bribe_fail": frac_str(sc.econ.bribe_fail),
-            "bribe_success": frac_str(sc.econ.bribe_success),
-            "gamma": frac_str(sc.econ.gamma),
-            "tvl": frac_str(sc.econ.tvl),
-        },
+        "timing": timing_to_doc(sc.timing),
+        "econ": econ_to_doc(sc.econ),
         "validators": [
             {
                 "id": v.id,
@@ -502,6 +527,19 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "attack_over_epoch": sc.attack_over_epoch,
     }
     return doc
+
+
+def timing_to_doc(tp: TimingParams) -> dict:
+    """The timing block of a scenario and of a trace's run_start record."""
+    return {key: getattr(tp, key) for key in _TIMING_KEYS}
+
+
+def econ_to_doc(ep: EconParams) -> dict:
+    """The econ block of a scenario and of a trace's run_start record."""
+    return {
+        key: ep.n_validators if key == "n_validators" else frac_str(getattr(ep, key))
+        for key in _ECON_KEYS
+    }
 
 
 def _strategy_to_doc(st: AdversaryStrategy) -> dict:

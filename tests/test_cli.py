@@ -138,6 +138,29 @@ def test_analyze_rejects_a_trace_without_a_report(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tamper,path",
+    [
+        (lambda h: h["timing"].update(t_rev=0), ":run_start.timing: "),
+        (lambda h: h["econ"].update(gamma="x"), ":run_start.econ.gamma: "),
+        (lambda h: h["econ"].pop("gamma"), ":run_start.econ: missing required key 'gamma'"),
+    ],
+)
+def test_analyze_rejects_a_malformed_header_with_its_path(tmp_path, capsys, tamper, path):
+    trace = run_demo(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["kind"] == "run_start"
+    tamper(header)
+    lines[0] = canonical_json(header)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {trace}{path}")
+    assert "Traceback" not in captured.err
+
+
 # -- sweep ------------------------------------------------------------------------
 
 

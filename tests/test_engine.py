@@ -363,3 +363,21 @@ def test_sweep_records_failures_without_aborting():
     assert [p["ok"] for p in points] == [True, False, True]
     assert "gamma" in points[1]["error"]
     assert points[1]["report"] is None
+    # a grid path through a non-object is a domain error with its path
+    points = sweep(template, {"timing.t_rev.x": [1], "econ.gamma": ["1/2", "1"]})
+    assert [p["ok"] for p in points] == [False, False]
+    for n, p in enumerate(points):
+        assert p["error"].startswith(f"ScenarioError: <sweep point {n}>.timing.t_rev: ")
+        assert p["report"] is None
+
+
+def test_sweep_lets_program_bugs_propagate(monkeypatch):
+    import stakesim.engine
+
+    def broken_run(*args, **kwargs):
+        raise RuntimeError("bug in run")
+
+    monkeypatch.setattr(stakesim.engine, "run", broken_run)
+    template = json.loads((ROOT / "scenarios" / "double-sign.json").read_text())
+    with pytest.raises(RuntimeError, match="bug in run"):
+        sweep(template, {"econ.gamma": ["1/2"]})

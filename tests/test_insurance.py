@@ -219,8 +219,8 @@ def test_quiet_lifecycle_returns_backing_and_pays_backers():
     (lot,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     ledger.activate(2)
     assert lot.state is LotState.ACTIVE_COVERAGE
-    assert release_lots(3, ledger.timeline, ledger) == []  # one epoch early
-    released = release_lots(4, ledger.timeline, ledger)
+    assert release_lots(3, ledger) == []  # one epoch early
+    released = release_lots(4, ledger)
     assert released == [lot] and lot.state is LotState.RELEASED
     assert ledger.pool_free() == 64
     earned = sum(ledger.premiums_earned.values(), Fraction(0))
@@ -230,8 +230,8 @@ def test_quiet_lifecycle_returns_backing_and_pays_backers():
 
 def test_release_waits_before_covering_epoch_exists():
     ledger = quiet_ledger()
-    assert release_lots(0, ledger.timeline, ledger) == []
-    assert release_lots(1, ledger.timeline, ledger) == []
+    assert release_lots(0, ledger) == []
+    assert release_lots(1, ledger) == []
 
 
 def slashable_event(id="f", diverges=30, revealed=35, signers=()):
@@ -249,14 +249,14 @@ def test_slashable_reveal_in_watch_window_blocks_release():
     ledger = quiet_ledger(fork_events=[slashable_event()])
     (lot,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     ledger.activate(2)
-    assert release_lots(4, ledger.timeline, ledger) == []
+    assert release_lots(4, ledger) == []
     assert lot.state is LotState.ACTIVE_COVERAGE
     # an unslashable reveal (same tick, zero offset: still pre-finality)
     # does not block
     quiet = quiet_ledger(fork_events=[slashable_event(diverges=35, revealed=35)])
     (lot2,) = quiet.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     quiet.activate(2)
-    assert release_lots(4, quiet.timeline, quiet) == [lot2]
+    assert release_lots(4, quiet) == [lot2]
 
 
 def test_release_after_settlement_needs_every_blocker_settled():
@@ -400,7 +400,7 @@ def test_settle_requires_a_slashable_outcome():
         canonical_is_first_fork=None,
     )
     with pytest.raises(SettleOnUnslashableError):
-        settle_slash(ev, pre, ledger, ledger.ep)
+        settle_slash(ev, pre, ledger, ledger.ep, harmed=[])
     wrong_id = ResolutionOutcome(
         event_id="other",
         reveal_class=RevealClass.AMBIGUOUS_WINDOW,
@@ -409,7 +409,7 @@ def test_settle_requires_a_slashable_outcome():
         canonical_is_first_fork=None,
     )
     with pytest.raises(SettleOnUnslashableError):
-        settle_slash(ev, wrong_id, ledger, ledger.ep)
+        settle_slash(ev, wrong_id, ledger, ledger.ep, harmed=[])
 
 
 def test_settlement_conservation_randomized(rng):
@@ -469,7 +469,7 @@ def test_karma_quiet_run_moves_only_premiums():
     ledger = quiet_ledger()
     ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     ledger.activate(2)
-    release_lots(4, ledger.timeline, ledger)
+    release_lots(4, ledger)
     summary = karma_report(ledger, ledger.settlements)
     assert summary.adversary_net == 0 and summary.double_spend_gain == 0
     assert summary.entry("ins").net == -Fraction(1, 5)

@@ -84,6 +84,24 @@ def test_missing_required_key_cites_path():
     assert "t_rev" in str(exc.value) and "s.timing" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "overrides,path",
+    [
+        ({"transactions": 5}, "s.transactions"),
+        ({"fork_events": 7}, "s.fork_events"),
+        ({"insurance_bids": True}, "s.insurance_bids"),
+        ({"validators": {"id": "v1"}}, "s.validators"),
+        ({"adversary": {"transactors": 3}}, "s.adversary.transactors"),
+        ({"adversary": {"transactors": "mallory"}}, "s.adversary.transactors"),
+    ],
+)
+def test_non_list_sections_are_rejected_with_their_path(overrides, path):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(minimal_doc(**overrides), source="s")
+    assert exc.value.path == path
+    assert "expected a list" in str(exc.value)
+
+
 def test_schema_version_must_match():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(minimal_doc(schema_version=99))
