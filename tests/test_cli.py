@@ -141,8 +141,8 @@ def test_analyze_rejects_a_trace_without_a_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "tamper,path",
     [
-        (lambda h: h["timing"].update(t_rev=0), ":run_start.timing: "),
-        (lambda h: h["econ"].update(gamma="x"), ":run_start.econ.gamma: "),
+        (lambda h: h["timing"].update(t_rev=0), ":run_start.timing: t_rev must be >= 1, got 0"),
+        (lambda h: h["econ"].update(gamma="x"), ":run_start.econ.gamma: not an exact value"),
         (lambda h: h["econ"].pop("gamma"), ":run_start.econ: missing required key 'gamma'"),
     ],
 )
