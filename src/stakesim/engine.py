@@ -42,12 +42,10 @@ from .confirmation import (
 from .econ import Mechanism, PfcKind, bribe_is_dominant
 from .errors import InvariantBreachError, InvariantViolationError, ScenarioError, StakesimError
 from .insurance import (
-    HarmedExecution,
     InsuranceBid,
     InsuranceLedger,
     InsuranceLot,
     RevertedExecution,
-    SettlementRecord,
     coverage_check,
     karma_report,
     release_lots,
@@ -87,7 +85,6 @@ class SimTrace:
     records: list[TraceRecord]
     report: ReportDocument
     effective_timeline: ChainTimeline
-    settlements: list[SettlementRecord]
     ledger: InsuranceLedger
     executed: dict[str, Tick]
     reverted: set[str]
@@ -443,7 +440,7 @@ class _Run:
             adversary_wins=wins,
         )
 
-        harms: list[HarmedExecution] = []
+        first_new = len(self.reverted_executions)
         if wins:
             for tx in self.timeline.transactions:
                 if tx.id in self.reverted:
@@ -458,25 +455,20 @@ class _Run:
                 if not was_executed or tx.kind is not TxKind.HYBRID:
                     continue
                 effective = self.effective_rule.get(tx.id, tx.rule)
-                insured = effective is ConfirmationRule.INSURED_IMMEDIATE
                 self.reverted_executions.append(
                     RevertedExecution(
-                        tx_id=tx.id, transactor=tx.transactor, value=tx.value, insured=insured
+                        tx_id=tx.id,
+                        transactor=tx.transactor,
+                        covering_epoch=epoch_of(tx.finalized_at, self.tp.t_rev),
+                        value=tx.value,
+                        insured=effective is ConfirmationRule.INSURED_IMMEDIATE,
                     )
                 )
-                if insured:
-                    harms.append(
-                        HarmedExecution(
-                            tx_id=tx.id,
-                            transactor=tx.transactor,
-                            covering_epoch=epoch_of(tx.finalized_at, self.tp.t_rev),
-                            value=tx.value,
-                        )
-                    )
 
         if outcome.slashable:
             self.adversary_validators.update(ev.double_signers)
-            settlement = settle_slash(ev, outcome, self.ledger, self.ep, harmed=harms)
+            harmed = [r for r in self.reverted_executions[first_new:] if r.insured]
+            settlement = settle_slash(ev, outcome, self.ledger, self.ep, harmed=harmed)
             self.rec(tick, "settlement", **settlement_doc(settlement))
             if settlement.invariant_breach:
                 owed = sum((c.capped for c in settlement.claims), Fraction(0))
@@ -505,20 +497,14 @@ class _Run:
         # the ledger follows the run's effective view from here on
         self.ledger.timeline = effective_timeline
 
-        settlements = self.ledger.settlements
         karma = karma_report(
             self.ledger,
-            settlements,
             reverted_executions=self.reverted_executions,
             adversary_validators=sorted(self.adversary_validators),
             adversary_transactors=sorted(self.sc.adversary_transactors),
         )
         report = build_report(
-            effective_timeline,
-            self.tp,
-            self.ep,
             self.ledger,
-            settlements,
             karma,
             self.bound_kind,
             scenario_hash=scenario_hash(self.sc),
@@ -530,7 +516,6 @@ class _Run:
             records=self.records,
             report=report,
             effective_timeline=effective_timeline,
-            settlements=settlements,
             ledger=self.ledger,
             executed=self.executed,
             reverted=self.reverted,

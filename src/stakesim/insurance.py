@@ -131,7 +131,6 @@ def run_auction(
     available: Fraction,
     earmark: Optional[Mapping[str, Fraction]] = None,
     *,
-    lot_prefix: str = "lot",
     start_seq: int = 0,
 ) -> list[InsuranceLot]:
     """Sell up to `available` coverage to the highest premium rates.
@@ -168,7 +167,7 @@ def run_auction(
             backing = {v: allocated * w / total_weight for v, w in sorted(weights.items())}
         lots.append(
             InsuranceLot(
-                id=f"{lot_prefix}-e{bid.epoch_placed}-{seq}",
+                id=f"lot-e{bid.epoch_placed}-{seq}",
                 buyer=bid.transactor,
                 coverage=allocated,
                 premium_rate=bid.premium_rate,
@@ -205,14 +204,11 @@ class InsuranceLedger:
         self.earmark_free: dict[str, Fraction] = {
             v.id: v.earmarked_fraction * v.stake for v in timeline.validators
         }
-        self.slashed_validators: set[str] = set()
         self.slashed_amounts: dict[str, Fraction] = {}
         self.lots: list[InsuranceLot] = []
         self.premiums_paid: dict[str, Fraction] = {}
         self.premiums_earned: dict[str, Fraction] = {}
         self.settlements: list[SettlementRecord] = []
-        self.burned_total = Fraction(0)
-        self._settled_events: set[str] = set()
         self._lot_seq = 0
 
     # -- pool -------------------------------------------------------------
@@ -276,9 +272,6 @@ class InsuranceLedger:
             share = lot.premium_paid * amount / lot.coverage
             self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + share
 
-    def mark_settled(self, event_id: str) -> None:
-        self._settled_events.add(event_id)
-
     def _window_blockers(self, covering_epoch: EpochIndex) -> list[ForkRevealEvent]:
         """Slashable reveals inside the lot's watch window (the covering
         epoch and the one after it)."""
@@ -309,7 +302,7 @@ class InsuranceLedger:
             lot.transition(LotState.RELEASED)
             # a slashed validator's backing is gone; it never re-enters the pool
             for v, amount in lot.backing.items():
-                if v not in self.slashed_validators:
+                if v not in self.slashed_amounts:
                     self.earmark_free[v] += amount
             self._credit_premium(lot)
         return lots
@@ -320,7 +313,7 @@ class InsuranceLedger:
         Used once the scenario declares the attack over; unclaimed coverage
         unlocks and its backing (minus slashed validators') returns.
         """
-        return self._release(covering_epoch, self._settled_events)
+        return self._release(covering_epoch, {s.event_id for s in self.settlements})
 
 
 def release_lots(epoch_now: EpochIndex, ledger: InsuranceLedger) -> list[InsuranceLot]:
@@ -362,14 +355,16 @@ def coverage_check(
 
 
 @dataclass(frozen=True)
-class HarmedExecution:
+class RevertedExecution:
     """An off-chain action already performed against a later-reverted
-    transaction; the transactor is out the full value."""
+    transaction; the transactor is out the full value. `covering_epoch` is
+    the epoch the transaction finalized in, the one its insurance covers."""
 
     tx_id: str
     transactor: str
     covering_epoch: EpochIndex
     value: Fraction
+    insured: bool
 
 
 @dataclass(frozen=True)
@@ -412,15 +407,16 @@ def settle_slash(
     ledger: InsuranceLedger,
     ep: EconParams,
     *,
-    harmed: Sequence[HarmedExecution],
+    harmed: Sequence[RevertedExecution],
 ) -> SettlementRecord:
     """Distribute one slash: gamma share to claims, remainder burned.
 
     `harmed` lists the insured executions the reverted fork undid (the
-    engine derives them from the executions it actually performed). Claims
-    are grouped per transactor and covering epoch, capped at the coverage
-    bought, and paid from the gamma budget; any shortfall scales all claims
-    pro-rata and flags the settlement as an invariant breach.
+    engine passes the insured ones among the executions it actually
+    performed). Claims are grouped per transactor and covering epoch,
+    capped at the coverage bought, and paid from the gamma budget; any
+    shortfall scales all claims pro-rata and flags the settlement as an
+    invariant breach.
     """
     if not outcome.slashable or outcome.event_id != ev.id:
         raise SettleOnUnslashableError(f"event {ev.id!r} is not slashable as resolved")
@@ -460,7 +456,6 @@ def settle_slash(
     for signer in sorted(ev.double_signers):
         v = vmap.get(signer)
         if v is not None and v.active_at(snapshot):
-            ledger.slashed_validators.add(signer)
             ledger.earmark_free[signer] = Fraction(0)
             ledger.slashed_amounts[signer] = ledger.slashed_amounts.get(signer, Fraction(0)) + v.stake
 
@@ -480,19 +475,7 @@ def settle_slash(
         invariant_breach=breach,
     )
     ledger.settlements.append(record)
-    ledger.burned_total += burned
-    ledger.mark_settled(ev.id)
     return record
-
-
-@dataclass(frozen=True)
-class RevertedExecution:
-    """A reverted transaction whose off-chain leg had already run."""
-
-    tx_id: str
-    transactor: str
-    value: Fraction
-    insured: bool
 
 
 @dataclass(frozen=True)
@@ -532,32 +515,23 @@ class KarmaSummary:
     adversary_parties: frozenset[str]
     double_spend_gain: Fraction
     adversary_net: Fraction
-    total_slashed: Fraction
-    total_paid: Fraction
-    total_burned: Fraction
-
-    def entry(self, party: str) -> KarmaEntry:
-        for e in self.entries:
-            if e.party == party:
-                return e
-        return KarmaEntry(party=party)
 
 
 def karma_report(
     ledger: InsuranceLedger,
-    settlements: Sequence[SettlementRecord],
     *,
     reverted_executions: Sequence[RevertedExecution] = (),
     adversary_validators: Iterable[str] = (),
     adversary_transactors: Iterable[str] = (),
 ) -> KarmaSummary:
-    """Aggregate per-party flows and the adversary's overall position."""
+    """Aggregate per-party flows and the adversary's overall position
+    from the ledger's settlements and the run's reverted executions."""
     premiums_paid = dict(ledger.premiums_paid)
     premiums_earned = dict(ledger.premiums_earned)
     slashed = dict(ledger.slashed_amounts)
 
     compensation: dict[str, Fraction] = {}
-    for s in settlements:
+    for s in ledger.settlements:
         for c in s.claims:
             compensation[c.transactor] = compensation.get(c.transactor, Fraction(0)) + c.paid
 
@@ -586,15 +560,9 @@ def karma_report(
     adversary_net = (
         sum((e.net for e in entries if e.party in adversary), Fraction(0)) + double_spend_gain
     )
-    total_slashed = sum((s.slashed for s in settlements), Fraction(0))
-    total_paid = sum((s.paid_total for s in settlements), Fraction(0))
-    total_burned = sum((s.burned for s in settlements), Fraction(0))
     return KarmaSummary(
         entries=entries,
         adversary_parties=adversary,
         double_spend_gain=double_spend_gain,
         adversary_net=adversary_net,
-        total_slashed=total_slashed,
-        total_paid=total_paid,
-        total_burned=total_burned,
     )

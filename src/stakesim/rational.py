@@ -42,12 +42,8 @@ def frac_decimal(x: Fraction, places: int = 6) -> str:
     """Fixed-point decimal for human output, round-half-even, no locale."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
-    x = abs(x)
-    scale = 10 ** places
-    scaled = x * scale
-    whole = scaled.numerator // scaled.denominator
-    rem = scaled - whole
-    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and whole % 2 == 1):
+    whole, rem = divmod(abs(x.numerator) * 10**places, x.denominator)
+    if 2 * rem > x.denominator or (2 * rem == x.denominator and whole % 2 == 1):
         whole += 1
     digits = f"{whole:0{places + 1}d}"
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"

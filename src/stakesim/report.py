@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
@@ -37,7 +37,7 @@ from .econ import (
 from .errors import ScenarioError
 from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord
 from .rational import as_fraction, frac_decimal, frac_str
-from .scenario import parse_run_header
+from .scenario import canonical_json, parse_run_header
 from .version import SCHEMA_VERSION, __version__
 
 BOUND_ALIASES = {
@@ -55,14 +55,24 @@ class ReportDocument:
     verdict: SafetyVerdict
 
     def to_json(self) -> str:
-        return json.dumps(self.doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        return canonical_json(self.doc)
+
+
+def _coverage_map(lots: Iterable[tuple[str, int, Fraction]]) -> dict[int, dict[str, Fraction]]:
+    """Coverage bought, by covering epoch and then buyer, from
+    (buyer, covering_epoch, coverage) triples."""
+    coverage: dict[int, dict[str, Fraction]] = {}
+    for buyer, epoch, amount in lots:
+        bucket = coverage.setdefault(epoch, {})
+        bucket[buyer] = bucket.get(buyer, Fraction(0)) + amount
+    return coverage
 
 
 def _epoch_rows(
     timeline: ChainTimeline,
     tp: TimingParams,
     ep: EconParams,
-    coverage: dict[tuple[str, int], Fraction],
+    coverage: dict[int, dict[str, Fraction]],
 ) -> list[dict]:
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     burn_share = (1 - ep.gamma) * coc
@@ -82,12 +92,10 @@ def _epoch_rows(
                 and t0 <= tx.finalized_at < t1
             ):
                 insured_by_tr[tx.transactor] = insured_by_tr.get(tx.transactor, Fraction(0)) + tx.value
+        bucket = coverage.get(e, {})
         insured_ok = all(
-            total < coverage.get((tr, e), Fraction(0)) for tr, total in insured_by_tr.items()
+            total < bucket.get(tr, Fraction(0)) for tr, total in insured_by_tr.items()
         )
-        epoch_coverage = {
-            tr: cov for (tr, ce), cov in sorted(coverage.items()) if ce == e
-        }
         rows.append(
             {
                 "epoch": e,
@@ -96,7 +104,7 @@ def _epoch_rows(
                 "sum_hybrid": frac_str(sums[GammaFilter.HYBRID_ONLY]),
                 "sum_hybrid_not_secure": frac_str(sums[GammaFilter.HYBRID_NOT_SECURE]),
                 "sum_uninsured": frac_str(sums[GammaFilter.UNINSURED]),
-                "coverage": {tr: frac_str(c) for tr, c in epoch_coverage.items()},
+                "coverage": {tr: frac_str(c) for tr, c in sorted(bucket.items())},
                 "insured_ok": insured_ok,
                 "epoch_safe": coc > sums[GammaFilter.HYBRID_NOT_SECURE],
                 "uninsured_buffer_ok": burn_share > sums[GammaFilter.UNINSURED],
@@ -146,45 +154,36 @@ def settlement_doc(s: SettlementRecord) -> dict:
 
 
 def build_report(
-    timeline: ChainTimeline,
-    tp: TimingParams,
-    ep: EconParams,
-    ledger: Optional[InsuranceLedger],
-    settlements: Sequence[SettlementRecord],
-    karma: Optional[KarmaSummary],
+    ledger: InsuranceLedger,
+    karma: KarmaSummary,
     bound_kind: PfcKind,
     *,
     scenario_hash: str = "",
     seed: int = 0,
 ) -> ReportDocument:
-    """Assemble the full safety report for one (effective) timeline."""
+    """Assemble the full safety report for the ledger's (effective)
+    timeline, its lots and its settlements."""
+    timeline, tp, ep, settlements = ledger.timeline, ledger.tp, ledger.ep, ledger.settlements
     verdict = safety_verdict(timeline, tp, ep, ledger, bound_kind)
     ladder = pfc_ladder(timeline, tp, ep)
-    coverage: dict[tuple[str, int], Fraction] = {}
-    if ledger is not None:
-        for lot in ledger.lots:
-            key = (lot.buyer, lot.covering_epoch)
-            coverage[key] = coverage.get(key, Fraction(0)) + lot.coverage
-
-    karma_doc: dict[str, Any] = {}
-    if karma is not None:
-        karma_doc = {
-            "parties": [
-                {
-                    "party": k.party,
-                    "premiums_paid": frac_str(k.premiums_paid),
-                    "premiums_earned": frac_str(k.premiums_earned),
-                    "compensation": frac_str(k.compensation),
-                    "harm": frac_str(k.harm),
-                    "slashed": frac_str(k.slashed),
-                    "net": frac_str(k.net),
-                }
-                for k in karma.entries
-            ],
-            "adversary_parties": sorted(karma.adversary_parties),
-            "double_spend_gain": frac_str(karma.double_spend_gain),
-            "adversary_net": frac_str(karma.adversary_net),
-        }
+    coverage = _coverage_map((lot.buyer, lot.covering_epoch, lot.coverage) for lot in ledger.lots)
+    karma_doc = {
+        "parties": [
+            {
+                "party": k.party,
+                "premiums_paid": frac_str(k.premiums_paid),
+                "premiums_earned": frac_str(k.premiums_earned),
+                "compensation": frac_str(k.compensation),
+                "harm": frac_str(k.harm),
+                "slashed": frac_str(k.slashed),
+                "net": frac_str(k.net),
+            }
+            for k in karma.entries
+        ],
+        "adversary_parties": sorted(karma.adversary_parties),
+        "double_spend_gain": frac_str(karma.double_spend_gain),
+        "adversary_net": frac_str(karma.adversary_net),
+    }
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -295,6 +294,39 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
     return records
 
 
+def _int(x: Any) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("expected an integer")
+    return x
+
+
+def _text(x: Any) -> str:
+    if not isinstance(x, str) or not x:
+        raise TypeError("expected a non-empty string")
+    return x
+
+
+def _list(x: Any) -> list:
+    if not isinstance(x, list):
+        raise TypeError("expected a list")
+    return x
+
+
+def _field(record: Any, key: str, where: str, parse: Callable[[Any], Any] = lambda x: x) -> Any:
+    """`record[key]` read through `parse`, for a trace record or an object
+    nested in one. A record that is not an object is a ScenarioError at
+    `where`; a missing key, or a value `parse` rejects, one at `where.key`."""
+    if not isinstance(record, dict):
+        raise ScenarioError("expected an object", path=where)
+    path = f"{where}.{key}"
+    if key not in record:
+        raise ScenarioError("missing required key", path=path)
+    try:
+        return parse(record[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"malformed value {record[key]!r}: {exc}", path=path) from None
+
+
 def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") -> dict:
     """Re-derive the report's checkable numbers from raw trace records."""
     header = next((r for r in records if r["kind"] == "run_start"), None)
@@ -302,33 +334,40 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
         raise ScenarioError("trace has no run_start record", path=source)
     horizon, tp, ep = parse_run_header(header, f"{source}:run_start")
 
-    txs = []
-    for r in records:
-        if r["kind"] != "tx_finalized":
-            continue
-        txs.append(
-            TransactionRecord(
-                id=r["id"],
-                transactor=r["transactor"],
-                value=as_fraction(r["value"]),
-                kind=TxKind(r["tx_kind"]),
-                finalized_at=r["tick"],
-                rule=ConfirmationRule(r["rule_effective"]),
-                insured_epoch=r["insured_epoch"],
-            )
+    where = f"{source}:tx_finalized"
+    txs = [
+        TransactionRecord(
+            id=_field(r, "id", where, _text),
+            transactor=_field(r, "transactor", where, _text),
+            value=_field(r, "value", where, as_fraction),
+            kind=_field(r, "tx_kind", where, TxKind),
+            finalized_at=_field(r, "tick", where, _int),
+            rule=_field(r, "rule_effective", where, ConfirmationRule),
+            insured_epoch=_field(r, "insured_epoch", where, lambda x: x if x is None else _int(x)),
         )
+        for r in records
+        if r["kind"] == "tx_finalized"
+    ]
     timeline = ChainTimeline(
         horizon=horizon,
         transactions=tuple(sorted(txs, key=lambda t: (t.finalized_at, t.id))),
     )
 
-    coverage: dict[tuple[str, int], Fraction] = {}
+    where = f"{source}:auction"
+    lots = []
     for r in records:
         if r["kind"] != "auction":
             continue
-        for lot in r["lots"]:
-            key = (lot["buyer"], lot["covering_epoch"])
-            coverage[key] = coverage.get(key, Fraction(0)) + as_fraction(lot["coverage"])
+        for i, lot in enumerate(_field(r, "lots", where, _list)):
+            at = f"{where}.lots[{i}]"
+            lots.append(
+                (
+                    _field(lot, "buyer", at, _text),
+                    _field(lot, "covering_epoch", at, _int),
+                    _field(lot, "coverage", at, as_fraction),
+                )
+            )
+    coverage = _coverage_map(lots)
 
     ladder = pfc_ladder(timeline, tp, ep)
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
@@ -345,19 +384,19 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
             continue
         key = (tx.transactor, epoch_of(tx.finalized_at, tp.t_rev))
         insured_groups[key] = insured_groups.get(key, Fraction(0)) + tx.value
-    for key, total in insured_groups.items():
-        if not total < coverage.get(key, Fraction(0)):
+    for (tr, e), total in insured_groups.items():
+        if not total < coverage.get(e, {}).get(tr, Fraction(0)):
             strong = False
     uninsured_bound = next(b for b in ladder if b.kind is PfcKind.UNINSURED_LOAD)
     uninsured_buffer_ok = (1 - ep.gamma) * coc > uninsured_bound.value
     strong = strong and uninsured_buffer_ok
 
-    slashed = paid = burned = Fraction(0)
-    for r in records:
-        if r["kind"] == "settlement":
-            slashed += as_fraction(r["slashed"])
-            paid += as_fraction(r["paid"])
-            burned += as_fraction(r["burned"])
+    where = f"{source}:settlement"
+    settlements = [r for r in records if r["kind"] == "settlement"]
+    totals = {
+        key: frac_str(sum((_field(r, key, where, as_fraction) for r in settlements), Fraction(0)))
+        for key in ("slashed", "paid", "burned")
+    }
 
     return {
         "coc": _coc_doc(ep),
@@ -367,11 +406,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
             "uninsured_buffer_ok": uninsured_buffer_ok,
         },
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage),
-        "totals": {
-            "slashed": frac_str(slashed),
-            "paid": frac_str(paid),
-            "burned": frac_str(burned),
-        },
+        "totals": totals,
     }
 
 
@@ -402,32 +437,43 @@ def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
 def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
     """Recompute from the trace and diff against its embedded report.
 
-    Returns the first differing field path, or None when everything checks.
+    The verdict's coc and profit bound are checked against the recomputed
+    slashing coc and the recomputed ladder entry for its bound kind, and
+    its safety flag against those two recomputed numbers. Returns the first
+    differing field path, or None when everything checks.
     """
     embedded = next((r for r in records if r["kind"] == "report"), None)
     if embedded is None:
         raise ScenarioError("trace has no embedded report", path=source)
     recomputed = recompute_from_trace(records, source=source)
 
+    where = f"{source}:report"
+    verdict = _field(embedded, "verdict", where)
+    at = f"{where}.verdict"
+    bound_kind = _field(verdict, "bound_kind", at, PfcKind)
+    coc = recomputed["coc"]["slashing"]
+    pfc = next(b["value"] for b in recomputed["ladder"] if b["kind"] == bound_kind.value)
     checks = [
-        ("coc", embedded["coc"], recomputed["coc"]),
-        ("ladder", embedded["ladder"], recomputed["ladder"]),
-        ("per_epoch", embedded["per_epoch"], recomputed["per_epoch"]),
-        ("totals", embedded["totals"], recomputed["totals"]),
+        ("coc", _field(embedded, "coc", where), recomputed["coc"]),
+        ("ladder", _field(embedded, "ladder", where), recomputed["ladder"]),
+        ("per_epoch", _field(embedded, "per_epoch", where), recomputed["per_epoch"]),
+        ("totals", _field(embedded, "totals", where), recomputed["totals"]),
         (
             "verdict.strong_safety",
-            embedded["verdict"]["strong_safety"],
+            _field(verdict, "strong_safety", at),
             recomputed["verdict_flags"]["strong_safety"],
         ),
         (
             "verdict.uninsured_buffer_ok",
-            embedded["verdict"]["uninsured_buffer_ok"],
+            _field(verdict, "uninsured_buffer_ok", at),
             recomputed["verdict_flags"]["uninsured_buffer_ok"],
         ),
+        ("verdict.coc", _field(verdict, "coc", at), coc),
+        ("verdict.pfc_value", _field(verdict, "pfc_value", at), pfc),
         (
             "verdict.cryptoeconomically_safe",
-            embedded["verdict"]["cryptoeconomically_safe"],
-            as_fraction(embedded["verdict"]["coc"]) > as_fraction(embedded["verdict"]["pfc_value"]),
+            _field(verdict, "cryptoeconomically_safe", at),
+            as_fraction(coc) > as_fraction(pfc),
         ),
     ]
     for name, exp, act in checks:

@@ -138,3 +138,17 @@ def reverted_ids_oracle(txs, winning_events) -> set:
             if ev.diverges_from_block_finalized_at < tx.finalized_at < ev.revealed_at:
                 out.add(tx.id)
     return out
+
+
+def frac_decimal_oracle(x: Fraction, places: int) -> str:
+    """Fixed-point decimal, round half to even, by Fraction arithmetic on
+    the scaled value and its remainder."""
+    x = Fraction(x)
+    sign = "-" if x < 0 else ""
+    scaled = abs(x) * 10**places
+    whole = scaled.numerator // scaled.denominator
+    rem = scaled - whole
+    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and whole % 2 == 1):
+        whole += 1
+    digits = f"{whole:0{places + 1}d}"
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"

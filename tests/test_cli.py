@@ -161,6 +161,66 @@ def test_analyze_rejects_a_malformed_header_with_its_path(tmp_path, capsys, tamp
     assert "Traceback" not in captured.err
 
 
+def tamper_first(trace: Path, kind: str, tamper) -> None:
+    """Rewrite the first record of `kind` in a trace file through `tamper`."""
+    lines = trace.read_text().splitlines()
+    i = next(n for n, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    record = json.loads(lines[i])
+    tamper(record)
+    lines[i] = canonical_json(record)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+MALFORMED_BODY_RECORDS = [
+    (lambda r: r.pop("value"), "tx_finalized.value: missing required key"),
+    (lambda r: r.update(value="five"), "tx_finalized.value: malformed value 'five'"),
+    (lambda r: r.update(tick="4"), "tx_finalized.tick: malformed value '4'"),
+    (lambda r: r.update(tx_kind="mixed"), "tx_finalized.tx_kind: malformed value 'mixed'"),
+    (lambda r: r["lots"][0].pop("coverage"), "auction.lots[0].coverage: missing required key"),
+    (lambda r: r["lots"].insert(0, 7), "auction.lots[0]: expected an object"),
+    (lambda r: r.update(lots={}), "auction.lots: malformed value {}"),
+    (lambda r: r.pop("burned"), "settlement.burned: missing required key"),
+    (lambda r: r.update(paid="1/0"), "settlement.paid: malformed value '1/0'"),
+    (lambda r: r.pop("totals"), "report.totals: missing required key"),
+    (lambda r: r.update(verdict=[]), "report.verdict: expected an object"),
+    (lambda r: r["verdict"].update(bound_kind="x"), "report.verdict.bound_kind: malformed value 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    MALFORMED_BODY_RECORDS,
+    ids=[message.split(":")[0] for _, message in MALFORMED_BODY_RECORDS],
+)
+def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys, tamper, message):
+    trace = run_demo(tmp_path, capsys)
+    tamper_first(trace, message.split(".")[0], tamper)
+    assert main(["analyze", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {trace}:{message}")
+    assert "Traceback" not in captured.err
+
+
+# Every case but the flag's keeps coc > pfc_value true in the tampered verdict
+# itself, so only re-deriving the numbers from the trace can catch it.
+@pytest.mark.parametrize(
+    "changes,field",
+    [
+        ({"coc": "1000000"}, "coc"),
+        ({"pfc_value": "0"}, "pfc_value"),
+        ({"cryptoeconomically_safe": False}, "cryptoeconomically_safe"),
+        ({"coc": "1000000", "pfc_value": "0"}, "coc"),
+        ({"bound_kind": "steal_tvl"}, "pfc_value"),
+    ],
+)
+def test_analyze_rederives_the_verdict_numbers(tmp_path, capsys, changes, field):
+    trace = run_demo(tmp_path, capsys)
+    tamper_first(trace, "report", lambda r: r["verdict"].update(changes))
+    assert main(["analyze", "--trace", str(trace)]) == 3
+    assert capsys.readouterr().out == f"{trace}: MISMATCH at verdict.{field}\n"
+
+
 # -- sweep ------------------------------------------------------------------------
 
 

@@ -49,7 +49,7 @@ def test_quiet_run_confirms_everything_and_pays_nobody():
     trace = run(parse_scenario(quiet_scenario_doc()))
     doc = trace.report.doc
     assert trace.reverted == set()
-    assert trace.settlements == []
+    assert trace.ledger.settlements == []
     assert doc["totals"] == {"slashed": "0", "paid": "0", "burned": "0"}
     # the secure transactors act one reversion window after finalization;
     # the insured one acts instantly on verified coverage
@@ -209,14 +209,14 @@ def test_bribery_probe_attacks_only_when_defection_dominates():
     (log,) = records_of(hot, "bribery_probe")
     assert log.payload["dominant"] is True and log.payload["attack_proceeds"] is True
     assert records_of(hot, "fork_reveal")
-    assert len(hot.settlements) == 1
+    assert len(hot.ledger.settlements) == 1
     assert hot.report.doc["totals"]["slashed"] == "64"
 
     cold = run(parse_scenario(probe_doc(33)))
     (log,) = records_of(cold, "bribery_probe")
     assert log.payload["dominant"] is False and log.payload["attack_proceeds"] is False
     assert records_of(cold, "fork_reveal") == []
-    assert cold.settlements == [] and cold.reverted == set()
+    assert cold.ledger.settlements == [] and cold.reverted == set()
 
 
 # -- attack-mode fallback and re-evaluation ---------------------------------------

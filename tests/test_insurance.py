@@ -10,7 +10,6 @@ import pytest
 from stakesim import (
     EconParams,
     ForkRevealEvent,
-    HarmedExecution,
     InsuranceBid,
     InsuranceLedger,
     InsuranceLot,
@@ -264,7 +263,15 @@ def test_release_after_settlement_needs_every_blocker_settled():
     (lot,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     ledger.activate(2)
     assert ledger.release_after_settlement(2) == []
-    ledger.mark_settled("f")
+    # settle "f" with no real signer, so nobody's backing is slashed away
+    outcome = ResolutionOutcome(
+        event_id="f",
+        reveal_class=RevealClass.AMBIGUOUS_WINDOW,
+        slashable=True,
+        slashable_stake=Fraction(0),
+        canonical_is_first_fork=None,
+    )
+    settle_slash(slashable_event(), outcome, ledger, EP, harmed=[])
     assert ledger.release_after_settlement(2) == [lot]
     assert lot.state is LotState.RELEASED and ledger.pool_free() == 64
 
@@ -336,7 +343,9 @@ def settle_fixture(*, coverages, gamma=Fraction(2, 3), signers=("v1",)):
 
 
 def harmed(tr, value, epoch=2):
-    return HarmedExecution(tx_id=f"h-{tr}", transactor=tr, covering_epoch=epoch, value=Fraction(value))
+    return RevertedExecution(
+        tx_id=f"h-{tr}", transactor=tr, covering_epoch=epoch, value=Fraction(value), insured=True
+    )
 
 
 def test_settlement_single_claim_within_budget():
@@ -380,14 +389,11 @@ def test_settlement_books_the_slash_and_pays_out_lots():
     ev, outcome, ledger = settle_fixture(coverages={"A": 60})
     lot = ledger.lots[0]
     settle_slash(ev, outcome, ledger, ledger.ep, harmed=[harmed("A", 50)])
-    assert ledger.slashed_validators == {"v1"}
+    assert ledger.slashed_amounts == {"v1": 90}
     assert ledger.earmark_free["v1"] == 0
-    assert ledger.slashed_amounts["v1"] == 90
     assert lot.state is LotState.PAID_OUT
-    assert ledger.burned_total == 40
-    assert len(ledger.settlements) == 1
-    # settling marks the event, unblocking release for other lots
-    assert ledger._settled_events == {"f"}
+    (rec,) = ledger.settlements
+    assert (rec.event_id, rec.paid_total, rec.burned) == ("f", 50, 40)
 
 
 def test_settle_requires_a_slashable_outcome():
@@ -470,31 +476,31 @@ def test_karma_quiet_run_moves_only_premiums():
     ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     ledger.activate(2)
     release_lots(4, ledger)
-    summary = karma_report(ledger, ledger.settlements)
+    summary = karma_report(ledger)
     assert summary.adversary_net == 0 and summary.double_spend_gain == 0
-    assert summary.entry("ins").net == -Fraction(1, 5)
-    assert summary.entry("v1").net == Fraction(1, 20)
-    assert summary.total_slashed == summary.total_paid == summary.total_burned == 0
+    entries = {e.party: e for e in summary.entries}
+    assert entries["ins"].net == -Fraction(1, 5)
+    assert entries["v1"].net == Fraction(1, 20)
+    assert ledger.settlements == []
     nets = sum((e.net for e in summary.entries), Fraction(0))
     assert nets == 0  # premiums just move between parties
 
 
 def test_karma_attack_makes_insured_victim_whole():
     ev, outcome, ledger = settle_fixture(coverages={"A": 60}, signers=("v1",))
-    settle_slash(ev, outcome, ledger, ledger.ep, harmed=[harmed("A", 50)])
-    reverted = [RevertedExecution(tx_id="h-A", transactor="A", value=Fraction(50), insured=True)]
+    reverted = [harmed("A", 50)]
+    settle_slash(ev, outcome, ledger, ledger.ep, harmed=reverted)
     summary = karma_report(
         ledger,
-        ledger.settlements,
         reverted_executions=reverted,
         adversary_validators=("v1",),
     )
-    victim = summary.entry("A")
+    victim = {e.party: e for e in summary.entries}["A"]
     assert victim.compensation == victim.harm == 50
     assert victim.net == 0  # no premiums were paid through this manual ledger
     assert summary.double_spend_gain == 50
     # the adversary validator lost its 90 stake and gained the double spend
     assert summary.adversary_parties == frozenset({"v1"})
     assert summary.adversary_net == -90 + 50
-    assert summary.total_slashed == 90
-    assert summary.total_paid == 50 and summary.total_burned == 40
+    (rec,) = ledger.settlements
+    assert (rec.slashed, rec.paid_total, rec.burned) == (90, 50, 40)

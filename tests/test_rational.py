@@ -8,6 +8,8 @@ import pytest
 
 from stakesim import as_fraction, frac_decimal, frac_str
 
+from oracles import frac_decimal_oracle
+
 
 def test_parses_ints_fractions_and_strings():
     assert as_fraction(5) == Fraction(5)
@@ -56,3 +58,12 @@ def test_fixed_point_uses_bankers_rounding():
     assert frac_decimal(Fraction(2, 3), 4) == "0.6667"
     assert frac_decimal(Fraction(-1, 8), 2) == "-0.12"
     assert frac_decimal(Fraction(64, 3), 4) == "21.3333"
+
+
+def test_fixed_point_matches_the_fraction_oracle(rng):
+    for _ in range(5000):
+        # denominators built from 2s and 5s make exact ties common
+        den = rng.choice([2**rng.randint(0, 8) * 5**rng.randint(0, 8), rng.randint(1, 10**6)])
+        x = Fraction(rng.randint(-(10**9), 10**9), den)
+        places = rng.randint(0, 6)
+        assert frac_decimal(x, places) == frac_decimal_oracle(x, places), (x, places)
