@@ -13,7 +13,6 @@ Exit codes: 0 ok, 1 bad input, 2 invariant breach during simulation,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .report import (
     render_text,
 )
 from .resolution import classify_reveal
-from .scenario import canonical_json, load_scenario, scenario_hash
+from .scenario import canonical_json, load_scenario, read_input, scenario_hash
 from .version import SCHEMA_VERSION, __version__
 
 
@@ -58,7 +57,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _grid_from_args(args: argparse.Namespace) -> dict[str, list]:
     grid: dict[str, list] = {}
     if args.grid:
-        doc = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+        doc = read_input(args.grid, "grid")
         if not isinstance(doc, dict):
             raise ScenarioError("grid file must be a JSON object", path=args.grid)
         for key, values in doc.items():
@@ -75,8 +74,6 @@ def _grid_from_args(args: argparse.Namespace) -> dict[str, list]:
                 values.append(int(chunk))
             except ValueError:
                 values.append(chunk)
-        if not values:
-            raise ScenarioError(f"--set {key} has no values", path="--set")
         grid[key] = values
     if not grid:
         raise ScenarioError("sweep needs --grid or at least one --set", path="--grid")
@@ -84,7 +81,7 @@ def _grid_from_args(args: argparse.Namespace) -> dict[str, list]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+    doc = read_input(args.scenario, "scenario")
     grid = _grid_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -113,7 +110,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     path = Path(args.trace)
-    records = parse_trace(path.read_text(encoding="utf-8").splitlines(), source=str(path))
+    records = parse_trace(read_input(str(path), "trace", str.splitlines), source=str(path))
     mismatch = compare_trace_to_report(records, source=str(path))
     if mismatch is None:
         sys.stdout.write(f"{path}: report verified against trace\n")
@@ -208,12 +205,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except StakesimError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: invalid JSON: {exc}\n")
         return 1
 
 

@@ -27,18 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
     ConfirmationRule,
     EconParams,
+    EpochIndex,
     GammaFilter,
     Tick,
     TimingParams,
+    TransactionRecord,
     TxKind,
     epoch_of,
-    gamma_set,
     gamma_value,
 )
 from .errors import EmptyIntervalError, LedgerMismatchError
@@ -202,12 +203,41 @@ class SafetyVerdict:
             raise LedgerMismatchError("verdict flag contradicts its own numbers")
 
 
-def _insured_groups(timeline: ChainTimeline, t_rev: int):
-    groups: dict[tuple[str, int], list] = {}
-    for tx in timeline.transactions:
-        if tx.kind is TxKind.HYBRID and tx.rule is ConfirmationRule.INSURED_IMMEDIATE:
-            groups.setdefault((tx.transactor, epoch_of(tx.finalized_at, t_rev)), []).append(tx)
-    return groups
+def _is_insured(tx: TransactionRecord) -> bool:
+    return tx.kind is TxKind.HYBRID and tx.rule is ConfirmationRule.INSURED_IMMEDIATE
+
+
+def strong_safety_flags(
+    timeline: ChainTimeline,
+    tp: TimingParams,
+    ep: EconParams,
+    ladder: Sequence[PfcBound],
+    coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
+) -> tuple[bool, bool, frozenset[EpochIndex]]:
+    """(strong_safety, uninsured_buffer_ok, uncovered epochs) of a timeline
+    against a coverage map, by covering epoch and then buyer.
+
+    Each transactor-epoch of insured immediate flow goes through
+    `coverage_check`; an epoch is uncovered if any of its groups fails.
+    Strong safety also needs no plain immediate hybrid flow and the burn
+    share of a maximal slash strictly above the uninsured load bound.
+    """
+    coc = cost_of_corruption(Mechanism.SLASHING, ep)
+    uninsured = next(b for b in ladder if b.kind is PfcKind.UNINSURED_LOAD)
+    buffer_ok = (1 - ep.gamma) * coc > uninsured.value
+    groups: dict[tuple[str, EpochIndex], list[TransactionRecord]] = {}
+    for tx in filter(_is_insured, timeline.transactions):
+        groups.setdefault((tx.transactor, epoch_of(tx.finalized_at, tp.t_rev)), []).append(tx)
+    uncovered = frozenset(
+        e
+        for (tr, e), txs in groups.items()
+        if not coverage_check(tr, e, txs, coverage.get(e, {}).get(tr, Fraction(0)), tp.t_rev)
+    )
+    immediate = any(
+        tx.kind is TxKind.HYBRID and tx.rule is ConfirmationRule.IMMEDIATE
+        for tx in timeline.transactions
+    )
+    return buffer_ok and not immediate and not uncovered, buffer_ok, uncovered
 
 
 def safety_verdict(
@@ -219,49 +249,37 @@ def safety_verdict(
 ) -> SafetyVerdict:
     """Judge one timeline against the chosen profit bound.
 
-    Raises LedgerMismatchError if the ledger was built for a different
-    timeline or does not know a transactor the timeline insures.
+    Without a ledger no insured flow is covered. Raises LedgerMismatchError
+    if the ledger was built for a different timeline or does not know a
+    transactor the timeline insures.
     """
-    ladder = {b.kind: b for b in pfc_ladder(timeline, tp, ep)}
-    bound = ladder[bound_kind]
+    ladder = pfc_ladder(timeline, tp, ep)
+    bound = next(b for b in ladder if b.kind is bound_kind)
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
 
-    groups = _insured_groups(timeline, tp.t_rev)
+    coverage = {}
     if ledger is not None:
         if ledger.timeline != timeline:
             raise LedgerMismatchError("ledger belongs to a different timeline")
-        unknown = sorted({tr for tr, _ in groups} - ledger.transactors)
+        insured = {
+            (tx.transactor, epoch_of(tx.finalized_at, tp.t_rev))
+            for tx in filter(_is_insured, timeline.transactions)
+        }
+        unknown = sorted({tr for tr, _ in insured} - ledger.transactors)
         if unknown:
             raise LedgerMismatchError(f"ledger does not know insured transactors {unknown}")
         last_epoch = epoch_of(timeline.horizon, tp.t_rev)
-        bad_epochs = sorted(e for _, e in groups if e > last_epoch)
+        bad_epochs = sorted(e for _, e in insured if e > last_epoch)
         if bad_epochs:
             raise LedgerMismatchError(f"insured epochs beyond horizon: {bad_epochs}")
+        coverage = ledger.coverage()
 
-    # burn share of a maximal slash must strictly cover the uninsured load
-    uninsured_buffer_ok = (1 - ep.gamma) * coc > ladder[PfcKind.UNINSURED_LOAD].value
-
-    strong = uninsured_buffer_ok
-    for tx in timeline.transactions:
-        if tx.kind is not TxKind.HYBRID or tx.rule in (
-            ConfirmationRule.SECURE_RULE,
-            ConfirmationRule.BRIDGE_RULE,
-        ):
-            continue
-        if tx.rule is ConfirmationRule.IMMEDIATE:
-            strong = False
-            break
-    if strong:
-        for (tr, e), txs in sorted(groups.items()):
-            if ledger is None or not coverage_check(tr, e, txs, ledger):
-                strong = False
-                break
-
+    strong, buffer_ok, _ = strong_safety_flags(timeline, tp, ep, ladder, coverage)
     return SafetyVerdict(
         bound_kind=bound_kind,
         coc=coc,
         pfc=bound,
         cryptoeconomically_safe=coc > bound.value,
         strong_safety=strong,
-        uninsured_buffer_ok=uninsured_buffer_ok,
+        uninsured_buffer_ok=buffer_ok,
     )

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .chain import (
-    ChainTimeline,
     ConfirmationRule,
     EpochIndex,
     ForkRevealEvent,
@@ -84,7 +83,6 @@ class SimTrace:
 
     records: list[TraceRecord]
     report: ReportDocument
-    effective_timeline: ChainTimeline
     ledger: InsuranceLedger
     executed: dict[str, Tick]
     reverted: set[str]
@@ -343,7 +341,7 @@ class _Run:
                 e = epoch_of(tick, self.tp.t_rev)
                 key = (tx.transactor, e)
                 tentative = self.committed_insured.get(key, []) + [tx]
-                if not coverage_check(tx.transactor, e, tentative, self.ledger):
+                if not coverage_check(tx.transactor, e, tentative, self.ledger.u(tx.transactor, e), self.tp.t_rev):
                     effective, reason = ConfirmationRule.SECURE_RULE, "no_coverage"
         self.effective_rule[tx.id] = effective
         self.rec(
@@ -487,15 +485,14 @@ class _Run:
 
     def finish(self, horizon: Tick) -> SimTrace:
         # rule is not a sort key, so the validated timeline stays valid
-        effective_timeline = replace(
+        # the ledger follows the run's effective view from here on
+        self.ledger.timeline = replace(
             self.timeline,
             transactions=tuple(
                 replace(tx, rule=self.effective_rule.get(tx.id, tx.rule))
                 for tx in self.timeline.transactions
             ),
         )
-        # the ledger follows the run's effective view from here on
-        self.ledger.timeline = effective_timeline
 
         karma = karma_report(
             self.ledger,
@@ -515,7 +512,6 @@ class _Run:
         return SimTrace(
             records=self.records,
             report=report,
-            effective_timeline=effective_timeline,
             ledger=self.ledger,
             executed=self.executed,
             reverted=self.reverted,

@@ -250,6 +250,10 @@ class InsuranceLedger:
             if lot.covering_epoch == covering_epoch and lot.state is LotState.PENDING:
                 lot.transition(LotState.ACTIVE_COVERAGE)
 
+    def coverage(self) -> dict[EpochIndex, dict[str, Fraction]]:
+        """The coverage map of every lot sold so far."""
+        return coverage_map((lot.buyer, lot.covering_epoch, lot.coverage) for lot in self.lots)
+
     def u(self, transactor: str, covering_epoch: EpochIndex) -> Fraction:
         """Total coverage `transactor` bought for `covering_epoch`."""
         if transactor not in self.transactors:
@@ -329,29 +333,39 @@ def release_lots(epoch_now: EpochIndex, ledger: InsuranceLedger) -> list[Insuran
     return ledger._release(covering, frozenset())
 
 
+def coverage_map(
+    lots: Iterable[tuple[str, EpochIndex, Fraction]],
+) -> dict[EpochIndex, dict[str, Fraction]]:
+    """Coverage bought, by covering epoch and then buyer, from
+    (buyer, covering_epoch, coverage) triples."""
+    coverage: dict[EpochIndex, dict[str, Fraction]] = {}
+    for buyer, epoch, amount in lots:
+        bucket = coverage.setdefault(epoch, {})
+        bucket[buyer] = bucket.get(buyer, Fraction(0)) + amount
+    return coverage
+
+
 def coverage_check(
     transactor: str,
     epoch: EpochIndex,
     executed: Sequence[TransactionRecord],
-    ledger: InsuranceLedger,
+    coverage: Fraction,
+    t_rev: int,
 ) -> bool:
     """Insured-execution safety condition for one transactor-epoch.
 
-    True iff the total value already executed immediately this epoch stays
-    strictly below the coverage bought for it. Strict: executing exactly up
-    to the purchased amount is already unsafe.
+    True iff the total value executed immediately in `epoch` (epochs are
+    `t_rev` ticks long) stays strictly below the `coverage` bought for it.
+    Strict: executing exactly up to the purchased amount is already unsafe.
     """
-    if transactor not in ledger.transactors:
-        raise UnknownTransactorError(f"unknown transactor {transactor!r}")
     for tx in executed:
         if tx.transactor != transactor:
             raise InvariantViolationError(f"transaction {tx.id!r} belongs to {tx.transactor!r}")
         if tx.kind is not TxKind.HYBRID or tx.rule is not ConfirmationRule.INSURED_IMMEDIATE:
             raise InvariantViolationError(f"transaction {tx.id!r} is not insured hybrid flow")
-        if epoch_of(tx.finalized_at, ledger.tp.t_rev) != epoch:
+        if epoch_of(tx.finalized_at, t_rev) != epoch:
             raise InvariantViolationError(f"transaction {tx.id!r} finalized outside epoch {epoch}")
-    total = sum((tx.value for tx in executed), Fraction(0))
-    return total < ledger.u(transactor, epoch)
+    return sum((tx.value for tx in executed), Fraction(0)) < coverage
 
 
 @dataclass(frozen=True)

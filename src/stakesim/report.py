@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
     ConfirmationRule,
     EconParams,
+    EpochIndex,
     GammaFilter,
     TimingParams,
     TransactionRecord,
@@ -33,9 +34,10 @@ from .econ import (
     cost_of_corruption,
     pfc_ladder,
     safety_verdict,
+    strong_safety_flags,
 )
 from .errors import ScenarioError
-from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord
+from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord, coverage_map
 from .rational import as_fraction, frac_decimal, frac_str
 from .scenario import canonical_json, parse_run_header
 from .version import SCHEMA_VERSION, __version__
@@ -58,21 +60,12 @@ class ReportDocument:
         return canonical_json(self.doc)
 
 
-def _coverage_map(lots: Iterable[tuple[str, int, Fraction]]) -> dict[int, dict[str, Fraction]]:
-    """Coverage bought, by covering epoch and then buyer, from
-    (buyer, covering_epoch, coverage) triples."""
-    coverage: dict[int, dict[str, Fraction]] = {}
-    for buyer, epoch, amount in lots:
-        bucket = coverage.setdefault(epoch, {})
-        bucket[buyer] = bucket.get(buyer, Fraction(0)) + amount
-    return coverage
-
-
 def _epoch_rows(
     timeline: ChainTimeline,
     tp: TimingParams,
     ep: EconParams,
-    coverage: dict[int, dict[str, Fraction]],
+    coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
+    uncovered: AbstractSet[EpochIndex],
 ) -> list[dict]:
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     burn_share = (1 - ep.gamma) * coc
@@ -84,18 +77,6 @@ def _epoch_rows(
             sel: gamma_value(timeline, t0, t1, sel)
             for sel in GammaFilter
         }
-        insured_by_tr: dict[str, Fraction] = {}
-        for tx in timeline.transactions:
-            if (
-                tx.kind is TxKind.HYBRID
-                and tx.rule is ConfirmationRule.INSURED_IMMEDIATE
-                and t0 <= tx.finalized_at < t1
-            ):
-                insured_by_tr[tx.transactor] = insured_by_tr.get(tx.transactor, Fraction(0)) + tx.value
-        bucket = coverage.get(e, {})
-        insured_ok = all(
-            total < bucket.get(tr, Fraction(0)) for tr, total in insured_by_tr.items()
-        )
         rows.append(
             {
                 "epoch": e,
@@ -104,8 +85,8 @@ def _epoch_rows(
                 "sum_hybrid": frac_str(sums[GammaFilter.HYBRID_ONLY]),
                 "sum_hybrid_not_secure": frac_str(sums[GammaFilter.HYBRID_NOT_SECURE]),
                 "sum_uninsured": frac_str(sums[GammaFilter.UNINSURED]),
-                "coverage": {tr: frac_str(c) for tr, c in sorted(bucket.items())},
-                "insured_ok": insured_ok,
+                "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(e, {}).items())},
+                "insured_ok": e not in uncovered,
                 "epoch_safe": coc > sums[GammaFilter.HYBRID_NOT_SECURE],
                 "uninsured_buffer_ok": burn_share > sums[GammaFilter.UNINSURED],
             }
@@ -153,6 +134,29 @@ def settlement_doc(s: SettlementRecord) -> dict:
     }
 
 
+def _checked_sections(
+    timeline: ChainTimeline,
+    tp: TimingParams,
+    ep: EconParams,
+    coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
+    slashes: Sequence[tuple[Fraction, Fraction, Fraction]],
+) -> dict:
+    """The report sections `analyze` re-derives, from a timeline, its
+    coverage map and the (slashed, paid, burned) amounts of each settlement."""
+    ladder = pfc_ladder(timeline, tp, ep)
+    strong, buffer_ok, uncovered = strong_safety_flags(timeline, tp, ep, ladder, coverage)
+    return {
+        "coc": _coc_doc(ep),
+        "ladder": _ladder_doc(ladder),
+        "verdict_flags": {"strong_safety": strong, "uninsured_buffer_ok": buffer_ok},
+        "per_epoch": _epoch_rows(timeline, tp, ep, coverage, uncovered),
+        "totals": {
+            key: frac_str(sum((s[i] for s in slashes), Fraction(0)))
+            for i, key in enumerate(("slashed", "paid", "burned"))
+        },
+    }
+
+
 def build_report(
     ledger: InsuranceLedger,
     karma: KarmaSummary,
@@ -165,8 +169,10 @@ def build_report(
     timeline, its lots and its settlements."""
     timeline, tp, ep, settlements = ledger.timeline, ledger.tp, ledger.ep, ledger.settlements
     verdict = safety_verdict(timeline, tp, ep, ledger, bound_kind)
-    ladder = pfc_ladder(timeline, tp, ep)
-    coverage = _coverage_map((lot.buyer, lot.covering_epoch, lot.coverage) for lot in ledger.lots)
+    sections = _checked_sections(
+        timeline, tp, ep, ledger.coverage(), [(s.slashed, s.paid_total, s.burned) for s in settlements]
+    )
+    del sections["verdict_flags"]  # the verdict below carries them
     karma_doc = {
         "parties": [
             {
@@ -190,8 +196,7 @@ def build_report(
         "tool_version": __version__,
         "scenario_hash": scenario_hash,
         "seed": seed,
-        "coc": _coc_doc(ep),
-        "ladder": _ladder_doc(ladder),
+        **sections,
         "verdict": {
             "bound_kind": verdict.bound_kind.value,
             "coc": frac_str(verdict.coc),
@@ -200,13 +205,7 @@ def build_report(
             "strong_safety": verdict.strong_safety,
             "uninsured_buffer_ok": verdict.uninsured_buffer_ok,
         },
-        "per_epoch": _epoch_rows(timeline, tp, ep, coverage),
         "settlements": [settlement_doc(s) for s in settlements],
-        "totals": {
-            "slashed": frac_str(sum((s.slashed for s in settlements), Fraction(0))),
-            "paid": frac_str(sum((s.paid_total for s in settlements), Fraction(0))),
-            "burned": frac_str(sum((s.burned for s in settlements), Fraction(0))),
-        },
         "karma": karma_doc,
     }
     return ReportDocument(doc=doc, verdict=verdict)
@@ -367,47 +366,14 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
                     _field(lot, "coverage", at, as_fraction),
                 )
             )
-    coverage = _coverage_map(lots)
-
-    ladder = pfc_ladder(timeline, tp, ep)
-    coc = cost_of_corruption(Mechanism.SLASHING, ep)
-
-    strong = True
-    insured_groups: dict[tuple[str, int], Fraction] = {}
-    for tx in timeline.transactions:
-        if tx.kind is not TxKind.HYBRID:
-            continue
-        if tx.rule in (ConfirmationRule.SECURE_RULE, ConfirmationRule.BRIDGE_RULE):
-            continue
-        if tx.rule is ConfirmationRule.IMMEDIATE:
-            strong = False
-            continue
-        key = (tx.transactor, epoch_of(tx.finalized_at, tp.t_rev))
-        insured_groups[key] = insured_groups.get(key, Fraction(0)) + tx.value
-    for (tr, e), total in insured_groups.items():
-        if not total < coverage.get(e, {}).get(tr, Fraction(0)):
-            strong = False
-    uninsured_bound = next(b for b in ladder if b.kind is PfcKind.UNINSURED_LOAD)
-    uninsured_buffer_ok = (1 - ep.gamma) * coc > uninsured_bound.value
-    strong = strong and uninsured_buffer_ok
 
     where = f"{source}:settlement"
-    settlements = [r for r in records if r["kind"] == "settlement"]
-    totals = {
-        key: frac_str(sum((_field(r, key, where, as_fraction) for r in settlements), Fraction(0)))
-        for key in ("slashed", "paid", "burned")
-    }
-
-    return {
-        "coc": _coc_doc(ep),
-        "ladder": _ladder_doc(ladder),
-        "verdict_flags": {
-            "strong_safety": strong,
-            "uninsured_buffer_ok": uninsured_buffer_ok,
-        },
-        "per_epoch": _epoch_rows(timeline, tp, ep, coverage),
-        "totals": totals,
-    }
+    slashes = [
+        tuple(_field(r, key, where, as_fraction) for key in ("slashed", "paid", "burned"))
+        for r in records
+        if r["kind"] == "settlement"
+    ]
+    return _checked_sections(timeline, tp, ep, coverage_map(lots), slashes)
 
 
 def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:

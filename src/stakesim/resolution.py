@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chain import ForkRevealEvent, Tick, TimingParams, ValidatorState
+from .chain import ForkRevealEvent, TimingParams, ValidatorState
 from .errors import SettleOnUnslashableError
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .chain import (
     ChainTimeline,
@@ -573,13 +573,21 @@ def scenario_hash(sc: Scenario) -> str:
     return hashlib.sha256(canonical_json(scenario_to_doc(sc)).encode()).hexdigest()
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read and parse a scenario file; errors cite the file path."""
+def read_input(path: str, what: str, parse: Callable[[str], Any] = json.loads) -> Any:
+    """The text of one input file, put through `parse` (JSON by default).
+    A file that cannot be read as UTF-8 text, or invalid JSON, is a
+    ScenarioError citing the file path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario: {exc}", path=path)
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what}: {exc}", path=path) from None
+    try:
+        return parse(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}", path=path)
-    return parse_scenario(doc, source=path)
+        raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}", path=path) from None
+
+
+def load_scenario(path: str) -> Scenario:
+    """Read and parse a scenario file; errors cite the file path."""
+    return parse_scenario(read_input(path, "scenario"), source=path)

@@ -152,3 +152,48 @@ def frac_decimal_oracle(x: Fraction, places: int) -> str:
         whole += 1
     digits = f"{whole:0{places + 1}d}"
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def strong_safety_oracle(txs, t_rev: int, gamma: Fraction, coc: Fraction, uninsured_load: Fraction, coverage):
+    """(strong_safety, uninsured_buffer_ok) by the rule `analyze` applied
+    before the rule had one definition: any plain immediate hybrid flow
+    fails; insured flow, summed per (transactor, epoch), must stay strictly
+    below `coverage[epoch][transactor]`; the burn share of the slashing coc
+    must strictly exceed the uninsured load bound."""
+    strong = True
+    insured_groups: dict = {}
+    for tx in txs:
+        if tx.kind.value != "hybrid":
+            continue
+        if tx.rule.value in ("secure", "bridge"):
+            continue
+        if tx.rule.value == "immediate":
+            strong = False
+            continue
+        key = (tx.transactor, tx.finalized_at // t_rev)
+        insured_groups[key] = insured_groups.get(key, Fraction(0)) + tx.value
+    for (tr, e), total in insured_groups.items():
+        if not total < coverage.get(e, {}).get(tr, Fraction(0)):
+            strong = False
+    uninsured_buffer_ok = (1 - gamma) * coc > uninsured_load
+    return strong and uninsured_buffer_ok, uninsured_buffer_ok
+
+
+def insured_ok_oracle(txs, horizon: int, t_rev: int, coverage) -> list:
+    """Each epoch's insured_ok, by a rescan of every transaction per epoch:
+    every transactor's insured flow finalized in the epoch stays strictly
+    below the coverage it bought for that epoch."""
+    rows = []
+    for e in range(horizon // t_rev + 1):
+        t0, t1 = e * t_rev, (e + 1) * t_rev
+        insured_by_tr: dict = {}
+        for tx in txs:
+            if (
+                tx.kind.value == "hybrid"
+                and tx.rule.value == "insured_immediate"
+                and t0 <= tx.finalized_at < t1
+            ):
+                insured_by_tr[tx.transactor] = insured_by_tr.get(tx.transactor, Fraction(0)) + tx.value
+        bucket = coverage.get(e, {})
+        rows.append(all(total < bucket.get(tr, Fraction(0)) for tr, total in insured_by_tr.items()))
+    return rows

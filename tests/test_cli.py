@@ -221,6 +221,25 @@ def test_analyze_rederives_the_verdict_numbers(tmp_path, capsys, changes, field)
     assert capsys.readouterr().out == f"{trace}: MISMATCH at verdict.{field}\n"
 
 
+def flip(record: dict, key: str) -> None:
+    record[key] = not record[key]
+
+
+@pytest.mark.parametrize(
+    "tamper,field",
+    [
+        (lambda r: flip(r["verdict"], "strong_safety"), "verdict.strong_safety"),
+        (lambda r: flip(r["verdict"], "uninsured_buffer_ok"), "verdict.uninsured_buffer_ok"),
+        (lambda r: flip(r["per_epoch"][2], "insured_ok"), "per_epoch[2].insured_ok"),
+    ],
+)
+def test_analyze_rederives_the_strong_safety_flags(tmp_path, capsys, tamper, field):
+    trace = run_demo(tmp_path, capsys)
+    tamper_first(trace, "report", tamper)
+    assert main(["analyze", "--trace", str(trace)]) == 3
+    assert capsys.readouterr().out == f"{trace}: MISMATCH at {field}\n"
+
+
 # -- sweep ------------------------------------------------------------------------
 
 
@@ -257,6 +276,32 @@ def test_sweep_grid_file_and_failed_points(tmp_path, capsys):
 def test_sweep_without_any_axis_is_an_error(tmp_path, capsys):
     assert main(["sweep", "--scenario", DEMO, "--out", str(tmp_path / "s")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -- unreadable input ------------------------------------------------------------
+
+
+INPUT_ARGS = {
+    "run": lambda bad, out: ["run", "--scenario", bad, "--out", out],
+    "validate": lambda bad, out: ["validate", "--scenario", bad],
+    "sweep-scenario": lambda bad, out: ["sweep", "--scenario", bad, "--set", "econ.gamma=1/2", "--out", out],
+    "sweep-grid": lambda bad, out: ["sweep", "--scenario", DEMO, "--grid", bad, "--out", out],
+    "analyze": lambda bad, out: ["analyze", "--trace", bad],
+}
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+@pytest.mark.parametrize("verb", sorted(INPUT_ARGS))
+def test_unreadable_input_is_a_path_citing_error(tmp_path, capsys, verb, unreadable):
+    bad = tmp_path / "input.json"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"horizon": "\xff\xfe"}\n')
+    assert main(INPUT_ARGS[verb](str(bad), str(tmp_path / "out"))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: cannot read ")
+    assert "Traceback" not in err
 
 
 # -- installed entry point -----------------------------------------------------------

@@ -13,6 +13,7 @@ from stakesim import (
     GammaFilter,
     InsuranceBid,
     InsuranceLedger,
+    InsuranceLot,
     Mechanism,
     PfcBound,
     PfcKind,
@@ -22,19 +23,24 @@ from stakesim import (
     ValidatorChoice,
     ValidatorState,
     bribe_is_dominant,
+    build_report,
     build_timeline,
     cost_of_corruption,
+    karma_report,
     payoff,
     pfc_ladder,
     safety_verdict,
     token_toxicity_bribe_outlay,
     window_sup,
 )
+from stakesim.econ import strong_safety_flags
 from stakesim.errors import EmptyIntervalError, LedgerMismatchError
 
 from oracles import (
     window_totals,
     dominance_oracle,
+    insured_ok_oracle,
+    strong_safety_oracle,
     window_sup_oracle,
     window_sup_oracle_quadratic,
 )
@@ -291,3 +297,101 @@ def test_ledger_missing_insured_transactor_rejected():
     blind = InsuranceLedger(tl, TP, ep(), transactors={"someone_else"})
     with pytest.raises(LedgerMismatchError):
         safety_verdict(tl, TP, ep(), blind, PfcKind.REORG_WINDOW)
+
+
+def _random_insured_case(rng: random.Random):
+    """A timeline of mixed kinds and rules (zero values included), and a
+    ledger whose lots cover each insured (transactor, epoch) load not at
+    all, exactly, just below, above, or exactly across two lots."""
+    t_rev = rng.randint(2, 8)
+    horizon = rng.randint(t_rev, 8 * t_rev)
+    rules = ["secure", "bridge", "insured_immediate"]
+    if rng.random() < 0.5:
+        rules.append("immediate")
+    txs = []
+    for i in range(rng.randint(0, 12)):
+        kind = rng.choice(["pure", "hybrid", "hybrid"])
+        rule = rng.choice(rules) if kind == "hybrid" else "immediate"
+        txs.append(
+            TransactionRecord(
+                id=f"t{i}",
+                transactor=rng.choice("abc"),
+                value=Fraction(rng.choice([0, 0, rng.randint(1, 20)])),
+                kind=kind,
+                rule=rule,
+                finalized_at=rng.randint(0, horizon),
+                insured_epoch=0 if rule == "insured_immediate" else None,
+            )
+        )
+    tl = build_timeline(horizon=horizon, transactions=txs)
+    tp = TimingParams(t_fin=1, t_rev=t_rev, t_ws=3 * t_rev)
+    econ = ep(s=rng.randint(1, 40), gamma=Fraction(rng.randint(0, 4), 4))
+
+    loads: dict = {}
+    for tx in tl.transactions:
+        if tx.kind.value == "hybrid" and tx.rule.value == "insured_immediate":
+            key = (tx.transactor, tx.finalized_at // t_rev)
+            loads[key] = loads.get(key, Fraction(0)) + tx.value
+    # a stray lot for a transactor-epoch with no insured flow
+    stray = (rng.choice("abc"), rng.randint(0, horizon // t_rev))
+    amounts = {stray: [Fraction(rng.randint(1, 5))]} if rng.random() < 0.3 else {}
+    modes = []
+    for key, load in sorted(loads.items()):
+        mode = rng.choice(["none", "exact", "below", "above", "split"])
+        if mode in ("exact", "below", "split") and load < 2:
+            mode = "none"
+        modes.append(mode)
+        amounts[key] = {
+            "none": [],
+            "exact": [load],
+            "below": [load - 1],
+            "above": [load + rng.randint(1, 5)],
+            "split": [Fraction(1), load - 1],
+        }[mode] + amounts.get(key, [])
+    ledger = InsuranceLedger(tl, tp, econ, transactors="abc")
+    coverage: dict = {}
+    for (tr, e), lots in sorted(amounts.items()):
+        for j, amount in enumerate(lots):
+            ledger.lots.append(
+                InsuranceLot(
+                    id=f"lot-{tr}-{e}-{j}", buyer=tr, coverage=amount, premium_rate=Fraction(0),
+                    premium_paid=Fraction(0), epoch_placed=e - 2, covering_epoch=e,
+                )
+            )
+            coverage.setdefault(e, {})[tr] = coverage.get(e, {}).get(tr, Fraction(0)) + amount
+    return tl, tp, econ, ledger, coverage, modes
+
+
+def test_strong_safety_matches_the_oracle_on_random_cases():
+    rng = random.Random(20260418)
+    seen = {"strong": set(), "buffer": set(), "insured_ok": set(), "modes": set(), "zero": False}
+    for _ in range(400):
+        tl, tp, econ, ledger, coverage, modes = _random_insured_case(rng)
+        coc = cost_of_corruption(Mechanism.SLASHING, econ)
+        load, _ = window_sup_oracle(tl.transactions, tl.horizon, tp.t_rev, "uninsured")
+
+        expected = strong_safety_oracle(tl.transactions, tp.t_rev, econ.gamma, coc, load, coverage)
+        v = safety_verdict(tl, tp, econ, ledger, PfcKind.REORG_HYBRID_SECURE_RULE)
+        assert (v.strong_safety, v.uninsured_buffer_ok) == expected
+        ladder = pfc_ladder(tl, tp, econ)
+        assert strong_safety_flags(tl, tp, econ, ladder, coverage)[:2] == expected
+
+        # no ledger: nothing insured is covered
+        bare = strong_safety_oracle(tl.transactions, tp.t_rev, econ.gamma, coc, load, {})
+        v = safety_verdict(tl, tp, econ, None, PfcKind.REORG_HYBRID_SECURE_RULE)
+        assert (v.strong_safety, v.uninsured_buffer_ok) == bare
+
+        doc = build_report(ledger, karma_report(ledger), PfcKind.UNINSURED_LOAD).doc
+        rows = [row["insured_ok"] for row in doc["per_epoch"]]
+        assert rows == insured_ok_oracle(tl.transactions, tl.horizon, tp.t_rev, coverage)
+        assert (doc["verdict"]["strong_safety"], doc["verdict"]["uninsured_buffer_ok"]) == expected
+
+        seen["strong"].add(expected[0])
+        seen["buffer"].add(expected[1])
+        seen["insured_ok"].update(rows)
+        seen["modes"].update(modes)
+        seen["zero"] |= any(tx.value == 0 for tx in tl.transactions)
+    # the cases reach every outcome and every coverage shape
+    assert seen["strong"] == seen["buffer"] == seen["insured_ok"] == {True, False}
+    assert seen["modes"] == {"none", "exact", "below", "above", "split"}
+    assert seen["zero"]

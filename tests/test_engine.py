@@ -303,7 +303,7 @@ def test_executed_secure_flow_never_reverts(rng):
             seed=1,
         )
         trace = run(sc)
-        effective = {t.id: t.rule for t in trace.effective_timeline.transactions}
+        effective = {t.id: t.rule for t in trace.ledger.timeline.transactions}
         for tx_id in trace.reverted & set(trace.executed):
             assert effective[tx_id] is not ConfirmationRule.SECURE_RULE
         runs += 1

@@ -289,29 +289,43 @@ def insured_tx(id, value, f=21, transactor="ins"):
 def test_coverage_check_is_strict():
     ledger = quiet_ledger()
     ledger.lots.append(manual_lot("ins", 2, 100))
+    covered = ledger.u("ins", 2)
     over = [insured_tx("a", 40), insured_tx("b", 50), insured_tx("c", 20)]
-    assert not coverage_check("ins", 2, over, ledger)
+    assert not coverage_check("ins", 2, over, covered, TP.t_rev)
     exact = [insured_tx("a", 60), insured_tx("b", 40)]
-    assert not coverage_check("ins", 2, exact, ledger)
+    assert not coverage_check("ins", 2, exact, covered, TP.t_rev)
     under = [insured_tx("a", 59), insured_tx("b", 40)]
-    assert coverage_check("ins", 2, under, ledger)
-    assert not coverage_check("other", 2, [], ledger)  # no coverage, zero not < zero
+    assert coverage_check("ins", 2, under, covered, TP.t_rev)
+    # no coverage, zero not < zero
+    assert not coverage_check("other", 2, [], ledger.u("other", 2), TP.t_rev)
 
 
 def test_coverage_check_preconditions():
     ledger = quiet_ledger()
     ledger.lots.append(manual_lot("ins", 2, 100))
+    # the coverage amount comes from u, which rejects unknown transactors
     with pytest.raises(UnknownTransactorError):
-        coverage_check("stranger", 2, [], ledger)
+        ledger.u("stranger", 2)
     with pytest.raises(InvariantViolationError):
-        coverage_check("ins", 2, [insured_tx("a", 5, transactor="other")], ledger)
+        coverage_check("ins", 2, [insured_tx("a", 5, transactor="other")], Fraction(100), TP.t_rev)
     with pytest.raises(InvariantViolationError):
-        coverage_check("ins", 3, [insured_tx("a", 5)], ledger)  # wrong epoch
+        coverage_check("ins", 3, [insured_tx("a", 5)], Fraction(100), TP.t_rev)  # wrong epoch
     not_insured = TransactionRecord(
         id="s", transactor="ins", value=Fraction(1), kind="hybrid", finalized_at=21, rule="secure"
     )
     with pytest.raises(InvariantViolationError):
-        coverage_check("ins", 2, [not_insured], ledger)
+        coverage_check("ins", 2, [not_insured], Fraction(100), TP.t_rev)
+
+
+def test_ledger_coverage_map_agrees_with_u():
+    ledger = quiet_ledger()
+    for buyer, epoch, amount in [("ins", 2, 10), ("ins", 2, 5), ("other", 2, 7), ("ins", 3, 1)]:
+        ledger.lots.append(manual_lot(buyer, epoch, amount))
+    coverage = ledger.coverage()
+    assert coverage == {2: {"ins": 15, "other": 7}, 3: {"ins": 1}}
+    for epoch in (1, 2, 3):
+        for tr in ("ins", "other"):
+            assert coverage.get(epoch, {}).get(tr, Fraction(0)) == ledger.u(tr, epoch)
 
 
 # -- settlement ---------------------------------------------------------------
