@@ -243,9 +243,6 @@ class ChainTimeline:
     fork_events: tuple[ForkRevealEvent, ...] = ()
     validators: tuple[ValidatorState, ...] = ()
 
-    def validators_by_id(self) -> dict[str, ValidatorState]:
-        return {v.id: v for v in self.validators}
-
 
 def _check_unique(kind: str, ids: Iterable[str]) -> None:
     seen = set()

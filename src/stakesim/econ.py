@@ -109,7 +109,7 @@ def cost_of_corruption(mech: Mechanism, ep: EconParams) -> Fraction:
 
 def token_toxicity_bribe_outlay(ep: EconParams) -> Fraction:
     """Pre-limit diagnostic: total success bribes, (N/3) * B2."""
-    return Fraction(ep.n_validators, 3) * ep.bribe_success
+    return ep.adversary_threshold * ep.n_validators * ep.bribe_success
 
 
 class PfcKind(str, Enum):

@@ -3,9 +3,10 @@
 Single-threaded loop over a ticket heap keyed by (tick, phase, sequence).
 Within one epoch the phases run: lot release and activation, then the
 coverage auction, then per-tick transaction finalizations, scheduled
-off-chain executions and fork reveals. A slashable reveal settles its slash
-immediately and flips every transactor to the secure rule until the
-scenario's scripted attack-over epoch.
+off-chain executions and fork reveals. Each epoch schedules the next one
+when it runs, so the heap never holds more than one epoch. A slashable
+reveal settles its slash immediately and flips every transactor to the
+secure rule until the scenario's scripted attack-over epoch.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
 only ever walks sorted structures and nothing is sampled. The seed only
@@ -21,6 +22,7 @@ from typing import Any, Optional
 
 from .chain import (
     ConfirmationRule,
+    EconParams,
     EpochIndex,
     ForkRevealEvent,
     Tick,
@@ -41,6 +43,7 @@ from .confirmation import (
 from .econ import Mechanism, PfcKind, bribe_is_dominant
 from .errors import InvariantBreachError, InvariantViolationError, ScenarioError, StakesimError
 from .insurance import (
+    RELEASE_LAG_EPOCHS,
     InsuranceBid,
     InsuranceLedger,
     InsuranceLot,
@@ -106,7 +109,7 @@ def _select_signers(validators: tuple[ValidatorState, ...], fraction: Fraction) 
         acc += v.stake
         if acc >= target:
             break
-    if acc * 3 <= total:
+    if acc <= EconParams.adversary_threshold * total:
         raise InvariantViolationError(
             f"adversary controls {acc} of {total}, not enough to equivocate"
         )
@@ -200,16 +203,16 @@ class _Run:
         self.attack_over_passed = False
         self.adversary_validators: set[str] = set()
         self._seq = 0
-        self._heap: list[tuple[int, int, int, str, Any]] = []
+        self._heap: list[tuple[int, int, int, Any]] = []
 
     # -- plumbing ---------------------------------------------------------
 
     def rec(self, tick: Tick, kind: str, **payload):
         self.records.append(TraceRecord(tick=tick, kind=kind, payload=payload))
 
-    def push(self, tick: Tick, phase: int, kind: str, payload: Any):
+    def push(self, tick: Tick, phase: int, payload: Any):
         self._seq += 1
-        heapq.heappush(self._heap, (tick, phase, self._seq, kind, payload))
+        heapq.heappush(self._heap, (tick, phase, self._seq, payload))
 
     # -- run --------------------------------------------------------------
 
@@ -230,24 +233,16 @@ class _Run:
         if self.probe_log is not None:
             self.rec(0, "bribery_probe", **self.probe_log)
 
-        last_epoch = epoch_of(horizon, tp.t_rev)
-        for e in range(last_epoch + 1):  # epoch e starts at e * t_rev <= horizon
-            self.push(epoch_bounds(e, tp.t_rev)[0], _PH_EPOCH, "epoch", e)
+        self.push(0, _PH_EPOCH, 0)
         for tx in self.timeline.transactions:
-            self.push(tx.finalized_at, _PH_FINALIZE, "finalize", tx)
+            self.push(tx.finalized_at, _PH_FINALIZE, tx)
         for ev in self.timeline.fork_events:
-            self.push(ev.revealed_at, _PH_REVEAL, "reveal", ev)
+            self.push(ev.revealed_at, _PH_REVEAL, ev)
 
+        handlers = (self.on_epoch, self.on_finalize, self.on_execute, self.on_reveal)
         while self._heap:
-            tick, phase, _, kind, payload = heapq.heappop(self._heap)
-            if kind == "epoch":
-                self.on_epoch(tick, payload)
-            elif kind == "finalize":
-                self.on_finalize(tick, payload)
-            elif kind == "execute":
-                self.on_execute(tick, payload)
-            elif kind == "reveal":
-                self.on_reveal(tick, payload)
+            tick, phase, _, payload = heapq.heappop(self._heap)
+            handlers[phase](tick, payload)
 
         return self.finish(horizon)
 
@@ -255,10 +250,14 @@ class _Run:
 
     def on_epoch(self, tick: Tick, e: EpochIndex):
         self.rec(tick, "epoch_start", epoch=e)
+        next_start = epoch_bounds(e + 1, self.tp.t_rev)[0]
+        if next_start <= self.timeline.horizon:
+            self.push(next_start, _PH_EPOCH, e + 1)
 
-        released = release_lots(e, self.ledger)
-        if self.attack_over_passed and e - 2 >= 0:
-            released += self.ledger.release_after_settlement(e - 2)
+        if self.attack_over_passed:
+            released = self.ledger.release_after_settlement(e - RELEASE_LAG_EPOCHS)
+        else:
+            released = release_lots(e, self.ledger)
         if released:
             self.rec(tick, "released", epoch=e, lots=[_lot_ref(l) for l in released])
 
@@ -302,7 +301,7 @@ class _Run:
             if self.secure_mode:
                 self.secure_mode = False
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
-            for c in range(0, max(e - 1, 0)):
+            for c in range(e - RELEASE_LAG_EPOCHS + 1):
                 for lot in self.ledger.release_after_settlement(c):
                     self.rec(tick, "released", epoch=e, lots=[_lot_ref(lot)])
             self.reevaluate_waiting(tick)
@@ -323,7 +322,7 @@ class _Run:
             )
             if decision.status is DecisionStatus.CONFIRMED:
                 del self.waiting[tx_id]
-                self.push(decision.earliest_offchain_tick, _PH_EXECUTE, "execute", tx)
+                self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
 
     # -- transactions ---------------------------------------------------------
 
@@ -366,7 +365,7 @@ class _Run:
                 key = (tx.transactor, epoch_of(tick, self.tp.t_rev))
                 self.committed_insured.setdefault(key, []).append(tx)
             when = tx.offchain_executed_at if tx.offchain_executed_at is not None else tick
-            self.push(when, _PH_EXECUTE, "execute", tx)
+            self.push(when, _PH_EXECUTE, tx)
         elif effective is ConfirmationRule.SECURE_RULE:
             decision = decide_secure(tx, self.timeline, self.tp)
             self.rec(
@@ -378,7 +377,7 @@ class _Run:
                 earliest=decision.earliest_offchain_tick,
             )
             if decision.status is DecisionStatus.CONFIRMED:
-                self.push(decision.earliest_offchain_tick, _PH_EXECUTE, "execute", tx)
+                self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
             else:
                 self.waiting[tx.id] = tx
         else:  # BRIDGE_RULE
@@ -401,7 +400,7 @@ class _Run:
                 naive_earliest=naive.earliest_offchain_tick,
             )
             if decision.status is DecisionStatus.CONFIRMED:
-                self.push(decision.earliest_offchain_tick, _PH_EXECUTE, "execute", tx)
+                self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
 
     def on_execute(self, tick: Tick, tx: TransactionRecord):
         if tx.id in self.reverted:
@@ -466,7 +465,7 @@ class _Run:
         if outcome.slashable:
             self.adversary_validators.update(ev.double_signers)
             harmed = [r for r in self.reverted_executions[first_new:] if r.insured]
-            settlement = settle_slash(ev, outcome, self.ledger, self.ep, harmed=harmed)
+            settlement = settle_slash(outcome, self.ledger, harmed=harmed)
             self.rec(tick, "settlement", **settlement_doc(settlement))
             if settlement.invariant_breach:
                 owed = sum((c.capped for c in settlement.claims), Fraction(0))

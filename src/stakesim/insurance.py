@@ -121,11 +121,6 @@ class InsuranceLot:
         self.state = new
 
 
-def purchase_window_check(purchase, target_epoch: EpochIndex) -> bool:
-    """True iff a purchase placed at its epoch covers `target_epoch`."""
-    return purchase.epoch_placed + PURCHASE_LEAD_EPOCHS == target_epoch
-
-
 def run_auction(
     bids: Sequence[InsuranceBid],
     available: Fraction,
@@ -219,7 +214,7 @@ class InsuranceLedger:
     def available(self, epoch: EpochIndex) -> Fraction:
         """Backing sellable at `epoch`: the free pool, capped at gamma/3 of
         total stake so one slash can always fund every active claim."""
-        cap = self.ep.gamma * self.ep.s_tot / 3
+        cap = self.ep.gamma * self.ep.adversary_threshold * self.ep.s_tot
         return min(self.pool_free(), cap)
 
     # -- purchase pipeline --------------------------------------------------
@@ -278,9 +273,9 @@ class InsuranceLedger:
 
     def _window_blockers(self, covering_epoch: EpochIndex) -> list[ForkRevealEvent]:
         """Slashable reveals inside the lot's watch window (the covering
-        epoch and the one after it)."""
+        epoch up to its release epoch)."""
         start, _ = epoch_bounds(covering_epoch, self.tp.t_rev)
-        _, end = epoch_bounds(covering_epoch + 1, self.tp.t_rev)
+        end, _ = epoch_bounds(covering_epoch + RELEASE_LAG_EPOCHS, self.tp.t_rev)
         return [
             ev
             for ev in self.timeline.fork_events
@@ -416,14 +411,13 @@ class SettlementRecord:
 
 
 def settle_slash(
-    ev: ForkRevealEvent,
     outcome: ResolutionOutcome,
     ledger: InsuranceLedger,
-    ep: EconParams,
     *,
     harmed: Sequence[RevertedExecution],
 ) -> SettlementRecord:
-    """Distribute one slash: gamma share to claims, remainder burned.
+    """Book one slash as `outcome` decided it: gamma share to claims,
+    remainder burned.
 
     `harmed` lists the insured executions the reverted fork undid (the
     engine passes the insured ones among the executions it actually
@@ -432,10 +426,10 @@ def settle_slash(
     shortfall scales all claims pro-rata and flags the settlement as an
     invariant breach.
     """
-    if not outcome.slashable or outcome.event_id != ev.id:
-        raise SettleOnUnslashableError(f"event {ev.id!r} is not slashable as resolved")
+    if not outcome.slashable:
+        raise SettleOnUnslashableError(f"event {outcome.event_id!r} is not slashable as resolved")
     slashed = outcome.slashable_stake
-    budget = ep.gamma * slashed
+    budget = ledger.ep.gamma * slashed
 
     grouped: dict[tuple[str, EpochIndex], Fraction] = {}
     for h in harmed:
@@ -465,13 +459,9 @@ def settle_slash(
     burned = slashed - paid_total
 
     # the slashed validators leave the pool for good
-    snapshot = ev.revealed_at + ledger.tp.slash_delay
-    vmap = ledger.timeline.validators_by_id()
-    for signer in sorted(ev.double_signers):
-        v = vmap.get(signer)
-        if v is not None and v.active_at(snapshot):
-            ledger.earmark_free[signer] = Fraction(0)
-            ledger.slashed_amounts[signer] = ledger.slashed_amounts.get(signer, Fraction(0)) + v.stake
+    for signer, amount in outcome.slashed.items():
+        ledger.earmark_free[signer] = Fraction(0)
+        ledger.slashed_amounts[signer] = ledger.slashed_amounts.get(signer, Fraction(0)) + amount
 
     claimed_keys = {(c.transactor, c.covering_epoch) for c in claims if c.paid > 0}
     for lot in ledger.lots:
@@ -480,7 +470,7 @@ def settle_slash(
             ledger._credit_premium(lot)
 
     record = SettlementRecord(
-        event_id=ev.id,
+        event_id=outcome.event_id,
         slashed=slashed,
         insurance_budget=budget,
         claims=claims,

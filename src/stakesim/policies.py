@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .chain import EpochIndex, Tick
+from .chain import EconParams, EpochIndex, Tick
 from .errors import InvariantViolationError
+from .insurance import PURCHASE_LEAD_EPOCHS
 from .rational import as_fraction
 
 
@@ -18,10 +19,6 @@ class StrategyKind(str, Enum):
     LONG_RANGE_AT = "long_range_at"
     GRIEVING_BUYOUT = "grieving_buyout"
     BRIBERY_PROBE = "bribery_probe"
-
-
-# first epoch any coverage can exist: purchases at 0 cover epoch 2
-PURCHASE_MIN_ATTACK_EPOCH = 2
 
 
 @dataclass(frozen=True)
@@ -65,16 +62,16 @@ class AdversaryStrategy:
                 raise InvariantViolationError(f"strategy {k.value}: tick is required")
         if k in (StrategyKind.DOUBLE_SIGN_AT, StrategyKind.BRIBERY_PROBE):
             f = self.stake_fraction
-            if f is None or not Fraction(1, 3) < f <= 1:
+            if f is None or not EconParams.adversary_threshold < f <= 1:
                 raise InvariantViolationError(
                     f"strategy {k.value}: stake_fraction must lie in (1/3, 1]"
                 )
         if k is StrategyKind.GRIEVING_BUYOUT:
             if self.premium_rate is None or self.premium_rate < 0:
                 raise InvariantViolationError("grieving_buyout: premium_rate must be >= 0")
-            if self.attack_epoch < PURCHASE_MIN_ATTACK_EPOCH:
+            if self.attack_epoch < PURCHASE_LEAD_EPOCHS:
                 raise InvariantViolationError(
-                    f"grieving_buyout: attack_epoch must be >= {PURCHASE_MIN_ATTACK_EPOCH} "
+                    f"grieving_buyout: attack_epoch must be >= {PURCHASE_LEAD_EPOCHS} "
                     "(coverage cannot start earlier)"
                 )
         if k is StrategyKind.BRIBERY_PROBE:

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .chain import ForkRevealEvent, TimingParams, ValidatorState
 from .errors import SettleOnUnslashableError
@@ -50,29 +51,41 @@ def classify_reveal(ev: ForkRevealEvent, tp: TimingParams) -> RevealClass:
 
 @dataclass(frozen=True)
 class ResolutionOutcome:
-    """What the protocol can conclude from one reveal.
+    """What the protocol concludes from one reveal: who is slashed, and for
+    how much.
 
-    canonical_is_first_fork is True once social consensus keeps the original
-    fork (SOCIALLY_RESOLVED, LONG_RANGE) and None while the outcome is
-    genuinely open (PRE_FINALITY, AMBIGUOUS_WINDOW). slashable_stake counts
-    only double signers still staked when the slashing snapshot is taken.
+    `slashed` maps each double signer still staked when the slashing
+    snapshot is taken to the stake it loses, in id order; it is empty for an
+    unslashable reveal. canonical_is_first_fork is True once social
+    consensus keeps the original fork (SOCIALLY_RESOLVED, LONG_RANGE) and
+    None while the outcome is genuinely open (PRE_FINALITY,
+    AMBIGUOUS_WINDOW).
     """
 
     event_id: str
     reveal_class: RevealClass
-    slashable: bool
-    slashable_stake: Fraction
-    canonical_is_first_fork: Optional[bool]
+    slashed: Mapping[str, Fraction]
 
     def __post_init__(self):
-        if self.slashable != (self.reveal_class in SLASHABLE_CLASSES):
-            raise SettleOnUnslashableError(
-                f"outcome for {self.event_id!r}: slashable flag contradicts class"
-            )
-        if not self.slashable and self.slashable_stake != 0:
+        object.__setattr__(self, "slashed", MappingProxyType(dict(sorted(self.slashed.items()))))
+        if not self.slashable and self.slashed:
             raise SettleOnUnslashableError(
                 f"outcome for {self.event_id!r}: stake attached to unslashable reveal"
             )
+
+    @property
+    def slashable(self) -> bool:
+        return self.reveal_class in SLASHABLE_CLASSES
+
+    @property
+    def slashable_stake(self) -> Fraction:
+        return sum(self.slashed.values(), Fraction(0))
+
+    @property
+    def canonical_is_first_fork(self) -> Optional[bool]:
+        if self.reveal_class in (RevealClass.SOCIALLY_RESOLVED, RevealClass.LONG_RANGE):
+            return True
+        return None
 
 
 def resolve(
@@ -83,27 +96,15 @@ def resolve(
     """Resolve one reveal against the validator set.
 
     The slashing snapshot is taken at revealed_at + slash_delay; a double
-    signer who exited at or before that tick contributes nothing.
+    signer who exited at or before that tick loses nothing.
     """
     cls = classify_reveal(ev, tp)
-    slashable = cls in SLASHABLE_CLASSES
-    stake = Fraction(0)
-    if slashable:
+    slashed = {}
+    if cls in SLASHABLE_CLASSES:
         snapshot = ev.revealed_at + tp.slash_delay
-        vmap = {v.id: v for v in validators}
-        for signer in sorted(ev.double_signers):
-            v = vmap.get(signer)
-            if v is not None and v.active_at(snapshot):
-                stake += v.stake
-    canonical: Optional[bool]
-    if cls in (RevealClass.SOCIALLY_RESOLVED, RevealClass.LONG_RANGE):
-        canonical = True
-    else:
-        canonical = None
-    return ResolutionOutcome(
-        event_id=ev.id,
-        reveal_class=cls,
-        slashable=slashable,
-        slashable_stake=stake,
-        canonical_is_first_fork=canonical,
-    )
+        slashed = {
+            v.id: v.stake
+            for v in validators
+            if v.id in ev.double_signers and v.active_at(snapshot)
+        }
+    return ResolutionOutcome(event_id=ev.id, reveal_class=cls, slashed=slashed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def passes_filter(tx, selector: str) -> bool:
@@ -70,17 +70,17 @@ def window_sup_oracle_quadratic(txs, horizon: int, t_rev: int, selector: str):
     return best, witness
 
 
-def slashable_stake_oracle(signers, validators, snapshot_tick: int) -> Fraction:
-    """Sum the stake of every signer still staked at the snapshot, by
+def slashed_oracle(signers, validators, snapshot_tick: int) -> dict:
+    """The stake each signer still staked at the snapshot loses, by
     enumerating each validator's state directly."""
-    total = Fraction(0)
+    slashed = {}
     for v in validators:
         if v.id not in signers:
             continue
         exited = v.exit_tick is not None and snapshot_tick >= v.exit_tick
         if not exited:
-            total += v.stake
-    return total
+            slashed[v.id] = v.stake
+    return slashed
 
 
 def dominance_oracle(cells: dict) -> bool:

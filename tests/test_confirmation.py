@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from stakesim import (
-    ConfirmationDecision,
     ConfirmationRule,
     DecisionStatus,
     ForkRevealEvent,

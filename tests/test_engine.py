@@ -277,6 +277,36 @@ def test_waiting_transaction_is_reevaluated_at_the_all_clear():
     assert trace.report.doc["totals"] == {"slashed": "64", "paid": "0", "burned": "64"}
 
 
+def test_signer_exiting_before_the_snapshot_is_not_slashed():
+    # the snapshot is taken at 25 + slash_delay = 28; v3 exits at 27, so
+    # the settlement and the ledger charge only v1 and v2
+    doc = {
+        "schema_version": 1,
+        "horizon": 60,
+        "timing": {"t_fin": 2, "t_rev": 10, "t_ws": 100, "t_cr": 0, "slash_delay": 3},
+        "econ": {"stake_per_validator": 32, "n_validators": 4, "gamma": "1/2", "tvl": 100},
+        "validators": [
+            {"id": "v1", "stake": 32},
+            {"id": "v2", "stake": 32},
+            {"id": "v3", "stake": 32, "exit_tick": 27},
+            {"id": "v4", "stake": 32},
+        ],
+        "fork_events": [
+            {
+                "id": "amb", "diverges_from": 20, "revealed_at": 25,
+                "double_signers": ["v1", "v2", "v3"], "adversary_wins": False,
+            }
+        ],
+    }
+    trace = run(parse_scenario(doc))
+    (settlement,) = trace.ledger.settlements
+    assert settlement.slashed == 64
+    assert trace.ledger.slashed_amounts == {"v1": 32, "v2": 32}
+    (resolution,) = records_of(trace, "resolution")
+    assert resolution.payload["slashable_stake"] == "64"
+    assert by_party(trace.report.doc)["v3"]["slashed"] == "0"
+
+
 # -- reorg safety at engine level ---------------------------------------------------
 
 

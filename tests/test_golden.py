@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from stakesim import parse_scenario
 from stakesim.cli import main
+from stakesim.engine import run
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
 
@@ -107,6 +109,19 @@ def test_run_output_matches_golden(name, golden, tmp_path, capsys):
 def test_sweep_output_matches_golden(golden, tmp_path, capsys):
     assert run_sweep(tmp_path) == golden["sweep"]
     capsys.readouterr()
+
+
+def test_every_settling_case_slashes_what_its_settlements_record():
+    settled = []
+    for name, (make_doc, code, _) in sorted(CASES.items()):
+        if code != 0:
+            continue
+        ledger = run(parse_scenario(make_doc())).ledger
+        if ledger.settlements:
+            settled.append(name)
+            booked = sum(ledger.slashed_amounts.values())
+            assert booked == sum(s.slashed for s in ledger.settlements), name
+    assert "release-backlog" in settled
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +23,6 @@ from stakesim import (
     build_timeline,
     coverage_check,
     karma_report,
-    purchase_window_check,
     release_lots,
     run_auction,
     settle_slash,
@@ -103,12 +101,6 @@ def test_lot_transitions_are_a_one_way_pipeline():
     fresh = manual_lot("a", 2, 5, state=LotState.PENDING)
     with pytest.raises(InvariantViolationError):
         fresh.transition(LotState.RELEASED)
-
-
-def test_purchase_window_check():
-    assert purchase_window_check(bid("a", 4, 5, Fraction(0)), 6)
-    assert not purchase_window_check(bid("a", 4, 5, Fraction(0)), 5)
-    assert not purchase_window_check(bid("a", 3, 5, Fraction(0)), 7)
 
 
 # -- auction ----------------------------------------------------------------
@@ -264,14 +256,8 @@ def test_release_after_settlement_needs_every_blocker_settled():
     ledger.activate(2)
     assert ledger.release_after_settlement(2) == []
     # settle "f" with no real signer, so nobody's backing is slashed away
-    outcome = ResolutionOutcome(
-        event_id="f",
-        reveal_class=RevealClass.AMBIGUOUS_WINDOW,
-        slashable=True,
-        slashable_stake=Fraction(0),
-        canonical_is_first_fork=None,
-    )
-    settle_slash(slashable_event(), outcome, ledger, EP, harmed=[])
+    outcome = ResolutionOutcome(event_id="f", reveal_class=RevealClass.AMBIGUOUS_WINDOW, slashed={})
+    settle_slash(outcome, ledger, harmed=[])
     assert ledger.release_after_settlement(2) == [lot]
     assert lot.state is LotState.RELEASED and ledger.pool_free() == 64
 
@@ -332,8 +318,8 @@ def test_ledger_coverage_map_agrees_with_u():
 
 
 def settle_fixture(*, coverages, gamma=Fraction(2, 3), signers=("v1",)):
-    """Ledger with manual active lots; the event's signers are real
-    validators so the slash bookkeeping can find them."""
+    """Ledger with manual active lots and an outcome that slashes each
+    signer's full stake of 90."""
     vals = [
         ValidatorState(id=f"v{i}", stake=Fraction(90), earmarked_fraction=Fraction(1, 3))
         for i in range(1, 3)
@@ -349,11 +335,9 @@ def settle_fixture(*, coverages, gamma=Fraction(2, 3), signers=("v1",)):
     outcome = ResolutionOutcome(
         event_id="f",
         reveal_class=RevealClass.AMBIGUOUS_WINDOW,
-        slashable=True,
-        slashable_stake=Fraction(90),
-        canonical_is_first_fork=None,
+        slashed={s: Fraction(90) for s in signers},
     )
-    return ev, outcome, ledger
+    return outcome, ledger
 
 
 def harmed(tr, value, epoch=2):
@@ -363,8 +347,8 @@ def harmed(tr, value, epoch=2):
 
 
 def test_settlement_single_claim_within_budget():
-    ev, outcome, ledger = settle_fixture(coverages={"A": 60})
-    rec = settle_slash(ev, outcome, ledger, ledger.ep, harmed=[harmed("A", 50)])
+    outcome, ledger = settle_fixture(coverages={"A": 60})
+    rec = settle_slash(outcome, ledger, harmed=[harmed("A", 50)])
     assert rec.insurance_budget == 60
     assert [(c.harm, c.capped, c.paid) for c in rec.claims] == [(50, 50, 50)]
     assert (rec.paid_total, rec.burned, rec.invariant_breach) == (50, 40, False)
@@ -375,10 +359,8 @@ def test_settlement_single_claim_within_budget():
 
 
 def test_settlement_shortfall_scales_pro_rata_and_flags_breach():
-    ev, outcome, ledger = settle_fixture(coverages={"A": 100, "B": 100})
-    rec = settle_slash(
-        ev, outcome, ledger, ledger.ep, harmed=[harmed("A", 30), harmed("B", 40)]
-    )
+    outcome, ledger = settle_fixture(coverages={"A": 100, "B": 100})
+    rec = settle_slash(outcome, ledger, harmed=[harmed("A", 30), harmed("B", 40)])
     assert rec.invariant_breach
     assert [c.paid for c in rec.claims] == [Fraction(180, 7), Fraction(240, 7)]
     assert rec.paid_total == 60 and rec.burned == 30
@@ -387,22 +369,22 @@ def test_settlement_shortfall_scales_pro_rata_and_flags_breach():
 
 
 def test_settlement_with_no_victims_burns_everything():
-    ev, outcome, ledger = settle_fixture(coverages={"A": 60})
-    rec = settle_slash(ev, outcome, ledger, ledger.ep, harmed=[])
+    outcome, ledger = settle_fixture(coverages={"A": 60})
+    rec = settle_slash(outcome, ledger, harmed=[])
     assert rec.claims == () and rec.paid_total == 0 and rec.burned == 90
 
 
 def test_settlement_caps_claims_at_coverage_bought():
-    ev, outcome, ledger = settle_fixture(coverages={"A": 20})
-    rec = settle_slash(ev, outcome, ledger, ledger.ep, harmed=[harmed("A", 50)])
+    outcome, ledger = settle_fixture(coverages={"A": 20})
+    rec = settle_slash(outcome, ledger, harmed=[harmed("A", 50)])
     assert [(c.harm, c.capped, c.paid) for c in rec.claims] == [(50, 20, 20)]
     assert rec.burned == 70
 
 
 def test_settlement_books_the_slash_and_pays_out_lots():
-    ev, outcome, ledger = settle_fixture(coverages={"A": 60})
+    outcome, ledger = settle_fixture(coverages={"A": 60})
     lot = ledger.lots[0]
-    settle_slash(ev, outcome, ledger, ledger.ep, harmed=[harmed("A", 50)])
+    settle_slash(outcome, ledger, harmed=[harmed("A", 50)])
     assert ledger.slashed_amounts == {"v1": 90}
     assert ledger.earmark_free["v1"] == 0
     assert lot.state is LotState.PAID_OUT
@@ -411,25 +393,10 @@ def test_settlement_books_the_slash_and_pays_out_lots():
 
 
 def test_settle_requires_a_slashable_outcome():
-    ev, outcome, ledger = settle_fixture(coverages={"A": 60})
-    pre = ResolutionOutcome(
-        event_id="f",
-        reveal_class=RevealClass.PRE_FINALITY,
-        slashable=False,
-        slashable_stake=Fraction(0),
-        canonical_is_first_fork=None,
-    )
+    _, ledger = settle_fixture(coverages={"A": 60})
+    pre = ResolutionOutcome(event_id="f", reveal_class=RevealClass.PRE_FINALITY, slashed={})
     with pytest.raises(SettleOnUnslashableError):
-        settle_slash(ev, pre, ledger, ledger.ep, harmed=[])
-    wrong_id = ResolutionOutcome(
-        event_id="other",
-        reveal_class=RevealClass.AMBIGUOUS_WINDOW,
-        slashable=True,
-        slashable_stake=Fraction(90),
-        canonical_is_first_fork=None,
-    )
-    with pytest.raises(SettleOnUnslashableError):
-        settle_slash(ev, wrong_id, ledger, ledger.ep, harmed=[])
+        settle_slash(pre, ledger, harmed=[])
 
 
 def test_settlement_conservation_randomized(rng):
@@ -437,9 +404,9 @@ def test_settlement_conservation_randomized(rng):
         gamma = Fraction(rng.randint(0, 4), 4)
         n = rng.randint(0, 3)
         coverages = {f"T{i}": rng.randint(1, 40) for i in range(n)}
-        ev, outcome, ledger = settle_fixture(coverages=coverages or {"T0": 1}, gamma=gamma)
+        outcome, ledger = settle_fixture(coverages=coverages or {"T0": 1}, gamma=gamma)
         harms = [harmed(f"T{i}", rng.randint(1, 60)) for i in range(n)]
-        rec = settle_slash(ev, outcome, ledger, ledger.ep, harmed=harms)
+        rec = settle_slash(outcome, ledger, harmed=harms)
         assert rec.paid_total + rec.burned == rec.slashed == 90
         assert rec.paid_total <= gamma * rec.slashed
         assert rec.burned >= (1 - gamma) * rec.slashed
@@ -454,13 +421,9 @@ def test_slashed_backing_never_returns_to_the_pool():
     (lot,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     ledger.activate(2)
     outcome = ResolutionOutcome(
-        event_id="f",
-        reveal_class=RevealClass.AMBIGUOUS_WINDOW,
-        slashable=True,
-        slashable_stake=Fraction(32),
-        canonical_is_first_fork=None,
+        event_id="f", reveal_class=RevealClass.AMBIGUOUS_WINDOW, slashed={"v1": Fraction(32)}
     )
-    settle_slash(slashable_event(signers=("v1",)), outcome, ledger, EP, harmed=[])
+    settle_slash(outcome, ledger, harmed=[])
     released = ledger.release_after_settlement(2)
     assert released == [lot]
     # v1's whole earmark is slashed away, backing share included; the other
@@ -501,9 +464,9 @@ def test_karma_quiet_run_moves_only_premiums():
 
 
 def test_karma_attack_makes_insured_victim_whole():
-    ev, outcome, ledger = settle_fixture(coverages={"A": 60}, signers=("v1",))
+    outcome, ledger = settle_fixture(coverages={"A": 60}, signers=("v1",))
     reverted = [harmed("A", 50)]
-    settle_slash(ev, outcome, ledger, ledger.ep, harmed=reverted)
+    settle_slash(outcome, ledger, harmed=reverted)
     summary = karma_report(
         ledger,
         reverted_executions=reverted,

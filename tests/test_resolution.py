@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from stakesim import (
 )
 from stakesim.errors import SettleOnUnslashableError
 
-from oracles import slashable_stake_oracle
+from oracles import slashed_oracle
 
 
 TP = TimingParams(t_fin=3, t_rev=5, t_ws=20, slash_delay=1)
@@ -99,19 +98,7 @@ def test_canonical_fork_mapping():
 def test_outcome_rejects_contradictory_flag():
     with pytest.raises(SettleOnUnslashableError):
         ResolutionOutcome(
-            event_id="e",
-            reveal_class=RevealClass.PRE_FINALITY,
-            slashable=True,
-            slashable_stake=Fraction(0),
-            canonical_is_first_fork=None,
-        )
-    with pytest.raises(SettleOnUnslashableError):
-        ResolutionOutcome(
-            event_id="e",
-            reveal_class=RevealClass.LONG_RANGE,
-            slashable=False,
-            slashable_stake=Fraction(5),
-            canonical_is_first_fork=True,
+            event_id="e", reveal_class=RevealClass.LONG_RANGE, slashed={"v1": Fraction(5)}
         )
 
 
@@ -146,6 +133,8 @@ def test_resolve_matches_oracle_on_random_inputs(rng):
         assert out.slashable == (tp.t_fin <= offset < tp.t_ws)
         if out.slashable:
             snapshot = e.revealed_at + tp.slash_delay
-            assert out.slashable_stake == slashable_stake_oracle(signers, vals, snapshot)
+            expected = slashed_oracle(signers, vals, snapshot)
+            assert list(out.slashed.items()) == sorted(expected.items())
+            assert out.slashable_stake == sum(expected.values(), Fraction(0))
         else:
-            assert out.slashable_stake == 0
+            assert out.slashed == {} and out.slashable_stake == 0
