@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -270,9 +271,9 @@ def build_timeline(
     if not 0 < horizon <= MAX_HORIZON:
         raise TimestampOutOfRangeError(f"horizon must lie in (0, {MAX_HORIZON}], got {horizon}")
 
-    _check_unique("transaction", (t.id for t in transactions))
-    _check_unique("fork event", (e.id for e in fork_events))
-    _check_unique("validator", (v.id for v in validators))
+    _check_unique("transaction", map(attrgetter("id"), transactions))
+    _check_unique("fork event", map(attrgetter("id"), fork_events))
+    _check_unique("validator", map(attrgetter("id"), validators))
 
     vmap = {v.id: v for v in validators}
     for v in validators:
@@ -306,9 +307,9 @@ def build_timeline(
 
     return ChainTimeline(
         horizon=horizon,
-        transactions=tuple(sorted(transactions, key=lambda t: (t.finalized_at, t.id))),
-        fork_events=tuple(sorted(checked_events, key=lambda e: (e.revealed_at, e.id))),
-        validators=tuple(sorted(validators, key=lambda v: v.id)),
+        transactions=tuple(sorted(transactions, key=attrgetter("finalized_at", "id"))),
+        fork_events=tuple(sorted(checked_events, key=attrgetter("revealed_at", "id"))),
+        validators=tuple(sorted(validators, key=attrgetter("id"))),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Any
 
 from .engine import run as run_engine
 from .engine import sweep as run_sweep
@@ -27,7 +28,7 @@ from .report import (
     render_text,
 )
 from .resolution import classify_reveal
-from .scenario import canonical_json, load_scenario, read_input, scenario_hash
+from .scenario import canonical_json, listing, load_scenario, read_field, read_input, scenario_hash
 from .version import SCHEMA_VERSION, __version__
 
 
@@ -54,16 +55,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_axis(values: Any) -> list:
+    if not listing(values):
+        raise ValueError("expected a non-empty list")
+    return values
+
+
 def _grid_from_args(args: argparse.Namespace) -> dict[str, list]:
     grid: dict[str, list] = {}
     if args.grid:
         doc = read_input(args.grid, "grid")
         if not isinstance(doc, dict):
-            raise ScenarioError("grid file must be a JSON object", path=args.grid)
-        for key, values in doc.items():
-            if not isinstance(values, list) or not values:
-                raise ScenarioError("grid values must be non-empty lists", path=f"{args.grid}.{key}")
-            grid[key] = values
+            raise ScenarioError("expected an object", path=args.grid)
+        for key in doc:
+            grid[key] = read_field(doc, key, args.grid, _grid_axis)
     for setting in args.set or []:
         if "=" not in setting:
             raise ScenarioError(f"--set needs path=v1,v2,... (got {setting!r})", path="--set")

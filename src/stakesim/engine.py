@@ -22,13 +22,11 @@ from typing import Any, Optional
 
 from .chain import (
     ConfirmationRule,
-    EconParams,
     EpochIndex,
     ForkRevealEvent,
     Tick,
     TransactionRecord,
     TxKind,
-    ValidatorState,
     build_timeline,
     epoch_bounds,
     epoch_of,
@@ -40,8 +38,8 @@ from .confirmation import (
     decide_bridge_naive,
     decide_secure,
 )
-from .econ import Mechanism, PfcKind, bribe_is_dominant
-from .errors import InvariantBreachError, InvariantViolationError, ScenarioError, StakesimError
+from .econ import PfcKind
+from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .insurance import (
     RELEASE_LAG_EPOCHS,
     InsuranceBid,
@@ -63,6 +61,7 @@ from .scenario import (
     canonical_json,
     econ_to_doc,
     scenario_hash,
+    strategy_events,
     timing_to_doc,
 )
 from .version import SCHEMA_VERSION, __version__
@@ -98,79 +97,6 @@ def _lot_ref(lot: InsuranceLot) -> dict:
     return {"id": lot.id, "buyer": lot.buyer, "coverage": frac_str(lot.coverage)}
 
 
-def _select_signers(validators: tuple[ValidatorState, ...], fraction: Fraction) -> frozenset[str]:
-    """Smallest id-ordered prefix of validators holding >= fraction of stake."""
-    total = sum((v.stake for v in validators), Fraction(0))
-    target = fraction * total
-    acc = Fraction(0)
-    chosen = []
-    for v in validators:  # already sorted by id
-        chosen.append(v.id)
-        acc += v.stake
-        if acc >= target:
-            break
-    if acc <= EconParams.adversary_threshold * total:
-        raise InvariantViolationError(
-            f"adversary controls {acc} of {total}, not enough to equivocate"
-        )
-    return frozenset(chosen)
-
-
-_ATTACK_EVENT_IDS = {
-    StrategyKind.DOUBLE_SIGN_AT: "atk-double-sign",
-    StrategyKind.LONG_RANGE_AT: "atk-long-range",
-    StrategyKind.GRIEVING_BUYOUT: "atk-grieving",
-    StrategyKind.BRIBERY_PROBE: "atk-bribery",
-}
-
-
-def _strategy_events(
-    sc: Scenario,
-) -> tuple[list[ForkRevealEvent], dict[str, ForkEventMeta], Optional[dict]]:
-    """Forge the adversary's scripted fork reveal, if its strategy has one.
-
-    Returns (events, their meta, optional probe log payload).
-    """
-    st = sc.strategy
-    tp = sc.timing
-    validators = sc.timeline.validators
-    log = None
-    if st.kind is StrategyKind.NONE:
-        return [], {}, None
-
-    if st.kind is StrategyKind.BRIBERY_PROBE:
-        # attack only if the bribe schedule actually dominates
-        ep_probe = replace(sc.econ, bribe_fail=st.bribe_fail, bribe_success=st.bribe_success)
-        mech = Mechanism(st.mechanism)
-        dominant = bribe_is_dominant(mech, ep_probe)
-        log = {
-            "mechanism": mech.value,
-            "bribe_fail": frac_str(st.bribe_fail),
-            "bribe_success": frac_str(st.bribe_success),
-            "dominant": dominant,
-            "attack_proceeds": dominant,
-        }
-        if not dominant:
-            return [], {}, log
-
-    if st.kind is StrategyKind.GRIEVING_BUYOUT:
-        # every controlled validator double-signs in the scripted epoch's
-        # ambiguous window; the buyout itself happens at auction time
-        t0 = epoch_bounds(st.attack_epoch, tp.t_rev)[0]
-        revealed, signers = t0 + tp.t_fin, frozenset(v.id for v in validators)
-    elif st.kind is StrategyKind.LONG_RANGE_AT:
-        t0, revealed, signers = st.target_t0, st.tick, st.exited_set
-    else:  # DOUBLE_SIGN_AT, or a dominant BRIBERY_PROBE
-        t0, revealed, signers = st.target_t0, st.tick, _select_signers(validators, st.stake_fraction)
-    ev = ForkRevealEvent(
-        id=_ATTACK_EVENT_IDS[st.kind],
-        diverges_from_block_finalized_at=t0,
-        revealed_at=revealed,
-        double_signers=signers,
-    )
-    return [ev], {ev.id: ForkEventMeta(adversary_wins=True)}, log
-
-
 class _Run:
     """Mutable state of one simulation run."""
 
@@ -181,7 +107,7 @@ class _Run:
         self.tp = sc.timing
         self.ep = sc.econ
 
-        extra, extra_meta, self.probe_log = _strategy_events(sc)
+        extra, extra_meta, self.probe_log = strategy_events(sc)
         self.fork_meta = dict(sc.fork_meta)
         self.fork_meta.update(extra_meta)
         self.timeline = build_timeline(
@@ -266,7 +192,7 @@ class _Run:
         bids = [b for b in self.sc.bids if b.epoch_placed == e]
         if self.sc.strategy.kind is StrategyKind.GRIEVING_BUYOUT:
             buyer = min(self.sc.adversary_transactors) if self.sc.adversary_transactors else None
-            avail = self.ledger.available(e)
+            avail = self.ledger.available()
             if buyer is not None and avail > 0:
                 bids = bids + [
                     InsuranceBid(
@@ -277,7 +203,7 @@ class _Run:
                     )
                 ]
         if bids:
-            avail = self.ledger.available(e)
+            avail = self.ledger.available()
             lots = self.ledger.sell(e, bids)
             self.rec(
                 tick,

@@ -211,9 +211,9 @@ class InsuranceLedger:
     def pool_free(self) -> Fraction:
         return sum(self.earmark_free.values(), Fraction(0))
 
-    def available(self, epoch: EpochIndex) -> Fraction:
-        """Backing sellable at `epoch`: the free pool, capped at gamma/3 of
-        total stake so one slash can always fund every active claim."""
+    def available(self) -> Fraction:
+        """Backing sellable now: the free pool, capped at gamma/3 of total
+        stake so one slash can always fund every active claim."""
         cap = self.ep.gamma * self.ep.adversary_threshold * self.ep.s_tot
         return min(self.pool_free(), cap)
 
@@ -228,7 +228,7 @@ class InsuranceLedger:
                     f"bid by {b.transactor!r} placed at {b.epoch_placed}, auctioned at {epoch}"
                 )
         lots = run_auction(
-            bids, self.available(epoch), self.earmark_free, start_seq=self._lot_seq
+            bids, self.available(), self.earmark_free, start_seq=self._lot_seq
         )
         self._lot_seq += len(lots)
         for lot in lots:

@@ -7,7 +7,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .chain import EconParams, EpochIndex, Tick
+from .chain import ConfirmationRule, EconParams, EpochIndex, Tick
 from .errors import InvariantViolationError
 from .insurance import PURCHASE_LEAD_EPOCHS
 from .rational import as_fraction
@@ -98,12 +98,12 @@ class PolicyKind(str, Enum):
 
 
 _POLICY_DEFAULT_RULE = {
-    PolicyKind.ALWAYS_SECURE: "secure",
-    PolicyKind.INSURED_FAST_UX: "insured_immediate",
-    PolicyKind.UNINSURED_FREERIDER: "immediate",
-    PolicyKind.BRIDGE_CLIENT: "bridge",
+    PolicyKind.ALWAYS_SECURE: ConfirmationRule.SECURE_RULE,
+    PolicyKind.INSURED_FAST_UX: ConfirmationRule.INSURED_IMMEDIATE,
+    PolicyKind.UNINSURED_FREERIDER: ConfirmationRule.IMMEDIATE,
+    PolicyKind.BRIDGE_CLIENT: ConfirmationRule.BRIDGE_RULE,
 }
 
 
-def default_rule(policy: PolicyKind) -> str:
+def default_rule(policy: PolicyKind) -> ConfirmationRule:
     return _POLICY_DEFAULT_RULE[policy]

@@ -11,17 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Any, Callable, Mapping, Optional, Sequence
+from typing import AbstractSet, Any, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
-    ConfirmationRule,
     EconParams,
     EpochIndex,
     GammaFilter,
     TimingParams,
     TransactionRecord,
-    TxKind,
     epoch_bounds,
     epoch_of,
     gamma_value,
@@ -39,7 +37,17 @@ from .econ import (
 from .errors import ScenarioError
 from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord, coverage_map
 from .rational import as_fraction, frac_decimal, frac_str
-from .scenario import canonical_json, parse_run_header
+from .scenario import (
+    canonical_json,
+    confirmation_rule,
+    integer,
+    listing,
+    optional_integer,
+    parse_run_header,
+    read_field,
+    text,
+    tx_kind,
+)
 from .version import SCHEMA_VERSION, __version__
 
 BOUND_ALIASES = {
@@ -293,39 +301,6 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
     return records
 
 
-def _int(x: Any) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError("expected an integer")
-    return x
-
-
-def _text(x: Any) -> str:
-    if not isinstance(x, str) or not x:
-        raise TypeError("expected a non-empty string")
-    return x
-
-
-def _list(x: Any) -> list:
-    if not isinstance(x, list):
-        raise TypeError("expected a list")
-    return x
-
-
-def _field(record: Any, key: str, where: str, parse: Callable[[Any], Any] = lambda x: x) -> Any:
-    """`record[key]` read through `parse`, for a trace record or an object
-    nested in one. A record that is not an object is a ScenarioError at
-    `where`; a missing key, or a value `parse` rejects, one at `where.key`."""
-    if not isinstance(record, dict):
-        raise ScenarioError("expected an object", path=where)
-    path = f"{where}.{key}"
-    if key not in record:
-        raise ScenarioError("missing required key", path=path)
-    try:
-        return parse(record[key])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"malformed value {record[key]!r}: {exc}", path=path) from None
-
-
 def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") -> dict:
     """Re-derive the report's checkable numbers from raw trace records."""
     header = next((r for r in records if r["kind"] == "run_start"), None)
@@ -336,13 +311,13 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     where = f"{source}:tx_finalized"
     txs = [
         TransactionRecord(
-            id=_field(r, "id", where, _text),
-            transactor=_field(r, "transactor", where, _text),
-            value=_field(r, "value", where, as_fraction),
-            kind=_field(r, "tx_kind", where, TxKind),
-            finalized_at=_field(r, "tick", where, _int),
-            rule=_field(r, "rule_effective", where, ConfirmationRule),
-            insured_epoch=_field(r, "insured_epoch", where, lambda x: x if x is None else _int(x)),
+            id=read_field(r, "id", where, text),
+            transactor=read_field(r, "transactor", where, text),
+            value=read_field(r, "value", where, as_fraction),
+            kind=read_field(r, "tx_kind", where, tx_kind),
+            finalized_at=read_field(r, "tick", where, integer),
+            rule=read_field(r, "rule_effective", where, confirmation_rule),
+            insured_epoch=read_field(r, "insured_epoch", where, optional_integer),
         )
         for r in records
         if r["kind"] == "tx_finalized"
@@ -357,19 +332,19 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     for r in records:
         if r["kind"] != "auction":
             continue
-        for i, lot in enumerate(_field(r, "lots", where, _list)):
+        for i, lot in enumerate(read_field(r, "lots", where, listing)):
             at = f"{where}.lots[{i}]"
             lots.append(
                 (
-                    _field(lot, "buyer", at, _text),
-                    _field(lot, "covering_epoch", at, _int),
-                    _field(lot, "coverage", at, as_fraction),
+                    read_field(lot, "buyer", at, text),
+                    read_field(lot, "covering_epoch", at, integer),
+                    read_field(lot, "coverage", at, as_fraction),
                 )
             )
 
     where = f"{source}:settlement"
     slashes = [
-        tuple(_field(r, key, where, as_fraction) for key in ("slashed", "paid", "burned"))
+        tuple(read_field(r, key, where, as_fraction) for key in ("slashed", "paid", "burned"))
         for r in records
         if r["kind"] == "settlement"
     ]
@@ -414,31 +389,31 @@ def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>")
     recomputed = recompute_from_trace(records, source=source)
 
     where = f"{source}:report"
-    verdict = _field(embedded, "verdict", where)
+    verdict = read_field(embedded, "verdict", where)
     at = f"{where}.verdict"
-    bound_kind = _field(verdict, "bound_kind", at, PfcKind)
+    bound_kind = read_field(verdict, "bound_kind", at, PfcKind)
     coc = recomputed["coc"]["slashing"]
     pfc = next(b["value"] for b in recomputed["ladder"] if b["kind"] == bound_kind.value)
     checks = [
-        ("coc", _field(embedded, "coc", where), recomputed["coc"]),
-        ("ladder", _field(embedded, "ladder", where), recomputed["ladder"]),
-        ("per_epoch", _field(embedded, "per_epoch", where), recomputed["per_epoch"]),
-        ("totals", _field(embedded, "totals", where), recomputed["totals"]),
+        ("coc", read_field(embedded, "coc", where), recomputed["coc"]),
+        ("ladder", read_field(embedded, "ladder", where), recomputed["ladder"]),
+        ("per_epoch", read_field(embedded, "per_epoch", where), recomputed["per_epoch"]),
+        ("totals", read_field(embedded, "totals", where), recomputed["totals"]),
         (
             "verdict.strong_safety",
-            _field(verdict, "strong_safety", at),
+            read_field(verdict, "strong_safety", at),
             recomputed["verdict_flags"]["strong_safety"],
         ),
         (
             "verdict.uninsured_buffer_ok",
-            _field(verdict, "uninsured_buffer_ok", at),
+            read_field(verdict, "uninsured_buffer_ok", at),
             recomputed["verdict_flags"]["uninsured_buffer_ok"],
         ),
-        ("verdict.coc", _field(verdict, "coc", at), coc),
-        ("verdict.pfc_value", _field(verdict, "pfc_value", at), pfc),
+        ("verdict.coc", read_field(verdict, "coc", at), coc),
+        ("verdict.pfc_value", read_field(verdict, "pfc_value", at), pfc),
         (
             "verdict.cryptoeconomically_safe",
-            _field(verdict, "cryptoeconomically_safe", at),
+            read_field(verdict, "cryptoeconomically_safe", at),
             as_fraction(coc) > as_fraction(pfc),
         ),
     ]

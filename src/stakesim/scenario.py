@@ -7,15 +7,20 @@ horizon and the optional scripted attack_over_epoch. Values may be written
 as integers, "p/q" strings, or decimal strings; they are kept exact.
 
 Parse errors cite the offending path ("transactions[2].value: ...").
-Serialization is canonical: parse(serialize(x)) == x.
+`read_field` is the one checked reader of JSON input: scenarios, trace
+records and sweep grid files all go through it. Serialization is
+canonical: parse(serialize(x)) == x.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .chain import (
@@ -30,9 +35,11 @@ from .chain import (
     TxKind,
     ValidatorState,
     build_timeline,
+    epoch_bounds,
     epoch_of,
 )
-from .errors import ScenarioError, StakesimError
+from .econ import Mechanism, bribe_is_dominant
+from .errors import InvariantViolationError, ScenarioError, StakesimError
 from .insurance import InsuranceBid
 from .policies import AdversaryStrategy, PolicyKind, StrategyKind, default_rule
 from .rational import as_fraction, frac_str
@@ -94,43 +101,113 @@ def _fail(path: str, message: str):
     raise ScenarioError(message, path=path)
 
 
-def _rewrap(exc: StakesimError, path: str):
-    """Re-raise a domain error met while building the value at `path`. A
-    ScenarioError already cites its own, more precise path."""
-    if isinstance(exc, ScenarioError):
-        raise exc
-    _fail(path, str(exc))
+# -- the one reader of JSON input ---------------------------------------------
+
+_REQUIRED = object()
 
 
-def _need(doc: dict, key: str, path: str):
-    if key not in doc:
-        _fail(path, f"missing required key {key!r}")
-    return doc[key]
-
-
-def _as_int(x, path: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        _fail(path, f"expected an integer, got {x!r}")
+def _identity(x: Any) -> Any:
     return x
 
 
-def _as_value(x, path: str) -> Fraction:
+def read_field(doc: Any, key: str, path: str, parse: Callable = _identity, default: Any = _REQUIRED) -> Any:
+    """`doc[key]` read through `parse`, for every JSON document stakesim takes
+    in. A `doc` that is not an object is a ScenarioError at `path`; a missing
+    key without a `default` (returned unparsed), or a value `parse` rejects
+    with TypeError, ValueError or ZeroDivisionError, one at `path.key`."""
     try:
-        return as_fraction(x)
+        raw = doc[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ScenarioError("missing required key", path=f"{path}.{key}") from None
+        return default
+    except TypeError:
+        raise ScenarioError("expected an object", path=path) from None
+    try:
+        return parse(raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        _fail(path, f"not an exact value: {exc}")
+        raise ScenarioError(f"malformed value {raw!r}: {exc}", path=f"{path}.{key}") from None
 
 
-def _as_str(x, path: str) -> str:
+def integer(x: Any) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("expected an integer")
+    return x
+
+
+def text(x: Any) -> str:
     if not isinstance(x, str) or not x:
-        _fail(path, f"expected a non-empty string, got {x!r}")
+        raise TypeError("expected a non-empty string")
     return x
 
 
-def _as_list(x, path: str) -> list:
+def listing(x: Any) -> list:
     if not isinstance(x, list):
-        _fail(path, "expected a list")
+        raise TypeError("expected a list")
     return x
+
+
+def _mapping(x: Any) -> dict:
+    if not isinstance(x, dict):
+        raise TypeError("expected an object")
+    return x
+
+
+def _boolean(x: Any) -> bool:
+    if not isinstance(x, bool):
+        raise TypeError("expected a boolean")
+    return x
+
+
+def _string_set(x: Any) -> frozenset[str]:
+    return frozenset(map(text, listing(x)))
+
+
+def optional(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """`parse`, letting null through as None."""
+
+    def parse_optional(x: Any) -> Any:
+        return None if x is None else parse(x)
+
+    return parse_optional
+
+
+def _lookup(table: dict, what: str) -> Callable[[Any], Any]:
+    """A parser that reads each key of `table` as its value; any other value
+    is an unknown `what`."""
+
+    def parse_key(x: Any) -> Any:
+        try:
+            return table[x]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown {what}") from None
+
+    return parse_key
+
+
+def _members(kind: type) -> dict:
+    return {m.value: m for m in kind}
+
+
+optional_integer = optional(integer)
+_optional_listing = optional(listing)
+tx_kind = _lookup(_members(TxKind), "kind")
+confirmation_rule = _lookup(_members(ConfirmationRule), "rule")
+# null or "auto" read as None: the rule of the transactor's policy
+_rule_or_auto = _lookup({**_members(ConfirmationRule), "auto": None, None: None}, "rule")
+_policy_kind = _lookup(_members(PolicyKind), "policy")
+_strategy_kind = _lookup(_members(StrategyKind), "strategy")
+
+
+def _build(path: str, make: Callable[..., Any], **fields: Any) -> Any:
+    """`make(**fields)`, with a domain error it raises cited at `path`. A
+    ScenarioError already cites its own, more precise path."""
+    try:
+        return make(**fields)
+    except ScenarioError:
+        raise
+    except StakesimError as exc:
+        raise ScenarioError(str(exc), path=path) from None
 
 
 def _check_keys(doc: dict, allowed: set[str], path: str):
@@ -144,35 +221,31 @@ def _check_keys(doc: dict, allowed: set[str], path: str):
 def _parse_timing(tdoc: Any, path: str) -> TimingParams:
     """The timing block; t_cr and slash_delay default to 0."""
     _check_keys(tdoc, set(_TIMING_KEYS), path)
-    try:
-        return TimingParams(
-            t_fin=_as_int(_need(tdoc, "t_fin", path), f"{path}.t_fin"),
-            t_rev=_as_int(_need(tdoc, "t_rev", path), f"{path}.t_rev"),
-            t_ws=_as_int(_need(tdoc, "t_ws", path), f"{path}.t_ws"),
-            t_cr=_as_int(tdoc.get("t_cr", 0), f"{path}.t_cr"),
-            slash_delay=_as_int(tdoc.get("slash_delay", 0), f"{path}.slash_delay"),
-        )
-    except StakesimError as exc:
-        _rewrap(exc, path)
+    return _build(
+        path,
+        TimingParams,
+        t_fin=read_field(tdoc, "t_fin", path, integer),
+        t_rev=read_field(tdoc, "t_rev", path, integer),
+        t_ws=read_field(tdoc, "t_ws", path, integer),
+        t_cr=read_field(tdoc, "t_cr", path, integer, 0),
+        slash_delay=read_field(tdoc, "slash_delay", path, integer, 0),
+    )
 
 
 def _parse_econ(edoc: Any, path: str) -> EconParams:
     """The econ block; every value but the validator set defaults to 0."""
     _check_keys(edoc, set(_ECON_KEYS), path)
-    try:
-        return EconParams(
-            stake_per_validator=_as_value(
-                _need(edoc, "stake_per_validator", path), f"{path}.stake_per_validator"
-            ),
-            n_validators=_as_int(_need(edoc, "n_validators", path), f"{path}.n_validators"),
-            reward=_as_value(edoc.get("reward", 0), f"{path}.reward"),
-            bribe_fail=_as_value(edoc.get("bribe_fail", 0), f"{path}.bribe_fail"),
-            bribe_success=_as_value(edoc.get("bribe_success", 0), f"{path}.bribe_success"),
-            gamma=_as_value(edoc.get("gamma", 0), f"{path}.gamma"),
-            tvl=_as_value(edoc.get("tvl", 0), f"{path}.tvl"),
-        )
-    except StakesimError as exc:
-        _rewrap(exc, path)
+    return _build(
+        path,
+        EconParams,
+        stake_per_validator=read_field(edoc, "stake_per_validator", path, as_fraction),
+        n_validators=read_field(edoc, "n_validators", path, integer),
+        reward=read_field(edoc, "reward", path, as_fraction, 0),
+        bribe_fail=read_field(edoc, "bribe_fail", path, as_fraction, 0),
+        bribe_success=read_field(edoc, "bribe_success", path, as_fraction, 0),
+        gamma=read_field(edoc, "gamma", path, as_fraction, 0),
+        tvl=read_field(edoc, "tvl", path, as_fraction, 0),
+    )
 
 
 def _exact_block(block: Any, parse, dump, path: str):
@@ -180,10 +253,9 @@ def _exact_block(block: Any, parse, dump, path: str):
     present and every value exactly as `dump` writes it back."""
     value = parse(block, path)
     for key, canonical in dump(value).items():
-        if key not in block:
-            _fail(path, f"missing required key {key!r}")
-        if block[key] != canonical:
-            _fail(f"{path}.{key}", f"expected canonical {canonical!r}, got {block[key]!r}")
+        raw = read_field(block, key, path)
+        if raw != canonical:
+            _fail(f"{path}.{key}", f"expected canonical {canonical!r}, got {raw!r}")
     return value
 
 
@@ -195,84 +267,69 @@ def parse_run_header(header: dict, path: str) -> tuple[Tick, TimingParams, EconP
     substitutes a value the run did not use.
     """
     return (
-        _as_int(_need(header, "horizon", path), f"{path}.horizon"),
-        _exact_block(_need(header, "timing", path), _parse_timing, timing_to_doc, f"{path}.timing"),
-        _exact_block(_need(header, "econ", path), _parse_econ, econ_to_doc, f"{path}.econ"),
+        read_field(header, "horizon", path, integer),
+        _exact_block(read_field(header, "timing", path), _parse_timing, timing_to_doc, f"{path}.timing"),
+        _exact_block(read_field(header, "econ", path), _parse_econ, econ_to_doc, f"{path}.econ"),
     )
 
 
 def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
     """Validate a scenario document and build its immutable objects."""
     _check_keys(doc, _TOP_KEYS, source)
-    version = _as_int(_need(doc, "schema_version", source), f"{source}.schema_version")
+    version = read_field(doc, "schema_version", source, integer)
     if version != SCHEMA_VERSION:
         _fail(f"{source}.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
 
-    horizon = _as_int(_need(doc, "horizon", source), f"{source}.horizon")
-    seed = _as_int(doc.get("seed", 0), f"{source}.seed")
+    horizon = read_field(doc, "horizon", source, integer)
+    seed = read_field(doc, "seed", source, integer, 0)
 
-    timing = _parse_timing(_need(doc, "timing", source), f"{source}.timing")
-    econ = _parse_econ(_need(doc, "econ", source), f"{source}.econ")
+    timing = _parse_timing(read_field(doc, "timing", source), f"{source}.timing")
+    econ = _parse_econ(read_field(doc, "econ", source), f"{source}.econ")
 
-    validators = _parse_validators(doc.get("validators"), econ, f"{source}.validators")
+    validators = _parse_validators(
+        read_field(doc, "validators", source, _optional_listing, None), econ, f"{source}.validators"
+    )
 
-    pdoc = doc.get("policies", {})
-    if not isinstance(pdoc, dict):
-        _fail(f"{source}.policies", "expected an object mapping transactor to policy")
-    policies: dict[str, PolicyKind] = {}
-    default_policy = PolicyKind.ALWAYS_SECURE
-    for tr, name in pdoc.items():
-        try:
-            kind = PolicyKind(_as_str(name, f"{source}.policies.{tr}"))
-        except ValueError:
-            _fail(f"{source}.policies.{tr}", f"unknown policy {name!r}")
-        if tr == "*":
-            default_policy = kind
-        else:
-            policies[tr] = kind
+    path = f"{source}.policies"
+    pdoc = read_field(doc, "policies", source, _mapping, {})
+    policies = {tr: read_field(pdoc, tr, path, _policy_kind) for tr in pdoc}
+    default_policy = policies.pop("*", PolicyKind.ALWAYS_SECURE)
 
+    path = f"{source}.transactions"
     transactions = [
-        _parse_transaction(item, timing, policies, default_policy, f"{source}.transactions[{i}]")
-        for i, item in enumerate(_as_list(doc.get("transactions", []), f"{source}.transactions"))
+        _parse_transaction(item, timing, policies, default_policy, f"{path}[{i}]")
+        for i, item in enumerate(read_field(doc, "transactions", source, listing, ()))
     ]
 
+    path = f"{source}.fork_events"
     fork_events = []
     fork_meta: dict[str, ForkEventMeta] = {}
-    for i, item in enumerate(_as_list(doc.get("fork_events", []), f"{source}.fork_events")):
-        ev, meta = _parse_fork_event(item, timing, f"{source}.fork_events[{i}]")
+    for i, item in enumerate(read_field(doc, "fork_events", source, listing, ())):
+        ev, meta = _parse_fork_event(item, timing, f"{path}[{i}]")
         fork_events.append(ev)
         fork_meta[ev.id] = meta
 
+    path = f"{source}.insurance_bids"
     bids = tuple(
-        _parse_bid(item, f"{source}.insurance_bids[{i}]")
-        for i, item in enumerate(_as_list(doc.get("insurance_bids", []), f"{source}.insurance_bids"))
+        _parse_bid(item, f"{path}[{i}]")
+        for i, item in enumerate(read_field(doc, "insurance_bids", source, listing, ()))
     )
 
-    adoc = doc.get("adversary", {})
-    _check_keys(adoc, {"strategy", "transactors"}, f"{source}.adversary")
-    strategy = _parse_strategy(adoc.get("strategy", {"kind": "none"}), f"{source}.adversary.strategy")
-    adversary_transactors = frozenset(
-        _as_str(t, f"{source}.adversary.transactors[{i}]")
-        for i, t in enumerate(_as_list(adoc.get("transactors", []), f"{source}.adversary.transactors"))
+    path = f"{source}.adversary"
+    adoc = read_field(doc, "adversary", source, default={})
+    _check_keys(adoc, {"strategy", "transactors"}, path)
+    strategy = _parse_strategy(read_field(adoc, "strategy", path, default={}), f"{path}.strategy")
+    adversary_transactors = read_field(adoc, "transactors", path, _string_set, frozenset())
+
+    attack_over = read_field(doc, "attack_over_epoch", source, optional_integer, None)
+    if attack_over is not None and attack_over < 0:
+        _fail(f"{source}.attack_over_epoch", "must be >= 0")
+
+    timeline = _build(
+        source, build_timeline, horizon=horizon, transactions=transactions, fork_events=fork_events,
+        validators=validators,
     )
-
-    attack_over = doc.get("attack_over_epoch")
-    if attack_over is not None:
-        attack_over = _as_int(attack_over, f"{source}.attack_over_epoch")
-        if attack_over < 0:
-            _fail(f"{source}.attack_over_epoch", "must be >= 0")
-
-    try:
-        timeline = build_timeline(
-            horizon=horizon,
-            transactions=transactions,
-            fork_events=fork_events,
-            validators=validators,
-        )
-    except StakesimError as exc:
-        _rewrap(exc, source)
-
-    return Scenario(
+    sc = Scenario(
         timeline=timeline,
         timing=timing,
         econ=econ,
@@ -285,100 +342,75 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
         attack_over_epoch=attack_over,
         seed=seed,
     )
+    # the scripted fork must fit the chain `run` will build it into
+    _build(
+        f"{source}.adversary.strategy",
+        lambda: build_timeline(horizon=horizon, fork_events=strategy_events(sc)[0], validators=validators),
+    )
+    return sc
 
 
-def _parse_validators(vdoc, econ: EconParams, path: str) -> list[ValidatorState]:
+def _parse_validators(vdoc: Optional[list], econ: EconParams, path: str) -> list[ValidatorState]:
     if vdoc is None:
         width = len(str(econ.n_validators))
         return [
-            ValidatorState(
-                id=f"v{i + 1:0{width}d}",
-                stake=econ.stake_per_validator,
-                earmarked_fraction=econ.gamma,
-            )
+            ValidatorState(id=f"v{i + 1:0{width}d}", stake=econ.stake_per_validator, earmarked_fraction=econ.gamma)
             for i in range(econ.n_validators)
         ]
     out = []
-    for i, item in enumerate(_as_list(vdoc, path)):
+    for i, item in enumerate(vdoc):
         p = f"{path}[{i}]"
         _check_keys(item, {"id", "stake", "earmarked_fraction", "exit_tick"}, p)
-        exit_tick = item.get("exit_tick")
-        if exit_tick is not None:
-            exit_tick = _as_int(exit_tick, f"{p}.exit_tick")
-        try:
-            out.append(
-                ValidatorState(
-                    id=_as_str(_need(item, "id", p), f"{p}.id"),
-                    stake=_as_value(_need(item, "stake", p), f"{p}.stake"),
-                    earmarked_fraction=_as_value(item.get("earmarked_fraction", 0), f"{p}.earmarked_fraction"),
-                    exit_tick=exit_tick,
-                )
+        out.append(
+            _build(
+                p,
+                ValidatorState,
+                id=read_field(item, "id", p, text),
+                stake=read_field(item, "stake", p, as_fraction),
+                earmarked_fraction=read_field(item, "earmarked_fraction", p, as_fraction, 0),
+                exit_tick=read_field(item, "exit_tick", p, optional_integer, None),
             )
-        except StakesimError as exc:
-            _rewrap(exc, p)
+        )
     return out
 
 
 def _parse_transaction(
-    item,
-    timing: TimingParams,
-    policies: dict[str, PolicyKind],
-    default_policy: PolicyKind,
-    path: str,
+    item, timing: TimingParams, policies: dict[str, PolicyKind], default_policy: PolicyKind, path: str
 ) -> TransactionRecord:
     _check_keys(
         item,
         {"id", "transactor", "value", "kind", "finalized_at", "rule", "offchain_executed_at", "insured_epoch"},
         path,
     )
-    tx_id = _as_str(_need(item, "id", path), f"{path}.id")
-    transactor = _as_str(_need(item, "transactor", path), f"{path}.transactor")
-    kind_raw = _as_str(_need(item, "kind", path), f"{path}.kind")
-    try:
-        kind = TxKind(kind_raw)
-    except ValueError:
-        _fail(f"{path}.kind", f"unknown kind {kind_raw!r}")
-    finalized_at = _as_int(_need(item, "finalized_at", path), f"{path}.finalized_at")
+    tx_id = read_field(item, "id", path, text)
+    transactor = read_field(item, "transactor", path, text)
+    kind = read_field(item, "kind", path, tx_kind)
+    finalized_at = read_field(item, "finalized_at", path, integer)
+    rule = read_field(item, "rule", path, _rule_or_auto, None)
+    if rule is None:
+        rule = default_rule(policies.get(transactor, default_policy))
+    offchain = read_field(item, "offchain_executed_at", path, optional_integer, None)
 
-    rule_raw = item.get("rule")
-    if rule_raw in (None, "auto"):
-        policy = policies.get(transactor, default_policy)
-        rule_raw = default_rule(policy)
-    try:
-        rule = ConfirmationRule(_as_str(rule_raw, f"{path}.rule"))
-    except ValueError:
-        _fail(f"{path}.rule", f"unknown rule {rule_raw!r}")
-
-    offchain = item.get("offchain_executed_at")
-    if offchain is not None:
-        offchain = _as_int(offchain, f"{path}.offchain_executed_at")
-
-    insured_epoch = item.get("insured_epoch")
-    if insured_epoch is not None:
-        insured_epoch = _as_int(insured_epoch, f"{path}.insured_epoch")
+    insured_epoch = read_field(item, "insured_epoch", path, optional_integer, None)
     if kind is TxKind.HYBRID and rule is ConfirmationRule.INSURED_IMMEDIATE:
         expected = epoch_of(finalized_at, timing.t_rev)
         if insured_epoch is None:
             insured_epoch = expected
         elif insured_epoch != expected:
-            _fail(
-                f"{path}.insured_epoch",
-                f"{insured_epoch} disagrees with finalization epoch {expected}",
-            )
+            _fail(f"{path}.insured_epoch", f"{insured_epoch} disagrees with finalization epoch {expected}")
 
-    try:
-        return TransactionRecord(
-            id=tx_id,
-            transactor=transactor,
-            value=_as_value(_need(item, "value", path), f"{path}.value"),
-            kind=kind,
-            finalized_at=finalized_at,
-            rule=rule,
-            offchain_executed_at=offchain,
-            insured_epoch=insured_epoch,
-        )
-    except StakesimError as exc:
-        _rewrap(exc, path)
+    return _build(
+        path,
+        TransactionRecord,
+        id=tx_id,
+        transactor=transactor,
+        value=read_field(item, "value", path, as_fraction),
+        kind=kind,
+        finalized_at=finalized_at,
+        rule=rule,
+        offchain_executed_at=offchain,
+        insured_epoch=insured_epoch,
+    )
 
 
 def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkRevealEvent, ForkEventMeta]:
@@ -388,78 +420,125 @@ def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkReveal
          "adversary_wins", "bridge_post_delay"},
         path,
     )
-    delay = _as_int(item.get("bridge_post_delay", 0), f"{path}.bridge_post_delay")
+    delay = read_field(item, "bridge_post_delay", path, integer, 0)
     if not 0 <= delay <= timing.t_cr:
         _fail(f"{path}.bridge_post_delay", f"must lie in [0, t_cr={timing.t_cr}]")
-    wins = item.get("adversary_wins", True)
-    if not isinstance(wins, bool):
-        _fail(f"{path}.adversary_wins", f"expected a boolean, got {wins!r}")
-    signers = _as_list(item.get("double_signers", []), f"{path}.double_signers")
-    try:
-        ev = ForkRevealEvent(
-            id=_as_str(_need(item, "id", path), f"{path}.id"),
-            diverges_from_block_finalized_at=_as_int(_need(item, "diverges_from", path), f"{path}.diverges_from"),
-            revealed_at=_as_int(_need(item, "revealed_at", path), f"{path}.revealed_at"),
-            double_signers=frozenset(_as_str(s, f"{path}.double_signers[{j}]") for j, s in enumerate(signers)),
-            double_signer_stake=_as_value(item.get("double_signer_stake", 0), f"{path}.double_signer_stake"),
-        )
-    except StakesimError as exc:
-        _rewrap(exc, path)
+    wins = read_field(item, "adversary_wins", path, _boolean, True)
+    ev = _build(
+        path,
+        ForkRevealEvent,
+        id=read_field(item, "id", path, text),
+        diverges_from_block_finalized_at=read_field(item, "diverges_from", path, integer),
+        revealed_at=read_field(item, "revealed_at", path, integer),
+        double_signers=read_field(item, "double_signers", path, _string_set, frozenset()),
+        double_signer_stake=read_field(item, "double_signer_stake", path, as_fraction, 0),
+    )
     return ev, ForkEventMeta(adversary_wins=wins, bridge_post_delay=delay)
 
 
 def _parse_bid(item, path: str) -> InsuranceBid:
     _check_keys(item, {"transactor", "epoch_placed", "coverage", "premium_rate"}, path)
-    try:
-        return InsuranceBid(
-            transactor=_as_str(_need(item, "transactor", path), f"{path}.transactor"),
-            epoch_placed=_as_int(_need(item, "epoch_placed", path), f"{path}.epoch_placed"),
-            coverage_requested=_as_value(_need(item, "coverage", path), f"{path}.coverage"),
-            premium_rate=_as_value(_need(item, "premium_rate", path), f"{path}.premium_rate"),
-        )
-    except StakesimError as exc:
-        _rewrap(exc, path)
+    return _build(
+        path,
+        InsuranceBid,
+        transactor=read_field(item, "transactor", path, text),
+        epoch_placed=read_field(item, "epoch_placed", path, integer),
+        coverage_requested=read_field(item, "coverage", path, as_fraction),
+        premium_rate=read_field(item, "premium_rate", path, as_fraction),
+    )
 
 
-_STRATEGY_KEYS = {
-    "kind", "tick", "target_t0", "stake_fraction", "exited_set",
-    "premium_rate", "attack_epoch", "bribe_fail", "bribe_success", "mechanism",
+# The fields each strategy kind takes, as (parser, serializer) pairs; any
+# other field is an unknown key.
+_INTEGER = (integer, _identity)
+_VALUE = (as_fraction, frac_str)
+_TARGET = {"tick": _INTEGER, "target_t0": _INTEGER}
+_SIGNED = {**_TARGET, "stake_fraction": _VALUE}
+_STRATEGY_FIELDS = {
+    StrategyKind.NONE: {},
+    StrategyKind.DOUBLE_SIGN_AT: _SIGNED,
+    StrategyKind.LONG_RANGE_AT: {**_TARGET, "exited_set": (_string_set, sorted)},
+    StrategyKind.GRIEVING_BUYOUT: {"premium_rate": _VALUE, "attack_epoch": _INTEGER},
+    StrategyKind.BRIBERY_PROBE: {
+        **_SIGNED, "bribe_fail": _VALUE, "bribe_success": _VALUE, "mechanism": (text, _identity)
+    },
 }
 
 
 def _parse_strategy(item, path: str) -> AdversaryStrategy:
-    _check_keys(item, _STRATEGY_KEYS, path)
-    kind_raw = _as_str(item.get("kind", "none"), f"{path}.kind")
-    try:
-        kind = StrategyKind(kind_raw)
-    except ValueError:
-        _fail(f"{path}.kind", f"unknown strategy {kind_raw!r}")
-    kwargs: dict[str, Any] = {"kind": kind}
-    if "tick" in item:
-        kwargs["tick"] = _as_int(item["tick"], f"{path}.tick")
-    if "target_t0" in item:
-        kwargs["target_t0"] = _as_int(item["target_t0"], f"{path}.target_t0")
-    if "stake_fraction" in item:
-        kwargs["stake_fraction"] = _as_value(item["stake_fraction"], f"{path}.stake_fraction")
-    if "exited_set" in item:
-        exited = _as_list(item["exited_set"], f"{path}.exited_set")
-        kwargs["exited_set"] = frozenset(
-            _as_str(s, f"{path}.exited_set[{j}]") for j, s in enumerate(exited)
-        )
-    if "premium_rate" in item:
-        kwargs["premium_rate"] = _as_value(item["premium_rate"], f"{path}.premium_rate")
-    if "attack_epoch" in item:
-        kwargs["attack_epoch"] = _as_int(item["attack_epoch"], f"{path}.attack_epoch")
-    if "bribe_fail" in item:
-        kwargs["bribe_fail"] = _as_value(item["bribe_fail"], f"{path}.bribe_fail")
-    if "bribe_success" in item:
-        kwargs["bribe_success"] = _as_value(item["bribe_success"], f"{path}.bribe_success")
-    if "mechanism" in item:
-        kwargs["mechanism"] = _as_str(item["mechanism"], f"{path}.mechanism")
-    try:
-        return AdversaryStrategy(**kwargs)
-    except StakesimError as exc:
-        _rewrap(exc, path)
+    kind = read_field(item, "kind", path, _strategy_kind, StrategyKind.NONE)
+    fields = _STRATEGY_FIELDS[kind]
+    _check_keys(item, {"kind", *fields}, path)
+    return _build(
+        path,
+        AdversaryStrategy,
+        kind=kind,
+        **{name: read_field(item, name, path, parse) for name, (parse, _) in fields.items() if name in item},
+    )
+
+
+# -- the adversary's scripted fork --------------------------------------------
+
+
+def _select_signers(validators: tuple[ValidatorState, ...], fraction: Fraction) -> frozenset[str]:
+    """Smallest id-ordered prefix of validators holding >= fraction of stake."""
+    held = list(accumulate(map(attrgetter("stake"), validators), initial=Fraction(0)))
+    total = held[-1]
+    n = bisect_left(held, fraction * total)  # stakes are positive, so `held` rises
+    if held[n] <= EconParams.adversary_threshold * total:
+        raise InvariantViolationError(f"adversary controls {held[n]} of {total}, not enough to equivocate")
+    return frozenset(map(attrgetter("id"), validators[:n]))
+
+
+_ATTACK_EVENT_IDS = {
+    StrategyKind.DOUBLE_SIGN_AT: "atk-double-sign",
+    StrategyKind.LONG_RANGE_AT: "atk-long-range",
+    StrategyKind.GRIEVING_BUYOUT: "atk-grieving",
+    StrategyKind.BRIBERY_PROBE: "atk-bribery",
+}
+
+
+def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], dict[str, ForkEventMeta], Optional[dict]]:
+    """Forge the adversary's scripted fork reveal, if its strategy has one.
+
+    Returns (events, their meta, optional probe log payload).
+    """
+    st, tp, validators = sc.strategy, sc.timing, sc.timeline.validators
+    log = None
+    if st.kind is StrategyKind.NONE:
+        return [], {}, None
+
+    if st.kind is StrategyKind.BRIBERY_PROBE:
+        # attack only if the bribe schedule actually dominates
+        ep_probe = replace(sc.econ, bribe_fail=st.bribe_fail, bribe_success=st.bribe_success)
+        mech = Mechanism(st.mechanism)
+        dominant = bribe_is_dominant(mech, ep_probe)
+        log = {
+            "mechanism": mech.value,
+            "bribe_fail": frac_str(st.bribe_fail),
+            "bribe_success": frac_str(st.bribe_success),
+            "dominant": dominant,
+            "attack_proceeds": dominant,
+        }
+        if not dominant:
+            return [], {}, log
+
+    if st.kind is StrategyKind.GRIEVING_BUYOUT:
+        # every controlled validator double-signs in the scripted epoch's
+        # ambiguous window; the buyout itself happens at auction time
+        t0 = epoch_bounds(st.attack_epoch, tp.t_rev)[0]
+        revealed, signers = t0 + tp.t_fin, frozenset(v.id for v in validators)
+    elif st.kind is StrategyKind.LONG_RANGE_AT:
+        t0, revealed, signers = st.target_t0, st.tick, st.exited_set
+    else:  # DOUBLE_SIGN_AT, or a dominant BRIBERY_PROBE
+        t0, revealed, signers = st.target_t0, st.tick, _select_signers(validators, st.stake_fraction)
+    ev = ForkRevealEvent(
+        id=_ATTACK_EVENT_IDS[st.kind],
+        diverges_from_block_finalized_at=t0,
+        revealed_at=revealed,
+        double_signers=signers,
+    )
+    return [ev], {ev.id: ForkEventMeta(adversary_wins=True)}, log
 
 
 # -- serialization ----------------------------------------------------------
@@ -544,24 +623,10 @@ def econ_to_doc(ep: EconParams) -> dict:
 
 def _strategy_to_doc(st: AdversaryStrategy) -> dict:
     doc: dict[str, Any] = {"kind": st.kind.value}
-    if st.kind is StrategyKind.NONE:
-        return doc
-    if st.tick is not None:
-        doc["tick"] = st.tick
-    if st.kind in (StrategyKind.DOUBLE_SIGN_AT, StrategyKind.BRIBERY_PROBE, StrategyKind.LONG_RANGE_AT):
-        doc["target_t0"] = st.target_t0
-    if st.stake_fraction is not None:
-        doc["stake_fraction"] = frac_str(st.stake_fraction)
-    if st.exited_set:
-        doc["exited_set"] = sorted(st.exited_set)
-    if st.premium_rate is not None:
-        doc["premium_rate"] = frac_str(st.premium_rate)
-    if st.kind is StrategyKind.GRIEVING_BUYOUT:
-        doc["attack_epoch"] = st.attack_epoch
-    if st.kind is StrategyKind.BRIBERY_PROBE:
-        doc["bribe_fail"] = frac_str(st.bribe_fail)
-        doc["bribe_success"] = frac_str(st.bribe_success)
-        doc["mechanism"] = st.mechanism
+    for name, (_, dump) in _STRATEGY_FIELDS[st.kind].items():
+        value = getattr(st, name)
+        if value or name != "exited_set":  # an empty exited_set is left out
+            doc[name] = dump(value)
     return doc
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from stakesim.cli import main
-from stakesim.scenario import canonical_json
+from stakesim.errors import ScenarioError
+from stakesim.scenario import canonical_json, load_scenario
 from stakesim.version import __version__
 
 from conftest import breach_scenario_doc, quiet_scenario_doc
@@ -102,6 +103,39 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
     assert err.startswith("error:") and "schema" in err
 
 
+# each scripted fork the engine would reject when building its timeline
+BAD_SCRIPTED_FORKS = {
+    "reveal-before-divergence": (
+        {"kind": "double_sign_at", "tick": -5, "target_t0": 20, "stake_fraction": "1/2"},
+        "revealed_at precedes the divergence tick",
+    ),
+    "reveal-beyond-horizon": (
+        {"kind": "double_sign_at", "tick": 10**6, "target_t0": 20, "stake_fraction": "1/2"},
+        "revealed_at beyond horizon",
+    ),
+    "unknown-exited-signer": (
+        {"kind": "long_range_at", "tick": 40, "exited_set": ["nobody"]},
+        "unknown double signers",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCRIPTED_FORKS))
+def test_validate_rejects_a_scripted_fork_that_run_would_reject(tmp_path, capsys, name):
+    strategy, message = BAD_SCRIPTED_FORKS[name]
+    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
+    doc["adversary"]["strategy"] = strategy
+    scenario = write_doc(tmp_path, doc)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(scenario)
+    assert exc.value.path == f"{scenario}.adversary.strategy"
+    assert message in str(exc.value)
+    assert main(["validate", "--scenario", scenario]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {scenario}.adversary.strategy: ")
+
+
 # -- analyze ----------------------------------------------------------------------
 
 
@@ -142,8 +176,10 @@ def test_analyze_rejects_a_trace_without_a_report(tmp_path, capsys):
     "tamper,path",
     [
         (lambda h: h["timing"].update(t_rev=0), ":run_start.timing: t_rev must be >= 1, got 0"),
-        (lambda h: h["econ"].update(gamma="x"), ":run_start.econ.gamma: not an exact value"),
-        (lambda h: h["econ"].pop("gamma"), ":run_start.econ: missing required key 'gamma'"),
+        (lambda h: h["econ"].update(gamma="x"), ":run_start.econ.gamma: malformed value 'x'"),
+        pytest.param(
+            lambda h: h["econ"].pop("gamma"), ":run_start.econ.gamma: missing required key", id="econ-gamma-missing"
+        ),
     ],
 )
 def test_analyze_rejects_a_malformed_header_with_its_path(tmp_path, capsys, tamper, path):
@@ -276,6 +312,65 @@ def test_sweep_grid_file_and_failed_points(tmp_path, capsys):
 def test_sweep_without_any_axis_is_an_error(tmp_path, capsys):
     assert main(["sweep", "--scenario", DEMO, "--out", str(tmp_path / "s")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -- one reader for every JSON input ------------------------------------------------
+
+MISSING = object()
+
+
+def set_or_drop(obj: dict, key: str, bad) -> None:
+    if bad is MISSING:
+        del obj[key]
+    else:
+        obj[key] = bad
+
+
+def scenario_input(tmp_path, capsys, bad):
+    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
+    set_or_drop(doc["timing"], "t_rev", bad)
+    scenario = write_doc(tmp_path, doc)
+    return ["validate", "--scenario", scenario], f"{scenario}.timing.t_rev"
+
+
+def header_input(tmp_path, capsys, bad):
+    trace = run_demo(tmp_path, capsys)
+    tamper_first(trace, "run_start", lambda r: set_or_drop(r["econ"], "gamma", bad))
+    return ["analyze", "--trace", str(trace)], f"{trace}:run_start.econ.gamma"
+
+
+def body_input(tmp_path, capsys, bad):
+    trace = run_demo(tmp_path, capsys)
+    tamper_first(trace, "tx_finalized", lambda r: set_or_drop(r, "value", bad))
+    return ["analyze", "--trace", str(trace)], f"{trace}:tx_finalized.value"
+
+
+def grid_input(tmp_path, capsys, bad):
+    grid = write_doc(tmp_path, {"econ.gamma": bad}, "grid.json")
+    return ["sweep", "--scenario", DEMO, "--grid", grid, "--out", str(tmp_path / "sw")], f"{grid}.econ.gamma"
+
+
+# a grid file has no required key, so it can only hold a malformed axis
+@pytest.mark.parametrize(
+    "make_input,bad,wording",
+    [
+        (scenario_input, MISSING, "missing required key"),
+        (scenario_input, "x", "malformed value 'x'"),
+        (header_input, MISSING, "missing required key"),
+        (header_input, "x", "malformed value 'x'"),
+        (body_input, MISSING, "missing required key"),
+        (body_input, "x", "malformed value 'x'"),
+        (grid_input, "1/2", "malformed value '1/2'"),
+    ],
+    ids=["scenario-missing", "scenario-malformed", "header-missing", "header-malformed",
+         "body-missing", "body-malformed", "grid-malformed"],
+)
+def test_every_input_cites_a_bad_key_at_its_own_path(tmp_path, capsys, make_input, bad, wording):
+    argv, path = make_input(tmp_path, capsys, bad)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {wording}")
 
 
 # -- unreadable input ------------------------------------------------------------

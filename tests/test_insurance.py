@@ -175,7 +175,7 @@ def quiet_ledger(fork_events=(), transactors=("ins", "other")):
 def test_available_is_pool_capped_at_gamma_third():
     ledger = quiet_ledger()
     assert ledger.pool_free() == 64
-    assert ledger.available(0) == Fraction(64, 3)  # gamma * 128 / 3
+    assert ledger.available() == Fraction(64, 3)  # gamma * 128 / 3
 
 
 def test_sell_rejects_bad_bids():

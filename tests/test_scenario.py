@@ -235,6 +235,24 @@ def test_strategy_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "strategy,stray",
+    [
+        ({"kind": "double_sign_at", "tick": 26, "stake_fraction": "1/2", "attack_epoch": 3}, "attack_epoch"),
+        ({"kind": "double_sign_at", "tick": 26, "stake_fraction": "1/2", "mechanism": "slashing"}, "mechanism"),
+        ({"kind": "double_sign_at", "tick": 26, "stake_fraction": "1/2", "bribe_fail": 1}, "bribe_fail"),
+        ({"kind": "double_sign_at", "tick": 26, "stake_fraction": "1/2", "premium_rate": "1/10"}, "premium_rate"),
+        ({"kind": "grieving_buyout", "premium_rate": "1/10", "attack_epoch": 2, "tick": 5}, "tick"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x["kind"],
+)
+def test_a_field_of_another_strategy_kind_is_an_unknown_key(strategy, stray):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(minimal_doc(adversary={"strategy": strategy, "transactors": []}), source="s")
+    assert exc.value.path == "s.adversary.strategy"
+    assert str(exc.value) == f"s.adversary.strategy: unknown keys ['{stray}']"
+
+
 STRATEGIES = [
     {"kind": "none"},
     {"kind": "double_sign_at", "tick": 26, "target_t0": 20, "stake_fraction": "1/2"},
