@@ -10,9 +10,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -244,6 +247,23 @@ class ChainTimeline:
     fork_events: tuple[ForkRevealEvent, ...] = ()
     validators: tuple[ValidatorState, ...] = ()
 
+    @cached_property
+    def _gamma_index(self) -> dict[GammaFilter, tuple[list[Tick], list[Fraction]]]:
+        """Per filter: the sorted finalization ticks of the matching
+        transactions and the exact prefix sums of their values (one more
+        entry than ticks). Built on first use and kept on this object only,
+        outside the fields, so equality, hashing and `replace` ignore it.
+        Sorts by tick itself: timelines need not come from build_timeline."""
+        ordered = sorted(self.transactions, key=attrgetter("finalized_at"))
+        index = {}
+        for selector in GammaFilter:
+            matching = [tx for tx in ordered if _matches(tx, selector)]
+            index[selector] = (
+                [tx.finalized_at for tx in matching],
+                list(accumulate((tx.value for tx in matching), initial=Fraction(0))),
+            )
+        return index
+
 
 def _check_unique(kind: str, ids: Iterable[str]) -> None:
     seen = set()
@@ -349,27 +369,15 @@ def _matches(tx: TransactionRecord, selector: GammaFilter) -> bool:
     return tx.rule is not ConfirmationRule.INSURED_IMMEDIATE
 
 
-def gamma_set(
-    timeline: ChainTimeline,
-    t0: Tick,
-    t1: Tick,
-    selector: GammaFilter = GammaFilter.ALL,
-) -> tuple[TransactionRecord, ...]:
-    """Transactions finalized in [t0, t1) passing `selector`, sorted."""
-    if t0 >= t1:
-        raise EmptyIntervalError(f"empty interval [{t0}, {t1})")
-    return tuple(
-        tx
-        for tx in timeline.transactions
-        if t0 <= tx.finalized_at < t1 and _matches(tx, selector)
-    )
-
-
 def gamma_value(
     timeline: ChainTimeline,
     t0: Tick,
     t1: Tick,
     selector: GammaFilter = GammaFilter.ALL,
 ) -> Fraction:
-    """Total value of gamma_set(timeline, t0, t1, selector)."""
-    return sum((tx.value for tx in gamma_set(timeline, t0, t1, selector)), Fraction(0))
+    """Total value of the transactions finalized in [t0, t1) that pass
+    `selector`: two binary searches into the timeline's prefix sums."""
+    if t0 >= t1:
+        raise EmptyIntervalError(f"empty interval [{t0}, {t1})")
+    ticks, prefix = timeline._gamma_index[selector]
+    return prefix[bisect_left(ticks, t1)] - prefix[bisect_left(ticks, t0)]

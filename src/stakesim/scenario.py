@@ -342,10 +342,15 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
         attack_over_epoch=attack_over,
         seed=seed,
     )
-    # the scripted fork must fit the chain `run` will build it into
+    # the scripted fork must fit the chain `run` will build it into, beside
+    # the scenario's own fork events
     _build(
         f"{source}.adversary.strategy",
-        lambda: build_timeline(horizon=horizon, fork_events=strategy_events(sc)[0], validators=validators),
+        lambda: build_timeline(
+            horizon=horizon,
+            fork_events=list(timeline.fork_events) + strategy_events(sc)[0],
+            validators=validators,
+        ),
     )
     return sc
 

@@ -29,6 +29,16 @@ def passes_filter(tx, selector: str) -> bool:
     raise ValueError(selector)
 
 
+def gamma_set(timeline, t0: int, t1: int, selector: str = "all") -> tuple:
+    """The transactions finalized in [t0, t1) that pass `selector`, in
+    timeline order, by testing every one."""
+    return tuple(
+        tx
+        for tx in timeline.transactions
+        if t0 <= tx.finalized_at < t1 and passes_filter(tx, selector)
+    )
+
+
 def window_totals(txs, horizon: int, t_rev: int, selector: str) -> list:
     """The filtered value inside [s, s + t_rev) for EVERY integer start s
     in [0, horizon]."""

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 from stakesim import (
+    ChainTimeline,
     EconParams,
     ForkRevealEvent,
     GammaFilter,
@@ -18,7 +20,6 @@ from stakesim import (
     build_timeline,
     epoch_bounds,
     epoch_of,
-    gamma_set,
     gamma_value,
 )
 from stakesim.errors import (
@@ -27,7 +28,7 @@ from stakesim.errors import (
     TimestampOutOfRangeError,
 )
 
-from oracles import passes_filter
+from oracles import gamma_set, passes_filter
 
 
 def tx(id, f, v=1, kind="hybrid", rule="immediate", **kw):
@@ -141,17 +142,17 @@ def test_signer_stake_filled_and_cross_checked():
 
 
 def test_interval_query_is_half_open():
-    tl = build_timeline(horizon=10, transactions=[tx("a", 3), tx("b", 5), tx("c", 7)])
-    got = gamma_set(tl, 3, 7, GammaFilter.ALL)
-    assert [t.id for t in got] == ["a", "b"]
+    tl = build_timeline(horizon=10, transactions=[tx("a", 3, v=1), tx("b", 5, v=2), tx("c", 7, v=4)])
+    assert [t.id for t in gamma_set(tl, 3, 7, GammaFilter.ALL)] == ["a", "b"]
+    assert gamma_value(tl, 3, 7, GammaFilter.ALL) == 3
 
 
 def test_empty_interval_rejected():
-    tl = build_timeline(horizon=10)
+    tl = build_timeline(horizon=10, transactions=[tx("a", 5)])
     with pytest.raises(EmptyIntervalError):
-        gamma_set(tl, 5, 5)
+        gamma_value(tl, 5, 5)
     with pytest.raises(EmptyIntervalError):
-        gamma_set(tl, 6, 5)
+        gamma_value(tl, 6, 5)
 
 
 def test_interval_with_no_transactions_is_empty():
@@ -161,9 +162,10 @@ def test_interval_with_no_transactions_is_empty():
 
 
 def test_kind_filter_drops_pure():
-    tl = build_timeline(horizon=10, transactions=[tx("p", 4, kind="pure"), tx("h", 4)])
-    got = gamma_set(tl, 4, 5, GammaFilter.HYBRID_ONLY)
-    assert [t.id for t in got] == ["h"]
+    tl = build_timeline(horizon=10, transactions=[tx("p", 4, v=1, kind="pure"), tx("h", 4, v=2)])
+    assert [t.id for t in gamma_set(tl, 4, 5, GammaFilter.HYBRID_ONLY)] == ["h"]
+    assert gamma_value(tl, 4, 5, GammaFilter.HYBRID_ONLY) == 2
+    assert gamma_value(tl, 4, 5, GammaFilter.ALL) == 3
 
 
 def test_filters_nest_and_match_reference_predicate():
@@ -173,18 +175,85 @@ def test_filters_nest_and_match_reference_predicate():
         kind = rng.choice(["pure", "hybrid"])
         rule = rng.choice(rules)
         t = tx("x", 1, kind=kind, rule=rule)
-        matched = {
-            sel for sel in GammaFilter
-            if gamma_set(build_timeline(horizon=5, transactions=[t]), 0, 5, sel)
-        }
+        tl = build_timeline(horizon=5, transactions=[t])
+        matched = {sel for sel in GammaFilter if gamma_value(tl, 0, 5, sel)}
         expected = {sel for sel in GammaFilter if passes_filter(t, sel.value)}
         assert matched == expected
+        assert {sel for sel in GammaFilter if gamma_set(tl, 0, 5, sel)} == expected
         # nesting: uninsured => not_secure => hybrid_only => all
         chain = [GammaFilter.UNINSURED, GammaFilter.HYBRID_NOT_SECURE,
                  GammaFilter.HYBRID_ONLY, GammaFilter.ALL]
         for tighter, looser in zip(chain, chain[1:]):
             if tighter in matched:
                 assert looser in matched
+
+
+def random_transactions(rng, horizon, n):
+    """`n` transactions on few distinct ticks, so that ticks repeat."""
+    ticks = [rng.randrange(horizon + 1) for _ in range(max(1, n // 3))]
+    rules = ["immediate", "secure", "bridge", "insured_immediate"]
+    return [
+        tx(f"t{i}", rng.choice(ticks), v=Fraction(rng.randrange(0, 50), rng.randrange(1, 7)),
+           kind=rng.choice(["pure", "hybrid"]), rule=rng.choice(rules))
+        for i in range(n)
+    ]
+
+
+def test_gamma_value_matches_brute_force_sum():
+    rng = random.Random(2024)
+    for _ in range(150):
+        horizon = rng.randrange(1, 60)
+        txs = random_transactions(rng, horizon, rng.randrange(0, 25))
+        tl = build_timeline(horizon=horizon, transactions=txs)
+        ticks = sorted({t.finalized_at for t in txs})
+        # bounds on transaction ticks, below 0 and past the horizon
+        bounds = ticks + [-3, -1, 0, horizon, horizon + 1, horizon + 7]
+        bounds += [rng.randrange(-5, horizon + 6) for _ in range(4)]
+        for t0 in bounds:
+            for t1 in bounds:
+                if t0 >= t1:
+                    continue
+                for sel in GammaFilter:
+                    want = sum((t.value for t in gamma_set(tl, t0, t1, sel)), Fraction(0))
+                    got = gamma_value(tl, t0, t1, sel)
+                    assert type(got) is Fraction and got == want, (t0, t1, sel)
+
+
+def test_gamma_value_sorts_a_timeline_built_without_build_timeline():
+    rng = random.Random(7)
+    for _ in range(50):
+        txs = random_transactions(rng, 30, rng.randrange(1, 20))
+        rng.shuffle(txs)
+        tl = ChainTimeline(horizon=30, transactions=tuple(txs))
+        for t0 in range(-1, 31, 3):
+            for sel in GammaFilter:
+                want = sum((t.value for t in gamma_set(tl, t0, t0 + 5, sel)), Fraction(0))
+                assert gamma_value(tl, t0, t0 + 5, sel) == want
+
+
+def test_a_replaced_timeline_gets_its_own_index():
+    tl = build_timeline(horizon=20, transactions=[tx("a", 3, v=2), tx("b", 8, v=5)])
+    assert gamma_value(tl, 0, 20, GammaFilter.UNINSURED) == 7
+    # what a run does at its end: the same transactions under their effective rules
+    secured = replace(tl, transactions=tuple(replace(t, rule="secure") for t in tl.transactions))
+    assert "_gamma_index" not in vars(secured)
+    assert gamma_value(secured, 0, 20, GammaFilter.UNINSURED) == 0
+    assert gamma_value(secured, 0, 20, GammaFilter.HYBRID_ONLY) == 7
+    assert gamma_value(tl, 0, 20, GammaFilter.UNINSURED) == 7
+
+
+def test_building_the_index_leaves_identity_alone():
+    names = [f.name for f in fields(ChainTimeline)]
+    tl = build_timeline(horizon=20, transactions=[tx("a", 3, v=2), tx("b", 8, v=5)])
+    before_hash, before_repr = hash(tl), repr(tl)
+    assert "_gamma_index" not in vars(tl)
+    gamma_value(tl, 0, 10)
+    assert "_gamma_index" in vars(tl)
+    assert tl == replace(tl) and replace(tl) == tl
+    assert hash(tl) == before_hash == hash(replace(tl))
+    assert repr(tl) == before_repr
+    assert [f.name for f in fields(ChainTimeline)] == names
+    assert names == ["horizon", "transactions", "fork_events", "validators"]
 
 
 def test_validator_activity():

@@ -136,6 +136,22 @@ def test_validate_rejects_a_scripted_fork_that_run_would_reject(tmp_path, capsys
     assert captured.err.startswith(f"error: {scenario}.adversary.strategy: ")
 
 
+def test_validate_rejects_a_fork_event_that_reuses_the_scripted_fork_id(tmp_path, capsys):
+    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
+    doc["fork_events"] = [{"id": "atk-double-sign", "diverges_from": 10, "revealed_at": 14}]
+    scenario = write_doc(tmp_path, doc)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(scenario)
+    assert exc.value.path == f"{scenario}.adversary.strategy"
+    assert "duplicate fork event id 'atk-double-sign'" in str(exc.value)
+    for verb in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*verb, "--scenario", scenario]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {scenario}.adversary.strategy: ")
+    assert not (tmp_path / "out" / "trace.jsonl").exists()
+
+
 # -- analyze ----------------------------------------------------------------------
 
 
