@@ -353,6 +353,9 @@ class GammaFilter(str, Enum):
 
 _WAITING_RULES = (ConfirmationRule.SECURE_RULE, ConfirmationRule.BRIDGE_RULE)
 
+# The value of every window that holds no matching transaction.
+_NO_VALUE = Fraction(0)
+
 
 def _matches(tx: TransactionRecord, selector: GammaFilter) -> bool:
     if selector is GammaFilter.ALL:
@@ -376,8 +379,12 @@ def gamma_value(
     selector: GammaFilter = GammaFilter.ALL,
 ) -> Fraction:
     """Total value of the transactions finalized in [t0, t1) that pass
-    `selector`: two binary searches into the timeline's prefix sums."""
+    `selector`: two binary searches into the timeline's prefix sums, and
+    one subtraction only when the window holds a matching transaction."""
     if t0 >= t1:
         raise EmptyIntervalError(f"empty interval [{t0}, {t1})")
     ticks, prefix = timeline._gamma_index[selector]
-    return prefix[bisect_left(ticks, t1)] - prefix[bisect_left(ticks, t0)]
+    lo, hi = bisect_left(ticks, t0), bisect_left(ticks, t1)
+    if lo == hi:
+        return _NO_VALUE
+    return prefix[hi] - prefix[lo]

@@ -75,28 +75,44 @@ def _epoch_rows(
     coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
     uncovered: AbstractSet[EpochIndex],
 ) -> list[dict]:
+    """One row per epoch: its window, the value finalized in it under each
+    `GammaFilter`, the coverage bought for it and its safety flags.
+
+    Only an epoch that holds a transaction queries the timeline, with one
+    `gamma_value` call per filter. Every other epoch sums to zero under
+    every filter and shares the cells computed once from those zeros, so a
+    quiet epoch costs O(1).
+    """
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     burn_share = (1 - ep.gamma) * coc
+
+    def cells(sums: Mapping[GammaFilter, Fraction]) -> dict:
+        return {
+            "sum_all": frac_str(sums[GammaFilter.ALL]),
+            "sum_hybrid": frac_str(sums[GammaFilter.HYBRID_ONLY]),
+            "sum_hybrid_not_secure": frac_str(sums[GammaFilter.HYBRID_NOT_SECURE]),
+            "sum_uninsured": frac_str(sums[GammaFilter.UNINSURED]),
+            "epoch_safe": coc > sums[GammaFilter.HYBRID_NOT_SECURE],
+            "uninsured_buffer_ok": burn_share > sums[GammaFilter.UNINSURED],
+        }
+
+    quiet = cells(dict.fromkeys(GammaFilter, Fraction(0)))
+    busy = {epoch_of(tx.finalized_at, tp.t_rev) for tx in timeline.transactions}
     rows = []
     last = epoch_of(timeline.horizon, tp.t_rev)
     for e in range(last + 1):
         t0, t1 = epoch_bounds(e, tp.t_rev)
-        sums = {
-            sel: gamma_value(timeline, t0, t1, sel)
-            for sel in GammaFilter
-        }
+        if e in busy:
+            row_cells = cells({sel: gamma_value(timeline, t0, t1, sel) for sel in GammaFilter})
+        else:
+            row_cells = quiet
         rows.append(
             {
                 "epoch": e,
                 "window": [t0, t1],
-                "sum_all": frac_str(sums[GammaFilter.ALL]),
-                "sum_hybrid": frac_str(sums[GammaFilter.HYBRID_ONLY]),
-                "sum_hybrid_not_secure": frac_str(sums[GammaFilter.HYBRID_NOT_SECURE]),
-                "sum_uninsured": frac_str(sums[GammaFilter.UNINSURED]),
+                **row_cells,
                 "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(e, {}).items())},
                 "insured_ok": e not in uncovered,
-                "epoch_safe": coc > sums[GammaFilter.HYBRID_NOT_SECURE],
-                "uninsured_buffer_ok": burn_share > sums[GammaFilter.UNINSURED],
             }
         )
     return rows
@@ -220,10 +236,19 @@ def build_report(
 
 
 def render_text(doc: dict) -> str:
-    """Human-readable fixed-point rendering of a report document."""
+    """Human-readable fixed-point rendering of a report document.
+
+    Each distinct value string is converted to a decimal once per call (a
+    report repeats few values, "0" in every quiet epoch above all); the
+    memo lives and dies with the call, so a sweep does not grow it.
+    """
+    decimals: dict[str, str] = {}
 
     def dec(s: str) -> str:
-        return frac_decimal(as_fraction(s), 4)
+        d = decimals.get(s)
+        if d is None:
+            d = decimals[s] = frac_decimal(as_fraction(s), 4)
+        return d
 
     lines = []
     lines.append(f"safety report (tool {doc['tool_version']}, schema {doc['schema_version']})")
@@ -352,7 +377,13 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
 
 
 def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
-    """Depth-first path of the first differing field, or None if equal."""
+    """Depth-first path of the first differing field, or None if equal.
+
+    Sides of one type that compare equal are settled by one `==`; only a
+    differing dict or list is walked, by sorted key or by index, to name
+    the field."""
+    if type(expected) is type(actual) and expected == actual:
+        return None
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(set(expected) | set(actual)):
             sub = f"{path}.{key}" if path else str(key)

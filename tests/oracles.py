@@ -207,3 +207,61 @@ def insured_ok_oracle(txs, horizon: int, t_rev: int, coverage) -> list:
         bucket = coverage.get(e, {})
         rows.append(all(total < bucket.get(tr, Fraction(0)) for tr, total in insured_by_tr.items()))
     return rows
+
+
+def epoch_rows_oracle(timeline, t_rev: int, econ, coverage) -> list:
+    """The report's per-epoch rows, rebuilt epoch by epoch and filter by
+    filter from `gamma_set`, with no shortcut for an epoch that holds no
+    transaction. The slashing coc is a third of the nominal stake; the
+    uninsured buffer is its burn share."""
+    coc = Fraction(1, 3) * econ.stake_per_validator * econ.n_validators
+    burn_share = (1 - econ.gamma) * coc
+    insured_ok = insured_ok_oracle(timeline.transactions, timeline.horizon, t_rev, coverage)
+    rows = []
+    for e in range(timeline.horizon // t_rev + 1):
+        t0, t1 = e * t_rev, (e + 1) * t_rev
+        sums = {
+            sel: sum((tx.value for tx in gamma_set(timeline, t0, t1, sel)), Fraction(0))
+            for sel in ("all", "hybrid_only", "hybrid_not_secure", "uninsured")
+        }
+        rows.append(
+            {
+                "epoch": e,
+                "window": [t0, t1],
+                "sum_all": str(sums["all"]),
+                "sum_hybrid": str(sums["hybrid_only"]),
+                "sum_hybrid_not_secure": str(sums["hybrid_not_secure"]),
+                "sum_uninsured": str(sums["uninsured"]),
+                "coverage": {tr: str(c) for tr, c in sorted(coverage.get(e, {}).items())},
+                "insured_ok": insured_ok[e],
+                "epoch_safe": sums["hybrid_not_secure"] < coc,
+                "uninsured_buffer_ok": sums["uninsured"] < burn_share,
+            }
+        )
+    return rows
+
+
+def first_mismatch_oracle(expected, actual, path: str = ""):
+    """Path of the first differing field by walking every dict key (in
+    sorted order) and list index, leaves compared with `!=`; None if no
+    field differs."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for key in sorted(set(expected) | set(actual)):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in expected or key not in actual:
+                return sub
+            found = first_mismatch_oracle(expected[key], actual[key], sub)
+            if found:
+                return found
+        return None
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(expected) != len(actual):
+            return f"{path}.length"
+        for i, (ev, av) in enumerate(zip(expected, actual)):
+            found = first_mismatch_oracle(ev, av, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    if expected != actual:
+        return path or "<root>"
+    return None

@@ -217,6 +217,18 @@ def test_gamma_value_matches_brute_force_sum():
                     want = sum((t.value for t in gamma_set(tl, t0, t1, sel)), Fraction(0))
                     got = gamma_value(tl, t0, t1, sel)
                     assert type(got) is Fraction and got == want, (t0, t1, sel)
+        # empty windows: between neighbouring transaction ticks, before the
+        # first and after the last
+        edges = [-4] + ticks + [horizon + 4]
+        for a, b in zip(edges, edges[1:]):
+            if a + 1 == b:
+                continue
+            # the whole gap, its first tick and its last tick
+            for t0, t1 in ((a + 1, b), (a + 1, a + 2), (b - 1, b)):
+                for sel in GammaFilter:
+                    assert not gamma_set(tl, t0, t1, sel)
+                    got = gamma_value(tl, t0, t1, sel)
+                    assert type(got) is Fraction and got == 0, (t0, t1, sel)
 
 
 def test_gamma_value_sorts_a_timeline_built_without_build_timeline():

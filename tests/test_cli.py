@@ -292,6 +292,17 @@ def test_analyze_rederives_the_strong_safety_flags(tmp_path, capsys, tamper, fie
     assert capsys.readouterr().out == f"{trace}: MISMATCH at {field}\n"
 
 
+# Epochs 1, 5 and 6 of the demo hold no transaction.
+@pytest.mark.parametrize("epoch,key,value", [(1, "sum_all", "1"), (5, "epoch_safe", False)])
+def test_analyze_rederives_a_quiet_epochs_row(tmp_path, capsys, epoch, key, value):
+    trace = run_demo(tmp_path, capsys)
+    row = json.loads(trace.read_text().splitlines()[-1])["per_epoch"][epoch]
+    assert (row["sum_all"], row["epoch_safe"]) == ("0", True)
+    tamper_first(trace, "report", lambda r: r["per_epoch"][epoch].update({key: value}))
+    assert main(["analyze", "--trace", str(trace)]) == 3
+    assert capsys.readouterr().out == f"{trace}: MISMATCH at per_epoch[{epoch}].{key}\n"
+
+
 # -- sweep ------------------------------------------------------------------------
 
 
