@@ -117,6 +117,9 @@ class _Run:
             validators=sc.timeline.validators,
         )
         self.ledger = InsuranceLedger(self.timeline, self.tp, self.ep, transactors=sc.transactors())
+        self.bids_by_epoch: dict[EpochIndex, list[InsuranceBid]] = {}
+        for b in sc.bids:
+            self.bids_by_epoch.setdefault(b.epoch_placed, []).append(b)
 
         self.records: list[TraceRecord] = []
         self.effective_rule: dict[str, ConfirmationRule] = {}
@@ -189,7 +192,7 @@ class _Run:
 
         self.ledger.activate(e)
 
-        bids = [b for b in self.sc.bids if b.epoch_placed == e]
+        bids = self.bids_by_epoch.get(e, [])
         if self.sc.strategy.kind is StrategyKind.GRIEVING_BUYOUT:
             buyer = min(self.sc.adversary_transactors) if self.sc.adversary_transactors else None
             avail = self.ledger.available()
@@ -227,9 +230,8 @@ class _Run:
             if self.secure_mode:
                 self.secure_mode = False
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
-            for c in range(e - RELEASE_LAG_EPOCHS + 1):
-                for lot in self.ledger.release_after_settlement(c):
-                    self.rec(tick, "released", epoch=e, lots=[_lot_ref(lot)])
+            for lot in self.ledger.release_settled_through(e - RELEASE_LAG_EPOCHS):
+                self.rec(tick, "released", epoch=e, lots=[_lot_ref(lot)])
             self.reevaluate_waiting(tick)
 
     def reevaluate_waiting(self, tick: Tick):

@@ -14,14 +14,23 @@ fork (capped by what each bought), and the remainder burns. Conservation is
 exact: paid + burned = slashed, always. Burning the remainder is what makes
 pure griefing unprofitable: an adversary who buys out the insurance and then
 attacks itself still loses the burned share.
+
+The ledger files lots by covering epoch, so activating, releasing or paying
+out the lots of one epoch reads only that epoch's bucket, and it keeps the
+coverage bought per (buyer, covering epoch) and the free pool's total as
+running sums. All lots of one auction are backed in the same proportions,
+so stake moves once per auction and backer, not once per lot and backer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from math import lcm
+from operator import attrgetter
+from typing import AbstractSet, Collection, Iterable, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
@@ -90,7 +99,8 @@ class InsuranceLot:
     backing maps validator id to the exact amount of its earmarked stake
     locked behind this lot; when non-empty it sums to `coverage`. Lots sold
     by a ledger always carry backing; the standalone auction helper may
-    produce backing-free lots for purely analytical use.
+    produce backing-free lots for purely analytical use, and
+    `InsuranceLedger.record_lot` files only such lots.
     """
 
     id: str
@@ -110,7 +120,7 @@ class InsuranceLot:
             )
         if self.coverage <= 0:
             raise InvariantViolationError(f"lot {self.id!r}: coverage must be > 0")
-        if self.backing and sum(self.backing.values()) != self.coverage:
+        if self.backing and not _sums_to(self.backing.values(), self.coverage):
             raise InvariantViolationError(f"lot {self.id!r}: backing does not sum to coverage")
 
     def transition(self, new: LotState) -> None:
@@ -119,6 +129,25 @@ class InsuranceLot:
                 f"lot {self.id!r}: illegal transition {self.state.value} -> {new.value}"
             )
         self.state = new
+
+
+def _sums_to(amounts: Collection[Fraction], total: Fraction) -> bool:
+    """sum(amounts) == total, as one integer sum over the common denominator."""
+    common = 1
+    for a in amounts:
+        common = lcm(common, a.denominator)
+    whole = 0
+    for a in amounts:
+        whole += a.numerator * (common // a.denominator)
+    return whole * total.denominator == total.numerator * common
+
+
+def _weight_shares(earmark: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """Each positive weight's share of their total, in id order; empty when
+    no weight is positive."""
+    weights = {v: w for v, w in sorted(earmark.items()) if w > 0}
+    total = sum(weights.values(), Fraction(0))
+    return {v: w / total for v, w in weights.items()}
 
 
 def run_auction(
@@ -135,15 +164,23 @@ def run_auction(
     When `earmark` weights are given, each lot's backing is assigned
     pro-rata across them; sellers with zero weight get nothing.
     """
+    return _allocate(bids, available, _weight_shares(earmark or {}), start_seq)
+
+
+def _allocate(
+    bids: Sequence[InsuranceBid],
+    available: Fraction,
+    shares: Mapping[str, Fraction],
+    start_seq: int,
+) -> list[InsuranceLot]:
+    """`run_auction` with the backers' shares already worked out: a lot of
+    coverage c is backed by c * share by each backer."""
     available = as_fraction(available)
     if available < 0:
         raise NegativeAvailableError(f"available backing is negative: {available}")
     epochs = {b.epoch_placed for b in bids}
     if len(epochs) > 1:
         raise InvariantViolationError(f"auction mixes placement epochs {sorted(epochs)}")
-
-    weights = {v: w for v, w in (earmark or {}).items() if w > 0}
-    total_weight = sum(weights.values(), Fraction(0))
 
     order = sorted(
         range(len(bids)), key=lambda i: (-bids[i].premium_rate, bids[i].transactor, i)
@@ -157,9 +194,6 @@ def run_auction(
         bid = bids[i]
         allocated = min(bid.coverage_requested, remaining)
         remaining -= allocated
-        backing: dict[str, Fraction] = {}
-        if total_weight > 0:
-            backing = {v: allocated * w / total_weight for v, w in sorted(weights.items())}
         lots.append(
             InsuranceLot(
                 id=f"lot-e{bid.epoch_placed}-{seq}",
@@ -169,18 +203,39 @@ def run_auction(
                 premium_paid=allocated * bid.premium_rate,
                 epoch_placed=bid.epoch_placed,
                 covering_epoch=bid.epoch_placed + PURCHASE_LEAD_EPOCHS,
-                backing=backing,
+                backing={v: allocated * share for v, share in shares.items()},
             )
         )
         seq += 1
     return lots
 
 
+class _Sale:
+    """The lots one auction sold for one covering epoch. Each lot of
+    coverage c is backed by c * shares[v] from each backer v. `shares` is
+    dropped once none of the lots can still release or pay out."""
+
+    __slots__ = ("lots", "shares")
+
+    def __init__(self, lots: list[InsuranceLot], shares: Mapping[str, Fraction]):
+        self.lots = lots
+        self.shares: Optional[Mapping[str, Fraction]] = shares
+
+
 class InsuranceLedger:
     """Mutable per-run accounting of earmarks, lots, premiums and claims.
 
+    Lots are filed in one bucket per covering epoch, grouped by the auction
+    that sold them; `lots` lists them all, and `record_lot` is the only way
+    to add one outside an auction. Beside the buckets the ledger keeps two
+    running sums: the coverage bought per (buyer, covering epoch), whatever
+    the lot's state, which `u` and `coverage` read; and the free pool's
+    total, updated wherever `earmark_free` changes, which `pool_free`
+    returns.
+
     Single-owner: the simulation engine (or a test) drives it from one
-    thread; the chain timeline it references stays immutable.
+    thread; the chain timeline it references stays immutable, and the
+    slashable reveals that can hold a lot back are read from it once.
     """
 
     def __init__(
@@ -200,22 +255,52 @@ class InsuranceLedger:
             v.id: v.earmarked_fraction * v.stake for v in timeline.validators
         }
         self.slashed_amounts: dict[str, Fraction] = {}
-        self.lots: list[InsuranceLot] = []
         self.premiums_paid: dict[str, Fraction] = {}
         self.premiums_earned: dict[str, Fraction] = {}
         self.settlements: list[SettlementRecord] = []
         self._lot_seq = 0
+        self._free_total = sum(self.earmark_free.values(), Fraction(0))
+        self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
+        self._sales: dict[EpochIndex, list[_Sale]] = {}
+        self._bought: dict[EpochIndex, dict[str, Fraction]] = {}
+        # the timeline's slashable reveals, and their ticks, by reveal tick
+        self._blockers = sorted(
+            (ev for ev in timeline.fork_events if classify_reveal(ev, tp) in SLASHABLE_CLASSES),
+            key=attrgetter("revealed_at"),
+        )
+        self._blocker_ticks = [ev.revealed_at for ev in self._blockers]
+
+    @property
+    def lots(self) -> tuple[InsuranceLot, ...]:
+        """Every lot sold or recorded, by covering epoch and then in order
+        of sale."""
+        return tuple(lot for sales in self._sales.values() for sale in sales for lot in sale.lots)
+
+    def record_lot(self, lot: InsuranceLot) -> None:
+        """File a lot no validator backs, in whatever state it is in: its
+        coverage counts for `u` and `coverage` at once, and it moves no
+        stake when it releases or pays out."""
+        if lot.backing:
+            raise InvariantViolationError(f"lot {lot.id!r}: only an auction sells backed lots")
+        self._file(lot.covering_epoch, [lot], {})
+
+    def _file(
+        self, covering_epoch: EpochIndex, lots: list[InsuranceLot], shares: Mapping[str, Fraction]
+    ) -> None:
+        self._sales.setdefault(covering_epoch, []).append(_Sale(lots, shares))
+        bought = self._bought.setdefault(covering_epoch, {})
+        for lot in lots:
+            bought[lot.buyer] = bought.get(lot.buyer, Fraction(0)) + lot.coverage
 
     # -- pool -------------------------------------------------------------
 
     def pool_free(self) -> Fraction:
-        return sum(self.earmark_free.values(), Fraction(0))
+        return self._free_total
 
     def available(self) -> Fraction:
         """Backing sellable now: the free pool, capped at gamma/3 of total
         stake so one slash can always fund every active claim."""
-        cap = self.ep.gamma * self.ep.adversary_threshold * self.ep.s_tot
-        return min(self.pool_free(), cap)
+        return min(self._free_total, self._cap)
 
     # -- purchase pipeline --------------------------------------------------
 
@@ -227,61 +312,90 @@ class InsuranceLedger:
                 raise InvariantViolationError(
                     f"bid by {b.transactor!r} placed at {b.epoch_placed}, auctioned at {epoch}"
                 )
-        lots = run_auction(
-            bids, self.available(), self.earmark_free, start_seq=self._lot_seq
-        )
+        shares = _weight_shares(self.earmark_free)
+        lots = _allocate(bids, self.available(), shares, self._lot_seq)
+        if not lots:
+            return lots
         self._lot_seq += len(lots)
         for lot in lots:
-            for v, amount in lot.backing.items():
-                self.earmark_free[v] -= amount
             self.premiums_paid[lot.buyer] = (
                 self.premiums_paid.get(lot.buyer, Fraction(0)) + lot.premium_paid
             )
-            self.lots.append(lot)
+        if shares:
+            sold = sum((lot.coverage for lot in lots), Fraction(0))
+            for v, share in shares.items():
+                self.earmark_free[v] -= sold * share
+            self._free_total -= sold  # the shares add up to one
+        self._file(epoch + PURCHASE_LEAD_EPOCHS, lots, shares)
         return lots
 
     def activate(self, covering_epoch: EpochIndex) -> None:
-        for lot in self.lots:
-            if lot.covering_epoch == covering_epoch and lot.state is LotState.PENDING:
-                lot.transition(LotState.ACTIVE_COVERAGE)
+        for sale in self._sales.get(covering_epoch, ()):
+            for lot in sale.lots:
+                if lot.state is LotState.PENDING:
+                    lot.transition(LotState.ACTIVE_COVERAGE)
 
     def coverage(self) -> dict[EpochIndex, dict[str, Fraction]]:
         """The coverage map of every lot sold so far."""
-        return coverage_map((lot.buyer, lot.covering_epoch, lot.coverage) for lot in self.lots)
+        return {epoch: dict(bought) for epoch, bought in self._bought.items()}
 
     def u(self, transactor: str, covering_epoch: EpochIndex) -> Fraction:
         """Total coverage `transactor` bought for `covering_epoch`."""
         if transactor not in self.transactors:
             raise UnknownTransactorError(f"unknown transactor {transactor!r}")
-        return sum(
-            (
-                lot.coverage
-                for lot in self.lots
-                if lot.buyer == transactor and lot.covering_epoch == covering_epoch
-            ),
-            Fraction(0),
-        )
+        return self._bought.get(covering_epoch, {}).get(transactor, Fraction(0))
 
     # -- stake motion -------------------------------------------------------
 
-    def _credit_premium(self, lot: InsuranceLot) -> None:
-        if not lot.backing or lot.coverage == 0:
-            return
-        for v, amount in sorted(lot.backing.items()):
-            share = lot.premium_paid * amount / lot.coverage
-            self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + share
+    def _close(self, sale: _Sale, lots: list[InsuranceLot], *, release: bool) -> None:
+        """Pay the premium of `lots`, just released or paid out from `sale`,
+        to their backers pro-rata and, on release, return their backing to
+        the free pool (a slashed validator's backing is gone; it never
+        re-enters the pool)."""
+        if lots and sale.shares:
+            premium = sum((lot.premium_paid for lot in lots), Fraction(0))
+            for v, share in sale.shares.items():
+                self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + premium * share
+            if release:
+                covered = sum((lot.coverage for lot in lots), Fraction(0))
+                returned = covered  # the shares add up to one
+                for v, share in sale.shares.items():
+                    if v in self.slashed_amounts:
+                        returned -= covered * share
+                    else:
+                        self.earmark_free[v] += covered * share
+                self._free_total += returned
+        if all(lot.state in (LotState.RELEASED, LotState.PAID_OUT) for lot in sale.lots):
+            sale.shares = None
+
+    def _book_slash(self, slashed: Mapping[str, Fraction]) -> None:
+        """The slashed validators leave the pool for good."""
+        for signer, amount in slashed.items():
+            self._free_total -= self.earmark_free.get(signer, Fraction(0))
+            self.earmark_free[signer] = Fraction(0)
+            self.slashed_amounts[signer] = self.slashed_amounts.get(signer, Fraction(0)) + amount
+
+    def _pay_out(self, claimed: AbstractSet[tuple[str, EpochIndex]]) -> None:
+        """Mark the active lots behind paid claims PAID_OUT and pay their
+        premium to the backers."""
+        for covering_epoch in sorted({e for _, e in claimed}):
+            for sale in self._sales.get(covering_epoch, ()):
+                lots = [
+                    lot
+                    for lot in sale.lots
+                    if (lot.buyer, covering_epoch) in claimed and lot.state is LotState.ACTIVE_COVERAGE
+                ]
+                for lot in lots:
+                    lot.transition(LotState.PAID_OUT)
+                self._close(sale, lots, release=False)
 
     def _window_blockers(self, covering_epoch: EpochIndex) -> list[ForkRevealEvent]:
         """Slashable reveals inside the lot's watch window (the covering
         epoch up to its release epoch)."""
         start, _ = epoch_bounds(covering_epoch, self.tp.t_rev)
         end, _ = epoch_bounds(covering_epoch + RELEASE_LAG_EPOCHS, self.tp.t_rev)
-        return [
-            ev
-            for ev in self.timeline.fork_events
-            if start <= ev.revealed_at < end
-            and classify_reveal(ev, self.tp) in SLASHABLE_CLASSES
-        ]
+        ticks = self._blocker_ticks
+        return self._blockers[bisect_left(ticks, start) : bisect_left(ticks, end)]
 
     def _release(self, covering_epoch: EpochIndex, excused: AbstractSet[str]) -> list[InsuranceLot]:
         """Release the active lots covering `covering_epoch` if every
@@ -290,21 +404,18 @@ class InsuranceLedger:
         Released backing re-enters the pool and the premium pays out to the
         backers.
         """
-        lots = [
-            lot
-            for lot in self.lots
-            if lot.covering_epoch == covering_epoch and lot.state is LotState.ACTIVE_COVERAGE
+        by_sale = [
+            (sale, [lot for lot in sale.lots if lot.state is LotState.ACTIVE_COVERAGE])
+            for sale in self._sales.get(covering_epoch, ())
         ]
-        if not lots or any(ev.id not in excused for ev in self._window_blockers(covering_epoch)):
+        released = [lot for _, lots in by_sale for lot in lots]
+        if not released or any(ev.id not in excused for ev in self._window_blockers(covering_epoch)):
             return []
-        for lot in lots:
+        for lot in released:
             lot.transition(LotState.RELEASED)
-            # a slashed validator's backing is gone; it never re-enters the pool
-            for v, amount in lot.backing.items():
-                if v not in self.slashed_amounts:
-                    self.earmark_free[v] += amount
-            self._credit_premium(lot)
-        return lots
+        for sale, lots in by_sale:
+            self._close(sale, lots, release=True)
+        return released
 
     def release_after_settlement(self, covering_epoch: EpochIndex) -> list[InsuranceLot]:
         """Release lots whose watch window only saw already-settled attacks.
@@ -313,6 +424,20 @@ class InsuranceLedger:
         unlocks and its backing (minus slashed validators') returns.
         """
         return self._release(covering_epoch, {s.event_id for s in self.settlements})
+
+    def release_settled_through(self, last_covering: EpochIndex) -> list[InsuranceLot]:
+        """`release_after_settlement` for every covering epoch up to
+        `last_covering` that still holds an active lot, in ascending order."""
+        excused = {s.event_id for s in self.settlements}
+        released: list[InsuranceLot] = []
+        for covering_epoch in sorted(c for c in self._sales if c <= last_covering):
+            if any(
+                lot.state is LotState.ACTIVE_COVERAGE
+                for sale in self._sales[covering_epoch]
+                for lot in sale.lots
+            ):
+                released += self._release(covering_epoch, excused)
+        return released
 
 
 def release_lots(epoch_now: EpochIndex, ledger: InsuranceLedger) -> list[InsuranceLot]:
@@ -458,16 +583,8 @@ def settle_slash(
     paid_total = sum((c.paid for c in claims), Fraction(0))
     burned = slashed - paid_total
 
-    # the slashed validators leave the pool for good
-    for signer, amount in outcome.slashed.items():
-        ledger.earmark_free[signer] = Fraction(0)
-        ledger.slashed_amounts[signer] = ledger.slashed_amounts.get(signer, Fraction(0)) + amount
-
-    claimed_keys = {(c.transactor, c.covering_epoch) for c in claims if c.paid > 0}
-    for lot in ledger.lots:
-        if (lot.buyer, lot.covering_epoch) in claimed_keys and lot.state is LotState.ACTIVE_COVERAGE:
-            lot.transition(LotState.PAID_OUT)
-            ledger._credit_premium(lot)
+    ledger._book_slash(outcome.slashed)
+    ledger._pay_out({(c.transactor, c.covering_epoch) for c in claims if c.paid > 0})
 
     record = SettlementRecord(
         event_id=outcome.event_id,

@@ -265,3 +265,137 @@ def first_mismatch_oracle(expected, actual, path: str = ""):
     if expected != actual:
         return path or "<root>"
     return None
+
+
+class LedgerOracle:
+    """The insurance ledger's stake and premium bookkeeping, lot by lot and
+    validator by validator over one flat list of lots: each lot's backing
+    is built from the earmarks and deducted one validator at a time,
+    returned the same way on release, and its premium paid to each backer
+    as premium * backing / coverage; the free pool is re-summed and `u`
+    re-scans every lot on each read.
+
+    Lots are plain dicts (id, buyer, coverage, premium_paid, covering_epoch,
+    state, backing). A reveal is slashable iff it lands t_fin or more, and
+    less than t_ws, ticks after its divergence block.
+    """
+
+    def __init__(self, validators, tp, econ, fork_events):
+        self.tp = tp
+        self.gamma = econ.gamma
+        self.cap = econ.gamma * Fraction(1, 3) * econ.stake_per_validator * econ.n_validators
+        self.fork_events = list(fork_events)
+        self.earmark_free = {v.id: v.earmarked_fraction * v.stake for v in validators}
+        self.slashed_amounts: dict = {}
+        self.premiums_paid: dict = {}
+        self.premiums_earned: dict = {}
+        self.lots: list = []
+
+    def pool_free(self) -> Fraction:
+        return sum(self.earmark_free.values(), Fraction(0))
+
+    def available(self) -> Fraction:
+        return min(self.pool_free(), self.cap)
+
+    def u(self, transactor: str, covering_epoch: int) -> Fraction:
+        return sum(
+            (
+                lot["coverage"]
+                for lot in self.lots
+                if lot["buyer"] == transactor and lot["covering_epoch"] == covering_epoch
+            ),
+            Fraction(0),
+        )
+
+    def sell(self, epoch: int, bids) -> list:
+        """Greedy by rate descending, then transactor, then submission;
+        each lot backed pro-rata by the positive earmarks as they stood
+        before the auction."""
+        weights = {v: w for v, w in self.earmark_free.items() if w > 0}
+        total = sum(weights.values(), Fraction(0))
+        remaining = self.available()
+        order = sorted(range(len(bids)), key=lambda i: (-bids[i].premium_rate, bids[i].transactor, i))
+        sold = []
+        for i in order:
+            if remaining <= 0:
+                break
+            bid = bids[i]
+            allocated = min(bid.coverage_requested, remaining)
+            remaining -= allocated
+            backing = {v: allocated * w / total for v, w in sorted(weights.items())} if total > 0 else {}
+            sold.append(
+                {
+                    "id": f"lot-e{epoch}-{len(self.lots) + len(sold)}",
+                    "buyer": bid.transactor,
+                    "coverage": allocated,
+                    "premium_paid": allocated * bid.premium_rate,
+                    "covering_epoch": epoch + 2,
+                    "state": "pending",
+                    "backing": backing,
+                }
+            )
+        for lot in sold:
+            for v, amount in lot["backing"].items():
+                self.earmark_free[v] -= amount
+            self.premiums_paid[lot["buyer"]] = self.premiums_paid.get(lot["buyer"], Fraction(0)) + lot["premium_paid"]
+            self.lots.append(lot)
+        return sold
+
+    def activate(self, covering_epoch: int) -> None:
+        for lot in self.lots:
+            if lot["covering_epoch"] == covering_epoch and lot["state"] == "pending":
+                lot["state"] = "active_coverage"
+
+    def _credit_premium(self, lot) -> None:
+        for v, amount in sorted(lot["backing"].items()):
+            share = lot["premium_paid"] * amount / lot["coverage"]
+            self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + share
+
+    def blockers(self, covering_epoch: int) -> list:
+        """Ids of the slashable reveals in [start of c, start of c + 2)."""
+        start, end = covering_epoch * self.tp.t_rev, (covering_epoch + 2) * self.tp.t_rev
+        return [
+            ev.id
+            for ev in self.fork_events
+            if start <= ev.revealed_at < end
+            and self.tp.t_fin <= ev.revealed_at - ev.diverges_from_block_finalized_at < self.tp.t_ws
+        ]
+
+    def release(self, covering_epoch: int, excused) -> list:
+        lots = [
+            lot
+            for lot in self.lots
+            if lot["covering_epoch"] == covering_epoch and lot["state"] == "active_coverage"
+        ]
+        if not lots or any(ev not in excused for ev in self.blockers(covering_epoch)):
+            return []
+        for lot in lots:
+            lot["state"] = "released"
+            for v, amount in lot["backing"].items():
+                if v not in self.slashed_amounts:
+                    self.earmark_free[v] += amount
+            self._credit_premium(lot)
+        return lots
+
+    def settle(self, slashed, harmed) -> None:
+        """Book a slash of `slashed` ({signer: stake}) that reverted the
+        insured executions `harmed` ([(transactor, covering epoch, value)]):
+        claims capped at `u` and scaled into the gamma budget, the signers'
+        earmarks zeroed, and every active lot behind a paid claim paid out."""
+        grouped: dict = {}
+        for tr, epoch, value in harmed:
+            grouped[(tr, epoch)] = grouped.get((tr, epoch), Fraction(0)) + value
+        keys = sorted(grouped)
+        paid, _, _, _ = settle_oracle(
+            sum(slashed.values(), Fraction(0)),
+            self.gamma,
+            [(grouped[k], self.u(*k)) for k in keys],
+        )
+        for signer, amount in slashed.items():
+            self.earmark_free[signer] = Fraction(0)
+            self.slashed_amounts[signer] = self.slashed_amounts.get(signer, Fraction(0)) + amount
+        claimed = {k for k, p in zip(keys, paid) if p > 0}
+        for lot in self.lots:
+            if (lot["buyer"], lot["covering_epoch"]) in claimed and lot["state"] == "active_coverage":
+                lot["state"] = "paid_out"
+                self._credit_premium(lot)

@@ -352,7 +352,7 @@ def _random_insured_case(rng: random.Random):
     coverage: dict = {}
     for (tr, e), lots in sorted(amounts.items()):
         for j, amount in enumerate(lots):
-            ledger.lots.append(
+            ledger.record_lot(
                 InsuranceLot(
                     id=f"lot-{tr}-{e}-{j}", buyer=tr, coverage=amount, premium_rate=Fraction(0),
                     premium_paid=Fraction(0), epoch_placed=e - 2, covering_epoch=e,

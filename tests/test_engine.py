@@ -14,12 +14,15 @@ from stakesim import (
     ConfirmationRule,
     EconParams,
     ForkEventMeta,
+    InsuranceLedger,
+    LotState,
     PolicyKind,
     Scenario,
     as_fraction,
     load_scenario,
     parse_scenario,
 )
+from stakesim import engine
 from stakesim.engine import run, sweep
 from stakesim.errors import InvariantBreachError
 from stakesim.report import compare_trace_to_report, parse_trace
@@ -275,6 +278,41 @@ def test_waiting_transaction_is_reevaluated_at_the_all_clear():
     assert trace.reverted == set()
     # the failed double-sign still costs the signers their stake
     assert trace.report.doc["totals"] == {"slashed": "64", "paid": "0", "burned": "64"}
+
+
+def test_attack_over_releases_only_the_epochs_that_hold_a_lot(monkeypatch):
+    # the golden release-backlog case stretched to 2,001 epochs: four of
+    # its seven covering epochs are still held when the attack ends, and
+    # the backlog must not visit the ~2,000 empty ones
+    doc = json.loads((ROOT / "tests" / "golden" / "scenarios" / "release-backlog.json").read_text(encoding="utf-8"))
+    attack_over = 2000
+    doc.update(horizon=10 * attack_over + 10, attack_over_epoch=attack_over)
+    calls, held, current = [], set(), {}
+    release, on_epoch = InsuranceLedger._release, engine._Run.on_epoch
+
+    def counting_release(self, covering_epoch, excused):
+        if current["epoch"] == attack_over:
+            calls.append(covering_epoch)
+        return release(self, covering_epoch, excused)
+
+    def tracking_on_epoch(self, tick, e):
+        current["epoch"] = e
+        if e == attack_over:
+            held.update(l.covering_epoch for l in self.ledger.lots if l.state is LotState.ACTIVE_COVERAGE)
+        return on_epoch(self, tick, e)
+
+    monkeypatch.setattr(InsuranceLedger, "_release", counting_release)
+    monkeypatch.setattr(engine._Run, "on_epoch", tracking_on_epoch)
+    trace = run(parse_scenario(doc))
+
+    assert len(held) == 4
+    # the epoch's own scheduled release, then each held epoch once, ascending
+    assert calls[0] == attack_over - 2
+    assert calls[1:] == sorted(held)
+    released = [r for r in records_of(trace, "released") if r.payload["epoch"] == attack_over]
+    assert {r.payload["lots"][0]["id"] for r in released} == {
+        l.id for l in trace.ledger.lots if l.covering_epoch in held
+    }
 
 
 def test_signer_exiting_before_the_snapshot_is_not_slashed():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from stakesim import (
     coverage_check,
     karma_report,
     release_lots,
+    resolve,
     run_auction,
     settle_slash,
 )
@@ -34,7 +36,7 @@ from stakesim.errors import (
     UnknownTransactorError,
 )
 
-from oracles import auction_best_revenue, settle_oracle
+from oracles import LedgerOracle, auction_best_revenue, settle_oracle
 
 TP = TimingParams(t_fin=1, t_rev=10, t_ws=30)
 EP = EconParams(
@@ -262,6 +264,137 @@ def test_release_after_settlement_needs_every_blocker_settled():
     assert lot.state is LotState.RELEASED and ledger.pool_free() == 64
 
 
+def random_ledger_case(rng):
+    """A timeline of 2-5 validators, some earmarking nothing, with up to
+    three fork reveals in every regime, and econ params whose gamma may
+    be zero."""
+    t_fin = rng.randint(1, 3)
+    tp = TimingParams(t_fin=t_fin, t_rev=10, t_ws=t_fin + 10 + rng.randint(1, 20))
+    horizon = 10 * rng.randint(6, 12)
+    earmarks = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+    vals = [
+        ValidatorState(id=f"v{i}", stake=Fraction(rng.randint(8, 40)), earmarked_fraction=rng.choice(earmarks))
+        for i in range(1, rng.randint(2, 5) + 1)
+    ]
+    events = []
+    for j in range(rng.randint(0, 3)):
+        diverges = rng.randint(0, horizon - 1)
+        events.append(
+            slashable_event(
+                id=f"f{j}",
+                diverges=diverges,
+                revealed=min(horizon, diverges + rng.randint(0, tp.t_ws + 5)),
+                signers=rng.sample([v.id for v in vals], rng.randint(1, len(vals))),
+            )
+        )
+    tl = build_timeline(horizon=horizon, fork_events=events, validators=vals)
+    ep = EconParams(
+        stake_per_validator=Fraction(rng.randint(8, 40)),
+        n_validators=len(vals),
+        gamma=Fraction(rng.randint(0, 4), 4),
+        tvl=Fraction(100),
+    )
+    return tl, tp, ep
+
+
+def assert_ledger_matches(ledger, oracle, last_epoch):
+    assert ledger.earmark_free == oracle.earmark_free
+    assert ledger.pool_free() == oracle.pool_free()
+    assert ledger.available() == oracle.available()
+    assert ledger.premiums_paid == oracle.premiums_paid
+    assert ledger.premiums_earned == oracle.premiums_earned
+    assert {l.id: (l.state.value, l.backing) for l in ledger.lots} == {
+        l["id"]: (l["state"], l["backing"]) for l in oracle.lots
+    }
+    for tr in "abc":
+        for c in range(last_epoch + 1):
+            assert ledger.u(tr, c) == oracle.u(tr, c)
+
+
+def test_ledger_matches_the_list_scanning_oracle():
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(
+        ("slashed_backer_of_held_lot", "paid_out_beside_released", "empty_auction", "zero_premium", "blocked_release"),
+        False,
+    )
+    rates = [Fraction(0), Fraction(1, 50), Fraction(1, 10), Fraction(1, 3)]
+    for _ in range(150):
+        tl, tp, ep = random_ledger_case(rng)
+        ledger = InsuranceLedger(tl, tp, ep, transactors="abc")
+        oracle = LedgerOracle(tl.validators, tp, ep, tl.fork_events)
+        last_epoch = tl.horizon // tp.t_rev + 2
+
+        def active(c):
+            return any(l["covering_epoch"] == c and l["state"] == "active_coverage" for l in oracle.lots)
+
+        def blocked(c, excused):
+            return active(c) and any(ev not in excused for ev in oracle.blockers(c))
+
+        for e in range(last_epoch + 1):
+            c = e - 2
+            excused = {s.event_id for s in ledger.settlements}
+            mode = rng.choice(["quiet", "settled", "backlog"])
+            if mode == "quiet":
+                seen["blocked_release"] |= c >= 0 and blocked(c, frozenset())
+                got = release_lots(e, ledger)
+                want = oracle.release(c, frozenset()) if c >= 0 else []
+            elif mode == "settled":
+                seen["blocked_release"] |= blocked(c, excused)
+                got = ledger.release_after_settlement(c)
+                want = oracle.release(c, excused)
+            else:
+                seen["blocked_release"] |= any(blocked(cc, excused) for cc in range(c + 1))
+                got = ledger.release_settled_through(c)
+                want = [lot for cc in range(c + 1) for lot in oracle.release(cc, excused)]
+            assert [l.id for l in got] == [l["id"] for l in want]
+            assert_ledger_matches(ledger, oracle, last_epoch)
+
+            ledger.activate(e)
+            oracle.activate(e)
+            assert_ledger_matches(ledger, oracle, last_epoch)
+
+            bids = [
+                bid(rng.choice("abc"), e, rng.randint(1, 30), rng.choice(rates))
+                for _ in range(rng.randint(0, 3))
+            ]
+            got = ledger.sell(e, bids)
+            want = oracle.sell(e, bids)
+            assert [(l.id, l.buyer, l.coverage, l.premium_paid) for l in got] == [
+                (l["id"], l["buyer"], l["coverage"], l["premium_paid"]) for l in want
+            ]
+            seen["empty_auction"] |= bool(bids) and not got
+            seen["zero_premium"] |= any(l.premium_rate == 0 for l in got)
+            assert_ledger_matches(ledger, oracle, last_epoch)
+
+            for ev in tl.fork_events:
+                outcome = resolve(ev, tp, tl.validators)
+                if ev.revealed_at // tp.t_rev != e or not outcome.slashable or rng.random() < 0.2:
+                    continue
+                harmed = [
+                    RevertedExecution(
+                        tx_id=f"h{k}",
+                        transactor=rng.choice("abc"),
+                        covering_epoch=rng.randint(max(0, e - 3), e),
+                        value=Fraction(rng.randint(1, 20)),
+                        insured=True,
+                    )
+                    for k in range(rng.randint(0, 3))
+                ]
+                settle_slash(outcome, ledger, harmed=harmed)
+                oracle.settle(dict(outcome.slashed), [(h.transactor, h.covering_epoch, h.value) for h in harmed])
+                assert_ledger_matches(ledger, oracle, last_epoch)
+
+            seen["slashed_backer_of_held_lot"] |= any(
+                l["state"] == "active_coverage" and set(l["backing"]) & set(oracle.slashed_amounts)
+                for l in oracle.lots
+            )
+            seen["paid_out_beside_released"] |= any(
+                {"paid_out", "released"} <= {l["state"] for l in oracle.lots if l["covering_epoch"] == cc}
+                for cc in range(last_epoch + 1)
+            )
+    assert all(seen.values()), seen
+
+
 # -- insured-execution safety check ------------------------------------------
 
 
@@ -274,7 +407,7 @@ def insured_tx(id, value, f=21, transactor="ins"):
 
 def test_coverage_check_is_strict():
     ledger = quiet_ledger()
-    ledger.lots.append(manual_lot("ins", 2, 100))
+    ledger.record_lot(manual_lot("ins", 2, 100))
     covered = ledger.u("ins", 2)
     over = [insured_tx("a", 40), insured_tx("b", 50), insured_tx("c", 20)]
     assert not coverage_check("ins", 2, over, covered, TP.t_rev)
@@ -288,7 +421,7 @@ def test_coverage_check_is_strict():
 
 def test_coverage_check_preconditions():
     ledger = quiet_ledger()
-    ledger.lots.append(manual_lot("ins", 2, 100))
+    ledger.record_lot(manual_lot("ins", 2, 100))
     # the coverage amount comes from u, which rejects unknown transactors
     with pytest.raises(UnknownTransactorError):
         ledger.u("stranger", 2)
@@ -306,7 +439,7 @@ def test_coverage_check_preconditions():
 def test_ledger_coverage_map_agrees_with_u():
     ledger = quiet_ledger()
     for buyer, epoch, amount in [("ins", 2, 10), ("ins", 2, 5), ("other", 2, 7), ("ins", 3, 1)]:
-        ledger.lots.append(manual_lot(buyer, epoch, amount))
+        ledger.record_lot(manual_lot(buyer, epoch, amount))
     coverage = ledger.coverage()
     assert coverage == {2: {"ins": 15, "other": 7}, 3: {"ins": 1}}
     for epoch in (1, 2, 3):
@@ -331,7 +464,7 @@ def settle_fixture(*, coverages, gamma=Fraction(2, 3), signers=("v1",)):
     )
     ledger = InsuranceLedger(tl, TP, ep, transactors=set(coverages))
     for tr, cov in sorted(coverages.items()):
-        ledger.lots.append(manual_lot(tr, 2, cov))
+        ledger.record_lot(manual_lot(tr, 2, cov))
     outcome = ResolutionOutcome(
         event_id="f",
         reveal_class=RevealClass.AMBIGUOUS_WINDOW,
