@@ -26,6 +26,7 @@ from .report import (
     compare_trace_to_report,
     parse_trace,
     render_text,
+    report_json,
 )
 from .resolution import classify_reveal
 from .scenario import canonical_json, listing, load_scenario, read_field, read_input, scenario_hash
@@ -96,9 +97,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         row = {"point": res["point"], "overrides": res["overrides"], "ok": res["ok"], "error": res["error"]}
         if res["ok"]:
             name = f"report-{res['point']:04d}.json"
-            (out / name).write_text(
-                canonical_json(res["report"]) + "\n", encoding="utf-8"
-            )
+            (out / name).write_text(report_json(res["report"]) + "\n", encoding="utf-8")
             row["report"] = name
             v = res["report"]["verdict"]
             row["cryptoeconomically_safe"] = v["cryptoeconomically_safe"]

@@ -16,7 +16,7 @@ labels the run_start record and the report.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -59,6 +59,7 @@ from .scenario import (
     ForkEventMeta,
     Scenario,
     canonical_json,
+    canonical_object,
     econ_to_doc,
     scenario_hash,
     strategy_events,
@@ -77,6 +78,18 @@ class TraceRecord:
 
     def to_line(self) -> str:
         return canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})
+
+
+@dataclass(frozen=True)
+class ReportRecord(TraceRecord):
+    """The trace's `report` record: its payload is the report document, and
+    its line is joined from the fields the report encoded for report.json."""
+
+    report: ReportDocument = field(repr=False, compare=False)
+
+    def to_line(self) -> str:
+        head = {"tick": canonical_json(self.tick), "kind": canonical_json(self.kind)}
+        return canonical_object({**head, **self.report.fields})
 
 
 @dataclass
@@ -435,7 +448,7 @@ class _Run:
             seed=self.seed,
         )
         self.rec(horizon, "karma", **report.doc["karma"])
-        self.rec(horizon, "report", **report.doc)
+        self.records.append(ReportRecord(horizon, "report", report.doc, report))
         return SimTrace(
             records=self.records,
             report=report,

@@ -32,7 +32,8 @@ def as_fraction(x) -> Fraction:
 
 def frac_str(x: Fraction) -> str:
     """Serialize exactly: "3/4", or "5" when the denominator is 1."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -40,7 +41,8 @@ def frac_str(x: Fraction) -> str:
 
 def frac_decimal(x: Fraction, places: int = 6) -> str:
     """Fixed-point decimal for human output, round-half-even, no locale."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     sign = "-" if x < 0 else ""
     whole, rem = divmod(abs(x.numerator) * 10**places, x.denominator)
     if 2 * rem > x.denominator or (2 * rem == x.denominator and whole % 2 == 1):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import AbstractSet, Any, Mapping, Optional, Sequence
 
 from .chain import (
@@ -39,6 +41,7 @@ from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord, coverage
 from .rational import as_fraction, frac_decimal, frac_str
 from .scenario import (
     canonical_json,
+    canonical_object,
     confirmation_rule,
     integer,
     listing,
@@ -59,13 +62,96 @@ BOUND_ALIASES = {
 }
 
 
+# a value no cell of a per-epoch row holds (its sums are "p/q" strings):
+# a row template is cut where it stands
+_SLOT = "\x00"
+_SHAPE_CELLS = (
+    "sum_all",
+    "sum_hybrid",
+    "sum_hybrid_not_secure",
+    "sum_uninsured",
+    "epoch_safe",
+    "uninsured_buffer_ok",
+    "insured_ok",
+)
+_row_shape = itemgetter(*_SHAPE_CELLS)
+_ROW_KEYS = {"epoch", "window", "coverage", *_SHAPE_CELLS}
+
+
+def _row_template(row: dict) -> tuple[str, ...]:
+    """`canonical_json(row)` cut into the four pieces around its epoch and
+    its two window ticks, or () for a row whose cells `_SHAPE_CELLS` does
+    not cover."""
+    if row.keys() != _ROW_KEYS:
+        return ()
+    return tuple(canonical_json(dict(row, epoch=_SLOT, window=[_SLOT, _SLOT])).split(canonical_json(_SLOT)))
+
+
+def _epoch_rows_json(rows: Sequence[dict]) -> str:
+    """`canonical_json(rows)` for per-epoch rows as `_epoch_rows` builds
+    them (int epoch and ticks, string sums, bool flags).
+
+    Rows with no coverage bought that agree in every cell but epoch and
+    window (the quiet epochs above all) share one template, cut from
+    `canonical_json`'s encoding of the second such row; only the three
+    ticks are formatted per row. A row with coverage, or the first of its
+    shape, is encoded whole, in one `canonical_json` call per run of such
+    rows. The templates live and die with the call.
+    """
+    templates: dict[tuple, Optional[tuple[str, ...]]] = {}
+    parts = []
+    whole: list[dict] = []
+    for row in rows:
+        cut = None
+        if not row["coverage"]:
+            shape = _row_shape(row)
+            cut = templates.get(shape)
+            if cut is None:
+                # the first row of a shape is encoded whole, the second cuts the template
+                cut = templates[shape] = _row_template(row) if shape in templates else None
+        if cut:
+            if whole:
+                parts.append(canonical_json(whole)[1:-1])
+                whole = []
+            epoch_at, t0_at, t1_at, end = cut
+            t0, t1 = row["window"]
+            parts.append(f"{epoch_at}{row['epoch']}{t0_at}{t0}{t1_at}{t1}{end}")
+        else:
+            whole.append(row)
+    if whole:
+        parts.append(canonical_json(whole)[1:-1])
+    return "[" + ",".join(parts) + "]"
+
+
+def report_fields(doc: Mapping[str, Any]) -> dict[str, str]:
+    """Each top-level field of a report document, canonically encoded, so
+    that `canonical_object(report_fields(doc)) == canonical_json(doc)`."""
+    return {
+        key: _epoch_rows_json(value) if key == "per_epoch" else canonical_json(value)
+        for key, value in doc.items()
+    }
+
+
+def report_json(doc: Mapping[str, Any]) -> str:
+    """The canonical JSON of a report document, as report.json holds it."""
+    return canonical_object(report_fields(doc))
+
+
 @dataclass(frozen=True)
 class ReportDocument:
+    """A report document. Its fields are encoded once, on first use, and
+    shared by report.json and the trace's `report` record; the encodings
+    live and die with this object."""
+
     doc: dict
     verdict: SafetyVerdict
 
+    @cached_property
+    def fields(self) -> dict[str, str]:
+        return report_fields(self.doc)
+
     def to_json(self) -> str:
-        return canonical_json(self.doc)
+        return canonical_object(self.fields)
 
 
 def _epoch_rows(
@@ -235,12 +321,18 @@ def build_report(
     return ReportDocument(doc=doc, verdict=verdict)
 
 
+_line_cells = itemgetter("sum_all", "sum_hybrid", "sum_hybrid_not_secure", "sum_uninsured", "epoch_safe")
+
+
 def render_text(doc: dict) -> str:
     """Human-readable fixed-point rendering of a report document.
 
     Each distinct value string is converted to a decimal once per call (a
-    report repeats few values, "0" in every quiet epoch above all); the
-    memo lives and dies with the call, so a sweep does not grow it.
+    report repeats few values, "0" in every quiet epoch above all), and
+    each distinct tail of a per-epoch line (its four sums and safety flag)
+    is formatted once per call, so a quiet line costs its epoch and window
+    only. The memos live and die with the call, so a sweep does not grow
+    them.
     """
     decimals: dict[str, str] = {}
 
@@ -273,13 +365,18 @@ def render_text(doc: dict) -> str:
     lines.append(f"  uninsured buffer ok {'yes' if v['uninsured_buffer_ok'] else 'no'}")
     lines.append("")
     lines.append("per-epoch load (all / hybrid / not-secure / uninsured):")
+    tails: dict[tuple, str] = {}
     for row in doc["per_epoch"]:
-        lines.append(
-            f"  e{row['epoch']:<4} [{row['window'][0]:>6},{row['window'][1]:>6})  "
-            f"{dec(row['sum_all']):>12} {dec(row['sum_hybrid']):>12} "
-            f"{dec(row['sum_hybrid_not_secure']):>12} {dec(row['sum_uninsured']):>12}  "
-            f"{'safe' if row['epoch_safe'] else 'UNSAFE'}"
-        )
+        cells = _line_cells(row)
+        tail = tails.get(cells)
+        if tail is None:
+            all_, hybrid, not_secure, uninsured, safe = cells
+            tail = tails[cells] = (
+                f"{dec(all_):>12} {dec(hybrid):>12} {dec(not_secure):>12} {dec(uninsured):>12}  "
+                f"{'safe' if safe else 'UNSAFE'}"
+            )
+        t0, t1 = row["window"]
+        lines.append("  e%-4d [%6d,%6d)  %s" % (row["epoch"], t0, t1, tail))
     if doc["settlements"]:
         lines.append("")
         lines.append("settlements:")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .chain import (
     ChainTimeline,
@@ -635,8 +635,21 @@ def _strategy_to_doc(st: AdversaryStrategy) -> dict:
     return doc
 
 
+# one encoder for every call: `json.dumps` with non-default arguments builds a new one each time
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _CANONICAL.encode(doc)
+
+
+def canonical_object(fields: Mapping[str, str]) -> str:
+    """`canonical_json` of an object whose values are given already encoded.
+
+    The keys (strings) are encoded by `canonical_json` and sorted as it
+    sorts them, so `canonical_object({k: canonical_json(v) for k, v in
+    doc.items()}) == canonical_json(doc)`."""
+    return "{" + ",".join(f"{canonical_json(key)}:{value}" for key, value in sorted(fields.items())) + "}"
 
 
 def scenario_hash(sc: Scenario) -> str:

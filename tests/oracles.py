@@ -241,6 +241,23 @@ def epoch_rows_oracle(timeline, t_rev: int, econ, coverage) -> list:
     return rows
 
 
+def epoch_lines_oracle(doc) -> list:
+    """The per-epoch lines of `render_text`, formatted row by row and cell
+    by cell, every value converted anew."""
+    lines = []
+    for row in doc["per_epoch"]:
+        sums = [
+            frac_decimal_oracle(Fraction(row[key]), 4)
+            for key in ("sum_all", "sum_hybrid", "sum_hybrid_not_secure", "sum_uninsured")
+        ]
+        lines.append(
+            f"  e{row['epoch']:<4} [{row['window'][0]:>6},{row['window'][1]:>6})  "
+            f"{sums[0]:>12} {sums[1]:>12} {sums[2]:>12} {sums[3]:>12}  "
+            f"{'safe' if row['epoch_safe'] else 'UNSAFE'}"
+        )
+    return lines
+
+
 def first_mismatch_oracle(expected, actual, path: str = ""):
     """Path of the first differing field by walking every dict key (in
     sorted order) and list index, leaves compared with `!=`; None if no

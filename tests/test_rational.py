@@ -67,3 +67,37 @@ def test_fixed_point_matches_the_fraction_oracle(rng):
         x = Fraction(rng.randint(-(10**9), 10**9), den)
         places = rng.randint(0, 6)
         assert frac_decimal(x, places) == frac_decimal_oracle(x, places), (x, places)
+
+
+def _frac_str_rebuilding(x) -> str:
+    """`frac_str` as it was: every input rebuilt as a new Fraction."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _frac_decimal_rebuilding(x, places: int = 6) -> str:
+    """`frac_decimal` as it was: every input rebuilt as a new Fraction."""
+    x = Fraction(x)
+    sign = "-" if x < 0 else ""
+    whole, rem = divmod(abs(x.numerator) * 10**places, x.denominator)
+    if 2 * rem > x.denominator or (2 * rem == x.denominator and whole % 2 == 1):
+        whole += 1
+    digits = f"{whole:0{places + 1}d}"
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def test_fraction_input_is_formatted_as_before(rng):
+    seen = set()
+    for _ in range(5000):
+        num = rng.choice([0, rng.randint(-50, 50), rng.randint(-(10**30), 10**30)])
+        den = rng.choice([1, rng.randint(1, 12), rng.randint(1, 10**20)])
+        x = rng.choice([Fraction(num, den), num, f"{num}/{den}"])
+        seen.add((type(x).__name__, (num > 0) - (num < 0)))
+        assert frac_str(x) == _frac_str_rebuilding(x), x
+        places = rng.randint(0, 6)
+        assert frac_decimal(x, places) == _frac_decimal_rebuilding(x, places), (x, places)
+        assert frac_decimal(x) == _frac_decimal_rebuilding(x), x
+    # Fraction, int and "p/q" input, each zero, negative and positive
+    assert seen == {(kind, sign) for kind in ("Fraction", "int", "str") for sign in (-1, 0, 1)}

@@ -18,11 +18,12 @@ from stakesim import (
     build_timeline,
     render_text,
 )
-from stakesim.engine import run
-from stakesim.report import _checked_sections, first_mismatch
-from stakesim.scenario import parse_scenario
+from stakesim.engine import ReportRecord, run
+from stakesim.report import ReportDocument, _checked_sections, first_mismatch, report_json
+from stakesim.scenario import canonical_json, parse_scenario
 
-from oracles import epoch_rows_oracle, first_mismatch_oracle
+from oracles import epoch_lines_oracle, epoch_rows_oracle, first_mismatch_oracle
+from test_golden import CASES
 
 DEMO = Path(__file__).parent.parent / "scenarios" / "double-sign.json"
 RULES = ["immediate", "secure", "bridge", "insured_immediate"]
@@ -166,6 +167,155 @@ def test_render_text_formats_each_distinct_value_once(monkeypatch):
     # the memo lives only as long as one call
     render_text(doc)
     assert len(args) == 2 * len(set(args))
+
+
+# -- one encoding of the report ----------------------------------------------------
+
+
+EPOCH_HEADER = "per-epoch load (all / hybrid / not-secure / uninsured):"
+
+
+def _check_outputs(rd: ReportDocument, tick: int = 7) -> None:
+    """report.json, the sweep writer and the trace's report record against
+    `canonical_json` of the document, and the rendered per-epoch lines
+    against the row-by-row oracle."""
+    doc = rd.doc
+    want = canonical_json(doc)
+    assert rd.to_json() == want
+    assert report_json(doc) == want
+    record = ReportRecord(tick, "report", doc, rd)
+    assert record.to_line() == canonical_json({"tick": tick, "kind": "report", **doc})
+    lines = render_text(doc).split("\n")
+    start = lines.index(EPOCH_HEADER) + 1
+    end = start + len(doc["per_epoch"])
+    assert lines[start:end] == epoch_lines_oracle(doc)
+    assert lines[end] == ""
+
+
+def test_golden_and_shipped_reports_encode_and_render_as_before():
+    checked = 0
+    for name, (make_doc, code, _) in sorted(CASES.items()):
+        if code != 0:
+            continue  # the run stops before its report
+        trace = run(parse_scenario(make_doc(), source=name))
+        (record,) = [r for r in trace.records if r.kind == "report"]
+        assert record.payload == trace.report.doc
+        assert record.to_line() == canonical_json({"tick": record.tick, "kind": "report", **trace.report.doc})
+        _check_outputs(trace.report)
+        checked += 1
+    assert checked >= 10
+
+
+NAMES = ["alice", "bob", "zoë", "日本", 'q"t\\']
+VALUES = ["1", "5/2", "7/3", "12", "1000000/3"]
+
+
+def _random_rows(rng: random.Random) -> list:
+    """Per-epoch rows: mostly quiet and repeating a few shapes, some busy,
+    some with coverage bought (transactor names not ASCII or escaped among
+    them), some flags false; epochs start at 0 or far out."""
+    n = rng.choice([0, 1, rng.randint(2, 30), rng.randint(30, 150)])
+    first = rng.choice([0, rng.randint(1, 500), 10 ** rng.randint(6, 15)])
+    t_rev = rng.randint(1, 9)
+    rows = []
+    for e in range(first, first + n):
+        busy = rng.random() < 0.15
+        sums = [rng.choice(["0", *VALUES]) if busy else "0" for _ in range(4)]
+        coverage = {}
+        if rng.random() < 0.1:
+            coverage = {tr: rng.choice(VALUES) for tr in sorted(rng.sample(NAMES, rng.randint(1, 3)))}
+        rows.append(
+            {
+                "epoch": e,
+                "window": [e * t_rev, (e + 1) * t_rev],
+                "sum_all": sums[0],
+                "sum_hybrid": sums[1],
+                "sum_hybrid_not_secure": sums[2],
+                "sum_uninsured": sums[3],
+                "epoch_safe": rng.random() < 0.9,
+                "uninsured_buffer_ok": rng.random() < 0.9,
+                "coverage": coverage,
+                "insured_ok": rng.random() < 0.9,
+            }
+        )
+    return rows
+
+
+def test_random_row_sets_encode_and_render_as_before():
+    rng = random.Random(20261019)
+    base = _long_demo().report
+    seen = dict.fromkeys(
+        ("coverage", "non_ascii_coverage", "insured_ok_false", "busy", "zero_rows", "many_digits", "shared_shape"),
+        False,
+    )
+    for _ in range(300):
+        rows = _random_rows(rng)
+        _check_outputs(ReportDocument(doc=dict(base.doc, per_epoch=rows), verdict=base.verdict))
+        shapes = [tuple(v for k, v in row.items() if k not in ("epoch", "window")) for row in rows]
+        seen["coverage"] |= any(row["coverage"] for row in rows)
+        seen["non_ascii_coverage"] |= any(not tr.isascii() for row in rows for tr in row["coverage"])
+        seen["insured_ok_false"] |= not all(row["insured_ok"] for row in rows)
+        seen["busy"] |= any(row["sum_all"] != "0" for row in rows)
+        seen["zero_rows"] |= not rows
+        seen["many_digits"] |= any(row["epoch"] >= 10**6 for row in rows)
+        seen["shared_shape"] |= len(set(map(repr, shapes))) < len(shapes)
+    assert all(seen.values()), seen
+
+
+def _rows_encoded(arg) -> int:
+    """How many per-epoch rows one `canonical_json` call encodes whole."""
+    if isinstance(arg, dict):
+        return len(arg["per_epoch"]) if "per_epoch" in arg else int("epoch" in arg and "window" in arg)
+    if isinstance(arg, list):
+        return sum(_rows_encoded(item) for item in arg if isinstance(item, dict))
+    return 0
+
+
+def test_report_encodes_only_busy_or_covered_rows_whole(monkeypatch):
+    encoded = []
+    real = report.canonical_json
+
+    def counted(doc):
+        encoded.append(_rows_encoded(doc))
+        return real(doc)
+
+    monkeypatch.setattr(report, "canonical_json", counted)
+    trace = _long_demo()
+    lines, text = trace.to_lines(), trace.report.to_json()
+    doc = trace.report.doc
+    t_rev = trace.ledger.tp.t_rev
+    busy = {t.finalized_at // t_rev for t in trace.ledger.timeline.transactions}
+    covered = {row["epoch"] for row in doc["per_epoch"] if row["coverage"]}
+    assert len(doc["per_epoch"]) == 2_001 and len(busy | covered) <= 12
+    assert len(encoded) <= len(busy | covered) + 12
+    assert sum(encoded) <= len(busy | covered) + 4
+    assert text == real(doc)
+    assert lines[-1] == real({"tick": trace.records[-1].tick, "kind": "report", **doc})
+
+
+def test_no_encoding_or_rendering_memo_outlives_its_call_or_document(monkeypatch):
+    trace = _long_demo()
+    doc = copy.deepcopy(trace.report.doc)
+    doc["per_epoch"][3].update(sum_all="1234567/7", epoch_safe=False)  # a value no other line shows
+    encoded = []
+    real_json = report.canonical_json
+    monkeypatch.setattr(report, "canonical_json", lambda d: encoded.append(d) or real_json(d))
+    first = ReportDocument(doc=doc, verdict=trace.report.verdict)
+    text = first.to_json()
+    n = len(encoded)
+    assert first.to_json() == text and len(encoded) == n  # the document keeps its own encoding
+    second = ReportDocument(doc=doc, verdict=trace.report.verdict)
+    assert second.to_json() == text and len(encoded) == 2 * n  # a second document encodes anew
+    assert second.fields is not first.fields
+    assert report_json(doc) == text and len(encoded) == 3 * n  # the sweep writer keeps nothing
+
+    converted = []
+    real_decimal = report.frac_decimal
+    monkeypatch.setattr(report, "frac_decimal", lambda x, places=6: converted.append(x) or real_decimal(x, places))
+    rendered = render_text(doc)
+    assert render_text(doc) == rendered
+    assert converted.count(Fraction(1234567, 7)) == 2  # each call formats the line's tail anew
+    assert len(converted) == 2 * len(set(converted))
 
 
 # -- first_mismatch -----------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import random
 from pathlib import Path
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from stakesim import (
     scenario_to_doc,
 )
 from stakesim.errors import ScenarioError
+from stakesim.scenario import canonical_object
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
 
@@ -316,6 +319,43 @@ def test_hash_is_stable_and_content_sensitive():
 
 def test_canonical_json_is_sorted_and_compact():
     assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+JSON_STRINGS = ["", "a", "B", "zoë", "日本", "\U0001f600", 'say "hi"', "back\\slash", "tab\tnew\nline", "\x00\x7f", "/"]
+
+
+def _random_json_like(rng: random.Random, depth: int = 0):
+    """Nested objects and lists over None, booleans, big ints and strings
+    that need escaping or are not ASCII."""
+    r = rng.random()
+    if depth < 4 and r < 0.25:
+        return {
+            rng.choice(JSON_STRINGS) + rng.choice("abc"): _random_json_like(rng, depth + 1)
+            for _ in range(rng.randint(0, 5))
+        }
+    if depth < 4 and r < 0.45:
+        return [_random_json_like(rng, depth + 1) for _ in range(rng.randint(0, 5))]
+    leaves = [None, True, False, 0, -1, rng.randint(-(10**40), 10**40), rng.choice(JSON_STRINGS)]
+    leaves.append("".join(rng.choice(JSON_STRINGS) for _ in range(3)))
+    return rng.choice(leaves)
+
+
+def test_canonical_json_matches_json_dumps_on_random_documents():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(2000):
+        doc = _random_json_like(rng)
+        kinds.add(type(doc).__name__)
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        assert canonical_json(doc) == want
+        if isinstance(doc, dict):
+            assert canonical_object({key: canonical_json(value) for key, value in doc.items()}) == want
+    assert kinds == {"dict", "list", "NoneType", "bool", "int", "str"}
+
+
+def test_canonical_object_joins_encoded_fields():
+    assert canonical_object({}) == "{}"
+    assert canonical_object({"b": "1", "a": "[1,2]", "é": '"x"'}) == '{"a":[1,2],"b":1,"\\u00e9":"x"}'
 
 
 def test_load_scenario_errors_cite_the_file(tmp_path):
