@@ -21,13 +21,7 @@ from .engine import run as run_engine
 from .engine import sweep as run_sweep
 from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .rational import frac_str
-from .report import (
-    BOUND_ALIASES,
-    compare_trace_to_report,
-    parse_trace,
-    render_text,
-    report_json,
-)
+from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
 from .resolution import classify_reveal
 from .scenario import canonical_json, listing, load_scenario, read_field, read_input, scenario_hash
 from .version import SCHEMA_VERSION, __version__
@@ -86,23 +80,29 @@ def _grid_from_args(args: argparse.Namespace) -> dict[str, list]:
     return grid
 
 
+def _index_row(point: dict, out: Path) -> dict:
+    """A finished sweep point as its sweep.json row, with its report
+    written to `out` and dropped from the point."""
+    report = point.pop("report")
+    if report is not None:
+        name = f"report-{point['point']:04d}.json"
+        (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
+        v = report.doc["verdict"]
+        point.update(
+            report=name,
+            cryptoeconomically_safe=v["cryptoeconomically_safe"],
+            strong_safety=v["strong_safety"],
+        )
+    return point
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = read_input(args.scenario, "scenario")
     grid = _grid_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = run_sweep(doc, grid, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
-    index = []
-    for res in results:
-        row = {"point": res["point"], "overrides": res["overrides"], "ok": res["ok"], "error": res["error"]}
-        if res["ok"]:
-            name = f"report-{res['point']:04d}.json"
-            (out / name).write_text(report_json(res["report"]) + "\n", encoding="utf-8")
-            row["report"] = name
-            v = res["report"]["verdict"]
-            row["cryptoeconomically_safe"] = v["cryptoeconomically_safe"]
-            row["strong_safety"] = v["strong_safety"]
-        index.append(row)
+    points = run_sweep(doc, grid, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
+    index = [_index_row(point, out) for point in points]
     (out / "sweep.json").write_text(canonical_json({"points": index}) + "\n", encoding="utf-8")
     ok = sum(1 for r in index if r["ok"])
     sys.stdout.write(f"swept {len(index)} points ({ok} ok, {len(index) - ok} failed) -> {out}\n")

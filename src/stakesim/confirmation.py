@@ -31,7 +31,6 @@ class DecisionStatus(str, Enum):
 
 @dataclass(frozen=True)
 class ConfirmationDecision:
-    tx_id: Optional[str]
     rule: ConfirmationRule
     status: DecisionStatus
     earliest_offchain_tick: Optional[Tick] = None
@@ -63,13 +62,11 @@ def decide_secure(
     for ev in timeline.fork_events:
         if start <= ev.revealed_at < end and contests(tx.finalized_at, ev.diverges_from_block_finalized_at):
             return ConfirmationDecision(
-                tx_id=tx.id,
                 rule=ConfirmationRule.SECURE_RULE,
                 status=DecisionStatus.WAITING,
                 earliest_offchain_tick=None,
             )
     return ConfirmationDecision(
-        tx_id=tx.id,
         rule=ConfirmationRule.SECURE_RULE,
         status=DecisionStatus.CONFIRMED,
         earliest_offchain_tick=end,
@@ -80,21 +77,17 @@ def decide_bridge(
     header_posted_at: Tick,
     conflicting_posts: Iterable[Tick],
     tp: TimingParams,
-    *,
-    tx_id: Optional[str] = None,
 ) -> ConfirmationDecision:
     """Bridge rule: confirm at header_posted_at + t_rev + t_cr iff no
     conflicting header is posted inside that whole window."""
     end = header_posted_at + tp.t_rev + tp.t_cr
     if any(header_posted_at <= p < end for p in conflicting_posts):
         return ConfirmationDecision(
-            tx_id=tx_id,
             rule=ConfirmationRule.BRIDGE_RULE,
             status=DecisionStatus.INVALIDATED,
             earliest_offchain_tick=None,
         )
     return ConfirmationDecision(
-        tx_id=tx_id,
         rule=ConfirmationRule.BRIDGE_RULE,
         status=DecisionStatus.CONFIRMED,
         earliest_offchain_tick=end,
@@ -105,8 +98,6 @@ def decide_bridge_naive(
     header_posted_at: Tick,
     conflicting_posts: Iterable[Tick],
     tp: TimingParams,
-    *,
-    tx_id: Optional[str] = None,
 ) -> ConfirmationDecision:
     """The tempting-but-wrong bridge rule that waits only t_rev.
 
@@ -114,4 +105,4 @@ def decide_bridge_naive(
     conflicting post past this window, so this rule confirms headers that
     later revert. Tests demonstrate the failure; never use for real flow.
     """
-    return decide_bridge(header_posted_at, conflicting_posts, replace(tp, t_cr=0), tx_id=tx_id)
+    return decide_bridge(header_posted_at, conflicting_posts, replace(tp, t_cr=0))

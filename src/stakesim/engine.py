@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .chain import (
     ConfirmationRule,
@@ -328,8 +328,8 @@ class _Run:
                 for ev in self.timeline.fork_events
                 if contests(tx.finalized_at, ev.diverges_from_block_finalized_at)
             )
-            decision = decide_bridge(posted, posts, self.tp, tx_id=tx.id)
-            naive = decide_bridge_naive(posted, posts, self.tp, tx_id=tx.id)
+            decision = decide_bridge(posted, posts, self.tp)
+            naive = decide_bridge_naive(posted, posts, self.tp)
             self.rec(
                 tick,
                 "decision",
@@ -487,14 +487,17 @@ def sweep(
     grid: dict[str, list],
     seed: Optional[int] = None,
     bound_kind: PfcKind = PfcKind.REORG_HYBRID_SECURE_RULE,
-) -> list[dict]:
-    """Run the template once per grid point, overriding dotted parameters.
+) -> Iterator[dict]:
+    """Run the template once per grid point, overriding dotted parameters,
+    and yield each point as it finishes.
 
     Grid keys look like "econ.gamma" or "timing.t_rev"; values are lists.
     Points are visited in deterministic order (keys as given, values in
-    listed order, rightmost fastest). A point that fails with a domain
-    error is recorded with its error and does not abort the sweep; any
-    other exception is a bug and propagates.
+    listed order, rightmost fastest). A point keeps only its report, so a
+    consumer that drops each point before asking for the next holds one
+    report at a time. A point that fails with a domain error is yielded
+    with its error and does not abort the sweep; any other exception is a
+    bug and propagates.
     """
     import copy
     import itertools
@@ -502,8 +505,8 @@ def sweep(
     from .scenario import parse_scenario
 
     keys = list(grid.keys())
-    results = []
     for n, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
+        report = error = None  # the previous point's report is not held while this one runs
         overrides = dict(zip(keys, combo))
         doc = copy.deepcopy(template_doc)
         source = f"<sweep point {n}>"
@@ -511,24 +514,7 @@ def sweep(
             for path, value in overrides.items():
                 _set_path(doc, path, value, source)
             sc = parse_scenario(doc, source=source)
-            trace = run(sc, seed=seed, bound_kind=bound_kind)
-            results.append(
-                {
-                    "point": n,
-                    "overrides": overrides,
-                    "ok": True,
-                    "error": None,
-                    "report": trace.report.doc,
-                }
-            )
+            report = run(sc, seed=seed, bound_kind=bound_kind).report
         except StakesimError as exc:  # record, keep sweeping
-            results.append(
-                {
-                    "point": n,
-                    "overrides": overrides,
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "report": None,
-                }
-            )
-    return results
+            error = f"{type(exc).__name__}: {exc}"
+        yield {"point": n, "overrides": overrides, "ok": error is None, "error": error, "report": report}

@@ -18,8 +18,10 @@ attacks itself still loses the burned share.
 The ledger files lots by covering epoch, so activating, releasing or paying
 out the lots of one epoch reads only that epoch's bucket, and it keeps the
 coverage bought per (buyer, covering epoch) and the free pool's total as
-running sums. All lots of one auction are backed in the same proportions,
-so stake moves once per auction and backer, not once per lot and backer.
+running sums. A lot stores only what its auction decided, and all lots of
+one auction reference that auction's one map of weight shares: a lot's
+backing, premium and covering epoch are derived from it, and stake moves
+once per auction and backer, not once per lot and backer.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from operator import attrgetter
-from typing import AbstractSet, Collection, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
@@ -94,34 +95,41 @@ _LOT_TRANSITIONS = {
 
 @dataclass
 class InsuranceLot:
-    """One allocated slice of coverage.
+    """One allocated slice of coverage, as its auction sold it.
 
-    backing maps validator id to the exact amount of its earmarked stake
-    locked behind this lot; when non-empty it sums to `coverage`. Lots sold
-    by a ledger always carry backing; the standalone auction helper may
-    produce backing-free lots for purely analytical use, and
-    `InsuranceLedger.record_lot` files only such lots.
+    `shares` is the auction's weight share of each backer, one map that
+    every lot of that auction references: a lot of coverage c is backed by
+    c * share of each backer's earmarked stake, so its backing sums to
+    `coverage`. Lots sold by a ledger always carry shares; the standalone
+    auction helper may produce share-free lots for purely analytical use,
+    and `InsuranceLedger.record_lot` files only such lots.
     """
 
     id: str
     buyer: str
     coverage: Fraction
     premium_rate: Fraction
-    premium_paid: Fraction
     epoch_placed: EpochIndex
-    covering_epoch: EpochIndex
     state: LotState = LotState.PENDING
-    backing: dict[str, Fraction] = field(default_factory=dict)
+    shares: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.covering_epoch != self.epoch_placed + PURCHASE_LEAD_EPOCHS:
-            raise InvariantViolationError(
-                f"lot {self.id!r}: covering_epoch must be epoch_placed + {PURCHASE_LEAD_EPOCHS}"
-            )
         if self.coverage <= 0:
             raise InvariantViolationError(f"lot {self.id!r}: coverage must be > 0")
-        if self.backing and not _sums_to(self.backing.values(), self.coverage):
-            raise InvariantViolationError(f"lot {self.id!r}: backing does not sum to coverage")
+
+    @property
+    def backing(self) -> dict[str, Fraction]:
+        """Validator id to the exact amount of its earmarked stake locked
+        behind this lot."""
+        return {v: self.coverage * share for v, share in self.shares.items()}
+
+    @property
+    def premium_paid(self) -> Fraction:
+        return self.coverage * self.premium_rate
+
+    @property
+    def covering_epoch(self) -> EpochIndex:
+        return self.epoch_placed + PURCHASE_LEAD_EPOCHS
 
     def transition(self, new: LotState) -> None:
         if new not in _LOT_TRANSITIONS[self.state]:
@@ -129,17 +137,6 @@ class InsuranceLot:
                 f"lot {self.id!r}: illegal transition {self.state.value} -> {new.value}"
             )
         self.state = new
-
-
-def _sums_to(amounts: Collection[Fraction], total: Fraction) -> bool:
-    """sum(amounts) == total, as one integer sum over the common denominator."""
-    common = 1
-    for a in amounts:
-        common = lcm(common, a.denominator)
-    whole = 0
-    for a in amounts:
-        whole += a.numerator * (common // a.denominator)
-    return whole * total.denominator == total.numerator * common
 
 
 def _weight_shares(earmark: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -173,8 +170,8 @@ def _allocate(
     shares: Mapping[str, Fraction],
     start_seq: int,
 ) -> list[InsuranceLot]:
-    """`run_auction` with the backers' shares already worked out: a lot of
-    coverage c is backed by c * share by each backer."""
+    """`run_auction` with the backers' shares already worked out; every
+    lot sold references `shares`."""
     available = as_fraction(available)
     if available < 0:
         raise NegativeAvailableError(f"available backing is negative: {available}")
@@ -200,38 +197,24 @@ def _allocate(
                 buyer=bid.transactor,
                 coverage=allocated,
                 premium_rate=bid.premium_rate,
-                premium_paid=allocated * bid.premium_rate,
                 epoch_placed=bid.epoch_placed,
-                covering_epoch=bid.epoch_placed + PURCHASE_LEAD_EPOCHS,
-                backing={v: allocated * share for v, share in shares.items()},
+                shares=shares,
             )
         )
         seq += 1
     return lots
 
 
-class _Sale:
-    """The lots one auction sold for one covering epoch. Each lot of
-    coverage c is backed by c * shares[v] from each backer v. `shares` is
-    dropped once none of the lots can still release or pay out."""
-
-    __slots__ = ("lots", "shares")
-
-    def __init__(self, lots: list[InsuranceLot], shares: Mapping[str, Fraction]):
-        self.lots = lots
-        self.shares: Optional[Mapping[str, Fraction]] = shares
-
-
 class InsuranceLedger:
     """Mutable per-run accounting of earmarks, lots, premiums and claims.
 
-    Lots are filed in one bucket per covering epoch, grouped by the auction
-    that sold them; `lots` lists them all, and `record_lot` is the only way
-    to add one outside an auction. Beside the buckets the ledger keeps two
-    running sums: the coverage bought per (buyer, covering epoch), whatever
-    the lot's state, which `u` and `coverage` read; and the free pool's
-    total, updated wherever `earmark_free` changes, which `pool_free`
-    returns.
+    Lots are filed in one bucket per covering epoch, as one list per
+    auction that sold them; `lots` lists them all, and `record_lot` is the
+    only way to add one outside an auction. Beside the buckets the ledger
+    keeps two running sums: the coverage bought per (buyer, covering
+    epoch), whatever the lot's state, which `u` and `coverage` read; and
+    the free pool's total, updated wherever `earmark_free` changes, which
+    `pool_free` returns.
 
     Single-owner: the simulation engine (or a test) drives it from one
     thread; the chain timeline it references stays immutable, and the
@@ -243,13 +226,11 @@ class InsuranceLedger:
         timeline: ChainTimeline,
         tp: TimingParams,
         ep: EconParams,
-        transactors: Optional[Iterable[str]] = None,
+        transactors: Iterable[str],
     ):
         self.timeline = timeline
         self.tp = tp
         self.ep = ep
-        if transactors is None:
-            transactors = {t.transactor for t in timeline.transactions}
         self.transactors = frozenset(transactors)
         self.earmark_free: dict[str, Fraction] = {
             v.id: v.earmarked_fraction * v.stake for v in timeline.validators
@@ -261,7 +242,7 @@ class InsuranceLedger:
         self._lot_seq = 0
         self._free_total = sum(self.earmark_free.values(), Fraction(0))
         self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
-        self._sales: dict[EpochIndex, list[_Sale]] = {}
+        self._sales: dict[EpochIndex, list[list[InsuranceLot]]] = {}
         self._bought: dict[EpochIndex, dict[str, Fraction]] = {}
         # the timeline's slashable reveals, and their ticks, by reveal tick
         self._blockers = sorted(
@@ -274,20 +255,18 @@ class InsuranceLedger:
     def lots(self) -> tuple[InsuranceLot, ...]:
         """Every lot sold or recorded, by covering epoch and then in order
         of sale."""
-        return tuple(lot for sales in self._sales.values() for sale in sales for lot in sale.lots)
+        return tuple(lot for sales in self._sales.values() for sale in sales for lot in sale)
 
     def record_lot(self, lot: InsuranceLot) -> None:
         """File a lot no validator backs, in whatever state it is in: its
         coverage counts for `u` and `coverage` at once, and it moves no
         stake when it releases or pays out."""
-        if lot.backing:
+        if lot.shares:
             raise InvariantViolationError(f"lot {lot.id!r}: only an auction sells backed lots")
-        self._file(lot.covering_epoch, [lot], {})
+        self._file(lot.covering_epoch, [lot])
 
-    def _file(
-        self, covering_epoch: EpochIndex, lots: list[InsuranceLot], shares: Mapping[str, Fraction]
-    ) -> None:
-        self._sales.setdefault(covering_epoch, []).append(_Sale(lots, shares))
+    def _file(self, covering_epoch: EpochIndex, lots: list[InsuranceLot]) -> None:
+        self._sales.setdefault(covering_epoch, []).append(lots)
         bought = self._bought.setdefault(covering_epoch, {})
         for lot in lots:
             bought[lot.buyer] = bought.get(lot.buyer, Fraction(0)) + lot.coverage
@@ -326,12 +305,12 @@ class InsuranceLedger:
             for v, share in shares.items():
                 self.earmark_free[v] -= sold * share
             self._free_total -= sold  # the shares add up to one
-        self._file(epoch + PURCHASE_LEAD_EPOCHS, lots, shares)
+        self._file(epoch + PURCHASE_LEAD_EPOCHS, lots)
         return lots
 
     def activate(self, covering_epoch: EpochIndex) -> None:
         for sale in self._sales.get(covering_epoch, ()):
-            for lot in sale.lots:
+            for lot in sale:
                 if lot.state is LotState.PENDING:
                     lot.transition(LotState.ACTIVE_COVERAGE)
 
@@ -347,26 +326,26 @@ class InsuranceLedger:
 
     # -- stake motion -------------------------------------------------------
 
-    def _close(self, sale: _Sale, lots: list[InsuranceLot], *, release: bool) -> None:
-        """Pay the premium of `lots`, just released or paid out from `sale`,
-        to their backers pro-rata and, on release, return their backing to
-        the free pool (a slashed validator's backing is gone; it never
-        re-enters the pool)."""
-        if lots and sale.shares:
-            premium = sum((lot.premium_paid for lot in lots), Fraction(0))
-            for v, share in sale.shares.items():
-                self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + premium * share
-            if release:
-                covered = sum((lot.coverage for lot in lots), Fraction(0))
-                returned = covered  # the shares add up to one
-                for v, share in sale.shares.items():
-                    if v in self.slashed_amounts:
-                        returned -= covered * share
-                    else:
-                        self.earmark_free[v] += covered * share
-                self._free_total += returned
-        if all(lot.state in (LotState.RELEASED, LotState.PAID_OUT) for lot in sale.lots):
-            sale.shares = None
+    def _close(self, lots: list[InsuranceLot], *, release: bool) -> None:
+        """Pay the premium of `lots`, sold by one auction and just released
+        or paid out, to their backers pro-rata and, on release, return
+        their backing to the free pool (a slashed validator's backing is
+        gone; it never re-enters the pool)."""
+        if not lots or not lots[0].shares:
+            return
+        shares = lots[0].shares
+        premium = sum((lot.premium_paid for lot in lots), Fraction(0))
+        for v, share in shares.items():
+            self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + premium * share
+        if release:
+            covered = sum((lot.coverage for lot in lots), Fraction(0))
+            returned = covered  # the shares add up to one
+            for v, share in shares.items():
+                if v in self.slashed_amounts:
+                    returned -= covered * share
+                else:
+                    self.earmark_free[v] += covered * share
+            self._free_total += returned
 
     def _book_slash(self, slashed: Mapping[str, Fraction]) -> None:
         """The slashed validators leave the pool for good."""
@@ -382,12 +361,12 @@ class InsuranceLedger:
             for sale in self._sales.get(covering_epoch, ()):
                 lots = [
                     lot
-                    for lot in sale.lots
+                    for lot in sale
                     if (lot.buyer, covering_epoch) in claimed and lot.state is LotState.ACTIVE_COVERAGE
                 ]
                 for lot in lots:
                     lot.transition(LotState.PAID_OUT)
-                self._close(sale, lots, release=False)
+                self._close(lots, release=False)
 
     def _window_blockers(self, covering_epoch: EpochIndex) -> list[ForkRevealEvent]:
         """Slashable reveals inside the lot's watch window (the covering
@@ -405,16 +384,16 @@ class InsuranceLedger:
         backers.
         """
         by_sale = [
-            (sale, [lot for lot in sale.lots if lot.state is LotState.ACTIVE_COVERAGE])
+            [lot for lot in sale if lot.state is LotState.ACTIVE_COVERAGE]
             for sale in self._sales.get(covering_epoch, ())
         ]
-        released = [lot for _, lots in by_sale for lot in lots]
+        released = [lot for lots in by_sale for lot in lots]
         if not released or any(ev.id not in excused for ev in self._window_blockers(covering_epoch)):
             return []
         for lot in released:
             lot.transition(LotState.RELEASED)
-        for sale, lots in by_sale:
-            self._close(sale, lots, release=True)
+        for lots in by_sale:
+            self._close(lots, release=True)
         return released
 
     def release_after_settlement(self, covering_epoch: EpochIndex) -> list[InsuranceLot]:
@@ -434,7 +413,7 @@ class InsuranceLedger:
             if any(
                 lot.state is LotState.ACTIVE_COVERAGE
                 for sale in self._sales[covering_epoch]
-                for lot in sale.lots
+                for lot in sale
             ):
                 released += self._release(covering_epoch, excused)
         return released

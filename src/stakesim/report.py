@@ -30,7 +30,6 @@ from .econ import (
     Mechanism,
     PfcBound,
     PfcKind,
-    SafetyVerdict,
     cost_of_corruption,
     pfc_ladder,
     safety_verdict,
@@ -123,34 +122,25 @@ def _epoch_rows_json(rows: Sequence[dict]) -> str:
     return "[" + ",".join(parts) + "]"
 
 
-def report_fields(doc: Mapping[str, Any]) -> dict[str, str]:
-    """Each top-level field of a report document, canonically encoded, so
-    that `canonical_object(report_fields(doc)) == canonical_json(doc)`."""
-    return {
-        key: _epoch_rows_json(value) if key == "per_epoch" else canonical_json(value)
-        for key, value in doc.items()
-    }
-
-
-def report_json(doc: Mapping[str, Any]) -> str:
-    """The canonical JSON of a report document, as report.json holds it."""
-    return canonical_object(report_fields(doc))
-
-
 @dataclass(frozen=True)
 class ReportDocument:
     """A report document. Its fields are encoded once, on first use, and
-    shared by report.json and the trace's `report` record; the encodings
-    live and die with this object."""
+    shared by report.json, the trace's `report` record and a sweep point's
+    report; the encodings live and die with this object."""
 
     doc: dict
-    verdict: SafetyVerdict
 
     @cached_property
     def fields(self) -> dict[str, str]:
-        return report_fields(self.doc)
+        """Each top-level field of the document, canonically encoded, so
+        that `canonical_object(self.fields) == canonical_json(self.doc)`."""
+        return {
+            key: _epoch_rows_json(value) if key == "per_epoch" else canonical_json(value)
+            for key, value in self.doc.items()
+        }
 
     def to_json(self) -> str:
+        """The canonical JSON of the document, as report.json holds it."""
         return canonical_object(self.fields)
 
 
@@ -318,7 +308,7 @@ def build_report(
         "settlements": [settlement_doc(s) for s in settlements],
         "karma": karma_doc,
     }
-    return ReportDocument(doc=doc, verdict=verdict)
+    return ReportDocument(doc=doc)
 
 
 _line_cells = itemgetter("sum_all", "sum_hybrid", "sum_hybrid_not_secure", "sum_uninsured", "epoch_safe")

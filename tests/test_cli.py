@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,29 @@ def test_sweep_grid_file_and_failed_points(tmp_path, capsys):
     index = json.loads((out / "sweep.json").read_text())
     assert [p["ok"] for p in index["points"]] == [True, False]
     assert not (out / "report-0001.json").exists()
+
+
+def _sweep_peak(template: str, gammas: list[str], out: Path) -> int:
+    """tracemalloc's peak, in bytes, over one `stakesim sweep` of `gammas`."""
+    tracemalloc.start()
+    try:
+        axis = "econ.gamma=" + ",".join(gammas)
+        assert main(["sweep", "--scenario", template, "--set", axis, "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_holds_one_point_report_at_a_time(tmp_path, capsys):
+    # the demo over 2,001 mostly quiet epochs, so each report is large
+    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
+    doc["horizon"] = 20_000
+    template = write_doc(tmp_path, doc)
+    _sweep_peak(template, ["1/2"], tmp_path / "warm")
+    one = _sweep_peak(template, ["1/2"], tmp_path / "one")
+    four = _sweep_peak(template, ["1/2", "1/4", "3/4", "1"], tmp_path / "four")
+    assert len(list((tmp_path / "four").glob("report-*.json"))) == 4
+    assert four < 1.25 * one, (one, four)
 
 
 def test_sweep_without_any_axis_is_an_error(tmp_path, capsys):

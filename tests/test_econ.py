@@ -258,7 +258,7 @@ def _insured_setup(value, coverage):
         finalized_at=45, rule="insured_immediate", insured_epoch=4,
     )
     tl = build_timeline(horizon=60, transactions=[t], validators=vals)
-    ledger = InsuranceLedger(tl, TP, ep())
+    ledger = InsuranceLedger(tl, TP, ep(), transactors={"alice"})
     ledger.sell(2, [InsuranceBid("alice", 2, Fraction(coverage), Fraction(1, 50))])
     ledger.activate(4)
     return tl, ledger
@@ -355,7 +355,7 @@ def _random_insured_case(rng: random.Random):
             ledger.record_lot(
                 InsuranceLot(
                     id=f"lot-{tr}-{e}-{j}", buyer=tr, coverage=amount, premium_rate=Fraction(0),
-                    premium_paid=Fraction(0), epoch_placed=e - 2, covering_epoch=e,
+                    epoch_placed=e - 2,
                 )
             )
             coverage.setdefault(e, {})[tr] = coverage.get(e, {}).get(tr, Fraction(0)) + amount

@@ -239,7 +239,7 @@ def test_attack_mode_forces_secure_until_the_all_clear(rng):
         doc_r = trace.report.doc
         victim = by_party(doc_r)["ins"]
         assert victim["compensation"] == victim["harm"]
-        assert trace.report.verdict.cryptoeconomically_safe
+        assert doc_r["verdict"]["cryptoeconomically_safe"]
 
 
 def test_waiting_transaction_is_reevaluated_at_the_all_clear():
@@ -409,13 +409,13 @@ def test_oversold_coverage_halts_loudly():
 
 def test_gamma_sweep_preserves_conservation():
     template = json.loads((ROOT / "scenarios" / "double-sign.json").read_text())
-    points = sweep(template, {"econ.gamma": ["0", "1/4", "1/2", "3/4", "1"]})
+    points = list(sweep(template, {"econ.gamma": ["0", "1/4", "1/2", "3/4", "1"]}))
     assert [p["point"] for p in points] == [0, 1, 2, 3, 4]
     assert all(p["ok"] for p in points)
     for p, gamma_s in zip(points, ["0", "1/4", "1/2", "3/4", "1"]):
         assert p["overrides"] == {"econ.gamma": gamma_s}
         gamma = as_fraction(gamma_s)
-        totals = p["report"]["totals"]
+        totals = p["report"].doc["totals"]
         slashed = as_fraction(totals["slashed"])
         paid = as_fraction(totals["paid"])
         burned = as_fraction(totals["burned"])
@@ -427,12 +427,12 @@ def test_gamma_sweep_preserves_conservation():
 
 def test_sweep_records_failures_without_aborting():
     template = json.loads((ROOT / "scenarios" / "double-sign.json").read_text())
-    points = sweep(template, {"econ.gamma": ["1/2", "3/2", "1"]})
+    points = list(sweep(template, {"econ.gamma": ["1/2", "3/2", "1"]}))
     assert [p["ok"] for p in points] == [True, False, True]
     assert "gamma" in points[1]["error"]
     assert points[1]["report"] is None
     # a grid path through a non-object is a domain error with its path
-    points = sweep(template, {"timing.t_rev.x": [1], "econ.gamma": ["1/2", "1"]})
+    points = list(sweep(template, {"timing.t_rev.x": [1], "econ.gamma": ["1/2", "1"]}))
     assert [p["ok"] for p in points] == [False, False]
     for n, p in enumerate(points):
         assert p["error"].startswith(f"ScenarioError: <sweep point {n}>.timing.t_rev: ")
@@ -448,4 +448,4 @@ def test_sweep_lets_program_bugs_propagate(monkeypatch):
     monkeypatch.setattr(stakesim.engine, "run", broken_run)
     template = json.loads((ROOT / "scenarios" / "double-sign.json").read_text())
     with pytest.raises(RuntimeError, match="bug in run"):
-        sweep(template, {"econ.gamma": ["1/2"]})
+        list(sweep(template, {"econ.gamma": ["1/2"]}))

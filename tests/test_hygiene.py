@@ -66,3 +66,54 @@ def test_unused_parameters_are_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each private module-level function, class or
+    assignment, and `module.Class.name` for each private method of a
+    module-level class, that no name or attribute read in any of `sources`
+    refers to. Dunder names are exempt."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                defined += [(f"{module}.{name}", name) for name in names]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{m.name}", m.name)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    private = [
+        (label, name) for label, name in defined if name.startswith("_") and not name.endswith("__")
+    ]
+    return sorted(label for label, name in private if name not in read)
+
+
+def test_unused_private_names_are_detected():
+    sources = {
+        "a": (
+            "_A = 1\n_B: int = 2\n_C, (_D, e) = 3, (4, 5)\n__all__ = []\n"
+            "def _f():\n    return _A\n"
+            "class _K:\n    def __init__(self):\n        self._x = 1\n"
+            "    def _m(self):\n        return self._n()\n    def _n(self):\n        return 0\n"
+        ),
+        "b": "from a import _f\n_f()\nprint(_C)\n",
+    }
+    assert unused_private_names(sources) == ["a._B", "a._D", "a._K", "a._K._m"]
+
+
+def test_every_private_name_in_the_package_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unused_private_names(sources) == []

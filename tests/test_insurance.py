@@ -59,9 +59,7 @@ def manual_lot(buyer, covering, coverage, *, rate=Fraction(0), state=LotState.AC
         buyer=buyer,
         coverage=Fraction(coverage),
         premium_rate=rate,
-        premium_paid=Fraction(coverage) * rate,
         epoch_placed=covering - 2,
-        covering_epoch=covering,
         state=state,
     )
 
@@ -80,18 +78,7 @@ def test_bid_validation():
 
 def test_lot_validation():
     with pytest.raises(InvariantViolationError):
-        InsuranceLot(
-            id="x", buyer="a", coverage=Fraction(1), premium_rate=Fraction(0),
-            premium_paid=Fraction(0), epoch_placed=0, covering_epoch=3,
-        )
-    with pytest.raises(InvariantViolationError):
         manual_lot("a", 2, 0)
-    with pytest.raises(InvariantViolationError):
-        InsuranceLot(
-            id="x", buyer="a", coverage=Fraction(4), premium_rate=Fraction(0),
-            premium_paid=Fraction(0), epoch_placed=0, covering_epoch=2,
-            backing={"v1": Fraction(1)},
-        )
 
 
 def test_lot_transitions_are_a_one_way_pipeline():
@@ -172,6 +159,14 @@ def quiet_ledger(fork_events=(), transactors=("ins", "other")):
     ]
     tl = build_timeline(horizon=60, fork_events=list(fork_events), validators=vals)
     return InsuranceLedger(tl, TP, EP, transactors=transactors)
+
+
+def test_only_an_auction_files_a_backed_lot():
+    ledger = quiet_ledger()
+    (lot,) = run_auction([bid("ins", 0, 8, Fraction(1, 10))], Fraction(20), {"v1": Fraction(1)})
+    with pytest.raises(InvariantViolationError):
+        ledger.record_lot(lot)
+    assert ledger.lots == ()
 
 
 def test_available_is_pool_capped_at_gamma_third():
@@ -314,7 +309,14 @@ def assert_ledger_matches(ledger, oracle, last_epoch):
 def test_ledger_matches_the_list_scanning_oracle():
     rng = random.Random(20261018)
     seen = dict.fromkeys(
-        ("slashed_backer_of_held_lot", "paid_out_beside_released", "empty_auction", "zero_premium", "blocked_release"),
+        (
+            "slashed_backer_of_held_lot",
+            "paid_out_beside_released",
+            "empty_auction",
+            "zero_premium",
+            "blocked_release",
+            "several_lots_sold",
+        ),
         False,
     )
     rates = [Fraction(0), Fraction(1, 50), Fraction(1, 10), Fraction(1, 3)]
@@ -362,6 +364,11 @@ def test_ledger_matches_the_list_scanning_oracle():
             assert [(l.id, l.buyer, l.coverage, l.premium_paid) for l in got] == [
                 (l["id"], l["buyer"], l["coverage"], l["premium_paid"]) for l in want
             ]
+            # the lots of one sale reference its one shares map, and each
+            # lot's backing sums to its coverage
+            assert all(l.shares is got[0].shares for l in got)
+            assert all(sum(l.backing.values(), Fraction(0)) == l.coverage for l in got)
+            seen["several_lots_sold"] |= len(got) > 1
             seen["empty_auction"] |= bool(bids) and not got
             seen["zero_premium"] |= any(l.premium_rate == 0 for l in got)
             assert_ledger_matches(ledger, oracle, last_epoch)

@@ -19,7 +19,7 @@ from stakesim import (
     render_text,
 )
 from stakesim.engine import ReportRecord, run
-from stakesim.report import ReportDocument, _checked_sections, first_mismatch, report_json
+from stakesim.report import ReportDocument, _checked_sections, first_mismatch
 from stakesim.scenario import canonical_json, parse_scenario
 
 from oracles import epoch_lines_oracle, epoch_rows_oracle, first_mismatch_oracle
@@ -176,13 +176,12 @@ EPOCH_HEADER = "per-epoch load (all / hybrid / not-secure / uninsured):"
 
 
 def _check_outputs(rd: ReportDocument, tick: int = 7) -> None:
-    """report.json, the sweep writer and the trace's report record against
-    `canonical_json` of the document, and the rendered per-epoch lines
-    against the row-by-row oracle."""
+    """report.json (which the sweep writer writes too) and the trace's
+    report record against `canonical_json` of the document, and the
+    rendered per-epoch lines against the row-by-row oracle."""
     doc = rd.doc
     want = canonical_json(doc)
     assert rd.to_json() == want
-    assert report_json(doc) == want
     record = ReportRecord(tick, "report", doc, rd)
     assert record.to_line() == canonical_json({"tick": tick, "kind": "report", **doc})
     lines = render_text(doc).split("\n")
@@ -250,7 +249,7 @@ def test_random_row_sets_encode_and_render_as_before():
     )
     for _ in range(300):
         rows = _random_rows(rng)
-        _check_outputs(ReportDocument(doc=dict(base.doc, per_epoch=rows), verdict=base.verdict))
+        _check_outputs(ReportDocument(doc=dict(base.doc, per_epoch=rows)))
         shapes = [tuple(v for k, v in row.items() if k not in ("epoch", "window")) for row in rows]
         seen["coverage"] |= any(row["coverage"] for row in rows)
         seen["non_ascii_coverage"] |= any(not tr.isascii() for row in rows for tr in row["coverage"])
@@ -300,14 +299,13 @@ def test_no_encoding_or_rendering_memo_outlives_its_call_or_document(monkeypatch
     encoded = []
     real_json = report.canonical_json
     monkeypatch.setattr(report, "canonical_json", lambda d: encoded.append(d) or real_json(d))
-    first = ReportDocument(doc=doc, verdict=trace.report.verdict)
+    first = ReportDocument(doc=doc)
     text = first.to_json()
     n = len(encoded)
     assert first.to_json() == text and len(encoded) == n  # the document keeps its own encoding
-    second = ReportDocument(doc=doc, verdict=trace.report.verdict)
+    second = ReportDocument(doc=doc)
     assert second.to_json() == text and len(encoded) == 2 * n  # a second document encodes anew
     assert second.fields is not first.fields
-    assert report_json(doc) == text and len(encoded) == 3 * n  # the sweep writer keeps nothing
 
     converted = []
     real_decimal = report.frac_decimal
