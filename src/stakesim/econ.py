@@ -173,9 +173,7 @@ def window_sup(
 def pfc_ladder(timeline: ChainTimeline, tp: TimingParams, ep: EconParams) -> tuple[PfcBound, ...]:
     """All five bounds, loosest to tightest; the window bounds never increase."""
     ladder = [PfcBound(kind=PfcKind.STEAL_TVL, value=ep.tvl, witness_window_start=None)]
-    for kind, selector in _KIND_FILTER.items():
-        bound = window_sup(timeline, tp.t_rev, selector)
-        ladder.append(PfcBound(kind=kind, value=bound.value, witness_window_start=bound.witness_window_start))
+    ladder += (window_sup(timeline, tp.t_rev, selector) for selector in _KIND_FILTER.values())
     return tuple(ladder)
 
 

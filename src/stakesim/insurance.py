@@ -18,10 +18,11 @@ attacks itself still loses the burned share.
 The ledger files lots by covering epoch, so activating, releasing or paying
 out the lots of one epoch reads only that epoch's bucket, and it keeps the
 coverage bought per (buyer, covering epoch) and the free pool's total as
-running sums. A lot stores only what its auction decided, and all lots of
-one auction reference that auction's one map of weight shares: a lot's
-backing, premium and covering epoch are derived from it, and stake moves
-once per auction and backer, not once per lot and backer.
+running sums. Sales and releases move stake pro rata, so each unslashed
+backer's free earmark is its weight share of the free pool: one share map,
+replaced only when a slash removes a backer, backs every lot sold under it.
+A lot's backing, premium and covering epoch are derived from what its
+auction decided, and stake moves once per auction, not once per backer.
 """
 
 from __future__ import annotations
@@ -97,12 +98,12 @@ _LOT_TRANSITIONS = {
 class InsuranceLot:
     """One allocated slice of coverage, as its auction sold it.
 
-    `shares` is the auction's weight share of each backer, one map that
-    every lot of that auction references: a lot of coverage c is backed by
-    c * share of each backer's earmarked stake, so its backing sums to
-    `coverage`. Lots sold by a ledger always carry shares; the standalone
-    auction helper may produce share-free lots for purely analytical use,
-    and `InsuranceLedger.record_lot` files only such lots.
+    `shares` is the backers' weight shares at the sale, one map that every
+    lot sold until a slash removes a backer references: a lot of coverage
+    c is backed by c * share of each backer's earmarked stake, so its
+    backing sums to `coverage`. Lots sold by a ledger always carry shares;
+    the standalone auction helper may produce share-free lots for purely
+    analytical use, and `InsuranceLedger.record_lot` files only such lots.
     """
 
     id: str
@@ -213,8 +214,8 @@ class InsuranceLedger:
     only way to add one outside an auction. Beside the buckets the ledger
     keeps two running sums: the coverage bought per (buyer, covering
     epoch), whatever the lot's state, which `u` and `coverage` read; and
-    the free pool's total, updated wherever `earmark_free` changes, which
-    `pool_free` returns.
+    the free pool's total, which `pool_free` returns and which the
+    unslashed backers' weight shares split into `earmark_free`.
 
     Single-owner: the simulation engine (or a test) drives it from one
     thread; the chain timeline it references stays immutable, and the
@@ -232,15 +233,14 @@ class InsuranceLedger:
         self.tp = tp
         self.ep = ep
         self.transactors = frozenset(transactors)
-        self.earmark_free: dict[str, Fraction] = {
-            v.id: v.earmarked_fraction * v.stake for v in timeline.validators
-        }
+        earmarks = {v.id: v.earmarked_fraction * v.stake for v in timeline.validators}
         self.slashed_amounts: dict[str, Fraction] = {}
         self.premiums_paid: dict[str, Fraction] = {}
         self.premiums_earned: dict[str, Fraction] = {}
         self.settlements: list[SettlementRecord] = []
         self._lot_seq = 0
-        self._free_total = sum(self.earmark_free.values(), Fraction(0))
+        self._free_total = sum(earmarks.values(), Fraction(0))
+        self._shares = _weight_shares(earmarks)
         self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
         self._sales: dict[EpochIndex, list[list[InsuranceLot]]] = {}
         self._bought: dict[EpochIndex, dict[str, Fraction]] = {}
@@ -276,6 +276,11 @@ class InsuranceLedger:
     def pool_free(self) -> Fraction:
         return self._free_total
 
+    @property
+    def earmark_free(self) -> dict[str, Fraction]:
+        """Each validator's earmarked stake that no lot holds (none once slashed)."""
+        return {v.id: self._free_total * self._shares.get(v.id, 0) for v in self.timeline.validators}
+
     def available(self) -> Fraction:
         """Backing sellable now: the free pool, capped at gamma/3 of total
         stake so one slash can always fund every active claim."""
@@ -291,8 +296,7 @@ class InsuranceLedger:
                 raise InvariantViolationError(
                     f"bid by {b.transactor!r} placed at {b.epoch_placed}, auctioned at {epoch}"
                 )
-        shares = _weight_shares(self.earmark_free)
-        lots = _allocate(bids, self.available(), shares, self._lot_seq)
+        lots = _allocate(bids, self.available(), self._shares, self._lot_seq)
         if not lots:
             return lots
         self._lot_seq += len(lots)
@@ -300,11 +304,8 @@ class InsuranceLedger:
             self.premiums_paid[lot.buyer] = (
                 self.premiums_paid.get(lot.buyer, Fraction(0)) + lot.premium_paid
             )
-        if shares:
-            sold = sum((lot.coverage for lot in lots), Fraction(0))
-            for v, share in shares.items():
-                self.earmark_free[v] -= sold * share
-            self._free_total -= sold  # the shares add up to one
+        # lots sell only from a positive pool, whose backers' shares add up to one
+        self._free_total -= sum((lot.coverage for lot in lots), Fraction(0))
         self._file(epoch + PURCHASE_LEAD_EPOCHS, lots)
         return lots
 
@@ -326,33 +327,25 @@ class InsuranceLedger:
 
     # -- stake motion -------------------------------------------------------
 
-    def _close(self, lots: list[InsuranceLot], *, release: bool) -> None:
+    def _close(self, lots: list[InsuranceLot]) -> None:
         """Pay the premium of `lots`, sold by one auction and just released
-        or paid out, to their backers pro-rata and, on release, return
-        their backing to the free pool (a slashed validator's backing is
-        gone; it never re-enters the pool)."""
+        or paid out, to their backers pro-rata."""
         if not lots or not lots[0].shares:
             return
         shares = lots[0].shares
         premium = sum((lot.premium_paid for lot in lots), Fraction(0))
         for v, share in shares.items():
             self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + premium * share
-        if release:
-            covered = sum((lot.coverage for lot in lots), Fraction(0))
-            returned = covered  # the shares add up to one
-            for v, share in shares.items():
-                if v in self.slashed_amounts:
-                    returned -= covered * share
-                else:
-                    self.earmark_free[v] += covered * share
-            self._free_total += returned
 
     def _book_slash(self, slashed: Mapping[str, Fraction]) -> None:
-        """The slashed validators leave the pool for good."""
+        """The slashed validators leave the pool for good, taking their
+        share of it; the other backers' shares grow in proportion."""
         for signer, amount in slashed.items():
-            self._free_total -= self.earmark_free.get(signer, Fraction(0))
-            self.earmark_free[signer] = Fraction(0)
             self.slashed_amounts[signer] = self.slashed_amounts.get(signer, Fraction(0)) + amount
+        gone = sum((self._shares.get(v, Fraction(0)) for v in slashed), Fraction(0))
+        if gone:
+            self._free_total -= self._free_total * gone
+            self._shares = _weight_shares({v: s for v, s in self._shares.items() if v not in slashed})
 
     def _pay_out(self, claimed: AbstractSet[tuple[str, EpochIndex]]) -> None:
         """Mark the active lots behind paid claims PAID_OUT and pay their
@@ -366,7 +359,7 @@ class InsuranceLedger:
                 ]
                 for lot in lots:
                     lot.transition(LotState.PAID_OUT)
-                self._close(lots, release=False)
+                self._close(lots)
 
     def _window_blockers(self, covering_epoch: EpochIndex) -> list[ForkRevealEvent]:
         """Slashable reveals inside the lot's watch window (the covering
@@ -393,7 +386,12 @@ class InsuranceLedger:
         for lot in released:
             lot.transition(LotState.RELEASED)
         for lots in by_sale:
-            self._close(lots, release=True)
+            self._close(lots)
+            if lots and lots[0].shares:
+                # a slashed backer's part of the backing is gone for good
+                shares = lots[0].shares
+                lost = sum((shares.get(v, Fraction(0)) for v in self.slashed_amounts), Fraction(0))
+                self._free_total += (1 - lost) * sum((lot.coverage for lot in lots), Fraction(0))
         return released
 
     def release_after_settlement(self, covering_epoch: EpochIndex) -> list[InsuranceLot]:

@@ -71,8 +71,9 @@ def test_module_has_no_unused_parameters(path):
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """`module.name` for each private module-level function, class or
     assignment, and `module.Class.name` for each private method of a
-    module-level class, that no name or attribute read in any of `sources`
-    refers to. Dunder names are exempt."""
+    module-level class or private attribute its methods assign on `self`,
+    that no name or attribute read in any of `sources` refers to. Dunder
+    names are exempt; an augmented assignment is not a read."""
     defined: list[tuple[str, str]] = []
     read: set[str] = set()
     for module, source in sources.items():
@@ -85,10 +86,16 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
                 defined += [(f"{module}.{name}", name) for name in names]
             if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                defined += [(f"{module}.{node.name}.{m.name}", m.name) for m in methods]
                 defined += [
-                    (f"{module}.{node.name}.{m.name}", m.name)
-                    for m in node.body
-                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    (f"{module}.{node.name}.{n.attr}", n.attr)
+                    for m in methods
+                    for n in ast.walk(m)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
                 ]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
@@ -98,7 +105,7 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
     private = [
         (label, name) for label, name in defined if name.startswith("_") and not name.endswith("__")
     ]
-    return sorted(label for label, name in private if name not in read)
+    return sorted({label for label, name in private if name not in read})
 
 
 def test_unused_private_names_are_detected():
@@ -111,7 +118,21 @@ def test_unused_private_names_are_detected():
         ),
         "b": "from a import _f\n_f()\nprint(_C)\n",
     }
-    assert unused_private_names(sources) == ["a._B", "a._D", "a._K", "a._K._m"]
+    assert unused_private_names(sources) == ["a._B", "a._D", "a._K", "a._K._m", "a._K._x"]
+
+
+def test_unused_private_attributes_are_detected():
+    sources = {
+        "a": (
+            "class K:\n    def __init__(self, other):\n"
+            "        self._read = self._kept = self._bumped = self.public = 0\n"
+            "        self._typed: int = 1\n        other._elsewhere = 2\n"
+            "    def step(self):\n        self._bumped += 1\n        self._late = self._read\n"
+            "        return self._kept\n"
+        ),
+        "b": "from a import K\nprint(K(None)._typed)\n",
+    }
+    assert unused_private_names(sources) == ["a.K._bumped", "a.K._late"]
 
 
 def test_every_private_name_in_the_package_is_used():

@@ -295,6 +295,7 @@ def random_ledger_case(rng):
 def assert_ledger_matches(ledger, oracle, last_epoch):
     assert ledger.earmark_free == oracle.earmark_free
     assert ledger.pool_free() == oracle.pool_free()
+    assert sum(ledger.earmark_free.values(), Fraction(0)) == ledger.pool_free()
     assert ledger.available() == oracle.available()
     assert ledger.premiums_paid == oracle.premiums_paid
     assert ledger.premiums_earned == oracle.premiums_earned
@@ -316,6 +317,7 @@ def test_ledger_matches_the_list_scanning_oracle():
             "zero_premium",
             "blocked_release",
             "several_lots_sold",
+            "sale_after_backer_slash",
         ),
         False,
     )
@@ -325,6 +327,7 @@ def test_ledger_matches_the_list_scanning_oracle():
         ledger = InsuranceLedger(tl, tp, ep, transactors="abc")
         oracle = LedgerOracle(tl.validators, tp, ep, tl.fork_events)
         last_epoch = tl.horizon // tp.t_rev + 2
+        last_shares = None  # the shares of the last sale that sold a lot
 
         def active(c):
             return any(l["covering_epoch"] == c and l["state"] == "active_coverage" for l in oracle.lots)
@@ -368,6 +371,15 @@ def test_ledger_matches_the_list_scanning_oracle():
             # lot's backing sums to its coverage
             assert all(l.shares is got[0].shares for l in got)
             assert all(sum(l.backing.values(), Fraction(0)) == l.coverage for l in got)
+            # sales with no backer slashed between them share one map, and
+            # no map holds a validator slashed before its sale
+            if got:
+                backer_slashed = bool(set(last_shares or ()) & set(ledger.slashed_amounts))
+                if last_shares is not None and not backer_slashed:
+                    assert got[0].shares is last_shares
+                assert not set(got[0].shares) & set(ledger.slashed_amounts)
+                seen["sale_after_backer_slash"] |= backer_slashed
+                last_shares = got[0].shares
             seen["several_lots_sold"] |= len(got) > 1
             seen["empty_auction"] |= bool(bids) and not got
             seen["zero_premium"] |= any(l.premium_rate == 0 for l in got)
