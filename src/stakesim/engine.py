@@ -52,7 +52,7 @@ from .insurance import (
     settle_slash,
 )
 from .policies import StrategyKind
-from .rational import frac_str
+from .rational import frac_str, ratio_str
 from .report import ReportDocument, build_report, settlement_doc
 from .resolution import RevealClass, resolve
 from .scenario import (
@@ -68,6 +68,12 @@ from .scenario import (
 from .version import SCHEMA_VERSION, __version__
 
 _PH_EPOCH, _PH_FINALIZE, _PH_EXECUTE, _PH_REVEAL = 0, 1, 2, 3
+
+# an `epoch_start` line, cut from `canonical_json`'s encoding around its
+# epoch and its tick (the keys sort epoch, kind, tick)
+_EPOCH_START_CUT = canonical_json({"tick": "\x00", "kind": "epoch_start", "epoch": "\x00"}).split(
+    canonical_json("\x00")
+)
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,16 @@ class ReportRecord(TraceRecord):
         return canonical_object({**head, **self.report.fields})
 
 
+@dataclass(frozen=True)
+class EpochStartRecord(TraceRecord):
+    """An `epoch_start` record, whose line is its two integers set into
+    one template."""
+
+    def to_line(self) -> str:
+        epoch_at, tick_at, end = _EPOCH_START_CUT
+        return f"{epoch_at}{self.payload['epoch']}{tick_at}{self.tick}{end}"
+
+
 @dataclass
 class SimTrace:
     """Ordered event log plus the final report."""
@@ -108,6 +124,12 @@ class SimTrace:
 
 def _lot_ref(lot: InsuranceLot) -> dict:
     return {"id": lot.id, "buyer": lot.buyer, "coverage": frac_str(lot.coverage)}
+
+
+def _backing_doc(lot: InsuranceLot) -> dict[str, str]:
+    """The lot's backing, each amount written from the integers its share
+    map gives."""
+    return {v: ratio_str(n, d) for v, n, d in lot.backers.backing(lot.coverage)}
 
 
 class _Run:
@@ -191,7 +213,7 @@ class _Run:
     # -- epoch boundary -----------------------------------------------------
 
     def on_epoch(self, tick: Tick, e: EpochIndex):
-        self.rec(tick, "epoch_start", epoch=e)
+        self.records.append(EpochStartRecord(tick, "epoch_start", {"epoch": e}))
         next_start = epoch_bounds(e + 1, self.tp.t_rev)[0]
         if next_start <= self.timeline.horizon:
             self.push(next_start, _PH_EPOCH, e + 1)
@@ -232,7 +254,7 @@ class _Run:
                         "premium_rate": frac_str(l.premium_rate),
                         "premium_paid": frac_str(l.premium_paid),
                         "covering_epoch": l.covering_epoch,
-                        "backing": {v: frac_str(a) for v, a in sorted(l.backing.items())},
+                        "backing": _backing_doc(l),
                     }
                     for l in lots
                 ],

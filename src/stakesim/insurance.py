@@ -22,17 +22,21 @@ running sums. Sales and releases move stake pro rata, so each unslashed
 backer's free earmark is its weight share of the free pool: one share map,
 replaced only when a slash removes a backer, backs every lot sold under it.
 A lot's backing, premium and covering epoch are derived from what its
-auction decided, and stake moves once per auction, not once per backer.
+auction decided. Stake moves once per auction, and the per-backer work is
+done once per share map: the map keeps the premium credited through it and
+the part its slashed backers hold, so a release or payout costs the same
+however many backers there are.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
@@ -94,15 +98,55 @@ _LOT_TRANSITIONS = {
 }
 
 
+@dataclass(eq=False)
+class _Backers:
+    """One map of the backers' weight shares, and what the lots sold under
+    it have done with it so far.
+
+    `numerators` holds each share, in id order, as an integer over the one
+    `denominator`. `premium` is the premium credited through the map (None
+    until a lot sold under it released or paid out), and `slashed` is the
+    part of the map that slashed backers hold.
+    """
+
+    shares: dict[str, Fraction]
+    numerators: tuple[tuple[str, int], ...]
+    denominator: int
+    premium: Optional[Fraction] = None
+    slashed: Fraction = Fraction(0)
+
+    @classmethod
+    def of(cls, weights: Mapping[str, Fraction]) -> _Backers:
+        """Each positive weight's share of their total, in id order; empty
+        when no weight is positive."""
+        positive = {v: w for v, w in sorted(weights.items()) if w > 0}
+        total = sum(positive.values(), Fraction(0))
+        shares = {v: w / total for v, w in positive.items()}
+        den = lcm(*(s.denominator for s in shares.values()))
+        return cls(shares, tuple((v, s.numerator * (den // s.denominator)) for v, s in shares.items()), den)
+
+    def backing(self, coverage: Fraction) -> Iterator[tuple[str, int, int]]:
+        """Each backer's part of `coverage` (coverage * share) in id order,
+        as a numerator and denominator in lowest terms."""
+        num, den = coverage.numerator, coverage.denominator * self.denominator
+        for v, n in self.numerators:
+            part = num * n
+            g = gcd(part, den)
+            yield v, part // g, den // g
+
+
+_NO_BACKERS = _Backers.of({})
+
+
 @dataclass
 class InsuranceLot:
     """One allocated slice of coverage, as its auction sold it.
 
-    `shares` is the backers' weight shares at the sale, one map that every
+    `backers` is the backers' weight shares at the sale, one map that every
     lot sold until a slash removes a backer references: a lot of coverage
     c is backed by c * share of each backer's earmarked stake, so its
-    backing sums to `coverage`. Lots sold by a ledger always carry shares;
-    the standalone auction helper may produce share-free lots for purely
+    backing sums to `coverage`. Lots sold by a ledger always have backers;
+    the standalone auction helper may sell lots nobody backs, for purely
     analytical use, and `InsuranceLedger.record_lot` files only such lots.
     """
 
@@ -112,7 +156,7 @@ class InsuranceLot:
     premium_rate: Fraction
     epoch_placed: EpochIndex
     state: LotState = LotState.PENDING
-    shares: Mapping[str, Fraction] = field(default_factory=dict)
+    backers: _Backers = _NO_BACKERS
 
     def __post_init__(self):
         if self.coverage <= 0:
@@ -122,7 +166,7 @@ class InsuranceLot:
     def backing(self) -> dict[str, Fraction]:
         """Validator id to the exact amount of its earmarked stake locked
         behind this lot."""
-        return {v: self.coverage * share for v, share in self.shares.items()}
+        return {v: Fraction(n, d) for v, n, d in self.backers.backing(self.coverage)}
 
     @property
     def premium_paid(self) -> Fraction:
@@ -140,14 +184,6 @@ class InsuranceLot:
         self.state = new
 
 
-def _weight_shares(earmark: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """Each positive weight's share of their total, in id order; empty when
-    no weight is positive."""
-    weights = {v: w for v, w in sorted(earmark.items()) if w > 0}
-    total = sum(weights.values(), Fraction(0))
-    return {v: w / total for v, w in weights.items()}
-
-
 def run_auction(
     bids: Sequence[InsuranceBid],
     available: Fraction,
@@ -162,17 +198,17 @@ def run_auction(
     When `earmark` weights are given, each lot's backing is assigned
     pro-rata across them; sellers with zero weight get nothing.
     """
-    return _allocate(bids, available, _weight_shares(earmark or {}), start_seq)
+    return _allocate(bids, available, _Backers.of(earmark or {}), start_seq)
 
 
 def _allocate(
     bids: Sequence[InsuranceBid],
     available: Fraction,
-    shares: Mapping[str, Fraction],
+    backers: _Backers,
     start_seq: int,
 ) -> list[InsuranceLot]:
     """`run_auction` with the backers' shares already worked out; every
-    lot sold references `shares`."""
+    lot sold references `backers`."""
     available = as_fraction(available)
     if available < 0:
         raise NegativeAvailableError(f"available backing is negative: {available}")
@@ -199,7 +235,7 @@ def _allocate(
                 coverage=allocated,
                 premium_rate=bid.premium_rate,
                 epoch_placed=bid.epoch_placed,
-                shares=shares,
+                backers=backers,
             )
         )
         seq += 1
@@ -215,7 +251,10 @@ class InsuranceLedger:
     keeps two running sums: the coverage bought per (buyer, covering
     epoch), whatever the lot's state, which `u` and `coverage` read; and
     the free pool's total, which `pool_free` returns and which the
-    unslashed backers' weight shares split into `earmark_free`.
+    unslashed backers' weight shares split into `earmark_free`. Each share
+    map the ledger builds keeps the premium credited through it, and
+    `premiums_earned` splits those sums by the maps' shares: premiums move
+    once per closing auction and map, not once per backer.
 
     Single-owner: the simulation engine (or a test) drives it from one
     thread; the chain timeline it references stays immutable, and the
@@ -236,11 +275,11 @@ class InsuranceLedger:
         earmarks = {v.id: v.earmarked_fraction * v.stake for v in timeline.validators}
         self.slashed_amounts: dict[str, Fraction] = {}
         self.premiums_paid: dict[str, Fraction] = {}
-        self.premiums_earned: dict[str, Fraction] = {}
         self.settlements: list[SettlementRecord] = []
         self._lot_seq = 0
         self._free_total = sum(earmarks.values(), Fraction(0))
-        self._shares = _weight_shares(earmarks)
+        self._backers = _Backers.of(earmarks)
+        self._maps = [self._backers]  # every share map built, the current one last
         self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
         self._sales: dict[EpochIndex, list[list[InsuranceLot]]] = {}
         self._bought: dict[EpochIndex, dict[str, Fraction]] = {}
@@ -261,7 +300,7 @@ class InsuranceLedger:
         """File a lot no validator backs, in whatever state it is in: its
         coverage counts for `u` and `coverage` at once, and it moves no
         stake when it releases or pays out."""
-        if lot.shares:
+        if lot.backers.shares:
             raise InvariantViolationError(f"lot {lot.id!r}: only an auction sells backed lots")
         self._file(lot.covering_epoch, [lot])
 
@@ -279,7 +318,19 @@ class InsuranceLedger:
     @property
     def earmark_free(self) -> dict[str, Fraction]:
         """Each validator's earmarked stake that no lot holds (none once slashed)."""
-        return {v.id: self._free_total * self._shares.get(v.id, 0) for v in self.timeline.validators}
+        shares = self._backers.shares
+        return {v.id: self._free_total * shares.get(v.id, 0) for v in self.timeline.validators}
+
+    @property
+    def premiums_earned(self) -> dict[str, Fraction]:
+        """Each backer's premium from the lots released or paid out so far,
+        zero for a backer whose lots brought no premium."""
+        earned: dict[str, Fraction] = {}
+        for backers in self._maps:
+            if backers.premium is not None:
+                for v, share in backers.shares.items():
+                    earned[v] = earned.get(v, Fraction(0)) + backers.premium * share
+        return earned
 
     def available(self) -> Fraction:
         """Backing sellable now: the free pool, capped at gamma/3 of total
@@ -296,7 +347,7 @@ class InsuranceLedger:
                 raise InvariantViolationError(
                     f"bid by {b.transactor!r} placed at {b.epoch_placed}, auctioned at {epoch}"
                 )
-        lots = _allocate(bids, self.available(), self._shares, self._lot_seq)
+        lots = _allocate(bids, self.available(), self._backers, self._lot_seq)
         if not lots:
             return lots
         self._lot_seq += len(lots)
@@ -328,24 +379,30 @@ class InsuranceLedger:
     # -- stake motion -------------------------------------------------------
 
     def _close(self, lots: list[InsuranceLot]) -> None:
-        """Pay the premium of `lots`, sold by one auction and just released
-        or paid out, to their backers pro-rata."""
-        if not lots or not lots[0].shares:
+        """Credit the premium of `lots`, sold by one auction and just
+        released or paid out, to the share map that backs them."""
+        if not lots or not lots[0].backers.shares:
             return
-        shares = lots[0].shares
+        backers = lots[0].backers
         premium = sum((lot.premium_paid for lot in lots), Fraction(0))
-        for v, share in shares.items():
-            self.premiums_earned[v] = self.premiums_earned.get(v, Fraction(0)) + premium * share
+        backers.premium = premium if backers.premium is None else backers.premium + premium
 
     def _book_slash(self, slashed: Mapping[str, Fraction]) -> None:
         """The slashed validators leave the pool for good, taking their
-        share of it; the other backers' shares grow in proportion."""
+        share of it; the other backers' shares grow in proportion. Every
+        share map adds the newly slashed backers' shares to its slashed
+        part."""
+        fresh = [v for v in slashed if v not in self.slashed_amounts]
         for signer, amount in slashed.items():
             self.slashed_amounts[signer] = self.slashed_amounts.get(signer, Fraction(0)) + amount
-        gone = sum((self._shares.get(v, Fraction(0)) for v in slashed), Fraction(0))
+        for backers in self._maps:
+            backers.slashed += sum((backers.shares.get(v, Fraction(0)) for v in fresh), Fraction(0))
+        # the current map held no backer slashed before, so all of its slashed part is new
+        gone = self._backers.slashed
         if gone:
             self._free_total -= self._free_total * gone
-            self._shares = _weight_shares({v: s for v, s in self._shares.items() if v not in slashed})
+            self._backers = _Backers.of({v: s for v, s in self._backers.shares.items() if v not in slashed})
+            self._maps.append(self._backers)
 
     def _pay_out(self, claimed: AbstractSet[tuple[str, EpochIndex]]) -> None:
         """Mark the active lots behind paid claims PAID_OUT and pay their
@@ -387,10 +444,9 @@ class InsuranceLedger:
             lot.transition(LotState.RELEASED)
         for lots in by_sale:
             self._close(lots)
-            if lots and lots[0].shares:
+            if lots and lots[0].backers.shares:
                 # a slashed backer's part of the backing is gone for good
-                shares = lots[0].shares
-                lost = sum((shares.get(v, Fraction(0)) for v in self.slashed_amounts), Fraction(0))
+                lost = lots[0].backers.slashed
                 self._free_total += (1 - lost) * sum((lot.coverage for lot in lots), Fraction(0))
         return released
 
@@ -625,7 +681,7 @@ def karma_report(
     """Aggregate per-party flows and the adversary's overall position
     from the ledger's settlements and the run's reverted executions."""
     premiums_paid = dict(ledger.premiums_paid)
-    premiums_earned = dict(ledger.premiums_earned)
+    premiums_earned = ledger.premiums_earned
     slashed = dict(ledger.slashed_amounts)
 
     compensation: dict[str, Fraction] = {}

@@ -26,6 +26,7 @@ from stakesim import engine
 from stakesim.engine import run, sweep
 from stakesim.errors import InvariantBreachError
 from stakesim.report import compare_trace_to_report, parse_trace
+from stakesim.scenario import canonical_json
 
 from conftest import (
     attack_scenario_doc,
@@ -72,6 +73,14 @@ def test_trace_always_verifies_against_its_own_report():
     trace = run(parse_scenario(quiet_scenario_doc()))
     records = parse_trace(trace.to_lines(), source="quiet")
     assert compare_trace_to_report(records, source="quiet") is None
+
+
+def test_every_line_is_the_canonical_json_of_its_record():
+    # epoch_start and report lines are joined from pre-encoded pieces
+    trace = run(parse_scenario(quiet_scenario_doc()))
+    assert len(records_of(trace, "epoch_start")) > 1
+    for record, line in zip(trace.records, trace.to_lines(), strict=True):
+        assert line == canonical_json({"tick": record.tick, "kind": record.kind, **record.payload})
 
 
 # -- the shipped double-sign walkthrough ---------------------------------------

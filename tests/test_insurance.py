@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -23,12 +24,14 @@ from stakesim import (
     ValidatorState,
     build_timeline,
     coverage_check,
+    frac_str,
     karma_report,
     release_lots,
     resolve,
     run_auction,
     settle_slash,
 )
+from stakesim import engine
 from stakesim.errors import (
     InvariantViolationError,
     NegativeAvailableError,
@@ -134,6 +137,36 @@ def test_auction_backing_is_pro_rata_over_positive_weights():
     (lot,) = run_auction([bid("a", 0, 8, Fraction(1, 10))], Fraction(20), earmark)
     assert lot.backing == {"v1": Fraction(2), "v2": Fraction(6)}
     assert sum(lot.backing.values()) == lot.coverage
+
+
+def test_backing_from_the_share_integers_is_frac_str_of_coverage_times_share():
+    rng = random.Random(1405)
+    seen = dict.fromkeys(("single_backer", "integer_part", "shared_factor", "above_2_64"), False)
+    for _ in range(400):
+        if rng.random() < 0.5:
+            coverage = Fraction(rng.randint(1, 64), rng.choice([1, 2, 3, 4, 6, 12]))
+        else:
+            coverage = Fraction(rng.randint(1, 2**80), rng.randint(1, 2**40))
+        earmark = {
+            f"v{i:02d}": Fraction(
+                rng.choice([0, 1, 2, 3, 4, rng.randint(1, 2**40)]), rng.choice([1, 3, rng.randint(1, 2**30)])
+            )
+            for i in range(rng.randint(1, 6))
+        }
+        lots = run_auction([bid("a", 0, coverage, Fraction(1, 10))], coverage, earmark)
+        if not lots:
+            continue  # no positive weight: nobody backs anything
+        (lot,) = lots
+        shares = lot.backers.shares
+        want = {v: frac_str(coverage * share) for v, share in shares.items()}
+        assert engine._backing_doc(lot) == want
+        assert lot.backing == {v: coverage * share for v, share in shares.items()}
+        terms = list(lot.backers.backing(coverage))
+        seen["single_backer"] |= list(shares.values()) == [1]
+        seen["integer_part"] |= len(shares) > 1 and any(d == 1 for _, _, d in terms)
+        seen["shared_factor"] |= gcd(coverage.denominator, lot.backers.denominator) > 1
+        seen["above_2_64"] |= any(n > 2**64 for _, n, _ in terms)
+    assert all(seen.values()), seen
 
 
 def test_greedy_revenue_is_optimal_on_integral_instances(rng):
@@ -259,6 +292,57 @@ def test_release_after_settlement_needs_every_blocker_settled():
     assert lot.state is LotState.RELEASED and ledger.pool_free() == 64
 
 
+def _fraction_ops_to_close(n_backers, monkeypatch):
+    """Fraction arithmetic done by a release and by a payout of two lots
+    sold under a share map of `n_backers` backers, one of them slashed
+    before the lots close."""
+    vals = [
+        ValidatorState(id=f"v{i:02d}", stake=Fraction(32), earmarked_fraction=Fraction(1, 2))
+        for i in range(n_backers)
+    ] + [ValidatorState(id="x", stake=Fraction(32), earmarked_fraction=Fraction(0))]
+    tl = build_timeline(horizon=60, validators=vals)
+    ep = EconParams(
+        stake_per_validator=Fraction(32), n_validators=len(vals), gamma=Fraction(1, 2), tvl=Fraction(200)
+    )
+    ledger = InsuranceLedger(tl, TP, ep, transactors="ab")
+    ledger.sell(0, [bid("a", 0, 3, Fraction(1, 50)), bid("b", 0, 2, Fraction(1, 10))])
+    ledger.sell(1, [bid("a", 1, 3, Fraction(1, 50)), bid("b", 1, 2, Fraction(1, 10))])
+    ledger.activate(2)
+    ledger.activate(3)
+    ambiguous = RevealClass.AMBIGUOUS_WINDOW
+    settle_slash(ResolutionOutcome("f", ambiguous, slashed={"v00": Fraction(32)}), ledger, harmed=[])
+
+    counts = {"release": 0, "payout": 0}
+    phase = "release"
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
+        original = getattr(Fraction, name)
+
+        def counted(a, b, _original=original):
+            counts[phase] += 1
+            return _original(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    (released_a, released_b) = release_lots(4, ledger)
+    phase = "payout"
+    # a slash of a validator that backs nothing pays the claim on epoch 3's lots
+    harmed = [RevertedExecution(tx_id="t", transactor="a", covering_epoch=3, value=Fraction(1), insured=True)]
+    settle_slash(ResolutionOutcome("g", ambiguous, slashed={"x": Fraction(32)}), ledger, harmed=harmed)
+    monkeypatch.undo()
+    assert released_a.state is released_b.state is LotState.RELEASED
+    assert {l.buyer: l.state for l in ledger.lots if l.covering_epoch == 3} == {
+        "a": LotState.PAID_OUT,
+        "b": LotState.ACTIVE_COVERAGE,
+    }
+    assert ledger.premiums_earned["v00"] > 0 and len(ledger.premiums_earned) == n_backers
+    return counts
+
+
+def test_closing_lots_costs_the_same_however_many_backers(monkeypatch):
+    # the premium credit and the slashed part are kept per share map, so
+    # neither walks the backers
+    assert _fraction_ops_to_close(4, monkeypatch) == _fraction_ops_to_close(64, monkeypatch)
+
+
 def random_ledger_case(rng):
     """A timeline of 2-5 validators, some earmarking nothing, with up to
     three fork reveals in every regime, and econ params whose gamma may
@@ -318,6 +402,8 @@ def test_ledger_matches_the_list_scanning_oracle():
             "blocked_release",
             "several_lots_sold",
             "sale_after_backer_slash",
+            "earned_under_two_maps",
+            "slashed_backer_credited_later",
         ),
         False,
     )
@@ -327,7 +413,19 @@ def test_ledger_matches_the_list_scanning_oracle():
         ledger = InsuranceLedger(tl, tp, ep, transactors="abc")
         oracle = LedgerOracle(tl.validators, tp, ep, tl.fork_events)
         last_epoch = tl.horizon // tp.t_rev + 2
-        last_shares = None  # the shares of the last sale that sold a lot
+        last_backers = None  # the share map of the last sale that sold a lot
+        closed_ids: set = set()  # the lots released or paid out so far
+
+        def note_closed():
+            # a lot sold before a backer's slash and closed after it still
+            # credits that backer its premium
+            closed = [l for l in ledger.lots if l.state in (LotState.RELEASED, LotState.PAID_OUT)]
+            for l in closed:
+                slashed_backers = set(l.backers.shares) & set(ledger.slashed_amounts)
+                if l.id not in closed_ids and l.premium_paid > 0 and slashed_backers:
+                    assert slashed_backers <= set(ledger.premiums_earned)
+                    seen["slashed_backer_credited_later"] = True
+            closed_ids.update(l.id for l in closed)
 
         def active(c):
             return any(l["covering_epoch"] == c and l["state"] == "active_coverage" for l in oracle.lots)
@@ -353,6 +451,7 @@ def test_ledger_matches_the_list_scanning_oracle():
                 want = [lot for cc in range(c + 1) for lot in oracle.release(cc, excused)]
             assert [l.id for l in got] == [l["id"] for l in want]
             assert_ledger_matches(ledger, oracle, last_epoch)
+            note_closed()
 
             ledger.activate(e)
             oracle.activate(e)
@@ -367,19 +466,21 @@ def test_ledger_matches_the_list_scanning_oracle():
             assert [(l.id, l.buyer, l.coverage, l.premium_paid) for l in got] == [
                 (l["id"], l["buyer"], l["coverage"], l["premium_paid"]) for l in want
             ]
-            # the lots of one sale reference its one shares map, and each
+            # the lots of one sale reference its one share map, and each
             # lot's backing sums to its coverage
-            assert all(l.shares is got[0].shares for l in got)
+            assert all(l.backers is got[0].backers for l in got)
             assert all(sum(l.backing.values(), Fraction(0)) == l.coverage for l in got)
             # sales with no backer slashed between them share one map, and
             # no map holds a validator slashed before its sale
             if got:
-                backer_slashed = bool(set(last_shares or ()) & set(ledger.slashed_amounts))
-                if last_shares is not None and not backer_slashed:
-                    assert got[0].shares is last_shares
-                assert not set(got[0].shares) & set(ledger.slashed_amounts)
+                backer_slashed = last_backers is not None and bool(
+                    set(last_backers.shares) & set(ledger.slashed_amounts)
+                )
+                if last_backers is not None and not backer_slashed:
+                    assert got[0].backers is last_backers
+                assert not set(got[0].backers.shares) & set(ledger.slashed_amounts)
                 seen["sale_after_backer_slash"] |= backer_slashed
-                last_shares = got[0].shares
+                last_backers = got[0].backers
             seen["several_lots_sold"] |= len(got) > 1
             seen["empty_auction"] |= bool(bids) and not got
             seen["zero_premium"] |= any(l.premium_rate == 0 for l in got)
@@ -402,6 +503,7 @@ def test_ledger_matches_the_list_scanning_oracle():
                 settle_slash(outcome, ledger, harmed=harmed)
                 oracle.settle(dict(outcome.slashed), [(h.transactor, h.covering_epoch, h.value) for h in harmed])
                 assert_ledger_matches(ledger, oracle, last_epoch)
+                note_closed()
 
             seen["slashed_backer_of_held_lot"] |= any(
                 l["state"] == "active_coverage" and set(l["backing"]) & set(oracle.slashed_amounts)
@@ -411,6 +513,15 @@ def test_ledger_matches_the_list_scanning_oracle():
                 {"paid_out", "released"} <= {l["state"] for l in oracle.lots if l["covering_epoch"] == cc}
                 for cc in range(last_epoch + 1)
             )
+        # one validator earns premium through two share maps
+        earning = {
+            l.backers
+            for l in ledger.lots
+            if l.state in (LotState.RELEASED, LotState.PAID_OUT) and l.premium_paid > 0
+        }
+        seen["earned_under_two_maps"] |= any(
+            sum(v in backers.shares for backers in earning) > 1 for v in ledger.premiums_earned
+        )
     assert all(seen.values()), seen
 
 
