@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .engine import run as run_engine
 from .engine import sweep as run_sweep
@@ -23,7 +24,7 @@ from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
 from .resolution import classify_reveal
-from .scenario import canonical_json, listing, load_scenario, read_field, read_input, scenario_hash
+from .scenario import canonical_json, listing, load_scenario, read_field, read_input, scenario_hash, timing_to_doc
 from .version import SCHEMA_VERSION, __version__
 
 
@@ -31,21 +32,31 @@ def _write_trace(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@contextmanager
+def _output_dir(path: str) -> Iterator[Path]:
+    """`path` as a directory; an OSError making or writing it cites it."""
+    try:
+        out = Path(path)
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output: {exc}", path=path) from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        trace = run_engine(scenario, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
-    except InvariantBreachError as exc:
-        records = getattr(exc, "trace_records", None)
-        if records is not None:
-            _write_trace(out / "trace-partial.jsonl", [r.to_line() for r in records])
-        raise
-    _write_trace(out / "trace.jsonl", trace.to_lines())
-    (out / "report.json").write_text(trace.report.to_json() + "\n", encoding="utf-8")
-    text = render_text(trace.report.doc)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    with _output_dir(args.out) as out:
+        try:
+            trace = run_engine(scenario, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
+        except InvariantBreachError as exc:
+            records = getattr(exc, "trace_records", None)
+            if records is not None:
+                _write_trace(out / "trace-partial.jsonl", [r.to_line() for r in records])
+            raise
+        _write_trace(out / "trace.jsonl", trace.to_lines())
+        (out / "report.json").write_text(trace.report.to_json() + "\n", encoding="utf-8")
+        text = render_text(trace.report.doc)
+        (out / "report.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -99,11 +110,10 @@ def _index_row(point: dict, out: Path) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = read_input(args.scenario, "scenario")
     grid = _grid_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    points = run_sweep(doc, grid, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
-    index = [_index_row(point, out) for point in points]
-    (out / "sweep.json").write_text(canonical_json({"points": index}) + "\n", encoding="utf-8")
+    with _output_dir(args.out) as out:
+        points = run_sweep(doc, grid, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
+        index = [_index_row(point, out) for point in points]
+        (out / "sweep.json").write_text(canonical_json({"points": index}) + "\n", encoding="utf-8")
     ok = sum(1 for r in index if r["ok"])
     sys.stdout.write(f"swept {len(index)} points ({ok} ok, {len(index) - ok} failed) -> {out}\n")
     for row in index:
@@ -129,7 +139,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     lines = [
         f"scenario {scenario_hash(scenario)[:16]} (schema {SCHEMA_VERSION}, tool {__version__})",
         f"  horizon {tl.horizon}, seed {scenario.seed}",
-        f"  timing: t_fin={tp.t_fin} t_rev={tp.t_rev} t_ws={tp.t_ws} t_cr={tp.t_cr} slash_delay={tp.slash_delay}",
+        "  timing: " + " ".join(f"{key}={value}" for key, value in timing_to_doc(tp).items()),
         f"  econ: {ep.n_validators} validators x stake {frac_str(ep.stake_per_validator)}"
         f" (total {frac_str(ep.s_tot)}), gamma {frac_str(ep.gamma)}, tvl {frac_str(ep.tvl)}",
         f"  {len(tl.transactions)} transactions, {len(tl.fork_events)} fork events,"

@@ -56,10 +56,12 @@ from .rational import frac_str, ratio_str
 from .report import ReportDocument, build_report, settlement_doc
 from .resolution import RevealClass, resolve
 from .scenario import (
+    SLOT,
     ForkEventMeta,
     Scenario,
     canonical_json,
     canonical_object,
+    canonical_template,
     econ_to_doc,
     scenario_hash,
     strategy_events,
@@ -69,11 +71,9 @@ from .version import SCHEMA_VERSION, __version__
 
 _PH_EPOCH, _PH_FINALIZE, _PH_EXECUTE, _PH_REVEAL = 0, 1, 2, 3
 
-# an `epoch_start` line, cut from `canonical_json`'s encoding around its
-# epoch and its tick (the keys sort epoch, kind, tick)
-_EPOCH_START_CUT = canonical_json({"tick": "\x00", "kind": "epoch_start", "epoch": "\x00"}).split(
-    canonical_json("\x00")
-)
+# an `epoch_start` line, cut around its epoch and its tick (the keys sort
+# epoch, kind, tick)
+_EPOCH_START_CUT = canonical_template({"tick": SLOT, "kind": "epoch_start", "epoch": SLOT})
 
 
 @dataclass(frozen=True)

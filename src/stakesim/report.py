@@ -39,8 +39,10 @@ from .errors import ScenarioError
 from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord, coverage_map
 from .rational import as_fraction, frac_decimal, frac_str
 from .scenario import (
+    SLOT,
     canonical_json,
     canonical_object,
+    canonical_template,
     confirmation_rule,
     integer,
     listing,
@@ -61,9 +63,6 @@ BOUND_ALIASES = {
 }
 
 
-# a value no cell of a per-epoch row holds (its sums are "p/q" strings):
-# a row template is cut where it stands
-_SLOT = "\x00"
 _SHAPE_CELLS = (
     "sum_all",
     "sum_hybrid",
@@ -83,7 +82,7 @@ def _row_template(row: dict) -> tuple[str, ...]:
     not cover."""
     if row.keys() != _ROW_KEYS:
         return ()
-    return tuple(canonical_json(dict(row, epoch=_SLOT, window=[_SLOT, _SLOT])).split(canonical_json(_SLOT)))
+    return tuple(canonical_template(dict(row, epoch=SLOT, window=[SLOT, SLOT])))
 
 
 def _epoch_rows_json(rows: Sequence[dict]) -> str:

@@ -6,6 +6,11 @@ transactions, fork_events, insurance_bids, policies, adversary, plus seed,
 horizon and the optional scripted attack_over_epoch. Values may be written
 as integers, "p/q" strings, or decimal strings; they are kept exact.
 
+Each block, the document included, is one ordered table of fields (JSON
+key, attribute, parser, serializer, default) that gives its allowed keys,
+its reader and, below the top level, its writer; only cross-field rules
+are written by hand.
+
 Parse errors cite the offending path ("transactions[2].value: ...").
 `read_field` is the one checked reader of JSON input: scenarios, trace
 records and sweep grid files all go through it. Serialization is
@@ -21,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .chain import (
     ChainTimeline,
@@ -44,24 +49,6 @@ from .insurance import InsuranceBid
 from .policies import AdversaryStrategy, PolicyKind, StrategyKind, default_rule
 from .rational import as_fraction, frac_str
 from .version import SCHEMA_VERSION
-
-_TOP_KEYS = {
-    "schema_version",
-    "horizon",
-    "seed",
-    "timing",
-    "econ",
-    "validators",
-    "transactions",
-    "fork_events",
-    "insurance_bids",
-    "policies",
-    "adversary",
-    "attack_over_epoch",
-}
-
-_TIMING_KEYS = ("t_fin", "t_rev", "t_ws", "t_cr", "slash_delay")
-_ECON_KEYS = ("stake_per_validator", "n_validators", "reward", "bribe_fail", "bribe_success", "gamma", "tvl")
 
 
 @dataclass(frozen=True)
@@ -190,13 +177,9 @@ def _members(kind: type) -> dict:
 
 
 optional_integer = optional(integer)
-_optional_listing = optional(listing)
 tx_kind = _lookup(_members(TxKind), "kind")
 confirmation_rule = _lookup(_members(ConfirmationRule), "rule")
-# null or "auto" read as None: the rule of the transactor's policy
-_rule_or_auto = _lookup({**_members(ConfirmationRule), "auto": None, None: None}, "rule")
 _policy_kind = _lookup(_members(PolicyKind), "policy")
-_strategy_kind = _lookup(_members(StrategyKind), "strategy")
 
 
 def _build(path: str, make: Callable[..., Any], **fields: Any) -> Any:
@@ -210,50 +193,199 @@ def _build(path: str, make: Callable[..., Any], **fields: Any) -> Any:
         raise ScenarioError(str(exc), path=path) from None
 
 
-def _check_keys(doc: dict, allowed: set[str], path: str):
-    if not isinstance(doc, dict):
-        _fail(path, f"expected an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys {unknown}")
+# -- the field tables ---------------------------------------------------------
+#
+# Each block of a scenario is one ordered table of fields. A field's codec is
+# the (parser, serializer) pair between its JSON value and its attribute.
+
+_INTEGER = (integer, _identity)
+_OPTIONAL_INTEGER = (optional_integer, _identity)
+_TEXT = (text, _identity)
+_VALUE = (as_fraction, frac_str)
+_BOOLEAN = (_boolean, _identity)
+_IDS = (_string_set, sorted)
+_value_of = attrgetter("value")
 
 
-def _parse_timing(tdoc: Any, path: str) -> TimingParams:
-    """The timing block; t_cr and slash_delay default to 0."""
-    _check_keys(tdoc, set(_TIMING_KEYS), path)
-    return _build(
-        path,
-        TimingParams,
-        t_fin=read_field(tdoc, "t_fin", path, integer),
-        t_rev=read_field(tdoc, "t_rev", path, integer),
-        t_ws=read_field(tdoc, "t_ws", path, integer),
-        t_cr=read_field(tdoc, "t_cr", path, integer, 0),
-        slash_delay=read_field(tdoc, "slash_delay", path, integer, 0),
-    )
+class _Field(NamedTuple):
+    """One key of a block: its JSON `key`, its `codec`, its `default` when
+    the key is absent (or `_REQUIRED`), and the attribute it fills, if that
+    is not named `key`."""
+
+    key: str
+    codec: tuple[Callable[[Any], Any], Callable[[Any], Any]]
+    default: Any = _REQUIRED
+    attr: str = ""
+
+    def read(self, doc: Any, path: str) -> Any:
+        return read_field(doc, self.key, path, self.codec[0], self.default)
 
 
-def _parse_econ(edoc: Any, path: str) -> EconParams:
-    """The econ block; every value but the validator set defaults to 0."""
-    _check_keys(edoc, set(_ECON_KEYS), path)
-    return _build(
-        path,
-        EconParams,
-        stake_per_validator=read_field(edoc, "stake_per_validator", path, as_fraction),
-        n_validators=read_field(edoc, "n_validators", path, integer),
-        reward=read_field(edoc, "reward", path, as_fraction, 0),
-        bribe_fail=read_field(edoc, "bribe_fail", path, as_fraction, 0),
-        bribe_success=read_field(edoc, "bribe_success", path, as_fraction, 0),
-        gamma=read_field(edoc, "gamma", path, as_fraction, 0),
-        tvl=read_field(edoc, "tvl", path, as_fraction, 0),
-    )
+class _Block:
+    """A block's field table and the object `make` builds from it, with its
+    key check, reader and writer planned once, when the table is made."""
+
+    def __init__(self, make: Callable[..., Any], *fields: _Field):
+        self.make = make
+        self.fields = fields
+        self.keys = frozenset(f.key for f in fields)
+        attrs = tuple(f.attr or f.key for f in fields)
+        self._reads = tuple((f.key, attr, f.codec[0], f.default) for f, attr in zip(fields, attrs))
+        self._keys = tuple(f.key for f in fields)
+        get = attrgetter(*attrs)
+        self._values = get if len(attrs) > 1 else lambda obj: (get(obj),)
+        # the writer copies every attribute, then serializes those whose
+        # value is not already its JSON
+        self._dumps = tuple((f.key, f.codec[1]) for f in fields if f.codec[1] is not _identity)
+
+    def read(self, doc: Any, path: str, allowed: Optional[frozenset[str]] = None) -> dict[str, Any]:
+        """{attribute: value} of every field of `doc`, an object with no key
+        outside `allowed` (the block's own keys unless given)."""
+        if not isinstance(doc, dict):
+            _fail(path, f"expected an object, got {type(doc).__name__}")
+        allowed = allowed or self.keys
+        if not doc.keys() <= allowed:
+            _fail(path, f"unknown keys {sorted(doc.keys() - allowed)}")
+        fields = {}
+        for key, attr, parse, default in self._reads:
+            fields[attr] = read_field(doc, key, path, parse, default)
+        return fields
+
+    def parse(self, doc: Any, path: str, allowed: Optional[frozenset[str]] = None) -> Any:
+        """`make` of the fields `read` gives, its domain errors cited at `path`."""
+        return _build(path, self.make, **self.read(doc, path, allowed))
+
+    def write(self, obj: Any) -> dict[str, Any]:
+        """The block's document for `obj`, which has every field's attribute."""
+        doc = dict(zip(self._keys, self._values(obj)))
+        for key, dump in self._dumps:
+            doc[key] = dump(doc[key])
+        return doc
 
 
-def _exact_block(block: Any, parse, dump, path: str):
+_TIMING = _Block(
+    TimingParams,
+    _Field("t_fin", _INTEGER),
+    _Field("t_rev", _INTEGER),
+    _Field("t_ws", _INTEGER),
+    _Field("t_cr", _INTEGER, 0),
+    _Field("slash_delay", _INTEGER, 0),
+)
+_ECON = _Block(
+    EconParams,
+    _Field("stake_per_validator", _VALUE),
+    _Field("n_validators", _INTEGER),
+    _Field("reward", _VALUE, 0),
+    _Field("bribe_fail", _VALUE, 0),
+    _Field("bribe_success", _VALUE, 0),
+    _Field("gamma", _VALUE, 0),
+    _Field("tvl", _VALUE, 0),
+)
+_VALIDATOR = _Block(
+    ValidatorState,
+    _Field("id", _TEXT),
+    _Field("stake", _VALUE),
+    _Field("earmarked_fraction", _VALUE, 0),
+    _Field("exit_tick", _OPTIONAL_INTEGER, None),
+)
+# a null or "auto" rule reads as None: the rule of the transactor's policy
+_RULE = (_lookup({**_members(ConfirmationRule), "auto": None, None: None}, "rule"), _value_of)
+_TRANSACTION = _Block(
+    TransactionRecord,
+    _Field("id", _TEXT),
+    _Field("transactor", _TEXT),
+    _Field("value", _VALUE),
+    _Field("kind", (tx_kind, _value_of)),
+    _Field("finalized_at", _INTEGER),
+    _Field("rule", _RULE, None),
+    _Field("offchain_executed_at", _OPTIONAL_INTEGER, None),
+    _Field("insured_epoch", _OPTIONAL_INTEGER, None),
+)
+_FORK_EVENT = _Block(
+    ForkRevealEvent,
+    _Field("id", _TEXT),
+    _Field("diverges_from", _INTEGER, attr="diverges_from_block_finalized_at"),
+    _Field("revealed_at", _INTEGER),
+    _Field("double_signers", _IDS, frozenset()),
+    _Field("double_signer_stake", _VALUE, 0),
+)
+_FORK_META = _Block(
+    ForkEventMeta, _Field("adversary_wins", _BOOLEAN, True), _Field("bridge_post_delay", _INTEGER, 0)
+)
+_FORK_KEYS = _FORK_EVENT.keys | _FORK_META.keys
+_BID = _Block(
+    InsuranceBid,
+    _Field("transactor", _TEXT),
+    _Field("epoch_placed", _INTEGER),
+    _Field("coverage", _VALUE, attr="coverage_requested"),
+    _Field("premium_rate", _VALUE),
+)
+
+# Each strategy kind takes `kind` and its own fields; any other field is an
+# unknown key. A field its kind needs but the document leaves out reads as
+# None, and `AdversaryStrategy` rejects it.
+_KIND = _Field("kind", (_lookup(_members(StrategyKind), "strategy"), _value_of), StrategyKind.NONE)
+_TARGET = (_Field("tick", _INTEGER, None), _Field("target_t0", _INTEGER, 0))
+_SIGNED = (*_TARGET, _Field("stake_fraction", _VALUE, None))
+_STRATEGIES = {
+    kind: _Block(AdversaryStrategy, _KIND, *fields)
+    for kind, fields in {
+        StrategyKind.NONE: (),
+        StrategyKind.DOUBLE_SIGN_AT: _SIGNED,
+        StrategyKind.LONG_RANGE_AT: (*_TARGET, _Field("exited_set", _IDS, frozenset())),
+        StrategyKind.GRIEVING_BUYOUT: (_Field("premium_rate", _VALUE, None), _Field("attack_epoch", _INTEGER, 2)),
+        StrategyKind.BRIBERY_PROBE: (
+            *_SIGNED,
+            _Field("bribe_fail", _VALUE, None),
+            _Field("bribe_success", _VALUE, None),
+            _Field("mechanism", _TEXT, "slashing"),
+        ),
+    }.items()
+}
+
+
+def _strategy_to_doc(st: AdversaryStrategy) -> dict:
+    doc = _STRATEGIES[st.kind].write(st)
+    if not st.exited_set:  # an empty exited_set is left out
+        doc.pop("exited_set", None)
+    return doc
+
+
+_ADVERSARY = _Block(
+    dict,
+    _Field("strategy", (_identity, _strategy_to_doc), {}),
+    _Field("transactors", _IDS, frozenset(), "adversary_transactors"),
+)
+# the document itself: its blocks are read one by one below, in the order
+# their cross-field checks need, and `scenario_to_doc` writes it
+_OBJECT = (_identity, _identity)
+_LIST = (listing, _identity)
+_DOCUMENT = _Block(
+    dict,
+    _Field("schema_version", _INTEGER),
+    _Field("horizon", _INTEGER),
+    _Field("seed", _INTEGER, 0),
+    _Field("timing", _OBJECT),
+    _Field("econ", _OBJECT),
+    _Field("validators", (optional(listing), _identity), None),
+    _Field("transactions", _LIST, ()),
+    _Field("fork_events", _LIST, ()),
+    _Field("insurance_bids", _LIST, ()),
+    _Field("policies", (_mapping, _identity), {}),
+    _Field("adversary", _OBJECT, {}),
+    _Field("attack_over_epoch", _OPTIONAL_INTEGER, None),
+)
+
+
+# -- parsing ------------------------------------------------------------------
+
+
+def _exact_block(doc: Any, block: _Block, path: str):
     """Parse a block that must already be in canonical form: every key
-    present and every value exactly as `dump` writes it back."""
-    value = parse(block, path)
-    for key, canonical in dump(value).items():
-        raw = read_field(block, key, path)
+    present and every value exactly as the block writes it back."""
+    value = block.parse(doc, path)
+    for key, canonical in block.write(value).items():
+        raw = read_field(doc, key, path)
         if raw != canonical:
             _fail(f"{path}.{key}", f"expected canonical {canonical!r}, got {raw!r}")
     return value
@@ -268,60 +400,52 @@ def parse_run_header(header: dict, path: str) -> tuple[Tick, TimingParams, EconP
     """
     return (
         read_field(header, "horizon", path, integer),
-        _exact_block(read_field(header, "timing", path), _parse_timing, timing_to_doc, f"{path}.timing"),
-        _exact_block(read_field(header, "econ", path), _parse_econ, econ_to_doc, f"{path}.econ"),
+        _exact_block(read_field(header, "timing", path), _TIMING, f"{path}.timing"),
+        _exact_block(read_field(header, "econ", path), _ECON, f"{path}.econ"),
     )
 
 
 def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
     """Validate a scenario document and build its immutable objects."""
-    _check_keys(doc, _TOP_KEYS, source)
-    version = read_field(doc, "schema_version", source, integer)
+    top = _DOCUMENT.read(doc, source)
+    version = top["schema_version"]
     if version != SCHEMA_VERSION:
         _fail(f"{source}.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
+    horizon = top["horizon"]
 
-    horizon = read_field(doc, "horizon", source, integer)
-    seed = read_field(doc, "seed", source, integer, 0)
+    timing = _TIMING.parse(top["timing"], f"{source}.timing")
+    econ = _ECON.parse(top["econ"], f"{source}.econ")
 
-    timing = _parse_timing(read_field(doc, "timing", source), f"{source}.timing")
-    econ = _parse_econ(read_field(doc, "econ", source), f"{source}.econ")
-
-    validators = _parse_validators(
-        read_field(doc, "validators", source, _optional_listing, None), econ, f"{source}.validators"
-    )
+    validators = _parse_validators(top["validators"], econ, f"{source}.validators")
 
     path = f"{source}.policies"
-    pdoc = read_field(doc, "policies", source, _mapping, {})
+    pdoc = top["policies"]
     policies = {tr: read_field(pdoc, tr, path, _policy_kind) for tr in pdoc}
     default_policy = policies.pop("*", PolicyKind.ALWAYS_SECURE)
 
     path = f"{source}.transactions"
     transactions = [
         _parse_transaction(item, timing, policies, default_policy, f"{path}[{i}]")
-        for i, item in enumerate(read_field(doc, "transactions", source, listing, ()))
+        for i, item in enumerate(top["transactions"])
     ]
 
     path = f"{source}.fork_events"
     fork_events = []
     fork_meta: dict[str, ForkEventMeta] = {}
-    for i, item in enumerate(read_field(doc, "fork_events", source, listing, ())):
+    for i, item in enumerate(top["fork_events"]):
         ev, meta = _parse_fork_event(item, timing, f"{path}[{i}]")
         fork_events.append(ev)
         fork_meta[ev.id] = meta
 
     path = f"{source}.insurance_bids"
-    bids = tuple(
-        _parse_bid(item, f"{path}[{i}]")
-        for i, item in enumerate(read_field(doc, "insurance_bids", source, listing, ()))
-    )
+    bids = tuple(_BID.parse(item, f"{path}[{i}]") for i, item in enumerate(top["insurance_bids"]))
 
     path = f"{source}.adversary"
-    adoc = read_field(doc, "adversary", source, default={})
-    _check_keys(adoc, {"strategy", "transactors"}, path)
-    strategy = _parse_strategy(read_field(adoc, "strategy", path, default={}), f"{path}.strategy")
-    adversary_transactors = read_field(adoc, "transactors", path, _string_set, frozenset())
+    adversary = _ADVERSARY.read(top["adversary"], path)
+    path, sdoc = f"{path}.strategy", adversary["strategy"]
+    strategy = _STRATEGIES[_KIND.read(sdoc, path)].parse(sdoc, path)
 
-    attack_over = read_field(doc, "attack_over_epoch", source, optional_integer, None)
+    attack_over = top["attack_over_epoch"]
     if attack_over is not None and attack_over < 0:
         _fail(f"{source}.attack_over_epoch", "must be >= 0")
 
@@ -337,10 +461,10 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
         policies=policies,
         default_policy=default_policy,
         strategy=strategy,
-        adversary_transactors=adversary_transactors,
+        adversary_transactors=adversary["adversary_transactors"],
         fork_meta=fork_meta,
         attack_over_epoch=attack_over,
-        seed=seed,
+        seed=top["seed"],
     )
     # the scripted fork must fit the chain `run` will build it into, beside
     # the scenario's own fork events
@@ -362,124 +486,30 @@ def _parse_validators(vdoc: Optional[list], econ: EconParams, path: str) -> list
             ValidatorState(id=f"v{i + 1:0{width}d}", stake=econ.stake_per_validator, earmarked_fraction=econ.gamma)
             for i in range(econ.n_validators)
         ]
-    out = []
-    for i, item in enumerate(vdoc):
-        p = f"{path}[{i}]"
-        _check_keys(item, {"id", "stake", "earmarked_fraction", "exit_tick"}, p)
-        out.append(
-            _build(
-                p,
-                ValidatorState,
-                id=read_field(item, "id", p, text),
-                stake=read_field(item, "stake", p, as_fraction),
-                earmarked_fraction=read_field(item, "earmarked_fraction", p, as_fraction, 0),
-                exit_tick=read_field(item, "exit_tick", p, optional_integer, None),
-            )
-        )
-    return out
+    return [_VALIDATOR.parse(item, f"{path}[{i}]") for i, item in enumerate(vdoc)]
 
 
 def _parse_transaction(
     item, timing: TimingParams, policies: dict[str, PolicyKind], default_policy: PolicyKind, path: str
 ) -> TransactionRecord:
-    _check_keys(
-        item,
-        {"id", "transactor", "value", "kind", "finalized_at", "rule", "offchain_executed_at", "insured_epoch"},
-        path,
-    )
-    tx_id = read_field(item, "id", path, text)
-    transactor = read_field(item, "transactor", path, text)
-    kind = read_field(item, "kind", path, tx_kind)
-    finalized_at = read_field(item, "finalized_at", path, integer)
-    rule = read_field(item, "rule", path, _rule_or_auto, None)
-    if rule is None:
-        rule = default_rule(policies.get(transactor, default_policy))
-    offchain = read_field(item, "offchain_executed_at", path, optional_integer, None)
-
-    insured_epoch = read_field(item, "insured_epoch", path, optional_integer, None)
-    if kind is TxKind.HYBRID and rule is ConfirmationRule.INSURED_IMMEDIATE:
-        expected = epoch_of(finalized_at, timing.t_rev)
-        if insured_epoch is None:
-            insured_epoch = expected
-        elif insured_epoch != expected:
-            _fail(f"{path}.insured_epoch", f"{insured_epoch} disagrees with finalization epoch {expected}")
-
-    return _build(
-        path,
-        TransactionRecord,
-        id=tx_id,
-        transactor=transactor,
-        value=read_field(item, "value", path, as_fraction),
-        kind=kind,
-        finalized_at=finalized_at,
-        rule=rule,
-        offchain_executed_at=offchain,
-        insured_epoch=insured_epoch,
-    )
+    fields = _TRANSACTION.read(item, path)
+    if fields["rule"] is None:
+        fields["rule"] = default_rule(policies.get(fields["transactor"], default_policy))
+    if fields["kind"] is TxKind.HYBRID and fields["rule"] is ConfirmationRule.INSURED_IMMEDIATE:
+        expected, insured = epoch_of(fields["finalized_at"], timing.t_rev), fields["insured_epoch"]
+        if insured is None:
+            fields["insured_epoch"] = expected
+        elif insured != expected:
+            _fail(f"{path}.insured_epoch", f"{insured} disagrees with finalization epoch {expected}")
+    return _build(path, _TRANSACTION.make, **fields)
 
 
 def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkRevealEvent, ForkEventMeta]:
-    _check_keys(
-        item,
-        {"id", "diverges_from", "revealed_at", "double_signers", "double_signer_stake",
-         "adversary_wins", "bridge_post_delay"},
-        path,
-    )
-    delay = read_field(item, "bridge_post_delay", path, integer, 0)
-    if not 0 <= delay <= timing.t_cr:
+    ev = _FORK_EVENT.parse(item, path, _FORK_KEYS)
+    meta = _FORK_META.parse(item, path, _FORK_KEYS)
+    if not 0 <= meta.bridge_post_delay <= timing.t_cr:
         _fail(f"{path}.bridge_post_delay", f"must lie in [0, t_cr={timing.t_cr}]")
-    wins = read_field(item, "adversary_wins", path, _boolean, True)
-    ev = _build(
-        path,
-        ForkRevealEvent,
-        id=read_field(item, "id", path, text),
-        diverges_from_block_finalized_at=read_field(item, "diverges_from", path, integer),
-        revealed_at=read_field(item, "revealed_at", path, integer),
-        double_signers=read_field(item, "double_signers", path, _string_set, frozenset()),
-        double_signer_stake=read_field(item, "double_signer_stake", path, as_fraction, 0),
-    )
-    return ev, ForkEventMeta(adversary_wins=wins, bridge_post_delay=delay)
-
-
-def _parse_bid(item, path: str) -> InsuranceBid:
-    _check_keys(item, {"transactor", "epoch_placed", "coverage", "premium_rate"}, path)
-    return _build(
-        path,
-        InsuranceBid,
-        transactor=read_field(item, "transactor", path, text),
-        epoch_placed=read_field(item, "epoch_placed", path, integer),
-        coverage_requested=read_field(item, "coverage", path, as_fraction),
-        premium_rate=read_field(item, "premium_rate", path, as_fraction),
-    )
-
-
-# The fields each strategy kind takes, as (parser, serializer) pairs; any
-# other field is an unknown key.
-_INTEGER = (integer, _identity)
-_VALUE = (as_fraction, frac_str)
-_TARGET = {"tick": _INTEGER, "target_t0": _INTEGER}
-_SIGNED = {**_TARGET, "stake_fraction": _VALUE}
-_STRATEGY_FIELDS = {
-    StrategyKind.NONE: {},
-    StrategyKind.DOUBLE_SIGN_AT: _SIGNED,
-    StrategyKind.LONG_RANGE_AT: {**_TARGET, "exited_set": (_string_set, sorted)},
-    StrategyKind.GRIEVING_BUYOUT: {"premium_rate": _VALUE, "attack_epoch": _INTEGER},
-    StrategyKind.BRIBERY_PROBE: {
-        **_SIGNED, "bribe_fail": _VALUE, "bribe_success": _VALUE, "mechanism": (text, _identity)
-    },
-}
-
-
-def _parse_strategy(item, path: str) -> AdversaryStrategy:
-    kind = read_field(item, "kind", path, _strategy_kind, StrategyKind.NONE)
-    fields = _STRATEGY_FIELDS[kind]
-    _check_keys(item, {"kind", *fields}, path)
-    return _build(
-        path,
-        AdversaryStrategy,
-        kind=kind,
-        **{name: read_field(item, name, path, parse) for name, (parse, _) in fields.items() if name in item},
-    )
+    return ev, meta
 
 
 # -- the adversary's scripted fork --------------------------------------------
@@ -551,88 +581,35 @@ def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], dict[str, Fork
 
 def scenario_to_doc(sc: Scenario) -> dict:
     """Canonical, normalized document; parse(scenario_to_doc(sc)) == sc."""
-    doc: dict[str, Any] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "horizon": sc.timeline.horizon,
         "seed": sc.seed,
         "timing": timing_to_doc(sc.timing),
         "econ": econ_to_doc(sc.econ),
-        "validators": [
-            {
-                "id": v.id,
-                "stake": frac_str(v.stake),
-                "earmarked_fraction": frac_str(v.earmarked_fraction),
-                "exit_tick": v.exit_tick,
-            }
-            for v in sc.timeline.validators
-        ],
-        "transactions": [
-            {
-                "id": t.id,
-                "transactor": t.transactor,
-                "value": frac_str(t.value),
-                "kind": t.kind.value,
-                "finalized_at": t.finalized_at,
-                "rule": t.rule.value,
-                "offchain_executed_at": t.offchain_executed_at,
-                "insured_epoch": t.insured_epoch,
-            }
-            for t in sc.timeline.transactions
-        ],
+        "validators": list(map(_VALIDATOR.write, sc.timeline.validators)),
+        "transactions": list(map(_TRANSACTION.write, sc.timeline.transactions)),
         "fork_events": [
-            {
-                "id": e.id,
-                "diverges_from": e.diverges_from_block_finalized_at,
-                "revealed_at": e.revealed_at,
-                "double_signers": sorted(e.double_signers),
-                "double_signer_stake": frac_str(e.double_signer_stake),
-                "adversary_wins": sc.fork_meta[e.id].adversary_wins,
-                "bridge_post_delay": sc.fork_meta[e.id].bridge_post_delay,
-            }
-            for e in sc.timeline.fork_events
+            {**_FORK_EVENT.write(e), **_FORK_META.write(sc.fork_meta[e.id])} for e in sc.timeline.fork_events
         ],
-        "insurance_bids": [
-            {
-                "transactor": b.transactor,
-                "epoch_placed": b.epoch_placed,
-                "coverage": frac_str(b.coverage_requested),
-                "premium_rate": frac_str(b.premium_rate),
-            }
-            for b in sc.bids
-        ],
+        "insurance_bids": list(map(_BID.write, sc.bids)),
         "policies": {
             **{tr: p.value for tr, p in sorted(sc.policies.items())},
             "*": sc.default_policy.value,
         },
-        "adversary": {
-            "strategy": _strategy_to_doc(sc.strategy),
-            "transactors": sorted(sc.adversary_transactors),
-        },
+        "adversary": _ADVERSARY.write(sc),
         "attack_over_epoch": sc.attack_over_epoch,
     }
-    return doc
 
 
 def timing_to_doc(tp: TimingParams) -> dict:
     """The timing block of a scenario and of a trace's run_start record."""
-    return {key: getattr(tp, key) for key in _TIMING_KEYS}
+    return _TIMING.write(tp)
 
 
 def econ_to_doc(ep: EconParams) -> dict:
     """The econ block of a scenario and of a trace's run_start record."""
-    return {
-        key: ep.n_validators if key == "n_validators" else frac_str(getattr(ep, key))
-        for key in _ECON_KEYS
-    }
-
-
-def _strategy_to_doc(st: AdversaryStrategy) -> dict:
-    doc: dict[str, Any] = {"kind": st.kind.value}
-    for name, (_, dump) in _STRATEGY_FIELDS[st.kind].items():
-        value = getattr(st, name)
-        if value or name != "exited_set":  # an empty exited_set is left out
-            doc[name] = dump(value)
-    return doc
+    return _ECON.write(ep)
 
 
 # one encoder for every call: `json.dumps` with non-default arguments builds a new one each time
@@ -650,6 +627,17 @@ def canonical_object(fields: Mapping[str, str]) -> str:
     sorts them, so `canonical_object({k: canonical_json(v) for k, v in
     doc.items()}) == canonical_json(doc)`."""
     return "{" + ",".join(f"{canonical_json(key)}:{value}" for key, value in sorted(fields.items())) + "}"
+
+
+# the hole in a template: a string no value of a templated record holds, so
+# `canonical_template` cuts the encoding where it stands
+SLOT = "\x00"
+
+
+def canonical_template(doc: Any) -> list[str]:
+    """`canonical_json(doc)` cut at each `SLOT` value in `doc`: the pieces
+    that the encoded values of those holes are set between."""
+    return canonical_json(doc).split(canonical_json(SLOT))
 
 
 def scenario_hash(sc: Scenario) -> str:

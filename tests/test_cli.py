@@ -450,6 +450,23 @@ def test_unreadable_input_is_a_path_citing_error(tmp_path, capsys, verb, unreada
     assert "Traceback" not in err
 
 
+OUTPUT_ARGS = {
+    "run": lambda out: ["run", "--scenario", DEMO, "--out", out],
+    "sweep": lambda out: ["sweep", "--scenario", DEMO, "--set", "econ.gamma=1/2", "--out", out],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(OUTPUT_ARGS))
+def test_an_output_directory_that_is_a_file_is_one_error_line(tmp_path, capsys, verb):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(OUTPUT_ARGS[verb](str(taken))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {taken}: cannot write output: ")
+    assert captured.err.count("\n") == 1
+
+
 # -- installed entry point -----------------------------------------------------------
 
 

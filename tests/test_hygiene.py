@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -138,3 +139,20 @@ def test_unused_private_attributes_are_detected():
 def test_every_private_name_in_the_package_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unused_private_names(sources) == []
+
+
+def test_every_benchmark_trace_target_resolves():
+    """The benchmark's traced mode wraps each (module, attribute) in its
+    tracer's TARGETS where callers look it up; a refactor that moves one
+    breaks that mode, so each must still name something."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

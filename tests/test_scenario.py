@@ -18,6 +18,7 @@ from stakesim import (
     scenario_hash,
     scenario_to_doc,
 )
+import stakesim.scenario as scenario_module
 from stakesim.errors import ScenarioError
 from stakesim.scenario import canonical_object
 
@@ -293,6 +294,114 @@ def test_round_trip_is_identity(strategy):
     assert sc2 == sc
     assert scenario_to_doc(sc2) == doc2
     assert scenario_hash(sc2) == scenario_hash(sc)
+
+
+# -- the field tables ------------------------------------------------------------
+
+
+def full_doc(strategy: dict) -> dict:
+    """A document with one of each block, every key of each written out."""
+    return minimal_doc(
+        seed=9,
+        timing={"t_fin": 2, "t_rev": 10, "t_ws": 100, "t_cr": 3, "slash_delay": 1},
+        econ={
+            "stake_per_validator": 32, "n_validators": 4, "reward": 1, "bribe_fail": 2,
+            "bribe_success": 3, "gamma": "1/2", "tvl": 480,
+        },
+        validators=[
+            {"id": f"v{i}", "stake": 32, "earmarked_fraction": "1/2", "exit_tick": None} for i in range(1, 5)
+        ],
+        transactions=[
+            {"id": "t1", "transactor": "alice", "value": "7/2", "kind": "hybrid", "finalized_at": 25,
+             "rule": "insured_immediate", "offchain_executed_at": None, "insured_epoch": 2}
+        ],
+        fork_events=[
+            {"id": "f", "diverges_from": 10, "revealed_at": 14, "double_signers": ["v1"],
+             "double_signer_stake": 32, "adversary_wins": False, "bridge_post_delay": 2}
+        ],
+        insurance_bids=[{"transactor": "alice", "epoch_placed": 0, "coverage": 10, "premium_rate": "1/50"}],
+        policies={"alice": "insured_fast_ux", "*": "always_secure"},
+        adversary={"strategy": dict(strategy), "transactors": ["mallory"]},
+        attack_over_epoch=4,
+    )
+
+
+STRATEGY_DOCS = {st["kind"]: st for st in STRATEGIES}
+# (name, the block's field tables, where it sits in a document, the path its
+# errors cite, the strategy of the document it is tested in)
+BLOCKS = [
+    ("document", [scenario_module._DOCUMENT], (), "s", "none"),
+    ("timing", [scenario_module._TIMING], ("timing",), "s.timing", "none"),
+    ("econ", [scenario_module._ECON], ("econ",), "s.econ", "none"),
+    ("validator", [scenario_module._VALIDATOR], ("validators", 0), "s.validators[0]", "none"),
+    ("transaction", [scenario_module._TRANSACTION], ("transactions", 0), "s.transactions[0]", "none"),
+    (
+        "fork_event",
+        [scenario_module._FORK_EVENT, scenario_module._FORK_META],
+        ("fork_events", 0),
+        "s.fork_events[0]",
+        "none",
+    ),
+    ("insurance_bid", [scenario_module._BID], ("insurance_bids", 0), "s.insurance_bids[0]", "none"),
+    ("adversary", [scenario_module._ADVERSARY], ("adversary",), "s.adversary", "none"),
+] + [
+    (f"strategy-{kind.value}", [block], ("adversary", "strategy"), "s.adversary.strategy", kind.value)
+    for kind, block in scenario_module._STRATEGIES.items()
+]
+REQUIRED = [
+    (name, where, path, strategy, field.key)
+    for name, tables, where, path, strategy in BLOCKS
+    for table in tables
+    for field in table.fields
+    if field.default is scenario_module._REQUIRED
+]
+
+
+def block_at(doc: dict, where: tuple):
+    for step in where:
+        doc = doc[step]
+    return doc
+
+
+@pytest.mark.parametrize("name,tables,where,path,strategy", BLOCKS, ids=[b[0] for b in BLOCKS])
+def test_a_stray_key_is_an_unknown_key_at_the_blocks_path(name, tables, where, path, strategy):
+    doc = full_doc(STRATEGY_DOCS[strategy])
+    block_at(doc, where)["x"] = 1
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc, source="s")
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: unknown keys ['x']"
+
+
+@pytest.mark.parametrize("name,where,path,strategy,key", REQUIRED, ids=[f"{r[0]}.{r[4]}" for r in REQUIRED])
+def test_each_required_key_is_missing_at_its_own_path(name, where, path, strategy, key):
+    doc = full_doc(STRATEGY_DOCS[strategy])
+    del block_at(doc, where)[key]
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc, source="s")
+    assert exc.value.path == f"{path}.{key}"
+    assert str(exc.value) == f"{path}.{key}: missing required key"
+
+
+@pytest.mark.parametrize("name,tables,where,path,strategy", BLOCKS, ids=[b[0] for b in BLOCKS])
+def test_the_writer_writes_exactly_the_keys_the_reader_takes(name, tables, where, path, strategy):
+    written = block_at(scenario_to_doc(parse_scenario(full_doc(STRATEGY_DOCS[strategy]))), where)
+    assert set(written) == set().union(*(table.keys for table in tables))
+
+
+def test_an_empty_exited_set_is_the_one_key_left_out():
+    doc = full_doc({"kind": "long_range_at", "tick": 30, "target_t0": 0})
+    sc = parse_scenario(doc)
+    written = scenario_to_doc(sc)["adversary"]["strategy"]
+    assert set(written) == scenario_module._STRATEGIES[StrategyKind.LONG_RANGE_AT].keys - {"exited_set"}
+    assert parse_scenario(scenario_to_doc(sc)) == sc
+
+
+def test_readme_documents_every_key_of_every_block():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n")[1].split("\n## ")[0]
+    keys = {field.key for _, tables, *_ in BLOCKS for table in tables for field in table.fields}
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []
 
 
 def test_fixture_documents_round_trip(rng):
