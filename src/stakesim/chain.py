@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -248,19 +249,25 @@ class ChainTimeline:
     validators: tuple[ValidatorState, ...] = ()
 
     @cached_property
-    def _gamma_index(self) -> dict[GammaFilter, tuple[list[Tick], list[Fraction]]]:
+    def _gamma_index(self) -> dict[GammaFilter, tuple[list[Tick], list[int], int]]:
         """Per filter: the sorted finalization ticks of the matching
-        transactions and the exact prefix sums of their values (one more
-        entry than ticks). Built on first use and kept on this object only,
-        outside the fields, so equality, hashing and `replace` ignore it.
-        Sorts by tick itself: timelines need not come from build_timeline."""
+        transactions, the prefix sums of their values as integers over one
+        common denominator (one more entry than ticks), and that
+        denominator, the lcm of the values' denominators. Built on first
+        use and kept on this object only, outside the fields, so equality,
+        hashing and `replace` ignore it. Sorts by tick itself: timelines
+        need not come from build_timeline. `gamma_value` queries it, and
+        `econ.window_sup` sweeps it directly."""
         ordered = sorted(self.transactions, key=attrgetter("finalized_at"))
         index = {}
         for selector in GammaFilter:
             matching = [tx for tx in ordered if _matches(tx, selector)]
+            den = lcm(*(tx.value.denominator for tx in matching))
+            scaled = (tx.value.numerator * (den // tx.value.denominator) for tx in matching)
             index[selector] = (
                 [tx.finalized_at for tx in matching],
-                list(accumulate((tx.value for tx in matching), initial=Fraction(0))),
+                list(accumulate(scaled, initial=0)),
+                den,
             )
         return index
 
@@ -379,12 +386,13 @@ def gamma_value(
     selector: GammaFilter = GammaFilter.ALL,
 ) -> Fraction:
     """Total value of the transactions finalized in [t0, t1) that pass
-    `selector`: two binary searches into the timeline's prefix sums, and
-    one subtraction only when the window holds a matching transaction."""
+    `selector`: two binary searches into the timeline's integer prefix
+    sums, and one integer subtraction over their common denominator only
+    when the window holds a matching transaction."""
     if t0 >= t1:
         raise EmptyIntervalError(f"empty interval [{t0}, {t1})")
-    ticks, prefix = timeline._gamma_index[selector]
+    ticks, prefix, den = timeline._gamma_index[selector]
     lo, hi = bisect_left(ticks, t0), bisect_left(ticks, t1)
     if lo == hi:
         return _NO_VALUE
-    return prefix[hi] - prefix[lo]
+    return Fraction(prefix[hi] - prefix[lo], den)

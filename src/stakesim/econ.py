@@ -154,20 +154,36 @@ def window_sup(
 
     Candidate starts {0} union {finalized_at of each record} suffice: a
     maximizing window shifted right until its earliest record sits at the
-    start keeps every record it had. The witness is the smallest maximizing
-    candidate; an empty selection has value 0 and no witness.
+    start keeps every record it had. One sweep walks the candidates in
+    order with two indices into the filtered ticks, `lo` (first tick >= t)
+    and `hi` (first tick >= t + t_rev), and compares the timeline's integer
+    prefix sums; only a strictly larger total replaces the best, so the
+    witness is the smallest maximizing candidate. Its exact value is one
+    `gamma_value` call. An empty selection has value 0 and no witness.
     """
     if t_rev < 1:
         raise EmptyIntervalError(f"window length must be >= 1, got {t_rev}")
     kind = next((k for k, f in _KIND_FILTER.items() if f is selector), PfcKind.REORG_WINDOW)
-    starts = sorted({0} | {tx.finalized_at for tx in timeline.transactions})
-    best = Fraction(0)
-    witness: Optional[Tick] = None
-    for t in starts:
-        total = gamma_value(timeline, t, t + t_rev, selector)
+    index = timeline._gamma_index
+    ticks, prefix, _ = index[selector]
+    # every record's tick, sorted; a repeated start repeats its total
+    starts = index[GammaFilter.ALL][0]
+    n = len(ticks)
+    lo = hi = 0
+    best, witness = 0, None
+    for t in [0, *starts]:
+        while lo < n and ticks[lo] < t:
+            lo += 1
+        end = t + t_rev
+        while hi < n and ticks[hi] < end:
+            hi += 1
+        total = prefix[hi] - prefix[lo]
         if total > best:
             best, witness = total, t
-    return PfcBound(kind=kind, value=best, witness_window_start=witness)
+    if witness is None:
+        return PfcBound(kind=kind, value=Fraction(0))
+    value = gamma_value(timeline, witness, witness + t_rev, selector)
+    return PfcBound(kind=kind, value=value, witness_window_start=witness)
 
 
 def pfc_ladder(timeline: ChainTimeline, tp: TimingParams, ep: EconParams) -> tuple[PfcBound, ...]:

@@ -447,11 +447,14 @@ class _Run:
 
     def finish(self, horizon: Tick) -> SimTrace:
         # rule is not a sort key, so the validated timeline stays valid
-        # the ledger follows the run's effective view from here on
+        # the ledger follows the run's effective view from here on; only a
+        # transaction whose rule fell back is rebuilt
         self.ledger.timeline = replace(
             self.timeline,
             transactions=tuple(
-                replace(tx, rule=self.effective_rule.get(tx.id, tx.rule))
+                tx
+                if (rule := self.effective_rule.get(tx.id, tx.rule)) is tx.rule
+                else replace(tx, rule=rule)
                 for tx in self.timeline.transactions
             ),
         )

@@ -31,7 +31,7 @@ however many backers there are.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -148,6 +148,8 @@ class InsuranceLot:
     backing sums to `coverage`. Lots sold by a ledger always have backers;
     the standalone auction helper may sell lots nobody backs, for purely
     analytical use, and `InsuranceLedger.record_lot` files only such lots.
+    `premium_paid`, coverage times premium rate, is multiplied once, when
+    the lot is made.
     """
 
     id: str
@@ -157,20 +159,18 @@ class InsuranceLot:
     epoch_placed: EpochIndex
     state: LotState = LotState.PENDING
     backers: _Backers = _NO_BACKERS
+    premium_paid: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.coverage <= 0:
             raise InvariantViolationError(f"lot {self.id!r}: coverage must be > 0")
+        self.premium_paid = self.coverage * self.premium_rate
 
     @property
     def backing(self) -> dict[str, Fraction]:
         """Validator id to the exact amount of its earmarked stake locked
         behind this lot."""
         return {v: Fraction(n, d) for v, n, d in self.backers.backing(self.coverage)}
-
-    @property
-    def premium_paid(self) -> Fraction:
-        return self.coverage * self.premium_rate
 
     @property
     def covering_epoch(self) -> EpochIndex:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +80,21 @@ def random_window_timeline(rng: random.Random, *, max_txs: int = 50, horizon: in
             )
         )
     return build_timeline(horizon=horizon, transactions=txs)
+
+
+# Denominators 3, 6, 10 and 7: their lcm, 210, is above each of them.
+_VALUE_PARTS = (Fraction(0), Fraction(1, 3), Fraction(5, 6), Fraction(7, 10), Fraction(2, 7))
+
+
+def random_fraction_window_timeline(
+    rng: random.Random, *, max_txs: int = 50, horizon: int | None = None
+) -> ChainTimeline:
+    """`random_window_timeline` with each integer value scaled by one of
+    `_VALUE_PARTS`, so a filter's values have mixed denominators and their
+    common denominator can exceed every single one."""
+    tl = random_window_timeline(rng, max_txs=max_txs, horizon=horizon)
+    scaled = (replace(tx, value=tx.value * rng.choice(_VALUE_PARTS)) for tx in tl.transactions)
+    return replace(tl, transactions=tuple(scaled))
 
 
 def random_physical_timeline(

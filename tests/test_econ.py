@@ -26,6 +26,7 @@ from stakesim import (
     build_report,
     build_timeline,
     cost_of_corruption,
+    gamma_value,
     karma_report,
     payoff,
     pfc_ladder,
@@ -33,10 +34,12 @@ from stakesim import (
     token_toxicity_bribe_outlay,
     window_sup,
 )
+from stakesim import econ
 from stakesim.econ import strong_safety_flags
 from stakesim.errors import EmptyIntervalError, LedgerMismatchError
 
 from oracles import (
+    passes_filter,
     window_totals,
     dominance_oracle,
     insured_ok_oracle,
@@ -44,7 +47,7 @@ from oracles import (
     window_sup_oracle,
     window_sup_oracle_quadratic,
 )
-from conftest import random_window_timeline
+from conftest import random_fraction_window_timeline, random_window_timeline
 
 
 def ep(s=32, n=4, r=1, b1=33, b2=33, gamma=Fraction(1, 2), tvl=100):
@@ -173,27 +176,78 @@ def test_window_sup_empty_selection_has_no_witness():
     assert bound.value == 0 and bound.witness_window_start is None
 
 
+def check_window_sup_against_oracles(tl, t_rev, sel):
+    candidates = sorted({0} | {t.finalized_at for t in tl.transactions})
+    got = window_sup(tl, t_rev, sel)
+    totals = window_totals(tl.transactions, tl.horizon, t_rev, sel.value)
+    want_v, want_w = window_sup_oracle(tl.transactions, tl.horizon, t_rev, sel.value)
+    quad = window_sup_oracle_quadratic(tl.transactions, tl.horizon, t_rev, sel.value)
+    assert (want_v, want_w) == quad
+    # the candidate scan must find the true supremum over every
+    # integer start, and its witness must be the smallest candidate
+    # that achieves it (which may sit right of the smallest integer
+    # start achieving it)
+    assert type(got.value) is Fraction and got.value == want_v
+    assert (got.witness_window_start is None) == (got.value == 0)
+    if got.witness_window_start is not None:
+        w = got.witness_window_start
+        assert totals[w] == got.value
+        assert all(totals[c] < got.value for c in candidates if c < w)
+
+
 def test_window_sup_matches_oracles(rng):
     for i in range(300):
         tl = random_window_timeline(rng, max_txs=12, horizon=rng.randint(5, 25))
         t_rev = rng.randint(1, 8)
-        candidates = sorted({0} | {t.finalized_at for t in tl.transactions})
         for sel in GammaFilter:
-            got = window_sup(tl, t_rev, sel)
-            totals = window_totals(tl.transactions, tl.horizon, t_rev, sel.value)
-            want_v, want_w = window_sup_oracle(tl.transactions, tl.horizon, t_rev, sel.value)
-            quad = window_sup_oracle_quadratic(tl.transactions, tl.horizon, t_rev, sel.value)
-            assert (want_v, want_w) == quad
-            # the candidate scan must find the true supremum over every
-            # integer start, and its witness must be the smallest candidate
-            # that achieves it (which may sit right of the smallest integer
-            # start achieving it)
-            assert got.value == want_v
-            assert (got.witness_window_start is None) == (got.value == 0)
-            if got.witness_window_start is not None:
-                w = got.witness_window_start
-                assert totals[w] == got.value
-                assert all(totals[c] < got.value for c in candidates if c < w)
+            check_window_sup_against_oracles(tl, t_rev, sel)
+
+
+def test_window_sums_over_mixed_denominators_match_brute_force_and_oracles(rng):
+    # the index keeps each filter's prefix sums as integers over the lcm
+    # of its values' denominators
+    wider = 0
+    for i in range(300):
+        tl = random_fraction_window_timeline(rng, max_txs=12, horizon=rng.randint(5, 25))
+        t_rev = rng.randint(1, 8)
+        for sel in GammaFilter:
+            matching = [t for t in tl.transactions if passes_filter(t, sel.value)]
+            _, _, den = tl._gamma_index[sel]
+            wider += den > max((t.value.denominator for t in matching), default=1)
+            for t0 in range(-1, tl.horizon + 2):
+                want = sum((t.value for t in matching if t0 <= t.finalized_at < t0 + t_rev), Fraction(0))
+                got = gamma_value(tl, t0, t0 + t_rev, sel)
+                assert type(got) is Fraction and got == want, (t0, sel)
+            check_window_sup_against_oracles(tl, t_rev, sel)
+    assert wider > 100
+
+
+def test_window_sup_reads_one_exact_window_value_at_most(monkeypatch):
+    calls = []
+    real = econ.gamma_value
+
+    def counted(timeline, t0, t1, selector=GammaFilter.ALL):
+        calls.append((t0, t1, selector))
+        return real(timeline, t0, t1, selector)
+
+    monkeypatch.setattr(econ, "gamma_value", counted)
+    rng = random.Random(16)
+    txs = [
+        tx(f"t{i}", rng.randrange(0, 2_000), rng.randrange(1, 50), rule=rng.choice(["immediate", "secure"]))
+        for i in range(600)
+    ]
+    tl = build_timeline(horizon=2_000, transactions=txs)
+    for sel in GammaFilter:
+        calls.clear()
+        w = window_sup(tl, 40, sel).witness_window_start
+        assert w is not None and calls == [(w, w + 40, sel)]
+    # only pure flow: every hybrid selection is empty, and nothing is read
+    pure = build_timeline(horizon=2_000, transactions=[tx(t.id, t.finalized_at, 1, kind="pure") for t in txs])
+    calls.clear()
+    for sel in (GammaFilter.HYBRID_ONLY, GammaFilter.HYBRID_NOT_SECURE, GammaFilter.UNINSURED):
+        bound = window_sup(pure, 40, sel)
+        assert bound.value == 0 and bound.witness_window_start is None
+    assert calls == []
 
 
 def test_ladder_order_and_monotonicity(rng):

@@ -91,6 +91,17 @@ def double_sign_trace():
     return run(load_scenario(str(ROOT / "scenarios" / "double-sign.json")))
 
 
+def test_only_a_fallen_back_transaction_is_rebuilt_for_the_ledger():
+    sc = load_scenario(str(ROOT / "scenarios" / "double-sign.json"))
+    trace = run(sc)
+    fallen = {r.payload["tx"] for r in records_of(trace, "rule_fallback")}
+    given = {t.id: t for t in sc.timeline.transactions}
+    assert fallen and len(given) > len(fallen)
+    for t in trace.ledger.timeline.transactions:
+        assert (t is given[t.id]) == (t.id not in fallen), t.id
+        assert (t.rule is given[t.id].rule) == (t.id not in fallen), t.id
+
+
 def test_double_sign_costs_and_bounds(double_sign_trace):
     doc = double_sign_trace.report.doc
     assert doc["coc"] == {"token_toxicity": "0", "slashing": "128/3"}
