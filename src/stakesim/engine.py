@@ -3,10 +3,15 @@
 Single-threaded loop over a ticket heap keyed by (tick, phase, sequence).
 Within one epoch the phases run: lot release and activation, then the
 coverage auction, then per-tick transaction finalizations, scheduled
-off-chain executions and fork reveals. Each epoch schedules the next one
-when it runs, so the heap never holds more than one epoch. A slashable
-reveal settles its slash immediately and flips every transactor to the
-secure rule until the scenario's scripted attack-over epoch.
+off-chain executions and fork reveals. The heap holds only the epochs where
+the engine can act: epoch 0, every epoch with a bid, the attack-over epoch,
+and, pushed by each auction, the epoch its lots cover and the epoch they
+release at; under a grieving buyout, whose buyer bids in every epoch, each
+epoch schedules the next. Every other epoch is quiet, and the loop writes
+its `epoch_start` record, in order, just before the next event it pops
+(or at the end of the run), so the trace still holds one per epoch. A
+slashable reveal settles its slash immediately and flips every transactor
+to the secure rule until the scenario's scripted attack-over epoch.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
 only ever walks sorted structures and nothing is sampled. The seed only
@@ -41,6 +46,7 @@ from .confirmation import (
 from .econ import PfcKind
 from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .insurance import (
+    PURCHASE_LEAD_EPOCHS,
     RELEASE_LAG_EPOCHS,
     InsuranceBid,
     InsuranceLedger,
@@ -168,6 +174,7 @@ class _Run:
         self.adversary_validators: set[str] = set()
         self._seq = 0
         self._heap: list[tuple[int, int, int, Any]] = []
+        self._scheduled: set[EpochIndex] = set()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -177,6 +184,18 @@ class _Run:
     def push(self, tick: Tick, phase: int, payload: Any):
         self._seq += 1
         heapq.heappush(self._heap, (tick, phase, self._seq, payload))
+
+    def schedule_epoch(self, e: EpochIndex):
+        """Put epoch `e` on the heap, once, if it starts by the horizon."""
+        start = epoch_bounds(e, self.tp.t_rev)[0]
+        if e not in self._scheduled and start <= self.timeline.horizon:
+            self._scheduled.add(e)
+            self.push(start, _PH_EPOCH, e)
+
+    def write_epoch_starts(self, first: EpochIndex, stop: EpochIndex):
+        """Append the `epoch_start` records of epochs `first` to `stop - 1`."""
+        t_rev = self.tp.t_rev
+        self.records.extend(EpochStartRecord(e * t_rev, "epoch_start", {"epoch": e}) for e in range(first, stop))
 
     # -- run --------------------------------------------------------------
 
@@ -197,16 +216,32 @@ class _Run:
         if self.probe_log is not None:
             self.rec(0, "bribery_probe", **self.probe_log)
 
-        self.push(0, _PH_EPOCH, 0)
+        for e in (0, *self.bids_by_epoch, sc.attack_over_epoch):
+            if e is not None:
+                self.schedule_epoch(e)
         for tx in self.timeline.transactions:
             self.push(tx.finalized_at, _PH_FINALIZE, tx)
         for ev in self.timeline.fork_events:
             self.push(ev.revealed_at, _PH_REVEAL, ev)
 
+        t_rev = tp.t_rev
+        last = epoch_of(horizon, t_rev)
+        heap, pop = self._heap, heapq.heappop
         handlers = (self.on_epoch, self.on_finalize, self.on_execute, self.on_reveal)
-        while self._heap:
-            tick, phase, _, payload = heapq.heappop(self._heap)
+        written = next_start = 0  # epochs before `written` have their record; `next_start` starts it
+        while heap:
+            tick, phase, _, payload = pop(heap)
+            if tick >= next_start:
+                # the epochs the heap skipped: before an epoch event, those before
+                # it (its handler writes its own); before any other, those started
+                # by its tick and by the horizon
+                stop = payload if phase == _PH_EPOCH else min(epoch_of(tick, t_rev), last) + 1
+                if stop > written:
+                    self.write_epoch_starts(written, stop)
+                written = stop + 1 if phase == _PH_EPOCH else stop
+                next_start = written * t_rev
             handlers[phase](tick, payload)
+        self.write_epoch_starts(written, last + 1)
 
         return self.finish(horizon)
 
@@ -214,9 +249,6 @@ class _Run:
 
     def on_epoch(self, tick: Tick, e: EpochIndex):
         self.records.append(EpochStartRecord(tick, "epoch_start", {"epoch": e}))
-        next_start = epoch_bounds(e + 1, self.tp.t_rev)[0]
-        if next_start <= self.timeline.horizon:
-            self.push(next_start, _PH_EPOCH, e + 1)
 
         if self.attack_over_passed:
             released = self.ledger.release_after_settlement(e - RELEASE_LAG_EPOCHS)
@@ -229,6 +261,7 @@ class _Run:
 
         bids = self.bids_by_epoch.get(e, [])
         if self.sc.strategy.kind is StrategyKind.GRIEVING_BUYOUT:
+            self.schedule_epoch(e + 1)
             buyer = min(self.sc.adversary_transactors) if self.sc.adversary_transactors else None
             avail = self.ledger.available()
             if buyer is not None and avail > 0:
@@ -243,6 +276,9 @@ class _Run:
         if bids:
             avail = self.ledger.available()
             lots = self.ledger.sell(e, bids)
+            # the epoch the lots cover activates them, and they release two later
+            self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
+            self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
             self.rec(
                 tick,
                 "auction",

@@ -486,7 +486,16 @@ def _parse_validators(vdoc: Optional[list], econ: EconParams, path: str) -> list
             ValidatorState(id=f"v{i + 1:0{width}d}", stake=econ.stake_per_validator, earmarked_fraction=econ.gamma)
             for i in range(econ.n_validators)
         ]
-    return [_VALIDATOR.parse(item, f"{path}[{i}]") for i, item in enumerate(vdoc)]
+    validators = [_VALIDATOR.parse(item, f"{path}[{i}]") for i, item in enumerate(vdoc)]
+    # the cost of corruption and the insurance cap read econ's total, and a
+    # slash takes the listed stakes: the two must be one total
+    listed = sum((v.stake for v in validators), Fraction(0))
+    if listed != econ.s_tot:
+        _fail(
+            path,
+            f"stakes sum to {frac_str(listed)}, not stake_per_validator * n_validators = {frac_str(econ.s_tot)}",
+        )
+    return validators
 
 
 def _parse_transaction(

@@ -11,6 +11,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from stakesim.econ import PfcKind
+from stakesim.engine import _Run
+
 
 def passes_filter(tx, selector: str) -> bool:
     """Re-derivation of the nested transaction filters."""
@@ -416,3 +419,19 @@ class LedgerOracle:
             if (lot["buyer"], lot["covering_epoch"]) in claimed and lot["state"] == "active_coverage":
                 lot["state"] = "paid_out"
                 self._credit_premium(lot)
+
+
+class EveryEpochRun(_Run):
+    """The engine visiting every epoch up to the horizon: each epoch
+    schedules the next, so no epoch is skipped and every `epoch_start`
+    record comes from an epoch handler. Its trace must equal the engine's
+    byte for byte."""
+
+    def on_epoch(self, tick, e):
+        super().on_epoch(tick, e)
+        self.schedule_epoch(e + 1)
+
+
+def run_every_epoch(sc):
+    """`engine.run` of `sc` with its own seed, visiting every epoch."""
+    return EveryEpochRun(sc, sc.seed, PfcKind.REORG_HYBRID_SECURE_RULE).run()

@@ -34,6 +34,7 @@ from conftest import (
     quiet_scenario_doc,
     random_physical_timeline,
 )
+from oracles import run_every_epoch
 
 ROOT = Path(__file__).parent.parent
 
@@ -335,6 +336,69 @@ def test_attack_over_releases_only_the_epochs_that_hold_a_lot(monkeypatch):
     }
 
 
+def _count_epoch_visits(monkeypatch) -> list[int]:
+    """The epoch of every `_Run.on_epoch` call from now on, in order."""
+    visited, on_epoch = [], engine._Run.on_epoch
+
+    def counting_on_epoch(self, tick, e):
+        visited.append(e)
+        return on_epoch(self, tick, e)
+
+    monkeypatch.setattr(engine._Run, "on_epoch", counting_on_epoch)
+    return visited
+
+
+def test_the_loop_visits_only_the_epochs_where_the_engine_can_act(monkeypatch):
+    # the golden release-backlog case stretched to 20,002 epochs: bids in
+    # epochs 0 to 6 and the attack declared over at 20,000
+    doc = json.loads((ROOT / "tests" / "golden" / "scenarios" / "release-backlog.json").read_text(encoding="utf-8"))
+    attack_over = 20_000
+    doc.update(horizon=10 * attack_over + 10, attack_over_epoch=attack_over)
+    sc = parse_scenario(doc)
+    visited = _count_epoch_visits(monkeypatch)
+    trace = run(sc)
+
+    bid_epochs = {b.epoch_placed for b in sc.bids}
+    auctions = records_of(trace, "auction")
+    assert len(visited) <= 1 + len(bid_epochs) + 2 * len(auctions) + 1
+    # epoch 0, the bids, each auction's covering and release epochs, the attack's end
+    covering = {a.payload["epoch"] + 2 for a in auctions}
+    assert visited == sorted({0} | bid_epochs | covering | {c + 2 for c in covering} | {attack_over})
+    starts = records_of(trace, "epoch_start")
+    assert [(r.tick, r.payload["epoch"]) for r in starts] == [(10 * e, e) for e in range(attack_over + 2)]
+    visited.clear()
+    assert trace.to_lines() == run_every_epoch(sc).to_lines()
+    assert len(visited) == attack_over + 2
+
+
+def test_an_event_past_the_horizon_writes_no_epoch_past_it():
+    # finalized on the horizon's own tick, the secure decision schedules the
+    # execution at 70, in an epoch that starts after the horizon
+    doc = {
+        "schema_version": 1,
+        "horizon": 60,
+        "timing": {"t_fin": 2, "t_rev": 10, "t_ws": 100},
+        "econ": {"stake_per_validator": 32, "n_validators": 4, "gamma": "1/2"},
+        "transactions": [
+            {"id": "s1", "transactor": "sec", "value": 5, "kind": "hybrid", "finalized_at": 60, "rule": "secure"}
+        ],
+    }
+    sc = parse_scenario(doc)
+    trace = run(sc)
+    assert records_of(trace, "decision")[0].payload["earliest"] == 70
+    assert [r.payload["epoch"] for r in records_of(trace, "epoch_start")] == list(range(7))
+    assert trace.executed == {}
+    assert trace.to_lines() == run_every_epoch(sc).to_lines()
+
+
+def test_a_grieving_buyout_visits_every_epoch(monkeypatch):
+    # its buyer bids whatever is available in each epoch, so none is quiet
+    sc = load_scenario(str(ROOT / "scenarios" / "grieving.json"))
+    visited = _count_epoch_visits(monkeypatch)
+    trace = run(sc)
+    assert visited == [r.payload["epoch"] for r in records_of(trace, "epoch_start")] == list(range(7))
+
+
 def test_signer_exiting_before_the_snapshot_is_not_slashed():
     # the snapshot is taken at 25 + slash_delay = 28; v3 exits at 27, so
     # the settlement and the ledger charge only v1 and v2
@@ -404,6 +468,15 @@ def test_random_attack_traces_verify(rng):
         trace = run(parse_scenario(doc))
         records = parse_trace(trace.to_lines(), source="rand")
         assert compare_trace_to_report(records, source="rand") is None
+
+
+def test_random_attack_traces_skip_no_trace_byte(rng):
+    # the documents test_random_attack_traces_verify draws, run by the
+    # engine and by the reference that visits every epoch
+    for gamma in ("0", "1/4", "1/2", "3/4", "1"):
+        sc = parse_scenario(attack_scenario_doc(rng, gamma))
+        expected = run_every_epoch(sc).to_lines()
+        assert run(sc).to_lines() == expected, gamma
 
 
 # -- invariant breach -----------------------------------------------------------------

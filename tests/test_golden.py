@@ -23,8 +23,10 @@ import pytest
 from stakesim import parse_scenario
 from stakesim.cli import main
 from stakesim.engine import run
+from stakesim.errors import InvariantBreachError
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
+from oracles import run_every_epoch
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,6 +124,24 @@ def test_every_settling_case_slashes_what_its_settlements_record():
             booked = sum(ledger.slashed_amounts.values())
             assert booked == sum(s.slashed for s in ledger.settlements), name
     assert "release-backlog" in settled
+
+
+def _lines_or_partial(make_run) -> list[str]:
+    """The trace lines of a run, or of the partial trace its breach carries."""
+    try:
+        return make_run().to_lines()
+    except InvariantBreachError as exc:
+        return ["<breach>"] + [r.to_line() for r in exc.trace_records]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_skipping_quiet_epochs_keeps_every_trace_byte(name):
+    # the engine visits only the epochs where it can act; the reference
+    # visits every one, and both must write the same lines
+    sc = parse_scenario(CASES[name][0]())
+    lines = _lines_or_partial(lambda: run(sc))
+    assert lines == _lines_or_partial(lambda: run_every_epoch(sc))
+    assert (lines[0] == "<breach>") == (CASES[name][1] == 2)
 
 
 if __name__ == "__main__":

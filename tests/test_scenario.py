@@ -61,16 +61,28 @@ def test_validators_synthesized_from_econ():
 
 def test_explicit_validators_override_synthesis():
     doc = minimal_doc(
+        econ={"stake_per_validator": 6, "n_validators": 2, "gamma": "1/2"},
         validators=[
             {"id": "a", "stake": 5},
             {"id": "b", "stake": 7, "earmarked_fraction": "1/4", "exit_tick": 9},
-        ]
+        ],
     )
     vals = parse_scenario(doc).timeline.validators
     assert [(v.id, v.stake, v.earmarked_fraction, v.exit_tick) for v in vals] == [
         ("a", Fraction(5), Fraction(0), None),
         ("b", Fraction(7), Fraction(1, 4), 9),
     ]
+
+
+@pytest.mark.parametrize("stakes", [[32, 32, 32], [32, 32, 32, 31], [32, 32, 32, 32, 1], []])
+def test_validator_stakes_must_sum_to_the_econ_total(stakes):
+    # econ's total (4 x 32) prices the attack and caps insurance, and a
+    # slash takes the listed stakes: a list that disagrees is refused
+    doc = minimal_doc(validators=[{"id": f"v{i}", "stake": s} for i, s in enumerate(stakes)])
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc, source="s")
+    assert exc.value.path == "s.validators"
+    assert f"stakes sum to {sum(stakes)}, not stake_per_validator * n_validators = 128" in str(exc.value)
 
 
 def test_unknown_top_level_key_cites_source():
