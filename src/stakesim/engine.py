@@ -7,11 +7,13 @@ off-chain executions and fork reveals. The heap holds only the epochs where
 the engine can act: epoch 0, every epoch with a bid, the attack-over epoch,
 and, pushed by each auction, the epoch its lots cover and the epoch they
 release at; under a grieving buyout, whose buyer bids in every epoch, each
-epoch schedules the next. Every other epoch is quiet, and the loop writes
-its `epoch_start` record, in order, just before the next event it pops
-(or at the end of the run), so the trace still holds one per epoch. A
-slashable reveal settles its slash immediately and flips every transactor
-to the secure rule until the scenario's scripted attack-over epoch.
+epoch schedules the next. Every other epoch is quiet. The loop writes each
+epoch's `epoch_start` record, in order, before the first event it pops in
+or after that epoch (or at the end of the run), so the trace holds one per
+epoch, visited or quiet. A slashable reveal settles its slash immediately,
+which holds the lots active at that moment, and flips every transactor to
+the secure rule until the scenario's scripted attack-over epoch, which
+releases the held lots.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
 only ever walks sorted structures and nothing is sampled. The seed only
@@ -148,9 +150,7 @@ class _Run:
         self.tp = sc.timing
         self.ep = sc.econ
 
-        extra, extra_meta, self.probe_log = strategy_events(sc)
-        self.fork_meta = dict(sc.fork_meta)
-        self.fork_meta.update(extra_meta)
+        extra, self.probe_log = strategy_events(sc)
         self.timeline = build_timeline(
             horizon=sc.timeline.horizon,
             transactions=sc.timeline.transactions,
@@ -170,7 +170,6 @@ class _Run:
         self.waiting: dict[str, TransactionRecord] = {}
         self.reverted_executions: list[RevertedExecution] = []
         self.secure_mode = False
-        self.attack_over_passed = False
         self.adversary_validators: set[str] = set()
         self._seq = 0
         self._heap: list[tuple[int, int, int, Any]] = []
@@ -232,14 +231,10 @@ class _Run:
         while heap:
             tick, phase, _, payload = pop(heap)
             if tick >= next_start:
-                # the epochs the heap skipped: before an epoch event, those before
-                # it (its handler writes its own); before any other, those started
-                # by its tick and by the horizon
-                stop = payload if phase == _PH_EPOCH else min(epoch_of(tick, t_rev), last) + 1
-                if stop > written:
-                    self.write_epoch_starts(written, stop)
-                written = stop + 1 if phase == _PH_EPOCH else stop
-                next_start = written * t_rev
+                # the epochs started by this event's tick and by the horizon
+                stop = min(epoch_of(tick, t_rev), last) + 1
+                self.write_epoch_starts(written, stop)
+                written, next_start = stop, stop * t_rev
             handlers[phase](tick, payload)
         self.write_epoch_starts(written, last + 1)
 
@@ -248,12 +243,7 @@ class _Run:
     # -- epoch boundary -----------------------------------------------------
 
     def on_epoch(self, tick: Tick, e: EpochIndex):
-        self.records.append(EpochStartRecord(tick, "epoch_start", {"epoch": e}))
-
-        if self.attack_over_passed:
-            released = self.ledger.release_after_settlement(e - RELEASE_LAG_EPOCHS)
-        else:
-            released = release_lots(e, self.ledger)
+        released = release_lots(e, self.ledger)
         if released:
             self.rec(tick, "released", epoch=e, lots=[_lot_ref(l) for l in released])
 
@@ -297,11 +287,10 @@ class _Run:
             )
 
         if self.sc.attack_over_epoch is not None and e == self.sc.attack_over_epoch:
-            self.attack_over_passed = True
             if self.secure_mode:
                 self.secure_mode = False
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
-            for lot in self.ledger.release_settled_through(e - RELEASE_LAG_EPOCHS):
+            for lot in self.ledger.end_attack(e - RELEASE_LAG_EPOCHS):
                 self.rec(tick, "released", epoch=e, lots=[_lot_ref(lot)])
             self.reevaluate_waiting(tick)
 
@@ -382,7 +371,7 @@ class _Run:
         else:  # BRIDGE_RULE
             posted = tick
             posts = sorted(
-                ev.revealed_at + self.fork_meta.get(ev.id, ForkEventMeta()).bridge_post_delay
+                ev.revealed_at + self.sc.fork_meta.get(ev.id, ForkEventMeta()).bridge_post_delay
                 for ev in self.timeline.fork_events
                 if contests(tx.finalized_at, ev.diverges_from_block_finalized_at)
             )
@@ -423,7 +412,7 @@ class _Run:
             double_signer_stake=frac_str(ev.double_signer_stake),
         )
         outcome = resolve(ev, self.tp, self.timeline.validators)
-        meta = self.fork_meta.get(ev.id, ForkEventMeta())
+        meta = self.sc.fork_meta.get(ev.id, ForkEventMeta())
         wins = outcome.reveal_class is RevealClass.AMBIGUOUS_WINDOW and meta.adversary_wins
         self.rec(
             tick,

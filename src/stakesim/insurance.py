@@ -5,7 +5,7 @@ epoch (one reversion period long) the available backing is auctioned off:
 a purchase placed at epoch e covers transactions finalizing in epoch e + 2,
 so the purchase itself is irreversibly settled before its coverage starts.
 Backing stays locked until the covering window plus one more epoch has
-passed with no double-sign reveal, at which point the lot releases and the
+passed with no slash settled, at which point the lot releases and the
 stake returns to the pool.
 
 When a double-sign does resolve, the slashed stake settles the damage: a
@@ -30,12 +30,10 @@ however many backers there are.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .chain import (
@@ -46,7 +44,6 @@ from .chain import (
     TimingParams,
     TransactionRecord,
     TxKind,
-    epoch_bounds,
     epoch_of,
 )
 from .errors import (
@@ -56,12 +53,12 @@ from .errors import (
     UnknownTransactorError,
 )
 from .rational import as_fraction
-from .resolution import SLASHABLE_CLASSES, ForkRevealEvent, ResolutionOutcome, classify_reveal
+from .resolution import ResolutionOutcome
 
 # A purchase at epoch e covers epoch e + 2: one full epoch of gap makes the
 # purchase itself irreversible before coverage starts.
 PURCHASE_LEAD_EPOCHS = 2
-# A lot covering epoch c releases at c + 2 if its watch window stayed quiet.
+# A lot covering epoch c releases at c + 2 unless a slash held it.
 RELEASE_LAG_EPOCHS = 2
 
 
@@ -256,9 +253,14 @@ class InsuranceLedger:
     `premiums_earned` splits those sums by the maps' shares: premiums move
     once per closing auction and map, not once per backer.
 
+    Lots are held on settlements, not on the timeline: a slash booked by
+    `settle_slash` holds every covering epoch whose lots are active at that
+    moment, so `release_lots` leaves them locked, until `end_attack`
+    releases them and ends holding for the rest of the run. The ledger
+    reads no fork event.
+
     Single-owner: the simulation engine (or a test) drives it from one
-    thread; the chain timeline it references stays immutable, and the
-    slashable reveals that can hold a lot back are read from it once.
+    thread; the chain timeline it references stays immutable.
     """
 
     def __init__(
@@ -283,12 +285,9 @@ class InsuranceLedger:
         self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
         self._sales: dict[EpochIndex, list[list[InsuranceLot]]] = {}
         self._bought: dict[EpochIndex, dict[str, Fraction]] = {}
-        # the timeline's slashable reveals, and their ticks, by reveal tick
-        self._blockers = sorted(
-            (ev for ev in timeline.fork_events if classify_reveal(ev, tp) in SLASHABLE_CLASSES),
-            key=attrgetter("revealed_at"),
-        )
-        self._blocker_ticks = [ev.revealed_at for ev in self._blockers]
+        self._open: set[EpochIndex] = set()  # covering epochs activated and not yet released
+        self._held: set[EpochIndex] = set()  # open covering epochs a slash held
+        self._attack_over = False
 
     @property
     def lots(self) -> tuple[InsuranceLot, ...]:
@@ -303,6 +302,8 @@ class InsuranceLedger:
         if lot.backers.shares:
             raise InvariantViolationError(f"lot {lot.id!r}: only an auction sells backed lots")
         self._file(lot.covering_epoch, [lot])
+        if lot.state is LotState.ACTIVE_COVERAGE:
+            self._open.add(lot.covering_epoch)
 
     def _file(self, covering_epoch: EpochIndex, lots: list[InsuranceLot]) -> None:
         self._sales.setdefault(covering_epoch, []).append(lots)
@@ -361,7 +362,10 @@ class InsuranceLedger:
         return lots
 
     def activate(self, covering_epoch: EpochIndex) -> None:
-        for sale in self._sales.get(covering_epoch, ()):
+        sales = self._sales.get(covering_epoch, ())
+        if sales:
+            self._open.add(covering_epoch)
+        for sale in sales:
             for lot in sale:
                 if lot.state is LotState.PENDING:
                     lot.transition(LotState.ACTIVE_COVERAGE)
@@ -391,7 +395,9 @@ class InsuranceLedger:
         """The slashed validators leave the pool for good, taking their
         share of it; the other backers' shares grow in proportion. Every
         share map adds the newly slashed backers' shares to its slashed
-        part."""
+        part, and until the attack ends every open covering epoch is held."""
+        if not self._attack_over:
+            self._held |= self._open
         fresh = [v for v in slashed if v not in self.slashed_amounts]
         for signer, amount in slashed.items():
             self.slashed_amounts[signer] = self.slashed_amounts.get(signer, Fraction(0)) + amount
@@ -418,28 +424,18 @@ class InsuranceLedger:
                     lot.transition(LotState.PAID_OUT)
                 self._close(lots)
 
-    def _window_blockers(self, covering_epoch: EpochIndex) -> list[ForkRevealEvent]:
-        """Slashable reveals inside the lot's watch window (the covering
-        epoch up to its release epoch)."""
-        start, _ = epoch_bounds(covering_epoch, self.tp.t_rev)
-        end, _ = epoch_bounds(covering_epoch + RELEASE_LAG_EPOCHS, self.tp.t_rev)
-        ticks = self._blocker_ticks
-        return self._blockers[bisect_left(ticks, start) : bisect_left(ticks, end)]
-
-    def _release(self, covering_epoch: EpochIndex, excused: AbstractSet[str]) -> list[InsuranceLot]:
-        """Release the active lots covering `covering_epoch` if every
-        slashable reveal in their watch window is in `excused`.
+    def _release(self, covering_epoch: EpochIndex) -> list[InsuranceLot]:
+        """Release the active lots covering `covering_epoch`.
 
         Released backing re-enters the pool and the premium pays out to the
         backers.
         """
+        self._open.discard(covering_epoch)
         by_sale = [
             [lot for lot in sale if lot.state is LotState.ACTIVE_COVERAGE]
             for sale in self._sales.get(covering_epoch, ())
         ]
         released = [lot for lots in by_sale for lot in lots]
-        if not released or any(ev.id not in excused for ev in self._window_blockers(covering_epoch)):
-            return []
         for lot in released:
             lot.transition(LotState.RELEASED)
         for lots in by_sale:
@@ -450,40 +446,29 @@ class InsuranceLedger:
                 self._free_total += (1 - lost) * sum((lot.coverage for lot in lots), Fraction(0))
         return released
 
-    def release_after_settlement(self, covering_epoch: EpochIndex) -> list[InsuranceLot]:
-        """Release lots whose watch window only saw already-settled attacks.
-
-        Used once the scenario declares the attack over; unclaimed coverage
-        unlocks and its backing (minus slashed validators') returns.
-        """
-        return self._release(covering_epoch, {s.event_id for s in self.settlements})
-
-    def release_settled_through(self, last_covering: EpochIndex) -> list[InsuranceLot]:
-        """`release_after_settlement` for every covering epoch up to
-        `last_covering` that still holds an active lot, in ascending order."""
-        excused = {s.event_id for s in self.settlements}
-        released: list[InsuranceLot] = []
-        for covering_epoch in sorted(c for c in self._sales if c <= last_covering):
-            if any(
-                lot.state is LotState.ACTIVE_COVERAGE
-                for sale in self._sales[covering_epoch]
-                for lot in sale
-            ):
-                released += self._release(covering_epoch, excused)
-        return released
+    def end_attack(self, last_covering: EpochIndex) -> list[InsuranceLot]:
+        """Release the held covering epochs up to `last_covering`, in
+        ascending order, and hold nothing from now on: the unclaimed
+        coverage unlocks and its backing (minus slashed validators')
+        returns. A held epoch past `last_covering` releases when its
+        `release_lots` comes."""
+        held, self._held = sorted(self._held), set()
+        self._attack_over = True
+        return [lot for c in held if c <= last_covering for lot in self._release(c)]
 
 
 def release_lots(epoch_now: EpochIndex, ledger: InsuranceLedger) -> list[InsuranceLot]:
-    """Release every lot two epochs past its covering window, if quiet.
+    """Release every lot two epochs past its covering epoch, unless held.
 
-    A lot covering epoch c releases at epoch c + 2 provided no slashable
-    fork reveal landed anywhere in [start of c, end of c + 1). Released
-    backing re-enters the pool and the premium pays out to the backers.
+    A lot covering epoch c releases at epoch c + 2 unless a slash settled
+    while it was active held it; `InsuranceLedger.end_attack` releases a
+    held lot. Released backing re-enters the pool and the premium pays out
+    to the backers.
     """
     covering = epoch_now - RELEASE_LAG_EPOCHS
-    if covering < 0:
+    if covering < 0 or covering in ledger._held:
         return []
-    return ledger._release(covering, frozenset())
+    return ledger._release(covering)
 
 
 def coverage_map(

@@ -542,15 +542,17 @@ _ATTACK_EVENT_IDS = {
 }
 
 
-def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], dict[str, ForkEventMeta], Optional[dict]]:
+def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], Optional[dict]]:
     """Forge the adversary's scripted fork reveal, if its strategy has one.
 
-    Returns (events, their meta, optional probe log payload).
+    Returns (events, optional probe log payload). A scripted event has no
+    `ForkEventMeta` of its own: it takes the default, under which the
+    adversary wins.
     """
     st, tp, validators = sc.strategy, sc.timing, sc.timeline.validators
     log = None
     if st.kind is StrategyKind.NONE:
-        return [], {}, None
+        return [], None
 
     if st.kind is StrategyKind.BRIBERY_PROBE:
         # attack only if the bribe schedule actually dominates
@@ -565,7 +567,7 @@ def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], dict[str, Fork
             "attack_proceeds": dominant,
         }
         if not dominant:
-            return [], {}, log
+            return [], log
 
     if st.kind is StrategyKind.GRIEVING_BUYOUT:
         # every controlled validator double-signs in the scripted epoch's
@@ -582,7 +584,7 @@ def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], dict[str, Fork
         revealed_at=revealed,
         double_signers=signers,
     )
-    return [ev], {ev.id: ForkEventMeta(adversary_wins=True)}, log
+    return [ev], log
 
 
 # -- serialization ----------------------------------------------------------

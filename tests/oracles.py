@@ -424,8 +424,8 @@ class LedgerOracle:
 class EveryEpochRun(_Run):
     """The engine visiting every epoch up to the horizon: each epoch
     schedules the next, so no epoch is skipped and every `epoch_start`
-    record comes from an epoch handler. Its trace must equal the engine's
-    byte for byte."""
+    record is written just before its own epoch handler runs. Its trace
+    must equal the engine's byte for byte."""
 
     def on_epoch(self, tick, e):
         super().on_epoch(tick, e)

@@ -311,10 +311,10 @@ def test_attack_over_releases_only_the_epochs_that_hold_a_lot(monkeypatch):
     calls, held, current = [], set(), {}
     release, on_epoch = InsuranceLedger._release, engine._Run.on_epoch
 
-    def counting_release(self, covering_epoch, excused):
+    def counting_release(self, covering_epoch):
         if current["epoch"] == attack_over:
             calls.append(covering_epoch)
-        return release(self, covering_epoch, excused)
+        return release(self, covering_epoch)
 
     def tracking_on_epoch(self, tick, e):
         current["epoch"] = e

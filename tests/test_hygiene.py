@@ -156,3 +156,21 @@ def test_every_benchmark_trace_target_resolves():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_the_ledger_reads_no_fork_event():
+    """`resolution` alone decides which reveal is slashable; the ledger holds
+    lots on the settlements `settle_slash` books, so it reads no fork event
+    and takes nothing from `resolution` but the outcome it is handed."""
+    tree = ast.parse((ROOT / "src" / "stakesim" / "insurance.py").read_text(encoding="utf-8"))
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    from_resolution = {
+        a.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == "resolution"
+        for a in n.names
+    }
+    imported_modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert "fork_events" not in attributes
+    assert from_resolution == {"ResolutionOutcome"}
+    assert not any(m.split(".")[-1] == "resolution" for m in imported_modules)

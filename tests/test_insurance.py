@@ -185,12 +185,12 @@ def test_greedy_revenue_is_optimal_on_integral_instances(rng):
 # -- ledger pipeline ---------------------------------------------------------
 
 
-def quiet_ledger(fork_events=(), transactors=("ins", "other")):
+def quiet_ledger(transactors=("ins", "other")):
     vals = [
         ValidatorState(id=f"v{i}", stake=Fraction(32), earmarked_fraction=Fraction(1, 2))
         for i in range(1, 5)
     ]
-    tl = build_timeline(horizon=60, fork_events=list(fork_events), validators=vals)
+    tl = build_timeline(horizon=60, validators=vals)
     return InsuranceLedger(tl, TP, EP, transactors=transactors)
 
 
@@ -264,32 +264,48 @@ def slashable_event(id="f", diverges=30, revealed=35, signers=()):
     )
 
 
-def test_slashable_reveal_in_watch_window_blocks_release():
-    # watch window for covering epoch 2 is [20, 40); the reveal at 35 is
-    # ambiguous, so the lot must stay locked
-    ledger = quiet_ledger(fork_events=[slashable_event()])
-    (lot,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
-    ledger.activate(2)
-    assert release_lots(4, ledger) == []
-    assert lot.state is LotState.ACTIVE_COVERAGE
-    # an unslashable reveal (same tick, zero offset: still pre-finality)
-    # does not block
-    quiet = quiet_ledger(fork_events=[slashable_event(diverges=35, revealed=35)])
-    (lot2,) = quiet.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
-    quiet.activate(2)
-    assert release_lots(4, quiet) == [lot2]
-
-
-def test_release_after_settlement_needs_every_blocker_settled():
-    ledger = quiet_ledger(fork_events=[slashable_event()])
-    (lot,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
-    ledger.activate(2)
-    assert ledger.release_after_settlement(2) == []
-    # settle "f" with no real signer, so nobody's backing is slashed away
-    outcome = ResolutionOutcome(event_id="f", reveal_class=RevealClass.AMBIGUOUS_WINDOW, slashed={})
+def settle_nobody(ledger, id="f"):
+    """Settle a slashable reveal with no real signer, so nobody's backing
+    is slashed away."""
+    outcome = ResolutionOutcome(event_id=id, reveal_class=RevealClass.AMBIGUOUS_WINDOW, slashed={})
     settle_slash(outcome, ledger, harmed=[])
-    assert ledger.release_after_settlement(2) == [lot]
-    assert lot.state is LotState.RELEASED and ledger.pool_free() == 64
+
+
+def test_slashable_reveal_in_watch_window_blocks_release():
+    # lots covering epochs 2 and 3 are active when the slash settles, so
+    # both stay locked; the lot covering 4 is still pending, and releases
+    # on schedule
+    ledger = quiet_ledger()
+    (lot2,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
+    (lot3,) = ledger.sell(1, [bid("ins", 1, 5, Fraction(1, 50))])
+    (lot4,) = ledger.sell(2, [bid("ins", 2, 5, Fraction(1, 50))])
+    ledger.activate(2)
+    ledger.activate(3)
+    settle_nobody(ledger)
+    ledger.activate(4)
+    assert release_lots(4, ledger) == [] and release_lots(5, ledger) == []
+    assert lot2.state is lot3.state is LotState.ACTIVE_COVERAGE
+    assert release_lots(6, ledger) == [lot4]
+
+
+def test_end_attack_releases_held_epochs_up_to_the_last_covering():
+    ledger = quiet_ledger()
+    (lot2,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
+    (lot3,) = ledger.sell(1, [bid("ins", 1, 5, Fraction(1, 50))])
+    (lot4,) = ledger.sell(2, [bid("ins", 2, 5, Fraction(1, 50))])
+    ledger.activate(2)
+    ledger.activate(3)
+    settle_nobody(ledger)
+    ledger.activate(4)
+    settle_nobody(ledger, "g")
+    assert release_lots(4, ledger) == [] and release_lots(5, ledger) == []
+    # held 2, 3 and 4 release ascending, but only up to covering epoch 3
+    assert ledger.end_attack(3) == [lot2, lot3]
+    assert lot4.state is LotState.ACTIVE_COVERAGE and ledger.pool_free() == 59
+    # and from now on a settlement holds nothing
+    settle_nobody(ledger, "h")
+    assert release_lots(6, ledger) == [lot4]
+    assert ledger.pool_free() == 64
 
 
 def _fraction_ops_to_close(n_backers, monkeypatch):
@@ -307,10 +323,11 @@ def _fraction_ops_to_close(n_backers, monkeypatch):
     ledger = InsuranceLedger(tl, TP, ep, transactors="ab")
     ledger.sell(0, [bid("a", 0, 3, Fraction(1, 50)), bid("b", 0, 2, Fraction(1, 10))])
     ledger.sell(1, [bid("a", 1, 3, Fraction(1, 50)), bid("b", 1, 2, Fraction(1, 10))])
-    ledger.activate(2)
-    ledger.activate(3)
+    # the slash settles before any lot is active, so it holds none
     ambiguous = RevealClass.AMBIGUOUS_WINDOW
     settle_slash(ResolutionOutcome("f", ambiguous, slashed={"v00": Fraction(32)}), ledger, harmed=[])
+    ledger.activate(2)
+    ledger.activate(3)
 
     counts = {"release": 0, "payout": 0}
     phase = "release"
@@ -430,25 +447,22 @@ def test_ledger_matches_the_list_scanning_oracle():
         def active(c):
             return any(l["covering_epoch"] == c and l["state"] == "active_coverage" for l in oracle.lots)
 
-        def blocked(c, excused):
-            return active(c) and any(ev not in excused for ev in oracle.blockers(c))
+        def blocked(c):
+            return active(c) and bool(oracle.blockers(c))
 
+        # in engine order: each epoch releases, activates and sells, the
+        # attack-over epoch then ends the attack, and every slashable reveal
+        # settles in its epoch; an attack-over epoch past the last one
+        # never comes
+        attack_over = rng.randint(0, last_epoch + 1)
         for e in range(last_epoch + 1):
             c = e - 2
-            excused = {s.event_id for s in ledger.settlements}
-            mode = rng.choice(["quiet", "settled", "backlog"])
-            if mode == "quiet":
-                seen["blocked_release"] |= c >= 0 and blocked(c, frozenset())
-                got = release_lots(e, ledger)
-                want = oracle.release(c, frozenset()) if c >= 0 else []
-            elif mode == "settled":
-                seen["blocked_release"] |= blocked(c, excused)
-                got = ledger.release_after_settlement(c)
-                want = oracle.release(c, excused)
-            else:
-                seen["blocked_release"] |= any(blocked(cc, excused) for cc in range(c + 1))
-                got = ledger.release_settled_through(c)
-                want = [lot for cc in range(c + 1) for lot in oracle.release(cc, excused)]
+            # the oracle's timeline scan holds a lot strictly until the attack
+            # ends, and then excuses every reveal settled so far
+            excused = frozenset() if e <= attack_over else {s.event_id for s in ledger.settlements}
+            seen["blocked_release"] |= c >= 0 and e <= attack_over and blocked(c)
+            got = release_lots(e, ledger)
+            want = oracle.release(c, excused) if c >= 0 else []
             assert [l.id for l in got] == [l["id"] for l in want]
             assert_ledger_matches(ledger, oracle, last_epoch)
             note_closed()
@@ -486,9 +500,17 @@ def test_ledger_matches_the_list_scanning_oracle():
             seen["zero_premium"] |= any(l.premium_rate == 0 for l in got)
             assert_ledger_matches(ledger, oracle, last_epoch)
 
+            if e == attack_over:
+                settled = {s.event_id for s in ledger.settlements}
+                got = ledger.end_attack(c)
+                want = [lot for cc in range(c + 1) for lot in oracle.release(cc, settled)]
+                assert [l.id for l in got] == [l["id"] for l in want]
+                assert_ledger_matches(ledger, oracle, last_epoch)
+                note_closed()
+
             for ev in tl.fork_events:
                 outcome = resolve(ev, tp, tl.validators)
-                if ev.revealed_at // tp.t_rev != e or not outcome.slashable or rng.random() < 0.2:
+                if ev.revealed_at // tp.t_rev != e or not outcome.slashable:
                     continue
                 harmed = [
                     RevertedExecution(
@@ -680,14 +702,14 @@ def test_settlement_conservation_randomized(rng):
 
 
 def test_slashed_backing_never_returns_to_the_pool():
-    ledger = quiet_ledger(fork_events=[slashable_event(signers=("v1",))])
+    ledger = quiet_ledger()
     (lot,) = ledger.sell(0, [bid("ins", 0, 10, Fraction(1, 50))])
     ledger.activate(2)
     outcome = ResolutionOutcome(
         event_id="f", reveal_class=RevealClass.AMBIGUOUS_WINDOW, slashed={"v1": Fraction(32)}
     )
     settle_slash(outcome, ledger, harmed=[])
-    released = ledger.release_after_settlement(2)
+    released = ledger.end_attack(2)
     assert released == [lot]
     # v1's whole earmark is slashed away, backing share included; the other
     # three get their full sixteen back
