@@ -13,13 +13,19 @@ Exit codes: 0 ok, 1 bad input, 2 invariant breach during simulation,
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterator
 
+from .econ import PfcKind
 from .engine import run as run_engine
-from .engine import sweep as run_sweep
+from .engine import sweep_jobs, sweep_point
 from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
@@ -107,12 +113,41 @@ def _index_row(point: dict, out: Path) -> dict:
     return point
 
 
+def _sweep_row(
+    template: dict, keys: list[str], seed: int | None, bound_kind: PfcKind, out: Path, job: tuple[int, tuple]
+) -> dict:
+    """Run one sweep point and write its report; return only its index
+    row, so a pool worker sends the parent a row and never a report."""
+    return _index_row(sweep_point(template, keys, seed, bound_kind, job), out)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork workers
+    safely: fork is unavailable, or another thread runs (a forked child
+    could inherit a lock that thread holds)."""
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = read_input(args.scenario, "scenario")
     grid = _grid_from_args(args)
+    jobs = list(sweep_jobs(grid))
+    workers = min(len(jobs), _usable_cpus())
     with _output_dir(args.out) as out:
-        points = run_sweep(doc, grid, seed=args.seed, bound_kind=BOUND_ALIASES[args.bound])
-        index = [_index_row(point, out) for point in points]
+        point_row = partial(_sweep_row, doc, list(grid), args.seed, BOUND_ALIASES[args.bound], out)
+        if workers <= 1:
+            index = list(map(point_row, jobs))
+        else:
+            # fork, not spawn: a spawned worker imports stakesim afresh
+            # (about 0.1 s on a 2-vCPU VM), as long as a small grid's points
+            # take. map keeps point order; a killed worker raises
+            # BrokenProcessPool.
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                index = list(pool.map(point_row, jobs))
         (out / "sweep.json").write_text(canonical_json({"points": index}) + "\n", encoding="utf-8")
     ok = sum(1 for r in index if r["ok"])
     sys.stdout.write(f"swept {len(index)} points ({ok} ok, {len(index) - ok} failed) -> {out}\n")

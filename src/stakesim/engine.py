@@ -22,7 +22,9 @@ labels the run_start record and the report.
 
 from __future__ import annotations
 
+import copy
 import heapq
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Iterator, Optional
@@ -157,7 +159,7 @@ class _Run:
             fork_events=list(sc.timeline.fork_events) + extra,
             validators=sc.timeline.validators,
         )
-        self.ledger = InsuranceLedger(self.timeline, self.tp, self.ep, transactors=sc.transactors())
+        self.ledger = InsuranceLedger(self.timeline, self.ep, transactors=sc.transactors())
         self.bids_by_epoch: dict[EpochIndex, list[InsuranceBid]] = {}
         for b in sc.bids:
             self.bids_by_epoch.setdefault(b.epoch_placed, []).append(b)
@@ -492,6 +494,7 @@ class _Run:
         )
         report = build_report(
             self.ledger,
+            self.tp,
             karma,
             self.bound_kind,
             scenario_hash=scenario_hash(self.sc),
@@ -532,6 +535,44 @@ def _set_path(doc: Any, path: str, value: Any, source: str) -> None:
     node[leaf] = value
 
 
+def sweep_point(
+    template_doc: dict,
+    keys: list[str],
+    seed: Optional[int],
+    bound_kind: PfcKind,
+    job: tuple[int, tuple],
+) -> dict:
+    """Run grid point `job` = (n, combo): the template with each dotted path
+    in `keys` set to its value in `combo`.
+
+    Returns {"point", "overrides", "ok", "error", "report"}. A domain error
+    (StakesimError) is kept as the point's `error`, with no report; any
+    other exception is a bug and propagates. The template is copied, never
+    edited, so points can run in any order or process.
+    """
+    from .scenario import parse_scenario
+
+    n, combo = job
+    report = error = None
+    overrides = dict(zip(keys, combo))
+    doc = copy.deepcopy(template_doc)
+    source = f"<sweep point {n}>"
+    try:
+        for path, value in overrides.items():
+            _set_path(doc, path, value, source)
+        sc = parse_scenario(doc, source=source)
+        report = run(sc, seed=seed, bound_kind=bound_kind).report
+    except StakesimError as exc:  # record, keep sweeping
+        error = f"{type(exc).__name__}: {exc}"
+    return {"point": n, "overrides": overrides, "ok": error is None, "error": error, "report": report}
+
+
+def sweep_jobs(grid: dict[str, list]) -> Iterator[tuple[int, tuple]]:
+    """The grid's points as (n, combo) in sweep order: keys as given,
+    values in listed order, rightmost fastest."""
+    return enumerate(itertools.product(*grid.values()))
+
+
 def sweep(
     template_doc: dict,
     grid: dict[str, list],
@@ -539,32 +580,16 @@ def sweep(
     bound_kind: PfcKind = PfcKind.REORG_HYBRID_SECURE_RULE,
 ) -> Iterator[dict]:
     """Run the template once per grid point, overriding dotted parameters,
-    and yield each point as it finishes.
+    and yield each point's `sweep_point` result as it finishes.
 
     Grid keys look like "econ.gamma" or "timing.t_rev"; values are lists.
-    Points are visited in deterministic order (keys as given, values in
-    listed order, rightmost fastest). A point keeps only its report, so a
-    consumer that drops each point before asking for the next holds one
-    report at a time. A point that fails with a domain error is yielded
-    with its error and does not abort the sweep; any other exception is a
-    bug and propagates.
+    Points run one after another in this process, in `sweep_jobs` order. A
+    point keeps only its report, so a consumer that drops each point before
+    asking for the next holds one report at a time. A point that fails with
+    a domain error is yielded with its error and does not abort the sweep;
+    any other exception is a bug and propagates. The `stakesim sweep` verb
+    makes the same `sweep_point` calls on a pool of worker processes.
     """
-    import copy
-    import itertools
-
-    from .scenario import parse_scenario
-
-    keys = list(grid.keys())
-    for n, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
-        report = error = None  # the previous point's report is not held while this one runs
-        overrides = dict(zip(keys, combo))
-        doc = copy.deepcopy(template_doc)
-        source = f"<sweep point {n}>"
-        try:
-            for path, value in overrides.items():
-                _set_path(doc, path, value, source)
-            sc = parse_scenario(doc, source=source)
-            report = run(sc, seed=seed, bound_kind=bound_kind).report
-        except StakesimError as exc:  # record, keep sweeping
-            error = f"{type(exc).__name__}: {exc}"
-        yield {"point": n, "overrides": overrides, "ok": error is None, "error": error, "report": report}
+    keys = list(grid)
+    for job in sweep_jobs(grid):
+        yield sweep_point(template_doc, keys, seed, bound_kind, job)

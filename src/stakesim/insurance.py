@@ -41,7 +41,6 @@ from .chain import (
     ConfirmationRule,
     EconParams,
     EpochIndex,
-    TimingParams,
     TransactionRecord,
     TxKind,
     epoch_of,
@@ -266,12 +265,10 @@ class InsuranceLedger:
     def __init__(
         self,
         timeline: ChainTimeline,
-        tp: TimingParams,
         ep: EconParams,
         transactors: Iterable[str],
     ):
         self.timeline = timeline
-        self.tp = tp
         self.ep = ep
         self.transactors = frozenset(transactors)
         earmarks = {v.id: v.earmarked_fraction * v.stake for v in timeline.validators}

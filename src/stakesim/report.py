@@ -258,6 +258,7 @@ def _checked_sections(
 
 def build_report(
     ledger: InsuranceLedger,
+    tp: TimingParams,
     karma: KarmaSummary,
     bound_kind: PfcKind,
     *,
@@ -265,8 +266,8 @@ def build_report(
     seed: int = 0,
 ) -> ReportDocument:
     """Assemble the full safety report for the ledger's (effective)
-    timeline, its lots and its settlements."""
-    timeline, tp, ep, settlements = ledger.timeline, ledger.tp, ledger.ep, ledger.settlements
+    timeline, its lots and its settlements, under the run's timing `tp`."""
+    timeline, ep, settlements = ledger.timeline, ledger.ep, ledger.settlements
     verdict = safety_verdict(timeline, tp, ep, ledger, bound_kind)
     sections = _checked_sections(
         timeline, tp, ep, ledger.coverage(), [(s.slashed, s.paid_total, s.burned) for s in settlements]

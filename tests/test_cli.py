@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+import stakesim.cli as cli
+import stakesim.engine as engine
 from stakesim.cli import main
 from stakesim.errors import ScenarioError
 from stakesim.scenario import canonical_json, load_scenario
@@ -358,6 +364,108 @@ def test_sweep_holds_one_point_report_at_a_time(tmp_path, capsys):
     four = _sweep_peak(template, ["1/2", "1/4", "3/4", "1"], tmp_path / "four")
     assert len(list((tmp_path / "four").glob("report-*.json"))) == 4
     assert four < 1.25 * one, (one, four)
+
+
+def test_a_serial_sweep_holds_one_point_report_at_a_time(tmp_path, capsys, monkeypatch):
+    # the parent's tracemalloc sees no pool worker's memory, so only the
+    # in-process path shows that points stream through one at a time
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
+    doc["horizon"] = 20_000
+    template = write_doc(tmp_path, doc)
+    _sweep_peak(template, ["1/2"], tmp_path / "warm")
+    one = _sweep_peak(template, ["1/2"], tmp_path / "one")
+    four = _sweep_peak(template, ["1/2", "1/4", "3/4", "1"], tmp_path / "four")
+    assert len(list((tmp_path / "four").glob("report-*.json"))) == 4
+    assert four < 1.25 * one, (one, four)
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _pooled(monkeypatch) -> list:
+    """Force `sweep` onto a two-worker pool, whatever the host's CPUs;
+    returns the list each pool's worker count is appended to."""
+    pools = []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
+    return pools
+
+
+GAMMA_AXIS = "econ.gamma=1/2,1/4,3/2,1,0"  # 3/2 is out of range: point 2 fails
+
+
+def test_a_pooled_sweep_writes_what_a_serial_one_does(tmp_path, capsys, monkeypatch):
+    pools = _pooled(monkeypatch)
+    assert main(["sweep", "--scenario", DEMO, "--set", GAMMA_AXIS, "--out", str(tmp_path / "pooled")]) == 0
+    pooled_stdout = capsys.readouterr().out.replace(str(tmp_path / "pooled"), "OUT")
+    assert pools == [2]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(["sweep", "--scenario", DEMO, "--set", GAMMA_AXIS, "--out", str(tmp_path / "serial")]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path / "serial"), "OUT") == pooled_stdout
+    assert pools == [2]
+
+    pooled, serial = _outputs(tmp_path / "pooled"), _outputs(tmp_path / "serial")
+    assert pooled == serial
+    assert sorted(pooled) == [f"report-{n:04d}.json" for n in (0, 1, 3, 4)] + ["sweep.json"]
+    rows = json.loads(pooled["sweep.json"])["points"]
+    assert [(r["point"], r["ok"]) for r in rows] == [(0, True), (1, True), (2, False), (3, True), (4, True)]
+    assert rows[2]["error"] == "ScenarioError: <sweep point 2>.econ: gamma must lie in [0, 1], got 3/2"
+
+
+def test_no_pool_worker_outlives_a_sweep(tmp_path, capsys, monkeypatch):
+    pools = _pooled(monkeypatch)
+    assert main(["sweep", "--scenario", DEMO, "--set", GAMMA_AXIS, "--out", str(tmp_path / "s")]) == 0
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_bug_in_a_pooled_point_propagates_with_its_type(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not a domain error")
+
+    pools = _pooled(monkeypatch)
+    monkeypatch.setattr(engine, "run", broken)  # forked workers inherit the patch
+    with pytest.raises(RuntimeError, match="a bug, not a domain error"):
+        main(["sweep", "--scenario", DEMO, "--set", GAMMA_AXIS, "--out", str(tmp_path / "s")])
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_pool_worker_fails_the_sweep_instead_of_hanging(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def killed(*args, **kwargs):
+        assert os.getpid() != parent, "the sweep ran a point in the test process"
+        os._exit(9)
+
+    pools = _pooled(monkeypatch)
+    monkeypatch.setattr(engine, "run", killed)
+    with pytest.raises(BrokenProcessPool):
+        main(["sweep", "--scenario", DEMO, "--set", GAMMA_AXIS, "--out", str(tmp_path / "s")])
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_process_with_another_thread_sweeps_in_process():
+    # a forked child keeps only the forking thread, so a lock another
+    # thread held at the fork would stay held in the worker for good
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert cli._usable_cpus() == 1
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 def test_sweep_without_any_axis_is_an_error(tmp_path, capsys):

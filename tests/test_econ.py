@@ -312,7 +312,7 @@ def _insured_setup(value, coverage):
         finalized_at=45, rule="insured_immediate", insured_epoch=4,
     )
     tl = build_timeline(horizon=60, transactions=[t], validators=vals)
-    ledger = InsuranceLedger(tl, TP, ep(), transactors={"alice"})
+    ledger = InsuranceLedger(tl, ep(), transactors={"alice"})
     ledger.sell(2, [InsuranceBid("alice", 2, Fraction(coverage), Fraction(1, 50))])
     ledger.activate(4)
     return tl, ledger
@@ -341,14 +341,14 @@ def test_unprotected_immediate_flow_breaks_strong_safety():
 def test_ledger_from_another_timeline_rejected():
     tl, ledger = _insured_setup(value=3, coverage=4)
     other = build_timeline(horizon=60)
-    other_ledger = InsuranceLedger(other, TP, ep(), transactors={"alice"})
+    other_ledger = InsuranceLedger(other, ep(), transactors={"alice"})
     with pytest.raises(LedgerMismatchError):
         safety_verdict(tl, TP, ep(), other_ledger, PfcKind.REORG_WINDOW)
 
 
 def test_ledger_missing_insured_transactor_rejected():
     tl, _ = _insured_setup(value=3, coverage=4)
-    blind = InsuranceLedger(tl, TP, ep(), transactors={"someone_else"})
+    blind = InsuranceLedger(tl, ep(), transactors={"someone_else"})
     with pytest.raises(LedgerMismatchError):
         safety_verdict(tl, TP, ep(), blind, PfcKind.REORG_WINDOW)
 
@@ -402,7 +402,7 @@ def _random_insured_case(rng: random.Random):
             "above": [load + rng.randint(1, 5)],
             "split": [Fraction(1), load - 1],
         }[mode] + amounts.get(key, [])
-    ledger = InsuranceLedger(tl, tp, econ, transactors="abc")
+    ledger = InsuranceLedger(tl, econ, transactors="abc")
     coverage: dict = {}
     for (tr, e), lots in sorted(amounts.items()):
         for j, amount in enumerate(lots):
@@ -435,7 +435,7 @@ def test_strong_safety_matches_the_oracle_on_random_cases():
         v = safety_verdict(tl, tp, econ, None, PfcKind.REORG_HYBRID_SECURE_RULE)
         assert (v.strong_safety, v.uninsured_buffer_ok) == bare
 
-        doc = build_report(ledger, karma_report(ledger), PfcKind.UNINSURED_LOAD).doc
+        doc = build_report(ledger, tp, karma_report(ledger), PfcKind.UNINSURED_LOAD).doc
         rows = [row["insured_ok"] for row in doc["per_epoch"]]
         assert rows == insured_ok_oracle(tl.transactions, tl.horizon, tp.t_rev, coverage)
         assert (doc["verdict"]["strong_safety"], doc["verdict"]["uninsured_buffer_ok"]) == expected

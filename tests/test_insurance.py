@@ -191,7 +191,7 @@ def quiet_ledger(transactors=("ins", "other")):
         for i in range(1, 5)
     ]
     tl = build_timeline(horizon=60, validators=vals)
-    return InsuranceLedger(tl, TP, EP, transactors=transactors)
+    return InsuranceLedger(tl, EP, transactors=transactors)
 
 
 def test_only_an_auction_files_a_backed_lot():
@@ -320,7 +320,7 @@ def _fraction_ops_to_close(n_backers, monkeypatch):
     ep = EconParams(
         stake_per_validator=Fraction(32), n_validators=len(vals), gamma=Fraction(1, 2), tvl=Fraction(200)
     )
-    ledger = InsuranceLedger(tl, TP, ep, transactors="ab")
+    ledger = InsuranceLedger(tl, ep, transactors="ab")
     ledger.sell(0, [bid("a", 0, 3, Fraction(1, 50)), bid("b", 0, 2, Fraction(1, 10))])
     ledger.sell(1, [bid("a", 1, 3, Fraction(1, 50)), bid("b", 1, 2, Fraction(1, 10))])
     # the slash settles before any lot is active, so it holds none
@@ -427,7 +427,7 @@ def test_ledger_matches_the_list_scanning_oracle():
     rates = [Fraction(0), Fraction(1, 50), Fraction(1, 10), Fraction(1, 3)]
     for _ in range(150):
         tl, tp, ep = random_ledger_case(rng)
-        ledger = InsuranceLedger(tl, tp, ep, transactors="abc")
+        ledger = InsuranceLedger(tl, ep, transactors="abc")
         oracle = LedgerOracle(tl.validators, tp, ep, tl.fork_events)
         last_epoch = tl.horizon // tp.t_rev + 2
         last_backers = None  # the share map of the last sale that sold a lot
@@ -614,7 +614,7 @@ def settle_fixture(*, coverages, gamma=Fraction(2, 3), signers=("v1",)):
     ep = EconParams(
         stake_per_validator=Fraction(90), n_validators=2, gamma=gamma, tvl=Fraction(100)
     )
-    ledger = InsuranceLedger(tl, TP, ep, transactors=set(coverages))
+    ledger = InsuranceLedger(tl, ep, transactors=set(coverages))
     for tr, cov in sorted(coverages.items()):
         ledger.record_lot(manual_lot(tr, 2, cov))
     outcome = ResolutionOutcome(

@@ -26,6 +26,7 @@ from oracles import epoch_lines_oracle, epoch_rows_oracle, first_mismatch_oracle
 from test_golden import CASES
 
 DEMO = Path(__file__).parent.parent / "scenarios" / "double-sign.json"
+DEMO_T_REV = json.loads(DEMO.read_text(encoding="utf-8"))["timing"]["t_rev"]
 RULES = ["immediate", "secure", "bridge", "insured_immediate"]
 
 
@@ -127,7 +128,7 @@ def test_report_queries_the_timeline_only_in_busy_epochs(monkeypatch):
 
     monkeypatch.setattr(report, "gamma_value", counted)
     trace = _long_demo()
-    t_rev = trace.ledger.tp.t_rev
+    t_rev = DEMO_T_REV
     busy = {t.finalized_at // t_rev for t in trace.ledger.timeline.transactions}
     assert len(trace.report.doc["per_epoch"]) == 2_001
     assert len(trace.ledger.timeline.transactions) <= 10
@@ -282,7 +283,7 @@ def test_report_encodes_only_busy_or_covered_rows_whole(monkeypatch):
     trace = _long_demo()
     lines, text = trace.to_lines(), trace.report.to_json()
     doc = trace.report.doc
-    t_rev = trace.ledger.tp.t_rev
+    t_rev = DEMO_T_REV
     busy = {t.finalized_at // t_rev for t in trace.ledger.timeline.transactions}
     covered = {row["epoch"] for row in doc["per_epoch"] if row["coverage"]}
     assert len(doc["per_epoch"]) == 2_001 and len(busy | covered) <= 12
