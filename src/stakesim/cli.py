@@ -30,7 +30,7 @@ from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
 from .resolution import classify_reveal
-from .scenario import canonical_json, listing, load_scenario, read_field, read_input, scenario_hash, timing_to_doc
+from .scenario import TIMING, canonical_json, listing, load_scenario, read_field, read_input, scenario_hash
 from .version import SCHEMA_VERSION, __version__
 
 
@@ -174,7 +174,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     lines = [
         f"scenario {scenario_hash(scenario)[:16]} (schema {SCHEMA_VERSION}, tool {__version__})",
         f"  horizon {tl.horizon}, seed {scenario.seed}",
-        "  timing: " + " ".join(f"{key}={value}" for key, value in timing_to_doc(tp).items()),
+        "  timing: " + " ".join(f"{key}={value}" for key, value in TIMING.write(tp).items()),
         f"  econ: {ep.n_validators} validators x stake {frac_str(ep.stake_per_validator)}"
         f" (total {frac_str(ep.s_tot)}), gamma {frac_str(ep.gamma)}, tvl {frac_str(ep.tvl)}",
         f"  {len(tl.transactions)} transactions, {len(tl.fork_events)} fork events,"

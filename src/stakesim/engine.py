@@ -54,7 +54,6 @@ from .insurance import (
     RELEASE_LAG_EPOCHS,
     InsuranceBid,
     InsuranceLedger,
-    InsuranceLot,
     RevertedExecution,
     coverage_check,
     karma_report,
@@ -62,20 +61,27 @@ from .insurance import (
     settle_slash,
 )
 from .policies import StrategyKind
-from .rational import frac_str, ratio_str
-from .report import ReportDocument, build_report, settlement_doc
+from .rational import frac_str
+from .report import ReportDocument, build_report
 from .resolution import RevealClass, resolve
 from .scenario import (
+    DECISION,
+    ECON,
+    FORK_EVENT,
+    LOT,
+    LOT_REF,
+    NAIVE_DECISION,
+    SETTLEMENT,
     SLOT,
+    TIMING,
+    TX_FINALIZED,
     ForkEventMeta,
     Scenario,
     canonical_json,
     canonical_object,
     canonical_template,
-    econ_to_doc,
     scenario_hash,
     strategy_events,
-    timing_to_doc,
 )
 from .version import SCHEMA_VERSION, __version__
 
@@ -132,16 +138,6 @@ class SimTrace:
         return [r.to_line() for r in self.records]
 
 
-def _lot_ref(lot: InsuranceLot) -> dict:
-    return {"id": lot.id, "buyer": lot.buyer, "coverage": frac_str(lot.coverage)}
-
-
-def _backing_doc(lot: InsuranceLot) -> dict[str, str]:
-    """The lot's backing, each amount written from the integers its share
-    map gives."""
-    return {v: ratio_str(n, d) for v, n, d in lot.backers.backing(lot.coverage)}
-
-
 class _Run:
     """Mutable state of one simulation run."""
 
@@ -165,7 +161,7 @@ class _Run:
             self.bids_by_epoch.setdefault(b.epoch_placed, []).append(b)
 
         self.records: list[TraceRecord] = []
-        self.effective_rule: dict[str, ConfirmationRule] = {}
+        self.effective: dict[str, TransactionRecord] = {}  # each transaction under the rule it finalized with
         self.committed_insured: dict[tuple[str, EpochIndex], list[TransactionRecord]] = {}
         self.executed: dict[str, Tick] = {}
         self.reverted: set[str] = set()
@@ -211,8 +207,8 @@ class _Run:
             scenario_hash=scenario_hash(sc),
             seed=self.seed,
             horizon=horizon,
-            timing=timing_to_doc(tp),
-            econ=econ_to_doc(self.ep),
+            timing=TIMING.write(tp),
+            econ=ECON.write(self.ep),
         )
         if self.probe_log is not None:
             self.rec(0, "bribery_probe", **self.probe_log)
@@ -247,7 +243,7 @@ class _Run:
     def on_epoch(self, tick: Tick, e: EpochIndex):
         released = release_lots(e, self.ledger)
         if released:
-            self.rec(tick, "released", epoch=e, lots=[_lot_ref(l) for l in released])
+            self.rec(tick, "released", epoch=e, lots=list(map(LOT_REF.write, released)))
 
         self.ledger.activate(e)
 
@@ -271,29 +267,14 @@ class _Run:
             # the epoch the lots cover activates them, and they release two later
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
-            self.rec(
-                tick,
-                "auction",
-                epoch=e,
-                available=frac_str(avail),
-                lots=[
-                    {
-                        **_lot_ref(l),
-                        "premium_rate": frac_str(l.premium_rate),
-                        "premium_paid": frac_str(l.premium_paid),
-                        "covering_epoch": l.covering_epoch,
-                        "backing": _backing_doc(l),
-                    }
-                    for l in lots
-                ],
-            )
+            self.rec(tick, "auction", epoch=e, available=frac_str(avail), lots=list(map(LOT.write, lots)))
 
         if self.sc.attack_over_epoch is not None and e == self.sc.attack_over_epoch:
             if self.secure_mode:
                 self.secure_mode = False
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
             for lot in self.ledger.end_attack(e - RELEASE_LAG_EPOCHS):
-                self.rec(tick, "released", epoch=e, lots=[_lot_ref(lot)])
+                self.rec(tick, "released", epoch=e, lots=[LOT_REF.write(lot)])
             self.reevaluate_waiting(tick)
 
     def reevaluate_waiting(self, tick: Tick):
@@ -332,18 +313,8 @@ class _Run:
                 tentative = self.committed_insured.get(key, []) + [tx]
                 if not coverage_check(tx.transactor, e, tentative, self.ledger.u(tx.transactor, e), self.tp.t_rev):
                     effective, reason = ConfirmationRule.SECURE_RULE, "no_coverage"
-        self.effective_rule[tx.id] = effective
-        self.rec(
-            tick,
-            "tx_finalized",
-            id=tx.id,
-            transactor=tx.transactor,
-            value=frac_str(tx.value),
-            tx_kind=tx.kind.value,
-            rule_requested=rule.value,
-            rule_effective=effective.value,
-            insured_epoch=tx.insured_epoch,
-        )
+        self.effective[tx.id] = tx if effective is rule else replace(tx, rule=effective)
+        self.rec(tick, "tx_finalized", rule_requested=rule.value, **TX_FINALIZED.write(self.effective[tx.id]))
         if reason is not None:
             self.rec(tick, "rule_fallback", tx=tx.id, from_rule=rule.value, to_rule=effective.value, reason=reason)
 
@@ -358,14 +329,7 @@ class _Run:
             self.push(when, _PH_EXECUTE, tx)
         elif effective is ConfirmationRule.SECURE_RULE:
             decision = decide_secure(tx, self.timeline, self.tp)
-            self.rec(
-                tick,
-                "decision",
-                tx=tx.id,
-                rule=ConfirmationRule.SECURE_RULE.value,
-                status=decision.status.value,
-                earliest=decision.earliest_offchain_tick,
-            )
+            self.rec(tick, "decision", tx=tx.id, **DECISION.write(decision))
             if decision.status is DecisionStatus.CONFIRMED:
                 self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
             else:
@@ -379,16 +343,7 @@ class _Run:
             )
             decision = decide_bridge(posted, posts, self.tp)
             naive = decide_bridge_naive(posted, posts, self.tp)
-            self.rec(
-                tick,
-                "decision",
-                tx=tx.id,
-                rule=ConfirmationRule.BRIDGE_RULE.value,
-                status=decision.status.value,
-                earliest=decision.earliest_offchain_tick,
-                naive_status=naive.status.value,
-                naive_earliest=naive.earliest_offchain_tick,
-            )
+            self.rec(tick, "decision", tx=tx.id, **DECISION.write(decision), **NAIVE_DECISION.write(naive))
             if decision.status is DecisionStatus.CONFIRMED:
                 self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
 
@@ -399,20 +354,12 @@ class _Run:
         if tick > self.timeline.horizon:
             return
         self.executed[tx.id] = tick
-        self.rec(tick, "offchain_executed", tx=tx.id, rule=self.effective_rule[tx.id].value)
+        self.rec(tick, "offchain_executed", tx=tx.id, rule=self.effective[tx.id].rule.value)
 
     # -- forks ----------------------------------------------------------------
 
     def on_reveal(self, tick: Tick, ev: ForkRevealEvent):
-        self.rec(
-            tick,
-            "fork_reveal",
-            id=ev.id,
-            diverges_from=ev.diverges_from_block_finalized_at,
-            revealed_at=ev.revealed_at,
-            double_signers=sorted(ev.double_signers),
-            double_signer_stake=frac_str(ev.double_signer_stake),
-        )
+        self.rec(tick, "fork_reveal", **FORK_EVENT.write(ev))
         outcome = resolve(ev, self.tp, self.timeline.validators)
         meta = self.sc.fork_meta.get(ev.id, ForkEventMeta())
         wins = outcome.reveal_class is RevealClass.AMBIGUOUS_WINDOW and meta.adversary_wins
@@ -441,14 +388,13 @@ class _Run:
                 self.rec(tick, "tx_reverted", tx=tx.id, executed=was_executed)
                 if not was_executed or tx.kind is not TxKind.HYBRID:
                     continue
-                effective = self.effective_rule.get(tx.id, tx.rule)
                 self.reverted_executions.append(
                     RevertedExecution(
                         tx_id=tx.id,
                         transactor=tx.transactor,
                         covering_epoch=epoch_of(tx.finalized_at, self.tp.t_rev),
                         value=tx.value,
-                        insured=effective is ConfirmationRule.INSURED_IMMEDIATE,
+                        insured=self.effective[tx.id].rule is ConfirmationRule.INSURED_IMMEDIATE,
                     )
                 )
 
@@ -456,7 +402,7 @@ class _Run:
             self.adversary_validators.update(ev.double_signers)
             harmed = [r for r in self.reverted_executions[first_new:] if r.insured]
             settlement = settle_slash(outcome, self.ledger, harmed=harmed)
-            self.rec(tick, "settlement", **settlement_doc(settlement))
+            self.rec(tick, "settlement", **SETTLEMENT.write(settlement))
             if settlement.invariant_breach:
                 owed = sum((c.capped for c in settlement.claims), Fraction(0))
                 err = InvariantBreachError(
@@ -473,17 +419,10 @@ class _Run:
     # -- wrap-up ----------------------------------------------------------------
 
     def finish(self, horizon: Tick) -> SimTrace:
-        # rule is not a sort key, so the validated timeline stays valid
-        # the ledger follows the run's effective view from here on; only a
-        # transaction whose rule fell back is rebuilt
+        # the ledger follows the run's effective view from here on; rule is
+        # not a sort key, so the validated timeline stays valid
         self.ledger.timeline = replace(
-            self.timeline,
-            transactions=tuple(
-                tx
-                if (rule := self.effective_rule.get(tx.id, tx.rule)) is tx.rule
-                else replace(tx, rule=rule)
-                for tx in self.timeline.transactions
-            ),
+            self.timeline, transactions=tuple(self.effective[tx.id] for tx in self.timeline.transactions)
         )
 
         karma = karma_report(

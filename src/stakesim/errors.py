@@ -63,4 +63,5 @@ class ScenarioError(StakesimError):
 
     def __init__(self, message: str, *, path: str | None = None):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)

@@ -51,7 +51,7 @@ from .errors import (
     SettleOnUnslashableError,
     UnknownTransactorError,
 )
-from .rational import as_fraction
+from .rational import as_fraction, ratio_str
 from .resolution import ResolutionOutcome
 
 # A purchase at epoch e covers epoch e + 2: one full epoch of gap makes the
@@ -167,6 +167,12 @@ class InsuranceLot:
         """Validator id to the exact amount of its earmarked stake locked
         behind this lot."""
         return {v: Fraction(n, d) for v, n, d in self.backers.backing(self.coverage)}
+
+    @property
+    def backing_doc(self) -> dict[str, str]:
+        """`backing` as exact value strings, each written from the integers
+        its share map gives, with no `Fraction` built."""
+        return {v: ratio_str(n, d) for v, n, d in self.backers.backing(self.coverage)}
 
     @property
     def covering_epoch(self) -> EpochIndex:

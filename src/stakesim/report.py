@@ -21,14 +21,12 @@ from .chain import (
     EpochIndex,
     GammaFilter,
     TimingParams,
-    TransactionRecord,
     epoch_bounds,
     epoch_of,
     gamma_value,
 )
 from .econ import (
     Mechanism,
-    PfcBound,
     PfcKind,
     cost_of_corruption,
     pfc_ladder,
@@ -36,21 +34,23 @@ from .econ import (
     strong_safety_flags,
 )
 from .errors import ScenarioError
-from .insurance import InsuranceLedger, KarmaSummary, SettlementRecord, coverage_map
+from .insurance import InsuranceLedger, KarmaSummary, coverage_map
 from .rational import as_fraction, frac_decimal, frac_str
 from .scenario import (
+    KARMA,
+    LOT,
+    PFC_BOUND,
+    SETTLEMENT,
     SLOT,
+    TX_FINALIZED,
+    VERDICT,
     canonical_json,
     canonical_object,
     canonical_template,
-    confirmation_rule,
     integer,
     listing,
-    optional_integer,
     parse_run_header,
     read_field,
-    text,
-    tx_kind,
 )
 from .version import SCHEMA_VERSION, __version__
 
@@ -200,39 +200,6 @@ def _coc_doc(ep: EconParams) -> dict:
     }
 
 
-def _ladder_doc(ladder: Sequence[PfcBound]) -> list[dict]:
-    return [
-        {
-            "kind": b.kind.value,
-            "value": frac_str(b.value),
-            "witness_window_start": b.witness_window_start,
-        }
-        for b in ladder
-    ]
-
-
-def settlement_doc(s: SettlementRecord) -> dict:
-    """One settlement, as both the trace record and the report entry."""
-    return {
-        "event": s.event_id,
-        "slashed": frac_str(s.slashed),
-        "insurance_budget": frac_str(s.insurance_budget),
-        "paid": frac_str(s.paid_total),
-        "burned": frac_str(s.burned),
-        "breach": s.invariant_breach,
-        "claims": [
-            {
-                "transactor": c.transactor,
-                "covering_epoch": c.covering_epoch,
-                "harm": frac_str(c.harm),
-                "capped": frac_str(c.capped),
-                "paid": frac_str(c.paid),
-            }
-            for c in s.claims
-        ],
-    }
-
-
 def _checked_sections(
     timeline: ChainTimeline,
     tp: TimingParams,
@@ -246,7 +213,7 @@ def _checked_sections(
     strong, buffer_ok, uncovered = strong_safety_flags(timeline, tp, ep, ladder, coverage)
     return {
         "coc": _coc_doc(ep),
-        "ladder": _ladder_doc(ladder),
+        "ladder": list(map(PFC_BOUND.write, ladder)),
         "verdict_flags": {"strong_safety": strong, "uninsured_buffer_ok": buffer_ok},
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage, uncovered),
         "totals": {
@@ -273,40 +240,15 @@ def build_report(
         timeline, tp, ep, ledger.coverage(), [(s.slashed, s.paid_total, s.burned) for s in settlements]
     )
     del sections["verdict_flags"]  # the verdict below carries them
-    karma_doc = {
-        "parties": [
-            {
-                "party": k.party,
-                "premiums_paid": frac_str(k.premiums_paid),
-                "premiums_earned": frac_str(k.premiums_earned),
-                "compensation": frac_str(k.compensation),
-                "harm": frac_str(k.harm),
-                "slashed": frac_str(k.slashed),
-                "net": frac_str(k.net),
-            }
-            for k in karma.entries
-        ],
-        "adversary_parties": sorted(karma.adversary_parties),
-        "double_spend_gain": frac_str(karma.double_spend_gain),
-        "adversary_net": frac_str(karma.adversary_net),
-    }
-
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "scenario_hash": scenario_hash,
         "seed": seed,
         **sections,
-        "verdict": {
-            "bound_kind": verdict.bound_kind.value,
-            "coc": frac_str(verdict.coc),
-            "pfc_value": frac_str(verdict.pfc.value),
-            "cryptoeconomically_safe": verdict.cryptoeconomically_safe,
-            "strong_safety": verdict.strong_safety,
-            "uninsured_buffer_ok": verdict.uninsured_buffer_ok,
-        },
-        "settlements": [settlement_doc(s) for s in settlements],
-        "karma": karma_doc,
+        "verdict": VERDICT.write(verdict),
+        "settlements": list(map(SETTLEMENT.write, settlements)),
+        "karma": KARMA.write(karma),
     }
     return ReportDocument(doc=doc)
 
@@ -413,6 +355,11 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
     return records
 
 
+# what `analyze` needs of a lot, (buyer, covering_epoch, coverage), and of a settlement
+_COVERED = tuple(map(LOT.field, ("buyer", "covering_epoch", "coverage")))
+_slash = itemgetter("slashed", "paid_total", "burned")
+
+
 def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") -> dict:
     """Re-derive the report's checkable numbers from raw trace records."""
     header = next((r for r in records if r["kind"] == "run_start"), None)
@@ -421,16 +368,9 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     horizon, tp, ep = parse_run_header(header, f"{source}:run_start")
 
     where = f"{source}:tx_finalized"
+    allowed = TX_FINALIZED.keys | {"tick", "kind", "rule_requested"}
     txs = [
-        TransactionRecord(
-            id=read_field(r, "id", where, text),
-            transactor=read_field(r, "transactor", where, text),
-            value=read_field(r, "value", where, as_fraction),
-            kind=read_field(r, "tx_kind", where, tx_kind),
-            finalized_at=read_field(r, "tick", where, integer),
-            rule=read_field(r, "rule_effective", where, confirmation_rule),
-            insured_epoch=read_field(r, "insured_epoch", where, optional_integer),
-        )
+        TX_FINALIZED.parse(r, where, allowed, finalized_at=read_field(r, "tick", where, integer))
         for r in records
         if r["kind"] == "tx_finalized"
     ]
@@ -446,20 +386,11 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
             continue
         for i, lot in enumerate(read_field(r, "lots", where, listing)):
             at = f"{where}.lots[{i}]"
-            lots.append(
-                (
-                    read_field(lot, "buyer", at, text),
-                    read_field(lot, "covering_epoch", at, integer),
-                    read_field(lot, "coverage", at, as_fraction),
-                )
-            )
+            lots.append(tuple(f.read(lot, at) for f in _COVERED))
 
     where = f"{source}:settlement"
-    slashes = [
-        tuple(read_field(r, key, where, as_fraction) for key in ("slashed", "paid", "burned"))
-        for r in records
-        if r["kind"] == "settlement"
-    ]
+    allowed = SETTLEMENT.keys | {"tick", "kind"}
+    slashes = [_slash(SETTLEMENT.read(r, where, allowed)) for r in records if r["kind"] == "settlement"]
     return _checked_sections(timeline, tp, ep, coverage_map(lots), slashes)
 
 
@@ -512,21 +443,10 @@ def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>")
     bound_kind = read_field(verdict, "bound_kind", at, PfcKind)
     coc = recomputed["coc"]["slashing"]
     pfc = next(b["value"] for b in recomputed["ladder"] if b["kind"] == bound_kind.value)
+    sections, flags = ("coc", "ladder", "per_epoch", "totals"), recomputed["verdict_flags"]
     checks = [
-        ("coc", read_field(embedded, "coc", where), recomputed["coc"]),
-        ("ladder", read_field(embedded, "ladder", where), recomputed["ladder"]),
-        ("per_epoch", read_field(embedded, "per_epoch", where), recomputed["per_epoch"]),
-        ("totals", read_field(embedded, "totals", where), recomputed["totals"]),
-        (
-            "verdict.strong_safety",
-            read_field(verdict, "strong_safety", at),
-            recomputed["verdict_flags"]["strong_safety"],
-        ),
-        (
-            "verdict.uninsured_buffer_ok",
-            read_field(verdict, "uninsured_buffer_ok", at),
-            recomputed["verdict_flags"]["uninsured_buffer_ok"],
-        ),
+        *((key, read_field(embedded, key, where), recomputed[key]) for key in sections),
+        *((f"verdict.{key}", read_field(verdict, key, at), flags[key]) for key in flags),
         ("verdict.coc", read_field(verdict, "coc", at), coc),
         ("verdict.pfc_value", read_field(verdict, "pfc_value", at), pfc),
         (

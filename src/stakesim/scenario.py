@@ -9,7 +9,10 @@ as integers, "p/q" strings, or decimal strings; they are kept exact.
 Each block, the document included, is one ordered table of fields (JSON
 key, attribute, parser, serializer, default) that gives its allowed keys,
 its reader and, below the top level, its writer; only cross-field rules
-are written by hand.
+are written by hand. Each trace record or report entry whose payload is
+one object's fields (a finalized transaction, a lot, a settlement, ...) is
+written through that object's table too, and `analyze` reads it back
+through the same table.
 
 Parse errors cite the offending path ("transactions[2].value: ...").
 `read_field` is the one checked reader of JSON input: scenarios, trace
@@ -43,9 +46,10 @@ from .chain import (
     epoch_bounds,
     epoch_of,
 )
-from .econ import Mechanism, bribe_is_dominant
+from .confirmation import ConfirmationDecision, DecisionStatus
+from .econ import Mechanism, PfcBound, PfcKind, bribe_is_dominant
 from .errors import InvariantViolationError, ScenarioError, StakesimError
-from .insurance import InsuranceBid
+from .insurance import Claim, InsuranceBid, SettlementRecord
 from .policies import AdversaryStrategy, PolicyKind, StrategyKind, default_rule
 from .rational import as_fraction, frac_str
 from .version import SCHEMA_VERSION
@@ -72,9 +76,6 @@ class Scenario:
     fork_meta: dict[str, ForkEventMeta]
     attack_over_epoch: Optional[EpochIndex]
     seed: int
-
-    def policy_of(self, transactor: str) -> PolicyKind:
-        return self.policies.get(transactor, self.default_policy)
 
     def transactors(self) -> frozenset[str]:
         ids = {t.transactor for t in self.timeline.transactions}
@@ -114,6 +115,8 @@ def read_field(doc: Any, key: str, path: str, parse: Callable = _identity, defau
         return parse(raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"malformed value {raw!r}: {exc}", path=f"{path}.{key}") from None
+    except ScenarioError as exc:  # a nested block's, whose path is relative to this key
+        raise ScenarioError(exc.message, path=f"{path}.{key}{exc.path}") from None
 
 
 def integer(x: Any) -> int:
@@ -251,9 +254,10 @@ class _Block:
             fields[attr] = read_field(doc, key, path, parse, default)
         return fields
 
-    def parse(self, doc: Any, path: str, allowed: Optional[frozenset[str]] = None) -> Any:
-        """`make` of the fields `read` gives, its domain errors cited at `path`."""
-        return _build(path, self.make, **self.read(doc, path, allowed))
+    def parse(self, doc: Any, path: str, allowed: Optional[frozenset[str]] = None, **given: Any) -> Any:
+        """`make` of the fields `read` gives and of any `given` beside them,
+        its domain errors cited at `path`."""
+        return _build(path, self.make, **self.read(doc, path, allowed), **given)
 
     def write(self, obj: Any) -> dict[str, Any]:
         """The block's document for `obj`, which has every field's attribute."""
@@ -262,8 +266,21 @@ class _Block:
             doc[key] = dump(doc[key])
         return doc
 
+    def field(self, key: str) -> _Field:
+        return next(f for f in self.fields if f.key == key)
 
-_TIMING = _Block(
+
+def _each(block: _Block) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """The codec of a list of `block`'s objects; an item is cited by its index."""
+
+    def parse(items: Any) -> tuple:
+        return tuple(block.parse(item, f"[{i}]") for i, item in enumerate(listing(items)))
+
+    return parse, lambda objs: list(map(block.write, objs))
+
+
+# the timing and econ blocks of a scenario and of a trace's run_start record
+TIMING = _Block(
     TimingParams,
     _Field("t_fin", _INTEGER),
     _Field("t_rev", _INTEGER),
@@ -271,7 +288,7 @@ _TIMING = _Block(
     _Field("t_cr", _INTEGER, 0),
     _Field("slash_delay", _INTEGER, 0),
 )
-_ECON = _Block(
+ECON = _Block(
     EconParams,
     _Field("stake_per_validator", _VALUE),
     _Field("n_validators", _INTEGER),
@@ -301,7 +318,8 @@ _TRANSACTION = _Block(
     _Field("offchain_executed_at", _OPTIONAL_INTEGER, None),
     _Field("insured_epoch", _OPTIONAL_INTEGER, None),
 )
-_FORK_EVENT = _Block(
+# a scenario's fork event, and a `fork_reveal` record
+FORK_EVENT = _Block(
     ForkRevealEvent,
     _Field("id", _TEXT),
     _Field("diverges_from", _INTEGER, attr="diverges_from_block_finalized_at"),
@@ -312,7 +330,7 @@ _FORK_EVENT = _Block(
 _FORK_META = _Block(
     ForkEventMeta, _Field("adversary_wins", _BOOLEAN, True), _Field("bridge_post_delay", _INTEGER, 0)
 )
-_FORK_KEYS = _FORK_EVENT.keys | _FORK_META.keys
+_FORK_KEYS = FORK_EVENT.keys | _FORK_META.keys
 _BID = _Block(
     InsuranceBid,
     _Field("transactor", _TEXT),
@@ -377,6 +395,90 @@ _DOCUMENT = _Block(
 )
 
 
+# -- the output tables --------------------------------------------------------
+#
+# `make` is the object's class where the keys rebuild it, and `dict` where
+# a key is derived (a lot's covering epoch, an entry's net) or an object
+# lies below it (the verdict's bound).
+
+_RULE_VALUE = (confirmation_rule, _value_of)
+_STATUS = (_lookup(_members(DecisionStatus), "status"), _value_of)
+_BOUND_KIND = (_lookup(_members(PfcKind), "bound kind"), _value_of)
+
+
+def _values(*keys: str) -> tuple[_Field, ...]:
+    return tuple(_Field(key, _VALUE) for key in keys)
+
+
+# a `tx_finalized` record: its tick is `finalized_at`, and it adds `rule_requested`
+TX_FINALIZED = _Block(
+    TransactionRecord,
+    _Field("id", _TEXT),
+    _Field("transactor", _TEXT),
+    _Field("value", _VALUE),
+    _Field("tx_kind", (tx_kind, _value_of), attr="kind"),
+    _Field("rule_effective", _RULE_VALUE, attr="rule"),
+    _Field("insured_epoch", _OPTIONAL_INTEGER),
+)
+# a lot of an `auction` record, and the part of it a `released` record names
+_LOT_REF = (_Field("id", _TEXT), _Field("buyer", _TEXT), _Field("coverage", _VALUE))
+LOT_REF = _Block(dict, *_LOT_REF)
+LOT = _Block(
+    dict,
+    *_LOT_REF,
+    *_values("premium_rate", "premium_paid"),
+    _Field("covering_epoch", _INTEGER),
+    _Field("backing", (_mapping, _identity), attr="backing_doc"),
+)
+# a `settlement` record and a report's settlement entry
+_CLAIM = _Block(
+    Claim, _Field("transactor", _TEXT), _Field("covering_epoch", _INTEGER), *_values("harm", "capped", "paid")
+)
+SETTLEMENT = _Block(
+    SettlementRecord,
+    _Field("event", _TEXT, attr="event_id"),
+    *_values("slashed", "insurance_budget"),
+    _Field("paid", _VALUE, attr="paid_total"),
+    _Field("burned", _VALUE),
+    _Field("breach", _BOOLEAN, attr="invariant_breach"),
+    _Field("claims", _each(_CLAIM)),
+)
+# a `decision` record adds its `tx`; a bridge decision adds its naive foil's
+DECISION = _Block(
+    ConfirmationDecision,
+    _Field("rule", _RULE_VALUE),
+    _Field("status", _STATUS),
+    _Field("earliest", _OPTIONAL_INTEGER, attr="earliest_offchain_tick"),
+)
+NAIVE_DECISION = _Block(
+    dict,
+    _Field("naive_status", _STATUS, attr="status"),
+    _Field("naive_earliest", _OPTIONAL_INTEGER, attr="earliest_offchain_tick"),
+)
+# the report's ladder rungs, verdict and karma section (also the `karma` record)
+PFC_BOUND = _Block(
+    PfcBound, _Field("kind", _BOUND_KIND), _Field("value", _VALUE), _Field("witness_window_start", _OPTIONAL_INTEGER)
+)
+VERDICT = _Block(
+    dict,
+    _Field("bound_kind", _BOUND_KIND),
+    _Field("coc", _VALUE),
+    _Field("pfc_value", _VALUE, attr="pfc.value"),
+    *(_Field(key, _BOOLEAN) for key in ("cryptoeconomically_safe", "strong_safety", "uninsured_buffer_ok")),
+)
+_KARMA_ENTRY = _Block(
+    dict,
+    _Field("party", _TEXT),
+    *_values("premiums_paid", "premiums_earned", "compensation", "harm", "slashed", "net"),
+)
+KARMA = _Block(
+    dict,
+    _Field("parties", _each(_KARMA_ENTRY), attr="entries"),
+    _Field("adversary_parties", _IDS),
+    *_values("double_spend_gain", "adversary_net"),
+)
+
+
 # -- parsing ------------------------------------------------------------------
 
 
@@ -400,8 +502,8 @@ def parse_run_header(header: dict, path: str) -> tuple[Tick, TimingParams, EconP
     """
     return (
         read_field(header, "horizon", path, integer),
-        _exact_block(read_field(header, "timing", path), _TIMING, f"{path}.timing"),
-        _exact_block(read_field(header, "econ", path), _ECON, f"{path}.econ"),
+        _exact_block(read_field(header, "timing", path), TIMING, f"{path}.timing"),
+        _exact_block(read_field(header, "econ", path), ECON, f"{path}.econ"),
     )
 
 
@@ -413,8 +515,8 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
         _fail(f"{source}.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
     horizon = top["horizon"]
 
-    timing = _TIMING.parse(top["timing"], f"{source}.timing")
-    econ = _ECON.parse(top["econ"], f"{source}.econ")
+    timing = TIMING.parse(top["timing"], f"{source}.timing")
+    econ = ECON.parse(top["econ"], f"{source}.econ")
 
     validators = _parse_validators(top["validators"], econ, f"{source}.validators")
 
@@ -514,7 +616,7 @@ def _parse_transaction(
 
 
 def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkRevealEvent, ForkEventMeta]:
-    ev = _FORK_EVENT.parse(item, path, _FORK_KEYS)
+    ev = FORK_EVENT.parse(item, path, _FORK_KEYS)
     meta = _FORK_META.parse(item, path, _FORK_KEYS)
     if not 0 <= meta.bridge_post_delay <= timing.t_cr:
         _fail(f"{path}.bridge_post_delay", f"must lie in [0, t_cr={timing.t_cr}]")
@@ -596,12 +698,12 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "schema_version": SCHEMA_VERSION,
         "horizon": sc.timeline.horizon,
         "seed": sc.seed,
-        "timing": timing_to_doc(sc.timing),
-        "econ": econ_to_doc(sc.econ),
+        "timing": TIMING.write(sc.timing),
+        "econ": ECON.write(sc.econ),
         "validators": list(map(_VALIDATOR.write, sc.timeline.validators)),
         "transactions": list(map(_TRANSACTION.write, sc.timeline.transactions)),
         "fork_events": [
-            {**_FORK_EVENT.write(e), **_FORK_META.write(sc.fork_meta[e.id])} for e in sc.timeline.fork_events
+            {**FORK_EVENT.write(e), **_FORK_META.write(sc.fork_meta[e.id])} for e in sc.timeline.fork_events
         ],
         "insurance_bids": list(map(_BID.write, sc.bids)),
         "policies": {
@@ -611,16 +713,6 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "adversary": _ADVERSARY.write(sc),
         "attack_over_epoch": sc.attack_over_epoch,
     }
-
-
-def timing_to_doc(tp: TimingParams) -> dict:
-    """The timing block of a scenario and of a trace's run_start record."""
-    return _TIMING.write(tp)
-
-
-def econ_to_doc(ep: EconParams) -> dict:
-    """The econ block of a scenario and of a trace's run_start record."""
-    return _ECON.write(ep)
 
 
 # one encoder for every call: `json.dumps` with non-default arguments builds a new one each time

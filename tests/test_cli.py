@@ -261,6 +261,52 @@ def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys,
     assert "Traceback" not in captured.err
 
 
+# analyze reads tx_finalized and settlement records through their tables:
+# a key the table does not know, one it needs, or fields that make no
+# transaction are bad input
+UNREADABLE = [
+    ("tx_finalized", lambda r: r.update(stray=1), "tx_finalized: unknown keys ['stray']"),
+    ("tx_finalized", lambda r: r.pop("insured_epoch"), "tx_finalized.insured_epoch: missing required key"),
+    ("tx_finalized", lambda r: r.pop("rule_effective"), "tx_finalized.rule_effective: missing required key"),
+    ("settlement", lambda r: r.update(stray=1), "settlement: unknown keys ['stray']"),
+    ("settlement", lambda r: r.pop("breach"), "settlement.breach: missing required key"),
+    ("settlement", lambda r: r["claims"][0].pop("harm"), "settlement.claims[0].harm: missing required key"),
+    ("settlement", lambda r: r["claims"][0].update(x=1), "settlement.claims[0]: unknown keys ['x']"),
+    (
+        "tx_finalized",
+        lambda r: r.update(rule_effective="insured_immediate", insured_epoch=None),
+        "tx_finalized: transaction 'tx1': insured_immediate requires insured_epoch",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,tamper,message", UNREADABLE, ids=[f"{k}{n}" for n, (k, _, _) in enumerate(UNREADABLE)]
+)
+def test_analyze_refuses_a_record_its_table_cannot_read(tmp_path, capsys, kind, tamper, message):
+    trace = run_demo(tmp_path, capsys)
+    tamper_first(trace, kind, tamper)
+    assert main(["analyze", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {trace}:{message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind,tamper,field",
+    [
+        ("tx_finalized", lambda r: r.update(value="99"), "ladder[1].value"),
+        ("settlement", lambda r: r.update(paid="7", burned="57"), "totals.burned"),
+        ("auction", lambda r: r["lots"][0].update(coverage="1"), "per_epoch[2].coverage.alice"),
+    ],
+)
+def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
+    trace = run_demo(tmp_path, capsys)
+    tamper_first(trace, kind, tamper)
+    assert main(["analyze", "--trace", str(trace)]) == 3
+    assert capsys.readouterr().out == f"{trace}: MISMATCH at {field}\n"
+
+
 # Every case but the flag's keeps coc > pfc_value true in the tampered verdict
 # itself, so only re-deriving the numbers from the trace can catch it.
 @pytest.mark.parametrize(

@@ -11,12 +11,14 @@ and review the diff of that file before committing it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +26,7 @@ from stakesim import parse_scenario
 from stakesim.cli import main
 from stakesim.engine import run
 from stakesim.errors import InvariantBreachError
+from stakesim.scenario import LOT, SETTLEMENT, TX_FINALIZED
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
 from oracles import run_every_epoch
@@ -142,6 +145,46 @@ def test_skipping_quiet_epochs_keeps_every_trace_byte(name):
     lines = _lines_or_partial(lambda: run(sc))
     assert lines == _lines_or_partial(lambda: run_every_epoch(sc))
     assert (lines[0] == "<breach>") == (CASES[name][1] == 2)
+
+
+@functools.cache
+def golden_records() -> tuple[dict, ...]:
+    """Every trace record the run cases write, partial traces included."""
+    records = []
+    for make_doc, _, _ in CASES.values():
+        sc = parse_scenario(make_doc())
+        records += [json.loads(line) for line in _lines_or_partial(lambda: run(sc)) if line != "<breach>"]
+    return tuple(records)
+
+
+def test_readme_documents_every_key_of_every_trace_record():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Trace records\n")[1].split("\n## ")[0]
+    # one top-level bullet per kind, opening with the kind's name
+    entries = {bullet.split("`")[1]: bullet for bullet in section.split("\n- ")[1:]}
+    pairs = {(r["kind"], key) for r in golden_records() for key in r if key not in ("tick", "kind")}
+    assert "`tick`" in section and "`kind`" in section
+    assert sorted(f"{kind}.{key}" for kind, key in pairs if f"`{key}`" not in entries.get(kind, "")) == []
+
+
+def test_each_table_writes_back_what_it_reads_on_the_golden_corpus():
+    seen = dict.fromkeys(("tx_finalized", "settlement", "auction"), 0)
+    for record in golden_records():
+        kind = record["kind"]
+        # (table, payload, the keys its record adds beside the table's)
+        if kind == "tx_finalized":
+            payloads = [(TX_FINALIZED, record, {"tick", "kind", "rule_requested"})]
+        elif kind == "settlement":
+            payloads = [(SETTLEMENT, record, {"tick", "kind"})]
+        elif kind == "auction":
+            payloads = [(LOT, lot, set()) for lot in record["lots"]]
+        else:
+            continue
+        for table, doc, added in payloads:
+            fields = table.read(doc, kind, table.keys | added)
+            assert table.write(SimpleNamespace(**fields)) == {k: v for k, v in doc.items() if k not in added}
+            seen[kind] += 1
+    assert all(seen.values()), seen
 
 
 if __name__ == "__main__":

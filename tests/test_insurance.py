@@ -31,7 +31,6 @@ from stakesim import (
     run_auction,
     settle_slash,
 )
-from stakesim import engine
 from stakesim.errors import (
     InvariantViolationError,
     NegativeAvailableError,
@@ -159,7 +158,7 @@ def test_backing_from_the_share_integers_is_frac_str_of_coverage_times_share():
         (lot,) = lots
         shares = lot.backers.shares
         want = {v: frac_str(coverage * share) for v, share in shares.items()}
-        assert engine._backing_doc(lot) == want
+        assert lot.backing_doc == want
         assert lot.backing == {v: coverage * share for v, share in shares.items()}
         terms = list(lot.backers.backing(coverage))
         seen["single_backer"] |= list(shares.values()) == [1]

@@ -161,8 +161,7 @@ def test_star_policy_sets_the_default():
     )
     sc = parse_scenario(doc)
     assert sc.default_policy is PolicyKind.UNINSURED_FREERIDER
-    assert sc.policy_of("bob") is PolicyKind.UNINSURED_FREERIDER
-    assert sc.policy_of("alice") is PolicyKind.ALWAYS_SECURE
+    assert sc.policies == {"alice": PolicyKind.ALWAYS_SECURE}
     by_id = {t.id: t for t in sc.timeline.transactions}
     assert by_id["t1"].rule.value == "immediate"
     assert by_id["t2"].rule.value == "secure"
@@ -343,13 +342,13 @@ STRATEGY_DOCS = {st["kind"]: st for st in STRATEGIES}
 # errors cite, the strategy of the document it is tested in)
 BLOCKS = [
     ("document", [scenario_module._DOCUMENT], (), "s", "none"),
-    ("timing", [scenario_module._TIMING], ("timing",), "s.timing", "none"),
-    ("econ", [scenario_module._ECON], ("econ",), "s.econ", "none"),
+    ("timing", [scenario_module.TIMING], ("timing",), "s.timing", "none"),
+    ("econ", [scenario_module.ECON], ("econ",), "s.econ", "none"),
     ("validator", [scenario_module._VALIDATOR], ("validators", 0), "s.validators[0]", "none"),
     ("transaction", [scenario_module._TRANSACTION], ("transactions", 0), "s.transactions[0]", "none"),
     (
         "fork_event",
-        [scenario_module._FORK_EVENT, scenario_module._FORK_META],
+        [scenario_module.FORK_EVENT, scenario_module._FORK_META],
         ("fork_events", 0),
         "s.fork_events[0]",
         "none",
