@@ -43,7 +43,7 @@ from .chain import (
     gamma_value,
 )
 from .errors import EmptyIntervalError, LedgerMismatchError
-from .insurance import InsuranceLedger, coverage_check
+from .insurance import coverage_check
 
 
 class Mechanism(str, Enum):
@@ -105,11 +105,6 @@ def cost_of_corruption(mech: Mechanism, ep: EconParams) -> Fraction:
     if mech is Mechanism.TOKEN_TOXICITY:
         return Fraction(0)
     return ep.adversary_threshold * ep.s_tot
-
-
-def token_toxicity_bribe_outlay(ep: EconParams) -> Fraction:
-    """Pre-limit diagnostic: total success bribes, (N/3) * B2."""
-    return ep.adversary_threshold * ep.n_validators * ep.bribe_success
 
 
 class PfcKind(str, Enum):
@@ -258,36 +253,15 @@ def safety_verdict(
     timeline: ChainTimeline,
     tp: TimingParams,
     ep: EconParams,
-    ledger: Optional[InsuranceLedger],
+    coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
     bound_kind: PfcKind,
 ) -> SafetyVerdict:
-    """Judge one timeline against the chosen profit bound.
-
-    Without a ledger no insured flow is covered. Raises LedgerMismatchError
-    if the ledger was built for a different timeline or does not know a
-    transactor the timeline insures.
-    """
+    """Judge one timeline against the chosen profit bound, with insured
+    flow covered by `coverage`, a coverage map by covering epoch and then
+    buyer (`{}` when nothing is covered)."""
     ladder = pfc_ladder(timeline, tp, ep)
     bound = next(b for b in ladder if b.kind is bound_kind)
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
-
-    coverage = {}
-    if ledger is not None:
-        if ledger.timeline != timeline:
-            raise LedgerMismatchError("ledger belongs to a different timeline")
-        insured = {
-            (tx.transactor, epoch_of(tx.finalized_at, tp.t_rev))
-            for tx in filter(_is_insured, timeline.transactions)
-        }
-        unknown = sorted({tr for tr, _ in insured} - ledger.transactors)
-        if unknown:
-            raise LedgerMismatchError(f"ledger does not know insured transactors {unknown}")
-        last_epoch = epoch_of(timeline.horizon, tp.t_rev)
-        bad_epochs = sorted(e for _, e in insured if e > last_epoch)
-        if bad_epochs:
-            raise LedgerMismatchError(f"insured epochs beyond horizon: {bad_epochs}")
-        coverage = ledger.coverage()
-
     strong, buffer_ok, _ = strong_safety_flags(timeline, tp, ep, ladder, coverage)
     return SafetyVerdict(
         bound_kind=bound_kind,

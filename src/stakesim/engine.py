@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Optional
 
 from .chain import (
+    ChainTimeline,
     ConfirmationRule,
     EpochIndex,
     ForkRevealEvent,
@@ -126,10 +127,12 @@ class EpochStartRecord(TraceRecord):
 
 @dataclass
 class SimTrace:
-    """Ordered event log plus the final report."""
+    """Ordered event log plus the final report, the run's effective
+    timeline it was built from, and the ledger's final state."""
 
     records: list[TraceRecord]
     report: ReportDocument
+    timeline: ChainTimeline  # effective: each transaction under the rule it finalized with
     ledger: InsuranceLedger
     executed: dict[str, Tick]
     reverted: set[str]
@@ -155,7 +158,7 @@ class _Run:
             fork_events=list(sc.timeline.fork_events) + extra,
             validators=sc.timeline.validators,
         )
-        self.ledger = InsuranceLedger(self.timeline, self.ep, transactors=sc.transactors())
+        self.ledger = InsuranceLedger(self.timeline.validators, self.ep, transactors=sc.transactors())
         self.bids_by_epoch: dict[EpochIndex, list[InsuranceBid]] = {}
         for b in sc.bids:
             self.bids_by_epoch.setdefault(b.epoch_placed, []).append(b)
@@ -419,9 +422,9 @@ class _Run:
     # -- wrap-up ----------------------------------------------------------------
 
     def finish(self, horizon: Tick) -> SimTrace:
-        # the ledger follows the run's effective view from here on; rule is
-        # not a sort key, so the validated timeline stays valid
-        self.ledger.timeline = replace(
+        # the report reads the run's effective view; rule is not a sort key,
+        # so the validated timeline stays valid
+        timeline = replace(
             self.timeline, transactions=tuple(self.effective[tx.id] for tx in self.timeline.transactions)
         )
 
@@ -432,6 +435,7 @@ class _Run:
             adversary_transactors=sorted(self.sc.adversary_transactors),
         )
         report = build_report(
+            timeline,
             self.ledger,
             self.tp,
             karma,
@@ -444,6 +448,7 @@ class _Run:
         return SimTrace(
             records=self.records,
             report=report,
+            timeline=timeline,
             ledger=self.ledger,
             executed=self.executed,
             reverted=self.reverted,

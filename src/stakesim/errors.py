@@ -35,16 +35,12 @@ class UnknownTransactorError(StakesimError):
     """A transactor id is not known to the insurance ledger."""
 
 
-class NegativeAvailableError(StakesimError):
-    """An auction was offered a negative amount of backing stake."""
-
-
 class SettleOnUnslashableError(StakesimError):
     """Slash settlement was requested for a non-slashable resolution."""
 
 
 class LedgerMismatchError(StakesimError):
-    """An insurance ledger does not belong to the timeline under analysis."""
+    """A safety verdict's flag contradicts its own numbers."""
 
 
 class InvariantBreachError(StakesimError):

@@ -37,17 +37,16 @@ from math import gcd, lcm
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .chain import (
-    ChainTimeline,
     ConfirmationRule,
     EconParams,
     EpochIndex,
     TransactionRecord,
     TxKind,
+    ValidatorState,
     epoch_of,
 )
 from .errors import (
     InvariantViolationError,
-    NegativeAvailableError,
     SettleOnUnslashableError,
     UnknownTransactorError,
 )
@@ -131,9 +130,6 @@ class _Backers:
             yield v, part // g, den // g
 
 
-_NO_BACKERS = _Backers.of({})
-
-
 @dataclass
 class InsuranceLot:
     """One allocated slice of coverage, as its auction sold it.
@@ -141,11 +137,8 @@ class InsuranceLot:
     `backers` is the backers' weight shares at the sale, one map that every
     lot sold until a slash removes a backer references: a lot of coverage
     c is backed by c * share of each backer's earmarked stake, so its
-    backing sums to `coverage`. Lots sold by a ledger always have backers;
-    the standalone auction helper may sell lots nobody backs, for purely
-    analytical use, and `InsuranceLedger.record_lot` files only such lots.
-    `premium_paid`, coverage times premium rate, is multiplied once, when
-    the lot is made.
+    backing sums to `coverage`. `premium_paid`, coverage times premium
+    rate, is multiplied once, when the lot is made.
     """
 
     id: str
@@ -153,8 +146,8 @@ class InsuranceLot:
     coverage: Fraction
     premium_rate: Fraction
     epoch_placed: EpochIndex
+    backers: _Backers
     state: LotState = LotState.PENDING
-    backers: _Backers = _NO_BACKERS
     premium_paid: Fraction = field(init=False)
 
     def __post_init__(self):
@@ -186,38 +179,18 @@ class InsuranceLot:
         self.state = new
 
 
-def run_auction(
-    bids: Sequence[InsuranceBid],
-    available: Fraction,
-    earmark: Optional[Mapping[str, Fraction]] = None,
-    *,
-    start_seq: int = 0,
-) -> list[InsuranceLot]:
-    """Sell up to `available` coverage to the highest premium rates.
-
-    Greedy by premium_rate descending, ties broken by lexicographic
-    transactor id (then submission order); the marginal bid fills partially.
-    When `earmark` weights are given, each lot's backing is assigned
-    pro-rata across them; sellers with zero weight get nothing.
-    """
-    return _allocate(bids, available, _Backers.of(earmark or {}), start_seq)
-
-
 def _allocate(
     bids: Sequence[InsuranceBid],
     available: Fraction,
     backers: _Backers,
     start_seq: int,
 ) -> list[InsuranceLot]:
-    """`run_auction` with the backers' shares already worked out; every
-    lot sold references `backers`."""
-    available = as_fraction(available)
-    if available < 0:
-        raise NegativeAvailableError(f"available backing is negative: {available}")
-    epochs = {b.epoch_placed for b in bids}
-    if len(epochs) > 1:
-        raise InvariantViolationError(f"auction mixes placement epochs {sorted(epochs)}")
+    """Sell up to `available` coverage to the highest premium rates, every
+    lot backed by `backers`.
 
+    Greedy by premium_rate descending, ties broken by lexicographic
+    transactor id (then submission order); the marginal bid fills partially.
+    """
     order = sorted(
         range(len(bids)), key=lambda i: (-bids[i].premium_rate, bids[i].transactor, i)
     )
@@ -248,36 +221,37 @@ class InsuranceLedger:
     """Mutable per-run accounting of earmarks, lots, premiums and claims.
 
     Lots are filed in one bucket per covering epoch, as one list per
-    auction that sold them; `lots` lists them all, and `record_lot` is the
-    only way to add one outside an auction. Beside the buckets the ledger
-    keeps two running sums: the coverage bought per (buyer, covering
-    epoch), whatever the lot's state, which `u` and `coverage` read; and
-    the free pool's total, which `pool_free` returns and which the
-    unslashed backers' weight shares split into `earmark_free`. Each share
+    auction that sold them; `sell` is the only way to make one, and `lots`
+    lists them all. Beside the buckets the ledger keeps two running sums:
+    the coverage bought per (buyer, covering epoch), whatever the lot's
+    state, which `u` and `coverage` read; and the free pool's total, which
+    `pool_free` returns and which the unslashed backers' weight shares
+    split into `earmark_free`. Each share
     map the ledger builds keeps the premium credited through it, and
     `premiums_earned` splits those sums by the maps' shares: premiums move
     once per closing auction and map, not once per backer.
 
-    Lots are held on settlements, not on the timeline: a slash booked by
-    `settle_slash` holds every covering epoch whose lots are active at that
-    moment, so `release_lots` leaves them locked, until `end_attack`
-    releases them and ends holding for the rest of the run. The ledger
-    reads no fork event.
+    Lots are held on settlements: a slash booked by `settle_slash` holds
+    every covering epoch whose lots are active at that moment, so
+    `release_lots` leaves them locked, until `end_attack` releases them and
+    ends holding for the rest of the run.
 
+    The ledger holds money and ids only: it reads the validators' earmarks
+    once, at construction, keeps their ids, and reads no fork event.
     Single-owner: the simulation engine (or a test) drives it from one
-    thread; the chain timeline it references stays immutable.
+    thread.
     """
 
     def __init__(
         self,
-        timeline: ChainTimeline,
+        validators: Iterable[ValidatorState],
         ep: EconParams,
         transactors: Iterable[str],
     ):
-        self.timeline = timeline
+        earmarks = {v.id: v.earmarked_fraction * v.stake for v in validators}
+        self.validators = tuple(earmarks)
         self.ep = ep
         self.transactors = frozenset(transactors)
-        earmarks = {v.id: v.earmarked_fraction * v.stake for v in timeline.validators}
         self.slashed_amounts: dict[str, Fraction] = {}
         self.premiums_paid: dict[str, Fraction] = {}
         self.settlements: list[SettlementRecord] = []
@@ -294,25 +268,8 @@ class InsuranceLedger:
 
     @property
     def lots(self) -> tuple[InsuranceLot, ...]:
-        """Every lot sold or recorded, by covering epoch and then in order
-        of sale."""
+        """Every lot sold, by covering epoch and then in order of sale."""
         return tuple(lot for sales in self._sales.values() for sale in sales for lot in sale)
-
-    def record_lot(self, lot: InsuranceLot) -> None:
-        """File a lot no validator backs, in whatever state it is in: its
-        coverage counts for `u` and `coverage` at once, and it moves no
-        stake when it releases or pays out."""
-        if lot.backers.shares:
-            raise InvariantViolationError(f"lot {lot.id!r}: only an auction sells backed lots")
-        self._file(lot.covering_epoch, [lot])
-        if lot.state is LotState.ACTIVE_COVERAGE:
-            self._open.add(lot.covering_epoch)
-
-    def _file(self, covering_epoch: EpochIndex, lots: list[InsuranceLot]) -> None:
-        self._sales.setdefault(covering_epoch, []).append(lots)
-        bought = self._bought.setdefault(covering_epoch, {})
-        for lot in lots:
-            bought[lot.buyer] = bought.get(lot.buyer, Fraction(0)) + lot.coverage
 
     # -- pool -------------------------------------------------------------
 
@@ -323,7 +280,7 @@ class InsuranceLedger:
     def earmark_free(self) -> dict[str, Fraction]:
         """Each validator's earmarked stake that no lot holds (none once slashed)."""
         shares = self._backers.shares
-        return {v.id: self._free_total * shares.get(v.id, 0) for v in self.timeline.validators}
+        return {v: self._free_total * shares.get(v, 0) for v in self.validators}
 
     @property
     def premiums_earned(self) -> dict[str, Fraction]:
@@ -361,7 +318,11 @@ class InsuranceLedger:
             )
         # lots sell only from a positive pool, whose backers' shares add up to one
         self._free_total -= sum((lot.coverage for lot in lots), Fraction(0))
-        self._file(epoch + PURCHASE_LEAD_EPOCHS, lots)
+        covering = epoch + PURCHASE_LEAD_EPOCHS
+        self._sales.setdefault(covering, []).append(lots)
+        bought = self._bought.setdefault(covering, {})
+        for lot in lots:
+            bought[lot.buyer] = bought.get(lot.buyer, Fraction(0)) + lot.coverage
         return lots
 
     def activate(self, covering_epoch: EpochIndex) -> None:
@@ -388,7 +349,7 @@ class InsuranceLedger:
     def _close(self, lots: list[InsuranceLot]) -> None:
         """Credit the premium of `lots`, sold by one auction and just
         released or paid out, to the share map that backs them."""
-        if not lots or not lots[0].backers.shares:
+        if not lots:
             return
         backers = lots[0].backers
         premium = sum((lot.premium_paid for lot in lots), Fraction(0))
@@ -443,7 +404,7 @@ class InsuranceLedger:
             lot.transition(LotState.RELEASED)
         for lots in by_sale:
             self._close(lots)
-            if lots and lots[0].backers.shares:
+            if lots:
                 # a slashed backer's part of the backing is gone for good
                 lost = lots[0].backers.slashed
                 self._free_total += (1 - lost) * sum((lot.coverage for lot in lots), Fraction(0))
@@ -683,7 +644,7 @@ def karma_report(
 
     parties = sorted(
         set(premiums_paid) | set(premiums_earned) | set(slashed) | set(compensation) | set(harm)
-        | set(ledger.transactors) | {v.id for v in ledger.timeline.validators}
+        | set(ledger.transactors) | set(ledger.validators)
     )
     entries = tuple(
         KarmaEntry(

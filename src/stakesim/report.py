@@ -224,6 +224,7 @@ def _checked_sections(
 
 
 def build_report(
+    timeline: ChainTimeline,
     ledger: InsuranceLedger,
     tp: TimingParams,
     karma: KarmaSummary,
@@ -232,12 +233,12 @@ def build_report(
     scenario_hash: str = "",
     seed: int = 0,
 ) -> ReportDocument:
-    """Assemble the full safety report for the ledger's (effective)
-    timeline, its lots and its settlements, under the run's timing `tp`."""
-    timeline, ep, settlements = ledger.timeline, ledger.ep, ledger.settlements
-    verdict = safety_verdict(timeline, tp, ep, ledger, bound_kind)
+    """Assemble the full safety report for a run's effective `timeline`,
+    the lots and settlements of its `ledger`, under the run's timing `tp`."""
+    ep, settlements, coverage = ledger.ep, ledger.settlements, ledger.coverage()
+    verdict = safety_verdict(timeline, tp, ep, coverage, bound_kind)
     sections = _checked_sections(
-        timeline, tp, ep, ledger.coverage(), [(s.slashed, s.paid_total, s.burned) for s in settlements]
+        timeline, tp, ep, coverage, [(s.slashed, s.paid_total, s.burned) for s in settlements]
     )
     del sections["verdict_flags"]  # the verdict below carries them
     doc = {
@@ -317,19 +318,18 @@ def render_text(doc: dict) -> str:
                 f"  {s['event']}: slashed {dec(s['slashed'])}, paid {dec(s['paid'])}, "
                 f"burned {dec(s['burned'])}{'  INVARIANT-BREACH' if s['breach'] else ''}"
             )
-    if doc["karma"]:
-        lines.append("")
-        lines.append("karma:")
-        for p in doc["karma"]["parties"]:
-            lines.append(
-                f"  {p['party']:<12} net {dec(p['net']):>14}  "
-                f"(premiums -{dec(p['premiums_paid'])}/+{dec(p['premiums_earned'])}, "
-                f"comp {dec(p['compensation'])}, harm {dec(p['harm'])}, slashed {dec(p['slashed'])})"
-            )
+    lines.append("")
+    lines.append("karma:")
+    for p in doc["karma"]["parties"]:
         lines.append(
-            f"  adversary aggregate net {dec(doc['karma']['adversary_net'])} "
-            f"(double-spend gain {dec(doc['karma']['double_spend_gain'])})"
+            f"  {p['party']:<12} net {dec(p['net']):>14}  "
+            f"(premiums -{dec(p['premiums_paid'])}/+{dec(p['premiums_earned'])}, "
+            f"comp {dec(p['compensation'])}, harm {dec(p['harm'])}, slashed {dec(p['slashed'])})"
         )
+    lines.append(
+        f"  adversary aggregate net {dec(doc['karma']['adversary_net'])} "
+        f"(double-spend gain {dec(doc['karma']['double_spend_gain'])})"
+    )
     lines.append("")
     return "\n".join(lines)
 
@@ -427,10 +427,12 @@ def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
 def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
     """Recompute from the trace and diff against its embedded report.
 
-    The verdict's coc and profit bound are checked against the recomputed
-    slashing coc and the recomputed ladder entry for its bound kind, and
-    its safety flag against those two recomputed numbers. Returns the first
-    differing field path, or None when everything checks.
+    The verdict is read through `VERDICT`, so a stray or missing key or an
+    unreadable value is bad input; its values are then compared as written.
+    Its coc and profit bound are checked against the recomputed slashing
+    coc and the recomputed ladder entry for its bound kind, and its safety
+    flag against those two recomputed numbers. Returns the first differing
+    field path, or None when everything checks.
     """
     embedded = next((r for r in records if r["kind"] == "report"), None)
     if embedded is None:
@@ -439,21 +441,16 @@ def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>")
 
     where = f"{source}:report"
     verdict = read_field(embedded, "verdict", where)
-    at = f"{where}.verdict"
-    bound_kind = read_field(verdict, "bound_kind", at, PfcKind)
+    bound_kind = VERDICT.read(verdict, f"{where}.verdict")["bound_kind"]
     coc = recomputed["coc"]["slashing"]
     pfc = next(b["value"] for b in recomputed["ladder"] if b["kind"] == bound_kind.value)
     sections, flags = ("coc", "ladder", "per_epoch", "totals"), recomputed["verdict_flags"]
     checks = [
         *((key, read_field(embedded, key, where), recomputed[key]) for key in sections),
-        *((f"verdict.{key}", read_field(verdict, key, at), flags[key]) for key in flags),
-        ("verdict.coc", read_field(verdict, "coc", at), coc),
-        ("verdict.pfc_value", read_field(verdict, "pfc_value", at), pfc),
-        (
-            "verdict.cryptoeconomically_safe",
-            read_field(verdict, "cryptoeconomically_safe", at),
-            as_fraction(coc) > as_fraction(pfc),
-        ),
+        *((f"verdict.{key}", verdict[key], flags[key]) for key in flags),
+        ("verdict.coc", verdict["coc"], coc),
+        ("verdict.pfc_value", verdict["pfc_value"], pfc),
+        ("verdict.cryptoeconomically_safe", verdict["cryptoeconomically_safe"], as_fraction(coc) > as_fraction(pfc)),
     ]
     for name, exp, act in checks:
         found = first_mismatch(exp, act, name)

@@ -185,7 +185,7 @@ def test_acceptance_4_secure_rule_confirmations_never_invalidated():
             seed=4,
         )
         trace = run(sc)
-        effective = {t.id: t.rule for t in trace.ledger.timeline.transactions}
+        effective = {t.id: t.rule for t in trace.timeline.transactions}
         for tx_id in trace.reverted & set(trace.executed):
             if effective[tx_id] is ConfirmationRule.SECURE_RULE:
                 engine_reverts += 1

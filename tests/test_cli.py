@@ -261,9 +261,10 @@ def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys,
     assert "Traceback" not in captured.err
 
 
-# analyze reads tx_finalized and settlement records through their tables:
-# a key the table does not know, one it needs, or fields that make no
-# transaction are bad input
+# analyze reads tx_finalized and settlement records, and the embedded
+# report's verdict, through their tables: a key the table does not know, one
+# it needs, a value it cannot read, or fields that make no transaction are
+# bad input
 UNREADABLE = [
     ("tx_finalized", lambda r: r.update(stray=1), "tx_finalized: unknown keys ['stray']"),
     ("tx_finalized", lambda r: r.pop("insured_epoch"), "tx_finalized.insured_epoch: missing required key"),
@@ -276,6 +277,13 @@ UNREADABLE = [
         "tx_finalized",
         lambda r: r.update(rule_effective="insured_immediate", insured_epoch=None),
         "tx_finalized: transaction 'tx1': insured_immediate requires insured_epoch",
+    ),
+    ("report", lambda r: r["verdict"].update(stray=1), "report.verdict: unknown keys ['stray']"),
+    ("report", lambda r: r["verdict"].pop("coc"), "report.verdict.coc: missing required key"),
+    (
+        "report",
+        lambda r: r["verdict"].update(strong_safety="yes"),
+        "report.verdict.strong_safety: malformed value 'yes': expected a boolean",
     ),
 ]
 
@@ -317,6 +325,8 @@ def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind
         ({"cryptoeconomically_safe": False}, "cryptoeconomically_safe"),
         ({"coc": "1000000", "pfc_value": "0"}, "coc"),
         ({"bound_kind": "steal_tvl"}, "pfc_value"),
+        # the value the trace gives, 128/3, but not as the report writes it
+        ({"coc": "256/6"}, "coc"),
     ],
 )
 def test_analyze_rederives_the_verdict_numbers(tmp_path, capsys, changes, field):

@@ -13,7 +13,6 @@ from stakesim import (
     GammaFilter,
     InsuranceBid,
     InsuranceLedger,
-    InsuranceLot,
     Mechanism,
     PfcBound,
     PfcKind,
@@ -23,19 +22,17 @@ from stakesim import (
     ValidatorChoice,
     ValidatorState,
     bribe_is_dominant,
-    build_report,
     build_timeline,
     cost_of_corruption,
     gamma_value,
-    karma_report,
     payoff,
     pfc_ladder,
     safety_verdict,
-    token_toxicity_bribe_outlay,
     window_sup,
 )
 from stakesim import econ
 from stakesim.econ import strong_safety_flags
+from stakesim.report import _checked_sections
 from stakesim.errors import EmptyIntervalError, LedgerMismatchError
 
 from oracles import (
@@ -140,11 +137,6 @@ def test_corruption_cost_grid():
             assert cost_of_corruption(Mechanism.TOKEN_TOXICITY, p) == 0
     tiny = EconParams(stake_per_validator=Fraction(1), n_validators=1)
     assert cost_of_corruption(Mechanism.SLASHING, tiny) == Fraction(1, 3)
-
-
-def test_token_toxicity_bribe_outlay():
-    assert token_toxicity_bribe_outlay(ep(n=4, b2=33)) == 44
-    assert token_toxicity_bribe_outlay(ep(n=3, b2=1)) == 1
 
 
 def tx(id, f, v, kind="hybrid", rule="immediate"):
@@ -274,11 +266,11 @@ def test_verdict_requires_strictly_greater_cost():
     # coc = 96/3 = 32 exactly equals the windowed load: not safe
     tl = build_timeline(horizon=40, transactions=[tx("a", 5, 32)])
     p = ep(s=24, n=4, tvl=500)
-    v = safety_verdict(tl, TP, p, None, PfcKind.REORG_WINDOW)
+    v = safety_verdict(tl, TP, p, {}, PfcKind.REORG_WINDOW)
     assert v.coc == 32 and v.pfc.value == 32
     assert not v.cryptoeconomically_safe
     one_less = build_timeline(horizon=40, transactions=[tx("a", 5, 31)])
-    assert safety_verdict(one_less, TP, p, None, PfcKind.REORG_WINDOW).cryptoeconomically_safe
+    assert safety_verdict(one_less, TP, p, {}, PfcKind.REORG_WINDOW).cryptoeconomically_safe
 
 
 def test_verdict_flag_must_match_numbers():
@@ -297,7 +289,7 @@ def test_full_earmark_leaves_no_uninsured_buffer():
     # gamma = 1 burns nothing, so the strict buffer test fails even with
     # zero uninsured load
     tl = build_timeline(horizon=40, transactions=[tx("s", 5, 3, rule="secure")])
-    v = safety_verdict(tl, TP, ep(gamma=Fraction(1)), None, PfcKind.UNINSURED_LOAD)
+    v = safety_verdict(tl, TP, ep(gamma=Fraction(1)), {}, PfcKind.UNINSURED_LOAD)
     assert not v.uninsured_buffer_ok and not v.strong_safety
     assert v.cryptoeconomically_safe  # plain safety is unaffected
 
@@ -312,50 +304,35 @@ def _insured_setup(value, coverage):
         finalized_at=45, rule="insured_immediate", insured_epoch=4,
     )
     tl = build_timeline(horizon=60, transactions=[t], validators=vals)
-    ledger = InsuranceLedger(tl, ep(), transactors={"alice"})
+    ledger = InsuranceLedger(vals, ep(), transactors={"alice"})
     ledger.sell(2, [InsuranceBid("alice", 2, Fraction(coverage), Fraction(1, 50))])
     ledger.activate(4)
-    return tl, ledger
+    return tl, ledger.coverage()
 
 
 def test_strong_safety_needs_verified_coverage():
-    tl, ledger = _insured_setup(value=3, coverage=4)
-    v = safety_verdict(tl, TP, ep(), ledger, PfcKind.REORG_HYBRID_SECURE_RULE)
+    tl, coverage = _insured_setup(value=3, coverage=4)
+    v = safety_verdict(tl, TP, ep(), coverage, PfcKind.REORG_HYBRID_SECURE_RULE)
     assert v.cryptoeconomically_safe and v.uninsured_buffer_ok and v.strong_safety
 
-    # without the ledger the insured flow cannot be verified
-    assert not safety_verdict(tl, TP, ep(), None, PfcKind.REORG_HYBRID_SECURE_RULE).strong_safety
+    # without coverage the insured flow cannot be verified
+    assert not safety_verdict(tl, TP, ep(), {}, PfcKind.REORG_HYBRID_SECURE_RULE).strong_safety
 
     # executing exactly up to the purchased coverage is already unsafe
-    tl2, ledger2 = _insured_setup(value=4, coverage=4)
-    assert not safety_verdict(tl2, TP, ep(), ledger2, PfcKind.REORG_HYBRID_SECURE_RULE).strong_safety
+    tl2, coverage2 = _insured_setup(value=4, coverage=4)
+    assert not safety_verdict(tl2, TP, ep(), coverage2, PfcKind.REORG_HYBRID_SECURE_RULE).strong_safety
 
 
 def test_unprotected_immediate_flow_breaks_strong_safety():
     tl = build_timeline(horizon=40, transactions=[tx("a", 5, 3, rule="immediate")])
-    v = safety_verdict(tl, TP, ep(), None, PfcKind.REORG_HYBRID_SECURE_RULE)
+    v = safety_verdict(tl, TP, ep(), {}, PfcKind.REORG_HYBRID_SECURE_RULE)
     assert not v.strong_safety
     assert v.uninsured_buffer_ok  # 3 < (1/2) * 128/3
 
 
-def test_ledger_from_another_timeline_rejected():
-    tl, ledger = _insured_setup(value=3, coverage=4)
-    other = build_timeline(horizon=60)
-    other_ledger = InsuranceLedger(other, ep(), transactors={"alice"})
-    with pytest.raises(LedgerMismatchError):
-        safety_verdict(tl, TP, ep(), other_ledger, PfcKind.REORG_WINDOW)
-
-
-def test_ledger_missing_insured_transactor_rejected():
-    tl, _ = _insured_setup(value=3, coverage=4)
-    blind = InsuranceLedger(tl, ep(), transactors={"someone_else"})
-    with pytest.raises(LedgerMismatchError):
-        safety_verdict(tl, TP, ep(), blind, PfcKind.REORG_WINDOW)
-
-
 def _random_insured_case(rng: random.Random):
     """A timeline of mixed kinds and rules (zero values included), and a
-    ledger whose lots cover each insured (transactor, epoch) load not at
+    coverage map that covers each insured (transactor, epoch) load not at
     all, exactly, just below, above, or exactly across two lots."""
     t_rev = rng.randint(2, 8)
     horizon = rng.randint(t_rev, 8 * t_rev)
@@ -402,43 +379,38 @@ def _random_insured_case(rng: random.Random):
             "above": [load + rng.randint(1, 5)],
             "split": [Fraction(1), load - 1],
         }[mode] + amounts.get(key, [])
-    ledger = InsuranceLedger(tl, econ, transactors="abc")
     coverage: dict = {}
     for (tr, e), lots in sorted(amounts.items()):
-        for j, amount in enumerate(lots):
-            ledger.record_lot(
-                InsuranceLot(
-                    id=f"lot-{tr}-{e}-{j}", buyer=tr, coverage=amount, premium_rate=Fraction(0),
-                    epoch_placed=e - 2,
-                )
-            )
+        for amount in lots:
             coverage.setdefault(e, {})[tr] = coverage.get(e, {}).get(tr, Fraction(0)) + amount
-    return tl, tp, econ, ledger, coverage, modes
+    return tl, tp, econ, coverage, modes
 
 
 def test_strong_safety_matches_the_oracle_on_random_cases():
     rng = random.Random(20260418)
     seen = {"strong": set(), "buffer": set(), "insured_ok": set(), "modes": set(), "zero": False}
     for _ in range(400):
-        tl, tp, econ, ledger, coverage, modes = _random_insured_case(rng)
+        tl, tp, econ, coverage, modes = _random_insured_case(rng)
         coc = cost_of_corruption(Mechanism.SLASHING, econ)
         load, _ = window_sup_oracle(tl.transactions, tl.horizon, tp.t_rev, "uninsured")
 
         expected = strong_safety_oracle(tl.transactions, tp.t_rev, econ.gamma, coc, load, coverage)
-        v = safety_verdict(tl, tp, econ, ledger, PfcKind.REORG_HYBRID_SECURE_RULE)
+        v = safety_verdict(tl, tp, econ, coverage, PfcKind.REORG_HYBRID_SECURE_RULE)
         assert (v.strong_safety, v.uninsured_buffer_ok) == expected
         ladder = pfc_ladder(tl, tp, econ)
         assert strong_safety_flags(tl, tp, econ, ladder, coverage)[:2] == expected
 
-        # no ledger: nothing insured is covered
+        # no coverage: nothing insured is covered
         bare = strong_safety_oracle(tl.transactions, tp.t_rev, econ.gamma, coc, load, {})
-        v = safety_verdict(tl, tp, econ, None, PfcKind.REORG_HYBRID_SECURE_RULE)
+        v = safety_verdict(tl, tp, econ, {}, PfcKind.REORG_HYBRID_SECURE_RULE)
         assert (v.strong_safety, v.uninsured_buffer_ok) == bare
 
-        doc = build_report(ledger, tp, karma_report(ledger), PfcKind.UNINSURED_LOAD).doc
-        rows = [row["insured_ok"] for row in doc["per_epoch"]]
+        # the report's sections, as `build_report` makes them from its ledger's coverage map
+        sections = _checked_sections(tl, tp, econ, coverage, [])
+        rows = [row["insured_ok"] for row in sections["per_epoch"]]
         assert rows == insured_ok_oracle(tl.transactions, tl.horizon, tp.t_rev, coverage)
-        assert (doc["verdict"]["strong_safety"], doc["verdict"]["uninsured_buffer_ok"]) == expected
+        flags = sections["verdict_flags"]
+        assert (flags["strong_safety"], flags["uninsured_buffer_ok"]) == expected
 
         seen["strong"].add(expected[0])
         seen["buffer"].add(expected[1])

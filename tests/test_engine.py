@@ -98,7 +98,7 @@ def test_only_a_fallen_back_transaction_is_rebuilt_for_the_ledger():
     fallen = {r.payload["tx"] for r in records_of(trace, "rule_fallback")}
     given = {t.id: t for t in sc.timeline.transactions}
     assert fallen and len(given) > len(fallen)
-    for t in trace.ledger.timeline.transactions:
+    for t in trace.timeline.transactions:
         assert (t is given[t.id]) == (t.id not in fallen), t.id
         assert (t.rule is given[t.id].rule) == (t.id not in fallen), t.id
 
@@ -455,7 +455,7 @@ def test_executed_secure_flow_never_reverts(rng):
             seed=1,
         )
         trace = run(sc)
-        effective = {t.id: t.rule for t in trace.ledger.timeline.transactions}
+        effective = {t.id: t.rule for t in trace.timeline.transactions}
         for tx_id in trace.reverted & set(trace.executed):
             assert effective[tx_id] is not ConfirmationRule.SECURE_RULE
         runs += 1

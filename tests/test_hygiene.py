@@ -161,9 +161,20 @@ def test_every_benchmark_trace_target_resolves():
 def test_the_ledger_reads_no_fork_event():
     """`resolution` alone decides which reveal is slashable; the ledger holds
     lots on the settlements `settle_slash` books, so it reads no fork event
-    and takes nothing from `resolution` but the outcome it is handed."""
+    and takes nothing from `resolution` but the outcome it is handed. It
+    holds money and ids, not a timeline: the engine owns the run's
+    effective timeline."""
     tree = ast.parse((ROOT / "src" / "stakesim" / "insurance.py").read_text(encoding="utf-8"))
     attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names = set(attributes)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name for a in n.names)
+    assert not {"timeline", "ChainTimeline"} & names
     from_resolution = {
         a.name
         for n in ast.walk(tree)
@@ -174,3 +185,18 @@ def test_the_ledger_reads_no_fork_event():
     assert "fork_events" not in attributes
     assert from_resolution == {"ResolutionOutcome"}
     assert not any(m.split(".")[-1] == "resolution" for m in imported_modules)
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    """`__all__` lists each name `__init__.py` imports, once, and no other."""
+    import stakesim
+
+    tree = ast.parse((ROOT / "src" / "stakesim" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        a.asname or a.name
+        for n in tree.body
+        if isinstance(n, ast.ImportFrom) and n.module != "__future__"
+        for a in n.names
+    }
+    assert len(stakesim.__all__) == len(set(stakesim.__all__))
+    assert set(stakesim.__all__) == imported

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,6 @@ from stakesim import (
     ForkRevealEvent,
     InsuranceBid,
     InsuranceLedger,
-    InsuranceLot,
     KarmaEntry,
     LotState,
     ResolutionOutcome,
@@ -28,12 +28,10 @@ from stakesim import (
     karma_report,
     release_lots,
     resolve,
-    run_auction,
     settle_slash,
 )
 from stakesim.errors import (
     InvariantViolationError,
-    NegativeAvailableError,
     SettleOnUnslashableError,
     UnknownTransactorError,
 )
@@ -55,15 +53,24 @@ def bid(tr, epoch, cov, rate):
     )
 
 
-def manual_lot(buyer, covering, coverage, *, rate=Fraction(0), state=LotState.ACTIVE_COVERAGE):
-    return InsuranceLot(
-        id=f"m-{buyer}-{covering}",
-        buyer=buyer,
-        coverage=Fraction(coverage),
-        premium_rate=rate,
-        epoch_placed=covering - 2,
-        state=state,
-    )
+def auction_ledger(available, earmark=None, transactors="abAB"):
+    """A ledger whose `available()` is `available`: its pool is split among
+    the positive `earmark` weights pro rata (one backer by default), each
+    earmarking its whole stake."""
+    available = Fraction(available)
+    weights = {v: w for v, w in (earmark or {"v1": 1}).items() if w > 0} if available > 0 else {}
+    total = sum(weights.values())
+    vals = [ValidatorState(id=v, stake=available * w / total, earmarked_fraction=1) for v, w in weights.items()]
+    # earmarks nothing, and lifts the gamma = 1 cap (a third of all stake) above the pool
+    vals.append(ValidatorState(id="x", stake=2 * available + 1))
+    ep = EconParams(stake_per_validator=(3 * available + 1) / len(vals), n_validators=len(vals), gamma=1)
+    return InsuranceLedger(vals, ep, transactors=transactors)
+
+
+def sold_lot():
+    """One lot, pending, as an auction sells it."""
+    (lot,) = auction_ledger(10).sell(0, [bid("a", 0, 5, Fraction(1, 10))])
+    return lot
 
 
 # -- bids and lots ----------------------------------------------------------
@@ -80,16 +87,16 @@ def test_bid_validation():
 
 def test_lot_validation():
     with pytest.raises(InvariantViolationError):
-        manual_lot("a", 2, 0)
+        replace(sold_lot(), coverage=Fraction(0))
 
 
 def test_lot_transitions_are_a_one_way_pipeline():
-    lot = manual_lot("a", 2, 5, state=LotState.PENDING)
+    lot = sold_lot()
     lot.transition(LotState.ACTIVE_COVERAGE)
     lot.transition(LotState.RELEASED)
     with pytest.raises(InvariantViolationError):
         lot.transition(LotState.PAID_OUT)
-    fresh = manual_lot("a", 2, 5, state=LotState.PENDING)
+    fresh = sold_lot()
     with pytest.raises(InvariantViolationError):
         fresh.transition(LotState.RELEASED)
 
@@ -98,10 +105,7 @@ def test_lot_transitions_are_a_one_way_pipeline():
 
 
 def test_auction_worked_example():
-    lots = run_auction(
-        [bid("A", 0, 10, Fraction(1, 50)), bid("B", 0, 10, Fraction(1, 100))],
-        Fraction(15),
-    )
+    lots = auction_ledger(15).sell(0, [bid("A", 0, 10, Fraction(1, 50)), bid("B", 0, 10, Fraction(1, 100))])
     assert [(l.buyer, l.coverage) for l in lots] == [("A", Fraction(10)), ("B", Fraction(5))]
     revenue = sum((l.premium_paid for l in lots), Fraction(0))
     assert revenue == Fraction(1, 4)
@@ -111,29 +115,24 @@ def test_auction_worked_example():
 
 
 def test_auction_breaks_rate_ties_by_name_then_submission():
-    lots = run_auction(
-        [bid("b", 0, 5, Fraction(1, 10)), bid("a", 0, 5, Fraction(1, 10))],
-        Fraction(6),
-    )
+    lots = auction_ledger(6).sell(0, [bid("b", 0, 5, Fraction(1, 10)), bid("a", 0, 5, Fraction(1, 10))])
     assert [(l.buyer, l.coverage) for l in lots] == [("a", Fraction(5)), ("b", Fraction(1))]
-    dup = run_auction(
-        [bid("a", 0, 5, Fraction(1, 10)), bid("a", 0, 5, Fraction(1, 10))],
-        Fraction(6),
-    )
+    dup = auction_ledger(6).sell(0, [bid("a", 0, 5, Fraction(1, 10)), bid("a", 0, 5, Fraction(1, 10))])
     assert [l.coverage for l in dup] == [Fraction(5), Fraction(1)]
 
 
 def test_auction_edge_cases():
-    assert run_auction([bid("a", 0, 5, Fraction(1))], Fraction(0)) == []
-    with pytest.raises(NegativeAvailableError):
-        run_auction([], Fraction(-1))
+    ledger = auction_ledger(0)
+    assert ledger.sell(0, [bid("a", 0, 5, Fraction(1))]) == []
+    assert ledger.sell(0, []) == []
+    assert ledger.lots == () and ledger.coverage() == {}
     with pytest.raises(InvariantViolationError):
-        run_auction([bid("a", 0, 5, Fraction(1)), bid("b", 1, 5, Fraction(1))], Fraction(10))
+        auction_ledger(10).sell(0, [bid("a", 0, 5, Fraction(1)), bid("b", 1, 5, Fraction(1))])
 
 
 def test_auction_backing_is_pro_rata_over_positive_weights():
     earmark = {"v1": Fraction(10), "v2": Fraction(30), "v3": Fraction(0)}
-    (lot,) = run_auction([bid("a", 0, 8, Fraction(1, 10))], Fraction(20), earmark)
+    (lot,) = auction_ledger(20, earmark).sell(0, [bid("a", 0, 8, Fraction(1, 10))])
     assert lot.backing == {"v1": Fraction(2), "v2": Fraction(6)}
     assert sum(lot.backing.values()) == lot.coverage
 
@@ -152,7 +151,7 @@ def test_backing_from_the_share_integers_is_frac_str_of_coverage_times_share():
             )
             for i in range(rng.randint(1, 6))
         }
-        lots = run_auction([bid("a", 0, coverage, Fraction(1, 10))], coverage, earmark)
+        lots = auction_ledger(coverage, earmark).sell(0, [bid("a", 0, coverage, Fraction(1, 10))])
         if not lots:
             continue  # no positive weight: nobody backs anything
         (lot,) = lots
@@ -175,7 +174,7 @@ def test_greedy_revenue_is_optimal_on_integral_instances(rng):
         rates = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n)]
         available = rng.randint(0, 6)
         bids = [bid(f"t{i}", 0, requests[i], rates[i]) for i in range(n)]
-        lots = run_auction(bids, Fraction(available))
+        lots = auction_ledger(available, transactors=[b.transactor for b in bids]).sell(0, bids)
         revenue = sum((l.premium_paid for l in lots), Fraction(0))
         assert revenue == auction_best_revenue(requests, rates, available)
         assert sum((l.coverage for l in lots), Fraction(0)) <= available
@@ -189,16 +188,7 @@ def quiet_ledger(transactors=("ins", "other")):
         ValidatorState(id=f"v{i}", stake=Fraction(32), earmarked_fraction=Fraction(1, 2))
         for i in range(1, 5)
     ]
-    tl = build_timeline(horizon=60, validators=vals)
-    return InsuranceLedger(tl, EP, transactors=transactors)
-
-
-def test_only_an_auction_files_a_backed_lot():
-    ledger = quiet_ledger()
-    (lot,) = run_auction([bid("ins", 0, 8, Fraction(1, 10))], Fraction(20), {"v1": Fraction(1)})
-    with pytest.raises(InvariantViolationError):
-        ledger.record_lot(lot)
-    assert ledger.lots == ()
+    return InsuranceLedger(vals, EP, transactors=transactors)
 
 
 def test_available_is_pool_capped_at_gamma_third():
@@ -315,11 +305,10 @@ def _fraction_ops_to_close(n_backers, monkeypatch):
         ValidatorState(id=f"v{i:02d}", stake=Fraction(32), earmarked_fraction=Fraction(1, 2))
         for i in range(n_backers)
     ] + [ValidatorState(id="x", stake=Fraction(32), earmarked_fraction=Fraction(0))]
-    tl = build_timeline(horizon=60, validators=vals)
     ep = EconParams(
         stake_per_validator=Fraction(32), n_validators=len(vals), gamma=Fraction(1, 2), tvl=Fraction(200)
     )
-    ledger = InsuranceLedger(tl, ep, transactors="ab")
+    ledger = InsuranceLedger(vals, ep, transactors="ab")
     ledger.sell(0, [bid("a", 0, 3, Fraction(1, 50)), bid("b", 0, 2, Fraction(1, 10))])
     ledger.sell(1, [bid("a", 1, 3, Fraction(1, 50)), bid("b", 1, 2, Fraction(1, 10))])
     # the slash settles before any lot is active, so it holds none
@@ -426,7 +415,7 @@ def test_ledger_matches_the_list_scanning_oracle():
     rates = [Fraction(0), Fraction(1, 50), Fraction(1, 10), Fraction(1, 3)]
     for _ in range(150):
         tl, tp, ep = random_ledger_case(rng)
-        ledger = InsuranceLedger(tl, ep, transactors="abc")
+        ledger = InsuranceLedger(tl.validators, ep, transactors="abc")
         oracle = LedgerOracle(tl.validators, tp, ep, tl.fork_events)
         last_epoch = tl.horizon // tp.t_rev + 2
         last_backers = None  # the share map of the last sale that sold a lot
@@ -556,9 +545,15 @@ def insured_tx(id, value, f=21, transactor="ins"):
     )
 
 
+def covered_ledger(coverage=100):
+    """A ledger that sold `ins` `coverage` for epoch 2, and `other` none."""
+    ledger = auction_ledger(coverage, transactors=("ins", "other"))
+    ledger.sell(0, [bid("ins", 0, coverage, Fraction(0))])
+    return ledger
+
+
 def test_coverage_check_is_strict():
-    ledger = quiet_ledger()
-    ledger.record_lot(manual_lot("ins", 2, 100))
+    ledger = covered_ledger()
     covered = ledger.u("ins", 2)
     over = [insured_tx("a", 40), insured_tx("b", 50), insured_tx("c", 20)]
     assert not coverage_check("ins", 2, over, covered, TP.t_rev)
@@ -571,8 +566,7 @@ def test_coverage_check_is_strict():
 
 
 def test_coverage_check_preconditions():
-    ledger = quiet_ledger()
-    ledger.record_lot(manual_lot("ins", 2, 100))
+    ledger = covered_ledger()
     # the coverage amount comes from u, which rejects unknown transactors
     with pytest.raises(UnknownTransactorError):
         ledger.u("stranger", 2)
@@ -588,9 +582,9 @@ def test_coverage_check_preconditions():
 
 
 def test_ledger_coverage_map_agrees_with_u():
-    ledger = quiet_ledger()
-    for buyer, epoch, amount in [("ins", 2, 10), ("ins", 2, 5), ("other", 2, 7), ("ins", 3, 1)]:
-        ledger.record_lot(manual_lot(buyer, epoch, amount))
+    ledger = auction_ledger(100, transactors=("ins", "other"))
+    for placed, buyer, amount in [(0, "ins", 10), (0, "ins", 5), (0, "other", 7), (1, "ins", 1)]:
+        ledger.sell(placed, [bid(buyer, placed, amount, Fraction(0))])
     coverage = ledger.coverage()
     assert coverage == {2: {"ins": 15, "other": 7}, 3: {"ins": 1}}
     for epoch in (1, 2, 3):
@@ -602,20 +596,16 @@ def test_ledger_coverage_map_agrees_with_u():
 
 
 def settle_fixture(*, coverages, gamma=Fraction(2, 3), signers=("v1",)):
-    """Ledger with manual active lots and an outcome that slashes each
-    signer's full stake of 90."""
-    vals = [
-        ValidatorState(id=f"v{i}", stake=Fraction(90), earmarked_fraction=Fraction(1, 3))
-        for i in range(1, 3)
-    ]
-    ev = slashable_event(signers=signers)
-    tl = build_timeline(horizon=60, fork_events=[ev], validators=vals)
-    ep = EconParams(
-        stake_per_validator=Fraction(90), n_validators=2, gamma=gamma, tvl=Fraction(100)
-    )
-    ledger = InsuranceLedger(tl, ep, transactors=set(coverages))
-    for tr, cov in sorted(coverages.items()):
-        ledger.record_lot(manual_lot(tr, 2, cov))
+    """Ledger with the active lots an auction at epoch 0 sold for
+    `coverages`, at premium rate 0, and an outcome that slashes each
+    signer's full stake of 90. Four validators of 90 earmark everything, so
+    the sale is capped at gamma * 120, above the budget gamma * 90 of one
+    signer's slash."""
+    vals = [ValidatorState(id=f"v{i}", stake=Fraction(90), earmarked_fraction=Fraction(1)) for i in range(1, 5)]
+    ep = EconParams(stake_per_validator=Fraction(90), n_validators=4, gamma=gamma, tvl=Fraction(100))
+    ledger = InsuranceLedger(vals, ep, transactors=set(coverages))
+    ledger.sell(0, [bid(tr, 0, cov, Fraction(0)) for tr, cov in sorted(coverages.items())])
+    ledger.activate(2)
     outcome = ResolutionOutcome(
         event_id="f",
         reveal_class=RevealClass.AMBIGUOUS_WINDOW,
@@ -643,12 +633,12 @@ def test_settlement_single_claim_within_budget():
 
 
 def test_settlement_shortfall_scales_pro_rata_and_flags_breach():
-    outcome, ledger = settle_fixture(coverages={"A": 100, "B": 100})
+    outcome, ledger = settle_fixture(coverages={"A": 40, "B": 40})
     rec = settle_slash(outcome, ledger, harmed=[harmed("A", 30), harmed("B", 40)])
     assert rec.invariant_breach
     assert [c.paid for c in rec.claims] == [Fraction(180, 7), Fraction(240, 7)]
     assert rec.paid_total == 60 and rec.burned == 30
-    oracle = settle_oracle(Fraction(90), Fraction(2, 3), [(30, 100), (40, 100)])
+    oracle = settle_oracle(Fraction(90), Fraction(2, 3), [(30, 40), (40, 40)])
     assert [c.paid for c in rec.claims] == oracle[0]
 
 
@@ -694,7 +684,8 @@ def test_settlement_conservation_randomized(rng):
         assert rec.paid_total + rec.burned == rec.slashed == 90
         assert rec.paid_total <= gamma * rec.slashed
         assert rec.burned >= (1 - gamma) * rec.slashed
-        claims = [(Fraction(h.value), Fraction(coverages[h.transactor])) for h in harms]
+        # the auction fills the bids in name order up to its cap
+        claims = [(Fraction(h.value), ledger.u(h.transactor, 2)) for h in harms]
         paid, total, burned, breach = settle_oracle(Fraction(90), gamma, claims)
         assert [c.paid for c in rec.claims] == paid
         assert (rec.paid_total, rec.burned, rec.invariant_breach) == (total, burned, breach)
@@ -758,7 +749,7 @@ def test_karma_attack_makes_insured_victim_whole():
     )
     victim = {e.party: e for e in summary.entries}["A"]
     assert victim.compensation == victim.harm == 50
-    assert victim.net == 0  # no premiums were paid through this manual ledger
+    assert victim.net == 0  # the lots were sold at premium rate 0
     assert summary.double_spend_gain == 50
     # the adversary validator lost its 90 stake and gained the double spend
     assert summary.adversary_parties == frozenset({"v1"})

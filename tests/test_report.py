@@ -129,9 +129,9 @@ def test_report_queries_the_timeline_only_in_busy_epochs(monkeypatch):
     monkeypatch.setattr(report, "gamma_value", counted)
     trace = _long_demo()
     t_rev = DEMO_T_REV
-    busy = {t.finalized_at // t_rev for t in trace.ledger.timeline.transactions}
+    busy = {t.finalized_at // t_rev for t in trace.timeline.transactions}
     assert len(trace.report.doc["per_epoch"]) == 2_001
-    assert len(trace.ledger.timeline.transactions) <= 10
+    assert len(trace.timeline.transactions) <= 10
     assert 0 < len(calls) <= 4 * len(busy)
     assert {t0 // t_rev for t0, _, _ in calls} == busy
 
@@ -284,7 +284,7 @@ def test_report_encodes_only_busy_or_covered_rows_whole(monkeypatch):
     lines, text = trace.to_lines(), trace.report.to_json()
     doc = trace.report.doc
     t_rev = DEMO_T_REV
-    busy = {t.finalized_at // t_rev for t in trace.ledger.timeline.transactions}
+    busy = {t.finalized_at // t_rev for t in trace.timeline.transactions}
     covered = {row["epoch"] for row in doc["per_epoch"] if row["coverage"]}
     assert len(doc["per_epoch"]) == 2_001 and len(busy | covered) <= 12
     assert len(encoded) <= len(busy | covered) + 12
