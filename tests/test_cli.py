@@ -93,12 +93,56 @@ def test_breach_exits_2_and_keeps_the_partial_trace(tmp_path, capsys):
 # -- validate ---------------------------------------------------------------------
 
 
+GOLDEN_SCENARIOS = ROOT / "tests" / "golden" / "scenarios"
+HEADER = "(schema 1, tool " + __version__ + ")"
+TIMING_LINE = "  timing: t_fin=2 t_rev=10 t_ws=100 t_cr={} slash_delay=0"
+ECON_LINE = "  econ: 4 validators x stake 32 (total 128), gamma 1/2, tvl {}"
+# the whole of `validate`'s stdout, for documents with and without named
+# policies, a scripted strategy and fork events
+VALIDATE_OUTPUT = {
+    DEMO: [
+        f"scenario dda46075cdfec6a9 {HEADER}",
+        "  horizon 60, seed 7",
+        TIMING_LINE.format(3),
+        ECON_LINE.format(480),
+        "  7 transactions, 0 fork events, 2 insurance bids",
+        "  policies: alice=insured_fast_ux, carol=uninsured_freerider (default always_secure)",
+        "  adversary strategy: double_sign_at",
+    ],
+    str(ROOT / "scenarios" / "grieving.json"): [
+        f"scenario 39d2325e7144fa14 {HEADER}",
+        "  horizon 60, seed 11",
+        TIMING_LINE.format(0),
+        ECON_LINE.format(256),
+        "  2 transactions, 0 fork events, 0 insurance bids",
+        "  policies: mallory=insured_fast_ux (default always_secure)",
+        "  adversary strategy: grieving_buyout",
+    ],
+    str(GOLDEN_SCENARIOS / "release-backlog.json"): [
+        f"scenario 77971d548d58e967 {HEADER}",
+        "  horizon 110, seed 31",
+        TIMING_LINE.format(0),
+        ECON_LINE.format(300),
+        "  2 transactions, 1 fork events, 7 insurance bids",
+        "  policies: alice=insured_fast_ux (default always_secure)",
+        "  fork late: diverges@70 revealed@75 -> ambiguous_window (2 signers, stake 64)",
+        "  adversary strategy: double_sign_at",
+    ],
+    str(GOLDEN_SCENARIOS / "horizon-cut.json"): [
+        f"scenario fc442f1e5de8e7cd {HEADER}",
+        "  horizon 60, seed 23",
+        TIMING_LINE.format(0),
+        ECON_LINE.format(200),
+        "  2 transactions, 0 fork events, 0 insurance bids",
+        "  policies: default always_secure",
+    ],
+}
+
+
 def test_validate_prints_diagnostics(capsys):
-    assert main(["validate", "--scenario", DEMO]) == 0
-    out = capsys.readouterr().out
-    assert out.rstrip().endswith("ok")
-    assert "4 validators x stake 32" in out
-    assert "fork" in out
+    for scenario, lines in VALIDATE_OUTPUT.items():
+        assert main(["validate", "--scenario", scenario]) == 0
+        assert capsys.readouterr().out == "\n".join([*lines, "ok"]) + "\n"
 
 
 def test_validate_rejects_bad_schema(tmp_path, capsys):
