@@ -218,6 +218,9 @@ class ForkRevealEvent:
     ancestor block (the fork builds on that block; everything strictly after
     it is contested). double_signer_stake is the summed stake of the signers
     and is cross-checked against the validator set by build_timeline.
+    adversary_wins says whether the fork wins when its reveal falls in the
+    ambiguous window; bridge_post_delay is the ticks from the reveal until
+    the fork's header reaches a bridge client's chain.
     """
 
     id: str
@@ -225,6 +228,8 @@ class ForkRevealEvent:
     revealed_at: Tick
     double_signers: frozenset[str] = frozenset()
     double_signer_stake: Fraction = Fraction(0)
+    adversary_wins: bool = True
+    bridge_post_delay: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "double_signers", frozenset(self.double_signers))

@@ -27,6 +27,7 @@ from .econ import PfcKind
 from .engine import run as run_engine
 from .engine import sweep_jobs, sweep_point
 from .errors import InvariantBreachError, ScenarioError, StakesimError
+from .policies import StrategyKind
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
 from .resolution import classify_reveal
@@ -180,11 +181,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"  {len(tl.transactions)} transactions, {len(tl.fork_events)} fork events,"
         f" {len(scenario.bids)} insurance bids",
     ]
-    if scenario.policies:
-        policies = ", ".join(f"{tr}={p.value}" for tr, p in sorted(scenario.policies.items()))
-        lines.append(f"  policies: {policies} (default {scenario.default_policy.value})")
+    policies = dict(scenario.policies)
+    default = policies.pop("*").value
+    if policies:
+        named = ", ".join(f"{tr}={p.value}" for tr, p in sorted(policies.items()))
+        lines.append(f"  policies: {named} (default {default})")
     else:
-        lines.append(f"  policies: default {scenario.default_policy.value}")
+        lines.append(f"  policies: default {default}")
     for ev in tl.fork_events:
         cls = classify_reveal(ev, tp)
         lines.append(
@@ -192,8 +195,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             f" revealed@{ev.revealed_at} -> {cls.value}"
             f" ({len(ev.double_signers)} signers, stake {frac_str(ev.double_signer_stake)})"
         )
-    if scenario.strategy.kind.value != "none":
-        lines.append(f"  adversary strategy: {scenario.strategy.kind.value}")
+    strategy = scenario.adversary.strategy
+    if strategy.kind is not StrategyKind.NONE:
+        lines.append(f"  adversary strategy: {strategy.kind.value}")
     lines.append("ok")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -42,7 +42,7 @@ from .chain import (
     epoch_of,
     gamma_value,
 )
-from .errors import EmptyIntervalError, LedgerMismatchError
+from .errors import EmptyIntervalError
 from .insurance import coverage_check
 
 
@@ -203,13 +203,12 @@ class SafetyVerdict:
     bound_kind: PfcKind
     coc: Fraction
     pfc: PfcBound
-    cryptoeconomically_safe: bool
     strong_safety: bool
     uninsured_buffer_ok: bool
 
-    def __post_init__(self):
-        if self.cryptoeconomically_safe != (self.coc > self.pfc.value):
-            raise LedgerMismatchError("verdict flag contradicts its own numbers")
+    @property
+    def cryptoeconomically_safe(self) -> bool:
+        return self.coc > self.pfc.value
 
 
 def _is_insured(tx: TransactionRecord) -> bool:
@@ -267,7 +266,6 @@ def safety_verdict(
         bound_kind=bound_kind,
         coc=coc,
         pfc=bound,
-        cryptoeconomically_safe=coc > bound.value,
         strong_safety=strong,
         uninsured_buffer_ok=buffer_ok,
     )

@@ -76,7 +76,6 @@ from .scenario import (
     SLOT,
     TIMING,
     TX_FINALIZED,
-    ForkEventMeta,
     Scenario,
     canonical_json,
     canonical_object,
@@ -251,9 +250,10 @@ class _Run:
         self.ledger.activate(e)
 
         bids = self.bids_by_epoch.get(e, [])
-        if self.sc.strategy.kind is StrategyKind.GRIEVING_BUYOUT:
+        adversary = self.sc.adversary
+        if adversary.strategy.kind is StrategyKind.GRIEVING_BUYOUT:
             self.schedule_epoch(e + 1)
-            buyer = min(self.sc.adversary_transactors) if self.sc.adversary_transactors else None
+            buyer = min(adversary.transactors) if adversary.transactors else None
             avail = self.ledger.available()
             if buyer is not None and avail > 0:
                 bids = bids + [
@@ -261,7 +261,7 @@ class _Run:
                         transactor=buyer,
                         epoch_placed=e,
                         coverage_requested=avail,
-                        premium_rate=self.sc.strategy.premium_rate,
+                        premium_rate=adversary.strategy.premium_rate,
                     )
                 ]
         if bids:
@@ -340,7 +340,7 @@ class _Run:
         else:  # BRIDGE_RULE
             posted = tick
             posts = sorted(
-                ev.revealed_at + self.sc.fork_meta.get(ev.id, ForkEventMeta()).bridge_post_delay
+                ev.revealed_at + ev.bridge_post_delay
                 for ev in self.timeline.fork_events
                 if contests(tx.finalized_at, ev.diverges_from_block_finalized_at)
             )
@@ -364,8 +364,7 @@ class _Run:
     def on_reveal(self, tick: Tick, ev: ForkRevealEvent):
         self.rec(tick, "fork_reveal", **FORK_EVENT.write(ev))
         outcome = resolve(ev, self.tp, self.timeline.validators)
-        meta = self.sc.fork_meta.get(ev.id, ForkEventMeta())
-        wins = outcome.reveal_class is RevealClass.AMBIGUOUS_WINDOW and meta.adversary_wins
+        wins = outcome.reveal_class is RevealClass.AMBIGUOUS_WINDOW and ev.adversary_wins
         self.rec(
             tick,
             "resolution",
@@ -432,7 +431,7 @@ class _Run:
             self.ledger,
             reverted_executions=self.reverted_executions,
             adversary_validators=sorted(self.adversary_validators),
-            adversary_transactors=sorted(self.sc.adversary_transactors),
+            adversary_transactors=sorted(self.sc.adversary.transactors),
         )
         report = build_report(
             timeline,

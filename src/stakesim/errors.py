@@ -39,10 +39,6 @@ class SettleOnUnslashableError(StakesimError):
     """Slash settlement was requested for a non-slashable resolution."""
 
 
-class LedgerMismatchError(StakesimError):
-    """A safety verdict's flag contradicts its own numbers."""
-
-
 class InvariantBreachError(StakesimError):
     """A runtime conservation or coverage invariant broke mid-run.
 

@@ -230,8 +230,8 @@ def build_report(
     karma: KarmaSummary,
     bound_kind: PfcKind,
     *,
-    scenario_hash: str = "",
-    seed: int = 0,
+    scenario_hash: str,
+    seed: int,
 ) -> ReportDocument:
     """Assemble the full safety report for a run's effective `timeline`,
     the lots and settlements of its `ledger`, under the run's timing `tp`."""

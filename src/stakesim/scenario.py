@@ -8,11 +8,10 @@ as integers, "p/q" strings, or decimal strings; they are kept exact.
 
 Each block, the document included, is one ordered table of fields (JSON
 key, attribute, parser, serializer, default) that gives its allowed keys,
-its reader and, below the top level, its writer; only cross-field rules
-are written by hand. Each trace record or report entry whose payload is
-one object's fields (a finalized transaction, a lot, a settlement, ...) is
-written through that object's table too, and `analyze` reads it back
-through the same table.
+its reader and its writer; only cross-field rules are written by hand.
+Each trace record or report entry whose payload is one object's fields (a
+finalized transaction, a lot, a settlement, ...) is written through that
+object's table too, and `analyze` reads it back through the same table.
 
 Parse errors cite the offending path ("transactions[2].value: ...").
 `read_field` is the one checked reader of JSON input: scenarios, trace
@@ -29,7 +28,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple, Optional
 
 from .chain import (
     ChainTimeline,
@@ -56,11 +56,11 @@ from .version import SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
-class ForkEventMeta:
-    """Simulator-level annotations for one scenario fork event."""
+class Adversary:
+    """The scripted adversary and the transactors it controls."""
 
-    adversary_wins: bool = True
-    bridge_post_delay: int = 0
+    strategy: AdversaryStrategy = AdversaryStrategy()
+    transactors: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,17 @@ class Scenario:
     timing: TimingParams
     econ: EconParams
     bids: tuple[InsuranceBid, ...]
-    policies: dict[str, PolicyKind]
-    default_policy: PolicyKind
-    strategy: AdversaryStrategy
-    adversary_transactors: frozenset[str]
-    fork_meta: dict[str, ForkEventMeta]
+    policies: Mapping[str, PolicyKind]  # by transactor, and under "*" of every other
+    adversary: Adversary
     attack_over_epoch: Optional[EpochIndex]
     seed: int
+    schema_version: ClassVar[int] = SCHEMA_VERSION
 
     def transactors(self) -> frozenset[str]:
         ids = {t.transactor for t in self.timeline.transactions}
         ids.update(b.transactor for b in self.bids)
-        ids.update(k for k in self.policies)
-        ids.update(self.adversary_transactors)
+        ids.update(self.policies.keys() - {"*"})
+        ids.update(self.adversary.transactors)
         return frozenset(ids)
 
 
@@ -270,13 +268,22 @@ class _Block:
         return next(f for f in self.fields if f.key == key)
 
 
+def _one(block: _Block) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """The codec of one of `block`'s objects, its errors cited below its key."""
+    return lambda doc: block.parse(doc, ""), block.write
+
+
+def _write_each(block: _Block) -> Callable[[Any], list]:
+    return lambda objs: list(map(block.write, objs))
+
+
 def _each(block: _Block) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
     """The codec of a list of `block`'s objects; an item is cited by its index."""
 
     def parse(items: Any) -> tuple:
         return tuple(block.parse(item, f"[{i}]") for i, item in enumerate(listing(items)))
 
-    return parse, lambda objs: list(map(block.write, objs))
+    return parse, _write_each(block)
 
 
 # the timing and econ blocks of a scenario and of a trace's run_start record
@@ -318,7 +325,8 @@ _TRANSACTION = _Block(
     _Field("offchain_executed_at", _OPTIONAL_INTEGER, None),
     _Field("insured_epoch", _OPTIONAL_INTEGER, None),
 )
-# a scenario's fork event, and a `fork_reveal` record
+# a `fork_reveal` record, and a scenario's fork event, which adds how the
+# reveal plays out
 FORK_EVENT = _Block(
     ForkRevealEvent,
     _Field("id", _TEXT),
@@ -327,10 +335,12 @@ FORK_EVENT = _Block(
     _Field("double_signers", _IDS, frozenset()),
     _Field("double_signer_stake", _VALUE, 0),
 )
-_FORK_META = _Block(
-    ForkEventMeta, _Field("adversary_wins", _BOOLEAN, True), _Field("bridge_post_delay", _INTEGER, 0)
+_FORK = _Block(
+    ForkRevealEvent,
+    *FORK_EVENT.fields,
+    _Field("adversary_wins", _BOOLEAN, True),
+    _Field("bridge_post_delay", _INTEGER, 0),
 )
-_FORK_KEYS = FORK_EVENT.keys | _FORK_META.keys
 _BID = _Block(
     InsuranceBid,
     _Field("transactor", _TEXT),
@@ -362,6 +372,10 @@ _STRATEGIES = {
 }
 
 
+def _strategy(doc: Any) -> AdversaryStrategy:
+    return _STRATEGIES[_KIND.read(doc, "")].parse(doc, "")
+
+
 def _strategy_to_doc(st: AdversaryStrategy) -> dict:
     doc = _STRATEGIES[st.kind].write(st)
     if not st.exited_set:  # an empty exited_set is left out
@@ -370,27 +384,43 @@ def _strategy_to_doc(st: AdversaryStrategy) -> dict:
 
 
 _ADVERSARY = _Block(
-    dict,
-    _Field("strategy", (_identity, _strategy_to_doc), {}),
-    _Field("transactors", _IDS, frozenset(), "adversary_transactors"),
+    Adversary,
+    _Field("strategy", (_strategy, _strategy_to_doc), AdversaryStrategy()),
+    _Field("transactors", _IDS, frozenset()),
 )
-# the document itself: its blocks are read one by one below, in the order
-# their cross-field checks need, and `scenario_to_doc` writes it
-_OBJECT = (_identity, _identity)
-_LIST = (listing, _identity)
+
+
+def _schema_version(x: Any) -> int:
+    if integer(x) != SCHEMA_VERSION:
+        _fail("", f"unsupported version {x}, expected {SCHEMA_VERSION}")
+    return x
+
+
+def _policies(doc: Any) -> Mapping[str, PolicyKind]:
+    named = {tr: read_field(doc, tr, "", _policy_kind) for tr in _mapping(doc)}
+    return MappingProxyType({"*": PolicyKind.ALWAYS_SECURE, **named})
+
+
+def _policies_to_doc(policies: Mapping[str, PolicyKind]) -> dict:
+    return {tr: p.value for tr, p in sorted(policies.items())}
+
+
+# the document itself, each key one attribute of a `Scenario`. Its lists of
+# validators, transactions and fork events are parsed in `parse_scenario`,
+# in the order their cross-field checks need.
 _DOCUMENT = _Block(
     dict,
-    _Field("schema_version", _INTEGER),
-    _Field("horizon", _INTEGER),
+    _Field("schema_version", (_schema_version, _identity)),
+    _Field("horizon", _INTEGER, attr="timeline.horizon"),
     _Field("seed", _INTEGER, 0),
-    _Field("timing", _OBJECT),
-    _Field("econ", _OBJECT),
-    _Field("validators", (optional(listing), _identity), None),
-    _Field("transactions", _LIST, ()),
-    _Field("fork_events", _LIST, ()),
-    _Field("insurance_bids", _LIST, ()),
-    _Field("policies", (_mapping, _identity), {}),
-    _Field("adversary", _OBJECT, {}),
+    _Field("timing", _one(TIMING)),
+    _Field("econ", _one(ECON)),
+    _Field("validators", (optional(listing), _write_each(_VALIDATOR)), None, "timeline.validators"),
+    _Field("transactions", (listing, _write_each(_TRANSACTION)), (), "timeline.transactions"),
+    _Field("fork_events", (listing, _write_each(_FORK)), (), "timeline.fork_events"),
+    _Field("insurance_bids", _each(_BID), (), "bids"),
+    _Field("policies", (_policies, _policies_to_doc), _policies({})),
+    _Field("adversary", _one(_ADVERSARY), Adversary()),
     _Field("attack_over_epoch", _OPTIONAL_INTEGER, None),
 )
 
@@ -510,64 +540,30 @@ def parse_run_header(header: dict, path: str) -> tuple[Tick, TimingParams, EconP
 def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
     """Validate a scenario document and build its immutable objects."""
     top = _DOCUMENT.read(doc, source)
-    version = top["schema_version"]
-    if version != SCHEMA_VERSION:
-        _fail(f"{source}.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
-    horizon = top["horizon"]
+    del top["schema_version"]  # its parser checks it: every `Scenario` has the one version
+    horizon, timing = top.pop("timeline.horizon"), top["timing"]
 
-    timing = TIMING.parse(top["timing"], f"{source}.timing")
-    econ = ECON.parse(top["econ"], f"{source}.econ")
-
-    validators = _parse_validators(top["validators"], econ, f"{source}.validators")
-
-    path = f"{source}.policies"
-    pdoc = top["policies"]
-    policies = {tr: read_field(pdoc, tr, path, _policy_kind) for tr in pdoc}
-    default_policy = policies.pop("*", PolicyKind.ALWAYS_SECURE)
+    validators = _parse_validators(top.pop("timeline.validators"), top["econ"], f"{source}.validators")
 
     path = f"{source}.transactions"
     transactions = [
-        _parse_transaction(item, timing, policies, default_policy, f"{path}[{i}]")
-        for i, item in enumerate(top["transactions"])
+        _parse_transaction(item, timing, top["policies"], f"{path}[{i}]")
+        for i, item in enumerate(top.pop("timeline.transactions"))
     ]
 
     path = f"{source}.fork_events"
-    fork_events = []
-    fork_meta: dict[str, ForkEventMeta] = {}
-    for i, item in enumerate(top["fork_events"]):
-        ev, meta = _parse_fork_event(item, timing, f"{path}[{i}]")
-        fork_events.append(ev)
-        fork_meta[ev.id] = meta
+    fork_events = [
+        _parse_fork_event(item, timing, f"{path}[{i}]") for i, item in enumerate(top.pop("timeline.fork_events"))
+    ]
 
-    path = f"{source}.insurance_bids"
-    bids = tuple(_BID.parse(item, f"{path}[{i}]") for i, item in enumerate(top["insurance_bids"]))
-
-    path = f"{source}.adversary"
-    adversary = _ADVERSARY.read(top["adversary"], path)
-    path, sdoc = f"{path}.strategy", adversary["strategy"]
-    strategy = _STRATEGIES[_KIND.read(sdoc, path)].parse(sdoc, path)
-
-    attack_over = top["attack_over_epoch"]
-    if attack_over is not None and attack_over < 0:
+    if top["attack_over_epoch"] is not None and top["attack_over_epoch"] < 0:
         _fail(f"{source}.attack_over_epoch", "must be >= 0")
 
     timeline = _build(
         source, build_timeline, horizon=horizon, transactions=transactions, fork_events=fork_events,
         validators=validators,
     )
-    sc = Scenario(
-        timeline=timeline,
-        timing=timing,
-        econ=econ,
-        bids=bids,
-        policies=policies,
-        default_policy=default_policy,
-        strategy=strategy,
-        adversary_transactors=adversary["adversary_transactors"],
-        fork_meta=fork_meta,
-        attack_over_epoch=attack_over,
-        seed=top["seed"],
-    )
+    sc = Scenario(timeline=timeline, **top)
     # the scripted fork must fit the chain `run` will build it into, beside
     # the scenario's own fork events
     _build(
@@ -601,11 +597,11 @@ def _parse_validators(vdoc: Optional[list], econ: EconParams, path: str) -> list
 
 
 def _parse_transaction(
-    item, timing: TimingParams, policies: dict[str, PolicyKind], default_policy: PolicyKind, path: str
+    item, timing: TimingParams, policies: Mapping[str, PolicyKind], path: str
 ) -> TransactionRecord:
     fields = _TRANSACTION.read(item, path)
     if fields["rule"] is None:
-        fields["rule"] = default_rule(policies.get(fields["transactor"], default_policy))
+        fields["rule"] = default_rule(policies.get(fields["transactor"], policies["*"]))
     if fields["kind"] is TxKind.HYBRID and fields["rule"] is ConfirmationRule.INSURED_IMMEDIATE:
         expected, insured = epoch_of(fields["finalized_at"], timing.t_rev), fields["insured_epoch"]
         if insured is None:
@@ -615,12 +611,11 @@ def _parse_transaction(
     return _build(path, _TRANSACTION.make, **fields)
 
 
-def _parse_fork_event(item, timing: TimingParams, path: str) -> tuple[ForkRevealEvent, ForkEventMeta]:
-    ev = FORK_EVENT.parse(item, path, _FORK_KEYS)
-    meta = _FORK_META.parse(item, path, _FORK_KEYS)
-    if not 0 <= meta.bridge_post_delay <= timing.t_cr:
+def _parse_fork_event(item, timing: TimingParams, path: str) -> ForkRevealEvent:
+    ev = _FORK.parse(item, path)
+    if not 0 <= ev.bridge_post_delay <= timing.t_cr:
         _fail(f"{path}.bridge_post_delay", f"must lie in [0, t_cr={timing.t_cr}]")
-    return ev, meta
+    return ev
 
 
 # -- the adversary's scripted fork --------------------------------------------
@@ -647,11 +642,11 @@ _ATTACK_EVENT_IDS = {
 def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], Optional[dict]]:
     """Forge the adversary's scripted fork reveal, if its strategy has one.
 
-    Returns (events, optional probe log payload). A scripted event has no
-    `ForkEventMeta` of its own: it takes the default, under which the
-    adversary wins.
+    Returns (events, optional probe log payload). A scripted event takes
+    `ForkRevealEvent`'s defaults: the adversary wins, and a bridge sees the
+    fork's header when it is revealed.
     """
-    st, tp, validators = sc.strategy, sc.timing, sc.timeline.validators
+    st, tp, validators = sc.adversary.strategy, sc.timing, sc.timeline.validators
     log = None
     if st.kind is StrategyKind.NONE:
         return [], None
@@ -694,25 +689,7 @@ def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], Optional[dict]
 
 def scenario_to_doc(sc: Scenario) -> dict:
     """Canonical, normalized document; parse(scenario_to_doc(sc)) == sc."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "horizon": sc.timeline.horizon,
-        "seed": sc.seed,
-        "timing": TIMING.write(sc.timing),
-        "econ": ECON.write(sc.econ),
-        "validators": list(map(_VALIDATOR.write, sc.timeline.validators)),
-        "transactions": list(map(_TRANSACTION.write, sc.timeline.transactions)),
-        "fork_events": [
-            {**FORK_EVENT.write(e), **_FORK_META.write(sc.fork_meta[e.id])} for e in sc.timeline.fork_events
-        ],
-        "insurance_bids": list(map(_BID.write, sc.bids)),
-        "policies": {
-            **{tr: p.value for tr, p in sorted(sc.policies.items())},
-            "*": sc.default_policy.value,
-        },
-        "adversary": _ADVERSARY.write(sc),
-        "attack_over_epoch": sc.attack_over_epoch,
-    }
+    return _DOCUMENT.write(sc)
 
 
 # one encoder for every call: `json.dumps` with non-default arguments builds a new one each time

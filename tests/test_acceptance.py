@@ -19,11 +19,10 @@ from pathlib import Path
 from time import perf_counter
 
 from stakesim import (
-    AdversaryStrategy,
+    Adversary,
     ConfirmationRule,
     DecisionStatus,
     EconParams,
-    ForkEventMeta,
     Mechanism,
     PfcKind,
     PolicyKind,
@@ -176,11 +175,8 @@ def test_acceptance_4_secure_rule_confirmations_never_invalidated():
                 gamma=Fraction(1, 2), tvl=Fraction(100),
             ),
             bids=(),
-            policies={},
-            default_policy=PolicyKind.ALWAYS_SECURE,
-            strategy=AdversaryStrategy(),
-            adversary_transactors=frozenset(),
-            fork_meta={e.id: ForkEventMeta(adversary_wins=True) for e in timeline.fork_events},
+            policies={"*": PolicyKind.ALWAYS_SECURE},
+            adversary=Adversary(),
             attack_over_epoch=None,
             seed=4,
         )

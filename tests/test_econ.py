@@ -14,9 +14,7 @@ from stakesim import (
     InsuranceBid,
     InsuranceLedger,
     Mechanism,
-    PfcBound,
     PfcKind,
-    SafetyVerdict,
     TimingParams,
     TransactionRecord,
     ValidatorChoice,
@@ -33,7 +31,7 @@ from stakesim import (
 from stakesim import econ
 from stakesim.econ import strong_safety_flags
 from stakesim.report import _checked_sections
-from stakesim.errors import EmptyIntervalError, LedgerMismatchError
+from stakesim.errors import EmptyIntervalError
 
 from oracles import (
     passes_filter,
@@ -271,18 +269,6 @@ def test_verdict_requires_strictly_greater_cost():
     assert not v.cryptoeconomically_safe
     one_less = build_timeline(horizon=40, transactions=[tx("a", 5, 31)])
     assert safety_verdict(one_less, TP, p, {}, PfcKind.REORG_WINDOW).cryptoeconomically_safe
-
-
-def test_verdict_flag_must_match_numbers():
-    with pytest.raises(LedgerMismatchError):
-        SafetyVerdict(
-            bound_kind=PfcKind.STEAL_TVL,
-            coc=Fraction(1),
-            pfc=PfcBound(kind=PfcKind.STEAL_TVL, value=Fraction(2)),
-            cryptoeconomically_safe=True,
-            strong_safety=False,
-            uninsured_buffer_ok=False,
-        )
 
 
 def test_full_earmark_leaves_no_uninsured_buffer():

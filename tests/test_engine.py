@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 from stakesim import (
-    AdversaryStrategy,
+    Adversary,
     ConfirmationRule,
     EconParams,
-    ForkEventMeta,
     InsuranceLedger,
     LotState,
     PolicyKind,
@@ -446,11 +445,8 @@ def test_executed_secure_flow_never_reverts(rng):
                 tvl=Fraction(100),
             ),
             bids=(),
-            policies={},
-            default_policy=PolicyKind.ALWAYS_SECURE,
-            strategy=AdversaryStrategy(),
-            adversary_transactors=frozenset(),
-            fork_meta={e.id: ForkEventMeta(adversary_wins=True) for e in tl.fork_events},
+            policies={"*": PolicyKind.ALWAYS_SECURE},
+            adversary=Adversary(),
             attack_over_epoch=None,
             seed=1,
         )

@@ -26,7 +26,7 @@ from stakesim import parse_scenario
 from stakesim.cli import main
 from stakesim.engine import run
 from stakesim.errors import InvariantBreachError
-from stakesim.scenario import LOT, SETTLEMENT, TX_FINALIZED
+from stakesim.scenario import FORK_EVENT, LOT, SETTLEMENT, TX_FINALIZED
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
 from oracles import run_every_epoch
@@ -168,7 +168,7 @@ def test_readme_documents_every_key_of_every_trace_record():
 
 
 def test_each_table_writes_back_what_it_reads_on_the_golden_corpus():
-    seen = dict.fromkeys(("tx_finalized", "settlement", "auction"), 0)
+    seen = dict.fromkeys(("tx_finalized", "settlement", "auction", "fork_reveal"), 0)
     for record in golden_records():
         kind = record["kind"]
         # (table, payload, the keys its record adds beside the table's)
@@ -178,6 +178,8 @@ def test_each_table_writes_back_what_it_reads_on_the_golden_corpus():
             payloads = [(SETTLEMENT, record, {"tick", "kind"})]
         elif kind == "auction":
             payloads = [(LOT, lot, set()) for lot in record["lots"]]
+        elif kind == "fork_reveal":
+            payloads = [(FORK_EVENT, record, {"tick", "kind"})]
         else:
             continue
         for table, doc, added in payloads:

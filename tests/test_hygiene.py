@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib.util
+import operator
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,21 @@ def test_the_ledger_reads_no_fork_event():
     assert "fork_events" not in attributes
     assert from_resolution == {"ResolutionOutcome"}
     assert not any(m.split(".")[-1] == "resolution" for m in imported_modules)
+
+
+def test_the_document_table_is_the_one_writer_of_a_scenario():
+    """Each `Scenario` field but `timeline` is the attribute of exactly one
+    key of the document's table, and `scenario_to_doc` writes each key as
+    that key's codec writes its attribute, so a second writer of the
+    document's top level has no place to come back."""
+    from stakesim.scenario import _DOCUMENT, Scenario, load_scenario, scenario_to_doc
+
+    attrs = [f.attr or f.key for f in _DOCUMENT.fields]
+    assert sorted(f.name for f in dataclasses.fields(Scenario) if attrs.count(f.name) != 1) == ["timeline"]
+    sc = load_scenario(str(ROOT / "tests" / "golden" / "scenarios" / "release-backlog.json"))
+    assert sc.timeline.fork_events and sc.adversary.transactors
+    by_codec = {f.key: f.codec[1](operator.attrgetter(attr)(sc)) for f, attr in zip(_DOCUMENT.fields, attrs)}
+    assert scenario_to_doc(sc) == by_codec
 
 
 def test_the_package_exports_exactly_what_it_imports():

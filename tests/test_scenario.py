@@ -41,8 +41,8 @@ def test_minimal_document_parses_with_defaults():
     assert sc.seed == 0
     assert sc.timing.t_cr == 0 and sc.timing.slash_delay == 0
     assert sc.econ.reward == 0 and sc.econ.tvl == 0
-    assert sc.default_policy is PolicyKind.ALWAYS_SECURE
-    assert sc.strategy.kind is StrategyKind.NONE
+    assert sc.policies == {"*": PolicyKind.ALWAYS_SECURE}
+    assert sc.adversary.strategy.kind is StrategyKind.NONE
     assert sc.attack_over_epoch is None
     assert sc.timeline.transactions == ()
 
@@ -160,8 +160,7 @@ def test_star_policy_sets_the_default():
         ],
     )
     sc = parse_scenario(doc)
-    assert sc.default_policy is PolicyKind.UNINSURED_FREERIDER
-    assert sc.policies == {"alice": PolicyKind.ALWAYS_SECURE}
+    assert sc.policies == {"*": PolicyKind.UNINSURED_FREERIDER, "alice": PolicyKind.ALWAYS_SECURE}
     by_id = {t.id: t for t in sc.timeline.transactions}
     assert by_id["t1"].rule.value == "immediate"
     assert by_id["t2"].rule.value == "secure"
@@ -205,7 +204,7 @@ def test_bridge_post_delay_bounded_by_censorship():
         timing={"t_fin": 2, "t_rev": 10, "t_ws": 100, "t_cr": 3},
         fork_events=[dict(event, bridge_post_delay=3)],
     )
-    assert parse_scenario(doc).fork_meta["f"].bridge_post_delay == 3
+    assert parse_scenario(doc).timeline.fork_events[0].bridge_post_delay == 3
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(
             minimal_doc(
@@ -284,6 +283,7 @@ STRATEGIES = [
 def test_round_trip_is_identity(strategy):
     doc = minimal_doc(
         seed=9,
+        timing={"t_fin": 2, "t_rev": 10, "t_ws": 100, "t_cr": 3},
         transactions=[
             {"id": "t1", "transactor": "alice", "value": "7/2", "kind": "hybrid", "finalized_at": 25},
             {"id": "t2", "transactor": "bob", "value": 1, "kind": "pure", "finalized_at": 4},
@@ -294,12 +294,14 @@ def test_round_trip_is_identity(strategy):
         ],
         fork_events=[
             {"id": "f", "diverges_from": 10, "revealed_at": 14,
-             "double_signers": ["v1"], "adversary_wins": False}
+             "double_signers": ["v1"], "adversary_wins": False, "bridge_post_delay": 2}
         ],
         adversary={"strategy": strategy, "transactors": ["mallory"]},
         attack_over_epoch=4,
     )
     sc = parse_scenario(doc)
+    (fork,) = sc.timeline.fork_events
+    assert fork.adversary_wins is False and fork.bridge_post_delay == 2
     doc2 = scenario_to_doc(sc)
     sc2 = parse_scenario(doc2)
     assert sc2 == sc
@@ -346,13 +348,7 @@ BLOCKS = [
     ("econ", [scenario_module.ECON], ("econ",), "s.econ", "none"),
     ("validator", [scenario_module._VALIDATOR], ("validators", 0), "s.validators[0]", "none"),
     ("transaction", [scenario_module._TRANSACTION], ("transactions", 0), "s.transactions[0]", "none"),
-    (
-        "fork_event",
-        [scenario_module.FORK_EVENT, scenario_module._FORK_META],
-        ("fork_events", 0),
-        "s.fork_events[0]",
-        "none",
-    ),
+    ("fork_event", [scenario_module._FORK], ("fork_events", 0), "s.fork_events[0]", "none"),
     ("insurance_bid", [scenario_module._BID], ("insurance_bids", 0), "s.insurance_bids[0]", "none"),
     ("adversary", [scenario_module._ADVERSARY], ("adversary",), "s.adversary", "none"),
 ] + [
