@@ -154,6 +154,39 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
     assert err.startswith("error:") and "schema" in err
 
 
+def _duplicate_transaction(doc: dict) -> None:
+    doc["transactions"].append(dict(doc["transactions"][0]))
+
+
+def _transaction_past_horizon(doc: dict) -> None:
+    doc["transactions"][0]["finalized_at"] = doc["horizon"] + 1
+
+
+def _unknown_policy(doc: dict) -> None:
+    doc["policies"]["alice"] = "reckless"
+
+
+# the demo scenario, broken one way, and the whole of `validate`'s stderr
+# after "error: <file>"
+BAD_DOCUMENTS = {
+    "duplicate-transaction": (_duplicate_transaction, ": duplicate transaction id 'tx1'"),
+    "transaction-past-horizon": (_transaction_past_horizon, ": transaction 'tx1': finalized_at beyond horizon"),
+    "unknown-policy": (_unknown_policy, ".policies.alice: malformed value 'reckless': unknown policy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_validate_prints_the_whole_error(tmp_path, capsys, name):
+    breakage, message = BAD_DOCUMENTS[name]
+    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
+    breakage(doc)
+    scenario = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", scenario]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {scenario}{message}\n"
+
+
 # each scripted fork the engine would reject when building its timeline
 BAD_SCRIPTED_FORKS = {
     "reveal-before-divergence": (
