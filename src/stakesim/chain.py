@@ -20,12 +20,7 @@ from math import lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    DuplicateIdError,
-    EmptyIntervalError,
-    InvariantViolationError,
-    TimestampOutOfRangeError,
-)
+from .errors import InvariantViolationError
 from .rational import as_fraction
 
 Tick = int
@@ -163,7 +158,7 @@ class TransactionRecord:
         if self.value < 0:
             raise InvariantViolationError(f"transaction {self.id!r}: value must be >= 0")
         if self.finalized_at < 0:
-            raise TimestampOutOfRangeError(f"transaction {self.id!r}: finalized_at < 0")
+            raise InvariantViolationError(f"transaction {self.id!r}: finalized_at < 0")
         if self.kind is TxKind.PURE:
             # no off-chain leg: rule is irrelevant, normalize
             object.__setattr__(self, "rule", ConfirmationRule.IMMEDIATE)
@@ -204,7 +199,7 @@ class ValidatorState:
                 f"validator {self.id!r}: earmarked_fraction must lie in [0, 1]"
             )
         if self.exit_tick is not None and self.exit_tick < 0:
-            raise TimestampOutOfRangeError(f"validator {self.id!r}: exit_tick < 0")
+            raise InvariantViolationError(f"validator {self.id!r}: exit_tick < 0")
 
     def active_at(self, tick: Tick) -> bool:
         return self.exit_tick is None or tick < self.exit_tick
@@ -235,7 +230,7 @@ class ForkRevealEvent:
         object.__setattr__(self, "double_signers", frozenset(self.double_signers))
         object.__setattr__(self, "double_signer_stake", as_fraction(self.double_signer_stake))
         if self.diverges_from_block_finalized_at < 0:
-            raise TimestampOutOfRangeError(f"fork event {self.id!r}: divergence tick < 0")
+            raise InvariantViolationError(f"fork event {self.id!r}: divergence tick < 0")
         if self.revealed_at < self.diverges_from_block_finalized_at:
             raise InvariantViolationError(
                 f"fork event {self.id!r}: revealed_at precedes the divergence tick"
@@ -281,7 +276,7 @@ def _check_unique(kind: str, ids: Iterable[str]) -> None:
     seen = set()
     for i in ids:
         if i in seen:
-            raise DuplicateIdError(f"duplicate {kind} id {i!r}")
+            raise InvariantViolationError(f"duplicate {kind} id {i!r}")
         seen.add(i)
 
 
@@ -301,7 +296,7 @@ def build_timeline(
     yields an equal timeline.
     """
     if not 0 < horizon <= MAX_HORIZON:
-        raise TimestampOutOfRangeError(f"horizon must lie in (0, {MAX_HORIZON}], got {horizon}")
+        raise InvariantViolationError(f"horizon must lie in (0, {MAX_HORIZON}], got {horizon}")
 
     _check_unique("transaction", map(attrgetter("id"), transactions))
     _check_unique("fork event", map(attrgetter("id"), fork_events))
@@ -310,18 +305,18 @@ def build_timeline(
     vmap = {v.id: v for v in validators}
     for v in validators:
         if v.exit_tick is not None and v.exit_tick > horizon:
-            raise TimestampOutOfRangeError(f"validator {v.id!r}: exit_tick beyond horizon")
+            raise InvariantViolationError(f"validator {v.id!r}: exit_tick beyond horizon")
 
     for t in transactions:
         if t.finalized_at > horizon:
-            raise TimestampOutOfRangeError(f"transaction {t.id!r}: finalized_at beyond horizon")
+            raise InvariantViolationError(f"transaction {t.id!r}: finalized_at beyond horizon")
         if t.offchain_executed_at is not None and t.offchain_executed_at > horizon:
-            raise TimestampOutOfRangeError(f"transaction {t.id!r}: offchain tick beyond horizon")
+            raise InvariantViolationError(f"transaction {t.id!r}: offchain tick beyond horizon")
 
     checked_events = []
     for e in fork_events:
         if e.revealed_at > horizon:
-            raise TimestampOutOfRangeError(f"fork event {e.id!r}: revealed_at beyond horizon")
+            raise InvariantViolationError(f"fork event {e.id!r}: revealed_at beyond horizon")
         unknown = sorted(s for s in e.double_signers if s not in vmap)
         if unknown:
             raise InvariantViolationError(
@@ -395,7 +390,7 @@ def gamma_value(
     sums, and one integer subtraction over their common denominator only
     when the window holds a matching transaction."""
     if t0 >= t1:
-        raise EmptyIntervalError(f"empty interval [{t0}, {t1})")
+        raise InvariantViolationError(f"empty interval [{t0}, {t1})")
     ticks, prefix, den = timeline._gamma_index[selector]
     lo, hi = bisect_left(ticks, t0), bisect_left(ticks, t1)
     if lo == hi:

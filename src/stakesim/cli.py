@@ -31,7 +31,16 @@ from .policies import StrategyKind
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
 from .resolution import classify_reveal
-from .scenario import TIMING, canonical_json, listing, load_scenario, read_field, read_input, scenario_hash
+from .scenario import (
+    TIMING,
+    canonical_json,
+    listing,
+    load_scenario,
+    read_field,
+    read_input,
+    scenario_hash,
+    scenario_to_doc,
+)
 from .version import SCHEMA_VERSION, __version__
 
 
@@ -181,10 +190,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"  {len(tl.transactions)} transactions, {len(tl.fork_events)} fork events,"
         f" {len(scenario.bids)} insurance bids",
     ]
-    policies = dict(scenario.policies)
-    default = policies.pop("*").value
+    policies = scenario_to_doc(scenario)["policies"]
+    default = policies.pop("*")
     if policies:
-        named = ", ".join(f"{tr}={p.value}" for tr, p in sorted(policies.items()))
+        named = ", ".join(f"{tr}={name}" for tr, name in policies.items())
         lines.append(f"  policies: {named} (default {default})")
     else:
         lines.append(f"  policies: default {default}")

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .chain import ChainTimeline, ConfirmationRule, Tick, TimingParams, TransactionRecord, TxKind
-from .errors import NotHybridError
+from .errors import InvariantViolationError
 
 
 class DecisionStatus(str, Enum):
@@ -56,7 +56,7 @@ def decide_secure(
     re-checking after an attack passes a later start.
     """
     if tx.kind is not TxKind.HYBRID:
-        raise NotHybridError(f"transaction {tx.id!r} has no off-chain leg to confirm")
+        raise InvariantViolationError(f"transaction {tx.id!r} has no off-chain leg to confirm")
     start = tx.finalized_at if window_start is None else window_start
     end = start + tp.t_rev
     for ev in timeline.fork_events:

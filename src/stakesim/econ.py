@@ -7,15 +7,13 @@ the adversary's bribe, against two outcomes (attack fails / succeeds):
         attack fails          S + R       S + B1
         attack succeeds       0           B2
 
-    slashing (text)           honest      bribed
+    slashing                  honest      bribed
         attack fails          S + R       B1
         attack succeeds       S           B2
 
 Token toxicity prices a successful attack at a collapsed token (the honest
 column loses everything); slashing burns the bribed validator's stake even
-when the attack fails. The slashing table has a variant reading in which the
-failed bribed validator keeps its stake (S + B1); it is available behind
-matrix="table" but the text reading above is the default.
+when the attack fails.
 
 Cost of corruption and profit from corruption are both exact rationals.
 Corruption profit is bounded by what fits inside one reversion window, with
@@ -42,7 +40,7 @@ from .chain import (
     epoch_of,
     gamma_value,
 )
-from .errors import EmptyIntervalError
+from .errors import InvariantViolationError
 from .insurance import coverage_check
 
 
@@ -61,17 +59,8 @@ class AttackOutcome(str, Enum):
     SUCCEEDED = "succeeded"
 
 
-def payoff(
-    mech: Mechanism,
-    choice: ValidatorChoice,
-    outcome: AttackOutcome,
-    ep: EconParams,
-    *,
-    matrix: str = "text",
-) -> Fraction:
+def payoff(mech: Mechanism, choice: ValidatorChoice, outcome: AttackOutcome, ep: EconParams) -> Fraction:
     """One cell of the attack-game payoff matrix."""
-    if matrix not in ("text", "table"):
-        raise ValueError(f"matrix must be 'text' or 'table', got {matrix!r}")
     s, r = ep.stake_per_validator, ep.reward
     b1, b2 = ep.bribe_fail, ep.bribe_success
     if mech is Mechanism.TOKEN_TOXICITY:
@@ -80,16 +69,13 @@ def payoff(
         return s + b1 if outcome is AttackOutcome.FAILED else b2
     if choice is ValidatorChoice.HONEST:
         return s + r if outcome is AttackOutcome.FAILED else s
-    if outcome is AttackOutcome.FAILED:
-        return s + b1 if matrix == "table" else b1
-    return b2
+    return b1 if outcome is AttackOutcome.FAILED else b2
 
 
-def bribe_is_dominant(mech: Mechanism, ep: EconParams, *, matrix: str = "text") -> bool:
+def bribe_is_dominant(mech: Mechanism, ep: EconParams) -> bool:
     """True iff taking the bribe strictly beats honesty in both outcomes."""
     return all(
-        payoff(mech, ValidatorChoice.BRIBED, o, ep, matrix=matrix)
-        > payoff(mech, ValidatorChoice.HONEST, o, ep, matrix=matrix)
+        payoff(mech, ValidatorChoice.BRIBED, o, ep) > payoff(mech, ValidatorChoice.HONEST, o, ep)
         for o in AttackOutcome
     )
 
@@ -157,7 +143,7 @@ def window_sup(
     `gamma_value` call. An empty selection has value 0 and no witness.
     """
     if t_rev < 1:
-        raise EmptyIntervalError(f"window length must be >= 1, got {t_rev}")
+        raise InvariantViolationError(f"window length must be >= 1, got {t_rev}")
     kind = next((k for k, f in _KIND_FILTER.items() if f is selector), PfcKind.REORG_WINDOW)
     index = timeline._gamma_index
     ticks, prefix, _ = index[selector]

@@ -11,32 +11,8 @@ class StakesimError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class DuplicateIdError(StakesimError):
-    """Two records in the same collection share an id."""
-
-
-class TimestampOutOfRangeError(StakesimError):
-    """A tick is negative or beyond the timeline horizon."""
-
-
 class InvariantViolationError(StakesimError):
-    """A record violates one of its structural invariants."""
-
-
-class EmptyIntervalError(StakesimError):
-    """A half-open interval [t0, t1) was requested with t0 >= t1."""
-
-
-class NotHybridError(StakesimError):
-    """A confirmation rule was asked to decide a non-hybrid transaction."""
-
-
-class UnknownTransactorError(StakesimError):
-    """A transactor id is not known to the insurance ledger."""
-
-
-class SettleOnUnslashableError(StakesimError):
-    """Slash settlement was requested for a non-slashable resolution."""
+    """A record, or a value a call is given, breaks a structural invariant."""
 
 
 class InvariantBreachError(StakesimError):

@@ -45,11 +45,7 @@ from .chain import (
     ValidatorState,
     epoch_of,
 )
-from .errors import (
-    InvariantViolationError,
-    SettleOnUnslashableError,
-    UnknownTransactorError,
-)
+from .errors import InvariantViolationError
 from .rational import as_fraction, ratio_str
 from .resolution import ResolutionOutcome
 
@@ -303,7 +299,7 @@ class InsuranceLedger:
     def sell(self, epoch: EpochIndex, bids: Sequence[InsuranceBid]) -> list[InsuranceLot]:
         for b in bids:
             if b.transactor not in self.transactors:
-                raise UnknownTransactorError(f"bid from unknown transactor {b.transactor!r}")
+                raise InvariantViolationError(f"bid from unknown transactor {b.transactor!r}")
             if b.epoch_placed != epoch:
                 raise InvariantViolationError(
                     f"bid by {b.transactor!r} placed at {b.epoch_placed}, auctioned at {epoch}"
@@ -341,7 +337,7 @@ class InsuranceLedger:
     def u(self, transactor: str, covering_epoch: EpochIndex) -> Fraction:
         """Total coverage `transactor` bought for `covering_epoch`."""
         if transactor not in self.transactors:
-            raise UnknownTransactorError(f"unknown transactor {transactor!r}")
+            raise InvariantViolationError(f"unknown transactor {transactor!r}")
         return self._bought.get(covering_epoch, {}).get(transactor, Fraction(0))
 
     # -- stake motion -------------------------------------------------------
@@ -534,14 +530,14 @@ def settle_slash(
     invariant breach.
     """
     if not outcome.slashable:
-        raise SettleOnUnslashableError(f"event {outcome.event_id!r} is not slashable as resolved")
+        raise InvariantViolationError(f"event {outcome.event_id!r} is not slashable as resolved")
     slashed = outcome.slashable_stake
     budget = ledger.ep.gamma * slashed
 
     grouped: dict[tuple[str, EpochIndex], Fraction] = {}
     for h in harmed:
         if h.transactor not in ledger.transactors:
-            raise UnknownTransactorError(f"harmed transactor {h.transactor!r} unknown")
+            raise InvariantViolationError(f"harmed transactor {h.transactor!r} unknown")
         key = (h.transactor, h.covering_epoch)
         grouped[key] = grouped.get(key, Fraction(0)) + h.value
 

@@ -1,4 +1,4 @@
-"""Scripted behaviors: what the adversary does, how transactors confirm."""
+"""Scripted behaviors: what the adversary does."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .chain import ConfirmationRule, EconParams, EpochIndex, Tick
+from .chain import EconParams, EpochIndex, Tick
+from .econ import Mechanism
 from .errors import InvariantViolationError
 from .insurance import PURCHASE_LEAD_EPOCHS
 from .rational import as_fraction
@@ -47,10 +48,11 @@ class AdversaryStrategy:
     attack_epoch: EpochIndex = 2
     bribe_fail: Optional[Fraction] = None
     bribe_success: Optional[Fraction] = None
-    mechanism: str = "slashing"
+    mechanism: Mechanism = Mechanism.SLASHING
 
     def __post_init__(self):
         object.__setattr__(self, "kind", StrategyKind(self.kind))
+        object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
         object.__setattr__(self, "exited_set", frozenset(self.exited_set))
         for name in ("stake_fraction", "premium_rate", "bribe_fail", "bribe_success"):
             v = getattr(self, name)
@@ -77,33 +79,3 @@ class AdversaryStrategy:
         if k is StrategyKind.BRIBERY_PROBE:
             if self.bribe_fail is None or self.bribe_success is None:
                 raise InvariantViolationError("bribery_probe: both bribe values are required")
-            if self.mechanism not in ("slashing", "token_toxicity"):
-                raise InvariantViolationError(f"bribery_probe: unknown mechanism {self.mechanism!r}")
-
-
-class PolicyKind(str, Enum):
-    """How a transactor treats its own hybrid flow.
-
-    ALWAYS_SECURE: wait out the reversion window, always.
-    INSURED_FAST_UX: act immediately when purchased coverage allows it,
-        falling back to the secure rule when it does not.
-    UNINSURED_FREERIDER: act immediately, hope someone else pays for safety.
-    BRIDGE_CLIENT: remote observer; wait t_rev + t_cr past the header post.
-    """
-
-    ALWAYS_SECURE = "always_secure"
-    INSURED_FAST_UX = "insured_fast_ux"
-    UNINSURED_FREERIDER = "uninsured_freerider"
-    BRIDGE_CLIENT = "bridge_client"
-
-
-_POLICY_DEFAULT_RULE = {
-    PolicyKind.ALWAYS_SECURE: ConfirmationRule.SECURE_RULE,
-    PolicyKind.INSURED_FAST_UX: ConfirmationRule.INSURED_IMMEDIATE,
-    PolicyKind.UNINSURED_FREERIDER: ConfirmationRule.IMMEDIATE,
-    PolicyKind.BRIDGE_CLIENT: ConfirmationRule.BRIDGE_RULE,
-}
-
-
-def default_rule(policy: PolicyKind) -> ConfirmationRule:
-    return _POLICY_DEFAULT_RULE[policy]

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .chain import ForkRevealEvent, TimingParams, ValidatorState
-from .errors import SettleOnUnslashableError
+from .errors import InvariantViolationError
 
 
 class RevealClass(str, Enum):
@@ -69,7 +69,7 @@ class ResolutionOutcome:
     def __post_init__(self):
         object.__setattr__(self, "slashed", MappingProxyType(dict(sorted(self.slashed.items()))))
         if not self.slashable and self.slashed:
-            raise SettleOnUnslashableError(
+            raise InvariantViolationError(
                 f"outcome for {self.event_id!r}: stake attached to unslashable reveal"
             )
 

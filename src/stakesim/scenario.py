@@ -50,7 +50,7 @@ from .confirmation import ConfirmationDecision, DecisionStatus
 from .econ import Mechanism, PfcBound, PfcKind, bribe_is_dominant
 from .errors import InvariantViolationError, ScenarioError, StakesimError
 from .insurance import Claim, InsuranceBid, SettlementRecord
-from .policies import AdversaryStrategy, PolicyKind, StrategyKind, default_rule
+from .policies import AdversaryStrategy, StrategyKind
 from .rational import as_fraction, frac_str
 from .version import SCHEMA_VERSION
 
@@ -69,7 +69,7 @@ class Scenario:
     timing: TimingParams
     econ: EconParams
     bids: tuple[InsuranceBid, ...]
-    policies: Mapping[str, PolicyKind]  # by transactor, and under "*" of every other
+    policies: Mapping[str, ConfirmationRule]  # default rule by transactor, and under "*" of every other
     adversary: Adversary
     attack_over_epoch: Optional[EpochIndex]
     seed: int
@@ -180,7 +180,6 @@ def _members(kind: type) -> dict:
 optional_integer = optional(integer)
 tx_kind = _lookup(_members(TxKind), "kind")
 confirmation_rule = _lookup(_members(ConfirmationRule), "rule")
-_policy_kind = _lookup(_members(PolicyKind), "policy")
 
 
 def _build(path: str, make: Callable[..., Any], **fields: Any) -> Any:
@@ -366,7 +365,7 @@ _STRATEGIES = {
             *_SIGNED,
             _Field("bribe_fail", _VALUE, None),
             _Field("bribe_success", _VALUE, None),
-            _Field("mechanism", _TEXT, "slashing"),
+            _Field("mechanism", (_lookup(_members(Mechanism), "mechanism"), _value_of), Mechanism.SLASHING),
         ),
     }.items()
 }
@@ -396,13 +395,24 @@ def _schema_version(x: Any) -> int:
     return x
 
 
-def _policies(doc: Any) -> Mapping[str, PolicyKind]:
-    named = {tr: read_field(doc, tr, "", _policy_kind) for tr in _mapping(doc)}
-    return MappingProxyType({"*": PolicyKind.ALWAYS_SECURE, **named})
+# each policy a document may name, and the default rule it stands for
+_POLICIES = {
+    "always_secure": ConfirmationRule.SECURE_RULE,
+    "insured_fast_ux": ConfirmationRule.INSURED_IMMEDIATE,
+    "uninsured_freerider": ConfirmationRule.IMMEDIATE,
+    "bridge_client": ConfirmationRule.BRIDGE_RULE,
+}
+_POLICY_NAMES = {rule: name for name, rule in _POLICIES.items()}
+_policy = _lookup(_POLICIES, "policy")
 
 
-def _policies_to_doc(policies: Mapping[str, PolicyKind]) -> dict:
-    return {tr: p.value for tr, p in sorted(policies.items())}
+def _policies(doc: Any) -> Mapping[str, ConfirmationRule]:
+    named = {tr: read_field(doc, tr, "", _policy) for tr in _mapping(doc)}
+    return MappingProxyType({"*": ConfirmationRule.SECURE_RULE, **named})
+
+
+def _policies_to_doc(policies: Mapping[str, ConfirmationRule]) -> dict:
+    return {tr: _POLICY_NAMES[rule] for tr, rule in sorted(policies.items())}
 
 
 # the document itself, each key one attribute of a `Scenario`. Its lists of
@@ -597,11 +607,11 @@ def _parse_validators(vdoc: Optional[list], econ: EconParams, path: str) -> list
 
 
 def _parse_transaction(
-    item, timing: TimingParams, policies: Mapping[str, PolicyKind], path: str
+    item, timing: TimingParams, policies: Mapping[str, ConfirmationRule], path: str
 ) -> TransactionRecord:
     fields = _TRANSACTION.read(item, path)
     if fields["rule"] is None:
-        fields["rule"] = default_rule(policies.get(fields["transactor"], policies["*"]))
+        fields["rule"] = policies.get(fields["transactor"], policies["*"])
     if fields["kind"] is TxKind.HYBRID and fields["rule"] is ConfirmationRule.INSURED_IMMEDIATE:
         expected, insured = epoch_of(fields["finalized_at"], timing.t_rev), fields["insured_epoch"]
         if insured is None:
@@ -654,10 +664,9 @@ def strategy_events(sc: Scenario) -> tuple[list[ForkRevealEvent], Optional[dict]
     if st.kind is StrategyKind.BRIBERY_PROBE:
         # attack only if the bribe schedule actually dominates
         ep_probe = replace(sc.econ, bribe_fail=st.bribe_fail, bribe_success=st.bribe_success)
-        mech = Mechanism(st.mechanism)
-        dominant = bribe_is_dominant(mech, ep_probe)
+        dominant = bribe_is_dominant(st.mechanism, ep_probe)
         log = {
-            "mechanism": mech.value,
+            "mechanism": st.mechanism.value,
             "bribe_fail": frac_str(st.bribe_fail),
             "bribe_success": frac_str(st.bribe_success),
             "dominant": dominant,

@@ -25,7 +25,6 @@ from stakesim import (
     EconParams,
     Mechanism,
     PfcKind,
-    PolicyKind,
     Scenario,
     TimingParams,
     as_fraction,
@@ -175,7 +174,7 @@ def test_acceptance_4_secure_rule_confirmations_never_invalidated():
                 gamma=Fraction(1, 2), tvl=Fraction(100),
             ),
             bids=(),
-            policies={"*": PolicyKind.ALWAYS_SECURE},
+            policies={"*": ConfirmationRule.SECURE_RULE},
             adversary=Adversary(),
             attack_over_epoch=None,
             seed=4,

@@ -22,11 +22,6 @@ from stakesim import (
     epoch_of,
     gamma_value,
 )
-from stakesim.errors import (
-    DuplicateIdError,
-    EmptyIntervalError,
-    TimestampOutOfRangeError,
-)
 
 from oracles import gamma_set, passes_filter
 
@@ -114,14 +109,14 @@ def test_build_is_idempotent():
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(InvariantViolationError, match="duplicate transaction id 'a'"):
         build_timeline(horizon=10, transactions=[tx("a", 1), tx("a", 2)])
 
 
 def test_out_of_horizon_rejected():
-    with pytest.raises(TimestampOutOfRangeError):
+    with pytest.raises(InvariantViolationError, match="transaction 'a': finalized_at beyond horizon"):
         build_timeline(horizon=10, transactions=[tx("a", 11)])
-    with pytest.raises(TimestampOutOfRangeError):
+    with pytest.raises(InvariantViolationError, match=r"horizon must lie in \(0, \d+\], got 0"):
         build_timeline(horizon=0)
 
 
@@ -149,9 +144,9 @@ def test_interval_query_is_half_open():
 
 def test_empty_interval_rejected():
     tl = build_timeline(horizon=10, transactions=[tx("a", 5)])
-    with pytest.raises(EmptyIntervalError):
+    with pytest.raises(InvariantViolationError, match=r"empty interval \[5, 5\)"):
         gamma_value(tl, 5, 5)
-    with pytest.raises(EmptyIntervalError):
+    with pytest.raises(InvariantViolationError, match=r"empty interval \[6, 5\)"):
         gamma_value(tl, 6, 5)
 
 

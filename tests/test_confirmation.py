@@ -20,7 +20,7 @@ from stakesim import (
     decide_bridge_naive,
     decide_secure,
 )
-from stakesim.errors import NotHybridError
+from stakesim.errors import InvariantViolationError
 
 from conftest import block_schedule, random_physical_timeline, random_timing
 from oracles import reverted_ids_oracle, secure_decision_oracle
@@ -83,7 +83,7 @@ def test_secure_ignores_reveals_before_window():
 
 
 def test_secure_rejects_pure_transactions():
-    with pytest.raises(NotHybridError):
+    with pytest.raises(InvariantViolationError, match="transaction 't' has no off-chain leg to confirm"):
         decide_secure(tx(100, kind="pure", rule="immediate"), timeline(), TP)
 
 

@@ -31,7 +31,7 @@ from stakesim import (
 from stakesim import econ
 from stakesim.econ import strong_safety_flags
 from stakesim.report import _checked_sections
-from stakesim.errors import EmptyIntervalError
+from stakesim.errors import InvariantViolationError
 
 from oracles import (
     passes_filter,
@@ -77,30 +77,11 @@ def test_slashing_cells_text_reading():
     assert payoff(Mechanism.SLASHING, B, W, p) == 33
 
 
-def test_slashing_cells_table_variant():
-    p = ep()
-    assert payoff(Mechanism.SLASHING, B, F, p, matrix="table") == 65
-    # every other cell agrees between the two readings
-    for choice, outcome in [(H, F), (H, W), (B, W)]:
-        assert payoff(Mechanism.SLASHING, choice, outcome, p, matrix="table") == payoff(
-            Mechanism.SLASHING, choice, outcome, p
-        )
-
-
-def test_invalid_matrix_rejected():
-    with pytest.raises(ValueError):
-        payoff(Mechanism.SLASHING, H, F, ep(), matrix="figure")
-
-
 def test_slashing_dominance_is_strict():
     # B1 equal to the honest failed payoff is NOT dominant; one more unit is.
     assert not bribe_is_dominant(Mechanism.SLASHING, ep(b1=33))
     assert bribe_is_dominant(Mechanism.SLASHING, ep(b1=34))
     assert not bribe_is_dominant(Mechanism.SLASHING, ep(b1=10))
-    # under the table variant the failed column keeps the stake, so B1 = R
-    # already fails the strict test while any B1 > R wins it
-    assert bribe_is_dominant(Mechanism.SLASHING, ep(b1=2), matrix="table")
-    assert not bribe_is_dominant(Mechanism.SLASHING, ep(b1=1), matrix="table")
 
 
 def test_token_toxicity_dominance_needs_b1_above_reward():
@@ -118,13 +99,8 @@ def test_dominance_matches_oracle(rng):
             b2=Fraction(rng.randint(0, 120), rng.randint(1, 4)),
         )
         for mech in Mechanism:
-            for matrix in ("text", "table"):
-                cells = {
-                    (c.value, o.value): payoff(mech, c, o, p, matrix=matrix)
-                    for c in ValidatorChoice
-                    for o in AttackOutcome
-                }
-                assert bribe_is_dominant(mech, p, matrix=matrix) == dominance_oracle(cells)
+            cells = {(c.value, o.value): payoff(mech, c, o, p) for c in ValidatorChoice for o in AttackOutcome}
+            assert bribe_is_dominant(mech, p) == dominance_oracle(cells)
 
 
 def test_corruption_cost_grid():
@@ -156,7 +132,7 @@ def test_window_sup_worked_example():
 
 def test_window_sup_rejects_degenerate_window():
     tl = build_timeline(horizon=10)
-    with pytest.raises(EmptyIntervalError):
+    with pytest.raises(InvariantViolationError, match="window length must be >= 1, got 0"):
         window_sup(tl, 0)
 
 

@@ -15,7 +15,6 @@ from stakesim import (
     EconParams,
     InsuranceLedger,
     LotState,
-    PolicyKind,
     Scenario,
     as_fraction,
     load_scenario,
@@ -445,7 +444,7 @@ def test_executed_secure_flow_never_reverts(rng):
                 tvl=Fraction(100),
             ),
             bids=(),
-            policies={"*": PolicyKind.ALWAYS_SECURE},
+            policies={"*": ConfirmationRule.SECURE_RULE},
             adversary=Adversary(),
             attack_over_epoch=None,
             seed=1,

@@ -217,3 +217,24 @@ def test_the_package_exports_exactly_what_it_imports():
     }
     assert len(stakesim.__all__) == len(set(stakesim.__all__))
     assert set(stakesim.__all__) == imported
+
+
+def test_every_package_error_is_exported_and_raised_by_name():
+    """Each class `errors.py` defines is in `stakesim.__all__`, and each
+    error the package builds or raises by name, other than Python's own, is
+    one of them: an error type no caller can import or catch by name cannot
+    come back."""
+    import builtins
+
+    import stakesim
+
+    tree = ast.parse((ROOT / "src" / "stakesim" / "errors.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert defined <= set(stakesim.__all__)
+    named = set()
+    for path in SOURCES:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            target = n.func if isinstance(n, ast.Call) else n.exc if isinstance(n, ast.Raise) else None
+            if isinstance(target, ast.Name) and target.id.endswith("Error") and not hasattr(builtins, target.id):
+                named.add(target.id)
+    assert named and named <= defined

@@ -16,7 +16,7 @@ from stakesim import (
     classify_reveal,
     resolve,
 )
-from stakesim.errors import SettleOnUnslashableError
+from stakesim.errors import InvariantViolationError
 
 from oracles import slashed_oracle
 
@@ -96,7 +96,7 @@ def test_canonical_fork_mapping():
 
 
 def test_outcome_rejects_contradictory_flag():
-    with pytest.raises(SettleOnUnslashableError):
+    with pytest.raises(InvariantViolationError, match="outcome for 'e': stake attached to unslashable reveal"):
         ResolutionOutcome(
             event_id="e", reveal_class=RevealClass.LONG_RANGE, slashed={"v1": Fraction(5)}
         )

@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from stakesim import (
-    PolicyKind,
+    AdversaryStrategy,
+    ConfirmationRule,
+    Mechanism,
     StrategyKind,
     canonical_json,
     load_scenario,
@@ -41,7 +43,7 @@ def test_minimal_document_parses_with_defaults():
     assert sc.seed == 0
     assert sc.timing.t_cr == 0 and sc.timing.slash_delay == 0
     assert sc.econ.reward == 0 and sc.econ.tvl == 0
-    assert sc.policies == {"*": PolicyKind.ALWAYS_SECURE}
+    assert sc.policies == {"*": ConfirmationRule.SECURE_RULE}
     assert sc.adversary.strategy.kind is StrategyKind.NONE
     assert sc.attack_over_epoch is None
     assert sc.timeline.transactions == ()
@@ -160,7 +162,7 @@ def test_star_policy_sets_the_default():
         ],
     )
     sc = parse_scenario(doc)
-    assert sc.policies == {"*": PolicyKind.UNINSURED_FREERIDER, "alice": PolicyKind.ALWAYS_SECURE}
+    assert sc.policies == {"*": ConfirmationRule.IMMEDIATE, "alice": ConfirmationRule.SECURE_RULE}
     by_id = {t.id: t for t in sc.timeline.transactions}
     assert by_id["t1"].rule.value == "immediate"
     assert by_id["t2"].rule.value == "secure"
@@ -265,6 +267,25 @@ def test_a_field_of_another_strategy_kind_is_an_unknown_key(strategy, stray):
         parse_scenario(minimal_doc(adversary={"strategy": strategy, "transactors": []}), source="s")
     assert exc.value.path == "s.adversary.strategy"
     assert str(exc.value) == f"s.adversary.strategy: unknown keys ['{stray}']"
+
+
+def test_an_unknown_mechanism_is_cited_at_its_key():
+    strategy = {
+        "kind": "bribery_probe", "tick": 26, "target_t0": 20, "stake_fraction": "1/2",
+        "bribe_fail": "34", "bribe_success": "1/2", "mechanism": "x",
+    }
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(minimal_doc(adversary={"strategy": strategy, "transactors": []}), source="s")
+    assert exc.value.path == "s.adversary.strategy.mechanism"
+    assert str(exc.value) == "s.adversary.strategy.mechanism: malformed value 'x': unknown mechanism"
+
+
+def test_a_strategy_takes_its_mechanism_by_value():
+    # as it takes its kind: `econ.payoff` tells the mechanisms apart by identity
+    st = AdversaryStrategy(
+        kind="bribery_probe", tick=26, stake_fraction="1/2", bribe_fail=1, bribe_success=1, mechanism="token_toxicity"
+    )
+    assert st.mechanism is Mechanism.TOKEN_TOXICITY
 
 
 STRATEGIES = [
