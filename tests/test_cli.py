@@ -665,6 +665,52 @@ def test_every_input_cites_a_bad_key_at_its_own_path(tmp_path, capsys, make_inpu
     assert captured.err.startswith(f"error: {path}: {wording}")
 
 
+def write_trace(tmp_path, capsys, text):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(text, encoding="utf-8")
+    return ["analyze", "--trace", str(trace)], str(trace)
+
+
+def header_only(tmp_path, capsys):
+    trace = run_demo(tmp_path, capsys)
+    trace.write_text(trace.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    return ["analyze", "--trace", str(trace)], str(trace)
+
+
+def write_grid(tmp_path, capsys, grid):
+    path = write_doc(tmp_path, grid, "grid.json")
+    return ["sweep", "--scenario", DEMO, "--grid", path, "--out", str(tmp_path / "sw")], path
+
+
+def set_without_values(tmp_path, capsys):
+    return ["sweep", "--scenario", DEMO, "--set", "econ.gamma", "--out", str(tmp_path / "sw")], "--set"
+
+
+# each case reaches a raise site in `report` or `cli` that no other test reaches
+@pytest.mark.parametrize(
+    "make_input,message",
+    [
+        (lambda t, c: write_trace(t, c, "not json\n"), ":1: invalid trace JSON: Expecting value"),
+        (lambda t, c: write_trace(t, c, '{"tick": 0}\n'), ":1: trace record needs tick and kind"),
+        (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"}\n'), ": trace has no run_start record"),
+        (header_only, ": trace has no embedded report"),
+        (lambda t, c: write_grid(t, c, []), ": expected an object"),
+        (
+            lambda t, c: write_grid(t, c, {"econ.gamma": []}),
+            ".econ.gamma: malformed value []: expected a non-empty list",
+        ),
+        (set_without_values, ": --set needs path=v1,v2,... (got 'econ.gamma')"),
+    ],
+    ids=["trace-json", "trace-record", "trace-header", "trace-report", "grid-object", "grid-axis", "set-axis"],
+)
+def test_each_unreached_input_error_is_one_line(tmp_path, capsys, make_input, message):
+    argv, path = make_input(tmp_path, capsys)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}{message}\n"
+
+
 # -- unreadable input ------------------------------------------------------------
 
 

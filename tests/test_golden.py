@@ -11,6 +11,7 @@ and review the diff of that file before committing it.
 
 from __future__ import annotations
 
+import ast
 import functools
 import hashlib
 import json
@@ -155,6 +156,27 @@ def golden_records() -> tuple[dict, ...]:
         sc = parse_scenario(make_doc())
         records += [json.loads(line) for line in _lines_or_partial(lambda: run(sc)) if line != "<breach>"]
     return tuple(records)
+
+
+def engine_record_kinds() -> set[str]:
+    """The kind of every record `engine.py` writes: the string literal each
+    `self.rec(...)` and each `...Record(...)` call passes."""
+    tree = ast.parse((ROOT / "src" / "stakesim" / "engine.py").read_text(encoding="utf-8"))
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "rec" or name.endswith("Record"):
+                kinds |= {a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+    return kinds
+
+
+def test_the_corpus_writes_every_record_kind():
+    # the README gate on trace keys checks only the kinds some case writes
+    kinds = engine_record_kinds()
+    assert {"run_start", "epoch_start", "report"} <= kinds
+    assert sorted(kinds - {r["kind"] for r in golden_records()}) == []
 
 
 def test_readme_documents_every_key_of_every_trace_record():
