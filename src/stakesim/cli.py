@@ -27,12 +27,12 @@ from .econ import PfcKind
 from .engine import run as run_engine
 from .engine import sweep_jobs, sweep_point
 from .errors import InvariantBreachError, ScenarioError, StakesimError
-from .policies import StrategyKind
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
 from .resolution import classify_reveal
 from .scenario import (
     TIMING,
+    StrategyKind,
     canonical_json,
     listing,
     load_scenario,

@@ -129,9 +129,9 @@ class PfcBound:
 def window_sup(
     timeline: ChainTimeline,
     t_rev: int,
-    selector: GammaFilter = GammaFilter.ALL,
+    kind: PfcKind = PfcKind.REORG_WINDOW,
 ) -> PfcBound:
-    """Largest filtered value inside any window [t, t + t_rev).
+    """Window bound `kind`: the largest value its filter passes in any [t, t + t_rev).
 
     Candidate starts {0} union {finalized_at of each record} suffice: a
     maximizing window shifted right until its earliest record sits at the
@@ -144,7 +144,9 @@ def window_sup(
     """
     if t_rev < 1:
         raise InvariantViolationError(f"window length must be >= 1, got {t_rev}")
-    kind = next((k for k, f in _KIND_FILTER.items() if f is selector), PfcKind.REORG_WINDOW)
+    if kind not in _KIND_FILTER:
+        raise InvariantViolationError(f"pfc kind {kind.value!r} bounds no window")
+    selector = _KIND_FILTER[kind]
     index = timeline._gamma_index
     ticks, prefix, _ = index[selector]
     # every record's tick, sorted; a repeated start repeats its total
@@ -170,7 +172,7 @@ def window_sup(
 def pfc_ladder(timeline: ChainTimeline, tp: TimingParams, ep: EconParams) -> tuple[PfcBound, ...]:
     """All five bounds, loosest to tightest; the window bounds never increase."""
     ladder = [PfcBound(kind=PfcKind.STEAL_TVL, value=ep.tvl, witness_window_start=None)]
-    ladder += (window_sup(timeline, tp.t_rev, selector) for selector in _KIND_FILTER.values())
+    ladder += (window_sup(timeline, tp.t_rev, kind) for kind in _KIND_FILTER)
     return tuple(ladder)
 
 

@@ -61,7 +61,6 @@ from .insurance import (
     release_lots,
     settle_slash,
 )
-from .policies import StrategyKind
 from .rational import frac_str
 from .report import ReportDocument, build_report
 from .resolution import RevealClass, resolve
@@ -77,6 +76,7 @@ from .scenario import (
     TIMING,
     TX_FINALIZED,
     Scenario,
+    StrategyKind,
     canonical_json,
     canonical_object,
     canonical_template,

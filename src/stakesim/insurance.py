@@ -22,10 +22,10 @@ running sums. Sales and releases move stake pro rata, so each unslashed
 backer's free earmark is its weight share of the free pool: one share map,
 replaced only when a slash removes a backer, backs every lot sold under it.
 A lot's backing, premium and covering epoch are derived from what its
-auction decided. Stake moves once per auction, and the per-backer work is
-done once per share map: the map keeps the premium credited through it and
-the part its slashed backers hold, so a release or payout costs the same
-however many backers there are.
+auction decided, and the premiums paid and earned are read off the lots.
+A share map's lost part, the shares its slashed backers hold, is read off
+the slashed validators, so a release or payout costs the same however many
+backers there are.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .chain import (
     ConfirmationRule,
@@ -91,20 +91,12 @@ _LOT_TRANSITIONS = {
 
 @dataclass(eq=False)
 class _Backers:
-    """One map of the backers' weight shares, and what the lots sold under
-    it have done with it so far.
-
-    `numerators` holds each share, in id order, as an integer over the one
-    `denominator`. `premium` is the premium credited through the map (None
-    until a lot sold under it released or paid out), and `slashed` is the
-    part of the map that slashed backers hold.
-    """
+    """One map of the backers' weight shares; `numerators` holds each share,
+    in id order, as an integer over the one `denominator`."""
 
     shares: dict[str, Fraction]
     numerators: tuple[tuple[str, int], ...]
     denominator: int
-    premium: Optional[Fraction] = None
-    slashed: Fraction = Fraction(0)
 
     @classmethod
     def of(cls, weights: Mapping[str, Fraction]) -> _Backers:
@@ -216,16 +208,15 @@ def _allocate(
 class InsuranceLedger:
     """Mutable per-run accounting of earmarks, lots, premiums and claims.
 
-    Lots are filed in one bucket per covering epoch, as one list per
-    auction that sold them; `sell` is the only way to make one, and `lots`
-    lists them all. Beside the buckets the ledger keeps two running sums:
-    the coverage bought per (buyer, covering epoch), whatever the lot's
-    state, which `u` and `coverage` read; and the free pool's total, which
-    `pool_free` returns and which the unslashed backers' weight shares
-    split into `earmark_free`. Each share
-    map the ledger builds keeps the premium credited through it, and
-    `premiums_earned` splits those sums by the maps' shares: premiums move
-    once per closing auction and map, not once per backer.
+    Lots are filed in one list per covering epoch, in order of sale;
+    `sell` is the only way to make one, and `lots` lists them all. Beside
+    the lists the ledger keeps two running sums: the coverage bought per
+    (buyer, covering epoch), whatever the lot's state, which `u` and
+    `coverage` read; and the free pool's total, which `pool_free` returns
+    and which the unslashed backers' weight shares split into
+    `earmark_free`. `premiums_paid` and `premiums_earned` are read off the
+    lots: the earned premium is summed per share map and split by the map's
+    shares once, not once per lot and backer.
 
     Lots are held on settlements: a slash booked by `settle_slash` holds
     every covering epoch whose lots are active at that moment, so
@@ -249,14 +240,12 @@ class InsuranceLedger:
         self.ep = ep
         self.transactors = frozenset(transactors)
         self.slashed_amounts: dict[str, Fraction] = {}
-        self.premiums_paid: dict[str, Fraction] = {}
         self.settlements: list[SettlementRecord] = []
         self._lot_seq = 0
         self._free_total = sum(earmarks.values(), Fraction(0))
         self._backers = _Backers.of(earmarks)
-        self._maps = [self._backers]  # every share map built, the current one last
         self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
-        self._sales: dict[EpochIndex, list[list[InsuranceLot]]] = {}
+        self._sales: dict[EpochIndex, list[InsuranceLot]] = {}
         self._bought: dict[EpochIndex, dict[str, Fraction]] = {}
         self._open: set[EpochIndex] = set()  # covering epochs activated and not yet released
         self._held: set[EpochIndex] = set()  # open covering epochs a slash held
@@ -265,7 +254,7 @@ class InsuranceLedger:
     @property
     def lots(self) -> tuple[InsuranceLot, ...]:
         """Every lot sold, by covering epoch and then in order of sale."""
-        return tuple(lot for sales in self._sales.values() for sale in sales for lot in sale)
+        return tuple(lot for lots in self._sales.values() for lot in lots)
 
     # -- pool -------------------------------------------------------------
 
@@ -279,14 +268,25 @@ class InsuranceLedger:
         return {v: self._free_total * shares.get(v, 0) for v in self.validators}
 
     @property
+    def premiums_paid(self) -> dict[str, Fraction]:
+        """Each buyer's premium over every lot it bought."""
+        paid: dict[str, Fraction] = {}
+        for lot in self.lots:
+            paid[lot.buyer] = paid.get(lot.buyer, Fraction(0)) + lot.premium_paid
+        return paid
+
+    @property
     def premiums_earned(self) -> dict[str, Fraction]:
         """Each backer's premium from the lots released or paid out so far,
         zero for a backer whose lots brought no premium."""
+        by_map: dict[_Backers, Fraction] = {}
+        for lot in self.lots:
+            if lot.state in (LotState.RELEASED, LotState.PAID_OUT):
+                by_map[lot.backers] = by_map.get(lot.backers, Fraction(0)) + lot.premium_paid
         earned: dict[str, Fraction] = {}
-        for backers in self._maps:
-            if backers.premium is not None:
-                for v, share in backers.shares.items():
-                    earned[v] = earned.get(v, Fraction(0)) + backers.premium * share
+        for backers, premium in by_map.items():
+            for v, share in backers.shares.items():
+                earned[v] = earned.get(v, Fraction(0)) + premium * share
         return earned
 
     def available(self) -> Fraction:
@@ -308,27 +308,22 @@ class InsuranceLedger:
         if not lots:
             return lots
         self._lot_seq += len(lots)
-        for lot in lots:
-            self.premiums_paid[lot.buyer] = (
-                self.premiums_paid.get(lot.buyer, Fraction(0)) + lot.premium_paid
-            )
         # lots sell only from a positive pool, whose backers' shares add up to one
         self._free_total -= sum((lot.coverage for lot in lots), Fraction(0))
         covering = epoch + PURCHASE_LEAD_EPOCHS
-        self._sales.setdefault(covering, []).append(lots)
+        self._sales.setdefault(covering, []).extend(lots)
         bought = self._bought.setdefault(covering, {})
         for lot in lots:
             bought[lot.buyer] = bought.get(lot.buyer, Fraction(0)) + lot.coverage
         return lots
 
     def activate(self, covering_epoch: EpochIndex) -> None:
-        sales = self._sales.get(covering_epoch, ())
-        if sales:
+        lots = self._sales.get(covering_epoch, ())
+        if lots:
             self._open.add(covering_epoch)
-        for sale in sales:
-            for lot in sale:
-                if lot.state is LotState.PENDING:
-                    lot.transition(LotState.ACTIVE_COVERAGE)
+        for lot in lots:
+            if lot.state is LotState.PENDING:
+                lot.transition(LotState.ACTIVE_COVERAGE)
 
     def coverage(self) -> dict[EpochIndex, dict[str, Fraction]]:
         """The coverage map of every lot sold so far."""
@@ -342,47 +337,32 @@ class InsuranceLedger:
 
     # -- stake motion -------------------------------------------------------
 
-    def _close(self, lots: list[InsuranceLot]) -> None:
-        """Credit the premium of `lots`, sold by one auction and just
-        released or paid out, to the share map that backs them."""
-        if not lots:
-            return
-        backers = lots[0].backers
-        premium = sum((lot.premium_paid for lot in lots), Fraction(0))
-        backers.premium = premium if backers.premium is None else backers.premium + premium
+    def _lost(self, backers: _Backers) -> Fraction:
+        """The part of a share map that slashed backers hold."""
+        shares = backers.shares
+        return sum((shares[v] for v in self.slashed_amounts if v in shares), Fraction(0))
 
     def _book_slash(self, slashed: Mapping[str, Fraction]) -> None:
         """The slashed validators leave the pool for good, taking their
-        share of it; the other backers' shares grow in proportion. Every
-        share map adds the newly slashed backers' shares to its slashed
-        part, and until the attack ends every open covering epoch is held."""
+        share of it; the other backers' shares grow in proportion. Until
+        the attack ends every open covering epoch is held."""
         if not self._attack_over:
             self._held |= self._open
-        fresh = [v for v in slashed if v not in self.slashed_amounts]
         for signer, amount in slashed.items():
             self.slashed_amounts[signer] = self.slashed_amounts.get(signer, Fraction(0)) + amount
-        for backers in self._maps:
-            backers.slashed += sum((backers.shares.get(v, Fraction(0)) for v in fresh), Fraction(0))
-        # the current map held no backer slashed before, so all of its slashed part is new
-        gone = self._backers.slashed
+        # the current map holds no backer slashed before, so all of its lost part is new
+        gone = self._lost(self._backers)
         if gone:
             self._free_total -= self._free_total * gone
             self._backers = _Backers.of({v: s for v, s in self._backers.shares.items() if v not in slashed})
-            self._maps.append(self._backers)
 
     def _pay_out(self, claimed: AbstractSet[tuple[str, EpochIndex]]) -> None:
-        """Mark the active lots behind paid claims PAID_OUT and pay their
-        premium to the backers."""
-        for covering_epoch in sorted({e for _, e in claimed}):
-            for sale in self._sales.get(covering_epoch, ()):
-                lots = [
-                    lot
-                    for lot in sale
-                    if (lot.buyer, covering_epoch) in claimed and lot.state is LotState.ACTIVE_COVERAGE
-                ]
-                for lot in lots:
+        """Mark the active lots behind paid claims PAID_OUT, which pays
+        their premium to the backers."""
+        for covering_epoch in {e for _, e in claimed}:
+            for lot in self._sales.get(covering_epoch, ()):
+                if (lot.buyer, covering_epoch) in claimed and lot.state is LotState.ACTIVE_COVERAGE:
                     lot.transition(LotState.PAID_OUT)
-                self._close(lots)
 
     def _release(self, covering_epoch: EpochIndex) -> list[InsuranceLot]:
         """Release the active lots covering `covering_epoch`.
@@ -391,19 +371,15 @@ class InsuranceLedger:
         backers.
         """
         self._open.discard(covering_epoch)
-        by_sale = [
-            [lot for lot in sale if lot.state is LotState.ACTIVE_COVERAGE]
-            for sale in self._sales.get(covering_epoch, ())
-        ]
-        released = [lot for lots in by_sale for lot in lots]
+        lots = self._sales.get(covering_epoch, ())
+        released = [lot for lot in lots if lot.state is LotState.ACTIVE_COVERAGE]
+        by_map: dict[_Backers, Fraction] = {}
         for lot in released:
             lot.transition(LotState.RELEASED)
-        for lots in by_sale:
-            self._close(lots)
-            if lots:
-                # a slashed backer's part of the backing is gone for good
-                lost = lots[0].backers.slashed
-                self._free_total += (1 - lost) * sum((lot.coverage for lot in lots), Fraction(0))
+            by_map[lot.backers] = by_map.get(lot.backers, Fraction(0)) + lot.coverage
+        for backers, coverage in by_map.items():
+            # a slashed backer's part of the backing is gone for good
+            self._free_total += (1 - self._lost(backers)) * coverage
         return released
 
     def end_attack(self, last_covering: EpochIndex) -> list[InsuranceLot]:
@@ -625,7 +601,7 @@ def karma_report(
 ) -> KarmaSummary:
     """Aggregate per-party flows and the adversary's overall position
     from the ledger's settlements and the run's reverted executions."""
-    premiums_paid = dict(ledger.premiums_paid)
+    premiums_paid = ledger.premiums_paid
     premiums_earned = ledger.premiums_earned
     slashed = dict(ledger.slashed_amounts)
 

@@ -337,6 +337,14 @@ def render_text(doc: dict) -> str:
 # -- trace re-analysis --------------------------------------------------------
 
 
+def _no_float(text: str):
+    raise json.JSONDecodeError(f"unexpected float {text}", text, 0)
+
+
+# a trace writes every number as an integer or a "p/q" string, so a float is bad input
+_TRACE_JSON = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
+
+
 def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
     records = []
     for n, line in enumerate(lines, start=1):
@@ -344,7 +352,7 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec = _TRACE_JSON.decode(line)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid trace JSON: {exc.msg}", path=f"{source}:{n}")
         if not isinstance(rec, dict) or "kind" not in rec or "tick" not in rec:

@@ -297,14 +297,16 @@ def test_analyze_rejects_a_malformed_header_with_its_path(tmp_path, capsys, tamp
     assert "Traceback" not in captured.err
 
 
-def tamper_first(trace: Path, kind: str, tamper) -> None:
-    """Rewrite the first record of `kind` in a trace file through `tamper`."""
+def tamper_first(trace: Path, kind: str, tamper) -> int:
+    """Rewrite the first record of `kind` in a trace file through `tamper`,
+    and return its line number."""
     lines = trace.read_text().splitlines()
     i = next(n for n, line in enumerate(lines) if json.loads(line)["kind"] == kind)
     record = json.loads(lines[i])
     tamper(record)
     lines[i] = canonical_json(record)
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return i + 1
 
 
 MALFORMED_BODY_RECORDS = [
@@ -682,11 +684,21 @@ def write_grid(tmp_path, capsys, grid):
     return ["sweep", "--scenario", DEMO, "--grid", path, "--out", str(tmp_path / "sw")], path
 
 
+def float_in(kind, tamper):
+    def make_input(tmp_path, capsys):
+        trace = run_demo(tmp_path, capsys)
+        line = tamper_first(trace, kind, tamper)
+        return ["analyze", "--trace", str(trace)], f"{trace}:{line}"
+
+    return make_input
+
+
 def set_without_values(tmp_path, capsys):
     return ["sweep", "--scenario", DEMO, "--set", "econ.gamma", "--out", str(tmp_path / "sw")], "--set"
 
 
-# each case reaches a raise site in `report` or `cli` that no other test reaches
+# each case reaches a raise site in `report` or `cli` that no other test
+# reaches; a trace holds no float, so one in a value or an epoch is bad input
 @pytest.mark.parametrize(
     "make_input,message",
     [
@@ -694,6 +706,11 @@ def set_without_values(tmp_path, capsys):
         (lambda t, c: write_trace(t, c, '{"tick": 0}\n'), ":1: trace record needs tick and kind"),
         (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"}\n'), ": trace has no run_start record"),
         (header_only, ": trace has no embedded report"),
+        (float_in("tx_finalized", lambda r: r.update(value=5.0)), ": invalid trace JSON: unexpected float 5.0"),
+        (
+            float_in("report", lambda r: r["per_epoch"][0].update(epoch=0.0)),
+            ": invalid trace JSON: unexpected float 0.0",
+        ),
         (lambda t, c: write_grid(t, c, []), ": expected an object"),
         (
             lambda t, c: write_grid(t, c, {"econ.gamma": []}),
@@ -701,7 +718,10 @@ def set_without_values(tmp_path, capsys):
         ),
         (set_without_values, ": --set needs path=v1,v2,... (got 'econ.gamma')"),
     ],
-    ids=["trace-json", "trace-record", "trace-header", "trace-report", "grid-object", "grid-axis", "set-axis"],
+    ids=[
+        "trace-json", "trace-record", "trace-header", "trace-report", "trace-float-value", "trace-float-epoch",
+        "grid-object", "grid-axis", "set-axis",
+    ],
 )
 def test_each_unreached_input_error_is_one_line(tmp_path, capsys, make_input, message):
     argv, path = make_input(tmp_path, capsys)

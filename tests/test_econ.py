@@ -136,15 +136,23 @@ def test_window_sup_rejects_degenerate_window():
         window_sup(tl, 0)
 
 
+def test_window_sup_bounds_only_a_window_kind():
+    tl = build_timeline(horizon=10, transactions=[tx("a", 0, 5)])
+    with pytest.raises(InvariantViolationError, match="pfc kind 'steal_tvl' bounds no window"):
+        window_sup(tl, 2, PfcKind.STEAL_TVL)
+
+
 def test_window_sup_empty_selection_has_no_witness():
     tl = build_timeline(horizon=10, transactions=[tx("p", 3, 9, kind="pure")])
-    bound = window_sup(tl, 4, GammaFilter.HYBRID_ONLY)
+    bound = window_sup(tl, 4, PfcKind.REORG_HYBRID_WINDOW)
     assert bound.value == 0 and bound.witness_window_start is None
 
 
-def check_window_sup_against_oracles(tl, t_rev, sel):
+def check_window_sup_against_oracles(tl, t_rev, kind):
+    sel = econ._KIND_FILTER[kind]
     candidates = sorted({0} | {t.finalized_at for t in tl.transactions})
-    got = window_sup(tl, t_rev, sel)
+    got = window_sup(tl, t_rev, kind)
+    assert got.kind is kind
     totals = window_totals(tl.transactions, tl.horizon, t_rev, sel.value)
     want_v, want_w = window_sup_oracle(tl.transactions, tl.horizon, t_rev, sel.value)
     quad = window_sup_oracle_quadratic(tl.transactions, tl.horizon, t_rev, sel.value)
@@ -165,8 +173,8 @@ def test_window_sup_matches_oracles(rng):
     for i in range(300):
         tl = random_window_timeline(rng, max_txs=12, horizon=rng.randint(5, 25))
         t_rev = rng.randint(1, 8)
-        for sel in GammaFilter:
-            check_window_sup_against_oracles(tl, t_rev, sel)
+        for kind in econ._KIND_FILTER:
+            check_window_sup_against_oracles(tl, t_rev, kind)
 
 
 def test_window_sums_over_mixed_denominators_match_brute_force_and_oracles(rng):
@@ -176,7 +184,7 @@ def test_window_sums_over_mixed_denominators_match_brute_force_and_oracles(rng):
     for i in range(300):
         tl = random_fraction_window_timeline(rng, max_txs=12, horizon=rng.randint(5, 25))
         t_rev = rng.randint(1, 8)
-        for sel in GammaFilter:
+        for kind, sel in econ._KIND_FILTER.items():
             matching = [t for t in tl.transactions if passes_filter(t, sel.value)]
             _, _, den = tl._gamma_index[sel]
             wider += den > max((t.value.denominator for t in matching), default=1)
@@ -184,7 +192,7 @@ def test_window_sums_over_mixed_denominators_match_brute_force_and_oracles(rng):
                 want = sum((t.value for t in matching if t0 <= t.finalized_at < t0 + t_rev), Fraction(0))
                 got = gamma_value(tl, t0, t0 + t_rev, sel)
                 assert type(got) is Fraction and got == want, (t0, sel)
-            check_window_sup_against_oracles(tl, t_rev, sel)
+            check_window_sup_against_oracles(tl, t_rev, kind)
     assert wider > 100
 
 
@@ -203,15 +211,15 @@ def test_window_sup_reads_one_exact_window_value_at_most(monkeypatch):
         for i in range(600)
     ]
     tl = build_timeline(horizon=2_000, transactions=txs)
-    for sel in GammaFilter:
+    for kind, sel in econ._KIND_FILTER.items():
         calls.clear()
-        w = window_sup(tl, 40, sel).witness_window_start
+        w = window_sup(tl, 40, kind).witness_window_start
         assert w is not None and calls == [(w, w + 40, sel)]
     # only pure flow: every hybrid selection is empty, and nothing is read
     pure = build_timeline(horizon=2_000, transactions=[tx(t.id, t.finalized_at, 1, kind="pure") for t in txs])
     calls.clear()
-    for sel in (GammaFilter.HYBRID_ONLY, GammaFilter.HYBRID_NOT_SECURE, GammaFilter.UNINSURED):
-        bound = window_sup(pure, 40, sel)
+    for kind in (PfcKind.REORG_HYBRID_WINDOW, PfcKind.REORG_HYBRID_SECURE_RULE, PfcKind.UNINSURED_LOAD):
+        bound = window_sup(pure, 40, kind)
         assert bound.value == 0 and bound.witness_window_start is None
     assert calls == []
 

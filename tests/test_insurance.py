@@ -339,8 +339,9 @@ def _fraction_ops_to_close(n_backers, monkeypatch):
 
 
 def test_closing_lots_costs_the_same_however_many_backers(monkeypatch):
-    # the premium credit and the slashed part are kept per share map, so
-    # neither walks the backers
+    # a release reads each share map's lost part off the slashed
+    # validators, and a payout only marks its lots, so neither walks the
+    # backers
     assert _fraction_ops_to_close(4, monkeypatch) == _fraction_ops_to_close(64, monkeypatch)
 
 
