@@ -16,13 +16,13 @@ pure griefing unprofitable: an adversary who buys out the insurance and then
 attacks itself still loses the burned share.
 
 The ledger files lots by covering epoch, so activating, releasing or paying
-out the lots of one epoch reads only that epoch's bucket, and it keeps the
-coverage bought per (buyer, covering epoch) and the free pool's total as
-running sums. Sales and releases move stake pro rata, so each unslashed
-backer's free earmark is its weight share of the free pool: one share map,
-replaced only when a slash removes a backer, backs every lot sold under it.
-A lot's backing, premium and covering epoch are derived from what its
-auction decided, and the premiums paid and earned are read off the lots.
+out the lots of one epoch, or summing the coverage bought for it, reads only
+that epoch's bucket; the free pool's total is its one running sum. Sales and
+releases move stake pro rata, so each unslashed backer's free earmark is its
+weight share of the free pool: one share map, replaced only when a slash
+removes a backer, backs every lot sold under it. A lot's backing, premium
+and covering epoch are derived from what its auction decided, and the
+coverage bought and the premiums paid and earned are read off the lots.
 A share map's lost part, the shares its slashed backers hold, is read off
 the slashed validators, so a release or payout costs the same however many
 backers there are.
@@ -210,13 +210,12 @@ class InsuranceLedger:
 
     Lots are filed in one list per covering epoch, in order of sale;
     `sell` is the only way to make one, and `lots` lists them all. Beside
-    the lists the ledger keeps two running sums: the coverage bought per
-    (buyer, covering epoch), whatever the lot's state, which `u` and
-    `coverage` read; and the free pool's total, which `pool_free` returns
-    and which the unslashed backers' weight shares split into
-    `earmark_free`. `premiums_paid` and `premiums_earned` are read off the
-    lots: the earned premium is summed per share map and split by the map's
-    shares once, not once per lot and backer.
+    the lists the ledger keeps one running sum, the free pool's total,
+    which `pool_free` returns and which the unslashed backers' weight
+    shares split into `earmark_free`. The coverage bought (`u`, `coverage`)
+    and the premiums paid and earned are read off the lots, whatever their
+    state: the earned premium is summed per share map and split by the
+    map's shares once, not once per lot and backer.
 
     Lots are held on settlements: a slash booked by `settle_slash` holds
     every covering epoch whose lots are active at that moment, so
@@ -246,7 +245,6 @@ class InsuranceLedger:
         self._backers = _Backers.of(earmarks)
         self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
         self._sales: dict[EpochIndex, list[InsuranceLot]] = {}
-        self._bought: dict[EpochIndex, dict[str, Fraction]] = {}
         self._open: set[EpochIndex] = set()  # covering epochs activated and not yet released
         self._held: set[EpochIndex] = set()  # open covering epochs a slash held
         self._attack_over = False
@@ -310,11 +308,7 @@ class InsuranceLedger:
         self._lot_seq += len(lots)
         # lots sell only from a positive pool, whose backers' shares add up to one
         self._free_total -= sum((lot.coverage for lot in lots), Fraction(0))
-        covering = epoch + PURCHASE_LEAD_EPOCHS
-        self._sales.setdefault(covering, []).extend(lots)
-        bought = self._bought.setdefault(covering, {})
-        for lot in lots:
-            bought[lot.buyer] = bought.get(lot.buyer, Fraction(0)) + lot.coverage
+        self._sales.setdefault(epoch + PURCHASE_LEAD_EPOCHS, []).extend(lots)
         return lots
 
     def activate(self, covering_epoch: EpochIndex) -> None:
@@ -327,13 +321,14 @@ class InsuranceLedger:
 
     def coverage(self) -> dict[EpochIndex, dict[str, Fraction]]:
         """The coverage map of every lot sold so far."""
-        return {epoch: dict(bought) for epoch, bought in self._bought.items()}
+        return coverage_map((lot.buyer, c, lot.coverage) for c, lots in self._sales.items() for lot in lots)
 
     def u(self, transactor: str, covering_epoch: EpochIndex) -> Fraction:
-        """Total coverage `transactor` bought for `covering_epoch`."""
+        """Total coverage `transactor` bought for `covering_epoch`, whatever the lot's state."""
         if transactor not in self.transactors:
             raise InvariantViolationError(f"unknown transactor {transactor!r}")
-        return self._bought.get(covering_epoch, {}).get(transactor, Fraction(0))
+        lots = self._sales.get(covering_epoch, ())
+        return sum((lot.coverage for lot in lots if lot.buyer == transactor), Fraction(0))
 
     # -- stake motion -------------------------------------------------------
 
@@ -415,7 +410,8 @@ def coverage_map(
     coverage: dict[EpochIndex, dict[str, Fraction]] = {}
     for buyer, epoch, amount in lots:
         bucket = coverage.setdefault(epoch, {})
-        bucket[buyer] = bucket.get(buyer, Fraction(0)) + amount
+        held = bucket.get(buyer)
+        bucket[buyer] = amount if held is None else held + amount
     return coverage
 
 
@@ -468,7 +464,8 @@ class Claim:
 class SettlementRecord:
     """Outcome of distributing one slash.
 
-    paid + burned = slashed exactly, and burned >= (1 - gamma) * slashed.
+    `paid_total` sums the claims paid and `burned` is the rest of the slash,
+    so paid + burned = slashed by definition; burned >= (1 - gamma) * slashed.
     invariant_breach marks the pathological case where capped claims exceed
     the gamma budget (coverage was oversold or the safety condition was
     violated); claims are then scaled pro-rata and the run must halt loudly.
@@ -478,15 +475,15 @@ class SettlementRecord:
     slashed: Fraction
     insurance_budget: Fraction
     claims: tuple[Claim, ...]
-    paid_total: Fraction
-    burned: Fraction
     invariant_breach: bool
 
-    def __post_init__(self):
-        if self.paid_total + self.burned != self.slashed:
-            raise InvariantViolationError(
-                f"settlement for {self.event_id!r}: paid + burned != slashed"
-            )
+    @property
+    def paid_total(self) -> Fraction:
+        return sum((c.paid for c in self.claims), Fraction(0))
+
+    @property
+    def burned(self) -> Fraction:
+        return self.slashed - self.paid_total
 
 
 def settle_slash(
@@ -534,8 +531,6 @@ def settle_slash(
         )
         for (tr, e), c in capped.items()
     )
-    paid_total = sum((c.paid for c in claims), Fraction(0))
-    burned = slashed - paid_total
 
     ledger._book_slash(outcome.slashed)
     ledger._pay_out({(c.transactor, c.covering_epoch) for c in claims if c.paid > 0})
@@ -545,8 +540,6 @@ def settle_slash(
         slashed=slashed,
         insurance_budget=budget,
         claims=claims,
-        paid_total=paid_total,
-        burned=burned,
         invariant_breach=breach,
     )
     ledger.settlements.append(record)
@@ -589,7 +582,11 @@ class KarmaSummary:
     entries: tuple[KarmaEntry, ...]
     adversary_parties: frozenset[str]
     double_spend_gain: Fraction
-    adversary_net: Fraction
+
+    @property
+    def adversary_net(self) -> Fraction:
+        adversary = self.adversary_parties
+        return sum((e.net for e in self.entries if e.party in adversary), Fraction(0)) + self.double_spend_gain
 
 
 def karma_report(
@@ -630,14 +627,8 @@ def karma_report(
         for p in parties
     )
 
-    adversary = frozenset(adversary_validators) | frozenset(adversary_transactors)
-    double_spend_gain = sum((r.value for r in reverted_executions), Fraction(0))
-    adversary_net = (
-        sum((e.net for e in entries if e.party in adversary), Fraction(0)) + double_spend_gain
-    )
     return KarmaSummary(
         entries=entries,
-        adversary_parties=adversary,
-        double_spend_gain=double_spend_gain,
-        adversary_net=adversary_net,
+        adversary_parties=frozenset(adversary_validators) | frozenset(adversary_transactors),
+        double_spend_gain=sum((r.value for r in reverted_executions), Fraction(0)),
     )

@@ -28,6 +28,7 @@ from .chain import (
 from .econ import (
     Mechanism,
     PfcKind,
+    SafetyVerdict,
     cost_of_corruption,
     pfc_ladder,
     safety_verdict,
@@ -207,14 +208,15 @@ def _checked_sections(
     coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
     slashes: Sequence[tuple[Fraction, Fraction, Fraction]],
 ) -> dict:
-    """The report sections `analyze` re-derives, from a timeline, its
-    coverage map and the (slashed, paid, burned) amounts of each settlement."""
+    """The report sections and per-bound-kind verdicts `analyze` re-derives, from
+    a timeline, its coverage map and the (slashed, paid, burned) amounts of each settlement."""
     ladder = pfc_ladder(timeline, tp, ep)
     strong, buffer_ok, uncovered = strong_safety_flags(timeline, tp, ep, ladder, coverage)
+    coc = cost_of_corruption(Mechanism.SLASHING, ep)
     return {
         "coc": _coc_doc(ep),
         "ladder": list(map(PFC_BOUND.write, ladder)),
-        "verdict_flags": {"strong_safety": strong, "uninsured_buffer_ok": buffer_ok},
+        "verdicts": {b.kind: VERDICT.write(SafetyVerdict(b.kind, coc, b, strong, buffer_ok)) for b in ladder},
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage, uncovered),
         "totals": {
             key: frac_str(sum((s[i] for s in slashes), Fraction(0)))
@@ -240,7 +242,7 @@ def build_report(
     sections = _checked_sections(
         timeline, tp, ep, coverage, [(s.slashed, s.paid_total, s.burned) for s in settlements]
     )
-    del sections["verdict_flags"]  # the verdict below carries them
+    del sections["verdicts"]  # the verdict below is the one against `bound_kind`
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -436,11 +438,10 @@ def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>")
     """Recompute from the trace and diff against its embedded report.
 
     The verdict is read through `VERDICT`, so a stray or missing key or an
-    unreadable value is bad input; its values are then compared as written.
-    Its coc and profit bound are checked against the recomputed slashing
-    coc and the recomputed ladder entry for its bound kind, and its safety
-    flag against those two recomputed numbers. Returns the first differing
-    field path, or None when everything checks.
+    unreadable value is bad input; its values are then compared as written,
+    key by key in `VERDICT`'s order, with the verdict the report would write
+    against its bound kind from the recomputed ladder and flags. Returns the
+    first differing field path, or None when everything checks.
     """
     embedded = next((r for r in records if r["kind"] == "report"), None)
     if embedded is None:
@@ -450,15 +451,10 @@ def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>")
     where = f"{source}:report"
     verdict = read_field(embedded, "verdict", where)
     bound_kind = VERDICT.read(verdict, f"{where}.verdict")["bound_kind"]
-    coc = recomputed["coc"]["slashing"]
-    pfc = next(b["value"] for b in recomputed["ladder"] if b["kind"] == bound_kind.value)
-    sections, flags = ("coc", "ladder", "per_epoch", "totals"), recomputed["verdict_flags"]
+    sections, expected = ("coc", "ladder", "per_epoch", "totals"), recomputed["verdicts"][bound_kind]
     checks = [
         *((key, read_field(embedded, key, where), recomputed[key]) for key in sections),
-        *((f"verdict.{key}", verdict[key], flags[key]) for key in flags),
-        ("verdict.coc", verdict["coc"], coc),
-        ("verdict.pfc_value", verdict["pfc_value"], pfc),
-        ("verdict.cryptoeconomically_safe", verdict["cryptoeconomically_safe"], as_fraction(coc) > as_fraction(pfc)),
+        *((f"verdict.{key}", verdict[key], value) for key, value in expected.items()),
     ]
     for name, exp, act in checks:
         found = first_mismatch(exp, act, name)

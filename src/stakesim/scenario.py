@@ -50,7 +50,7 @@ from .chain import (
 from .confirmation import ConfirmationDecision, DecisionStatus
 from .econ import Mechanism, PfcBound, PfcKind, bribe_is_dominant
 from .errors import InvariantViolationError, ScenarioError, StakesimError
-from .insurance import PURCHASE_LEAD_EPOCHS, Claim, InsuranceBid, SettlementRecord
+from .insurance import PURCHASE_LEAD_EPOCHS, Claim, InsuranceBid
 from .rational import as_fraction, frac_str
 from .version import SCHEMA_VERSION
 
@@ -505,8 +505,8 @@ _DOCUMENT = _Block(
 # -- the output tables --------------------------------------------------------
 #
 # `make` is the object's class where the keys rebuild it, and `dict` where
-# a key is derived (a lot's covering epoch, an entry's net) or an object
-# lies below it (the verdict's bound).
+# a key is derived (a lot's covering epoch, a settlement's paid and burned,
+# an entry's net) or an object lies below it (the verdict's bound).
 
 _RULE_VALUE = (confirmation_rule, _value_of)
 _STATUS = (_lookup(_members(DecisionStatus), "status"), _value_of)
@@ -542,7 +542,7 @@ _CLAIM = _Block(
     Claim, _Field("transactor", _TEXT), _Field("covering_epoch", _INTEGER), *_values("harm", "capped", "paid")
 )
 SETTLEMENT = _Block(
-    SettlementRecord,
+    dict,
     _Field("event", _TEXT, attr="event_id"),
     *_values("slashed", "insurance_budget"),
     _Field("paid", _VALUE, attr="paid_total"),
@@ -685,6 +685,8 @@ def _parse_transaction(
             fields["insured_epoch"] = expected
         elif insured != expected:
             _fail(f"{path}.insured_epoch", f"{insured} disagrees with finalization epoch {expected}")
+    elif fields["insured_epoch"] is not None:
+        _fail(f"{path}.insured_epoch", "only insured_immediate hybrid flow has an insured epoch")
     return _build(path, _TRANSACTION.make, **fields)
 
 

@@ -406,6 +406,8 @@ def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind
         ({"bound_kind": "steal_tvl"}, "pfc_value"),
         # the value the trace gives, 128/3, but not as the report writes it
         ({"coc": "256/6"}, "coc"),
+        # the demo's strong_safety is false; the keys are walked in `VERDICT`'s order, coc before the flags
+        ({"strong_safety": True, "coc": "1000000"}, "coc"),
     ],
 )
 def test_analyze_rederives_the_verdict_numbers(tmp_path, capsys, changes, field):

@@ -379,8 +379,8 @@ def test_strong_safety_matches_the_oracle_on_random_cases():
         sections = _checked_sections(tl, tp, econ, coverage, [])
         rows = [row["insured_ok"] for row in sections["per_epoch"]]
         assert rows == insured_ok_oracle(tl.transactions, tl.horizon, tp.t_rev, coverage)
-        flags = sections["verdict_flags"]
-        assert (flags["strong_safety"], flags["uninsured_buffer_ok"]) == expected
+        verdicts = sections["verdicts"].values()
+        assert {(v["strong_safety"], v["uninsured_buffer_ok"]) for v in verdicts} == {expected}
 
         seen["strong"].add(expected[0])
         seen["buffer"].add(expected[1])

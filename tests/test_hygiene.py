@@ -204,6 +204,21 @@ def test_the_document_table_is_the_one_writer_of_a_scenario():
     assert scenario_to_doc(sc) == by_codec
 
 
+def test_an_output_table_rebuilds_its_class_from_init_fields_only():
+    """Where a field table's `make` is a class, each field's attribute is an
+    `init` field of that class; a key derived from other fields (a property)
+    cannot rebuild the object, so such a table's `make` is `dict`."""
+    from stakesim import scenario
+
+    tables = [t for t in vars(scenario).values() if isinstance(t, scenario._Block)]
+    tables += scenario._STRATEGIES.values()
+    assert len(tables) == 25
+    for table in tables:
+        if table.make is not dict:
+            init = {f.name for f in dataclasses.fields(table.make) if f.init}
+            assert {f.attr or f.key for f in table.fields} <= init, table.make.__name__
+
+
 def test_the_package_exports_exactly_what_it_imports():
     """`__all__` lists each name `__init__.py` imports, once, and no other."""
     import stakesim

@@ -187,6 +187,12 @@ def test_insured_epoch_autofill_and_disagreement():
         parse_scenario(minimal_doc(transactions=[dict(base, insured_epoch=7)]), source="s")
     assert exc.value.path == "s.transactions[0].insured_epoch"
     assert "disagrees" in str(exc.value)
+    # flow that is not insured has no insured epoch: neither other hybrid flow nor pure flow
+    for tx in (dict(base, rule="secure", insured_epoch=99), dict(base, kind="pure", insured_epoch=-5)):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(minimal_doc(transactions=[tx]), source="s")
+        assert exc.value.path == "s.transactions[0].insured_epoch"
+        assert "only insured_immediate hybrid flow has an insured epoch" in str(exc.value)
 
 
 def test_duplicate_transaction_ids_rejected():
