@@ -1,9 +1,10 @@
 """Safety reports: the machine document, its human rendering, and the
-re-derivation of both from a raw trace.
+re-derivation of the document from a raw trace.
 
 Machine values are exact rationals ("p/q" strings); human tables show
-fixed-point decimals. Every number in the document is reproducible from the
-trace alone, which is what `recompute_from_trace` does for the analyze verb.
+fixed-point decimals. `_report_doc` lays the document out once:
+`build_report` fills it from a run, and `recompute_from_trace` from the
+run's trace, which the analyze verb diffs whole against its embedded report.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from typing import AbstractSet, Any, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
+    ConfirmationRule,
     EconParams,
     EpochIndex,
     GammaFilter,
     TimingParams,
+    TxKind,
     epoch_bounds,
     epoch_of,
     gamma_value,
@@ -48,10 +51,12 @@ from .scenario import (
     canonical_json,
     canonical_object,
     canonical_template,
+    confirmation_rule,
     integer,
     listing,
     parse_run_header,
     read_field,
+    text,
 )
 from .version import SCHEMA_VERSION, __version__
 
@@ -194,35 +199,41 @@ def _epoch_rows(
     return rows
 
 
-def _coc_doc(ep: EconParams) -> dict:
-    return {
-        "token_toxicity": frac_str(cost_of_corruption(Mechanism.TOKEN_TOXICITY, ep)),
-        "slashing": frac_str(cost_of_corruption(Mechanism.SLASHING, ep)),
-    }
-
-
 def _checked_sections(
     timeline: ChainTimeline,
     tp: TimingParams,
     ep: EconParams,
     coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
-    slashes: Sequence[tuple[Fraction, Fraction, Fraction]],
+    settlements: Sequence[Mapping[str, Any]],
 ) -> dict:
     """The report sections and per-bound-kind verdicts `analyze` re-derives, from
-    a timeline, its coverage map and the (slashed, paid, burned) amounts of each settlement."""
+    a timeline, its coverage map and its settlement entries, whose amounts the totals sum."""
     ladder = pfc_ladder(timeline, tp, ep)
     strong, buffer_ok, uncovered = strong_safety_flags(timeline, tp, ep, ladder, coverage)
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     return {
-        "coc": _coc_doc(ep),
+        "coc": {m.value: frac_str(cost_of_corruption(m, ep)) for m in Mechanism},
         "ladder": list(map(PFC_BOUND.write, ladder)),
         "verdicts": {b.kind: VERDICT.write(SafetyVerdict(b.kind, coc, b, strong, buffer_ok)) for b in ladder},
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage, uncovered),
         "totals": {
-            key: frac_str(sum((s[i] for s in slashes), Fraction(0)))
-            for i, key in enumerate(("slashed", "paid", "burned"))
+            key: frac_str(sum((as_fraction(s[key]) for s in settlements), Fraction(0)))
+            for key in ("slashed", "paid", "burned")
         },
     }
+
+
+# what a report says of its run, as the run's run_start record states it too, and how analyze reads each
+_LABELS = {"schema_version": integer, "tool_version": text, "scenario_hash": text, "seed": integer}
+
+
+def _report_doc(labels: Sequence[Any], sections: dict, verdict: dict, settlements: list, karma: dict) -> dict:
+    """The report document: the `_LABELS` values in order, the
+    `_checked_sections` but their per-bound-kind verdicts, the verdict
+    against the run's bound kind, the settlement entries and karma section."""
+    doc = dict(zip(_LABELS, labels), **sections, verdict=verdict, settlements=settlements, karma=karma)
+    del doc["verdicts"]
+    return doc
 
 
 def build_report(
@@ -237,23 +248,12 @@ def build_report(
 ) -> ReportDocument:
     """Assemble the full safety report for a run's effective `timeline`,
     the lots and settlements of its `ledger`, under the run's timing `tp`."""
-    ep, settlements, coverage = ledger.ep, ledger.settlements, ledger.coverage()
-    verdict = safety_verdict(timeline, tp, ep, coverage, bound_kind)
-    sections = _checked_sections(
-        timeline, tp, ep, coverage, [(s.slashed, s.paid_total, s.burned) for s in settlements]
-    )
-    del sections["verdicts"]  # the verdict below is the one against `bound_kind`
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "scenario_hash": scenario_hash,
-        "seed": seed,
-        **sections,
-        "verdict": VERDICT.write(verdict),
-        "settlements": list(map(SETTLEMENT.write, settlements)),
-        "karma": KARMA.write(karma),
-    }
-    return ReportDocument(doc=doc)
+    ep, coverage = ledger.ep, ledger.coverage()
+    verdict = VERDICT.write(safety_verdict(timeline, tp, ep, coverage, bound_kind))
+    settlements = list(map(SETTLEMENT.write, ledger.settlements))
+    sections = _checked_sections(timeline, tp, ep, coverage, settlements)
+    labels = (SCHEMA_VERSION, __version__, scenario_hash, seed)
+    return ReportDocument(_report_doc(labels, sections, verdict, settlements, KARMA.write(karma)))
 
 
 _line_cells = itemgetter("sum_all", "sum_hybrid", "sum_hybrid_not_secure", "sum_uninsured", "epoch_safe")
@@ -365,43 +365,71 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
     return records
 
 
-# what `analyze` needs of a lot, (buyer, covering_epoch, coverage), and of a settlement
+# what `analyze` needs of a lot: (buyer, covering_epoch, coverage)
 _COVERED = tuple(map(LOT.field, ("buyer", "covering_epoch", "coverage")))
-_slash = itemgetter("slashed", "paid_total", "burned")
+_HEAD = frozenset(("tick", "kind"))
+
+
+def _payload(record: dict) -> dict:
+    return {key: value for key, value in record.items() if key not in _HEAD}
 
 
 def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") -> dict:
-    """Re-derive the report's checkable numbers from raw trace records."""
-    header = next((r for r in records if r["kind"] == "run_start"), None)
-    if header is None:
-        raise ScenarioError("trace has no run_start record", path=source)
-    horizon, tp, ep = parse_run_header(header, f"{source}:run_start")
+    """The report document a trace states: the one `build_report` lays out for
+    its run_start labels, transactions, lots, settlements and karma record,
+    against the bound kind of its embedded report's verdict. Bad input is
+    reported in that order, the embedded report before the karma record."""
+    by_kind: dict[str, list[dict]] = {}
+    for r in records:
+        by_kind.setdefault(r["kind"], []).append(r)
+
+    def first(kind: str, what: str) -> dict:
+        if kind not in by_kind:
+            raise ScenarioError(f"trace has no {what}", path=source)
+        return by_kind[kind][0]
+
+    header, where = first("run_start", "run_start record"), f"{source}:run_start"
+    horizon, tp, ep = parse_run_header(header, where)
+    labels = [read_field(header, key, where, parse) for key, parse in _LABELS.items()]
 
     where = f"{source}:tx_finalized"
-    allowed = TX_FINALIZED.keys | {"tick", "kind", "rule_requested"}
-    txs = [
-        TX_FINALIZED.parse(r, where, allowed, finalized_at=read_field(r, "tick", where, integer))
-        for r in records
-        if r["kind"] == "tx_finalized"
-    ]
-    timeline = ChainTimeline(
-        horizon=horizon,
-        transactions=tuple(sorted(txs, key=lambda t: (t.finalized_at, t.id))),
-    )
+    allowed = TX_FINALIZED.keys | _HEAD | {"rule_requested"}
+    txs = []
+    for r in by_kind.get("tx_finalized", ()):
+        tick = read_field(r, "tick", where, integer)
+        tx = TX_FINALIZED.parse(r, where, allowed, finalized_at=tick)
+        requested = read_field(r, "rule_requested", where, confirmation_rule)
+        # fallen-back flow keeps the epoch its requested rule insured
+        insured = tx.kind is TxKind.HYBRID and requested is ConfirmationRule.INSURED_IMMEDIATE
+        expected = epoch_of(tick, tp.t_rev) if insured else None
+        if tx.insured_epoch != expected:
+            raise ScenarioError(
+                f"{tx.insured_epoch} disagrees with finalization epoch {expected}"
+                if insured
+                else "only insured_immediate hybrid flow has an insured epoch",
+                path=f"{where}.insured_epoch",
+            )
+        txs.append(tx)
+    timeline = ChainTimeline(horizon, tuple(sorted(txs, key=lambda t: (t.finalized_at, t.id))))
 
     where = f"{source}:auction"
     lots = []
-    for r in records:
-        if r["kind"] != "auction":
-            continue
+    for r in by_kind.get("auction", ()):
         for i, lot in enumerate(read_field(r, "lots", where, listing)):
             at = f"{where}.lots[{i}]"
             lots.append(tuple(f.read(lot, at) for f in _COVERED))
 
-    where = f"{source}:settlement"
-    allowed = SETTLEMENT.keys | {"tick", "kind"}
-    slashes = [_slash(SETTLEMENT.read(r, where, allowed)) for r in records if r["kind"] == "settlement"]
-    return _checked_sections(timeline, tp, ep, coverage_map(lots), slashes)
+    settlements = [_payload(r) for r in by_kind.get("settlement", ())]
+    for entry in settlements:
+        SETTLEMENT.read(entry, f"{source}:settlement")
+
+    where = f"{source}:report"
+    verdict = read_field(first("report", "embedded report"), "verdict", where)
+    bound_kind = VERDICT.read(verdict, f"{where}.verdict")["bound_kind"]
+    karma = _payload(first("karma", "karma record"))
+
+    sections = _checked_sections(timeline, tp, ep, coverage_map(lots), settlements)
+    return _report_doc(labels, sections, sections["verdicts"][bound_kind], settlements, karma)
 
 
 def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
@@ -435,29 +463,13 @@ def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
 
 
 def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
-    """Recompute from the trace and diff against its embedded report.
-
-    The verdict is read through `VERDICT`, so a stray or missing key or an
-    unreadable value is bad input; its values are then compared as written,
-    key by key in `VERDICT`'s order, with the verdict the report would write
-    against its bound kind from the recomputed ladder and flags. Returns the
-    first differing field path, or None when everything checks.
+    """Recompute the report from the trace and diff its embedded report
+    against it, the whole document in one walk by sorted key. A key of the
+    report missing from the embedded one is bad input. Returns the first
+    differing field path, or None when everything checks.
     """
-    embedded = next((r for r in records if r["kind"] == "report"), None)
-    if embedded is None:
-        raise ScenarioError("trace has no embedded report", path=source)
-    recomputed = recompute_from_trace(records, source=source)
-
-    where = f"{source}:report"
-    verdict = read_field(embedded, "verdict", where)
-    bound_kind = VERDICT.read(verdict, f"{where}.verdict")["bound_kind"]
-    sections, expected = ("coc", "ladder", "per_epoch", "totals"), recomputed["verdicts"][bound_kind]
-    checks = [
-        *((key, read_field(embedded, key, where), recomputed[key]) for key in sections),
-        *((f"verdict.{key}", verdict[key], value) for key, value in expected.items()),
-    ]
-    for name, exp, act in checks:
-        found = first_mismatch(exp, act, name)
-        if found:
-            return found
-    return None
+    expected = recompute_from_trace(records, source=source)
+    embedded = _payload(next(r for r in records if r["kind"] == "report"))
+    for key in expected:
+        read_field(embedded, key, f"{source}:report")
+    return first_mismatch(embedded, expected)

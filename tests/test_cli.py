@@ -320,6 +320,7 @@ MALFORMED_BODY_RECORDS = [
     (lambda r: r.pop("burned"), "settlement.burned: missing required key"),
     (lambda r: r.update(paid="1/0"), "settlement.paid: malformed value '1/0'"),
     (lambda r: r.pop("totals"), "report.totals: missing required key"),
+    (lambda r: r.pop("karma"), "report.karma: missing required key"),
     (lambda r: r.update(verdict=[]), "report.verdict: expected an object"),
     (lambda r: r["verdict"].update(bound_kind="x"), "report.verdict.bound_kind: malformed value 'x'"),
 ]
@@ -343,7 +344,9 @@ def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys,
 # analyze reads tx_finalized and settlement records, and the embedded
 # report's verdict, through their tables: a key the table does not know, one
 # it needs, a value it cannot read, or fields that make no transaction are
-# bad input
+# bad input; so is an insured epoch other than the one a transaction's tick
+# and requested rule give (the demo's tx1 requested insured_immediate in
+# epoch 0 and fell back to secure, keeping its epoch)
 UNREADABLE = [
     ("tx_finalized", lambda r: r.update(stray=1), "tx_finalized: unknown keys ['stray']"),
     ("tx_finalized", lambda r: r.pop("insured_epoch"), "tx_finalized.insured_epoch: missing required key"),
@@ -364,6 +367,21 @@ UNREADABLE = [
         lambda r: r["verdict"].update(strong_safety="yes"),
         "report.verdict.strong_safety: malformed value 'yes': expected a boolean",
     ),
+    (
+        "tx_finalized",
+        lambda r: r.update(insured_epoch=99),
+        "tx_finalized.insured_epoch: 99 disagrees with finalization epoch 0",
+    ),
+    (
+        "tx_finalized",
+        lambda r: r.update(rule_requested="secure"),
+        "tx_finalized.insured_epoch: only insured_immediate hybrid flow has an insured epoch",
+    ),
+    (
+        "tx_finalized",
+        lambda r: r.update(rule_requested="banana"),
+        "tx_finalized.rule_requested: malformed value 'banana': unknown rule",
+    ),
 ]
 
 
@@ -383,8 +401,16 @@ def test_analyze_refuses_a_record_its_table_cannot_read(tmp_path, capsys, kind, 
     "kind,tamper,field",
     [
         ("tx_finalized", lambda r: r.update(value="99"), "ladder[1].value"),
-        ("settlement", lambda r: r.update(paid="7", burned="57"), "totals.burned"),
+        ("settlement", lambda r: r.update(paid="7", burned="57"), "settlements[0].burned"),
         ("auction", lambda r: r["lots"][0].update(coverage="1"), "per_epoch[2].coverage.alice"),
+        # the report's labels, settlements and karma section are checked
+        # against the run_start, settlement and karma records
+        ("report", lambda r: r.update(scenario_hash="0" * 64), "scenario_hash"),
+        ("report", lambda r: r.update(seed=8), "seed"),
+        ("report", lambda r: r["settlements"][0].update(paid="7"), "settlements[0].paid"),
+        ("report", lambda r: r["karma"]["parties"][0].update(net="0"), "karma.parties[0].net"),
+        ("report", lambda r: r["karma"].update(adversary_net="0"), "karma.adversary_net"),
+        ("karma", lambda r: r.update(adversary_net="0"), "karma.adversary_net"),
     ],
 )
 def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
@@ -403,10 +429,10 @@ def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind
         ({"pfc_value": "0"}, "pfc_value"),
         ({"cryptoeconomically_safe": False}, "cryptoeconomically_safe"),
         ({"coc": "1000000", "pfc_value": "0"}, "coc"),
-        ({"bound_kind": "steal_tvl"}, "pfc_value"),
+        ({"bound_kind": "steal_tvl"}, "cryptoeconomically_safe"),
         # the value the trace gives, 128/3, but not as the report writes it
         ({"coc": "256/6"}, "coc"),
-        # the demo's strong_safety is false; the keys are walked in `VERDICT`'s order, coc before the flags
+        # the demo's strong_safety is false; the report is walked by sorted key, coc before the flags
         ({"strong_safety": True, "coc": "1000000"}, "coc"),
     ],
 )
@@ -681,6 +707,13 @@ def header_only(tmp_path, capsys):
     return ["analyze", "--trace", str(trace)], str(trace)
 
 
+def without_karma(tmp_path, capsys):
+    trace = run_demo(tmp_path, capsys)
+    lines = [line for line in trace.read_text(encoding="utf-8").splitlines() if json.loads(line)["kind"] != "karma"]
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["analyze", "--trace", str(trace)], str(trace)
+
+
 def write_grid(tmp_path, capsys, grid):
     path = write_doc(tmp_path, grid, "grid.json")
     return ["sweep", "--scenario", DEMO, "--grid", path, "--out", str(tmp_path / "sw")], path
@@ -708,6 +741,7 @@ def set_without_values(tmp_path, capsys):
         (lambda t, c: write_trace(t, c, '{"tick": 0}\n'), ":1: trace record needs tick and kind"),
         (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"}\n'), ": trace has no run_start record"),
         (header_only, ": trace has no embedded report"),
+        (without_karma, ": trace has no karma record"),
         (float_in("tx_finalized", lambda r: r.update(value=5.0)), ": invalid trace JSON: unexpected float 5.0"),
         (
             float_in("report", lambda r: r["per_epoch"][0].update(epoch=0.0)),
@@ -721,8 +755,8 @@ def set_without_values(tmp_path, capsys):
         (set_without_values, ": --set needs path=v1,v2,... (got 'econ.gamma')"),
     ],
     ids=[
-        "trace-json", "trace-record", "trace-header", "trace-report", "trace-float-value", "trace-float-epoch",
-        "grid-object", "grid-axis", "set-axis",
+        "trace-json", "trace-record", "trace-header", "trace-report", "trace-karma", "trace-float-value",
+        "trace-float-epoch", "grid-object", "grid-axis", "set-axis",
     ],
 )
 def test_each_unreached_input_error_is_one_line(tmp_path, capsys, make_input, message):

@@ -2,11 +2,17 @@
 scenarios, so that output is pinned across code versions.
 
 A hash may change only when output changes on purpose, and each such change
-is recorded in CHANGES.md. After one, rewrite `golden/hashes.json` with
+is recorded in CHANGES.md. Beside it, `golden/fingerprints.json` pins a
+differential corpus of generated runs: for each seed of
+`conftest.attack_scenario_doc` at each gamma of `FINGERPRINT_GAMMAS`, the
+sha256 of the generated document, one sha256 over the run's trace,
+report.json and report.txt, and what `analyze` says of the trace. After an
+output change, rewrite both files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and review the diff of that file before committing it.
+and review their diff before committing them; the fingerprint test names
+every run that moved, so the diff's size is the change's blast radius.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from stakesim import parse_scenario
 from stakesim.cli import main
 from stakesim.engine import run
 from stakesim.errors import InvariantBreachError
+from stakesim.report import compare_trace_to_report, parse_trace, render_text
 from stakesim.scenario import FORK_EVENT, LOT, SETTLEMENT, TX_FINALIZED
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
@@ -35,6 +42,7 @@ from oracles import run_every_epoch
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 HASHES = GOLDEN / "hashes.json"
+FINGERPRINTS = GOLDEN / "fingerprints.json"
 DEMO = ROOT / "scenarios" / "double-sign.json"
 
 RUN_FILES = ("trace.jsonl", "report.json", "report.txt")
@@ -97,6 +105,37 @@ def current_hashes(work: Path) -> dict[str, dict[str, str]]:
     return hashes
 
 
+FINGERPRINT_GAMMAS = ("0", "1/2", "1")
+FINGERPRINT_SEEDS = range(200)
+
+
+def fingerprint(seed: int, gamma: str) -> list:
+    """[document sha256, output sha256, analyze result] of one generated run,
+    computed in process as `run` and `analyze` would write them."""
+    doc = attack_scenario_doc(random.Random(seed), gamma)
+    trace = run(parse_scenario(doc))
+    lines = trace.to_lines()
+    files = ("\n".join(lines) + "\n", trace.report.to_json() + "\n", render_text(trace.report.doc))
+    output = hashlib.sha256(b"".join(hashlib.sha256(f.encode("utf-8")).digest() for f in files))
+    mismatch = compare_trace_to_report(parse_trace(lines, source="generated"), source="generated")
+    document = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    return [document.hexdigest(), output.hexdigest(), mismatch]
+
+
+def current_fingerprints() -> dict[str, list[list]]:
+    return {gamma: [fingerprint(seed, gamma) for seed in FINGERPRINT_SEEDS] for gamma in FINGERPRINT_GAMMAS}
+
+
+def fingerprints_json(fingerprints: dict[str, list[list]]) -> str:
+    """The fingerprints as JSON with one run per line, so that a diff of the
+    file reads run by run."""
+    blocks = [
+        f"  {json.dumps(gamma)}: [\n" + ",\n".join(f"    {json.dumps(fp)}" for fp in runs) + "\n  ]"
+        for gamma, runs in fingerprints.items()
+    ]
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict[str, dict[str, str]]:
     return json.loads(HASHES.read_text(encoding="utf-8"))
@@ -115,6 +154,19 @@ def test_run_output_matches_golden(name, golden, tmp_path, capsys):
 def test_sweep_output_matches_golden(golden, tmp_path, capsys):
     assert run_sweep(tmp_path) == golden["sweep"]
     capsys.readouterr()
+
+
+def test_generated_runs_match_their_fingerprints():
+    pinned = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(FINGERPRINT_GAMMAS)
+    moved = []
+    for gamma, runs in current_fingerprints().items():
+        assert len(pinned[gamma]) == len(runs)
+        for seed, now, then in zip(FINGERPRINT_SEEDS, runs, pinned[gamma]):
+            parts = [part for part, a, b in zip(("document", "output", "analyze"), now, then) if a != b]
+            if parts:
+                moved.append(f"gamma {gamma} seed {seed}: {', '.join(parts)}")
+    assert moved == []
 
 
 def test_every_settling_case_slashes_what_its_settlements_record():
@@ -215,4 +267,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = current_hashes(Path(tmp))
     HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stderr.write(f"wrote {HASHES}\n")
+    FINGERPRINTS.write_text(fingerprints_json(current_fingerprints()), encoding="utf-8")
+    sys.stderr.write(f"wrote {HASHES} and {FINGERPRINTS}\n")
