@@ -3,11 +3,12 @@ scenarios, so that output is pinned across code versions.
 
 A hash may change only when output changes on purpose, and each such change
 is recorded in CHANGES.md. Beside it, `golden/fingerprints.json` pins a
-differential corpus of generated runs: for each seed of
-`conftest.attack_scenario_doc` at each gamma of `FINGERPRINT_GAMMAS`, the
-sha256 of the generated document, one sha256 over the run's trace,
-report.json and report.txt, and what `analyze` says of the trace. After an
-output change, rewrite both files with
+differential corpus of generated runs: each seed of
+`conftest.attack_scenario_doc` at each gamma of `FINGERPRINT_GAMMAS`, and
+each of `BENCH_SEEDS` of every benchmark workload (`perfbench/workloads.py`,
+full size). For each run it holds the sha256 of the generated document, one
+sha256 over the run's trace, report.json and report.txt, and what `analyze`
+says of the trace. After an output change, rewrite both files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -20,12 +21,14 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
+import importlib.util
 import json
 import random
 import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import pytest
 
@@ -107,12 +110,35 @@ def current_hashes(work: Path) -> dict[str, dict[str, str]]:
 
 FINGERPRINT_GAMMAS = ("0", "1/2", "1")
 FINGERPRINT_SEEDS = range(200)
+BENCH_SEEDS = range(1, 4)
 
 
-def fingerprint(seed: int, gamma: str) -> list:
-    """[document sha256, output sha256, analyze result] of one generated run,
+@functools.cache
+def bench_workloads():
+    """The benchmark's workload generator module, read from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass resolves annotations there
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def fingerprint_sets() -> dict[str, tuple[str, range, Callable[[int], dict]]]:
+    """Each set of generated runs by its key in the fingerprint file: how a
+    moved run is named, its seeds, and its document for a seed."""
+    sets = {
+        gamma: (f"gamma {gamma}", FINGERPRINT_SEEDS, lambda seed, g=gamma: attack_scenario_doc(random.Random(seed), g))
+        for gamma in FINGERPRINT_GAMMAS
+    }
+    workloads = bench_workloads()
+    for name in workloads.WORKLOADS:
+        sets[name] = (f"workload {name}", BENCH_SEEDS, lambda seed, n=name: workloads.generate(n, seed)[0])
+    return sets
+
+
+def fingerprint(doc: dict) -> list:
+    """[document sha256, output sha256, analyze result] of one run of `doc`,
     computed in process as `run` and `analyze` would write them."""
-    doc = attack_scenario_doc(random.Random(seed), gamma)
     trace = run(parse_scenario(doc))
     lines = trace.to_lines()
     files = ("\n".join(lines) + "\n", trace.report.to_json() + "\n", render_text(trace.report.doc))
@@ -123,7 +149,7 @@ def fingerprint(seed: int, gamma: str) -> list:
 
 
 def current_fingerprints() -> dict[str, list[list]]:
-    return {gamma: [fingerprint(seed, gamma) for seed in FINGERPRINT_SEEDS] for gamma in FINGERPRINT_GAMMAS}
+    return {key: [fingerprint(make(seed)) for seed in seeds] for key, (_, seeds, make) in fingerprint_sets().items()}
 
 
 def fingerprints_json(fingerprints: dict[str, list[list]]) -> str:
@@ -158,14 +184,16 @@ def test_sweep_output_matches_golden(golden, tmp_path, capsys):
 
 def test_generated_runs_match_their_fingerprints():
     pinned = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
-    assert sorted(pinned) == sorted(FINGERPRINT_GAMMAS)
+    sets = fingerprint_sets()
+    assert sorted(pinned) == sorted(sets)
     moved = []
-    for gamma, runs in current_fingerprints().items():
-        assert len(pinned[gamma]) == len(runs)
-        for seed, now, then in zip(FINGERPRINT_SEEDS, runs, pinned[gamma]):
+    for key, runs in current_fingerprints().items():
+        label, seeds, _ = sets[key]
+        assert len(pinned[key]) == len(runs)
+        for seed, now, then in zip(seeds, runs, pinned[key]):
             parts = [part for part, a, b in zip(("document", "output", "analyze"), now, then) if a != b]
             if parts:
-                moved.append(f"gamma {gamma} seed {seed}: {', '.join(parts)}")
+                moved.append(f"{label} seed {seed}: {', '.join(parts)}")
     assert moved == []
 
 
