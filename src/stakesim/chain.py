@@ -6,6 +6,8 @@ Conventions used throughout the package:
 * Monetary quantities (stake, transaction value, bribes, TVL) are exact
   rationals; see `rational.as_fraction`.
 * Types are immutable after construction. Shared freely across analyses.
+* Each window rung of the profit-from-corruption ladder (`PfcKind`) names
+  the transactions it counts, and `gamma_value` sums them over a window.
 """
 
 from __future__ import annotations
@@ -132,6 +134,31 @@ class ConfirmationRule(str, Enum):
     INSURED_IMMEDIATE = "insured_immediate"
 
 
+class PfcKind(str, Enum):
+    """The profit-from-corruption bound ladder, loosest to tightest. A
+    window rung bounds by the most one reversion window holds of the
+    transactions it counts, a subset of those the rung before counts.
+
+    STEAL_TVL: everything of value on the chain is up for grabs (no window).
+    REORG_WINDOW: at most one reversion window's flow can be double-spent.
+    REORG_HYBRID_WINDOW: only flow with an off-chain leg is irreversible.
+    REORG_HYBRID_SECURE_RULE: flow waiting out the reversion window drops
+        out; hybrid flow executed immediately, insured or not, remains.
+    UNINSURED_LOAD: insured flow is made whole from slashed stake, so only
+        uninsured immediate flow remains at risk.
+    """
+
+    STEAL_TVL = "steal_tvl"
+    REORG_WINDOW = "reorg_window"
+    REORG_HYBRID_WINDOW = "reorg_hybrid_window"
+    REORG_HYBRID_SECURE_RULE = "reorg_hybrid_secure_rule"
+    UNINSURED_LOAD = "uninsured_load"
+
+
+# the rungs that bound a window, loosest to tightest
+WINDOW_KINDS = tuple(PfcKind)[1:]
+
+
 @dataclass(frozen=True)
 class TransactionRecord:
     """One finalized transaction as seen by the settlement layer.
@@ -239,6 +266,13 @@ class ForkRevealEvent:
             raise InvariantViolationError(f"fork event {self.id!r}: negative signer stake")
 
 
+class _WindowIndex(dict):
+    """A timeline's index by window rung; the rung that bounds no window has none."""
+
+    def __missing__(self, kind: PfcKind):
+        raise InvariantViolationError(f"pfc kind {kind.value!r} bounds no window")
+
+
 @dataclass(frozen=True)
 class ChainTimeline:
     """Immutable, horizon-bounded record of everything one run observed."""
@@ -249,26 +283,22 @@ class ChainTimeline:
     validators: tuple[ValidatorState, ...] = ()
 
     @cached_property
-    def _gamma_index(self) -> dict[GammaFilter, tuple[list[Tick], list[int], int]]:
-        """Per filter: the sorted finalization ticks of the matching
-        transactions, the prefix sums of their values as integers over one
-        common denominator (one more entry than ticks), and that
+    def _gamma_index(self) -> _WindowIndex:
+        """Per window rung: the sorted finalization ticks of the
+        transactions it counts, the prefix sums of their values as integers
+        over one common denominator (one more entry than ticks), and that
         denominator, the lcm of the values' denominators. Built on first
         use and kept on this object only, outside the fields, so equality,
         hashing and `replace` ignore it. Sorts by tick itself: timelines
         need not come from build_timeline. `gamma_value` queries it, and
         `econ.window_sup` sweeps it directly."""
         ordered = sorted(self.transactions, key=attrgetter("finalized_at"))
-        index = {}
-        for selector in GammaFilter:
-            matching = [tx for tx in ordered if _matches(tx, selector)]
+        index = _WindowIndex()
+        for kind in WINDOW_KINDS:
+            matching = [tx for tx in ordered if _matches(tx, kind)]
             den = lcm(*(tx.value.denominator for tx in matching))
             scaled = (tx.value.numerator * (den // tx.value.denominator) for tx in matching)
-            index[selector] = (
-                [tx.finalized_at for tx in matching],
-                list(accumulate(scaled, initial=0)),
-                den,
-            )
+            index[kind] = ([tx.finalized_at for tx in matching], list(accumulate(scaled, initial=0)), den)
         return index
 
 
@@ -340,42 +370,25 @@ def build_timeline(
     )
 
 
-class GammaFilter(str, Enum):
-    """Transaction-set filters used by the corruption-profit bounds.
-
-    ALL: every transaction.
-    HYBRID_ONLY: transactions with an off-chain leg.
-    HYBRID_NOT_SECURE: hybrid flow not protected by a waiting rule
-        (immediate and insured-immediate execution).
-    UNINSURED: hybrid flow executed immediately with no insurance either.
-
-    By construction UNINSURED <= HYBRID_NOT_SECURE <= HYBRID_ONLY <= ALL.
-    """
-
-    ALL = "all"
-    HYBRID_ONLY = "hybrid_only"
-    HYBRID_NOT_SECURE = "hybrid_not_secure"
-    UNINSURED = "uninsured"
-
-
 _WAITING_RULES = (ConfirmationRule.SECURE_RULE, ConfirmationRule.BRIDGE_RULE)
 
-# The value of every window that holds no matching transaction.
+# The value of every window that holds no counted transaction.
 _NO_VALUE = Fraction(0)
 
 
-def _matches(tx: TransactionRecord, selector: GammaFilter) -> bool:
-    if selector is GammaFilter.ALL:
+def _matches(tx: TransactionRecord, kind: PfcKind) -> bool:
+    """Whether window rung `kind` counts `tx`."""
+    if kind is PfcKind.REORG_WINDOW:
         return True
     if tx.kind is not TxKind.HYBRID:
         return False
-    if selector is GammaFilter.HYBRID_ONLY:
+    if kind is PfcKind.REORG_HYBRID_WINDOW:
         return True
     if tx.rule in _WAITING_RULES:
         return False
-    if selector is GammaFilter.HYBRID_NOT_SECURE:
+    if kind is PfcKind.REORG_HYBRID_SECURE_RULE:
         return True
-    # UNINSURED: immediate execution without coverage
+    # UNINSURED_LOAD: immediate execution without coverage
     return tx.rule is not ConfirmationRule.INSURED_IMMEDIATE
 
 
@@ -383,15 +396,15 @@ def gamma_value(
     timeline: ChainTimeline,
     t0: Tick,
     t1: Tick,
-    selector: GammaFilter = GammaFilter.ALL,
+    kind: PfcKind = PfcKind.REORG_WINDOW,
 ) -> Fraction:
-    """Total value of the transactions finalized in [t0, t1) that pass
-    `selector`: two binary searches into the timeline's integer prefix
-    sums, and one integer subtraction over their common denominator only
-    when the window holds a matching transaction."""
+    """Total value of the transactions finalized in [t0, t1) that window
+    rung `kind` counts: two binary searches into the timeline's integer
+    prefix sums, and one integer subtraction over their common denominator
+    only when the window holds a counted transaction."""
     if t0 >= t1:
         raise InvariantViolationError(f"empty interval [{t0}, {t1})")
-    ticks, prefix, den = timeline._gamma_index[selector]
+    ticks, prefix, den = timeline._gamma_index[kind]
     lo, hi = bisect_left(ticks, t0), bisect_left(ticks, t1)
     if lo == hi:
         return _NO_VALUE

@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterator
 
-from .econ import PfcKind
+from .chain import PfcKind
 from .engine import run as run_engine
 from .engine import sweep_jobs, sweep_point
 from .errors import InvariantBreachError, ScenarioError, StakesimError

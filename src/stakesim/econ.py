@@ -16,8 +16,9 @@ column loses everything); slashing burns the bribed validator's stake even
 when the attack fails.
 
 Cost of corruption and profit from corruption are both exact rationals.
-Corruption profit is bounded by what fits inside one reversion window, with
-progressively tighter transaction filters; see `pfc_ladder`.
+Corruption profit is bounded by what fits inside one reversion window; each
+window rung of the ladder (`chain.PfcKind`) counts fewer transactions than
+the one before it. See `pfc_ladder`.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from .chain import (
     ConfirmationRule,
     EconParams,
     EpochIndex,
-    GammaFilter,
+    PfcKind,
     Tick,
     TimingParams,
     TransactionRecord,
     TxKind,
+    WINDOW_KINDS,
     epoch_of,
     gamma_value,
 )
@@ -93,32 +95,6 @@ def cost_of_corruption(mech: Mechanism, ep: EconParams) -> Fraction:
     return ep.adversary_threshold * ep.s_tot
 
 
-class PfcKind(str, Enum):
-    """The bound ladder, loosest to tightest.
-
-    STEAL_TVL: everything of value on the chain is up for grabs.
-    REORG_WINDOW: at most one reversion window's flow can be double-spent.
-    REORG_HYBRID_WINDOW: only flow with an off-chain leg is irreversible.
-    REORG_HYBRID_SECURE_RULE: flow waiting out the reversion window drops out.
-    UNINSURED_LOAD: insured flow is made whole from slashed stake, so only
-        uninsured immediate flow remains at risk.
-    """
-
-    STEAL_TVL = "steal_tvl"
-    REORG_WINDOW = "reorg_window"
-    REORG_HYBRID_WINDOW = "reorg_hybrid_window"
-    REORG_HYBRID_SECURE_RULE = "reorg_hybrid_secure_rule"
-    UNINSURED_LOAD = "uninsured_load"
-
-
-_KIND_FILTER = {
-    PfcKind.REORG_WINDOW: GammaFilter.ALL,
-    PfcKind.REORG_HYBRID_WINDOW: GammaFilter.HYBRID_ONLY,
-    PfcKind.REORG_HYBRID_SECURE_RULE: GammaFilter.HYBRID_NOT_SECURE,
-    PfcKind.UNINSURED_LOAD: GammaFilter.UNINSURED,
-}
-
-
 @dataclass(frozen=True)
 class PfcBound:
     kind: PfcKind
@@ -131,12 +107,13 @@ def window_sup(
     t_rev: int,
     kind: PfcKind = PfcKind.REORG_WINDOW,
 ) -> PfcBound:
-    """Window bound `kind`: the largest value its filter passes in any [t, t + t_rev).
+    """Window bound `kind`: the largest value of the transactions it counts
+    in any [t, t + t_rev).
 
     Candidate starts {0} union {finalized_at of each record} suffice: a
     maximizing window shifted right until its earliest record sits at the
     start keeps every record it had. One sweep walks the candidates in
-    order with two indices into the filtered ticks, `lo` (first tick >= t)
+    order with two indices into the counted ticks, `lo` (first tick >= t)
     and `hi` (first tick >= t + t_rev), and compares the timeline's integer
     prefix sums; only a strictly larger total replaces the best, so the
     witness is the smallest maximizing candidate. Its exact value is one
@@ -144,13 +121,10 @@ def window_sup(
     """
     if t_rev < 1:
         raise InvariantViolationError(f"window length must be >= 1, got {t_rev}")
-    if kind not in _KIND_FILTER:
-        raise InvariantViolationError(f"pfc kind {kind.value!r} bounds no window")
-    selector = _KIND_FILTER[kind]
     index = timeline._gamma_index
-    ticks, prefix, _ = index[selector]
+    ticks, prefix, _ = index[kind]
     # every record's tick, sorted; a repeated start repeats its total
-    starts = index[GammaFilter.ALL][0]
+    starts = index[PfcKind.REORG_WINDOW][0]
     n = len(ticks)
     lo = hi = 0
     best, witness = 0, None
@@ -165,15 +139,13 @@ def window_sup(
             best, witness = total, t
     if witness is None:
         return PfcBound(kind=kind, value=Fraction(0))
-    value = gamma_value(timeline, witness, witness + t_rev, selector)
+    value = gamma_value(timeline, witness, witness + t_rev, kind)
     return PfcBound(kind=kind, value=value, witness_window_start=witness)
 
 
 def pfc_ladder(timeline: ChainTimeline, tp: TimingParams, ep: EconParams) -> tuple[PfcBound, ...]:
     """All five bounds, loosest to tightest; the window bounds never increase."""
-    ladder = [PfcBound(kind=PfcKind.STEAL_TVL, value=ep.tvl, witness_window_start=None)]
-    ladder += (window_sup(timeline, tp.t_rev, kind) for kind in _KIND_FILTER)
-    return tuple(ladder)
+    return (PfcBound(PfcKind.STEAL_TVL, ep.tvl), *(window_sup(timeline, tp.t_rev, kind) for kind in WINDOW_KINDS))
 
 
 @dataclass(frozen=True)
@@ -188,11 +160,14 @@ class SafetyVerdict:
         maximal slash strictly exceeds the worst uninsured load.
     """
 
-    bound_kind: PfcKind
     coc: Fraction
     pfc: PfcBound
     strong_safety: bool
     uninsured_buffer_ok: bool
+
+    @property
+    def bound_kind(self) -> PfcKind:
+        return self.pfc.kind
 
     @property
     def cryptoeconomically_safe(self) -> bool:
@@ -250,10 +225,4 @@ def safety_verdict(
     bound = next(b for b in ladder if b.kind is bound_kind)
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     strong, buffer_ok, _ = strong_safety_flags(timeline, tp, ep, ladder, coverage)
-    return SafetyVerdict(
-        bound_kind=bound_kind,
-        coc=coc,
-        pfc=bound,
-        strong_safety=strong,
-        uninsured_buffer_ok=buffer_ok,
-    )
+    return SafetyVerdict(coc, bound, strong, buffer_ok)

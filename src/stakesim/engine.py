@@ -34,6 +34,7 @@ from .chain import (
     ConfirmationRule,
     EpochIndex,
     ForkRevealEvent,
+    PfcKind,
     Tick,
     TransactionRecord,
     TxKind,
@@ -48,7 +49,6 @@ from .confirmation import (
     decide_bridge_naive,
     decide_secure,
 )
-from .econ import PfcKind
 from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .insurance import (
     PURCHASE_LEAD_EPOCHS,

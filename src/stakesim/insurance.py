@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -562,15 +563,9 @@ class KarmaEntry:
     harm: Fraction = Fraction(0)
     slashed: Fraction = Fraction(0)
 
-    @property
+    @cached_property
     def net(self) -> Fraction:
-        return (
-            self.premiums_earned
-            - self.premiums_paid
-            + self.compensation
-            - self.harm
-            - self.slashed
-        )
+        return self.premiums_earned - self.premiums_paid + self.compensation - self.harm - self.slashed
 
 
 @dataclass(frozen=True)
@@ -589,6 +584,14 @@ class KarmaSummary:
         return sum((e.net for e in self.entries if e.party in adversary), Fraction(0)) + self.double_spend_gain
 
 
+def paid_claims(settlements: Iterable[SettlementRecord]) -> dict[str, Fraction]:
+    """Each claimant's paid claims summed over `settlements`: its compensation."""
+    paid: dict[str, Fraction] = {}
+    for claim in (c for s in settlements for c in s.claims):
+        paid[claim.transactor] = paid.get(claim.transactor, Fraction(0)) + claim.paid
+    return paid
+
+
 def karma_report(
     ledger: InsuranceLedger,
     *,
@@ -602,11 +605,7 @@ def karma_report(
     premiums_earned = ledger.premiums_earned
     slashed = dict(ledger.slashed_amounts)
 
-    compensation: dict[str, Fraction] = {}
-    for s in ledger.settlements:
-        for c in s.claims:
-            compensation[c.transactor] = compensation.get(c.transactor, Fraction(0)) + c.paid
-
+    compensation = paid_claims(ledger.settlements)
     harm: dict[str, Fraction] = {}
     for r in reverted_executions:
         harm[r.transactor] = harm.get(r.transactor, Fraction(0)) + r.value

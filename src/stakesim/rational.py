@@ -8,6 +8,11 @@ uses fixed-point decimals rendered deterministically (no locale).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+
+
+# a trace or report repeats few value strings ("0" above all), so each is parsed once
+_ratio = lru_cache(maxsize=4096)(Fraction)
 
 
 def as_fraction(x) -> Fraction:
@@ -26,7 +31,7 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))
     if isinstance(x, str):
-        return Fraction(x.strip())
+        return _ratio(x.strip())
     raise TypeError(f"cannot interpret {x!r} as an exact value")
 
 

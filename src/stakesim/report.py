@@ -9,11 +9,12 @@ run's trace, which the analyze verb diffs whole against its embedded report.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Any, Mapping, Optional, Sequence
 
 from .chain import (
@@ -21,16 +22,16 @@ from .chain import (
     ConfirmationRule,
     EconParams,
     EpochIndex,
-    GammaFilter,
+    PfcKind,
     TimingParams,
     TxKind,
+    WINDOW_KINDS,
     epoch_bounds,
     epoch_of,
     gamma_value,
 )
 from .econ import (
     Mechanism,
-    PfcKind,
     SafetyVerdict,
     cost_of_corruption,
     pfc_ladder,
@@ -38,7 +39,7 @@ from .econ import (
     strong_safety_flags,
 )
 from .errors import ScenarioError
-from .insurance import InsuranceLedger, KarmaSummary, coverage_map
+from .insurance import InsuranceLedger, KarmaEntry, KarmaSummary, SettlementRecord, coverage_map, paid_claims
 from .rational import as_fraction, frac_decimal, frac_str
 from .scenario import (
     KARMA,
@@ -69,15 +70,14 @@ BOUND_ALIASES = {
 }
 
 
-_SHAPE_CELLS = (
-    "sum_all",
-    "sum_hybrid",
-    "sum_hybrid_not_secure",
-    "sum_uninsured",
-    "epoch_safe",
-    "uninsured_buffer_ok",
-    "insured_ok",
-)
+# each per-epoch sum column and the window rung whose transactions it sums
+_SUM_COLUMNS = {
+    "sum_all": PfcKind.REORG_WINDOW,
+    "sum_hybrid": PfcKind.REORG_HYBRID_WINDOW,
+    "sum_hybrid_not_secure": PfcKind.REORG_HYBRID_SECURE_RULE,
+    "sum_uninsured": PfcKind.UNINSURED_LOAD,
+}
+_SHAPE_CELLS = (*_SUM_COLUMNS, "epoch_safe", "uninsured_buffer_ok", "insured_ok")
 _row_shape = itemgetter(*_SHAPE_CELLS)
 _ROW_KEYS = {"epoch", "window", "coverage", *_SHAPE_CELLS}
 
@@ -156,35 +156,33 @@ def _epoch_rows(
     coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
     uncovered: AbstractSet[EpochIndex],
 ) -> list[dict]:
-    """One row per epoch: its window, the value finalized in it under each
-    `GammaFilter`, the coverage bought for it and its safety flags.
+    """One row per epoch: its window, the value finalized in it of the
+    transactions each window rung counts, the coverage bought for it and
+    its safety flags.
 
     Only an epoch that holds a transaction queries the timeline, with one
-    `gamma_value` call per filter. Every other epoch sums to zero under
-    every filter and shares the cells computed once from those zeros, so a
-    quiet epoch costs O(1).
+    `gamma_value` call per rung. Every other epoch sums to zero for every
+    rung and shares the cells computed once from those zeros, so a quiet
+    epoch costs O(1).
     """
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     burn_share = (1 - ep.gamma) * coc
 
-    def cells(sums: Mapping[GammaFilter, Fraction]) -> dict:
+    def cells(sums: Mapping[PfcKind, Fraction]) -> dict:
         return {
-            "sum_all": frac_str(sums[GammaFilter.ALL]),
-            "sum_hybrid": frac_str(sums[GammaFilter.HYBRID_ONLY]),
-            "sum_hybrid_not_secure": frac_str(sums[GammaFilter.HYBRID_NOT_SECURE]),
-            "sum_uninsured": frac_str(sums[GammaFilter.UNINSURED]),
-            "epoch_safe": coc > sums[GammaFilter.HYBRID_NOT_SECURE],
-            "uninsured_buffer_ok": burn_share > sums[GammaFilter.UNINSURED],
+            **{column: frac_str(sums[kind]) for column, kind in _SUM_COLUMNS.items()},
+            "epoch_safe": coc > sums[PfcKind.REORG_HYBRID_SECURE_RULE],
+            "uninsured_buffer_ok": burn_share > sums[PfcKind.UNINSURED_LOAD],
         }
 
-    quiet = cells(dict.fromkeys(GammaFilter, Fraction(0)))
+    quiet = cells(dict.fromkeys(WINDOW_KINDS, Fraction(0)))
     busy = {epoch_of(tx.finalized_at, tp.t_rev) for tx in timeline.transactions}
     rows = []
     last = epoch_of(timeline.horizon, tp.t_rev)
     for e in range(last + 1):
         t0, t1 = epoch_bounds(e, tp.t_rev)
         if e in busy:
-            row_cells = cells({sel: gamma_value(timeline, t0, t1, sel) for sel in GammaFilter})
+            row_cells = cells({kind: gamma_value(timeline, t0, t1, kind) for kind in WINDOW_KINDS})
         else:
             row_cells = quiet
         rows.append(
@@ -204,21 +202,21 @@ def _checked_sections(
     tp: TimingParams,
     ep: EconParams,
     coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
-    settlements: Sequence[Mapping[str, Any]],
+    settlements: Sequence[SettlementRecord],
 ) -> dict:
     """The report sections and per-bound-kind verdicts `analyze` re-derives, from
-    a timeline, its coverage map and its settlement entries, whose amounts the totals sum."""
+    a timeline, its coverage map and its settlements, whose amounts the totals sum."""
     ladder = pfc_ladder(timeline, tp, ep)
     strong, buffer_ok, uncovered = strong_safety_flags(timeline, tp, ep, ladder, coverage)
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     return {
         "coc": {m.value: frac_str(cost_of_corruption(m, ep)) for m in Mechanism},
         "ladder": list(map(PFC_BOUND.write, ladder)),
-        "verdicts": {b.kind: VERDICT.write(SafetyVerdict(b.kind, coc, b, strong, buffer_ok)) for b in ladder},
+        "verdicts": {b.kind: VERDICT.write(SafetyVerdict(coc, b, strong, buffer_ok)) for b in ladder},
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage, uncovered),
         "totals": {
-            key: frac_str(sum((as_fraction(s[key]) for s in settlements), Fraction(0)))
-            for key in ("slashed", "paid", "burned")
+            key: frac_str(sum(map(attrgetter(attr), settlements), Fraction(0)))
+            for key, attr in (("slashed", "slashed"), ("paid", "paid_total"), ("burned", "burned"))
         },
     }
 
@@ -227,13 +225,14 @@ def _checked_sections(
 _LABELS = {"schema_version": integer, "tool_version": text, "scenario_hash": text, "seed": integer}
 
 
-def _report_doc(labels: Sequence[Any], sections: dict, verdict: dict, settlements: list, karma: dict) -> dict:
+def _report_doc(labels: Sequence, sections: dict, verdict: dict, settlements: list, karma: KarmaSummary) -> dict:
     """The report document: the `_LABELS` values in order, the
     `_checked_sections` but their per-bound-kind verdicts, the verdict
-    against the run's bound kind, the settlement entries and karma section."""
-    doc = dict(zip(_LABELS, labels), **sections, verdict=verdict, settlements=settlements, karma=karma)
+    against the run's bound kind, and the settlements and karma section
+    as their tables write them."""
+    doc = dict(zip(_LABELS, labels), **sections, verdict=verdict)
     del doc["verdicts"]
-    return doc
+    return dict(doc, settlements=list(map(SETTLEMENT.write, settlements)), karma=KARMA.write(karma))
 
 
 def build_report(
@@ -250,13 +249,12 @@ def build_report(
     the lots and settlements of its `ledger`, under the run's timing `tp`."""
     ep, coverage = ledger.ep, ledger.coverage()
     verdict = VERDICT.write(safety_verdict(timeline, tp, ep, coverage, bound_kind))
-    settlements = list(map(SETTLEMENT.write, ledger.settlements))
-    sections = _checked_sections(timeline, tp, ep, coverage, settlements)
+    sections = _checked_sections(timeline, tp, ep, coverage, ledger.settlements)
     labels = (SCHEMA_VERSION, __version__, scenario_hash, seed)
-    return ReportDocument(_report_doc(labels, sections, verdict, settlements, KARMA.write(karma)))
+    return ReportDocument(_report_doc(labels, sections, verdict, ledger.settlements, karma))
 
 
-_line_cells = itemgetter("sum_all", "sum_hybrid", "sum_hybrid_not_secure", "sum_uninsured", "epoch_safe")
+_line_cells = itemgetter(*_SUM_COLUMNS, "epoch_safe")
 
 
 def render_text(doc: dict) -> str:
@@ -305,11 +303,8 @@ def render_text(doc: dict) -> str:
         cells = _line_cells(row)
         tail = tails.get(cells)
         if tail is None:
-            all_, hybrid, not_secure, uninsured, safe = cells
-            tail = tails[cells] = (
-                f"{dec(all_):>12} {dec(hybrid):>12} {dec(not_secure):>12} {dec(uninsured):>12}  "
-                f"{'safe' if safe else 'UNSAFE'}"
-            )
+            *sums, safe = cells
+            tail = tails[cells] = " ".join(f"{dec(s):>12}" for s in sums) + ("  safe" if safe else "  UNSAFE")
         t0, t1 = row["window"]
         lines.append("  e%-4d [%6d,%6d)  %s" % (row["epoch"], t0, t1, tail))
     if doc["settlements"]:
@@ -374,11 +369,18 @@ def _payload(record: dict) -> dict:
     return {key: value for key, value in record.items() if key not in _HEAD}
 
 
+def _rebuild(cls: type, fields: Mapping[str, Any], **given: Any) -> Any:
+    """A `cls` of the `init` fields a table read, `given` in place of some; `cls` derives the rest."""
+    return cls(**{f.name: fields[f.name] for f in dataclasses.fields(cls) if f.init} | given)
+
+
 def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") -> dict:
     """The report document a trace states: the one `build_report` lays out for
     its run_start labels, transactions, lots, settlements and karma record,
-    against the bound kind of its embedded report's verdict. Bad input is
-    reported in that order, the embedded report before the karma record."""
+    against the bound kind of its embedded report's verdict. A settlement's
+    paid and burned amounts, a party's compensation and net, and the
+    adversary's net are derived, not read. Bad input is reported in that
+    order, the embedded report before the karma record."""
     by_kind: dict[str, list[dict]] = {}
     for r in records:
         by_kind.setdefault(r["kind"], []).append(r)
@@ -419,14 +421,18 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
             at = f"{where}.lots[{i}]"
             lots.append(tuple(f.read(lot, at) for f in _COVERED))
 
-    settlements = [_payload(r) for r in by_kind.get("settlement", ())]
-    for entry in settlements:
-        SETTLEMENT.read(entry, f"{source}:settlement")
+    settlements = [
+        _rebuild(SettlementRecord, SETTLEMENT.read(_payload(r), f"{source}:settlement"))
+        for r in by_kind.get("settlement", ())
+    ]
 
     where = f"{source}:report"
     verdict = read_field(first("report", "embedded report"), "verdict", where)
     bound_kind = VERDICT.read(verdict, f"{where}.verdict")["bound_kind"]
-    karma = _payload(first("karma", "karma record"))
+    stated = KARMA.read(_payload(first("karma", "karma record")), f"{source}:karma")
+    paid = paid_claims(settlements)
+    entries = [_rebuild(KarmaEntry, e, compensation=paid.get(e["party"], Fraction(0))) for e in stated["entries"]]
+    karma = _rebuild(KarmaSummary, stated, entries=tuple(entries))
 
     sections = _checked_sections(timeline, tp, ep, coverage_map(lots), settlements)
     return _report_doc(labels, sections, sections["verdicts"][bound_kind], settlements, karma)
@@ -463,13 +469,15 @@ def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
 
 
 def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
-    """Recompute the report from the trace and diff its embedded report
-    against it, the whole document in one walk by sorted key. A key of the
+    """Recompute the report from the trace and diff against it, by sorted
+    key, first the settlement and karma records as stated, each named at
+    the report path it feeds, then the whole embedded report. A key of the
     report missing from the embedded one is bad input. Returns the first
     differing field path, or None when everything checks.
     """
     expected = recompute_from_trace(records, source=source)
-    embedded = _payload(next(r for r in records if r["kind"] == "report"))
+    embedded, karma = (_payload(next(r for r in records if r["kind"] == kind)) for kind in ("report", "karma"))
     for key in expected:
         read_field(embedded, key, f"{source}:report")
-    return first_mismatch(embedded, expected)
+    stated = {"settlements": [_payload(r) for r in records if r["kind"] == "settlement"], "karma": karma}
+    return first_mismatch(stated, {key: expected[key] for key in stated}) or first_mismatch(embedded, expected)

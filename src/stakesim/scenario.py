@@ -38,6 +38,7 @@ from .chain import (
     EconParams,
     EpochIndex,
     ForkRevealEvent,
+    PfcKind,
     Tick,
     TimingParams,
     TransactionRecord,
@@ -48,7 +49,7 @@ from .chain import (
     epoch_of,
 )
 from .confirmation import ConfirmationDecision, DecisionStatus
-from .econ import Mechanism, PfcBound, PfcKind, bribe_is_dominant
+from .econ import Mechanism, PfcBound, bribe_is_dominant
 from .errors import InvariantViolationError, ScenarioError, StakesimError
 from .insurance import PURCHASE_LEAD_EPOCHS, Claim, InsuranceBid
 from .rational import as_fraction, frac_str

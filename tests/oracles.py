@@ -15,39 +15,40 @@ from stakesim.econ import PfcKind
 from stakesim.engine import _Run
 
 
-def passes_filter(tx, selector: str) -> bool:
-    """Re-derivation of the nested transaction filters."""
-    if selector == "all":
+def rung_counts(tx, kind: str) -> bool:
+    """Re-derivation of the nested transaction sets the window rungs of the
+    ladder count, by the rung's name."""
+    if kind == "reorg_window":
         return True
     if tx.kind.value != "hybrid":
         return False
-    if selector == "hybrid_only":
+    if kind == "reorg_hybrid_window":
         return True
     if tx.rule.value in ("secure", "bridge"):
         return False
-    if selector == "hybrid_not_secure":
+    if kind == "reorg_hybrid_secure_rule":
         return True
-    if selector == "uninsured":
+    if kind == "uninsured_load":
         return tx.rule.value != "insured_immediate"
-    raise ValueError(selector)
+    raise ValueError(kind)
 
 
-def gamma_set(timeline, t0: int, t1: int, selector: str = "all") -> tuple:
-    """The transactions finalized in [t0, t1) that pass `selector`, in
-    timeline order, by testing every one."""
+def gamma_set(timeline, t0: int, t1: int, kind: str = "reorg_window") -> tuple:
+    """The transactions finalized in [t0, t1) that window rung `kind`
+    counts, in timeline order, by testing every one."""
     return tuple(
         tx
         for tx in timeline.transactions
-        if t0 <= tx.finalized_at < t1 and passes_filter(tx, selector)
+        if t0 <= tx.finalized_at < t1 and rung_counts(tx, kind)
     )
 
 
-def window_totals(txs, horizon: int, t_rev: int, selector: str) -> list:
-    """The filtered value inside [s, s + t_rev) for EVERY integer start s
-    in [0, horizon]."""
+def window_totals(txs, horizon: int, t_rev: int, kind: str) -> list:
+    """The value rung `kind` counts inside [s, s + t_rev) for EVERY integer
+    start s in [0, horizon]."""
     totals = [Fraction(0)] * (horizon + 1)
     for tx in txs:
-        if not passes_filter(tx, selector):
+        if not rung_counts(tx, kind):
             continue
         lo = max(0, tx.finalized_at - t_rev + 1)
         hi = min(horizon, tx.finalized_at)
@@ -56,16 +57,16 @@ def window_totals(txs, horizon: int, t_rev: int, selector: str) -> list:
     return totals
 
 
-def window_sup_oracle(txs, horizon: int, t_rev: int, selector: str):
+def window_sup_oracle(txs, horizon: int, t_rev: int, kind: str):
     """(max windowed value, smallest maximizing start or None)."""
-    totals = window_totals(txs, horizon, t_rev, selector)
+    totals = window_totals(txs, horizon, t_rev, kind)
     best = max(totals) if totals else Fraction(0)
     if best == 0:
         return Fraction(0), None
     return best, totals.index(best)
 
 
-def window_sup_oracle_quadratic(txs, horizon: int, t_rev: int, selector: str):
+def window_sup_oracle_quadratic(txs, horizon: int, t_rev: int, kind: str):
     """Same thing, even dumber (direct per-start sums). Cross-checks the
     bucketed version on small inputs."""
     best, witness = Fraction(0), None
@@ -74,7 +75,7 @@ def window_sup_oracle_quadratic(txs, horizon: int, t_rev: int, selector: str):
             (
                 tx.value
                 for tx in txs
-                if s <= tx.finalized_at < s + t_rev and passes_filter(tx, selector)
+                if s <= tx.finalized_at < s + t_rev and rung_counts(tx, kind)
             ),
             Fraction(0),
         )
@@ -213,8 +214,8 @@ def insured_ok_oracle(txs, horizon: int, t_rev: int, coverage) -> list:
 
 
 def epoch_rows_oracle(timeline, t_rev: int, econ, coverage) -> list:
-    """The report's per-epoch rows, rebuilt epoch by epoch and filter by
-    filter from `gamma_set`, with no shortcut for an epoch that holds no
+    """The report's per-epoch rows, rebuilt epoch by epoch and rung by
+    rung from `gamma_set`, with no shortcut for an epoch that holds no
     transaction. The slashing coc is a third of the nominal stake; the
     uninsured buffer is its burn share."""
     coc = Fraction(1, 3) * econ.stake_per_validator * econ.n_validators
@@ -224,21 +225,21 @@ def epoch_rows_oracle(timeline, t_rev: int, econ, coverage) -> list:
     for e in range(timeline.horizon // t_rev + 1):
         t0, t1 = e * t_rev, (e + 1) * t_rev
         sums = {
-            sel: sum((tx.value for tx in gamma_set(timeline, t0, t1, sel)), Fraction(0))
-            for sel in ("all", "hybrid_only", "hybrid_not_secure", "uninsured")
+            rung: sum((tx.value for tx in gamma_set(timeline, t0, t1, rung)), Fraction(0))
+            for rung in ("reorg_window", "reorg_hybrid_window", "reorg_hybrid_secure_rule", "uninsured_load")
         }
         rows.append(
             {
                 "epoch": e,
                 "window": [t0, t1],
-                "sum_all": str(sums["all"]),
-                "sum_hybrid": str(sums["hybrid_only"]),
-                "sum_hybrid_not_secure": str(sums["hybrid_not_secure"]),
-                "sum_uninsured": str(sums["uninsured"]),
+                "sum_all": str(sums["reorg_window"]),
+                "sum_hybrid": str(sums["reorg_hybrid_window"]),
+                "sum_hybrid_not_secure": str(sums["reorg_hybrid_secure_rule"]),
+                "sum_uninsured": str(sums["uninsured_load"]),
                 "coverage": {tr: str(c) for tr, c in sorted(coverage.get(e, {}).items())},
                 "insured_ok": insured_ok[e],
-                "epoch_safe": sums["hybrid_not_secure"] < coc,
-                "uninsured_buffer_ok": sums["uninsured"] < burn_share,
+                "epoch_safe": sums["reorg_hybrid_secure_rule"] < coc,
+                "uninsured_buffer_ok": sums["uninsured_load"] < burn_share,
             }
         )
     return rows

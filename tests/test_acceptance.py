@@ -48,13 +48,6 @@ from oracles import reverted_ids_oracle, window_sup_oracle
 
 ROOT = Path(__file__).parent.parent
 
-_SELECTOR_OF = {
-    PfcKind.REORG_WINDOW: "all",
-    PfcKind.REORG_HYBRID_WINDOW: "hybrid_only",
-    PfcKind.REORG_HYBRID_SECURE_RULE: "hybrid_not_secure",
-    PfcKind.UNINSURED_LOAD: "uninsured",
-}
-
 
 def test_acceptance_1_corruption_cost_table():
     t0 = perf_counter()
@@ -123,9 +116,7 @@ def test_acceptance_3_profit_bound_ladder_matches_brute_force():
         window_values = [b.value for b in ladder[1:]]
         assert all(a >= b for a, b in zip(window_values, window_values[1:]))
         for bound in ladder[1:]:
-            best, _ = window_sup_oracle(
-                timeline.transactions, timeline.horizon, t_rev, _SELECTOR_OF[bound.kind]
-            )
+            best, _ = window_sup_oracle(timeline.transactions, timeline.horizon, t_rev, bound.kind)
             assert bound.value == best
     elapsed = perf_counter() - t0
     assert elapsed < 10.0

@@ -1,4 +1,4 @@
-"""Timeline construction, validation, and the filtered value queries."""
+"""Timeline construction, validation, and the value queries of each window rung."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from stakesim import (
     ChainTimeline,
     EconParams,
     ForkRevealEvent,
-    GammaFilter,
     InvariantViolationError,
+    PfcKind,
     TimingParams,
     TransactionRecord,
     ValidatorState,
@@ -22,8 +22,9 @@ from stakesim import (
     epoch_of,
     gamma_value,
 )
+from stakesim.chain import WINDOW_KINDS
 
-from oracles import gamma_set, passes_filter
+from oracles import gamma_set, rung_counts
 
 
 def tx(id, f, v=1, kind="hybrid", rule="immediate", **kw):
@@ -138,8 +139,8 @@ def test_signer_stake_filled_and_cross_checked():
 
 def test_interval_query_is_half_open():
     tl = build_timeline(horizon=10, transactions=[tx("a", 3, v=1), tx("b", 5, v=2), tx("c", 7, v=4)])
-    assert [t.id for t in gamma_set(tl, 3, 7, GammaFilter.ALL)] == ["a", "b"]
-    assert gamma_value(tl, 3, 7, GammaFilter.ALL) == 3
+    assert [t.id for t in gamma_set(tl, 3, 7, PfcKind.REORG_WINDOW)] == ["a", "b"]
+    assert gamma_value(tl, 3, 7, PfcKind.REORG_WINDOW) == 3
 
 
 def test_empty_interval_rejected():
@@ -158,9 +159,9 @@ def test_interval_with_no_transactions_is_empty():
 
 def test_kind_filter_drops_pure():
     tl = build_timeline(horizon=10, transactions=[tx("p", 4, v=1, kind="pure"), tx("h", 4, v=2)])
-    assert [t.id for t in gamma_set(tl, 4, 5, GammaFilter.HYBRID_ONLY)] == ["h"]
-    assert gamma_value(tl, 4, 5, GammaFilter.HYBRID_ONLY) == 2
-    assert gamma_value(tl, 4, 5, GammaFilter.ALL) == 3
+    assert [t.id for t in gamma_set(tl, 4, 5, PfcKind.REORG_HYBRID_WINDOW)] == ["h"]
+    assert gamma_value(tl, 4, 5, PfcKind.REORG_HYBRID_WINDOW) == 2
+    assert gamma_value(tl, 4, 5, PfcKind.REORG_WINDOW) == 3
 
 
 def test_filters_nest_and_match_reference_predicate():
@@ -171,14 +172,12 @@ def test_filters_nest_and_match_reference_predicate():
         rule = rng.choice(rules)
         t = tx("x", 1, kind=kind, rule=rule)
         tl = build_timeline(horizon=5, transactions=[t])
-        matched = {sel for sel in GammaFilter if gamma_value(tl, 0, 5, sel)}
-        expected = {sel for sel in GammaFilter if passes_filter(t, sel.value)}
+        matched = {rung for rung in WINDOW_KINDS if gamma_value(tl, 0, 5, rung)}
+        expected = {rung for rung in WINDOW_KINDS if rung_counts(t, rung)}
         assert matched == expected
-        assert {sel for sel in GammaFilter if gamma_set(tl, 0, 5, sel)} == expected
-        # nesting: uninsured => not_secure => hybrid_only => all
-        chain = [GammaFilter.UNINSURED, GammaFilter.HYBRID_NOT_SECURE,
-                 GammaFilter.HYBRID_ONLY, GammaFilter.ALL]
-        for tighter, looser in zip(chain, chain[1:]):
+        assert {rung for rung in WINDOW_KINDS if gamma_set(tl, 0, 5, rung)} == expected
+        # nesting: each rung counts a subset of what the rung before it counts
+        for looser, tighter in zip(WINDOW_KINDS, WINDOW_KINDS[1:]):
             if tighter in matched:
                 assert looser in matched
 
@@ -208,10 +207,10 @@ def test_gamma_value_matches_brute_force_sum():
             for t1 in bounds:
                 if t0 >= t1:
                     continue
-                for sel in GammaFilter:
-                    want = sum((t.value for t in gamma_set(tl, t0, t1, sel)), Fraction(0))
-                    got = gamma_value(tl, t0, t1, sel)
-                    assert type(got) is Fraction and got == want, (t0, t1, sel)
+                for rung in WINDOW_KINDS:
+                    want = sum((t.value for t in gamma_set(tl, t0, t1, rung)), Fraction(0))
+                    got = gamma_value(tl, t0, t1, rung)
+                    assert type(got) is Fraction and got == want, (t0, t1, rung)
         # empty windows: between neighbouring transaction ticks, before the
         # first and after the last
         edges = [-4] + ticks + [horizon + 4]
@@ -220,10 +219,10 @@ def test_gamma_value_matches_brute_force_sum():
                 continue
             # the whole gap, its first tick and its last tick
             for t0, t1 in ((a + 1, b), (a + 1, a + 2), (b - 1, b)):
-                for sel in GammaFilter:
-                    assert not gamma_set(tl, t0, t1, sel)
-                    got = gamma_value(tl, t0, t1, sel)
-                    assert type(got) is Fraction and got == 0, (t0, t1, sel)
+                for rung in WINDOW_KINDS:
+                    assert not gamma_set(tl, t0, t1, rung)
+                    got = gamma_value(tl, t0, t1, rung)
+                    assert type(got) is Fraction and got == 0, (t0, t1, rung)
 
 
 def test_gamma_value_sorts_a_timeline_built_without_build_timeline():
@@ -233,20 +232,20 @@ def test_gamma_value_sorts_a_timeline_built_without_build_timeline():
         rng.shuffle(txs)
         tl = ChainTimeline(horizon=30, transactions=tuple(txs))
         for t0 in range(-1, 31, 3):
-            for sel in GammaFilter:
-                want = sum((t.value for t in gamma_set(tl, t0, t0 + 5, sel)), Fraction(0))
-                assert gamma_value(tl, t0, t0 + 5, sel) == want
+            for rung in WINDOW_KINDS:
+                want = sum((t.value for t in gamma_set(tl, t0, t0 + 5, rung)), Fraction(0))
+                assert gamma_value(tl, t0, t0 + 5, rung) == want
 
 
 def test_a_replaced_timeline_gets_its_own_index():
     tl = build_timeline(horizon=20, transactions=[tx("a", 3, v=2), tx("b", 8, v=5)])
-    assert gamma_value(tl, 0, 20, GammaFilter.UNINSURED) == 7
+    assert gamma_value(tl, 0, 20, PfcKind.UNINSURED_LOAD) == 7
     # what a run does at its end: the same transactions under their effective rules
     secured = replace(tl, transactions=tuple(replace(t, rule="secure") for t in tl.transactions))
     assert "_gamma_index" not in vars(secured)
-    assert gamma_value(secured, 0, 20, GammaFilter.UNINSURED) == 0
-    assert gamma_value(secured, 0, 20, GammaFilter.HYBRID_ONLY) == 7
-    assert gamma_value(tl, 0, 20, GammaFilter.UNINSURED) == 7
+    assert gamma_value(secured, 0, 20, PfcKind.UNINSURED_LOAD) == 0
+    assert gamma_value(secured, 0, 20, PfcKind.REORG_HYBRID_WINDOW) == 7
+    assert gamma_value(tl, 0, 20, PfcKind.UNINSURED_LOAD) == 7
 
 
 def test_building_the_index_leaves_identity_alone():

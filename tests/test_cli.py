@@ -397,6 +397,21 @@ def test_analyze_refuses_a_record_its_table_cannot_read(tmp_path, capsys, kind, 
     assert captured.err == f"error: {trace}:{message}\n"
 
 
+def karma_of(record: dict) -> dict:
+    """The karma record, or the embedded report's copy of it."""
+    return record["karma"] if record["kind"] == "report" else record
+
+
+def pay_nothing(record: dict) -> None:
+    """The demo's one settlement paying no claim and burning its whole slash
+    of 64, in the settlement record, or in the report's copy and totals."""
+    if record["kind"] == "report":
+        record["totals"].update(paid="0", burned="64")
+        record = record["settlements"][0]
+    record.update(paid="0", burned="64")
+    record["claims"][0]["paid"] = "0"
+
+
 @pytest.mark.parametrize(
     "kind,tamper,field",
     [
@@ -411,11 +426,15 @@ def test_analyze_refuses_a_record_its_table_cannot_read(tmp_path, capsys, kind, 
         ("report", lambda r: r["karma"]["parties"][0].update(net="0"), "karma.parties[0].net"),
         ("report", lambda r: r["karma"].update(adversary_net="0"), "karma.adversary_net"),
         ("karma", lambda r: r.update(adversary_net="0"), "karma.adversary_net"),
+        # both copies tampered alike: only re-deriving the amounts catches these
+        (("karma", "report"), lambda r: karma_of(r).update(adversary_net="0"), "karma.adversary_net"),
+        (("settlement", "report"), pay_nothing, "karma.parties[0].compensation"),
     ],
 )
 def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
     trace = run_demo(tmp_path, capsys)
-    tamper_first(trace, kind, tamper)
+    for each in (kind,) if isinstance(kind, str) else kind:
+        tamper_first(trace, each, tamper)
     assert main(["analyze", "--trace", str(trace)]) == 3
     assert capsys.readouterr().out == f"{trace}: MISMATCH at {field}\n"
 

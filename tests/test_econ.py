@@ -10,7 +10,6 @@ import pytest
 from stakesim import (
     AttackOutcome,
     EconParams,
-    GammaFilter,
     InsuranceBid,
     InsuranceLedger,
     Mechanism,
@@ -29,12 +28,13 @@ from stakesim import (
     window_sup,
 )
 from stakesim import econ
+from stakesim.chain import WINDOW_KINDS
 from stakesim.econ import strong_safety_flags
 from stakesim.report import _checked_sections
 from stakesim.errors import InvariantViolationError
 
 from oracles import (
-    passes_filter,
+    rung_counts,
     window_totals,
     dominance_oracle,
     insured_ok_oracle,
@@ -140,6 +140,8 @@ def test_window_sup_bounds_only_a_window_kind():
     tl = build_timeline(horizon=10, transactions=[tx("a", 0, 5)])
     with pytest.raises(InvariantViolationError, match="pfc kind 'steal_tvl' bounds no window"):
         window_sup(tl, 2, PfcKind.STEAL_TVL)
+    with pytest.raises(InvariantViolationError, match="pfc kind 'steal_tvl' bounds no window"):
+        gamma_value(tl, 0, 2, PfcKind.STEAL_TVL)
 
 
 def test_window_sup_empty_selection_has_no_witness():
@@ -149,13 +151,12 @@ def test_window_sup_empty_selection_has_no_witness():
 
 
 def check_window_sup_against_oracles(tl, t_rev, kind):
-    sel = econ._KIND_FILTER[kind]
     candidates = sorted({0} | {t.finalized_at for t in tl.transactions})
     got = window_sup(tl, t_rev, kind)
     assert got.kind is kind
-    totals = window_totals(tl.transactions, tl.horizon, t_rev, sel.value)
-    want_v, want_w = window_sup_oracle(tl.transactions, tl.horizon, t_rev, sel.value)
-    quad = window_sup_oracle_quadratic(tl.transactions, tl.horizon, t_rev, sel.value)
+    totals = window_totals(tl.transactions, tl.horizon, t_rev, kind)
+    want_v, want_w = window_sup_oracle(tl.transactions, tl.horizon, t_rev, kind)
+    quad = window_sup_oracle_quadratic(tl.transactions, tl.horizon, t_rev, kind)
     assert (want_v, want_w) == quad
     # the candidate scan must find the true supremum over every
     # integer start, and its witness must be the smallest candidate
@@ -173,7 +174,7 @@ def test_window_sup_matches_oracles(rng):
     for i in range(300):
         tl = random_window_timeline(rng, max_txs=12, horizon=rng.randint(5, 25))
         t_rev = rng.randint(1, 8)
-        for kind in econ._KIND_FILTER:
+        for kind in WINDOW_KINDS:
             check_window_sup_against_oracles(tl, t_rev, kind)
 
 
@@ -184,14 +185,14 @@ def test_window_sums_over_mixed_denominators_match_brute_force_and_oracles(rng):
     for i in range(300):
         tl = random_fraction_window_timeline(rng, max_txs=12, horizon=rng.randint(5, 25))
         t_rev = rng.randint(1, 8)
-        for kind, sel in econ._KIND_FILTER.items():
-            matching = [t for t in tl.transactions if passes_filter(t, sel.value)]
-            _, _, den = tl._gamma_index[sel]
+        for kind in WINDOW_KINDS:
+            matching = [t for t in tl.transactions if rung_counts(t, kind)]
+            _, _, den = tl._gamma_index[kind]
             wider += den > max((t.value.denominator for t in matching), default=1)
             for t0 in range(-1, tl.horizon + 2):
                 want = sum((t.value for t in matching if t0 <= t.finalized_at < t0 + t_rev), Fraction(0))
-                got = gamma_value(tl, t0, t0 + t_rev, sel)
-                assert type(got) is Fraction and got == want, (t0, sel)
+                got = gamma_value(tl, t0, t0 + t_rev, kind)
+                assert type(got) is Fraction and got == want, (t0, kind)
             check_window_sup_against_oracles(tl, t_rev, kind)
     assert wider > 100
 
@@ -200,9 +201,9 @@ def test_window_sup_reads_one_exact_window_value_at_most(monkeypatch):
     calls = []
     real = econ.gamma_value
 
-    def counted(timeline, t0, t1, selector=GammaFilter.ALL):
-        calls.append((t0, t1, selector))
-        return real(timeline, t0, t1, selector)
+    def counted(timeline, t0, t1, kind=PfcKind.REORG_WINDOW):
+        calls.append((t0, t1, kind))
+        return real(timeline, t0, t1, kind)
 
     monkeypatch.setattr(econ, "gamma_value", counted)
     rng = random.Random(16)
@@ -211,10 +212,10 @@ def test_window_sup_reads_one_exact_window_value_at_most(monkeypatch):
         for i in range(600)
     ]
     tl = build_timeline(horizon=2_000, transactions=txs)
-    for kind, sel in econ._KIND_FILTER.items():
+    for kind in WINDOW_KINDS:
         calls.clear()
         w = window_sup(tl, 40, kind).witness_window_start
-        assert w is not None and calls == [(w, w + 40, sel)]
+        assert w is not None and calls == [(w, w + 40, kind)]
     # only pure flow: every hybrid selection is empty, and nothing is read
     pure = build_timeline(horizon=2_000, transactions=[tx(t.id, t.finalized_at, 1, kind="pure") for t in txs])
     calls.clear()
@@ -362,7 +363,7 @@ def test_strong_safety_matches_the_oracle_on_random_cases():
     for _ in range(400):
         tl, tp, econ, coverage, modes = _random_insured_case(rng)
         coc = cost_of_corruption(Mechanism.SLASHING, econ)
-        load, _ = window_sup_oracle(tl.transactions, tl.horizon, tp.t_rev, "uninsured")
+        load, _ = window_sup_oracle(tl.transactions, tl.horizon, tp.t_rev, PfcKind.UNINSURED_LOAD)
 
         expected = strong_safety_oracle(tl.transactions, tp.t_rev, econ.gamma, coc, load, coverage)
         v = safety_verdict(tl, tp, econ, coverage, PfcKind.REORG_HYBRID_SECURE_RULE)

@@ -12,7 +12,7 @@ from pathlib import Path
 import stakesim.report as report
 from stakesim import (
     EconParams,
-    GammaFilter,
+    PfcKind,
     TimingParams,
     TransactionRecord,
     build_timeline,
@@ -122,9 +122,9 @@ def test_report_queries_the_timeline_only_in_busy_epochs(monkeypatch):
     calls = []
     real = report.gamma_value
 
-    def counted(timeline, t0, t1, selector=GammaFilter.ALL):
-        calls.append((t0, t1, selector))
-        return real(timeline, t0, t1, selector)
+    def counted(timeline, t0, t1, kind=PfcKind.REORG_WINDOW):
+        calls.append((t0, t1, kind))
+        return real(timeline, t0, t1, kind)
 
     monkeypatch.setattr(report, "gamma_value", counted)
     trace = _long_demo()
