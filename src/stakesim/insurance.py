@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -563,7 +562,7 @@ class KarmaEntry:
     harm: Fraction = Fraction(0)
     slashed: Fraction = Fraction(0)
 
-    @cached_property
+    @property
     def net(self) -> Fraction:
         return self.premiums_earned - self.premiums_paid + self.compensation - self.harm - self.slashed
 

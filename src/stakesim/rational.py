@@ -8,11 +8,6 @@ uses fixed-point decimals rendered deterministically (no locale).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-
-
-# a trace or report repeats few value strings ("0" above all), so each is parsed once
-_ratio = lru_cache(maxsize=4096)(Fraction)
 
 
 def as_fraction(x) -> Fraction:
@@ -22,6 +17,8 @@ def as_fraction(x) -> Fraction:
     floats, which are read as their shortest decimal literal so that "0.1"
     means 1/10 rather than the binary float.
     """
+    if isinstance(x, str):
+        return _parse(x.strip())
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -30,9 +27,16 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(repr(x))
-    if isinstance(x, str):
-        return _ratio(x.strip())
     raise TypeError(f"cannot interpret {x!r} as an exact value")
+
+
+def _parse(s: str) -> Fraction:
+    """Fraction(s), with the "p" and "p/q" forms `frac_str` writes read by the faster int()."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(s)
 
 
 def frac_str(x: Fraction) -> str:

@@ -349,9 +349,11 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
         if not line:
             continue
         try:
-            rec = _TRACE_JSON.decode(line)
+            rec, end = _TRACE_JSON.raw_decode(line)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid trace JSON: {exc.msg}", path=f"{source}:{n}")
+        if end < len(line):
+            raise ScenarioError("invalid trace JSON: Extra data", path=f"{source}:{n}")
         if not isinstance(rec, dict) or "kind" not in rec or "tick" not in rec:
             raise ScenarioError("trace record needs tick and kind", path=f"{source}:{n}")
         records.append(rec)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.append(str(Path(__file__).parent.parent))  # the benchmark's perfbench.workloads
 
 from stakesim import (
     ChainTimeline,

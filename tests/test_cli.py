@@ -341,7 +341,7 @@ def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys,
     assert "Traceback" not in captured.err
 
 
-# analyze reads tx_finalized and settlement records, and the embedded
+# analyze reads tx_finalized, settlement and karma records, and the embedded
 # report's verdict, through their tables: a key the table does not know, one
 # it needs, a value it cannot read, or fields that make no transaction are
 # bad input; so is an insured epoch other than the one a transaction's tick
@@ -381,6 +381,13 @@ UNREADABLE = [
         "tx_finalized",
         lambda r: r.update(rule_requested="banana"),
         "tx_finalized.rule_requested: malformed value 'banana': unknown rule",
+    ),
+    ("karma", lambda r: r.update(stray=1), "karma: unknown keys ['stray']"),
+    ("karma", lambda r: r["parties"][0].pop("harm"), "karma.parties[0].harm: missing required key"),
+    (
+        "karma",
+        lambda r: r["parties"][0].update(net="x"),
+        "karma.parties[0].net: malformed value 'x': Invalid literal for Fraction: 'x'",
     ),
 ]
 
@@ -757,6 +764,7 @@ def set_without_values(tmp_path, capsys):
     "make_input,message",
     [
         (lambda t, c: write_trace(t, c, "not json\n"), ":1: invalid trace JSON: Expecting value"),
+        (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"} 5\n'), ":1: invalid trace JSON: Extra data"),
         (lambda t, c: write_trace(t, c, '{"tick": 0}\n'), ":1: trace record needs tick and kind"),
         (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"}\n'), ": trace has no run_start record"),
         (header_only, ": trace has no embedded report"),
@@ -774,8 +782,8 @@ def set_without_values(tmp_path, capsys):
         (set_without_values, ": --set needs path=v1,v2,... (got 'econ.gamma')"),
     ],
     ids=[
-        "trace-json", "trace-record", "trace-header", "trace-report", "trace-karma", "trace-float-value",
-        "trace-float-epoch", "grid-object", "grid-axis", "set-axis",
+        "trace-json", "trace-extra", "trace-record", "trace-header", "trace-report", "trace-karma",
+        "trace-float-value", "trace-float-epoch", "grid-object", "grid-axis", "set-axis",
     ],
 )
 def test_each_unreached_input_error_is_one_line(tmp_path, capsys, make_input, message):

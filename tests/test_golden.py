@@ -21,7 +21,6 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
-import importlib.util
 import json
 import random
 import sys
@@ -41,6 +40,7 @@ from stakesim.scenario import FORK_EVENT, LOT, SETTLEMENT, TX_FINALIZED
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
 from oracles import run_every_epoch
+from perfbench import workloads
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -113,16 +113,6 @@ FINGERPRINT_SEEDS = range(200)
 BENCH_SEEDS = range(1, 4)
 
 
-@functools.cache
-def bench_workloads():
-    """The benchmark's workload generator module, read from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass resolves annotations there
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def fingerprint_sets() -> dict[str, tuple[str, range, Callable[[int], dict]]]:
     """Each set of generated runs by its key in the fingerprint file: how a
     moved run is named, its seeds, and its document for a seed."""
@@ -130,7 +120,6 @@ def fingerprint_sets() -> dict[str, tuple[str, range, Callable[[int], dict]]]:
         gamma: (f"gamma {gamma}", FINGERPRINT_SEEDS, lambda seed, g=gamma: attack_scenario_doc(random.Random(seed), g))
         for gamma in FINGERPRINT_GAMMAS
     }
-    workloads = bench_workloads()
     for name in workloads.WORKLOADS:
         sets[name] = (f"workload {name}", BENCH_SEEDS, lambda seed, n=name: workloads.generate(n, seed)[0])
     return sets

@@ -20,6 +20,24 @@ def test_parses_ints_fractions_and_strings():
     assert as_fraction("5") == Fraction(5)
 
 
+def outcome(parse, text: str):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# the "p" and "p/q" forms are read by int(); every string must still read, or
+# fail, as Fraction reads it
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "007", "2/4", "-3/4", " 3/4 ", "1/0", "0/0", "", "-", "/", "5/", "/5", "--5", "+5", "1.5",
+     "1e3", "1_000", "1/2_0", "\u0663", "\u00b2", "3 /4", "-1/-2", "1/-2", "9" * 5000, "-1/" + "9" * 5000],
+)
+def test_a_string_reads_as_fraction_reads_it(text):
+    assert outcome(as_fraction, text) == outcome(Fraction, text.strip())
+
+
 def test_floats_go_through_their_shortest_decimal_repr():
     # 0.1 the float reads as the decimal 1/10, not its binary expansion
     assert as_fraction(0.1) == Fraction(1, 10)
