@@ -13,6 +13,8 @@ Exit codes: 0 ok, 1 bad input, 2 invariant breach during simulation,
 from __future__ import annotations
 
 import argparse
+import copy
+import itertools
 import multiprocessing
 import os
 import sys
@@ -25,7 +27,6 @@ from typing import Any, Iterator
 
 from .chain import PfcKind
 from .engine import run as run_engine
-from .engine import sweep_jobs, sweep_point
 from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
@@ -36,6 +37,7 @@ from .scenario import (
     canonical_json,
     listing,
     load_scenario,
+    parse_scenario,
     read_field,
     read_input,
     scenario_hash,
@@ -107,28 +109,49 @@ def _grid_from_args(args: argparse.Namespace) -> dict[str, list]:
     return grid
 
 
-def _index_row(point: dict, out: Path) -> dict:
-    """A finished sweep point as its sweep.json row, with its report
-    written to `out` and dropped from the point."""
-    report = point.pop("report")
-    if report is not None:
-        name = f"report-{point['point']:04d}.json"
-        (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
-        v = report.doc["verdict"]
-        point.update(
-            report=name,
-            cryptoeconomically_safe=v["cryptoeconomically_safe"],
-            strong_safety=v["strong_safety"],
-        )
-    return point
+def _set_path(doc: Any, path: str, value: Any, source: str) -> None:
+    """Set dotted `path` in a scenario document, creating missing objects."""
+    node, where = doc, source
+    *parents, leaf = path.split(".")
+    for key in parents:
+        if not isinstance(node, dict):
+            break
+        node = node.setdefault(key, {})
+        where = f"{where}.{key}"
+    if not isinstance(node, dict):
+        raise ScenarioError(f"cannot set {path!r} inside a non-object", path=where)
+    node[leaf] = value
 
 
-def _sweep_row(
+def _sweep_point(
     template: dict, keys: list[str], seed: int | None, bound_kind: PfcKind, out: Path, job: tuple[int, tuple]
 ) -> dict:
-    """Run one sweep point and write its report; return only its index
-    row, so a pool worker sends the parent a row and never a report."""
-    return _index_row(sweep_point(template, keys, seed, bound_kind, job), out)
+    """Run grid point `job` = (n, combo), the template with each dotted
+    path in `keys` set to its value in `combo`; write its report to `out`
+    and return its sweep.json row, so a pool worker sends the parent a row
+    and never a report.
+
+    A domain error (StakesimError) becomes the row's `error`, with no
+    report; any other exception is a bug and propagates. The template is
+    copied, never edited, so points can run in any order or process.
+    """
+    n, combo = job
+    overrides = dict(zip(keys, combo))
+    row = {"point": n, "overrides": overrides, "ok": True, "error": None}
+    doc = copy.deepcopy(template)
+    source = f"<sweep point {n}>"
+    try:
+        for path, value in overrides.items():
+            _set_path(doc, path, value, source)
+        report = run_engine(parse_scenario(doc, source=source), seed=seed, bound_kind=bound_kind).report
+    except StakesimError as exc:  # record, keep sweeping
+        row.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+        return row
+    name = f"report-{n:04d}.json"
+    (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
+    v = report.doc["verdict"]
+    row.update(report=name, cryptoeconomically_safe=v["cryptoeconomically_safe"], strong_safety=v["strong_safety"])
+    return row
 
 
 def _usable_cpus() -> int:
@@ -145,10 +168,11 @@ def _usable_cpus() -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = read_input(args.scenario, "scenario")
     grid = _grid_from_args(args)
-    jobs = list(sweep_jobs(grid))
+    # sweep order: keys as given, values in listed order, rightmost fastest
+    jobs = list(enumerate(itertools.product(*grid.values())))
     workers = min(len(jobs), _usable_cpus())
     with _output_dir(args.out) as out:
-        point_row = partial(_sweep_row, doc, list(grid), args.seed, BOUND_ALIASES[args.bound], out)
+        point_row = partial(_sweep_point, doc, list(grid), args.seed, BOUND_ALIASES[args.bound], out)
         if workers <= 1:
             index = list(map(point_row, jobs))
         else:

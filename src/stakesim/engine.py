@@ -22,12 +22,10 @@ labels the run_start record and the report.
 
 from __future__ import annotations
 
-import copy
 import heapq
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from .chain import (
     ChainTimeline,
@@ -49,7 +47,7 @@ from .confirmation import (
     decide_bridge_naive,
     decide_secure,
 )
-from .errors import InvariantBreachError, ScenarioError, StakesimError
+from .errors import InvariantBreachError
 from .insurance import (
     PURCHASE_LEAD_EPOCHS,
     RELEASE_LAG_EPOCHS,
@@ -392,7 +390,6 @@ class _Run:
                     continue
                 self.reverted_executions.append(
                     RevertedExecution(
-                        tx_id=tx.id,
                         transactor=tx.transactor,
                         covering_epoch=epoch_of(tx.finalized_at, self.tp.t_rev),
                         value=tx.value,
@@ -462,77 +459,3 @@ def run(
     """Simulate one scenario to its horizon and report on it."""
     actual_seed = scenario.seed if seed is None else seed
     return _Run(scenario, actual_seed, bound_kind).run()
-
-
-def _set_path(doc: Any, path: str, value: Any, source: str) -> None:
-    """Set dotted `path` in a scenario document, creating missing objects."""
-    node, where = doc, source
-    *parents, leaf = path.split(".")
-    for key in parents:
-        if not isinstance(node, dict):
-            break
-        node = node.setdefault(key, {})
-        where = f"{where}.{key}"
-    if not isinstance(node, dict):
-        raise ScenarioError(f"cannot set {path!r} inside a non-object", path=where)
-    node[leaf] = value
-
-
-def sweep_point(
-    template_doc: dict,
-    keys: list[str],
-    seed: Optional[int],
-    bound_kind: PfcKind,
-    job: tuple[int, tuple],
-) -> dict:
-    """Run grid point `job` = (n, combo): the template with each dotted path
-    in `keys` set to its value in `combo`.
-
-    Returns {"point", "overrides", "ok", "error", "report"}. A domain error
-    (StakesimError) is kept as the point's `error`, with no report; any
-    other exception is a bug and propagates. The template is copied, never
-    edited, so points can run in any order or process.
-    """
-    from .scenario import parse_scenario
-
-    n, combo = job
-    report = error = None
-    overrides = dict(zip(keys, combo))
-    doc = copy.deepcopy(template_doc)
-    source = f"<sweep point {n}>"
-    try:
-        for path, value in overrides.items():
-            _set_path(doc, path, value, source)
-        sc = parse_scenario(doc, source=source)
-        report = run(sc, seed=seed, bound_kind=bound_kind).report
-    except StakesimError as exc:  # record, keep sweeping
-        error = f"{type(exc).__name__}: {exc}"
-    return {"point": n, "overrides": overrides, "ok": error is None, "error": error, "report": report}
-
-
-def sweep_jobs(grid: dict[str, list]) -> Iterator[tuple[int, tuple]]:
-    """The grid's points as (n, combo) in sweep order: keys as given,
-    values in listed order, rightmost fastest."""
-    return enumerate(itertools.product(*grid.values()))
-
-
-def sweep(
-    template_doc: dict,
-    grid: dict[str, list],
-    seed: Optional[int] = None,
-    bound_kind: PfcKind = PfcKind.REORG_HYBRID_SECURE_RULE,
-) -> Iterator[dict]:
-    """Run the template once per grid point, overriding dotted parameters,
-    and yield each point's `sweep_point` result as it finishes.
-
-    Grid keys look like "econ.gamma" or "timing.t_rev"; values are lists.
-    Points run one after another in this process, in `sweep_jobs` order. A
-    point keeps only its report, so a consumer that drops each point before
-    asking for the next holds one report at a time. A point that fails with
-    a domain error is yielded with its error and does not abort the sweep;
-    any other exception is a bug and propagates. The `stakesim sweep` verb
-    makes the same `sweep_point` calls on a pool of worker processes.
-    """
-    keys = list(grid)
-    for job in sweep_jobs(grid):
-        yield sweep_point(template_doc, keys, seed, bound_kind, job)

@@ -444,7 +444,6 @@ class RevertedExecution:
     transaction; the transactor is out the full value. `covering_epoch` is
     the epoch the transaction finalized in, the one its insurance covers."""
 
-    tx_id: str
     transactor: str
     covering_epoch: EpochIndex
     value: Fraction

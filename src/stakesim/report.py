@@ -380,9 +380,10 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     """The report document a trace states: the one `build_report` lays out for
     its run_start labels, transactions, lots, settlements and karma record,
     against the bound kind of its embedded report's verdict. A settlement's
-    paid and burned amounts, a party's compensation and net, and the
-    adversary's net are derived, not read. Bad input is reported in that
-    order, the embedded report before the karma record."""
+    insurance budget, paid and burned amounts, a party's compensation and
+    net, every claimant's karma entry, and the adversary's net are derived,
+    not read. Bad input is reported in that order, the embedded report's
+    verdict and settlements before the karma record."""
     by_kind: dict[str, list[dict]] = {}
     for r in records:
         by_kind.setdefault(r["kind"], []).append(r)
@@ -423,17 +424,24 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
             at = f"{where}.lots[{i}]"
             lots.append(tuple(f.read(lot, at) for f in _COVERED))
 
-    settlements = [
-        _rebuild(SettlementRecord, SETTLEMENT.read(_payload(r), f"{source}:settlement"))
-        for r in by_kind.get("settlement", ())
-    ]
+    settlements = []
+    for r in by_kind.get("settlement", ()):
+        read = SETTLEMENT.read(_payload(r), f"{source}:settlement")
+        settlements.append(_rebuild(SettlementRecord, read, insurance_budget=ep.gamma * read["slashed"]))
 
-    where = f"{source}:report"
-    verdict = read_field(first("report", "embedded report"), "verdict", where)
-    bound_kind = VERDICT.read(verdict, f"{where}.verdict")["bound_kind"]
+    where, report = f"{source}:report", first("report", "embedded report")
+    bound_kind = VERDICT.read(read_field(report, "verdict", where), f"{where}.verdict")["bound_kind"]
+    for i, entry in enumerate(read_field(report, "settlements", where, listing)):
+        SETTLEMENT.read(entry, f"{where}.settlements[{i}]")
     stated = KARMA.read(_payload(first("karma", "karma record")), f"{source}:karma")
-    paid = paid_claims(settlements)
-    entries = [_rebuild(KarmaEntry, e, compensation=paid.get(e["party"], Fraction(0))) for e in stated["entries"]]
+    # every claimant has an entry, whether or not the record lists it
+    paid, listed = paid_claims(settlements), {e["party"]: e for e in stated["entries"]}
+    entries = [
+        _rebuild(KarmaEntry, listed[party], compensation=paid.get(party, Fraction(0)))
+        if party in listed
+        else KarmaEntry(party, compensation=paid[party])
+        for party in sorted(listed.keys() | paid.keys())
+    ]
     karma = _rebuild(KarmaSummary, stated, entries=tuple(entries))
 
     sections = _checked_sections(timeline, tp, ep, coverage_map(lots), settlements)

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import stakesim.cli as cli
-import stakesim.engine as engine
 from stakesim.cli import main
 from stakesim.errors import ScenarioError
+from stakesim.rational import as_fraction
 from stakesim.scenario import canonical_json, load_scenario
 from stakesim.version import __version__
 
@@ -342,7 +342,7 @@ def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys,
 
 
 # analyze reads tx_finalized, settlement and karma records, and the embedded
-# report's verdict, through their tables: a key the table does not know, one
+# report's verdict and settlement entries, through their tables: a key the table does not know, one
 # it needs, a value it cannot read, or fields that make no transaction are
 # bad input; so is an insured epoch other than the one a transaction's tick
 # and requested rule give (the demo's tx1 requested insured_immediate in
@@ -389,6 +389,12 @@ UNREADABLE = [
         lambda r: r["parties"][0].update(net="x"),
         "karma.parties[0].net: malformed value 'x': Invalid literal for Fraction: 'x'",
     ),
+    # 0 == False, so only the table tells a 0 from the flag it stands for
+    (
+        "report",
+        lambda r: r["settlements"][0].update(breach=0),
+        "report.settlements[0].breach: malformed value 0: expected a boolean",
+    ),
 ]
 
 
@@ -407,6 +413,17 @@ def test_analyze_refuses_a_record_its_table_cannot_read(tmp_path, capsys, kind, 
 def karma_of(record: dict) -> dict:
     """The karma record, or the embedded report's copy of it."""
     return record["karma"] if record["kind"] == "report" else record
+
+
+def settlement_of(record: dict) -> dict:
+    """The settlement record, or the embedded report's copy of it."""
+    return record["settlements"][0] if record["kind"] == "report" else record
+
+
+def drop_alice(record: dict) -> None:
+    """The demo's one claimant, alice, left out of a karma section."""
+    parties = karma_of(record)["parties"]
+    parties[:] = [p for p in parties if p["party"] != "alice"]
 
 
 def pay_nothing(record: dict) -> None:
@@ -436,6 +453,12 @@ def pay_nothing(record: dict) -> None:
         # both copies tampered alike: only re-deriving the amounts catches these
         (("karma", "report"), lambda r: karma_of(r).update(adversary_net="0"), "karma.adversary_net"),
         (("settlement", "report"), pay_nothing, "karma.parties[0].compensation"),
+        (
+            ("settlement", "report"),
+            lambda r: settlement_of(r).update(insurance_budget="1000"),
+            "settlements[0].insurance_budget",
+        ),
+        (("karma", "report"), drop_alice, "karma.parties.length"),
     ],
 )
 def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
@@ -504,19 +527,27 @@ def test_analyze_rederives_a_quiet_epochs_row(tmp_path, capsys, epoch, key, valu
 
 def test_sweep_writes_an_index_and_per_point_reports(tmp_path, capsys):
     out = tmp_path / "sweep"
+    gammas = [0, "1/4", "1/2", "3/4", 1]  # as --set reads 0,1/4,1/2,3/4,1
     code = main(
-        ["sweep", "--scenario", DEMO, "--set", "econ.gamma=0,1/2,1", "--out", str(out)]
+        ["sweep", "--scenario", DEMO, "--set", "econ.gamma=0,1/4,1/2,3/4,1", "--out", str(out)]
     )
     assert code == 0
-    assert "swept 3 points (3 ok, 0 failed)" in capsys.readouterr().out
+    assert "swept 5 points (5 ok, 0 failed)" in capsys.readouterr().out
     index = json.loads((out / "sweep.json").read_text())
-    assert [p["ok"] for p in index["points"]] == [True, True, True]
-    assert index["points"][1]["overrides"] == {"econ.gamma": "1/2"}
-    for n, point in enumerate(index["points"]):
-        report = json.loads((out / point["report"]).read_text())
+    assert [p["point"] for p in index["points"]] == [0, 1, 2, 3, 4]
+    assert [p["ok"] for p in index["points"]] == [True] * 5
+    for n, (point, gamma) in enumerate(zip(index["points"], gammas)):
+        assert point["overrides"] == {"econ.gamma": gamma}
         assert point["report"] == f"report-{n:04d}.json"
         assert point["cryptoeconomically_safe"] is True
-        assert report["totals"]["slashed"] == "64"
+        # each point's slash is split exactly between payouts and burn
+        totals = json.loads((out / point["report"]).read_text())["totals"]
+        gamma = as_fraction(gamma)
+        slashed, paid, burned = (as_fraction(totals[k]) for k in ("slashed", "paid", "burned"))
+        assert slashed == 64
+        assert paid + burned == slashed
+        assert paid <= gamma * slashed
+        assert burned >= (1 - gamma) * slashed
 
 
 def test_sweep_grid_file_and_failed_points(tmp_path, capsys):
@@ -529,7 +560,29 @@ def test_sweep_grid_file_and_failed_points(tmp_path, capsys):
     assert "point 1" in stdout and "gamma" in stdout
     index = json.loads((out / "sweep.json").read_text())
     assert [p["ok"] for p in index["points"]] == [True, False]
+    assert "report" not in index["points"][1]
     assert not (out / "report-0001.json").exists()
+    # a grid path through a non-object is a domain error that cites the path
+    grid.write_text(json.dumps({"timing.t_rev.x": [1], "econ.gamma": ["1/2", "1"]}), encoding="utf-8")
+    out = tmp_path / "through-a-number"
+    assert main(["sweep", "--scenario", DEMO, "--grid", str(grid), "--out", str(out)]) == 0
+    assert "swept 2 points (0 ok, 2 failed)" in capsys.readouterr().out
+    rows = json.loads((out / "sweep.json").read_text())["points"]
+    assert [r["ok"] for r in rows] == [False, False]
+    for n, row in enumerate(rows):
+        assert row["error"].startswith(f"ScenarioError: <sweep point {n}>.timing.t_rev: ")
+        assert "report" not in row
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.json"]
+
+
+def test_a_bug_in_a_serial_point_propagates_with_its_type(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not a domain error")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "run_engine", broken)
+    with pytest.raises(RuntimeError, match="a bug, not a domain error"):
+        main(["sweep", "--scenario", DEMO, "--set", "econ.gamma=1/2", "--out", str(tmp_path / "s")])
 
 
 def _sweep_peak(template: str, gammas: list[str], out: Path) -> int:
@@ -621,7 +674,7 @@ def test_a_bug_in_a_pooled_point_propagates_with_its_type(tmp_path, capsys, monk
         raise RuntimeError("a bug, not a domain error")
 
     pools = _pooled(monkeypatch)
-    monkeypatch.setattr(engine, "run", broken)  # forked workers inherit the patch
+    monkeypatch.setattr(cli, "run_engine", broken)  # forked workers inherit the patch
     with pytest.raises(RuntimeError, match="a bug, not a domain error"):
         main(["sweep", "--scenario", DEMO, "--set", GAMMA_AXIS, "--out", str(tmp_path / "s")])
     assert pools == [2]
@@ -636,7 +689,7 @@ def test_a_killed_pool_worker_fails_the_sweep_instead_of_hanging(tmp_path, capsy
         os._exit(9)
 
     pools = _pooled(monkeypatch)
-    monkeypatch.setattr(engine, "run", killed)
+    monkeypatch.setattr(cli, "run_engine", killed)
     with pytest.raises(BrokenProcessPool):
         main(["sweep", "--scenario", DEMO, "--set", GAMMA_AXIS, "--out", str(tmp_path / "s")])
     assert pools == [2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -20,8 +21,9 @@ from stakesim import (
     load_scenario,
     parse_scenario,
 )
-from stakesim import engine
-from stakesim.engine import run, sweep
+from stakesim import cli, engine
+from stakesim.chain import PfcKind
+from stakesim.engine import run
 from stakesim.errors import InvariantBreachError
 from stakesim.report import compare_trace_to_report, parse_trace
 from stakesim.scenario import canonical_json
@@ -492,18 +494,26 @@ def test_oversold_coverage_halts_loudly():
     assert paid + burned == as_fraction(settlement.payload["slashed"]) == 32
 
 
-# -- sweeps ------------------------------------------------------------------------
+# -- sweep points ------------------------------------------------------------------
 
 
-def test_gamma_sweep_preserves_conservation():
+def sweep_rows(template: dict, grid: dict[str, list], out: Path) -> list[dict]:
+    """Each grid point's sweep.json row, run one after another through the
+    sweep verb's per-point function, with its reports written to `out`."""
+    out.mkdir(exist_ok=True)
+    jobs = enumerate(itertools.product(*grid.values()))
+    return [cli._sweep_point(template, list(grid), None, PfcKind.REORG_HYBRID_SECURE_RULE, out, job) for job in jobs]
+
+
+def test_gamma_sweep_preserves_conservation(tmp_path):
     template = json.loads((ROOT / "scenarios" / "double-sign.json").read_text())
-    points = list(sweep(template, {"econ.gamma": ["0", "1/4", "1/2", "3/4", "1"]}))
-    assert [p["point"] for p in points] == [0, 1, 2, 3, 4]
-    assert all(p["ok"] for p in points)
-    for p, gamma_s in zip(points, ["0", "1/4", "1/2", "3/4", "1"]):
-        assert p["overrides"] == {"econ.gamma": gamma_s}
+    rows = sweep_rows(template, {"econ.gamma": ["0", "1/4", "1/2", "3/4", "1"]}, tmp_path)
+    assert [r["point"] for r in rows] == [0, 1, 2, 3, 4]
+    assert all(r["ok"] for r in rows)
+    for r, gamma_s in zip(rows, ["0", "1/4", "1/2", "3/4", "1"]):
+        assert r["overrides"] == {"econ.gamma": gamma_s}
         gamma = as_fraction(gamma_s)
-        totals = p["report"].doc["totals"]
+        totals = json.loads((tmp_path / r["report"]).read_text())["totals"]
         slashed = as_fraction(totals["slashed"])
         paid = as_fraction(totals["paid"])
         burned = as_fraction(totals["burned"])
@@ -513,27 +523,15 @@ def test_gamma_sweep_preserves_conservation():
         assert burned >= (1 - gamma) * slashed
 
 
-def test_sweep_records_failures_without_aborting():
+def test_sweep_records_failures_without_aborting(tmp_path):
     template = json.loads((ROOT / "scenarios" / "double-sign.json").read_text())
-    points = list(sweep(template, {"econ.gamma": ["1/2", "3/2", "1"]}))
-    assert [p["ok"] for p in points] == [True, False, True]
-    assert "gamma" in points[1]["error"]
-    assert points[1]["report"] is None
+    rows = sweep_rows(template, {"econ.gamma": ["1/2", "3/2", "1"]}, tmp_path / "gamma")
+    assert [r["ok"] for r in rows] == [True, False, True]
+    assert "gamma" in rows[1]["error"]
+    assert "report" not in rows[1]
     # a grid path through a non-object is a domain error with its path
-    points = list(sweep(template, {"timing.t_rev.x": [1], "econ.gamma": ["1/2", "1"]}))
-    assert [p["ok"] for p in points] == [False, False]
-    for n, p in enumerate(points):
-        assert p["error"].startswith(f"ScenarioError: <sweep point {n}>.timing.t_rev: ")
-        assert p["report"] is None
-
-
-def test_sweep_lets_program_bugs_propagate(monkeypatch):
-    import stakesim.engine
-
-    def broken_run(*args, **kwargs):
-        raise RuntimeError("bug in run")
-
-    monkeypatch.setattr(stakesim.engine, "run", broken_run)
-    template = json.loads((ROOT / "scenarios" / "double-sign.json").read_text())
-    with pytest.raises(RuntimeError, match="bug in run"):
-        list(sweep(template, {"econ.gamma": ["1/2"]}))
+    rows = sweep_rows(template, {"timing.t_rev.x": [1], "econ.gamma": ["1/2", "1"]}, tmp_path / "path")
+    assert [r["ok"] for r in rows] == [False, False]
+    for n, r in enumerate(rows):
+        assert r["error"].startswith(f"ScenarioError: <sweep point {n}>.timing.t_rev: ")
+        assert "report" not in r

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used, and so is every parameter."""
+"""Source hygiene: every imported name is used, and so is every parameter
+and every dataclass field."""
 
 from __future__ import annotations
 
@@ -141,6 +142,58 @@ def test_unused_private_attributes_are_detected():
 def test_every_private_name_in_the_package_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unused_private_names(sources) == []
+
+
+def _names_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "attr", getattr(target, "id", None)) == "dataclass"
+
+
+def unread_dataclass_fields(sources: dict[str, str]) -> list[str]:
+    """`module.Class.field` for each field of a dataclass in `sources` that
+    no attribute access reads and no string constant but a docstring names,
+    whole or as a part of a dotted path (a field table's key or attribute,
+    an `attrgetter` path)."""
+    fields: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        docstrings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if ast.get_docstring(node, clean=False) is not None:
+                    docstrings.add(node.body[0].value)
+            if isinstance(node, ast.ClassDef) and any(map(_names_dataclass, node.decorator_list)):
+                fields += [
+                    (f"{module}.{node.name}.{n.target.id}", n.target.id)
+                    for n in node.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n not in docstrings:
+                read.update(n.value.split("."))
+    return sorted(label for label, name in fields if name not in read)
+
+
+def test_unread_dataclass_fields_are_detected():
+    sources = {
+        "a": (
+            "import dataclasses\nfrom dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass A:\n    'dropped'\n"
+            "    read: int\n    named: int\n    dropped: int\n    stored: int = 0\n"
+            "@dataclasses.dataclass\nclass B:\n    deep: int\n    gone: int\n"
+            "class C:\n    plain: int\n"
+        ),
+        "b": "def f(a):\n    'stored'\n    a.stored = 1\n    return a.read, 'named', attrgetter('x.deep')\n",
+    }
+    assert unread_dataclass_fields(sources) == ["a.A.dropped", "a.A.stored", "a.B.gone"]
+
+
+def test_every_dataclass_field_in_the_package_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unread_dataclass_fields(sources) == []
 
 
 def test_every_benchmark_trace_target_resolves():

@@ -326,7 +326,7 @@ def _fraction_ops_to_close(n_backers, monkeypatch):
     (released_a, released_b) = release_lots(4, ledger)
     phase = "payout"
     # a slash of a validator that backs nothing pays the claim on epoch 3's lots
-    harmed = [RevertedExecution(tx_id="t", transactor="a", covering_epoch=3, value=Fraction(1), insured=True)]
+    harmed = [RevertedExecution(transactor="a", covering_epoch=3, value=Fraction(1), insured=True)]
     settle_slash(ResolutionOutcome("g", ambiguous, slashed={"x": Fraction(32)}), ledger, harmed=harmed)
     monkeypatch.undo()
     assert released_a.state is released_b.state is LotState.RELEASED
@@ -499,13 +499,12 @@ def test_ledger_matches_the_list_scanning_oracle():
                     continue
                 harmed = [
                     RevertedExecution(
-                        tx_id=f"h{k}",
                         transactor=rng.choice("abc"),
                         covering_epoch=rng.randint(max(0, e - 3), e),
                         value=Fraction(rng.randint(1, 20)),
                         insured=True,
                     )
-                    for k in range(rng.randint(0, 3))
+                    for _ in range(rng.randint(0, 3))
                 ]
                 settle_slash(outcome, ledger, harmed=harmed)
                 oracle.settle(dict(outcome.slashed), [(h.transactor, h.covering_epoch, h.value) for h in harmed])
@@ -612,9 +611,7 @@ def settle_fixture(*, coverages, gamma=Fraction(2, 3), signers=("v1",)):
 
 
 def harmed(tr, value, epoch=2):
-    return RevertedExecution(
-        tx_id=f"h-{tr}", transactor=tr, covering_epoch=epoch, value=Fraction(value), insured=True
-    )
+    return RevertedExecution(transactor=tr, covering_epoch=epoch, value=Fraction(value), insured=True)
 
 
 def test_settlement_single_claim_within_budget():
