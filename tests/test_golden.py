@@ -67,6 +67,10 @@ for _path in sorted((GOLDEN / "scenarios").glob("*.json")):
 
 # one failing point (gamma 3/2) between two good ones
 SWEEP_AXIS = "econ.gamma=1/2,3/2,1"
+# a three-axis grid (econ.gamma x timing.t_rev x econ.tvl, 24 points) over
+# the `sweep_grid` benchmark template, so nested and sibling overrides of
+# one template are pinned byte for byte
+GRID_SWEEP = "sweep_grid"
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -99,12 +103,24 @@ def run_sweep(work: Path) -> dict[str, str]:
     return digests
 
 
+def run_grid_sweep(work: Path) -> dict[str, str]:
+    doc, grid = workloads.generate(GRID_SWEEP, 1)
+    scenario, grid_file, out = work / "grid-scenario.json", work / "grid.json", work / "grid-sweep"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    grid_file.write_text(json.dumps(grid), encoding="utf-8")
+    assert main(["sweep", "--scenario", str(scenario), "--grid", str(grid_file), "--out", str(out)]) == 0
+    digests = _digests(out)
+    assert sorted(digests) == [f"report-{n:04d}.json" for n in range(24)] + ["sweep.json"]
+    return digests
+
+
 def current_hashes(work: Path) -> dict[str, dict[str, str]]:
     hashes = {}
     for name in CASES:
         (work / name).mkdir(parents=True)
         hashes[name] = run_case(name, work / name)
     hashes["sweep"] = run_sweep(work)
+    hashes["sweep-grid"] = run_grid_sweep(work)
     return hashes
 
 
@@ -157,7 +173,7 @@ def golden() -> dict[str, dict[str, str]]:
 
 
 def test_corpus_lists_every_case(golden):
-    assert sorted(golden) == sorted([*CASES, "sweep"])
+    assert sorted(golden) == sorted([*CASES, "sweep", "sweep-grid"])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -168,6 +184,11 @@ def test_run_output_matches_golden(name, golden, tmp_path, capsys):
 
 def test_sweep_output_matches_golden(golden, tmp_path, capsys):
     assert run_sweep(tmp_path) == golden["sweep"]
+    capsys.readouterr()
+
+
+def test_grid_sweep_output_matches_golden(golden, tmp_path, capsys):
+    assert run_grid_sweep(tmp_path) == golden["sweep-grid"]
     capsys.readouterr()
 
 
