@@ -13,7 +13,6 @@ Exit codes: 0 ok, 1 bad input, 2 invariant breach during simulation,
 from __future__ import annotations
 
 import argparse
-import copy
 import itertools
 import multiprocessing
 import os
@@ -40,6 +39,7 @@ from .scenario import (
     parse_scenario,
     read_field,
     read_input,
+    read_object,
     scenario_hash,
     scenario_to_doc,
 )
@@ -109,14 +109,18 @@ def _grid_from_args(args: argparse.Namespace) -> dict[str, list]:
     return grid
 
 
-def _set_path(doc: Any, path: str, value: Any, source: str) -> None:
-    """Set dotted `path` in a scenario document, creating missing objects."""
+def _set_path(doc: dict, path: str, value: Any, source: str) -> None:
+    """Set dotted `path` in `doc`, an object of its own that may share the
+    objects below it: each object on the path is copied (or made, where it
+    is missing) before it is set, so no shared object is edited."""
     node, where = doc, source
     *parents, leaf = path.split(".")
     for key in parents:
         if not isinstance(node, dict):
             break
-        node = node.setdefault(key, {})
+        parent, node = node, node.get(key, {})
+        if isinstance(node, dict):
+            node = parent[key] = dict(node)
         where = f"{where}.{key}"
     if not isinstance(node, dict):
         raise ScenarioError(f"cannot set {path!r} inside a non-object", path=where)
@@ -132,13 +136,16 @@ def _sweep_point(
     and never a report.
 
     A domain error (StakesimError) becomes the row's `error`, with no
-    report; any other exception is a bug and propagates. The template is
-    copied, never edited, so points can run in any order or process.
+    report; any other exception is a bug and propagates. The point's
+    document shares the template's objects but for its top-level object
+    and each object on an overridden path, which are copied; the template
+    is never edited, so points can run in any order or process. Only the
+    report is written, so the run's trace records never build a payload.
     """
     n, combo = job
     overrides = dict(zip(keys, combo))
     row = {"point": n, "overrides": overrides, "ok": True, "error": None}
-    doc = copy.deepcopy(template)
+    doc = dict(template)
     source = f"<sweep point {n}>"
     try:
         for path, value in overrides.items():
@@ -166,7 +173,7 @@ def _usable_cpus() -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    doc = read_input(args.scenario, "scenario")
+    doc = read_object(read_input(args.scenario, "scenario"), args.scenario)
     grid = _grid_from_args(args)
     # sweep order: keys as given, values in listed order, rightmost fastest
     jobs = list(enumerate(itertools.product(*grid.values())))

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .chain import (
     ChainTimeline,
@@ -92,12 +91,59 @@ _EPOCH_START_CUT = canonical_template({"tick": SLOT, "kind": "epoch_start", "epo
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One trace line: its `tick`, its `kind` and, in `keys`, the rest of
+    its keys. `payload` is every key but `tick` and `kind`."""
+
     tick: Tick
     kind: str
-    payload: dict
+    keys: dict
+
+    @property
+    def payload(self) -> dict:
+        return self.keys
 
     def to_line(self) -> str:
         return canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})
+
+
+@dataclass(frozen=True)
+class TableRecord(TraceRecord):
+    """A record whose payload a field table writes: beside its own `keys`
+    it keeps the `value` that `table` writes. With `under` None the keys
+    `table.write(value)` gives join the payload; otherwise `under` holds
+    the list of `table.write` of each object in `value`.
+
+    `payload` is built from them on each access and never kept, so a run
+    whose trace is not written (a sweep point) builds none, and `to_lines`
+    builds each once, briefly. So the fields a table writes must not change
+    after the record is made; a lot changes only its state, which no table
+    writes.
+    """
+
+    table: Any
+    value: Any
+    under: Optional[str] = None
+
+    @property
+    def payload(self) -> dict:
+        if self.under is None:
+            return {**self.keys, **self.table.write(self.value)}
+        return {**self.keys, self.under: list(map(self.table.write, self.value))}
+
+
+class _Beside(NamedTuple):
+    """Two tables whose keys one record writes side by side, each from its
+    own object of a (first, second) pair."""
+
+    first: Any
+    second: Any
+
+    def write(self, pair: tuple) -> dict:
+        return {**self.first.write(pair[0]), **self.second.write(pair[1])}
+
+
+# a bridge `decision` record: the decision, and its naive foil beside it
+_BRIDGE_DECISION = _Beside(DECISION, NAIVE_DECISION)
 
 
 @dataclass(frozen=True)
@@ -175,8 +221,11 @@ class _Run:
 
     # -- plumbing ---------------------------------------------------------
 
-    def rec(self, tick: Tick, kind: str, **payload):
-        self.records.append(TraceRecord(tick=tick, kind=kind, payload=payload))
+    def rec(self, tick: Tick, kind: str, table: Any = None, value: Any = None, /, under: Optional[str] = None, **keys):
+        """Append a record of `keys`, and of `value` as `table` writes it
+        (see `TableRecord`)."""
+        record = TraceRecord(tick, kind, keys) if table is None else TableRecord(tick, kind, keys, table, value, under)
+        self.records.append(record)
 
     def push(self, tick: Tick, phase: int, payload: Any):
         self._seq += 1
@@ -243,7 +292,7 @@ class _Run:
     def on_epoch(self, tick: Tick, e: EpochIndex):
         released = release_lots(e, self.ledger)
         if released:
-            self.rec(tick, "released", epoch=e, lots=list(map(LOT_REF.write, released)))
+            self.rec(tick, "released", LOT_REF, released, under="lots", epoch=e)
 
         self.ledger.activate(e)
 
@@ -268,14 +317,14 @@ class _Run:
             # the epoch the lots cover activates them, and they release two later
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
-            self.rec(tick, "auction", epoch=e, available=frac_str(avail), lots=list(map(LOT.write, lots)))
+            self.rec(tick, "auction", LOT, lots, under="lots", epoch=e, available=frac_str(avail))
 
         if self.sc.attack_over_epoch is not None and e == self.sc.attack_over_epoch:
             if self.secure_mode:
                 self.secure_mode = False
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
             for lot in self.ledger.end_attack(e - RELEASE_LAG_EPOCHS):
-                self.rec(tick, "released", epoch=e, lots=[LOT_REF.write(lot)])
+                self.rec(tick, "released", LOT_REF, [lot], under="lots", epoch=e)
             self.reevaluate_waiting(tick)
 
     def reevaluate_waiting(self, tick: Tick):
@@ -315,7 +364,7 @@ class _Run:
                 if not coverage_check(tx.transactor, e, tentative, self.ledger.u(tx.transactor, e), self.tp.t_rev):
                     effective, reason = ConfirmationRule.SECURE_RULE, "no_coverage"
         self.effective[tx.id] = tx if effective is rule else replace(tx, rule=effective)
-        self.rec(tick, "tx_finalized", rule_requested=rule.value, **TX_FINALIZED.write(self.effective[tx.id]))
+        self.rec(tick, "tx_finalized", TX_FINALIZED, self.effective[tx.id], rule_requested=rule.value)
         if reason is not None:
             self.rec(tick, "rule_fallback", tx=tx.id, from_rule=rule.value, to_rule=effective.value, reason=reason)
 
@@ -330,7 +379,7 @@ class _Run:
             self.push(when, _PH_EXECUTE, tx)
         elif effective is ConfirmationRule.SECURE_RULE:
             decision = decide_secure(tx, self.timeline, self.tp)
-            self.rec(tick, "decision", tx=tx.id, **DECISION.write(decision))
+            self.rec(tick, "decision", DECISION, decision, tx=tx.id)
             if decision.status is DecisionStatus.CONFIRMED:
                 self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
             else:
@@ -344,7 +393,7 @@ class _Run:
             )
             decision = decide_bridge(posted, posts, self.tp)
             naive = decide_bridge_naive(posted, posts, self.tp)
-            self.rec(tick, "decision", tx=tx.id, **DECISION.write(decision), **NAIVE_DECISION.write(naive))
+            self.rec(tick, "decision", _BRIDGE_DECISION, (decision, naive), tx=tx.id)
             if decision.status is DecisionStatus.CONFIRMED:
                 self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
 
@@ -360,7 +409,7 @@ class _Run:
     # -- forks ----------------------------------------------------------------
 
     def on_reveal(self, tick: Tick, ev: ForkRevealEvent):
-        self.rec(tick, "fork_reveal", **FORK_EVENT.write(ev))
+        self.rec(tick, "fork_reveal", FORK_EVENT, ev)
         outcome = resolve(ev, self.tp, self.timeline.validators)
         wins = outcome.reveal_class is RevealClass.AMBIGUOUS_WINDOW and ev.adversary_wins
         self.rec(
@@ -401,11 +450,10 @@ class _Run:
             self.adversary_validators.update(ev.double_signers)
             harmed = [r for r in self.reverted_executions[first_new:] if r.insured]
             settlement = settle_slash(outcome, self.ledger, harmed=harmed)
-            self.rec(tick, "settlement", **SETTLEMENT.write(settlement))
+            self.rec(tick, "settlement", SETTLEMENT, settlement)
             if settlement.invariant_breach:
-                owed = sum((c.capped for c in settlement.claims), Fraction(0))
                 err = InvariantBreachError(
-                    f"INVARIANT-BREACH: settlement of {ev.id!r} owes {frac_str(owed)} "
+                    f"INVARIANT-BREACH: settlement of {ev.id!r} owes {frac_str(settlement.capped_total)} "
                     f"in capped claims against a budget of {frac_str(settlement.insurance_budget)}; "
                     "coverage was oversold or the insured-execution condition was violated"
                 )

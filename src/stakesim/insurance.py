@@ -474,7 +474,14 @@ class SettlementRecord:
     slashed: Fraction
     insurance_budget: Fraction
     claims: tuple[Claim, ...]
-    invariant_breach: bool
+
+    @property
+    def capped_total(self) -> Fraction:
+        return sum((c.capped for c in self.claims), Fraction(0))
+
+    @property
+    def invariant_breach(self) -> bool:
+        return self.capped_total > self.insurance_budget
 
     @property
     def paid_total(self) -> Fraction:
@@ -539,7 +546,6 @@ def settle_slash(
         slashed=slashed,
         insurance_budget=budget,
         claims=claims,
-        invariant_breach=breach,
     )
     ledger.settlements.append(record)
     return record

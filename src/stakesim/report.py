@@ -380,10 +380,10 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     """The report document a trace states: the one `build_report` lays out for
     its run_start labels, transactions, lots, settlements and karma record,
     against the bound kind of its embedded report's verdict. A settlement's
-    insurance budget, paid and burned amounts, a party's compensation and
-    net, every claimant's karma entry, and the adversary's net are derived,
-    not read. Bad input is reported in that order, the embedded report's
-    verdict and settlements before the karma record."""
+    insurance budget, paid and burned amounts and breach flag, a party's
+    compensation and net, every claimant's karma entry, and the adversary's
+    net are derived, not read. Bad input is reported in that order, the
+    embedded report's verdict and settlements before the karma record."""
     by_kind: dict[str, list[dict]] = {}
     for r in records:
         by_kind.setdefault(r["kind"], []).append(r)

@@ -185,6 +185,13 @@ def read_field(doc: Any, key: str, path: str, parse: Callable = _identity, defau
         raise ScenarioError(exc.message, path=f"{path}.{key}{exc.path}") from None
 
 
+def read_object(doc: Any, path: str) -> dict:
+    """`doc`, which must be a JSON object; anything else is a ScenarioError at `path`."""
+    if not isinstance(doc, dict):
+        _fail(path, f"expected an object, got {type(doc).__name__}")
+    return doc
+
+
 def integer(x: Any) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError("expected an integer")
@@ -309,8 +316,7 @@ class _Block:
     def read(self, doc: Any, path: str, allowed: Optional[frozenset[str]] = None) -> dict[str, Any]:
         """{attribute: value} of every field of `doc`, an object with no key
         outside `allowed` (the block's own keys unless given)."""
-        if not isinstance(doc, dict):
-            _fail(path, f"expected an object, got {type(doc).__name__}")
+        read_object(doc, path)
         allowed = allowed or self.keys
         if not doc.keys() <= allowed:
             _fail(path, f"unknown keys {sorted(doc.keys() - allowed)}")

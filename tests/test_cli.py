@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import multiprocessing
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import stakesim.cli as cli
+from stakesim.chain import PfcKind
 from stakesim.cli import main
 from stakesim.errors import ScenarioError
 from stakesim.rational import as_fraction
@@ -459,6 +462,8 @@ def pay_nothing(record: dict) -> None:
             "settlements[0].insurance_budget",
         ),
         (("karma", "report"), drop_alice, "karma.parties.length"),
+        # the demo's capped claims (6) are within its budget (32)
+        (("settlement", "report"), lambda r: settlement_of(r).update(breach=True), "settlements[0].breach"),
     ],
 )
 def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
@@ -573,6 +578,43 @@ def test_sweep_grid_file_and_failed_points(tmp_path, capsys):
         assert row["error"].startswith(f"ScenarioError: <sweep point {n}>.timing.t_rev: ")
         assert "report" not in row
     assert sorted(p.name for p in out.iterdir()) == ["sweep.json"]
+
+
+def test_sweep_refuses_a_template_that_is_not_an_object_as_run_does(tmp_path, capsys):
+    template, out = write_doc(tmp_path, []), tmp_path / "sweep"
+    assert main(["sweep", "--scenario", template, "--set", "econ.gamma=1/2,1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {template}: expected an object, got list\n")
+    assert not out.exists()
+    assert main(["run", "--scenario", template, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == captured.err
+
+
+def _serial_sweep(template: dict, grid: dict, out: Path) -> list[dict]:
+    out.mkdir()
+    jobs = enumerate(itertools.product(*grid.values()))
+    return [cli._sweep_point(template, list(grid), None, PfcKind.REORG_HYBRID_SECURE_RULE, out, job) for job in jobs]
+
+
+def test_a_serial_sweep_leaves_its_template_as_it_was(tmp_path):
+    template = json.loads(Path(DEMO).read_text(encoding="utf-8"))
+    snapshot = copy.deepcopy(template)
+    # sibling and nested paths, two and three levels deep, on points that run
+    grid = {
+        "econ.gamma": ["1/4", "1"],
+        "econ.tvl": [96, 960],
+        "timing.t_rev": [10, 12],
+        "adversary.strategy.tick": [26, 27],
+    }
+    rows = _serial_sweep(template, grid, tmp_path / "ok")
+    assert [row["ok"] for row in rows] == [True] * 16
+    assert template == snapshot
+    # a path made where the template has none, and one through a number
+    rows = _serial_sweep(template, {"extra.block.key": [1], "timing.t_rev.x": [1]}, tmp_path / "failed")
+    assert rows[0]["error"] == (
+        "ScenarioError: <sweep point 0>.timing.t_rev: cannot set 'timing.t_rev.x' inside a non-object"
+    )
+    assert template == snapshot
 
 
 def test_a_bug_in_a_serial_point_propagates_with_its_type(tmp_path, capsys, monkeypatch):

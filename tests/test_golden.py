@@ -19,6 +19,7 @@ every run that moved, so the diff's size is the change's blast radius.
 from __future__ import annotations
 
 import ast
+import copy
 import functools
 import hashlib
 import json
@@ -31,12 +32,20 @@ from typing import Callable
 
 import pytest
 
-from stakesim import parse_scenario
+from stakesim import PfcKind, cli, parse_scenario
 from stakesim.cli import main
-from stakesim.engine import run
+from stakesim.engine import _Run, run
 from stakesim.errors import InvariantBreachError
 from stakesim.report import compare_trace_to_report, parse_trace, render_text
-from stakesim.scenario import FORK_EVENT, LOT, SETTLEMENT, TX_FINALIZED
+from stakesim.scenario import (
+    DECISION,
+    FORK_EVENT,
+    LOT,
+    LOT_REF,
+    NAIVE_DECISION,
+    SETTLEMENT,
+    TX_FINALIZED,
+)
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
 from oracles import run_every_epoch
@@ -299,6 +308,117 @@ def test_each_table_writes_back_what_it_reads_on_the_golden_corpus():
             assert table.write(SimpleNamespace(**fields)) == {k: v for k, v in doc.items() if k not in added}
             seen[kind] += 1
     assert all(seen.values()), seen
+
+
+# -- a record's payload is built only when its line is ------------------------
+
+
+class _LinesAtAppend(list):
+    """A record list that takes each record's line when it is appended."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: list[str] = []
+
+    def append(self, record) -> None:
+        self.lines.append(record.to_line())
+        super().append(record)
+
+    def extend(self, records) -> None:
+        for record in records:
+            self.append(record)
+
+
+class _LineAtAppendRun(_Run):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.records = _LinesAtAppend()
+
+
+def _lines_at_append_and_at_end(sc) -> tuple[list[str], list[str]]:
+    """Each record's line as the engine appended it, and as the finished
+    trace (or a breach's partial trace) writes it."""
+    engine_run = _LineAtAppendRun(sc, sc.seed, PfcKind.REORG_HYBRID_SECURE_RULE)
+    try:
+        records = engine_run.run().records
+    except InvariantBreachError as exc:
+        records = exc.trace_records
+    return engine_run.records.lines, [r.to_line() for r in records]
+
+
+def corpus_docs():
+    """(name, document) of each run case, then of each generated attack
+    document the fingerprints pin."""
+    for name, (make_doc, _, _) in CASES.items():
+        yield name, make_doc()
+    for gamma in FINGERPRINT_GAMMAS:
+        for seed in FINGERPRINT_SEEDS:
+            yield f"gamma {gamma} seed {seed}", attack_scenario_doc(random.Random(seed), gamma)
+
+
+def test_a_records_line_is_the_one_it_had_when_appended():
+    # a record keeps what its table writes, so none of it may change
+    # after the record is made
+    moved = []
+    for name, doc in corpus_docs():
+        at_append, at_end = _lines_at_append_and_at_end(parse_scenario(doc))
+        assert len(at_append) == len(at_end), name
+        if at_append != at_end:
+            moved.append(name)
+    assert moved == []
+
+
+# the tables a trace record's payload is built through, by name, and how
+# many objects each writes into one record's line
+_RECORD_TABLES = {
+    "LOT": (LOT, lambda r: len(r["lots"]) if r["kind"] == "auction" else 0),
+    "LOT_REF": (LOT_REF, lambda r: len(r["lots"]) if r["kind"] == "released" else 0),
+    "TX_FINALIZED": (TX_FINALIZED, lambda r: r["kind"] == "tx_finalized"),
+    "DECISION": (DECISION, lambda r: r["kind"] == "decision"),
+    "NAIVE_DECISION": (NAIVE_DECISION, lambda r: r["kind"] == "decision" and "naive_status" in r),
+    "FORK_EVENT": (FORK_EVENT, lambda r: r["kind"] == "fork_reveal"),
+}
+
+
+@pytest.fixture
+def table_writes(monkeypatch) -> dict[str, int]:
+    """{table name: calls of its `write`} from here on."""
+    calls = dict.fromkeys(_RECORD_TABLES, 0)
+    for name, (table, _) in _RECORD_TABLES.items():
+
+        def counted(obj, name=name, write=table.write):
+            calls[name] += 1
+            return write(obj)
+
+        monkeypatch.setattr(table, "write", counted)
+    return calls
+
+
+def test_a_trace_builds_each_payload_once_and_a_sweep_point_none(table_writes, tmp_path):
+    seen = dict.fromkeys(_RECORD_TABLES, 0)
+    for case, (make_doc, _, _) in CASES.items():
+        doc = make_doc()
+        lines = _lines_or_partial(lambda: run(parse_scenario(doc)))
+        records = [json.loads(line) for line in lines if line != "<breach>"]
+        written = {name: sum(map(count, records)) for name, (_, count) in _RECORD_TABLES.items()}
+        assert table_writes == written, case
+        for name in seen:
+            seen[name] += written[name]
+            table_writes[name] = 0
+        # a sweep point writes only its report, so it builds no payload
+        row = cli._sweep_point(doc, ["seed"], None, PfcKind.REORG_HYBRID_SECURE_RULE, tmp_path, (0, (3,)))
+        assert row["ok"] is (case != "breach"), case
+        assert table_writes == dict.fromkeys(_RECORD_TABLES, 0), case
+    assert all(seen.values()), seen
+
+
+def test_parsing_leaves_every_document_as_it_was():
+    # a sweep point shares its template's objects with the document it parses
+    docs = [*corpus_docs(), *((f"workload {name}", workloads.generate(name, 1)[0]) for name in workloads.WORKLOADS)]
+    for name, doc in docs:
+        snapshot = copy.deepcopy(doc)
+        parse_scenario(doc)
+        assert doc == snapshot, name
 
 
 if __name__ == "__main__":
