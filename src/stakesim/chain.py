@@ -97,15 +97,17 @@ class EconParams:
 
     def __post_init__(self):
         for name in ("stake_per_validator", "reward", "bribe_fail", "bribe_success", "gamma", "tvl"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if self.stake_per_validator <= 0:
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, as_fraction(value))
+        if self.stake_per_validator.numerator <= 0:
             raise InvariantViolationError("stake_per_validator must be > 0")
         if self.n_validators < 1:
             raise InvariantViolationError("n_validators must be >= 1")
-        if not 0 <= self.gamma <= 1:
+        if not 0 <= self.gamma.numerator <= self.gamma.denominator:
             raise InvariantViolationError(f"gamma must lie in [0, 1], got {self.gamma}")
         for name in ("reward", "bribe_fail", "bribe_success", "tvl"):
-            if getattr(self, name) < 0:
+            if getattr(self, name).numerator < 0:
                 raise InvariantViolationError(f"{name} must be >= 0")
 
     @property
@@ -179,10 +181,13 @@ class TransactionRecord:
     insured_epoch: Optional[EpochIndex] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-        object.__setattr__(self, "kind", TxKind(self.kind))
-        object.__setattr__(self, "rule", ConfirmationRule(self.rule))
-        if self.value < 0:
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", as_fraction(self.value))
+        if type(self.kind) is not TxKind:
+            object.__setattr__(self, "kind", TxKind(self.kind))
+        if type(self.rule) is not ConfirmationRule:
+            object.__setattr__(self, "rule", ConfirmationRule(self.rule))
+        if self.value.numerator < 0:
             raise InvariantViolationError(f"transaction {self.id!r}: value must be >= 0")
         if self.finalized_at < 0:
             raise InvariantViolationError(f"transaction {self.id!r}: finalized_at < 0")
@@ -217,11 +222,13 @@ class ValidatorState:
     exit_tick: Optional[Tick] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stake", as_fraction(self.stake))
-        object.__setattr__(self, "earmarked_fraction", as_fraction(self.earmarked_fraction))
-        if self.stake <= 0:
+        if type(self.stake) is not Fraction:
+            object.__setattr__(self, "stake", as_fraction(self.stake))
+        if type(self.earmarked_fraction) is not Fraction:
+            object.__setattr__(self, "earmarked_fraction", as_fraction(self.earmarked_fraction))
+        if self.stake.numerator <= 0:
             raise InvariantViolationError(f"validator {self.id!r}: stake must be > 0")
-        if not 0 <= self.earmarked_fraction <= 1:
+        if not 0 <= self.earmarked_fraction.numerator <= self.earmarked_fraction.denominator:
             raise InvariantViolationError(
                 f"validator {self.id!r}: earmarked_fraction must lie in [0, 1]"
             )
@@ -254,15 +261,17 @@ class ForkRevealEvent:
     bridge_post_delay: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "double_signers", frozenset(self.double_signers))
-        object.__setattr__(self, "double_signer_stake", as_fraction(self.double_signer_stake))
+        if type(self.double_signers) is not frozenset:
+            object.__setattr__(self, "double_signers", frozenset(self.double_signers))
+        if type(self.double_signer_stake) is not Fraction:
+            object.__setattr__(self, "double_signer_stake", as_fraction(self.double_signer_stake))
         if self.diverges_from_block_finalized_at < 0:
             raise InvariantViolationError(f"fork event {self.id!r}: divergence tick < 0")
         if self.revealed_at < self.diverges_from_block_finalized_at:
             raise InvariantViolationError(
                 f"fork event {self.id!r}: revealed_at precedes the divergence tick"
             )
-        if self.double_signer_stake < 0:
+        if self.double_signer_stake.numerator < 0:
             raise InvariantViolationError(f"fork event {self.id!r}: negative signer stake")
 
 

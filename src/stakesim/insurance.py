@@ -20,9 +20,10 @@ out the lots of one epoch, or summing the coverage bought for it, reads only
 that epoch's bucket; the free pool's total is its one running sum. Sales and
 releases move stake pro rata, so each unslashed backer's free earmark is its
 weight share of the free pool: one share map, replaced only when a slash
-removes a backer, backs every lot sold under it. A lot's backing, premium
-and covering epoch are derived from what its auction decided, and the
-coverage bought and the premiums paid and earned are read off the lots.
+removes a backer, backs every lot sold under it, and writes the backing
+strings of each coverage once. A lot's backing, premium and covering epoch
+are derived from what its auction decided, and the coverage bought and the
+premiums paid and earned are read off the lots.
 A share map's lost part, the shares its slashed backers hold, is read off
 the slashed validators, so a release or payout costs the same however many
 backers there are.
@@ -64,13 +65,15 @@ class InsuranceBid:
     premium_rate: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coverage_requested", as_fraction(self.coverage_requested))
-        object.__setattr__(self, "premium_rate", as_fraction(self.premium_rate))
+        if type(self.coverage_requested) is not Fraction:
+            object.__setattr__(self, "coverage_requested", as_fraction(self.coverage_requested))
+        if type(self.premium_rate) is not Fraction:
+            object.__setattr__(self, "premium_rate", as_fraction(self.premium_rate))
         if self.epoch_placed < 0:
             raise InvariantViolationError(f"bid by {self.transactor!r}: epoch_placed < 0")
-        if self.coverage_requested <= 0:
+        if self.coverage_requested.numerator <= 0:
             raise InvariantViolationError(f"bid by {self.transactor!r}: coverage must be > 0")
-        if self.premium_rate < 0:
+        if self.premium_rate.numerator < 0:
             raise InvariantViolationError(f"bid by {self.transactor!r}: premium_rate < 0")
 
 
@@ -92,11 +95,14 @@ _LOT_TRANSITIONS = {
 @dataclass(eq=False)
 class _Backers:
     """One map of the backers' weight shares; `numerators` holds each share,
-    in id order, as an integer over the one `denominator`."""
+    in id order, as an integer over the one `denominator`. `_docs` keeps,
+    by coverage, the backing strings `backing_doc` wrote for it, so the
+    lots of one coverage under one map write them once."""
 
     shares: dict[str, Fraction]
     numerators: tuple[tuple[str, int], ...]
     denominator: int
+    _docs: dict[Fraction, dict[str, str]] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, weights: Mapping[str, Fraction]) -> _Backers:
@@ -116,6 +122,15 @@ class _Backers:
             part = num * n
             g = gcd(part, den)
             yield v, part // g, den // g
+
+    def backing_doc(self, coverage: Fraction) -> dict[str, str]:
+        """`backing(coverage)` as exact value strings, each written from
+        its integers with no `Fraction` built: a new dict on every call,
+        copied from the one kept for `coverage`."""
+        doc = self._docs.get(coverage)
+        if doc is None:
+            doc = self._docs[coverage] = {v: ratio_str(n, d) for v, n, d in self.backing(coverage)}
+        return dict(doc)
 
 
 @dataclass
@@ -139,7 +154,7 @@ class InsuranceLot:
     premium_paid: Fraction = field(init=False)
 
     def __post_init__(self):
-        if self.coverage <= 0:
+        if self.coverage.numerator <= 0:
             raise InvariantViolationError(f"lot {self.id!r}: coverage must be > 0")
         self.premium_paid = self.coverage * self.premium_rate
 
@@ -151,9 +166,9 @@ class InsuranceLot:
 
     @property
     def backing_doc(self) -> dict[str, str]:
-        """`backing` as exact value strings, each written from the integers
-        its share map gives, with no `Fraction` built."""
-        return {v: ratio_str(n, d) for v, n, d in self.backers.backing(self.coverage)}
+        """`backing` as exact value strings, this lot's own copy of those
+        its share map wrote for its coverage."""
+        return self.backers.backing_doc(self.coverage)
 
     @property
     def covering_epoch(self) -> EpochIndex:

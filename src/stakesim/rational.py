@@ -17,6 +17,8 @@ def as_fraction(x) -> Fraction:
     floats, which are read as their shortest decimal literal so that "0.1"
     means 1/10 rather than the binary float.
     """
+    if type(x) is int:  # the commonest input, a JSON integer
+        return Fraction(x)
     if isinstance(x, str):
         return _parse(x.strip())
     if isinstance(x, Fraction):

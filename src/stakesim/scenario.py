@@ -27,7 +27,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Mapping, NamedTuple, Optional
@@ -93,12 +95,15 @@ class AdversaryStrategy:
     mechanism: Mechanism = Mechanism.SLASHING
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", StrategyKind(self.kind))
-        object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
-        object.__setattr__(self, "exited_set", frozenset(self.exited_set))
+        if type(self.kind) is not StrategyKind:
+            object.__setattr__(self, "kind", StrategyKind(self.kind))
+        if type(self.mechanism) is not Mechanism:
+            object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
+        if type(self.exited_set) is not frozenset:
+            object.__setattr__(self, "exited_set", frozenset(self.exited_set))
         for name in ("stake_fraction", "premium_rate", "bribe_fail", "bribe_success"):
             v = getattr(self, name)
-            if v is not None:
+            if v is not None and type(v) is not Fraction:
                 object.__setattr__(self, name, as_fraction(v))
         k = self.kind
         if k in (StrategyKind.DOUBLE_SIGN_AT, StrategyKind.LONG_RANGE_AT, StrategyKind.BRIBERY_PROBE):
@@ -111,7 +116,7 @@ class AdversaryStrategy:
                     f"strategy {k.value}: stake_fraction must lie in (1/3, 1]"
                 )
         if k is StrategyKind.GRIEVING_BUYOUT:
-            if self.premium_rate is None or self.premium_rate < 0:
+            if self.premium_rate is None or self.premium_rate.numerator < 0:
                 raise InvariantViolationError("grieving_buyout: premium_rate must be >= 0")
             if self.attack_epoch < PURCHASE_LEAD_EPOCHS:
                 raise InvariantViolationError(
@@ -142,6 +147,13 @@ class Scenario:
     attack_over_epoch: Optional[EpochIndex]
     seed: int
     schema_version: ClassVar[int] = SCHEMA_VERSION
+
+    @cached_property
+    def _hash(self) -> str:
+        """`scenario_hash` of this scenario, computed on its first call and
+        kept on this object only, outside the fields, so equality and
+        `replace` ignore it (a `replace`d scenario hashes anew)."""
+        return hashlib.sha256(canonical_json(scenario_to_doc(self)).encode()).hexdigest()
 
     def transactors(self) -> frozenset[str]:
         ids = {t.transactor for t in self.timeline.transactions}
@@ -279,13 +291,15 @@ _TEXT = (text, _identity)
 _VALUE = (as_fraction, frac_str)
 _BOOLEAN = (_boolean, _identity)
 _IDS = (_string_set, sorted)
+_ZERO = Fraction(0)  # the default of a value key
 _value_of = attrgetter("value")
 
 
 class _Field(NamedTuple):
     """One key of a block: its JSON `key`, its `codec`, its `default` when
     the key is absent (or `_REQUIRED`), and the attribute it fills, if that
-    is not named `key`."""
+    is not named `key`. A default is the attribute's value as the parser
+    would give it, so that the block's `make` has nothing to coerce."""
 
     key: str
     codec: tuple[Callable[[Any], Any], Callable[[Any], Any]]
@@ -322,7 +336,10 @@ class _Block:
             _fail(path, f"unknown keys {sorted(doc.keys() - allowed)}")
         fields = {}
         for key, attr, parse, default in self._reads:
-            fields[attr] = read_field(doc, key, path, parse, default)
+            if default is _REQUIRED or key in doc:
+                fields[attr] = read_field(doc, key, path, parse, default)
+            else:
+                fields[attr] = default
         return fields
 
     def parse(self, doc: Any, path: str, allowed: Optional[frozenset[str]] = None, **given: Any) -> Any:
@@ -372,17 +389,17 @@ ECON = _Block(
     EconParams,
     _Field("stake_per_validator", _VALUE),
     _Field("n_validators", _INTEGER),
-    _Field("reward", _VALUE, 0),
-    _Field("bribe_fail", _VALUE, 0),
-    _Field("bribe_success", _VALUE, 0),
-    _Field("gamma", _VALUE, 0),
-    _Field("tvl", _VALUE, 0),
+    _Field("reward", _VALUE, _ZERO),
+    _Field("bribe_fail", _VALUE, _ZERO),
+    _Field("bribe_success", _VALUE, _ZERO),
+    _Field("gamma", _VALUE, _ZERO),
+    _Field("tvl", _VALUE, _ZERO),
 )
 _VALIDATOR = _Block(
     ValidatorState,
     _Field("id", _TEXT),
     _Field("stake", _VALUE),
-    _Field("earmarked_fraction", _VALUE, 0),
+    _Field("earmarked_fraction", _VALUE, _ZERO),
     _Field("exit_tick", _OPTIONAL_INTEGER, None),
 )
 # a null or "auto" rule reads as None: the rule of the transactor's policy
@@ -406,7 +423,7 @@ FORK_EVENT = _Block(
     _Field("diverges_from", _INTEGER, attr="diverges_from_block_finalized_at"),
     _Field("revealed_at", _INTEGER),
     _Field("double_signers", _IDS, frozenset()),
-    _Field("double_signer_stake", _VALUE, 0),
+    _Field("double_signer_stake", _VALUE, _ZERO),
 )
 _FORK = _Block(
     ForkRevealEvent,
@@ -777,12 +794,31 @@ def scenario_to_doc(sc: Scenario) -> dict:
     return _DOCUMENT.write(sc)
 
 
-# one encoder for every call: `json.dumps` with non-default arguments builds a new one each time
+# the canonical encoding's settings: `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
+if c_make_encoder is None:
+    canonical_json = _CANONICAL.encode
+else:
+    # `JSONEncoder.encode` makes a new C encoder on every call; this one is
+    # made once, with `_CANONICAL`'s settings. It keeps no circular-reference
+    # markers (canonical documents are trees), so a call that raised leaves
+    # nothing behind for the next.
+    _encode = c_make_encoder(
+        None,
+        _CANONICAL.default,
+        encode_basestring_ascii,
+        None,
+        _CANONICAL.key_separator,
+        _CANONICAL.item_separator,
+        _CANONICAL.sort_keys,
+        _CANONICAL.skipkeys,
+        _CANONICAL.allow_nan,
+    )
 
-def canonical_json(doc: Any) -> str:
-    return _CANONICAL.encode(doc)
+    def canonical_json(doc: Any) -> str:
+        """`doc` as compact JSON with sorted keys and ASCII escapes."""
+        return "".join(_encode(doc, 0))
 
 
 def canonical_object(fields: Mapping[str, str]) -> str:
@@ -806,7 +842,8 @@ def canonical_template(doc: Any) -> list[str]:
 
 
 def scenario_hash(sc: Scenario) -> str:
-    return hashlib.sha256(canonical_json(scenario_to_doc(sc)).encode()).hexdigest()
+    """sha256 of `sc`'s canonical document, worked out once per scenario."""
+    return sc._hash
 
 
 def read_input(path: str, what: str, parse: Callable[[str], Any] = json.loads) -> Any:

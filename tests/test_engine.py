@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -26,7 +28,7 @@ from stakesim.chain import PfcKind
 from stakesim.engine import run
 from stakesim.errors import InvariantBreachError
 from stakesim.report import compare_trace_to_report, parse_trace
-from stakesim.scenario import canonical_json
+from stakesim.scenario import canonical_json, scenario_hash
 
 from conftest import (
     attack_scenario_doc,
@@ -170,6 +172,32 @@ def test_reruns_are_byte_identical(rng):
         b = run(parse_scenario(copy.deepcopy(doc)))
         assert a.to_lines() == b.to_lines()
         assert json.dumps(a.report.doc, sort_keys=True) == json.dumps(b.report.doc, sort_keys=True)
+
+
+def test_a_run_hashes_its_scenario_once(monkeypatch):
+    """The run header and the report both carry the scenario's hash; the
+    scenario keeps it after the first, so its document is written once per
+    scenario, and a `replace`d scenario, whose fields differ, hashes anew."""
+    from stakesim import scenario as scenario_module
+
+    written = []
+    to_doc = scenario_module.scenario_to_doc
+    monkeypatch.setattr(scenario_module, "scenario_to_doc", lambda sc: written.append(sc) or to_doc(sc))
+    doc = quiet_scenario_doc()
+    sc = parse_scenario(doc)
+    trace = run(sc)
+    assert written == [sc]
+    digest = hashlib.sha256(canonical_json(to_doc(sc)).encode()).hexdigest()
+    assert trace.records[0].payload["scenario_hash"] == trace.report.doc["scenario_hash"] == digest
+    run(sc)
+    assert written == [sc]
+    other = dataclasses.replace(sc, seed=sc.seed + 1)
+    assert other != sc
+    run(other)
+    assert written == [sc, other]
+    assert scenario_hash(other) == scenario_hash(parse_scenario({**doc, "seed": sc.seed + 1})) != digest
+    back = dataclasses.replace(other, seed=sc.seed)
+    assert back == sc and scenario_hash(back) == digest
 
 
 # -- grieving buyout -------------------------------------------------------------

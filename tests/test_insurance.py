@@ -163,6 +163,30 @@ def test_backing_from_the_share_integers_is_frac_str_of_coverage_times_share():
     assert all(seen.values()), seen
 
 
+def test_each_lot_gets_its_own_copy_of_the_backing_its_map_wrote_once(monkeypatch):
+    """Lots of one coverage under one share map write their backing strings
+    once, and each lot's `backing_doc` is a dict of its own."""
+    from stakesim import insurance
+
+    written = []
+    ratio_str = insurance.ratio_str
+    monkeypatch.setattr(insurance, "ratio_str", lambda n, d: written.append((n, d)) or ratio_str(n, d))
+    earmark = {"v1": Fraction(1), "v2": Fraction(2), "v3": Fraction(4)}
+    bids = [bid(tr, 0, cov, Fraction(1, 10)) for tr, cov in zip("abAB", (7, 7, 7, 3))]
+    sold = auction_ledger(40, earmark).sell(0, bids)
+    assert len({id(lot.backers) for lot in sold}) == 1
+    docs = {lot.buyer: lot.backing_doc for lot in sold}
+    assert len(written) == 2 * len(earmark)  # coverage 7 and coverage 3, once each
+    shares = sold[0].backers.shares
+    want = {v: frac_str(Fraction(7) * share) for v, share in shares.items()}
+    assert docs["a"] == docs["b"] == docs["A"] == want
+    assert docs["B"] == {v: frac_str(Fraction(3) * share) for v, share in shares.items()}
+    assert len({id(doc) for doc in docs.values()}) == len(docs)
+    docs["a"]["v1"] = "0"
+    assert [lot.backing_doc for lot in sold if lot.coverage == 7] == [want] * 3
+    assert len(written) == 2 * len(earmark)
+
+
 def test_greedy_revenue_is_optimal_on_integral_instances(rng):
     for _ in range(200):
         n = rng.randint(1, 3)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from fractions import Fraction
 
@@ -21,10 +24,14 @@ from stakesim import (
     scenario_to_doc,
 )
 import stakesim.scenario as scenario_module
+from stakesim import chain, insurance
+from stakesim.chain import EconParams, ForkRevealEvent, TransactionRecord, TxKind, ValidatorState
 from stakesim.errors import ScenarioError
+from stakesim.insurance import InsuranceBid
 from stakesim.scenario import canonical_object
 
 from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
+from perfbench import workloads
 
 
 def minimal_doc(**overrides):
@@ -423,6 +430,159 @@ def test_the_writer_writes_exactly_the_keys_the_reader_takes(name, tables, where
     assert set(written) == set().union(*(table.keys for table in tables))
 
 
+# strategy keys whose default stands for "left out": null is no value of
+# theirs, and the strategy kind that needs one rejects None
+LEFT_OUT_ONLY = {"tick", "stake_fraction", "premium_rate", "bribe_fail", "bribe_success"}
+DEFAULTED = [
+    (name, table, where, path, strategy, field)
+    for name, tables, where, path, strategy in BLOCKS
+    for table in tables
+    for field in table.fields
+    if field.default is not scenario_module._REQUIRED
+]
+
+
+def _typed(fields: dict) -> dict:
+    """Each value beside its type, a list taken as a tuple: the document's
+    lists default to `()`."""
+    return {k: (type(v), v) for k, v in ((k, tuple(v) if isinstance(v, list) else v) for k, v in fields.items())}
+
+
+def test_every_defaulted_key_is_a_key_of_a_scenario_block():
+    tables = [t for t in vars(scenario_module).values() if isinstance(t, scenario_module._Block)]
+    tables += scenario_module._STRATEGIES.values()
+    defaulted = {id(f) for t in tables for f in t.fields if f.default is not scenario_module._REQUIRED}
+    assert defaulted == {id(d[5]) for d in DEFAULTED}
+
+
+@pytest.mark.parametrize(
+    "name,table,where,path,strategy,field", DEFAULTED, ids=[f"{d[0]}.{d[5].key}" for d in DEFAULTED]
+)
+def test_a_left_out_key_reads_as_its_written_default(name, table, where, path, strategy, field):
+    """The reader takes an absent key's default as it stands, so it must be
+    exactly what the key reads as when it holds the default as the writer
+    writes it (null for None): the same value, of the same type."""
+    full = block_at(full_doc(STRATEGY_DOCS[strategy]), where)
+    left_out = {k: v for k, v in full.items() if k != field.key}
+    written = None if field.default is None else field.codec[1](field.default)
+    left_out_only = name.startswith("strategy-") and field.key in LEFT_OUT_ONLY
+    try:
+        held = table.read({**full, field.key: written}, path)
+    except ScenarioError:
+        assert field.default is None and left_out_only
+        return
+    assert not left_out_only
+    assert _typed(table.read(left_out, path)) == _typed(held)
+
+
+def _documents() -> list:
+    """Every shipped and golden scenario document, the golden corpus's
+    fixtures and the benchmark workloads' documents."""
+    root = Path(__file__).parent.parent
+    paths = sorted(root.glob("scenarios/*.json")) + sorted(root.glob("tests/golden/scenarios/*.json"))
+    docs = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
+    docs += [quiet_scenario_doc(), attack_scenario_doc(random.Random(99), "1/2"), breach_scenario_doc()]
+    return docs + [workloads.generate(name, 1)[0] for name in workloads.WORKLOADS]
+
+
+def _count_coercions(monkeypatch) -> list:
+    """The values each domain module's `as_fraction` is handed from now on.
+    The readers' own value parser was bound when the tables were made, so
+    these see only what a constructor coerces."""
+    seen = []
+    for module in (chain, insurance, scenario_module):
+        original = module.as_fraction
+
+        def counted(x, original=original):
+            seen.append(x)
+            return original(x)
+
+        monkeypatch.setattr(module, "as_fraction", counted)
+    return seen
+
+
+def test_a_parsed_value_is_coerced_by_its_reader_only(monkeypatch):
+    docs = _documents()
+    seen = _count_coercions(monkeypatch)
+    for doc in docs:
+        sc = parse_scenario(doc)
+        assert sc.timeline.transactions or sc.bids or sc.timeline.fork_events
+    assert seen == []
+
+
+def test_a_direct_caller_still_gets_its_values_coerced(monkeypatch):
+    seen = _count_coercions(monkeypatch)
+    tx = TransactionRecord(id="t", transactor="a", value="5/2", kind="hybrid", finalized_at=0, rule="secure")
+    assert (tx.value, tx.kind, tx.rule) == (Fraction(5, 2), TxKind.HYBRID, ConfirmationRule.SECURE_RULE)
+    assert type(tx.value) is Fraction and type(tx.kind) is TxKind and type(tx.rule) is ConfirmationRule
+    v = ValidatorState(id="v", stake=32, earmarked_fraction="1/2")
+    ep = EconParams(stake_per_validator="32", n_validators=4, gamma="1/2", tvl=7)
+    ev = ForkRevealEvent(
+        id="f", diverges_from_block_finalized_at=0, revealed_at=1, double_signers=["v"], double_signer_stake=32
+    )
+    bid = InsuranceBid(transactor="a", epoch_placed=0, coverage_requested="5/2", premium_rate=0)
+    st = AdversaryStrategy(kind="long_range_at", tick=3, exited_set=["v"], mechanism="slashing")
+    assert (v.stake, v.earmarked_fraction, ep.gamma, ep.tvl, ep.reward) == (32, Fraction(1, 2), Fraction(1, 2), 7, 0)
+    assert type(ep.reward) is Fraction and type(ep.stake_per_validator) is Fraction
+    assert ev.double_signers == frozenset({"v"}) and type(ev.double_signer_stake) is Fraction
+    assert (bid.coverage_requested, bid.premium_rate) == (Fraction(5, 2), 0) and type(bid.premium_rate) is Fraction
+    assert (st.kind, st.mechanism, st.exited_set) == (StrategyKind.LONG_RANGE_AT, Mechanism.SLASHING, frozenset({"v"}))
+    assert len(seen) == 9  # each value given as a string or an int, and none of the class defaults
+
+
+def _error(make, **fields) -> str:
+    with pytest.raises(Exception) as exc:
+        make(**fields)
+    return f"{type(exc.value).__name__}: {exc.value}"
+
+
+def test_a_direct_caller_gets_the_same_errors():
+    tx = dict(id="t", transactor="a", value=1, kind="hybrid", finalized_at=0)
+    fork = dict(id="f", diverges_from_block_finalized_at=0, revealed_at=1)
+    bid = dict(transactor="a", epoch_placed=0, coverage_requested=1, premium_rate=0)
+    assert [
+        _error(TransactionRecord, **{**tx, "value": "-1/2"}),
+        _error(TransactionRecord, **{**tx, "value": True}),
+        _error(TransactionRecord, **{**tx, "value": [1]}),
+        _error(TransactionRecord, **{**tx, "kind": "bogus"}),
+        _error(TransactionRecord, **{**tx, "rule": "bogus"}),
+        _error(ValidatorState, id="v", stake="0"),
+        _error(ValidatorState, id="v", stake=1, earmarked_fraction="3/2"),
+        _error(ValidatorState, id="v", stake=1, earmarked_fraction=-1),
+        _error(EconParams, stake_per_validator=-1, n_validators=1),
+        _error(EconParams, stake_per_validator=1, n_validators=1, gamma="3/2"),
+        _error(EconParams, stake_per_validator=1, n_validators=1, gamma="-1/2"),
+        _error(EconParams, stake_per_validator=1, n_validators=1, tvl="-1"),
+        _error(EconParams, stake_per_validator="x", n_validators=1),
+        _error(ForkRevealEvent, **fork, double_signer_stake="-1"),
+        _error(InsuranceBid, **{**bid, "coverage_requested": "0"}),
+        _error(InsuranceBid, **{**bid, "premium_rate": "-1/10"}),
+        _error(AdversaryStrategy, kind="grieving_buyout", premium_rate="-1"),
+        _error(AdversaryStrategy, kind="bogus"),
+        _error(AdversaryStrategy, kind="none", mechanism="bogus"),
+    ] == [
+        "InvariantViolationError: transaction 't': value must be >= 0",
+        "TypeError: boolean is not a value: True",
+        "TypeError: cannot interpret [1] as an exact value",
+        "ValueError: 'bogus' is not a valid TxKind",
+        "ValueError: 'bogus' is not a valid ConfirmationRule",
+        "InvariantViolationError: validator 'v': stake must be > 0",
+        "InvariantViolationError: validator 'v': earmarked_fraction must lie in [0, 1]",
+        "InvariantViolationError: validator 'v': earmarked_fraction must lie in [0, 1]",
+        "InvariantViolationError: stake_per_validator must be > 0",
+        "InvariantViolationError: gamma must lie in [0, 1], got 3/2",
+        "InvariantViolationError: gamma must lie in [0, 1], got -1/2",
+        "InvariantViolationError: tvl must be >= 0",
+        "ValueError: Invalid literal for Fraction: 'x'",
+        "InvariantViolationError: fork event 'f': negative signer stake",
+        "InvariantViolationError: bid by 'a': coverage must be > 0",
+        "InvariantViolationError: bid by 'a': premium_rate < 0",
+        "InvariantViolationError: grieving_buyout: premium_rate must be >= 0",
+        "ValueError: 'bogus' is not a valid StrategyKind",
+        "ValueError: 'bogus' is not a valid Mechanism",
+    ]
+
+
 def test_an_empty_exited_set_is_the_one_key_left_out():
     doc = full_doc({"kind": "long_range_at", "tick": 30, "target_t0": 0})
     sc = parse_scenario(doc)
@@ -483,17 +643,49 @@ def _random_json_like(rng: random.Random, depth: int = 0):
     return rng.choice(leaves)
 
 
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def test_canonical_json_matches_json_dumps_on_random_documents():
     rng = random.Random(11)
     kinds = set()
-    for _ in range(2000):
+    for i in range(2000):
         doc = _random_json_like(rng)
-        kinds.add(type(doc).__name__)
-        want = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        kinds.add(f"empty {type(doc).__name__}" if doc in ({}, []) else type(doc).__name__)
+        want = _dumps(doc)
         assert canonical_json(doc) == want
         if isinstance(doc, dict):
             assert canonical_object({key: canonical_json(value) for key, value in doc.items()}) == want
-    assert kinds == {"dict", "list", "NoneType", "bool", "int", "str"}
+        if i % 100 == 0:  # a call that raised leaves nothing behind: the same list encodes once mended
+            held = [doc, {"x": Fraction(1, 2)}]
+            with pytest.raises(TypeError):
+                canonical_json(held)
+            held[1].clear()
+            assert canonical_json(held) == _dumps(held)
+    assert kinds >= {"dict", "list", "empty dict", "empty list", "NoneType", "bool", "int", "str"}
+    for top in ("zoë \"q\"\n", 10**40, -1, [], [None, True, {}]):
+        assert canonical_json(top) == _dumps(top)
+
+
+def test_canonical_json_falls_back_to_the_encoder_without_its_c_speedup():
+    """Where `json` has no C encoder, `canonical_json` is the shared
+    `JSONEncoder`'s own `encode`, and writes the same text."""
+    doc = {"é": [None, True, 10**40, "a\"b"], "a": {}}
+    script = (
+        "import json, json.encoder, sys\n"
+        "json.encoder.c_make_encoder = None\n"
+        "from stakesim import scenario\n"
+        "assert scenario.canonical_json == scenario._CANONICAL.encode\n"
+        "sys.stdout.write(scenario.canonical_json(json.loads(sys.stdin.read())))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(doc), capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == canonical_json(doc) == _dumps(doc)
 
 
 def test_canonical_object_joins_encoded_fields():
