@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .chain import PfcKind
-from .engine import run as run_engine
+from .engine import run as run_engine, trace_lines
 from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
@@ -69,7 +69,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         except InvariantBreachError as exc:
             records = getattr(exc, "trace_records", None)
             if records is not None:
-                _write_trace(out / "trace-partial.jsonl", [r.to_line() for r in records])
+                _write_trace(out / "trace-partial.jsonl", trace_lines(records))
             raise
         _write_trace(out / "trace.jsonl", trace.to_lines())
         (out / "report.json").write_text(trace.report.to_json() + "\n", encoding="utf-8")

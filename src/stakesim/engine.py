@@ -7,13 +7,15 @@ off-chain executions and fork reveals. The heap holds only the epochs where
 the engine can act: epoch 0, every epoch with a bid, the attack-over epoch,
 and, pushed by each auction, the epoch its lots cover and the epoch they
 release at; under a grieving buyout, whose buyer bids in every epoch, each
-epoch schedules the next. Every other epoch is quiet. The loop writes each
-epoch's `epoch_start` record, in order, before the first event it pops in
-or after that epoch (or at the end of the run), so the trace holds one per
-epoch, visited or quiet. A slashable reveal settles its slash immediately,
-which holds the lots active at that moment, and flips every transactor to
-the secure rule until the scenario's scripted attack-over epoch, which
-releases the held lots.
+epoch schedules the next. Every other epoch is quiet. Before the first
+event it pops in or after an epoch (or at the end of the run), the loop
+appends one `EpochStartRecord` for the stretch of epochs started since the
+last event, so a quiet stretch is one record in memory however long it is.
+Written out, that record is one `epoch_start` line per epoch, in order, so
+the trace file holds one per epoch, visited or quiet. A slashable reveal
+settles its slash immediately, which holds the lots active at that moment,
+and flips every transactor to the secure rule until the scenario's
+scripted attack-over epoch, which releases the held lots.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
 only ever walks sorted structures and nothing is sampled. The seed only
@@ -105,6 +107,15 @@ class TraceRecord:
     def to_line(self) -> str:
         return canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})
 
+    def lines(self) -> list[str]:
+        """The trace lines this record stands for: its one line."""
+        return [self.to_line()]
+
+
+def trace_lines(records: list[TraceRecord]) -> list[str]:
+    """The lines of a trace, or of a partial trace, of `records`."""
+    return [line for record in records for line in record.lines()]
+
 
 @dataclass(frozen=True)
 class TableRecord(TraceRecord):
@@ -160,12 +171,26 @@ class ReportRecord(TraceRecord):
 
 @dataclass(frozen=True)
 class EpochStartRecord(TraceRecord):
-    """An `epoch_start` record, whose line is its two integers set into
-    one template."""
+    """The `epoch_start` records of a stretch of epochs, held as one: its
+    `tick` and `keys` are those of the first epoch's, and `stop` is the
+    epoch after its last. It writes one line per epoch, each that epoch and
+    its first tick set into one template, so the stretch costs its lines
+    only when the trace is written."""
+
+    stop: EpochIndex
+    t_rev: Tick
+
+    @property
+    def epochs(self) -> range:
+        return range(self.keys["epoch"], self.stop)
 
     def to_line(self) -> str:
+        raise TypeError("a stretch of epoch_start records has one line per epoch; use lines()")
+
+    def lines(self) -> list[str]:
         epoch_at, tick_at, end = _EPOCH_START_CUT
-        return f"{epoch_at}{self.payload['epoch']}{tick_at}{self.tick}{end}"
+        t_rev = self.t_rev
+        return [f"{epoch_at}{e}{tick_at}{e * t_rev}{end}" for e in self.epochs]
 
 
 @dataclass
@@ -181,7 +206,7 @@ class SimTrace:
     reverted: set[str]
 
     def to_lines(self) -> list[str]:
-        return [r.to_line() for r in self.records]
+        return trace_lines(self.records)
 
 
 class _Run:
@@ -239,9 +264,13 @@ class _Run:
             self.push(start, _PH_EPOCH, e)
 
     def write_epoch_starts(self, first: EpochIndex, stop: EpochIndex):
-        """Append the `epoch_start` records of epochs `first` to `stop - 1`."""
-        t_rev = self.tp.t_rev
-        self.records.extend(EpochStartRecord(e * t_rev, "epoch_start", {"epoch": e}) for e in range(first, stop))
+        """Append the `epoch_start` records of epochs `first` to `stop - 1`
+        as one `EpochStartRecord`, whatever the stretch's length; the trace
+        file still gets one line per epoch. An empty stretch appends
+        nothing."""
+        if first < stop:
+            t_rev = self.tp.t_rev
+            self.records.append(EpochStartRecord(first * t_rev, "epoch_start", {"epoch": first}, stop, t_rev))
 
     # -- run --------------------------------------------------------------
 

@@ -161,10 +161,14 @@ def _epoch_rows(
     its safety flags.
 
     Only an epoch that holds a transaction queries the timeline, with one
-    `gamma_value` call per rung. Every other epoch sums to zero for every
-    rung and shares the cells computed once from those zeros, so a quiet
-    epoch costs O(1).
+    `gamma_value` call per rung. An epoch that holds no transaction, has no
+    coverage entry and is not uncovered is quiet: its row is one shared
+    `quiet_row`, whose cells are computed once, copied with its own epoch,
+    `window` list and empty `coverage` dict, so a quiet epoch costs one
+    dict copy. Every row is its own dict and shares no list or dict with
+    another.
     """
+    t_rev = tp.t_rev
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     burn_share = (1 - ep.gamma) * coc
 
@@ -175,25 +179,37 @@ def _epoch_rows(
             "uninsured_buffer_ok": burn_share > sums[PfcKind.UNINSURED_LOAD],
         }
 
-    quiet = cells(dict.fromkeys(WINDOW_KINDS, Fraction(0)))
-    busy = {epoch_of(tx.finalized_at, tp.t_rev) for tx in timeline.transactions}
-    rows = []
-    last = epoch_of(timeline.horizon, tp.t_rev)
-    for e in range(last + 1):
-        t0, t1 = epoch_bounds(e, tp.t_rev)
+    quiet_cells = cells(dict.fromkeys(WINDOW_KINDS, Fraction(0)))
+    busy = {epoch_of(tx.finalized_at, t_rev) for tx in timeline.transactions}
+
+    def row(e: EpochIndex) -> dict:
+        t0, t1 = epoch_bounds(e, t_rev)
         if e in busy:
             row_cells = cells({kind: gamma_value(timeline, t0, t1, kind) for kind in WINDOW_KINDS})
         else:
-            row_cells = quiet
-        rows.append(
-            {
-                "epoch": e,
-                "window": [t0, t1],
-                **row_cells,
-                "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(e, {}).items())},
-                "insured_ok": e not in uncovered,
-            }
-        )
+            row_cells = quiet_cells
+        return {
+            "epoch": e,
+            "window": [t0, t1],
+            **row_cells,
+            "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(e, {}).items())},
+            "insured_ok": e not in uncovered,
+        }
+
+    # the keys in the order `row` lays them out; epoch, window and coverage are set per row
+    quiet_row = {"epoch": None, "window": None, **quiet_cells, "coverage": None, "insured_ok": True}
+    special = busy.union(coverage, uncovered)
+    rows = []
+    for e in range(epoch_of(timeline.horizon, t_rev) + 1):
+        if e in special:
+            rows.append(row(e))
+        else:
+            # a copy and three stores run faster than a dict display with `**quiet_row`
+            fresh = quiet_row.copy()
+            fresh["epoch"] = e
+            fresh["window"] = [e * t_rev, (e + 1) * t_rev]
+            fresh["coverage"] = {}
+            rows.append(fresh)
     return rows
 
 

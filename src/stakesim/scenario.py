@@ -31,7 +31,6 @@ from functools import cached_property
 from itertools import accumulate
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
-from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Mapping, NamedTuple, Optional
 
 from .chain import (
@@ -497,9 +496,33 @@ _POLICY_NAMES = {rule: name for name, rule in _POLICIES.items()}
 _policy = _lookup(_POLICIES, "policy")
 
 
+class _Policies(Mapping):
+    """A parsed scenario's default rule by transactor, read-only: a plain
+    dict behind the `Mapping` accessors, so a `Scenario` pickles. `get`
+    goes straight to the dict, as each transaction's parse asks it."""
+
+    def __init__(self, rules: dict[str, ConfirmationRule]):
+        self._rules = rules
+
+    def __getitem__(self, transactor: str) -> ConfirmationRule:
+        return self._rules[transactor]
+
+    def get(self, transactor: str, default: Any = None) -> Any:
+        return self._rules.get(transactor, default)
+
+    def __iter__(self):
+        return iter(self._rules)
+
+    def __len__(self) -> int:
+        return len(self._rules)
+
+    def __repr__(self) -> str:
+        return repr(self._rules)
+
+
 def _policies(doc: Any) -> Mapping[str, ConfirmationRule]:
     named = {tr: read_field(doc, tr, "", _policy) for tr in _mapping(doc)}
-    return MappingProxyType({"*": ConfirmationRule.SECURE_RULE, **named})
+    return _Policies({"*": ConfirmationRule.SECURE_RULE, **named})
 
 
 def _policies_to_doc(policies: Mapping[str, ConfirmationRule]) -> dict:

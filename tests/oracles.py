@@ -11,8 +11,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from stakesim.econ import PfcKind
+from stakesim.chain import WINDOW_KINDS, epoch_bounds, epoch_of, gamma_value
+from stakesim.econ import Mechanism, PfcKind, cost_of_corruption
 from stakesim.engine import _Run
+from stakesim.rational import frac_str
 
 
 def rung_counts(tx, kind: str) -> bool:
@@ -245,6 +247,33 @@ def epoch_rows_oracle(timeline, t_rev: int, econ, coverage) -> list:
     return rows
 
 
+def epoch_rows_by_row(timeline, tp, ep, coverage, uncovered) -> list:
+    """The report's per-epoch rows as `report._epoch_rows` takes them, but
+    built row by row: every epoch, quiet or not, sums each window rung
+    through `gamma_value` and computes its cells from those sums."""
+    coc = cost_of_corruption(Mechanism.SLASHING, ep)
+    burn_share = (1 - ep.gamma) * coc
+    rows = []
+    for e in range(epoch_of(timeline.horizon, tp.t_rev) + 1):
+        t0, t1 = epoch_bounds(e, tp.t_rev)
+        sums = {kind: gamma_value(timeline, t0, t1, kind) for kind in WINDOW_KINDS}
+        rows.append(
+            {
+                "epoch": e,
+                "window": [t0, t1],
+                "sum_all": frac_str(sums[PfcKind.REORG_WINDOW]),
+                "sum_hybrid": frac_str(sums[PfcKind.REORG_HYBRID_WINDOW]),
+                "sum_hybrid_not_secure": frac_str(sums[PfcKind.REORG_HYBRID_SECURE_RULE]),
+                "sum_uninsured": frac_str(sums[PfcKind.UNINSURED_LOAD]),
+                "epoch_safe": coc > sums[PfcKind.REORG_HYBRID_SECURE_RULE],
+                "uninsured_buffer_ok": burn_share > sums[PfcKind.UNINSURED_LOAD],
+                "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(e, {}).items())},
+                "insured_ok": e not in uncovered,
+            }
+        )
+    return rows
+
+
 def epoch_lines_oracle(doc) -> list:
     """The per-epoch lines of `render_text`, formatted row by row and cell
     by cell, every value converted anew."""
@@ -425,8 +454,8 @@ class LedgerOracle:
 class EveryEpochRun(_Run):
     """The engine visiting every epoch up to the horizon: each epoch
     schedules the next, so no epoch is skipped and every `epoch_start`
-    record is written just before its own epoch handler runs. Its trace
-    must equal the engine's byte for byte."""
+    record is a stretch of one, appended just before its own epoch handler
+    runs. Its trace must equal the engine's byte for byte."""
 
     def on_epoch(self, tick, e):
         super().on_epoch(tick, e)

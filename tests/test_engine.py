@@ -45,6 +45,16 @@ def records_of(trace, kind):
     return [r for r in trace.records if r.kind == kind]
 
 
+def stretch_starts(record):
+    """(tick, epoch) of each `epoch_start` line one record's stretch writes."""
+    return [(e * record.t_rev, e) for e in record.epochs]
+
+
+def epoch_starts(trace):
+    """(tick, epoch) of every `epoch_start` line of a trace, in order."""
+    return [start for r in records_of(trace, "epoch_start") for start in stretch_starts(r)]
+
+
 def by_party(doc):
     return {p["party"]: p for p in doc["karma"]["parties"]}
 
@@ -79,11 +89,19 @@ def test_trace_always_verifies_against_its_own_report():
 
 
 def test_every_line_is_the_canonical_json_of_its_record():
-    # epoch_start and report lines are joined from pre-encoded pieces
+    # epoch_start and report lines are joined from pre-encoded pieces, and
+    # one epoch_start record writes a line for each epoch of its stretch
     trace = run(parse_scenario(quiet_scenario_doc()))
-    assert len(records_of(trace, "epoch_start")) > 1
-    for record, line in zip(trace.records, trace.to_lines(), strict=True):
-        assert line == canonical_json({"tick": record.tick, "kind": record.kind, **record.payload})
+    assert max(len(r.epochs) for r in records_of(trace, "epoch_start")) > 1
+    expected = []
+    for record in trace.records:
+        if record.kind == "epoch_start":
+            expected += [
+                canonical_json({"tick": tick, "kind": "epoch_start", "epoch": e}) for tick, e in stretch_starts(record)
+            ]
+        else:
+            expected.append(canonical_json({"tick": record.tick, "kind": record.kind, **record.payload}))
+    assert trace.to_lines() == expected
 
 
 # -- the shipped double-sign walkthrough ---------------------------------------
@@ -392,8 +410,10 @@ def test_the_loop_visits_only_the_epochs_where_the_engine_can_act(monkeypatch):
     # epoch 0, the bids, each auction's covering and release epochs, the attack's end
     covering = {a.payload["epoch"] + 2 for a in auctions}
     assert visited == sorted({0} | bid_epochs | covering | {c + 2 for c in covering} | {attack_over})
-    starts = records_of(trace, "epoch_start")
-    assert [(r.tick, r.payload["epoch"]) for r in starts] == [(10 * e, e) for e in range(attack_over + 2)]
+    assert epoch_starts(trace) == [(10 * e, e) for e in range(attack_over + 2)]
+    # one record per stretch: each visited epoch ends the stretch it closes
+    # (every event here falls in a visited epoch), and the run's end the last
+    assert [r.stop for r in records_of(trace, "epoch_start")] == [e + 1 for e in visited] + [attack_over + 2]
     visited.clear()
     assert trace.to_lines() == run_every_epoch(sc).to_lines()
     assert len(visited) == attack_over + 2
@@ -414,7 +434,7 @@ def test_an_event_past_the_horizon_writes_no_epoch_past_it():
     sc = parse_scenario(doc)
     trace = run(sc)
     assert records_of(trace, "decision")[0].payload["earliest"] == 70
-    assert [r.payload["epoch"] for r in records_of(trace, "epoch_start")] == list(range(7))
+    assert [e for _, e in epoch_starts(trace)] == list(range(7))
     assert trace.executed == {}
     assert trace.to_lines() == run_every_epoch(sc).to_lines()
 
@@ -424,7 +444,7 @@ def test_a_grieving_buyout_visits_every_epoch(monkeypatch):
     sc = load_scenario(str(ROOT / "scenarios" / "grieving.json"))
     visited = _count_epoch_visits(monkeypatch)
     trace = run(sc)
-    assert visited == [r.payload["epoch"] for r in records_of(trace, "epoch_start")] == list(range(7))
+    assert visited == [e for _, e in epoch_starts(trace)] == list(range(7))
 
 
 def test_signer_exiting_before_the_snapshot_is_not_slashed():

@@ -34,7 +34,7 @@ import pytest
 
 from stakesim import PfcKind, cli, parse_scenario
 from stakesim.cli import main
-from stakesim.engine import _Run, run
+from stakesim.engine import _Run, run, trace_lines
 from stakesim.errors import InvariantBreachError
 from stakesim.report import compare_trace_to_report, parse_trace, render_text
 from stakesim.scenario import (
@@ -234,17 +234,22 @@ def _lines_or_partial(make_run) -> list[str]:
     try:
         return make_run().to_lines()
     except InvariantBreachError as exc:
-        return ["<breach>"] + [r.to_line() for r in exc.trace_records]
+        return ["<breach>"] + trace_lines(exc.trace_records)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", [*sorted(CASES), *(f"smoke/{w}" for w in workloads.WORKLOADS)])
 def test_skipping_quiet_epochs_keeps_every_trace_byte(name):
-    # the engine visits only the epochs where it can act; the reference
-    # visits every one, and both must write the same lines
-    sc = parse_scenario(CASES[name][0]())
+    # the engine visits only the epochs where it can act and holds each
+    # stretch of epoch_start records as one; the reference visits every
+    # epoch, a stretch of one each, and both must write the same lines
+    if name in CASES:
+        doc, breach = CASES[name][0](), CASES[name][1] == 2
+    else:
+        doc, breach = workloads.generate(name.removeprefix("smoke/"), 1, smoke=True)[0], False
+    sc = parse_scenario(doc)
     lines = _lines_or_partial(lambda: run(sc))
     assert lines == _lines_or_partial(lambda: run_every_epoch(sc))
-    assert (lines[0] == "<breach>") == (CASES[name][1] == 2)
+    assert (lines[0] == "<breach>") == breach
 
 
 @functools.cache
@@ -314,19 +319,15 @@ def test_each_table_writes_back_what_it_reads_on_the_golden_corpus():
 
 
 class _LinesAtAppend(list):
-    """A record list that takes each record's line when it is appended."""
+    """A record list that takes each record's lines when it is appended."""
 
     def __init__(self):
         super().__init__()
         self.lines: list[str] = []
 
     def append(self, record) -> None:
-        self.lines.append(record.to_line())
+        self.lines += record.lines()
         super().append(record)
-
-    def extend(self, records) -> None:
-        for record in records:
-            self.append(record)
 
 
 class _LineAtAppendRun(_Run):
@@ -343,7 +344,7 @@ def _lines_at_append_and_at_end(sc) -> tuple[list[str], list[str]]:
         records = engine_run.run().records
     except InvariantBreachError as exc:
         records = exc.trace_records
-    return engine_run.records.lines, [r.to_line() for r in records]
+    return engine_run.records.lines, trace_lines(records)
 
 
 def corpus_docs():

@@ -18,11 +18,13 @@ from stakesim import (
     build_timeline,
     render_text,
 )
+from stakesim.econ import pfc_ladder, strong_safety_flags
 from stakesim.engine import ReportRecord, run
-from stakesim.report import ReportDocument, _checked_sections, first_mismatch
+from stakesim.report import ReportDocument, _checked_sections, _epoch_rows, first_mismatch
 from stakesim.scenario import canonical_json, parse_scenario
 
-from oracles import epoch_lines_oracle, epoch_rows_oracle, first_mismatch_oracle
+from oracles import epoch_lines_oracle, epoch_rows_by_row, epoch_rows_oracle, first_mismatch_oracle
+from perfbench import workloads
 from test_golden import CASES
 
 DEMO = Path(__file__).parent.parent / "scenarios" / "double-sign.json"
@@ -108,6 +110,27 @@ def test_epoch_rows_match_the_per_filter_oracle():
     # the cases reach every flag value and every shape the rows special-case
     assert seen.pop("quiet_buffer_ok") == seen.pop("busy_safe") == seen.pop("insured_ok") == {True, False}
     assert all(seen.values()), seen
+
+
+def test_epoch_rows_match_the_row_by_row_oracle_on_the_corpus():
+    # every golden case and shipped scenario that reaches its report, and
+    # each benchmark workload's smoke document
+    docs = [(name, make_doc()) for name, (make_doc, code, _) in sorted(CASES.items()) if code == 0]
+    docs += [(f"smoke/{w}", workloads.generate(w, 1, smoke=True)[0]) for w in workloads.WORKLOADS]
+    kinds = set()
+    for name, doc in docs:
+        sc = parse_scenario(doc, source=name)
+        trace = run(sc)
+        timeline, tp, ep, coverage = trace.timeline, sc.timing, sc.econ, trace.ledger.coverage()
+        uncovered = strong_safety_flags(timeline, tp, ep, pfc_ladder(timeline, tp, ep), coverage)[2]
+        rows = _epoch_rows(timeline, tp, ep, coverage, uncovered)
+        assert rows == epoch_rows_by_row(timeline, tp, ep, coverage, uncovered) == trace.report.doc["per_epoch"], name
+        # each row owns its window list and its coverage dict
+        assert len({id(row["window"]) for row in rows}) == len({id(row["coverage"]) for row in rows}) == len(rows)
+        busy = {tx.finalized_at // tp.t_rev for tx in timeline.transactions}
+        kinds |= {"busy" if e in busy else "covered" if e in coverage else "quiet" for e in range(len(rows))}
+    # an uncovered epoch is busy; test_epoch_rows_match_the_per_filter_oracle reaches one
+    assert kinds == {"busy", "covered", "quiet"}
 
 
 def _long_demo():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -483,6 +484,17 @@ def _documents() -> list:
     docs = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
     docs += [quiet_scenario_doc(), attack_scenario_doc(random.Random(99), "1/2"), breach_scenario_doc()]
     return docs + [workloads.generate(name, 1)[0] for name in workloads.WORKLOADS]
+
+
+def test_a_parsed_scenario_pickles_to_an_equal_one_with_the_same_hash():
+    for doc in _documents():
+        sc = parse_scenario(doc)
+        # pickled before either is hashed, so the clone hashes anew
+        clone = pickle.loads(pickle.dumps(sc))
+        assert clone == sc
+        assert scenario_hash(clone) == scenario_hash(sc)
+        with pytest.raises(TypeError):
+            clone.policies["mallory"] = ConfirmationRule.IMMEDIATE
 
 
 def _count_coercions(monkeypatch) -> list:
