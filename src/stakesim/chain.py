@@ -161,6 +161,11 @@ class PfcKind(str, Enum):
 WINDOW_KINDS = tuple(PfcKind)[1:]
 
 
+def insured_flow(kind: TxKind, rule: ConfirmationRule) -> bool:
+    """Whether `kind` flow under `rule` is insured immediate hybrid flow."""
+    return kind is TxKind.HYBRID and rule is ConfirmationRule.INSURED_IMMEDIATE
+
+
 @dataclass(frozen=True)
 class TransactionRecord:
     """One finalized transaction as seen by the settlement layer.
@@ -201,10 +206,16 @@ class TransactionRecord:
             raise InvariantViolationError(
                 f"transaction {self.id!r}: offchain_executed_at precedes finalized_at"
             )
-        if self.rule is ConfirmationRule.INSURED_IMMEDIATE and self.insured_epoch is None:
+        if self.insured and self.insured_epoch is None:
             raise InvariantViolationError(
                 f"transaction {self.id!r}: insured_immediate requires insured_epoch"
             )
+
+    @property
+    def insured(self) -> bool:
+        """Whether this is insured immediate hybrid flow, the flow that bought
+        coverage for its epoch."""
+        return insured_flow(self.kind, self.rule)
 
 
 @dataclass(frozen=True)
@@ -398,7 +409,7 @@ def _matches(tx: TransactionRecord, kind: PfcKind) -> bool:
     if kind is PfcKind.REORG_HYBRID_SECURE_RULE:
         return True
     # UNINSURED_LOAD: immediate execution without coverage
-    return tx.rule is not ConfirmationRule.INSURED_IMMEDIATE
+    return not tx.insured
 
 
 def gamma_value(

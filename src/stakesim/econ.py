@@ -30,14 +30,12 @@ from typing import Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
-    ConfirmationRule,
     EconParams,
     EpochIndex,
     PfcKind,
     Tick,
     TimingParams,
     TransactionRecord,
-    TxKind,
     WINDOW_KINDS,
     epoch_of,
     gamma_value,
@@ -174,10 +172,6 @@ class SafetyVerdict:
         return self.coc > self.pfc.value
 
 
-def _is_insured(tx: TransactionRecord) -> bool:
-    return tx.kind is TxKind.HYBRID and tx.rule is ConfirmationRule.INSURED_IMMEDIATE
-
-
 def strong_safety_flags(
     timeline: ChainTimeline,
     tp: TimingParams,
@@ -197,17 +191,16 @@ def strong_safety_flags(
     uninsured = next(b for b in ladder if b.kind is PfcKind.UNINSURED_LOAD)
     buffer_ok = (1 - ep.gamma) * coc > uninsured.value
     groups: dict[tuple[str, EpochIndex], list[TransactionRecord]] = {}
-    for tx in filter(_is_insured, timeline.transactions):
-        groups.setdefault((tx.transactor, epoch_of(tx.finalized_at, tp.t_rev)), []).append(tx)
+    for tx in timeline.transactions:
+        if tx.insured:
+            groups.setdefault((tx.transactor, epoch_of(tx.finalized_at, tp.t_rev)), []).append(tx)
     uncovered = frozenset(
         e
         for (tr, e), txs in groups.items()
         if not coverage_check(tr, e, txs, coverage.get(e, {}).get(tr, Fraction(0)), tp.t_rev)
     )
-    immediate = any(
-        tx.kind is TxKind.HYBRID and tx.rule is ConfirmationRule.IMMEDIATE
-        for tx in timeline.transactions
-    )
+    # the uninsured-load rung counts exactly the plain immediate hybrid flow
+    immediate = bool(timeline._gamma_index[PfcKind.UNINSURED_LOAD][0])
     return buffer_ok and not immediate and not uncovered, buffer_ok, uncovered
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 from .chain import (
     ChainTimeline,
@@ -93,23 +93,34 @@ _EPOCH_START_CUT = canonical_template({"tick": SLOT, "kind": "epoch_start", "epo
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One trace line: its `tick`, its `kind` and, in `keys`, the rest of
-    its keys. `payload` is every key but `tick` and `kind`."""
+    """One trace line: its `tick`, its `kind` and its `payload`, the rest of
+    its keys: its own `keys`, then what each `(table, value, under)` of
+    `writes` writes, in order. With `under` None the keys `table.write(value)`
+    gives join the payload; otherwise `under` holds the list of `table.write`
+    of each object in `value`. `lines()` is the one writer of its lines.
+
+    `payload` is built on each access and never kept, so a run whose trace
+    is not written (a sweep point) builds none, and `to_lines` builds each
+    once, briefly. So the fields a table writes must not change after the
+    record is made; a lot changes only its state, which no table writes.
+    """
 
     tick: Tick
     kind: str
     keys: dict
+    writes: tuple = ()
 
     @property
     def payload(self) -> dict:
-        return self.keys
-
-    def to_line(self) -> str:
-        return canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})
+        payload = self.keys
+        for table, value, under in self.writes:
+            written = table.write(value) if under is None else {under: list(map(table.write, value))}
+            payload = {**payload, **written}
+        return payload
 
     def lines(self) -> list[str]:
         """The trace lines this record stands for: its one line."""
-        return [self.to_line()]
+        return [canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})]
 
 
 def trace_lines(records: list[TraceRecord]) -> list[str]:
@@ -117,59 +128,19 @@ def trace_lines(records: list[TraceRecord]) -> list[str]:
     return [line for record in records for line in record.lines()]
 
 
-@dataclass(frozen=True)
-class TableRecord(TraceRecord):
-    """A record whose payload a field table writes: beside its own `keys`
-    it keeps the `value` that `table` writes. With `under` None the keys
-    `table.write(value)` gives join the payload; otherwise `under` holds
-    the list of `table.write` of each object in `value`.
-
-    `payload` is built from them on each access and never kept, so a run
-    whose trace is not written (a sweep point) builds none, and `to_lines`
-    builds each once, briefly. So the fields a table writes must not change
-    after the record is made; a lot changes only its state, which no table
-    writes.
-    """
-
-    table: Any
-    value: Any
-    under: Optional[str] = None
-
-    @property
-    def payload(self) -> dict:
-        if self.under is None:
-            return {**self.keys, **self.table.write(self.value)}
-        return {**self.keys, self.under: list(map(self.table.write, self.value))}
-
-
-class _Beside(NamedTuple):
-    """Two tables whose keys one record writes side by side, each from its
-    own object of a (first, second) pair."""
-
-    first: Any
-    second: Any
-
-    def write(self, pair: tuple) -> dict:
-        return {**self.first.write(pair[0]), **self.second.write(pair[1])}
-
-
-# a bridge `decision` record: the decision, and its naive foil beside it
-_BRIDGE_DECISION = _Beside(DECISION, NAIVE_DECISION)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReportRecord(TraceRecord):
     """The trace's `report` record: its payload is the report document, and
     its line is joined from the fields the report encoded for report.json."""
 
     report: ReportDocument = field(repr=False, compare=False)
 
-    def to_line(self) -> str:
+    def lines(self) -> list[str]:
         head = {"tick": canonical_json(self.tick), "kind": canonical_json(self.kind)}
-        return canonical_object({**head, **self.report.fields})
+        return [canonical_object({**head, **self.report.fields})]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EpochStartRecord(TraceRecord):
     """The `epoch_start` records of a stretch of epochs, held as one: its
     `tick` and `keys` are those of the first epoch's, and `stop` is the
@@ -183,9 +154,6 @@ class EpochStartRecord(TraceRecord):
     @property
     def epochs(self) -> range:
         return range(self.keys["epoch"], self.stop)
-
-    def to_line(self) -> str:
-        raise TypeError("a stretch of epoch_start records has one line per epoch; use lines()")
 
     def lines(self) -> list[str]:
         epoch_at, tick_at, end = _EPOCH_START_CUT
@@ -246,11 +214,10 @@ class _Run:
 
     # -- plumbing ---------------------------------------------------------
 
-    def rec(self, tick: Tick, kind: str, table: Any = None, value: Any = None, /, under: Optional[str] = None, **keys):
-        """Append a record of `keys`, and of `value` as `table` writes it
-        (see `TableRecord`)."""
-        record = TraceRecord(tick, kind, keys) if table is None else TableRecord(tick, kind, keys, table, value, under)
-        self.records.append(record)
+    def rec(self, tick: Tick, kind: str, *writes: tuple, **keys):
+        """Append a record of `keys` and of `writes`, each a `(table, value,
+        under)` (see `TraceRecord`)."""
+        self.records.append(TraceRecord(tick, kind, keys, writes))
 
     def push(self, tick: Tick, phase: int, payload: Any):
         self._seq += 1
@@ -270,7 +237,9 @@ class _Run:
         nothing."""
         if first < stop:
             t_rev = self.tp.t_rev
-            self.records.append(EpochStartRecord(first * t_rev, "epoch_start", {"epoch": first}, stop, t_rev))
+            self.records.append(
+                EpochStartRecord(first * t_rev, "epoch_start", {"epoch": first}, stop=stop, t_rev=t_rev)
+            )
 
     # -- run --------------------------------------------------------------
 
@@ -321,7 +290,7 @@ class _Run:
     def on_epoch(self, tick: Tick, e: EpochIndex):
         released = release_lots(e, self.ledger)
         if released:
-            self.rec(tick, "released", LOT_REF, released, under="lots", epoch=e)
+            self.rec(tick, "released", (LOT_REF, released, "lots"), epoch=e)
 
         self.ledger.activate(e)
 
@@ -346,14 +315,14 @@ class _Run:
             # the epoch the lots cover activates them, and they release two later
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
-            self.rec(tick, "auction", LOT, lots, under="lots", epoch=e, available=frac_str(avail))
+            self.rec(tick, "auction", (LOT, lots, "lots"), epoch=e, available=frac_str(avail))
 
         if self.sc.attack_over_epoch is not None and e == self.sc.attack_over_epoch:
             if self.secure_mode:
                 self.secure_mode = False
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
             for lot in self.ledger.end_attack(e - RELEASE_LAG_EPOCHS):
-                self.rec(tick, "released", LOT_REF, [lot], under="lots", epoch=e)
+                self.rec(tick, "released", (LOT_REF, [lot], "lots"), epoch=e)
             self.reevaluate_waiting(tick)
 
     def reevaluate_waiting(self, tick: Tick):
@@ -386,14 +355,15 @@ class _Run:
                 ConfirmationRule.INSURED_IMMEDIATE,
             ):
                 effective, reason = ConfirmationRule.SECURE_RULE, "attack_mode"
-            elif rule is ConfirmationRule.INSURED_IMMEDIATE:
-                e = epoch_of(tick, self.tp.t_rev)
-                key = (tx.transactor, e)
-                tentative = self.committed_insured.get(key, []) + [tx]
-                if not coverage_check(tx.transactor, e, tentative, self.ledger.u(tx.transactor, e), self.tp.t_rev):
+            elif tx.insured:
+                key = (tx.transactor, epoch_of(tick, self.tp.t_rev))
+                committed = self.committed_insured.setdefault(key, [])
+                committed.append(tx)
+                if not coverage_check(*key, committed, self.ledger.u(*key), self.tp.t_rev):
+                    committed.pop()
                     effective, reason = ConfirmationRule.SECURE_RULE, "no_coverage"
         self.effective[tx.id] = tx if effective is rule else replace(tx, rule=effective)
-        self.rec(tick, "tx_finalized", TX_FINALIZED, self.effective[tx.id], rule_requested=rule.value)
+        self.rec(tick, "tx_finalized", (TX_FINALIZED, self.effective[tx.id], None), rule_requested=rule.value)
         if reason is not None:
             self.rec(tick, "rule_fallback", tx=tx.id, from_rule=rule.value, to_rule=effective.value, reason=reason)
 
@@ -401,14 +371,11 @@ class _Run:
             return
 
         if effective in (ConfirmationRule.IMMEDIATE, ConfirmationRule.INSURED_IMMEDIATE):
-            if effective is ConfirmationRule.INSURED_IMMEDIATE:
-                key = (tx.transactor, epoch_of(tick, self.tp.t_rev))
-                self.committed_insured.setdefault(key, []).append(tx)
             when = tx.offchain_executed_at if tx.offchain_executed_at is not None else tick
             self.push(when, _PH_EXECUTE, tx)
         elif effective is ConfirmationRule.SECURE_RULE:
             decision = decide_secure(tx, self.timeline, self.tp)
-            self.rec(tick, "decision", DECISION, decision, tx=tx.id)
+            self.rec(tick, "decision", (DECISION, decision, None), tx=tx.id)
             if decision.status is DecisionStatus.CONFIRMED:
                 self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
             else:
@@ -422,7 +389,7 @@ class _Run:
             )
             decision = decide_bridge(posted, posts, self.tp)
             naive = decide_bridge_naive(posted, posts, self.tp)
-            self.rec(tick, "decision", _BRIDGE_DECISION, (decision, naive), tx=tx.id)
+            self.rec(tick, "decision", (DECISION, decision, None), (NAIVE_DECISION, naive, None), tx=tx.id)
             if decision.status is DecisionStatus.CONFIRMED:
                 self.push(decision.earliest_offchain_tick, _PH_EXECUTE, tx)
 
@@ -438,7 +405,7 @@ class _Run:
     # -- forks ----------------------------------------------------------------
 
     def on_reveal(self, tick: Tick, ev: ForkRevealEvent):
-        self.rec(tick, "fork_reveal", FORK_EVENT, ev)
+        self.rec(tick, "fork_reveal", (FORK_EVENT, ev, None))
         outcome = resolve(ev, self.tp, self.timeline.validators)
         wins = outcome.reveal_class is RevealClass.AMBIGUOUS_WINDOW and ev.adversary_wins
         self.rec(
@@ -471,7 +438,7 @@ class _Run:
                         transactor=tx.transactor,
                         covering_epoch=epoch_of(tx.finalized_at, self.tp.t_rev),
                         value=tx.value,
-                        insured=self.effective[tx.id].rule is ConfirmationRule.INSURED_IMMEDIATE,
+                        insured=self.effective[tx.id].insured,
                     )
                 )
 
@@ -479,7 +446,7 @@ class _Run:
             self.adversary_validators.update(ev.double_signers)
             harmed = [r for r in self.reverted_executions[first_new:] if r.insured]
             settlement = settle_slash(outcome, self.ledger, harmed=harmed)
-            self.rec(tick, "settlement", SETTLEMENT, settlement)
+            self.rec(tick, "settlement", (SETTLEMENT, settlement, None))
             if settlement.invariant_breach:
                 err = InvariantBreachError(
                     f"INVARIANT-BREACH: settlement of {ev.id!r} owes {frac_str(settlement.capped_total)} "
@@ -517,7 +484,7 @@ class _Run:
             seed=self.seed,
         )
         self.rec(horizon, "karma", **report.doc["karma"])
-        self.records.append(ReportRecord(horizon, "report", report.doc, report))
+        self.records.append(ReportRecord(horizon, "report", report.doc, report=report))
         return SimTrace(
             records=self.records,
             report=report,

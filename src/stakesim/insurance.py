@@ -38,11 +38,9 @@ from math import gcd, lcm
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .chain import (
-    ConfirmationRule,
     EconParams,
     EpochIndex,
     TransactionRecord,
-    TxKind,
     ValidatorState,
     epoch_of,
 )
@@ -446,7 +444,7 @@ def coverage_check(
     for tx in executed:
         if tx.transactor != transactor:
             raise InvariantViolationError(f"transaction {tx.id!r} belongs to {tx.transactor!r}")
-        if tx.kind is not TxKind.HYBRID or tx.rule is not ConfirmationRule.INSURED_IMMEDIATE:
+        if not tx.insured:
             raise InvariantViolationError(f"transaction {tx.id!r} is not insured hybrid flow")
         if epoch_of(tx.finalized_at, t_rev) != epoch:
             raise InvariantViolationError(f"transaction {tx.id!r} finalized outside epoch {epoch}")

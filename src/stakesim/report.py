@@ -19,12 +19,10 @@ from typing import AbstractSet, Any, Mapping, Optional, Sequence
 
 from .chain import (
     ChainTimeline,
-    ConfirmationRule,
     EconParams,
     EpochIndex,
     PfcKind,
     TimingParams,
-    TxKind,
     WINDOW_KINDS,
     epoch_bounds,
     epoch_of,
@@ -53,6 +51,7 @@ from .scenario import (
     canonical_object,
     canonical_template,
     confirmation_rule,
+    insured_epoch,
     integer,
     listing,
     parse_run_header,
@@ -421,15 +420,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
         tx = TX_FINALIZED.parse(r, where, allowed, finalized_at=tick)
         requested = read_field(r, "rule_requested", where, confirmation_rule)
         # fallen-back flow keeps the epoch its requested rule insured
-        insured = tx.kind is TxKind.HYBRID and requested is ConfirmationRule.INSURED_IMMEDIATE
-        expected = epoch_of(tick, tp.t_rev) if insured else None
-        if tx.insured_epoch != expected:
-            raise ScenarioError(
-                f"{tx.insured_epoch} disagrees with finalization epoch {expected}"
-                if insured
-                else "only insured_immediate hybrid flow has an insured epoch",
-                path=f"{where}.insured_epoch",
-            )
+        insured_epoch(tx.kind, requested, tick, tx.insured_epoch, tp.t_rev, where, required=True)
         txs.append(tx)
     timeline = ChainTimeline(horizon, tuple(sorted(txs, key=lambda t: (t.finalized_at, t.id))))
 

@@ -48,6 +48,7 @@ from .chain import (
     build_timeline,
     epoch_bounds,
     epoch_of,
+    insured_flow,
 )
 from .confirmation import ConfirmationDecision, DecisionStatus
 from .econ import Mechanism, PfcBound, bribe_is_dominant
@@ -726,15 +727,35 @@ def _parse_transaction(
     fields = _TRANSACTION.read(item, path)
     if fields["rule"] is None:
         fields["rule"] = policies.get(fields["transactor"], policies["*"])
-    if fields["kind"] is TxKind.HYBRID and fields["rule"] is ConfirmationRule.INSURED_IMMEDIATE:
-        expected, insured = epoch_of(fields["finalized_at"], timing.t_rev), fields["insured_epoch"]
-        if insured is None:
-            fields["insured_epoch"] = expected
-        elif insured != expected:
-            _fail(f"{path}.insured_epoch", f"{insured} disagrees with finalization epoch {expected}")
-    elif fields["insured_epoch"] is not None:
-        _fail(f"{path}.insured_epoch", "only insured_immediate hybrid flow has an insured epoch")
+    fields["insured_epoch"] = insured_epoch(
+        fields["kind"], fields["rule"], fields["finalized_at"], fields["insured_epoch"], timing.t_rev, path
+    )
     return _build(path, _TRANSACTION.make, **fields)
+
+
+def insured_epoch(
+    kind: TxKind,
+    rule: ConfirmationRule,
+    finalized_at: Tick,
+    given: Optional[EpochIndex],
+    t_rev: int,
+    path: str,
+    *,
+    required: bool = False,
+) -> Optional[EpochIndex]:
+    """The insured epoch of `kind` flow under `rule` finalized at
+    `finalized_at`: its finalization epoch if it is insured flow, else None.
+    A `given` epoch must be that one; a missing one stands for it unless
+    `required`. Bad input is a ScenarioError at `path`'s `insured_epoch`."""
+    expected = epoch_of(finalized_at, t_rev) if insured_flow(kind, rule) else None
+    if given != expected and (given is not None or required):
+        _fail(
+            f"{path}.insured_epoch",
+            "only insured_immediate hybrid flow has an insured epoch"
+            if expected is None
+            else f"{given} disagrees with finalization epoch {expected}",
+        )
+    return expected
 
 
 def _parse_fork_event(item, timing: TimingParams, path: str) -> ForkRevealEvent:

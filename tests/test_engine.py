@@ -289,6 +289,28 @@ def test_bribery_probe_attacks_only_when_defection_dominates():
     assert cold.ledger.settlements == [] and cold.reverted == set()
 
 
+def test_a_transaction_that_falls_back_for_want_of_coverage_takes_none_of_it():
+    """An epoch's coverage counts the insured flow committed before each
+    check: a transaction that failed its check is not counted against the
+    ones after it, and one that passed is."""
+    doc = {
+        "schema_version": 1,
+        "horizon": 40,
+        "timing": {"t_fin": 2, "t_rev": 10, "t_ws": 100},
+        "econ": {"stake_per_validator": 32, "n_validators": 4, "gamma": "1/2"},
+        "policies": {"alice": "insured_fast_ux"},
+        "insurance_bids": [{"transactor": "alice", "epoch_placed": 0, "coverage": 10, "premium_rate": "1/50"}],
+        "transactions": [
+            {"id": tx, "transactor": "alice", "value": value, "kind": "hybrid", "finalized_at": tick}
+            for tx, value, tick in (("big", 12, 21), ("small", 5, 23), ("over", 6, 25), ("fits", 4, 27))
+        ],
+    }
+    trace = run(parse_scenario(doc))
+    fallbacks = {r.payload["tx"]: r.payload["reason"] for r in records_of(trace, "rule_fallback")}
+    assert fallbacks == {"big": "no_coverage", "over": "no_coverage"}
+    assert {t.id for t in trace.timeline.transactions if t.insured} == {"small", "fits"}
+
+
 # -- attack-mode fallback and re-evaluation ---------------------------------------
 
 

@@ -1,5 +1,5 @@
-"""Source hygiene: every imported name is used, and so is every parameter
-and every dataclass field."""
+"""Source hygiene: the package imports only the standard library, every
+imported name is used, and so is every parameter and every dataclass field."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import importlib.util
 import operator
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,31 @@ MODULES = sorted(
     [p for p in (ROOT / "src" / "stakesim").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")),
 )
+
+
+def third_party_imports(source: str) -> list[str]:
+    """Top-level modules a module imports by absolute name that are not in
+    the standard library."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            named.add(node.module.split(".")[0])
+    return sorted(named - sys.stdlib_module_names)
+
+
+def test_third_party_imports_are_detected():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy as np\nfrom yaml.loader import Loader\n"
+        "from . import chain\nfrom .errors import ScenarioError\ndef f():\n    import scipy\n"
+    )
+    assert third_party_imports(source) == ["numpy", "scipy", "yaml"]
+
+
+def test_the_package_imports_only_the_standard_library():
+    found = {p.name: third_party_imports(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: modules for name, modules in found.items() if modules} == {}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -206,8 +206,8 @@ def _check_outputs(rd: ReportDocument, tick: int = 7) -> None:
     doc = rd.doc
     want = canonical_json(doc)
     assert rd.to_json() == want
-    record = ReportRecord(tick, "report", doc, rd)
-    assert record.to_line() == canonical_json({"tick": tick, "kind": "report", **doc})
+    record = ReportRecord(tick, "report", doc, report=rd)
+    assert record.lines()[0] == canonical_json({"tick": tick, "kind": "report", **doc})
     lines = render_text(doc).split("\n")
     start = lines.index(EPOCH_HEADER) + 1
     end = start + len(doc["per_epoch"])
@@ -223,7 +223,7 @@ def test_golden_and_shipped_reports_encode_and_render_as_before():
         trace = run(parse_scenario(make_doc(), source=name))
         (record,) = [r for r in trace.records if r.kind == "report"]
         assert record.payload == trace.report.doc
-        assert record.to_line() == canonical_json({"tick": record.tick, "kind": "report", **trace.report.doc})
+        assert record.lines()[0] == canonical_json({"tick": record.tick, "kind": "report", **trace.report.doc})
         _check_outputs(trace.report)
         checked += 1
     assert checked >= 10

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -474,6 +475,26 @@ def test_a_left_out_key_reads_as_its_written_default(name, table, where, path, s
         return
     assert not left_out_only
     assert _typed(table.read(left_out, path)) == _typed(held)
+
+
+# the one key whose table default differs from its class's on purpose: a
+# transaction's None rule stands for "the rule of the transactor's policy"
+POLICY_RULE = ("transaction", "rule")
+CLASS_DEFAULTED = [d for d in DEFAULTED if d[1].make is not dict]
+
+
+@pytest.mark.parametrize(
+    "name,table,where,path,strategy,field", CLASS_DEFAULTED, ids=[f"{d[0]}.{d[5].key}" for d in CLASS_DEFAULTED]
+)
+def test_a_defaulted_key_defaults_as_its_dataclass_field(name, table, where, path, strategy, field):
+    """A block's defaults are stated twice, in its field table and on the
+    class it makes; each pair must agree, the same value of the same type."""
+    (attr,) = [f for f in dataclasses.fields(table.make) if f.name == (field.attr or field.key)]
+    default = attr.default if attr.default_factory is dataclasses.MISSING else attr.default_factory()
+    if (name, field.key) == POLICY_RULE:
+        assert field.default is None and default is ConfirmationRule.IMMEDIATE
+    else:
+        assert (type(default), default) == (type(field.default), field.default)
 
 
 def _documents() -> list:
