@@ -20,7 +20,7 @@ import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -243,7 +243,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="stakesim",
         description="Simulate hybrid-transaction safety under slashing, insurance and reorg attacks.",
@@ -261,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="secure",
         help="profit bound the verdict is judged against (default: secure)",
     )
-    p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across a parameter grid")
     p_sweep.add_argument("--scenario", required=True, help="scenario template JSON file")
@@ -275,24 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default="sweep-out", help="output directory")
     p_sweep.add_argument("--bound", choices=sorted(BOUND_ALIASES), default="secure")
-    p_sweep.set_defaults(fn=cmd_sweep)
 
     p_an = sub.add_parser("analyze", help="verify a trace's embedded report by recomputation")
     p_an.add_argument("--trace", required=True, help="trace.jsonl produced by run")
-    p_an.set_defaults(fn=cmd_analyze)
 
     p_val = sub.add_parser("validate", help="parse a scenario and print diagnostics")
     p_val.add_argument("--scenario", required=True)
-    p_val.set_defaults(fn=cmd_validate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # each verb's command as the module holds it now, so a wrapper set on
+    # `cmd_run` (say) after the parser was built is still the one called
+    commands = {"run": cmd_run, "sweep": cmd_sweep, "analyze": cmd_analyze, "validate": cmd_validate}
     try:
-        return args.fn(args)
+        return commands[args.verb](args)
     except InvariantBreachError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2

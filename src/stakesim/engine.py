@@ -7,14 +7,13 @@ off-chain executions and fork reveals. The heap holds only the epochs where
 the engine can act: epoch 0, every epoch with a bid, the attack-over epoch,
 and, pushed by each auction, the epoch its lots cover and the epoch they
 release at; under a grieving buyout, whose buyer bids in every epoch, each
-epoch schedules the next. Every other epoch is quiet. Before the first
-event it pops in or after an epoch (or at the end of the run), the loop
-appends one `EpochStartRecord` for the stretch of epochs started since the
-last event, so a quiet stretch is one record in memory however long it is.
-Written out, that record is one `epoch_start` line per epoch, in order, so
-the trace file holds one per epoch, visited or quiet. A slashable reveal
-settles its slash immediately, which holds the lots active at that moment,
-and flips every transactor to the secure rule until the scenario's
+epoch schedules the next. Every other epoch is quiet. An `epoch_start`
+record goes just before the first record of each epoch, up to the
+horizon's, that has one; an epoch with no record writes none, so the trace
+grows with the run's events, not with its horizon. `run_start`,
+`bribery_probe`, `karma` and `report` belong to no epoch. A slashable
+reveal settles its slash immediately, which holds the lots active at that
+moment, and flips every transactor to the secure rule until the scenario's
 scripted attack-over epoch, which releases the held lots.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
@@ -71,24 +70,19 @@ from .scenario import (
     LOT_REF,
     NAIVE_DECISION,
     SETTLEMENT,
-    SLOT,
+    SHARES,
     TIMING,
     TX_FINALIZED,
     Scenario,
     StrategyKind,
     canonical_json,
     canonical_object,
-    canonical_template,
     scenario_hash,
     strategy_events,
 )
-from .version import SCHEMA_VERSION, __version__
+from .version import OUTPUT_VERSION, __version__
 
 _PH_EPOCH, _PH_FINALIZE, _PH_EXECUTE, _PH_REVEAL = 0, 1, 2, 3
-
-# an `epoch_start` line, cut around its epoch and its tick (the keys sort
-# epoch, kind, tick)
-_EPOCH_START_CUT = canonical_template({"tick": SLOT, "kind": "epoch_start", "epoch": SLOT})
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ class TraceRecord:
     its keys: its own `keys`, then what each `(table, value, under)` of
     `writes` writes, in order. With `under` None the keys `table.write(value)`
     gives join the payload; otherwise `under` holds the list of `table.write`
-    of each object in `value`. `lines()` is the one writer of its lines.
+    of each object in `value`. `line()` is the one writer of its line.
 
     `payload` is built on each access and never kept, so a run whose trace
     is not written (a sweep point) builds none, and `to_lines` builds each
@@ -118,14 +112,13 @@ class TraceRecord:
             payload = {**payload, **written}
         return payload
 
-    def lines(self) -> list[str]:
-        """The trace lines this record stands for: its one line."""
-        return [canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})]
+    def line(self) -> str:
+        return canonical_json({"tick": self.tick, "kind": self.kind, **self.payload})
 
 
 def trace_lines(records: list[TraceRecord]) -> list[str]:
     """The lines of a trace, or of a partial trace, of `records`."""
-    return [line for record in records for line in record.lines()]
+    return [record.line() for record in records]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -135,30 +128,9 @@ class ReportRecord(TraceRecord):
 
     report: ReportDocument = field(repr=False, compare=False)
 
-    def lines(self) -> list[str]:
+    def line(self) -> str:
         head = {"tick": canonical_json(self.tick), "kind": canonical_json(self.kind)}
-        return [canonical_object({**head, **self.report.fields})]
-
-
-@dataclass(frozen=True, kw_only=True)
-class EpochStartRecord(TraceRecord):
-    """The `epoch_start` records of a stretch of epochs, held as one: its
-    `tick` and `keys` are those of the first epoch's, and `stop` is the
-    epoch after its last. It writes one line per epoch, each that epoch and
-    its first tick set into one template, so the stretch costs its lines
-    only when the trace is written."""
-
-    stop: EpochIndex
-    t_rev: Tick
-
-    @property
-    def epochs(self) -> range:
-        return range(self.keys["epoch"], self.stop)
-
-    def lines(self) -> list[str]:
-        epoch_at, tick_at, end = _EPOCH_START_CUT
-        t_rev = self.t_rev
-        return [f"{epoch_at}{e}{tick_at}{e * t_rev}{end}" for e in self.epochs]
+        return canonical_object({**head, **self.report.fields})
 
 
 @dataclass
@@ -211,12 +183,20 @@ class _Run:
         self._seq = 0
         self._heap: list[tuple[int, int, int, Any]] = []
         self._scheduled: set[EpochIndex] = set()
+        self._last = epoch_of(self.timeline.horizon, self.tp.t_rev)  # the horizon's epoch
+        self._started = -1  # the last epoch whose `epoch_start` record is written
 
     # -- plumbing ---------------------------------------------------------
 
     def rec(self, tick: Tick, kind: str, *writes: tuple, **keys):
         """Append a record of `keys` and of `writes`, each a `(table, value,
-        under)` (see `TraceRecord`)."""
+        under)` (see `TraceRecord`), after its epoch's `epoch_start` record
+        if it is the first record of an epoch up to the horizon's. Ticks
+        never go back, so no record comes before its epoch's first."""
+        e = epoch_of(tick, self.tp.t_rev)
+        if self._started < e <= self._last:
+            self._started = e
+            self.records.append(TraceRecord(epoch_bounds(e, self.tp.t_rev)[0], "epoch_start", {"epoch": e}))
         self.records.append(TraceRecord(tick, kind, keys, writes))
 
     def push(self, tick: Tick, phase: int, payload: Any):
@@ -230,35 +210,24 @@ class _Run:
             self._scheduled.add(e)
             self.push(start, _PH_EPOCH, e)
 
-    def write_epoch_starts(self, first: EpochIndex, stop: EpochIndex):
-        """Append the `epoch_start` records of epochs `first` to `stop - 1`
-        as one `EpochStartRecord`, whatever the stretch's length; the trace
-        file still gets one line per epoch. An empty stretch appends
-        nothing."""
-        if first < stop:
-            t_rev = self.tp.t_rev
-            self.records.append(
-                EpochStartRecord(first * t_rev, "epoch_start", {"epoch": first}, stop=stop, t_rev=t_rev)
-            )
-
     # -- run --------------------------------------------------------------
 
     def run(self) -> SimTrace:
         sc, tp = self.sc, self.tp
         horizon = self.timeline.horizon
-        self.rec(
-            0,
-            "run_start",
-            schema_version=SCHEMA_VERSION,
-            tool_version=__version__,
-            scenario_hash=scenario_hash(sc),
-            seed=self.seed,
-            horizon=horizon,
-            timing=TIMING.write(tp),
-            econ=ECON.write(self.ep),
-        )
+        # the run's own records belong to no epoch, so they do not go through `rec`
+        header = {
+            "schema_version": OUTPUT_VERSION,
+            "tool_version": __version__,
+            "scenario_hash": scenario_hash(sc),
+            "seed": self.seed,
+            "horizon": horizon,
+            "timing": TIMING.write(tp),
+            "econ": ECON.write(self.ep),
+        }
+        self.records.append(TraceRecord(0, "run_start", header))
         if self.probe_log is not None:
-            self.rec(0, "bribery_probe", **self.probe_log)
+            self.records.append(TraceRecord(0, "bribery_probe", self.probe_log))
 
         for e in (0, *self.bids_by_epoch, sc.attack_over_epoch):
             if e is not None:
@@ -268,20 +237,11 @@ class _Run:
         for ev in self.timeline.fork_events:
             self.push(ev.revealed_at, _PH_REVEAL, ev)
 
-        t_rev = tp.t_rev
-        last = epoch_of(horizon, t_rev)
         heap, pop = self._heap, heapq.heappop
         handlers = (self.on_epoch, self.on_finalize, self.on_execute, self.on_reveal)
-        written = next_start = 0  # epochs before `written` have their record; `next_start` starts it
         while heap:
             tick, phase, _, payload = pop(heap)
-            if tick >= next_start:
-                # the epochs started by this event's tick and by the horizon
-                stop = min(epoch_of(tick, t_rev), last) + 1
-                self.write_epoch_starts(written, stop)
-                written, next_start = stop, stop * t_rev
             handlers[phase](tick, payload)
-        self.write_epoch_starts(written, last + 1)
 
         return self.finish(horizon)
 
@@ -315,7 +275,9 @@ class _Run:
             # the epoch the lots cover activates them, and they release two later
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
-            self.rec(tick, "auction", (LOT, lots, "lots"), epoch=e, available=frac_str(avail))
+            # every lot of one sale is backed by one share map
+            shares = [(SHARES, lots[0].backers, None)] if lots else []
+            self.rec(tick, "auction", (LOT, lots, "lots"), *shares, epoch=e, available=frac_str(avail))
 
         if self.sc.attack_over_epoch is not None and e == self.sc.attack_over_epoch:
             if self.secure_mode:
@@ -483,7 +445,7 @@ class _Run:
             scenario_hash=scenario_hash(self.sc),
             seed=self.seed,
         )
-        self.rec(horizon, "karma", **report.doc["karma"])
+        self.records.append(TraceRecord(horizon, "karma", dict(report.doc["karma"])))
         self.records.append(ReportRecord(horizon, "report", report.doc, report=report))
         return SimTrace(
             records=self.records,

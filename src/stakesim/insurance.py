@@ -20,10 +20,11 @@ out the lots of one epoch, or summing the coverage bought for it, reads only
 that epoch's bucket; the free pool's total is its one running sum. Sales and
 releases move stake pro rata, so each unslashed backer's free earmark is its
 weight share of the free pool: one share map, replaced only when a slash
-removes a backer, backs every lot sold under it, and writes the backing
-strings of each coverage once. A lot's backing, premium and covering epoch
-are derived from what its auction decided, and the coverage bought and the
-premiums paid and earned are read off the lots.
+removes a backer, backs every lot sold under it. An auction's trace record
+writes that map's shares once, and a lot's backing is its coverage times
+each share. A lot's backing, premium and covering epoch are derived from
+what its auction decided, and the coverage bought and the premiums paid and
+earned are read off the lots.
 A share map's lost part, the shares its slashed backers hold, is read off
 the slashed validators, so a release or payout costs the same however many
 backers there are.
@@ -34,8 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .chain import (
     EconParams,
@@ -45,7 +45,7 @@ from .chain import (
     epoch_of,
 )
 from .errors import InvariantViolationError
-from .rational import as_fraction, ratio_str
+from .rational import as_fraction
 from .resolution import ResolutionOutcome
 
 # A purchase at epoch e covers epoch e + 2: one full epoch of gap makes the
@@ -92,15 +92,9 @@ _LOT_TRANSITIONS = {
 
 @dataclass(eq=False)
 class _Backers:
-    """One map of the backers' weight shares; `numerators` holds each share,
-    in id order, as an integer over the one `denominator`. `_docs` keeps,
-    by coverage, the backing strings `backing_doc` wrote for it, so the
-    lots of one coverage under one map write them once."""
+    """One map of the backers' weight shares, in id order."""
 
     shares: dict[str, Fraction]
-    numerators: tuple[tuple[str, int], ...]
-    denominator: int
-    _docs: dict[Fraction, dict[str, str]] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, weights: Mapping[str, Fraction]) -> _Backers:
@@ -108,27 +102,7 @@ class _Backers:
         when no weight is positive."""
         positive = {v: w for v, w in sorted(weights.items()) if w > 0}
         total = sum(positive.values(), Fraction(0))
-        shares = {v: w / total for v, w in positive.items()}
-        den = lcm(*(s.denominator for s in shares.values()))
-        return cls(shares, tuple((v, s.numerator * (den // s.denominator)) for v, s in shares.items()), den)
-
-    def backing(self, coverage: Fraction) -> Iterator[tuple[str, int, int]]:
-        """Each backer's part of `coverage` (coverage * share) in id order,
-        as a numerator and denominator in lowest terms."""
-        num, den = coverage.numerator, coverage.denominator * self.denominator
-        for v, n in self.numerators:
-            part = num * n
-            g = gcd(part, den)
-            yield v, part // g, den // g
-
-    def backing_doc(self, coverage: Fraction) -> dict[str, str]:
-        """`backing(coverage)` as exact value strings, each written from
-        its integers with no `Fraction` built: a new dict on every call,
-        copied from the one kept for `coverage`."""
-        doc = self._docs.get(coverage)
-        if doc is None:
-            doc = self._docs[coverage] = {v: ratio_str(n, d) for v, n, d in self.backing(coverage)}
-        return dict(doc)
+        return cls({v: w / total for v, w in positive.items()})
 
 
 @dataclass
@@ -160,13 +134,7 @@ class InsuranceLot:
     def backing(self) -> dict[str, Fraction]:
         """Validator id to the exact amount of its earmarked stake locked
         behind this lot."""
-        return {v: Fraction(n, d) for v, n, d in self.backers.backing(self.coverage)}
-
-    @property
-    def backing_doc(self) -> dict[str, str]:
-        """`backing` as exact value strings, this lot's own copy of those
-        its share map wrote for its coverage."""
-        return self.backers.backing_doc(self.coverage)
+        return {v: self.coverage * share for v, share in self.backers.shares.items()}
 
     @property
     def covering_epoch(self) -> EpochIndex:

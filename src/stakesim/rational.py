@@ -45,13 +45,7 @@ def frac_str(x: Fraction) -> str:
     """Serialize exactly: "3/4", or "5" when the denominator is 1."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    return ratio_str(x.numerator, x.denominator)
-
-
-def ratio_str(numerator: int, denominator: int) -> str:
-    """`frac_str` of numerator/denominator given in lowest terms, with a
-    positive denominator, without building the Fraction."""
-    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def frac_decimal(x: Fraction, places: int = 6) -> str:

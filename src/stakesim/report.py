@@ -5,6 +5,11 @@ Machine values are exact rationals ("p/q" strings); human tables show
 fixed-point decimals. `_report_doc` lays the document out once:
 `build_report` fills it from a run, and `recompute_from_trace` from the
 run's trace, which the analyze verb diffs whole against its embedded report.
+Documents are at output version 2 (`OUTPUT_VERSION`), and `analyze` reads
+only traces at that version. The per-epoch rows hold one row for each
+epoch that holds a transaction, has coverage or is uncovered, and one for
+each maximal run of quiet epochs between those, so a report grows with a
+run's events, not with its horizon.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .chain import (
     PfcKind,
     TimingParams,
     WINDOW_KINDS,
-    epoch_bounds,
     epoch_of,
     gamma_value,
 )
@@ -44,12 +48,10 @@ from .scenario import (
     LOT,
     PFC_BOUND,
     SETTLEMENT,
-    SLOT,
     TX_FINALIZED,
     VERDICT,
     canonical_json,
     canonical_object,
-    canonical_template,
     confirmation_rule,
     insured_epoch,
     integer,
@@ -58,7 +60,7 @@ from .scenario import (
     read_field,
     text,
 )
-from .version import SCHEMA_VERSION, __version__
+from .version import OUTPUT_VERSION, __version__
 
 BOUND_ALIASES = {
     "tvl": PfcKind.STEAL_TVL,
@@ -76,54 +78,6 @@ _SUM_COLUMNS = {
     "sum_hybrid_not_secure": PfcKind.REORG_HYBRID_SECURE_RULE,
     "sum_uninsured": PfcKind.UNINSURED_LOAD,
 }
-_SHAPE_CELLS = (*_SUM_COLUMNS, "epoch_safe", "uninsured_buffer_ok", "insured_ok")
-_row_shape = itemgetter(*_SHAPE_CELLS)
-_ROW_KEYS = {"epoch", "window", "coverage", *_SHAPE_CELLS}
-
-
-def _row_template(row: dict) -> tuple[str, ...]:
-    """`canonical_json(row)` cut into the four pieces around its epoch and
-    its two window ticks, or () for a row whose cells `_SHAPE_CELLS` does
-    not cover."""
-    if row.keys() != _ROW_KEYS:
-        return ()
-    return tuple(canonical_template(dict(row, epoch=SLOT, window=[SLOT, SLOT])))
-
-
-def _epoch_rows_json(rows: Sequence[dict]) -> str:
-    """`canonical_json(rows)` for per-epoch rows as `_epoch_rows` builds
-    them (int epoch and ticks, string sums, bool flags).
-
-    Rows with no coverage bought that agree in every cell but epoch and
-    window (the quiet epochs above all) share one template, cut from
-    `canonical_json`'s encoding of the second such row; only the three
-    ticks are formatted per row. A row with coverage, or the first of its
-    shape, is encoded whole, in one `canonical_json` call per run of such
-    rows. The templates live and die with the call.
-    """
-    templates: dict[tuple, Optional[tuple[str, ...]]] = {}
-    parts = []
-    whole: list[dict] = []
-    for row in rows:
-        cut = None
-        if not row["coverage"]:
-            shape = _row_shape(row)
-            cut = templates.get(shape)
-            if cut is None:
-                # the first row of a shape is encoded whole, the second cuts the template
-                cut = templates[shape] = _row_template(row) if shape in templates else None
-        if cut:
-            if whole:
-                parts.append(canonical_json(whole)[1:-1])
-                whole = []
-            epoch_at, t0_at, t1_at, end = cut
-            t0, t1 = row["window"]
-            parts.append(f"{epoch_at}{row['epoch']}{t0_at}{t0}{t1_at}{t1}{end}")
-        else:
-            whole.append(row)
-    if whole:
-        parts.append(canonical_json(whole)[1:-1])
-    return "[" + ",".join(parts) + "]"
 
 
 @dataclass(frozen=True)
@@ -138,10 +92,7 @@ class ReportDocument:
     def fields(self) -> dict[str, str]:
         """Each top-level field of the document, canonically encoded, so
         that `canonical_object(self.fields) == canonical_json(self.doc)`."""
-        return {
-            key: _epoch_rows_json(value) if key == "per_epoch" else canonical_json(value)
-            for key, value in self.doc.items()
-        }
+        return {key: canonical_json(value) for key, value in self.doc.items()}
 
     def to_json(self) -> str:
         """The canonical JSON of the document, as report.json holds it."""
@@ -155,60 +106,47 @@ def _epoch_rows(
     coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
     uncovered: AbstractSet[EpochIndex],
 ) -> list[dict]:
-    """One row per epoch: its window, the value finalized in it of the
-    transactions each window rung counts, the coverage bought for it and
-    its safety flags.
+    """The per-epoch rows up to the horizon's epoch: one for each epoch
+    that holds a transaction, has coverage bought for it or is uncovered,
+    and one for each maximal run of epochs between those, named by its
+    first epoch, whose `window` spans the whole run. A row holds the value
+    finalized in its window of the transactions each window rung counts,
+    the coverage bought for its epoch and its safety flags.
 
     Only an epoch that holds a transaction queries the timeline, with one
-    `gamma_value` call per rung. An epoch that holds no transaction, has no
-    coverage entry and is not uncovered is quiet: its row is one shared
-    `quiet_row`, whose cells are computed once, copied with its own epoch,
-    `window` list and empty `coverage` dict, so a quiet epoch costs one
-    dict copy. Every row is its own dict and shares no list or dict with
-    another.
+    `gamma_value` call per rung; every other row has the cells of no load.
+    Every row is its own dict and shares no list or dict with another.
     """
     t_rev = tp.t_rev
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     burn_share = (1 - ep.gamma) * coc
+    last = epoch_of(timeline.horizon, t_rev)
+    busy = {epoch_of(tx.finalized_at, t_rev) for tx in timeline.transactions}
 
-    def cells(sums: Mapping[PfcKind, Fraction]) -> dict:
+    def row(first: EpochIndex, stop: EpochIndex) -> dict:
+        t0, t1 = first * t_rev, stop * t_rev
+        if first in busy:
+            sums = {kind: gamma_value(timeline, t0, t1, kind) for kind in WINDOW_KINDS}
+        else:
+            sums = dict.fromkeys(WINDOW_KINDS, Fraction(0))
         return {
+            "epoch": first,
+            "window": [t0, t1],
             **{column: frac_str(sums[kind]) for column, kind in _SUM_COLUMNS.items()},
             "epoch_safe": coc > sums[PfcKind.REORG_HYBRID_SECURE_RULE],
             "uninsured_buffer_ok": burn_share > sums[PfcKind.UNINSURED_LOAD],
+            "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(first, {}).items())},
+            "insured_ok": first not in uncovered,
         }
 
-    quiet_cells = cells(dict.fromkeys(WINDOW_KINDS, Fraction(0)))
-    busy = {epoch_of(tx.finalized_at, t_rev) for tx in timeline.transactions}
-
-    def row(e: EpochIndex) -> dict:
-        t0, t1 = epoch_bounds(e, t_rev)
-        if e in busy:
-            row_cells = cells({kind: gamma_value(timeline, t0, t1, kind) for kind in WINDOW_KINDS})
-        else:
-            row_cells = quiet_cells
-        return {
-            "epoch": e,
-            "window": [t0, t1],
-            **row_cells,
-            "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(e, {}).items())},
-            "insured_ok": e not in uncovered,
-        }
-
-    # the keys in the order `row` lays them out; epoch, window and coverage are set per row
-    quiet_row = {"epoch": None, "window": None, **quiet_cells, "coverage": None, "insured_ok": True}
-    special = busy.union(coverage, uncovered)
-    rows = []
-    for e in range(epoch_of(timeline.horizon, t_rev) + 1):
-        if e in special:
-            rows.append(row(e))
-        else:
-            # a copy and three stores run faster than a dict display with `**quiet_row`
-            fresh = quiet_row.copy()
-            fresh["epoch"] = e
-            fresh["window"] = [e * t_rev, (e + 1) * t_rev]
-            fresh["coverage"] = {}
-            rows.append(fresh)
+    rows, start = [], 0
+    for e in sorted(e for e in busy.union(coverage, uncovered) if e <= last):
+        if start < e:
+            rows.append(row(start, e))
+        rows.append(row(e, e + 1))
+        start = e + 1
+    if start <= last:
+        rows.append(row(start, last + 1))
     return rows
 
 
@@ -265,7 +203,7 @@ def build_report(
     ep, coverage = ledger.ep, ledger.coverage()
     verdict = VERDICT.write(safety_verdict(timeline, tp, ep, coverage, bound_kind))
     sections = _checked_sections(timeline, tp, ep, coverage, ledger.settlements)
-    labels = (SCHEMA_VERSION, __version__, scenario_hash, seed)
+    labels = (OUTPUT_VERSION, __version__, scenario_hash, seed)
     return ReportDocument(_report_doc(labels, sections, verdict, ledger.settlements, karma))
 
 
@@ -276,11 +214,8 @@ def render_text(doc: dict) -> str:
     """Human-readable fixed-point rendering of a report document.
 
     Each distinct value string is converted to a decimal once per call (a
-    report repeats few values, "0" in every quiet epoch above all), and
-    each distinct tail of a per-epoch line (its four sums and safety flag)
-    is formatted once per call, so a quiet line costs its epoch and window
-    only. The memos live and die with the call, so a sweep does not grow
-    them.
+    report repeats few values, "0" in every quiet row above all). The memo
+    lives and dies with the call, so a sweep does not grow it.
     """
     decimals: dict[str, str] = {}
 
@@ -313,13 +248,9 @@ def render_text(doc: dict) -> str:
     lines.append(f"  uninsured buffer ok {'yes' if v['uninsured_buffer_ok'] else 'no'}")
     lines.append("")
     lines.append("per-epoch load (all / hybrid / not-secure / uninsured):")
-    tails: dict[tuple, str] = {}
     for row in doc["per_epoch"]:
-        cells = _line_cells(row)
-        tail = tails.get(cells)
-        if tail is None:
-            *sums, safe = cells
-            tail = tails[cells] = " ".join(f"{dec(s):>12}" for s in sums) + ("  safe" if safe else "  UNSAFE")
+        *sums, safe = _line_cells(row)
+        tail = " ".join(f"{dec(s):>12}" for s in sums) + ("  safe" if safe else "  UNSAFE")
         t0, t1 = row["window"]
         lines.append("  e%-4d [%6d,%6d)  %s" % (row["epoch"], t0, t1, tail))
     if doc["settlements"]:
@@ -409,6 +340,10 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
         return by_kind[kind][0]
 
     header, where = first("run_start", "run_start record"), f"{source}:run_start"
+    version = read_field(header, "schema_version", where, integer)
+    if version != OUTPUT_VERSION:
+        message = f"unsupported output version {version}, expected {OUTPUT_VERSION}"
+        raise ScenarioError(message, path=f"{where}.schema_version")
     horizon, tp, ep = parse_run_header(header, where)
     labels = [read_field(header, key, where, parse) for key, parse in _LABELS.items()]
 

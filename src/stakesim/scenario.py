@@ -578,13 +578,14 @@ TX_FINALIZED = _Block(
 # a lot of an `auction` record, and the part of it a `released` record names
 _LOT_REF = (_Field("id", _TEXT), _Field("buyer", _TEXT), _Field("coverage", _VALUE))
 LOT_REF = _Block(dict, *_LOT_REF)
-LOT = _Block(
-    dict,
-    *_LOT_REF,
-    *_values("premium_rate", "premium_paid"),
-    _Field("covering_epoch", _INTEGER),
-    _Field("backing", (_mapping, _identity), attr="backing_doc"),
+LOT = _Block(dict, *_LOT_REF, *_values("premium_rate", "premium_paid"), _Field("covering_epoch", _INTEGER))
+# an `auction` record's backer shares, written once for every lot it sold:
+# a lot's backing is its coverage times each share
+_SHARE_MAP = (
+    lambda doc: {v: as_fraction(share) for v, share in _mapping(doc).items()},
+    lambda shares: {v: frac_str(share) for v, share in shares.items()},
 )
+SHARES = _Block(dict, _Field("shares", _SHARE_MAP))
 # a `settlement` record and a report's settlement entry
 _CLAIM = _Block(
     Claim, _Field("transactor", _TEXT), _Field("covering_epoch", _INTEGER), *_values("harm", "capped", "paid")
@@ -872,17 +873,6 @@ def canonical_object(fields: Mapping[str, str]) -> str:
     sorts them, so `canonical_object({k: canonical_json(v) for k, v in
     doc.items()}) == canonical_json(doc)`."""
     return "{" + ",".join(f"{canonical_json(key)}:{value}" for key, value in sorted(fields.items())) + "}"
-
-
-# the hole in a template: a string no value of a templated record holds, so
-# `canonical_template` cuts the encoding where it stands
-SLOT = "\x00"
-
-
-def canonical_template(doc: Any) -> list[str]:
-    """`canonical_json(doc)` cut at each `SLOT` value in `doc`: the pieces
-    that the encoded values of those holes are set between."""
-    return canonical_json(doc).split(canonical_json(SLOT))
 
 
 def scenario_hash(sc: Scenario) -> str:

@@ -7,5 +7,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-# Version stamped into scenario files, trace records, and report documents.
+# Version stamped into scenario files.
 SCHEMA_VERSION = 1
+
+# Version stamped into a trace's run_start record and into report documents.
+OUTPUT_VERSION = 2

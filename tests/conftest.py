@@ -8,6 +8,7 @@ Random so every failure reproduces.
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from dataclasses import replace
@@ -322,6 +323,45 @@ def breach_scenario_doc() -> dict:
         ],
         "adversary": {"strategy": {"kind": "none"}, "transactors": []},
     }
+
+
+def long_busy_demo_doc() -> dict:
+    """The shipped double-sign demo over 2,001 epochs, each from epoch 6 to
+    1,999 holding a pure transaction of value 1, so its report has a row
+    per epoch, nearly all alike."""
+    doc = json.loads((Path(__file__).parent.parent / "scenarios" / "double-sign.json").read_text(encoding="utf-8"))
+    doc["horizon"] = 20_000
+    doc["transactions"] += [
+        {"id": f"p{e}", "transactor": "dora", "value": 1, "kind": "pure", "finalized_at": 10 * e + 2}
+        for e in range(6, 2_000)
+    ]
+    return doc
+
+
+def rows_by_epoch(rows: list, t_rev: int) -> list:
+    """A report's per-epoch rows with each row repeated once for every
+    epoch of its window, as that epoch's row: its own `epoch` and a
+    one-epoch `window`, every other cell as the row has it."""
+    return [
+        {**row, "epoch": e, "window": [e * t_rev, (e + 1) * t_rev]}
+        for row in rows
+        for e in range(row["window"][0] // t_rev, row["window"][1] // t_rev)
+    ]
+
+
+def assert_rows_are_maximal(rows: list, special: set, t_rev: int) -> None:
+    """The rows' windows tile the epochs from 0 in order, each named by its
+    first epoch; every epoch in `special` (busy, covered or uncovered) has
+    a one-epoch row of its own, and a row of the other epochs spans a whole
+    run of them: it holds none of `special`, and no two such are adjacent."""
+    starts, stops = [row["window"][0] for row in rows], [row["window"][1] for row in rows]
+    assert starts == [0] + stops[:-1]
+    assert [row["epoch"] * t_rev for row in rows] == starts
+    gaps = [row["epoch"] not in special for row in rows]
+    for gap, start, stop in zip(gaps, starts, stops):
+        epochs = set(range(start // t_rev, stop // t_rev))
+        assert epochs.isdisjoint(special) if gap else stop - start == t_rev
+    assert not any(a and b for a, b in zip(gaps, gaps[1:]))
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from stakesim.rational import as_fraction
 from stakesim.scenario import canonical_json, load_scenario
 from stakesim.version import __version__
 
-from conftest import breach_scenario_doc, quiet_scenario_doc
+from conftest import breach_scenario_doc, long_busy_demo_doc, quiet_scenario_doc
 
 ROOT = Path(__file__).parent.parent
 DEMO = str(ROOT / "scenarios" / "double-sign.json")
@@ -282,6 +282,15 @@ def test_analyze_rejects_a_trace_without_a_report(tmp_path, capsys):
         (lambda h: h["econ"].update(gamma="x"), ":run_start.econ.gamma: malformed value 'x'"),
         pytest.param(
             lambda h: h["econ"].pop("gamma"), ":run_start.econ.gamma: missing required key", id="econ-gamma-missing"
+        ),
+        # a trace is read only at the output version that wrote it
+        pytest.param(
+            lambda h: h.update(schema_version=1),
+            ":run_start.schema_version: unsupported output version 1, expected 2",
+            id="output-version-1",
+        ),
+        pytest.param(
+            lambda h: h.pop("schema_version"), ":run_start.schema_version: missing required key", id="version-missing"
         ),
     ],
 )
@@ -639,10 +648,8 @@ def _sweep_peak(template: str, gammas: list[str], out: Path) -> int:
 
 
 def test_sweep_holds_one_point_report_at_a_time(tmp_path, capsys):
-    # the demo over 2,001 mostly quiet epochs, so each report is large
-    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
-    doc["horizon"] = 20_000
-    template = write_doc(tmp_path, doc)
+    # a row per epoch over 2,001 epochs, so each report is large
+    template = write_doc(tmp_path, long_busy_demo_doc())
     _sweep_peak(template, ["1/2"], tmp_path / "warm")
     one = _sweep_peak(template, ["1/2"], tmp_path / "one")
     four = _sweep_peak(template, ["1/2", "1/4", "3/4", "1"], tmp_path / "four")
@@ -654,9 +661,7 @@ def test_a_serial_sweep_holds_one_point_report_at_a_time(tmp_path, capsys, monke
     # the parent's tracemalloc sees no pool worker's memory, so only the
     # in-process path shows that points stream through one at a time
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    doc = json.loads(Path(DEMO).read_text(encoding="utf-8"))
-    doc["horizon"] = 20_000
-    template = write_doc(tmp_path, doc)
+    template = write_doc(tmp_path, long_busy_demo_doc())
     _sweep_peak(template, ["1/2"], tmp_path / "warm")
     one = _sweep_peak(template, ["1/2"], tmp_path / "one")
     four = _sweep_peak(template, ["1/2", "1/4", "3/4", "1"], tmp_path / "four")
@@ -930,6 +935,24 @@ def test_an_output_directory_that_is_a_file_is_one_error_line(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err.startswith(f"error: {taken}: cannot write output: ")
     assert captured.err.count("\n") == 1
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def test_main_builds_its_parser_once_and_calls_the_command_the_module_holds_now(tmp_path, capsys, monkeypatch):
+    # a wrapper set on a command after the first call (as a tracer sets
+    # one) is the one the next call runs
+    argv = ["validate", "--scenario", DEMO]
+    assert main(argv) == 0
+    parser = cli.build_parser()
+    seen = []
+    validate = cli.cmd_validate
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.scenario) or validate(args))
+    assert main(argv) == 0
+    assert seen == [DEMO]
+    assert cli.build_parser() is parser
+    assert capsys.readouterr().out.count("\nok\n") == 2
 
 
 # -- installed entry point -----------------------------------------------------------

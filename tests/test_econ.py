@@ -42,7 +42,7 @@ from oracles import (
     window_sup_oracle,
     window_sup_oracle_quadratic,
 )
-from conftest import random_fraction_window_timeline, random_window_timeline
+from conftest import random_fraction_window_timeline, random_window_timeline, rows_by_epoch
 
 
 def ep(s=32, n=4, r=1, b1=33, b2=33, gamma=Fraction(1, 2), tvl=100):
@@ -378,7 +378,7 @@ def test_strong_safety_matches_the_oracle_on_random_cases():
 
         # the report's sections, as `build_report` makes them from its ledger's coverage map
         sections = _checked_sections(tl, tp, econ, coverage, [])
-        rows = [row["insured_ok"] for row in sections["per_epoch"]]
+        rows = [row["insured_ok"] for row in rows_by_epoch(sections["per_epoch"], tp.t_rev)]
         assert rows == insured_ok_oracle(tl.transactions, tl.horizon, tp.t_rev, coverage)
         verdicts = sections["verdicts"].values()
         assert {(v["strong_safety"], v["uninsured_buffer_ok"]) for v in verdicts} == {expected}

@@ -45,14 +45,9 @@ def records_of(trace, kind):
     return [r for r in trace.records if r.kind == kind]
 
 
-def stretch_starts(record):
-    """(tick, epoch) of each `epoch_start` line one record's stretch writes."""
-    return [(e * record.t_rev, e) for e in record.epochs]
-
-
 def epoch_starts(trace):
-    """(tick, epoch) of every `epoch_start` line of a trace, in order."""
-    return [start for r in records_of(trace, "epoch_start") for start in stretch_starts(r)]
+    """(tick, epoch) of every `epoch_start` record of a trace, in order."""
+    return [(r.tick, r.payload["epoch"]) for r in records_of(trace, "epoch_start")]
 
 
 def by_party(doc):
@@ -89,18 +84,9 @@ def test_trace_always_verifies_against_its_own_report():
 
 
 def test_every_line_is_the_canonical_json_of_its_record():
-    # epoch_start and report lines are joined from pre-encoded pieces, and
-    # one epoch_start record writes a line for each epoch of its stretch
+    # the report line is joined from the fields report.json encoded
     trace = run(parse_scenario(quiet_scenario_doc()))
-    assert max(len(r.epochs) for r in records_of(trace, "epoch_start")) > 1
-    expected = []
-    for record in trace.records:
-        if record.kind == "epoch_start":
-            expected += [
-                canonical_json({"tick": tick, "kind": "epoch_start", "epoch": e}) for tick, e in stretch_starts(record)
-            ]
-        else:
-            expected.append(canonical_json({"tick": record.tick, "kind": record.kind, **record.payload}))
+    expected = [canonical_json({"tick": r.tick, "kind": r.kind, **r.payload}) for r in trace.records]
     assert trace.to_lines() == expected
 
 
@@ -432,10 +418,10 @@ def test_the_loop_visits_only_the_epochs_where_the_engine_can_act(monkeypatch):
     # epoch 0, the bids, each auction's covering and release epochs, the attack's end
     covering = {a.payload["epoch"] + 2 for a in auctions}
     assert visited == sorted({0} | bid_epochs | covering | {c + 2 for c in covering} | {attack_over})
-    assert epoch_starts(trace) == [(10 * e, e) for e in range(attack_over + 2)]
-    # one record per stretch: each visited epoch ends the stretch it closes
-    # (every event here falls in a visited epoch), and the run's end the last
-    assert [r.stop for r in records_of(trace, "epoch_start")] == [e + 1 for e in visited] + [attack_over + 2]
+    # an epoch_start record only for an epoch that writes a record
+    written = sorted({r.tick // 10 for r in trace.records if r.kind not in ("run_start", "karma", "report")})
+    assert epoch_starts(trace) == [(10 * e, e) for e in written]
+    assert set(written) <= set(visited) and attack_over in written
     visited.clear()
     assert trace.to_lines() == run_every_epoch(sc).to_lines()
     assert len(visited) == attack_over + 2
@@ -456,7 +442,7 @@ def test_an_event_past_the_horizon_writes_no_epoch_past_it():
     sc = parse_scenario(doc)
     trace = run(sc)
     assert records_of(trace, "decision")[0].payload["earliest"] == 70
-    assert [e for _, e in epoch_starts(trace)] == list(range(7))
+    assert epoch_starts(trace) == [(60, 6)]
     assert trace.executed == {}
     assert trace.to_lines() == run_every_epoch(sc).to_lines()
 
@@ -466,7 +452,9 @@ def test_a_grieving_buyout_visits_every_epoch(monkeypatch):
     sc = load_scenario(str(ROOT / "scenarios" / "grieving.json"))
     visited = _count_epoch_visits(monkeypatch)
     trace = run(sc)
-    assert visited == [e for _, e in epoch_starts(trace)] == list(range(7))
+    assert visited == list(range(7))
+    # every validator is slashed in epoch 2, so epoch 3 sells nothing and writes no record
+    assert [e for _, e in epoch_starts(trace)] == [0, 1, 2, 4, 5, 6]
 
 
 def test_signer_exiting_before_the_snapshot_is_not_slashed():

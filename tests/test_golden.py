@@ -12,8 +12,9 @@ says of the trace. After an output change, rewrite both files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and review their diff before committing them; the fingerprint test names
-every run that moved, so the diff's size is the change's blast radius.
+and review their diff before committing them; the script prints every
+key of either file whose value moved, and the fingerprint test names every
+run that moved, so the diff's size is the change's blast radius.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -44,6 +46,7 @@ from stakesim.scenario import (
     LOT_REF,
     NAIVE_DECISION,
     SETTLEMENT,
+    SHARES,
     TX_FINALIZED,
 )
 
@@ -239,9 +242,8 @@ def _lines_or_partial(make_run) -> list[str]:
 
 @pytest.mark.parametrize("name", [*sorted(CASES), *(f"smoke/{w}" for w in workloads.WORKLOADS)])
 def test_skipping_quiet_epochs_keeps_every_trace_byte(name):
-    # the engine visits only the epochs where it can act and holds each
-    # stretch of epoch_start records as one; the reference visits every
-    # epoch, a stretch of one each, and both must write the same lines
+    # the engine visits only the epochs where it can act; the reference
+    # visits every epoch, and both must write the same lines
     if name in CASES:
         doc, breach = CASES[name][0](), CASES[name][1] == 2
     else:
@@ -260,6 +262,53 @@ def golden_records() -> tuple[dict, ...]:
         sc = parse_scenario(make_doc())
         records += [json.loads(line) for line in _lines_or_partial(lambda: run(sc)) if line != "<breach>"]
     return tuple(records)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_epochs_start_directly_precedes_its_first_record(name):
+    # partial traces too; run_start, bribery_probe, karma and report
+    # belong to no epoch, and no epoch past the horizon's has a start
+    sc = parse_scenario(CASES[name][0]())
+    t_rev, last = sc.timing.t_rev, sc.timeline.horizon // sc.timing.t_rev
+    records = [json.loads(line) for line in _lines_or_partial(lambda: run(sc)) if line != "<breach>"]
+    starts, firsts = [], {}
+    for i, r in enumerate(records):
+        if r["kind"] == "epoch_start":
+            assert r["tick"] == r["epoch"] * t_rev and r["epoch"] <= last, name
+            starts.append((r["epoch"], i + 1))
+        elif r["kind"] not in ("run_start", "bribery_probe", "karma", "report"):
+            firsts.setdefault(r["tick"] // t_rev, i)
+    assert starts == sorted((e, i) for e, i in firsts.items() if e <= last), name
+
+
+def test_an_auction_writes_the_shares_each_lot_it_sold_is_backed_by():
+    # a lot's backing is its coverage times each share, and a sale of no lot writes no shares
+    sold = 0
+    for name, (make_doc, code, _) in sorted(CASES.items()):
+        if code != 0:
+            continue
+        trace = run(parse_scenario(make_doc()))
+        backing = {lot.id: lot.backing for lot in trace.ledger.lots}
+        for r in trace.records:
+            if r.kind != "auction":
+                continue
+            payload = json.loads(r.line())
+            assert ("shares" in payload) == bool(payload["lots"]), name
+            for lot in payload["lots"]:
+                coverage = Fraction(lot["coverage"])
+                assert {v: coverage * Fraction(s) for v, s in payload["shares"].items()} == backing[lot["id"]], name
+                sold += 1
+    assert sold
+
+
+def test_a_longer_quiet_horizon_writes_no_more_lines_or_rows():
+    # output grows with a run's events, not with its horizon: the quiet
+    # horizon workload at 16 times its horizon
+    doc = workloads.generate("quiet_horizon", 1, smoke=True)[0]
+    longer = dict(doc, horizon=16 * doc["horizon"])
+    short, long = run(parse_scenario(doc)), run(parse_scenario(longer))
+    assert len(long.to_lines()) == len(short.to_lines())
+    assert len(long.report.doc["per_epoch"]) == len(short.report.doc["per_epoch"])
 
 
 def engine_record_kinds() -> set[str]:
@@ -304,6 +353,8 @@ def test_each_table_writes_back_what_it_reads_on_the_golden_corpus():
             payloads = [(SETTLEMENT, record, {"tick", "kind"})]
         elif kind == "auction":
             payloads = [(LOT, lot, set()) for lot in record["lots"]]
+            if "shares" in record:
+                payloads.append((SHARES, record, {"tick", "kind", "epoch", "available", "lots"}))
         elif kind == "fork_reveal":
             payloads = [(FORK_EVENT, record, {"tick", "kind"})]
         else:
@@ -326,7 +377,7 @@ class _LinesAtAppend(list):
         self.lines: list[str] = []
 
     def append(self, record) -> None:
-        self.lines += record.lines()
+        self.lines.append(record.line())
         super().append(record)
 
 
@@ -374,6 +425,7 @@ def test_a_records_line_is_the_one_it_had_when_appended():
 _RECORD_TABLES = {
     "LOT": (LOT, lambda r: len(r["lots"]) if r["kind"] == "auction" else 0),
     "LOT_REF": (LOT_REF, lambda r: len(r["lots"]) if r["kind"] == "released" else 0),
+    "SHARES": (SHARES, lambda r: "shares" in r),
     "TX_FINALIZED": (TX_FINALIZED, lambda r: r["kind"] == "tx_finalized"),
     "DECISION": (DECISION, lambda r: r["kind"] == "decision"),
     "NAIVE_DECISION": (NAIVE_DECISION, lambda r: r["kind"] == "decision" and "naive_status" in r),
@@ -422,9 +474,19 @@ def test_parsing_leaves_every_document_as_it_was():
         assert doc == snapshot, name
 
 
+def moved_keys(then: dict, now: dict) -> list[str]:
+    """Each key of `then` or `now` whose value differs, in sorted order."""
+    return [key for key in sorted(then.keys() | now.keys()) if then.get(key) != now.get(key)]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = current_hashes(Path(tmp))
+    fingerprints = current_fingerprints()
+    for path, now in ((HASHES, hashes), (FINGERPRINTS, fingerprints)):
+        then = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        moved = moved_keys(then, now)
+        sys.stdout.write(f"{path.name}: {len(moved)} of {len(now)} keys moved: {', '.join(moved) or '-'}\n")
     HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    FINGERPRINTS.write_text(fingerprints_json(current_fingerprints()), encoding="utf-8")
+    FINGERPRINTS.write_text(fingerprints_json(fingerprints), encoding="utf-8")
     sys.stderr.write(f"wrote {HASHES} and {FINGERPRINTS}\n")

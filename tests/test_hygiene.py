@@ -291,7 +291,7 @@ def test_an_output_table_rebuilds_its_class_from_init_fields_only():
 
     tables = [t for t in vars(scenario).values() if isinstance(t, scenario._Block)]
     tables += scenario._STRATEGIES.values()
-    assert len(tables) == 25
+    assert len(tables) == 26
     for table in tables:
         if table.make is not dict:
             init = {f.name for f in dataclasses.fields(table.make) if f.init}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -24,7 +23,6 @@ from stakesim import (
     ValidatorState,
     build_timeline,
     coverage_check,
-    frac_str,
     karma_report,
     release_lots,
     resolve,
@@ -131,60 +129,6 @@ def test_auction_backing_is_pro_rata_over_positive_weights():
     (lot,) = auction_ledger(20, earmark).sell(0, [bid("a", 0, 8, Fraction(1, 10))])
     assert lot.backing == {"v1": Fraction(2), "v2": Fraction(6)}
     assert sum(lot.backing.values()) == lot.coverage
-
-
-def test_backing_from_the_share_integers_is_frac_str_of_coverage_times_share():
-    rng = random.Random(1405)
-    seen = dict.fromkeys(("single_backer", "integer_part", "shared_factor", "above_2_64"), False)
-    for _ in range(400):
-        if rng.random() < 0.5:
-            coverage = Fraction(rng.randint(1, 64), rng.choice([1, 2, 3, 4, 6, 12]))
-        else:
-            coverage = Fraction(rng.randint(1, 2**80), rng.randint(1, 2**40))
-        earmark = {
-            f"v{i:02d}": Fraction(
-                rng.choice([0, 1, 2, 3, 4, rng.randint(1, 2**40)]), rng.choice([1, 3, rng.randint(1, 2**30)])
-            )
-            for i in range(rng.randint(1, 6))
-        }
-        lots = auction_ledger(coverage, earmark).sell(0, [bid("a", 0, coverage, Fraction(1, 10))])
-        if not lots:
-            continue  # no positive weight: nobody backs anything
-        (lot,) = lots
-        shares = lot.backers.shares
-        want = {v: frac_str(coverage * share) for v, share in shares.items()}
-        assert lot.backing_doc == want
-        assert lot.backing == {v: coverage * share for v, share in shares.items()}
-        terms = list(lot.backers.backing(coverage))
-        seen["single_backer"] |= list(shares.values()) == [1]
-        seen["integer_part"] |= len(shares) > 1 and any(d == 1 for _, _, d in terms)
-        seen["shared_factor"] |= gcd(coverage.denominator, lot.backers.denominator) > 1
-        seen["above_2_64"] |= any(n > 2**64 for _, n, _ in terms)
-    assert all(seen.values()), seen
-
-
-def test_each_lot_gets_its_own_copy_of_the_backing_its_map_wrote_once(monkeypatch):
-    """Lots of one coverage under one share map write their backing strings
-    once, and each lot's `backing_doc` is a dict of its own."""
-    from stakesim import insurance
-
-    written = []
-    ratio_str = insurance.ratio_str
-    monkeypatch.setattr(insurance, "ratio_str", lambda n, d: written.append((n, d)) or ratio_str(n, d))
-    earmark = {"v1": Fraction(1), "v2": Fraction(2), "v3": Fraction(4)}
-    bids = [bid(tr, 0, cov, Fraction(1, 10)) for tr, cov in zip("abAB", (7, 7, 7, 3))]
-    sold = auction_ledger(40, earmark).sell(0, bids)
-    assert len({id(lot.backers) for lot in sold}) == 1
-    docs = {lot.buyer: lot.backing_doc for lot in sold}
-    assert len(written) == 2 * len(earmark)  # coverage 7 and coverage 3, once each
-    shares = sold[0].backers.shares
-    want = {v: frac_str(Fraction(7) * share) for v, share in shares.items()}
-    assert docs["a"] == docs["b"] == docs["A"] == want
-    assert docs["B"] == {v: frac_str(Fraction(3) * share) for v, share in shares.items()}
-    assert len({id(doc) for doc in docs.values()}) == len(docs)
-    docs["a"]["v1"] = "0"
-    assert [lot.backing_doc for lot in sold if lot.coverage == 7] == [want] * 3
-    assert len(written) == 2 * len(earmark)
 
 
 def test_greedy_revenue_is_optimal_on_integral_instances(rng):

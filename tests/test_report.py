@@ -23,6 +23,7 @@ from stakesim.engine import ReportRecord, run
 from stakesim.report import ReportDocument, _checked_sections, _epoch_rows, first_mismatch
 from stakesim.scenario import canonical_json, parse_scenario
 
+from conftest import assert_rows_are_maximal, long_busy_demo_doc, rows_by_epoch
 from oracles import epoch_lines_oracle, epoch_rows_by_row, epoch_rows_oracle, first_mismatch_oracle
 from perfbench import workloads
 from test_golden import CASES
@@ -92,8 +93,11 @@ def test_epoch_rows_match_the_per_filter_oracle():
     seen.update(edges=False, shared_tick=False, quiet_coverage=False, long_quiet=False)
     for _ in range(300):
         timeline, tp, econ, coverage, busy = _random_epoch_case(rng)
-        rows = _checked_sections(timeline, tp, econ, coverage, [])["per_epoch"]
+        spans = _checked_sections(timeline, tp, econ, coverage, [])["per_epoch"]
+        rows = rows_by_epoch(spans, tp.t_rev)
         assert rows == epoch_rows_oracle(timeline, tp.t_rev, econ, coverage)
+        uncovered = {row["epoch"] for row in rows if not row["insured_ok"]}
+        assert_rows_are_maximal(spans, set(busy).union(coverage, uncovered), tp.t_rev)
 
         ticks = [t.finalized_at for t in timeline.transactions]
         for row in rows:
@@ -123,11 +127,14 @@ def test_epoch_rows_match_the_row_by_row_oracle_on_the_corpus():
         trace = run(sc)
         timeline, tp, ep, coverage = trace.timeline, sc.timing, sc.econ, trace.ledger.coverage()
         uncovered = strong_safety_flags(timeline, tp, ep, pfc_ladder(timeline, tp, ep), coverage)[2]
-        rows = _epoch_rows(timeline, tp, ep, coverage, uncovered)
-        assert rows == epoch_rows_by_row(timeline, tp, ep, coverage, uncovered) == trace.report.doc["per_epoch"], name
+        spans = _epoch_rows(timeline, tp, ep, coverage, uncovered)
+        assert spans == trace.report.doc["per_epoch"], name
+        rows = rows_by_epoch(spans, tp.t_rev)
+        assert rows == epoch_rows_by_row(timeline, tp, ep, coverage, uncovered), name
         # each row owns its window list and its coverage dict
-        assert len({id(row["window"]) for row in rows}) == len({id(row["coverage"]) for row in rows}) == len(rows)
+        assert len({id(row["window"]) for row in spans}) == len({id(row["coverage"]) for row in spans}) == len(spans)
         busy = {tx.finalized_at // tp.t_rev for tx in timeline.transactions}
+        assert_rows_are_maximal(spans, busy.union(coverage, uncovered), tp.t_rev)
         kinds |= {"busy" if e in busy else "covered" if e in coverage else "quiet" for e in range(len(rows))}
     # an uncovered epoch is busy; test_epoch_rows_match_the_per_filter_oracle reaches one
     assert kinds == {"busy", "covered", "quiet"}
@@ -153,7 +160,7 @@ def test_report_queries_the_timeline_only_in_busy_epochs(monkeypatch):
     trace = _long_demo()
     t_rev = DEMO_T_REV
     busy = {t.finalized_at // t_rev for t in trace.timeline.transactions}
-    assert len(trace.report.doc["per_epoch"]) == 2_001
+    assert len(rows_by_epoch(trace.report.doc["per_epoch"], t_rev)) == 2_001
     assert len(trace.timeline.transactions) <= 10
     assert 0 < len(calls) <= 4 * len(busy)
     assert {t0 // t_rev for t0, _, _ in calls} == busy
@@ -175,7 +182,7 @@ def _rendered_values(doc: dict) -> set:
 
 
 def test_render_text_formats_each_distinct_value_once(monkeypatch):
-    doc = _long_demo().report.doc
+    doc = run(parse_scenario(long_busy_demo_doc())).report.doc
     expected_text = render_text(doc)
     args = []
     real = report.frac_decimal
@@ -207,7 +214,7 @@ def _check_outputs(rd: ReportDocument, tick: int = 7) -> None:
     want = canonical_json(doc)
     assert rd.to_json() == want
     record = ReportRecord(tick, "report", doc, report=rd)
-    assert record.lines()[0] == canonical_json({"tick": tick, "kind": "report", **doc})
+    assert record.line() == canonical_json({"tick": tick, "kind": "report", **doc})
     lines = render_text(doc).split("\n")
     start = lines.index(EPOCH_HEADER) + 1
     end = start + len(doc["per_epoch"])
@@ -223,7 +230,7 @@ def test_golden_and_shipped_reports_encode_and_render_as_before():
         trace = run(parse_scenario(make_doc(), source=name))
         (record,) = [r for r in trace.records if r.kind == "report"]
         assert record.payload == trace.report.doc
-        assert record.lines()[0] == canonical_json({"tick": record.tick, "kind": "report", **trace.report.doc})
+        assert record.line() == canonical_json({"tick": record.tick, "kind": "report", **trace.report.doc})
         _check_outputs(trace.report)
         checked += 1
     assert checked >= 10
@@ -283,37 +290,6 @@ def test_random_row_sets_encode_and_render_as_before():
         seen["many_digits"] |= any(row["epoch"] >= 10**6 for row in rows)
         seen["shared_shape"] |= len(set(map(repr, shapes))) < len(shapes)
     assert all(seen.values()), seen
-
-
-def _rows_encoded(arg) -> int:
-    """How many per-epoch rows one `canonical_json` call encodes whole."""
-    if isinstance(arg, dict):
-        return len(arg["per_epoch"]) if "per_epoch" in arg else int("epoch" in arg and "window" in arg)
-    if isinstance(arg, list):
-        return sum(_rows_encoded(item) for item in arg if isinstance(item, dict))
-    return 0
-
-
-def test_report_encodes_only_busy_or_covered_rows_whole(monkeypatch):
-    encoded = []
-    real = report.canonical_json
-
-    def counted(doc):
-        encoded.append(_rows_encoded(doc))
-        return real(doc)
-
-    monkeypatch.setattr(report, "canonical_json", counted)
-    trace = _long_demo()
-    lines, text = trace.to_lines(), trace.report.to_json()
-    doc = trace.report.doc
-    t_rev = DEMO_T_REV
-    busy = {t.finalized_at // t_rev for t in trace.timeline.transactions}
-    covered = {row["epoch"] for row in doc["per_epoch"] if row["coverage"]}
-    assert len(doc["per_epoch"]) == 2_001 and len(busy | covered) <= 12
-    assert len(encoded) <= len(busy | covered) + 12
-    assert sum(encoded) <= len(busy | covered) + 4
-    assert text == real(doc)
-    assert lines[-1] == real({"tick": trace.records[-1].tick, "kind": "report", **doc})
 
 
 def test_no_encoding_or_rendering_memo_outlives_its_call_or_document(monkeypatch):
