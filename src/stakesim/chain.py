@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantViolationError
-from .rational import as_fraction
+from .rational import as_fraction, exact_sum
 
 Tick = int
 EpochIndex = int
@@ -372,7 +372,7 @@ def build_timeline(
             raise InvariantViolationError(
                 f"fork event {e.id!r}: unknown double signers {unknown}"
             )
-        signed = sum((vmap[s].stake for s in e.double_signers), Fraction(0))
+        signed = exact_sum(vmap[s].stake for s in e.double_signers)
         if e.double_signers and e.double_signer_stake == 0:
             e = replace(e, double_signer_stake=signed)
         elif e.double_signer_stake != signed:

@@ -276,7 +276,7 @@ class _Run:
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
             # every lot of one sale is backed by one share map
-            shares = [(SHARES, lots[0].backers, None)] if lots else []
+            shares = [(SHARES, lots[0], None)] if lots else []
             self.rec(tick, "auction", (LOT, lots, "lots"), *shares, epoch=e, available=frac_str(avail))
 
         if self.sc.attack_over_epoch is not None and e == self.sc.attack_over_epoch:

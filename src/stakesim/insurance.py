@@ -22,12 +22,18 @@ releases move stake pro rata, so each unslashed backer's free earmark is its
 weight share of the free pool: one share map, replaced only when a slash
 removes a backer, backs every lot sold under it. An auction's trace record
 writes that map's shares once, and a lot's backing is its coverage times
-each share. A lot's backing, premium and covering epoch are derived from
-what its auction decided, and the coverage bought and the premiums paid and
-earned are read off the lots.
+each share; the map builds its shares' strings once, for the first auction
+that writes them. A lot's backing, premium and covering epoch are derived
+from what its auction decided, and the coverage bought and the premiums
+paid and earned are read off the lots.
 A share map's lost part, the shares its slashed backers hold, is read off
-the slashed validators, so a release or payout costs the same however many
-backers there are.
+the slashed validators once per slash, so a release or payout costs the
+same however many backers there are.
+
+Ledger totals of many terms (a buyer's premiums, a map's earned premium,
+the coverage one release returns) are each one `exact_sum`: the numerators
+are added as ints over the lcm of the denominators, and one Fraction is
+normalized per total, not one per term.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .chain import (
@@ -45,7 +53,7 @@ from .chain import (
     epoch_of,
 )
 from .errors import InvariantViolationError
-from .rational import as_fraction
+from .rational import as_fraction, exact_sum, frac_str
 from .resolution import ResolutionOutcome
 
 # A purchase at epoch e covers epoch e + 2: one full epoch of gap makes the
@@ -101,8 +109,19 @@ class _Backers:
         """Each positive weight's share of their total, in id order; empty
         when no weight is positive."""
         positive = {v: w for v, w in sorted(weights.items()) if w > 0}
-        total = sum(positive.values(), Fraction(0))
+        total = exact_sum(positive.values())
         return cls({v: w / total for v, w in positive.items()})
+
+    def part(self, ids: Iterable[str]) -> Fraction:
+        """The shares of those of `ids` that back under this map, summed."""
+        shares = self.shares
+        return exact_sum(shares[v] for v in ids if v in shares)
+
+    @cached_property
+    def written(self) -> dict[str, str]:
+        """The shares as the trace writes them, built once for every
+        auction that sells under this map."""
+        return {v: frac_str(share) for v, share in self.shares.items()}
 
 
 @dataclass
@@ -158,32 +177,34 @@ def _allocate(
     lot backed by `backers`.
 
     Greedy by premium_rate descending, ties broken by lexicographic
-    transactor id (then submission order); the marginal bid fills partially.
+    transactor id (then submission order); the marginal bid fills
+    partially, taking what remains. Returns the lots and the coverage left
+    unsold.
     """
-    order = sorted(
-        range(len(bids)), key=lambda i: (-bids[i].premium_rate, bids[i].transactor, i)
-    )
     lots: list[InsuranceLot] = []
+    if available <= 0:
+        return lots, available
+    # two stable sorts give the order of the key (-rate, transactor, index)
+    order = sorted(bids, key=attrgetter("transactor"))
+    order.sort(key=attrgetter("premium_rate"), reverse=True)
     remaining = available
-    seq = start_seq
-    for i in order:
-        if remaining <= 0:
-            break
-        bid = bids[i]
-        allocated = min(bid.coverage_requested, remaining)
-        remaining -= allocated
+    for seq, bid in enumerate(order, start_seq):
+        coverage = bid.coverage_requested
+        filled = coverage >= remaining
         lots.append(
             InsuranceLot(
                 id=f"lot-e{bid.epoch_placed}-{seq}",
                 buyer=bid.transactor,
-                coverage=allocated,
+                coverage=remaining if filled else coverage,
                 premium_rate=bid.premium_rate,
                 epoch_placed=bid.epoch_placed,
                 backers=backers,
             )
         )
-        seq += 1
-    return lots
+        if filled:
+            return lots, Fraction(0)
+        remaining -= coverage
+    return lots, remaining
 
 
 class InsuranceLedger:
@@ -222,8 +243,9 @@ class InsuranceLedger:
         self.slashed_amounts: dict[str, Fraction] = {}
         self.settlements: list[SettlementRecord] = []
         self._lot_seq = 0
-        self._free_total = sum(earmarks.values(), Fraction(0))
+        self._free_total = exact_sum(earmarks.values())
         self._backers = _Backers.of(earmarks)
+        self._lost_parts: dict[_Backers, Fraction] = {}  # each map's lost part, since the last slash
         self._cap = ep.gamma * ep.adversary_threshold * ep.s_tot
         self._sales: dict[EpochIndex, list[InsuranceLot]] = {}
         self._open: set[EpochIndex] = set()  # covering epochs activated and not yet released
@@ -249,24 +271,25 @@ class InsuranceLedger:
     @property
     def premiums_paid(self) -> dict[str, Fraction]:
         """Each buyer's premium over every lot it bought."""
-        paid: dict[str, Fraction] = {}
+        paid: dict[str, list[Fraction]] = {}
         for lot in self.lots:
-            paid[lot.buyer] = paid.get(lot.buyer, Fraction(0)) + lot.premium_paid
-        return paid
+            paid.setdefault(lot.buyer, []).append(lot.premium_paid)
+        return {buyer: exact_sum(premiums) for buyer, premiums in paid.items()}
 
     @property
     def premiums_earned(self) -> dict[str, Fraction]:
         """Each backer's premium from the lots released or paid out so far,
         zero for a backer whose lots brought no premium."""
-        by_map: dict[_Backers, Fraction] = {}
+        by_map: dict[_Backers, list[Fraction]] = {}
         for lot in self.lots:
             if lot.state in (LotState.RELEASED, LotState.PAID_OUT):
-                by_map[lot.backers] = by_map.get(lot.backers, Fraction(0)) + lot.premium_paid
-        earned: dict[str, Fraction] = {}
-        for backers, premium in by_map.items():
+                by_map.setdefault(lot.backers, []).append(lot.premium_paid)
+        earned: dict[str, list[Fraction]] = {}
+        for backers, premiums in by_map.items():
+            premium = exact_sum(premiums)
             for v, share in backers.shares.items():
-                earned[v] = earned.get(v, Fraction(0)) + premium * share
-        return earned
+                earned.setdefault(v, []).append(premium * share)
+        return {v: exact_sum(parts) for v, parts in earned.items()}
 
     def available(self) -> Fraction:
         """Backing sellable now: the free pool, capped at gamma/3 of total
@@ -283,12 +306,13 @@ class InsuranceLedger:
                 raise InvariantViolationError(
                     f"bid by {b.transactor!r} placed at {b.epoch_placed}, auctioned at {epoch}"
                 )
-        lots = _allocate(bids, self.available(), self._backers, self._lot_seq)
+        available = self.available()
+        lots, unsold = _allocate(bids, available, self._backers, self._lot_seq)
         if not lots:
             return lots
         self._lot_seq += len(lots)
         # lots sell only from a positive pool, whose backers' shares add up to one
-        self._free_total -= sum((lot.coverage for lot in lots), Fraction(0))
+        self._free_total -= available - unsold
         self._sales.setdefault(epoch + PURCHASE_LEAD_EPOCHS, []).extend(lots)
         return lots
 
@@ -314,9 +338,12 @@ class InsuranceLedger:
     # -- stake motion -------------------------------------------------------
 
     def _lost(self, backers: _Backers) -> Fraction:
-        """The part of a share map that slashed backers hold."""
-        shares = backers.shares
-        return sum((shares[v] for v in self.slashed_amounts if v in shares), Fraction(0))
+        """The part of a share map that slashed backers hold, summed once
+        per slash."""
+        lost = self._lost_parts.get(backers)
+        if lost is None:
+            lost = self._lost_parts[backers] = backers.part(self.slashed_amounts)
+        return lost
 
     def _book_slash(self, slashed: Mapping[str, Fraction]) -> None:
         """The slashed validators leave the pool for good, taking their
@@ -326,6 +353,7 @@ class InsuranceLedger:
             self._held |= self._open
         for signer, amount in slashed.items():
             self.slashed_amounts[signer] = self.slashed_amounts.get(signer, Fraction(0)) + amount
+        self._lost_parts.clear()
         # the current map holds no backer slashed before, so all of its lost part is new
         gone = self._lost(self._backers)
         if gone:
@@ -349,13 +377,15 @@ class InsuranceLedger:
         self._open.discard(covering_epoch)
         lots = self._sales.get(covering_epoch, ())
         released = [lot for lot in lots if lot.state is LotState.ACTIVE_COVERAGE]
-        by_map: dict[_Backers, Fraction] = {}
+        by_map: dict[_Backers, list[Fraction]] = {}
         for lot in released:
             lot.transition(LotState.RELEASED)
-            by_map[lot.backers] = by_map.get(lot.backers, Fraction(0)) + lot.coverage
-        for backers, coverage in by_map.items():
+            by_map.setdefault(lot.backers, []).append(lot.coverage)
+        for backers, coverages in by_map.items():
+            coverage = exact_sum(coverages)
+            lost = self._lost(backers)
             # a slashed backer's part of the backing is gone for good
-            self._free_total += (1 - self._lost(backers)) * coverage
+            self._free_total += (1 - lost) * coverage if lost else coverage
         return released
 
     def end_attack(self, last_covering: EpochIndex) -> list[InsuranceLot]:

@@ -8,6 +8,8 @@ uses fixed-point decimals rendered deterministically (no locale).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 
 def as_fraction(x) -> Fraction:
@@ -39,6 +41,15 @@ def _parse(s: str) -> Fraction:
     if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     return Fraction(s)
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of `values` as one Fraction, normalized once: each
+    numerator is scaled to the lcm of the denominators and the numerators
+    are added as ints, where `sum` would reduce a Fraction per term."""
+    values = tuple(values)
+    den = lcm(*{v.denominator for v in values})
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def frac_str(x: Fraction) -> str:

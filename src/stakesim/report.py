@@ -42,12 +42,13 @@ from .econ import (
 )
 from .errors import ScenarioError
 from .insurance import InsuranceLedger, KarmaEntry, KarmaSummary, SettlementRecord, coverage_map, paid_claims
-from .rational import as_fraction, frac_decimal, frac_str
+from .rational import as_fraction, exact_sum, frac_decimal, frac_str
 from .scenario import (
     KARMA,
     LOT,
     PFC_BOUND,
     SETTLEMENT,
+    SHARES,
     TX_FINALIZED,
     VERDICT,
     canonical_json,
@@ -168,7 +169,7 @@ def _checked_sections(
         "verdicts": {b.kind: VERDICT.write(SafetyVerdict(coc, b, strong, buffer_ok)) for b in ladder},
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage, uncovered),
         "totals": {
-            key: frac_str(sum(map(attrgetter(attr), settlements), Fraction(0)))
+            key: frac_str(exact_sum(map(attrgetter(attr), settlements)))
             for key, attr in (("slashed", "slashed"), ("paid", "paid_total"), ("burned", "burned"))
         },
     }
@@ -310,6 +311,7 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
 
 # what `analyze` needs of a lot: (buyer, covering_epoch, coverage)
 _COVERED = tuple(map(LOT.field, ("buyer", "covering_epoch", "coverage")))
+_SHARES = SHARES.field("shares")
 _HEAD = frozenset(("tick", "kind"))
 
 
@@ -420,16 +422,38 @@ def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
     return None
 
 
+def _unsound_shares(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
+    """The path of the first auction that sold lots under shares that are
+    not all positive or do not sum to exactly 1, or None. Consecutive
+    auctions under one share map write equal maps, so each distinct map is
+    read once. A map that sums to 1 but names the wrong backers or weights
+    passes: only replaying the ledger could tell."""
+    where, last = f"{source}:auction", None
+    for i, r in enumerate(r for r in records if r["kind"] == "auction"):
+        if not r.get("lots") or last is not None and r.get("shares") == last:
+            continue
+        last = r.get("shares")
+        shares = _SHARES.read(r, where).shares.values()
+        if not all(share > 0 for share in shares) or exact_sum(shares) != 1:
+            return f"auction[{i}].shares"
+    return None
+
+
 def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
     """Recompute the report from the trace and diff against it, by sorted
-    key, first the settlement and karma records as stated, each named at
-    the report path it feeds, then the whole embedded report. A key of the
-    report missing from the embedded one is bad input. Returns the first
-    differing field path, or None when everything checks.
+    key, first the auctions' share maps, then the settlement and karma
+    records as stated, each named at the report path it feeds, then the
+    whole embedded report. A key of the report missing from the embedded
+    one is bad input. Returns the first differing field path, or None when
+    everything checks.
     """
     expected = recompute_from_trace(records, source=source)
     embedded, karma = (_payload(next(r for r in records if r["kind"] == kind)) for kind in ("report", "karma"))
     for key in expected:
         read_field(embedded, key, f"{source}:report")
     stated = {"settlements": [_payload(r) for r in records if r["kind"] == "settlement"], "karma": karma}
-    return first_mismatch(stated, {key: expected[key] for key in stated}) or first_mismatch(embedded, expected)
+    return (
+        _unsound_shares(records, source=source)
+        or first_mismatch(stated, {key: expected[key] for key in stated})
+        or first_mismatch(embedded, expected)
+    )

@@ -20,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .chain import ForkRevealEvent, TimingParams, ValidatorState
 from .errors import InvariantViolationError
+from .rational import exact_sum
 
 
 class RevealClass(str, Enum):
@@ -77,9 +79,10 @@ class ResolutionOutcome:
     def slashable(self) -> bool:
         return self.reveal_class in SLASHABLE_CLASSES
 
-    @property
+    @cached_property
     def slashable_stake(self) -> Fraction:
-        return sum(self.slashed.values(), Fraction(0))
+        """The stake `slashed` takes in all, summed once per outcome."""
+        return exact_sum(self.slashed.values())
 
     @property
     def canonical_is_first_fork(self) -> Optional[bool]:

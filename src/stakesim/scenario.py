@@ -53,8 +53,8 @@ from .chain import (
 from .confirmation import ConfirmationDecision, DecisionStatus
 from .econ import Mechanism, PfcBound, bribe_is_dominant
 from .errors import InvariantViolationError, ScenarioError, StakesimError
-from .insurance import PURCHASE_LEAD_EPOCHS, Claim, InsuranceBid
-from .rational import as_fraction, frac_str
+from .insurance import PURCHASE_LEAD_EPOCHS, Claim, InsuranceBid, _Backers
+from .rational import as_fraction, exact_sum, frac_str
 from .version import SCHEMA_VERSION
 
 
@@ -580,12 +580,13 @@ _LOT_REF = (_Field("id", _TEXT), _Field("buyer", _TEXT), _Field("coverage", _VAL
 LOT_REF = _Block(dict, *_LOT_REF)
 LOT = _Block(dict, *_LOT_REF, *_values("premium_rate", "premium_paid"), _Field("covering_epoch", _INTEGER))
 # an `auction` record's backer shares, written once for every lot it sold:
-# a lot's backing is its coverage times each share
+# a lot's backing is its coverage times each share. It is read from and
+# written through the lots' share map, which builds its strings once.
 _SHARE_MAP = (
-    lambda doc: {v: as_fraction(share) for v, share in _mapping(doc).items()},
-    lambda shares: {v: frac_str(share) for v, share in shares.items()},
+    lambda doc: _Backers({v: as_fraction(share) for v, share in _mapping(doc).items()}),
+    attrgetter("written"),
 )
-SHARES = _Block(dict, _Field("shares", _SHARE_MAP))
+SHARES = _Block(dict, _Field("shares", _SHARE_MAP, attr="backers"))
 # a `settlement` record and a report's settlement entry
 _CLAIM = _Block(
     Claim, _Field("transactor", _TEXT), _Field("covering_epoch", _INTEGER), *_values("harm", "capped", "paid")
@@ -713,7 +714,7 @@ def _parse_validators(vdoc: Optional[list], econ: EconParams, path: str) -> list
     validators = [_VALIDATOR.parse(item, f"{path}[{i}]") for i, item in enumerate(vdoc)]
     # the cost of corruption and the insurance cap read econ's total, and a
     # slash takes the listed stakes: the two must be one total
-    listed = sum((v.stake for v in validators), Fraction(0))
+    listed = exact_sum(v.stake for v in validators)
     if listed != econ.s_tot:
         _fail(
             path,

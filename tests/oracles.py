@@ -132,6 +132,21 @@ def auction_best_revenue(
     return best
 
 
+def allocate_oracle(bids, available: Fraction) -> list:
+    """(buyer, coverage, premium rate) of each lot an auction sells: bids
+    taken by the key (-premium_rate, transactor, submission index), each
+    filled up to what remains of `available`."""
+    order = sorted(range(len(bids)), key=lambda i: (-bids[i].premium_rate, bids[i].transactor, i))
+    lots, remaining = [], available
+    for i in order:
+        if remaining <= 0:
+            break
+        allocated = min(bids[i].coverage_requested, remaining)
+        remaining -= allocated
+        lots.append((bids[i].transactor, allocated, bids[i].premium_rate))
+    return lots
+
+
 def settle_oracle(slashed: Fraction, gamma: Fraction, claims):
     """claims: [(harm, coverage)] -> (per-claim paid, paid_total, burned,
     breach). Direct enumeration of the cap-then-budget arithmetic."""

@@ -14,10 +14,12 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import stakesim.cli as cli
+import stakesim.report
 from stakesim.chain import PfcKind
 from stakesim.cli import main
 from stakesim.errors import ScenarioError
@@ -26,6 +28,7 @@ from stakesim.scenario import canonical_json, load_scenario
 from stakesim.version import __version__
 
 from conftest import breach_scenario_doc, long_busy_demo_doc, quiet_scenario_doc
+from perfbench import workloads
 
 ROOT = Path(__file__).parent.parent
 DEMO = str(ROOT / "scenarios" / "double-sign.json")
@@ -329,6 +332,8 @@ MALFORMED_BODY_RECORDS = [
     (lambda r: r["lots"][0].pop("coverage"), "auction.lots[0].coverage: missing required key"),
     (lambda r: r["lots"].insert(0, 7), "auction.lots[0]: expected an object"),
     (lambda r: r.update(lots={}), "auction.lots: malformed value {}"),
+    (lambda r: r.pop("shares"), "auction.shares: missing required key"),
+    (lambda r: r["shares"].update(v1="x"), "auction.shares: malformed value"),
     (lambda r: r.pop("burned"), "settlement.burned: missing required key"),
     (lambda r: r.update(paid="1/0"), "settlement.paid: malformed value '1/0'"),
     (lambda r: r.pop("totals"), "report.totals: missing required key"),
@@ -473,6 +478,11 @@ def pay_nothing(record: dict) -> None:
         (("karma", "report"), drop_alice, "karma.parties.length"),
         # the demo's capped claims (6) are within its budget (32)
         (("settlement", "report"), lambda r: settlement_of(r).update(breach=True), "settlements[0].breach"),
+        # an auction's shares are each positive and sum to exactly 1
+        ("auction", lambda r: r.update(shares={"v1": "9"}), "auction[0].shares"),
+        ("auction", lambda r: r.update(shares={"v1": "2", "v2": "-1"}), "auction[0].shares"),
+        ("auction", lambda r: r.update(shares={"v1": "1/2", "v2": "1/2", "v3": "0"}), "auction[0].shares"),
+        ("auction", lambda r: r.update(shares={}), "auction[0].shares"),
     ],
 )
 def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
@@ -481,6 +491,36 @@ def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind
         tamper_first(trace, each, tamper)
     assert main(["analyze", "--trace", str(trace)]) == 3
     assert capsys.readouterr().out == f"{trace}: MISMATCH at {field}\n"
+
+
+def test_analyze_checks_each_distinct_share_map(tmp_path, capsys):
+    # the demo's two auctions write one map; a later auction's own map is read too
+    trace = run_demo(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    i = [n for n, line in enumerate(lines) if json.loads(line)["kind"] == "auction"][1]
+    record = json.loads(lines[i])
+    record["shares"] = {v: "1/5" for v in record["shares"]}
+    lines[i] = canonical_json(record)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", "--trace", str(trace)]) == 3
+    assert capsys.readouterr().out == f"{trace}: MISMATCH at auction[1].shares\n"
+
+
+def test_analyze_reads_each_distinct_share_map_once(tmp_path, capsys, monkeypatch):
+    doc, _ = workloads.generate("insurance_market", 1)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    trace = tmp_path / "out" / "trace.jsonl"
+    sold = [r for r in map(json.loads, trace.read_text().splitlines()) if r["kind"] == "auction" and r["lots"]]
+    maps = [shares for n, shares in enumerate(r["shares"] for r in sold) if n == 0 or shares != sold[n - 1]["shares"]]
+    reads = []
+    field = stakesim.report._SHARES
+    counted = SimpleNamespace(read=lambda doc, path: reads.append(doc) or field.read(doc, path))
+    monkeypatch.setattr(stakesim.report, "_SHARES", counted)
+    assert main(["analyze", "--trace", str(trace)]) == 0
+    assert len(sold) > 300 and len(maps) == 3
+    assert [r["shares"] for r in reads] == maps
 
 
 # Every case but the flag's keeps coc > pfc_value true in the tampered verdict

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -29,8 +30,9 @@ from stakesim import (
     settle_slash,
 )
 from stakesim.errors import InvariantViolationError
+from stakesim.insurance import _Backers
 
-from oracles import LedgerOracle, auction_best_revenue, settle_oracle
+from oracles import LedgerOracle, allocate_oracle, auction_best_revenue, settle_oracle
 
 TP = TimingParams(t_fin=1, t_rev=10, t_ws=30)
 EP = EconParams(
@@ -142,6 +144,43 @@ def test_greedy_revenue_is_optimal_on_integral_instances(rng):
         revenue = sum((l.premium_paid for l in lots), Fraction(0))
         assert revenue == auction_best_revenue(requests, rates, available)
         assert sum((l.coverage for l in lots), Fraction(0)) <= available
+
+
+def test_sell_allocates_in_the_order_of_the_sorting_oracle(rng):
+    # few names and rates make ties in rate and transactor and duplicate
+    # bidders common; `available` is zero, a prefix of the bids' order
+    # exactly, between two prefixes (the marginal bid fills partly), or
+    # more than every bid asks
+    seen = set()
+    for _ in range(600):
+        names = rng.sample("abcd", rng.randint(1, 3))
+        rates = [Fraction(rng.randint(0, 3), rng.choice([1, 2, 5])) for _ in range(rng.randint(1, 3))]
+        bids = [
+            bid(rng.choice(names), 0, Fraction(rng.randint(1, 12), rng.choice([1, 1, 2, 3])), rng.choice(rates))
+            for _ in range(rng.randint(3, 7))
+        ]
+        asked = sum(b.coverage_requested for b in bids)
+        prefixes = list(accumulate(cov for _, cov, _ in allocate_oracle(bids, asked)))
+        case = rng.choice(["zero", "exact", "partial", "undersubscribed"])
+        k = rng.randrange(len(prefixes) - (case == "partial"))
+        if case == "zero":
+            available = Fraction(0)
+        elif case == "exact":
+            available = prefixes[k]
+        elif case == "partial":
+            available = (prefixes[k] + prefixes[k + 1]) / 2
+        else:
+            available = asked + rng.randint(1, 5)
+        seen.add(case)
+        ledger = auction_ledger(available, transactors="abcd")
+        lots = ledger.sell(0, bids)
+        expected = allocate_oracle(bids, available)
+        assert [(l.buyer, l.coverage, l.premium_rate) for l in lots] == expected, (bids, available)
+        assert [l.id for l in lots] == [f"lot-e0-{i}" for i in range(len(lots))]
+        sold = sum((cov for _, cov, _ in expected), Fraction(0))
+        assert ledger.pool_free() == available - sold
+        assert len(lots) == {"zero": 0, "exact": k + 1, "partial": k + 2, "undersubscribed": len(bids)}[case]
+    assert seen == {"zero", "exact", "partial", "undersubscribed"}
 
 
 # -- ledger pipeline ---------------------------------------------------------
@@ -311,6 +350,68 @@ def test_closing_lots_costs_the_same_however_many_backers(monkeypatch):
     # validators, and a payout only marks its lots, so neither walks the
     # backers
     assert _fraction_ops_to_close(4, monkeypatch) == _fraction_ops_to_close(64, monkeypatch)
+
+
+def _fractions_built_by_premium_totals(n_lots, monkeypatch):
+    """Fractions built by karma's premium totals over a buyer's `n_lots`
+    lots, each released, under one share map of four backers."""
+    ledger = quiet_ledger()
+    for e in range(n_lots):
+        ledger.sell(e, [bid("ins", e, 1, Fraction(1, 50 + e % 7))])
+        ledger.activate(e + 2)
+        release_lots(e + 4, ledger)
+    built = 0
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    paid, earned = ledger.premiums_paid, ledger.premiums_earned
+    monkeypatch.undo()
+    lots = ledger.lots
+    assert len(lots) == n_lots and {l.state for l in lots} == {LotState.RELEASED}
+    assert paid == {"ins": sum((l.premium_paid for l in lots), Fraction(0))}
+    assert earned == {v: paid["ins"] / 4 for v in ("v1", "v2", "v3", "v4")}
+    return built
+
+
+def test_premium_totals_build_as_many_fractions_however_many_lots(monkeypatch):
+    # each total is one exact sum, which builds one Fraction however many terms it has
+    assert _fractions_built_by_premium_totals(10, monkeypatch) == _fractions_built_by_premium_totals(100, monkeypatch)
+
+
+def test_a_share_maps_lost_part_is_summed_once_per_slash(monkeypatch):
+    summed = []
+    part = _Backers.part
+    monkeypatch.setattr(_Backers, "part", lambda backers, ids: summed.append(backers) or part(backers, ids))
+    vals = [ValidatorState(id=f"v{i}", stake=Fraction(32), earmarked_fraction=Fraction(1, 2)) for i in range(1, 5)]
+    ledger = InsuranceLedger([*vals, ValidatorState(id="x", stake=Fraction(32))], EP, transactors="ab")
+    for e in range(3):
+        ledger.sell(e, [bid("a", e, 3, Fraction(1, 50)), bid("b", e, 2, Fraction(1, 10))])
+    first = ledger.lots[0].backers
+    ambiguous = RevealClass.AMBIGUOUS_WINDOW
+    # the slash settles before any lot is active, so it holds none; it sums
+    # the selling map's lost part, and v1 leaves it
+    settle_slash(ResolutionOutcome("f", ambiguous, slashed={"v1": Fraction(32)}), ledger, harmed=[])
+    assert summed == [first]
+    ledger.activate(2)
+    ledger.activate(3)
+    # two releases under the slashed map reuse its lost part
+    assert len(release_lots(4, ledger)) == len(release_lots(5, ledger)) == 2
+    assert summed == [first]
+    # a slash of a validator that backs nothing sums the selling map's part,
+    # and the next release under the first map sums that map's part anew
+    settle_slash(ResolutionOutcome("g", ambiguous, slashed={"x": Fraction(32)}), ledger, harmed=[])
+    second = summed[-1]
+    assert summed == [first, second] and second is not first
+    ledger.activate(4)
+    assert len(release_lots(6, ledger)) == 2
+    assert summed == [first, second, first]
+    # v1's quarter of the free pool and of each released lot is gone
+    assert ledger.pool_free() == Fraction(3, 4) * 64
 
 
 def random_ledger_case(rng):

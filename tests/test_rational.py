@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stakesim import as_fraction, frac_decimal, frac_str
+from stakesim.rational import exact_sum
 
 from oracles import frac_decimal_oracle
 
@@ -119,3 +120,21 @@ def test_fraction_input_is_formatted_as_before(rng):
         assert frac_decimal(x) == _frac_decimal_rebuilding(x), x
     # Fraction, int and "p/q" input, each zero, negative and positive
     assert seen == {(kind, sign) for kind in ("Fraction", "int", "str") for sign in (-1, 0, 1)}
+
+
+def test_exact_sum_is_the_plain_sum(rng):
+    primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079]
+    for _ in range(2000):
+        n = rng.choice([0, 1, rng.randint(2, 6), rng.randint(7, 60)])
+        den = rng.choice([lambda: 1, lambda: rng.randint(1, 40), lambda: rng.choice(primes) ** rng.randint(1, 3)])
+        values = [Fraction(rng.randint(-(10**6), 10**6), den()) for _ in range(n)]
+        total = exact_sum(values)
+        assert type(total) is Fraction
+        assert total == sum(values, Fraction(0)), values
+        # a generator is summed as its list is
+        assert exact_sum(iter(values)) == total
+    assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
+    assert exact_sum([Fraction(-3, 7)]) == Fraction(-3, 7)
+    assert exact_sum([2, Fraction(5)]) == 7 and type(exact_sum([2, 5])) is Fraction
+    assert exact_sum([Fraction(1, 2), Fraction(-1, 2)]) == 0
+    assert exact_sum([Fraction(1, 10007), Fraction(1, 10009)]) == Fraction(10007 + 10009, 10007 * 10009)
