@@ -8,6 +8,10 @@ Conventions used throughout the package:
 * Types are immutable after construction. Shared freely across analyses.
 * Each window rung of the profit-from-corruption ladder (`PfcKind`) names
   the transactions it counts, and `gamma_value` sums them over a window.
+  The rungs nest, so one count per transaction (`_rungs`, the one
+  definition of rung membership) says which rungs count it: the first
+  that many of `WINDOW_KINDS`. A timeline's window index is built from
+  that count in one pass over its transactions.
 """
 
 from __future__ import annotations
@@ -310,15 +314,19 @@ class ChainTimeline:
         denominator, the lcm of the values' denominators. Built on first
         use and kept on this object only, outside the fields, so equality,
         hashing and `replace` ignore it. Sorts by tick itself: timelines
-        need not come from build_timeline. `gamma_value` queries it, and
-        `econ.window_sup` sweeps it directly."""
-        ordered = sorted(self.transactions, key=attrgetter("finalized_at"))
+        need not come from build_timeline. One pass over the sorted
+        transactions classifies each once (`_rungs`) and appends it to the
+        rungs that count it. `gamma_value` queries the index, and
+        `econ.window_sup` and `report._epoch_rows` sweep it directly."""
+        counted = tuple([] for _ in WINDOW_KINDS)
+        for tx in sorted(self.transactions, key=attrgetter("finalized_at")):
+            for members in counted[: _rungs(tx)]:
+                members.append(tx)
         index = _WindowIndex()
-        for kind in WINDOW_KINDS:
-            matching = [tx for tx in ordered if _matches(tx, kind)]
-            den = lcm(*(tx.value.denominator for tx in matching))
-            scaled = (tx.value.numerator * (den // tx.value.denominator) for tx in matching)
-            index[kind] = ([tx.finalized_at for tx in matching], list(accumulate(scaled, initial=0)), den)
+        for kind, members in zip(WINDOW_KINDS, counted):
+            den = lcm(*(tx.value.denominator for tx in members))
+            scaled = (tx.value.numerator * (den // tx.value.denominator) for tx in members)
+            index[kind] = ([tx.finalized_at for tx in members], list(accumulate(scaled, initial=0)), den)
         return index
 
 
@@ -396,20 +404,17 @@ _WAITING_RULES = (ConfirmationRule.SECURE_RULE, ConfirmationRule.BRIDGE_RULE)
 _NO_VALUE = Fraction(0)
 
 
-def _matches(tx: TransactionRecord, kind: PfcKind) -> bool:
-    """Whether window rung `kind` counts `tx`."""
-    if kind is PfcKind.REORG_WINDOW:
-        return True
+def _rungs(tx: TransactionRecord) -> int:
+    """How many window rungs count `tx`: the window counts every
+    transaction, the hybrid window only hybrid flow, the secure rule's rung
+    only hybrid flow that does not wait out the reversion period, and the
+    uninsured load only the uninsured part of that. The rungs nest, so
+    those are the first that many of `WINDOW_KINDS`, loosest first."""
     if tx.kind is not TxKind.HYBRID:
-        return False
-    if kind is PfcKind.REORG_HYBRID_WINDOW:
-        return True
+        return 1
     if tx.rule in _WAITING_RULES:
-        return False
-    if kind is PfcKind.REORG_HYBRID_SECURE_RULE:
-        return True
-    # UNINSURED_LOAD: immediate execution without coverage
-    return not tx.insured
+        return 2
+    return 3 if tx.insured else 4
 
 
 def gamma_value(

@@ -9,13 +9,18 @@ Documents are at output version 2 (`OUTPUT_VERSION`), and `analyze` reads
 only traces at that version. The per-epoch rows hold one row for each
 epoch that holds a transaction, has coverage or is uncovered, and one for
 each maximal run of quiet epochs between those, so a report grows with a
-run's events, not with its horizon.
+run's events, not with its horizon. They are built in one forward sweep
+over the timeline's window index; a quiet row queries nothing, and a busy
+row calls `gamma_value` once for the loosest rung and once more for each
+tighter rung that counts at least one transaction, but fewer than the
+rung before it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,8 +32,8 @@ from .chain import (
     EconParams,
     EpochIndex,
     PfcKind,
+    Tick,
     TimingParams,
-    WINDOW_KINDS,
     epoch_of,
     gamma_value,
 )
@@ -72,13 +77,18 @@ BOUND_ALIASES = {
 }
 
 
-# each per-epoch sum column and the window rung whose transactions it sums
+# each per-epoch sum column and the window rung whose transactions it sums,
+# loosest to tightest as in WINDOW_KINDS: `_epoch_rows` reuses a looser
+# rung's cell and reads the flags off the last two
 _SUM_COLUMNS = {
     "sum_all": PfcKind.REORG_WINDOW,
     "sum_hybrid": PfcKind.REORG_HYBRID_WINDOW,
     "sum_hybrid_not_secure": PfcKind.REORG_HYBRID_SECURE_RULE,
     "sum_uninsured": PfcKind.UNINSURED_LOAD,
 }
+
+# the value of a window that counts no transaction
+_NO_LOAD = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -114,28 +124,55 @@ def _epoch_rows(
     finalized in its window of the transactions each window rung counts,
     the coverage bought for its epoch and its safety flags.
 
-    Only an epoch that holds a transaction queries the timeline, with one
-    `gamma_value` call per rung; every other row has the cells of no load.
-    Every row is its own dict and shares no list or dict with another.
+    The rows tile [0, (last + 1) * t_rev) in order, so one forward sweep
+    keeps a cursor per rung into that rung's ticks in the timeline's
+    window index. Only an epoch that holds a transaction has a load; every
+    other row shares the cells of no load, worked out once per call. In a
+    busy row each rung, loosest first, writes "0" if its window counts
+    nothing, and reuses the looser rung's value if it counts as many
+    transactions, which, as the rungs nest, are the same ones; only the
+    rest make one `gamma_value` call each. The flags compare by integer
+    cross-multiplication. Every row is its own dict and shares no list or
+    dict with another.
     """
     t_rev = tp.t_rev
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
     burn_share = (1 - ep.gamma) * coc
     last = epoch_of(timeline.horizon, t_rev)
+    index = timeline._gamma_index
+    rungs = [(column, kind, index[kind][0]) for column, kind in _SUM_COLUMNS.items()]
+    cursors = [0] * len(rungs)
     busy = {epoch_of(tx.finalized_at, t_rev) for tx in timeline.transactions}
+    quiet = dict.fromkeys(_SUM_COLUMNS, "0"), coc > 0, burn_share > 0
+    (cn, cd), (bn, bd) = coc.as_integer_ratio(), burn_share.as_integer_ratio()
+
+    def load(t0: Tick, t1: Tick) -> tuple[dict, bool, bool]:
+        cells, values = {}, []
+        counted = 0
+        for i, (column, kind, ticks) in enumerate(rungs):
+            lo = cursors[i]
+            hi = cursors[i] = bisect_left(ticks, t1, lo)
+            if lo == hi:
+                value, cell = _NO_LOAD, "0"
+            elif hi - lo != counted:
+                value = gamma_value(timeline, t0, t1, kind)
+                cell = frac_str(value)
+            counted = hi - lo
+            cells[column] = cell
+            values.append(value)
+        *_, secure, uninsured = values
+        (sn, sd), (un, ud) = secure.as_integer_ratio(), uninsured.as_integer_ratio()
+        return cells, cn * sd > sn * cd, bn * ud > un * bd
 
     def row(first: EpochIndex, stop: EpochIndex) -> dict:
         t0, t1 = first * t_rev, stop * t_rev
-        if first in busy:
-            sums = {kind: gamma_value(timeline, t0, t1, kind) for kind in WINDOW_KINDS}
-        else:
-            sums = dict.fromkeys(WINDOW_KINDS, Fraction(0))
+        sums, safe, buffer_ok = load(t0, t1) if first in busy else quiet
         return {
             "epoch": first,
             "window": [t0, t1],
-            **{column: frac_str(sums[kind]) for column, kind in _SUM_COLUMNS.items()},
-            "epoch_safe": coc > sums[PfcKind.REORG_HYBRID_SECURE_RULE],
-            "uninsured_buffer_ok": burn_share > sums[PfcKind.UNINSURED_LOAD],
+            **sums,
+            "epoch_safe": safe,
+            "uninsured_buffer_ok": buffer_ok,
             "coverage": {tr: frac_str(c) for tr, c in sorted(coverage.get(first, {}).items())},
             "insured_ok": first not in uncovered,
         }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,7 @@ from stakesim import (
     epoch_of,
     gamma_value,
 )
-from stakesim.chain import WINDOW_KINDS
+from stakesim.chain import WINDOW_KINDS, ConfirmationRule, TxKind, _rungs
 
 from oracles import gamma_set, rung_counts
 
@@ -180,6 +181,14 @@ def test_filters_nest_and_match_reference_predicate():
         for looser, tighter in zip(WINDOW_KINDS, WINDOW_KINDS[1:]):
             if tighter in matched:
                 assert looser in matched
+
+
+def test_rungs_names_the_first_rungs_the_reference_predicate_counts():
+    for kind, rule in product(TxKind, ConfirmationRule):
+        t = tx("x", 1, kind=kind.value, rule=rule.value)
+        counting = [rung for rung in WINDOW_KINDS if rung_counts(t, rung)]
+        assert _rungs(t) == len(counting), (kind, rule)
+        assert counting == list(WINDOW_KINDS[: _rungs(t)]), (kind, rule)
 
 
 def random_transactions(rng, horizon, n):

@@ -18,6 +18,7 @@ from stakesim import (
     build_timeline,
     render_text,
 )
+from stakesim.chain import WINDOW_KINDS
 from stakesim.econ import pfc_ladder, strong_safety_flags
 from stakesim.engine import ReportRecord, run
 from stakesim.report import ReportDocument, _checked_sections, _epoch_rows, first_mismatch
@@ -164,6 +165,54 @@ def test_report_queries_the_timeline_only_in_busy_epochs(monkeypatch):
     assert len(trace.timeline.transactions) <= 10
     assert 0 < len(calls) <= 4 * len(busy)
     assert {t0 // t_rev for t0, _, _ in calls} == busy
+
+
+def test_a_busy_row_asks_the_timeline_once_per_rung_that_counts_more(monkeypatch):
+    calls = []
+    real = report.gamma_value
+
+    def counted(timeline, t0, t1, kind=PfcKind.REORG_WINDOW):
+        calls.append((t0, t1, kind))
+        return real(timeline, t0, t1, kind)
+
+    monkeypatch.setattr(report, "gamma_value", counted)
+    tp = TimingParams(t_fin=1, t_rev=5, t_ws=6)
+    # coc is 7/3; epoch 1 holds the flow, epochs 0 and 2 are quiet
+    cases = [
+        # every rung counts the same plain-immediate, uninsured hybrid flow,
+        # whose load equals coc: not safe, as the comparison is strict
+        ([("hybrid", "immediate", 1), ("hybrid", "immediate", Fraction(4, 3))], Fraction(1, 4), 1, (False, False)),
+        # each rung counts one transaction fewer than the looser rung
+        (
+            [("pure", "immediate", 1), ("hybrid", "secure", 2), ("hybrid", "insured_immediate", 1),
+             ("hybrid", "immediate", Fraction(1, 3))],
+            Fraction(1, 4),
+            4,
+            (True, True),
+        ),
+        # value-0 flow, and tighter rungs whose windows count nothing: the
+        # cells and flags of no load, whether or not any stake burns
+        ([("pure", "immediate", 0), ("hybrid", "bridge", 0)], Fraction(1, 4), 2, (True, True)),
+        ([("pure", "immediate", 0), ("hybrid", "bridge", 0)], Fraction(1), 2, (True, False)),
+    ]
+    for flow, gamma, asked, flags in cases:
+        txs = [
+            TransactionRecord(
+                id=f"t{i}", transactor="a", value=value, kind=kind, rule=rule, finalized_at=5 + i,
+                insured_epoch=1 if rule == "insured_immediate" else None,
+            )
+            for i, (kind, rule, value) in enumerate(flow)
+        ]
+        timeline = build_timeline(horizon=14, transactions=txs)
+        ep = EconParams(stake_per_validator=Fraction(7, 2), n_validators=2, gamma=gamma)
+        calls.clear()
+        rows = _epoch_rows(timeline, tp, ep, {}, set())
+        assert calls == [(5, 10, kind) for kind in WINDOW_KINDS[:asked]], flow
+        assert rows_by_epoch(rows, tp.t_rev) == epoch_rows_by_row(timeline, tp, ep, {}, set())
+        quiet, busy, _ = rows
+        assert (busy["epoch_safe"], busy["uninsured_buffer_ok"]) == flags
+        if not any(value for _, _, value in flow):
+            assert busy == {**quiet, "epoch": 1, "window": [5, 10]}
 
 
 def _rendered_values(doc: dict) -> set:
