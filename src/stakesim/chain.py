@@ -165,11 +165,6 @@ class PfcKind(str, Enum):
 WINDOW_KINDS = tuple(PfcKind)[1:]
 
 
-def insured_flow(kind: TxKind, rule: ConfirmationRule) -> bool:
-    """Whether `kind` flow under `rule` is insured immediate hybrid flow."""
-    return kind is TxKind.HYBRID and rule is ConfirmationRule.INSURED_IMMEDIATE
-
-
 @dataclass(frozen=True)
 class TransactionRecord:
     """One finalized transaction as seen by the settlement layer.
@@ -177,7 +172,8 @@ class TransactionRecord:
     Pure transactions have no off-chain leg: their rule is normalized to
     IMMEDIATE and any off-chain execution tick is dropped. Hybrid
     transactions trigger an irreversible off-chain action whose timing is
-    governed by `rule`.
+    governed by `rule`. Insured flow is covered in the epoch it finalizes
+    in: the lots bought for that epoch back it.
     """
 
     id: str
@@ -187,7 +183,6 @@ class TransactionRecord:
     finalized_at: Tick
     rule: ConfirmationRule = ConfirmationRule.IMMEDIATE
     offchain_executed_at: Optional[Tick] = None
-    insured_epoch: Optional[EpochIndex] = None
 
     def __post_init__(self):
         if type(self.value) is not Fraction:
@@ -204,22 +199,17 @@ class TransactionRecord:
             # no off-chain leg: rule is irrelevant, normalize
             object.__setattr__(self, "rule", ConfirmationRule.IMMEDIATE)
             object.__setattr__(self, "offchain_executed_at", None)
-            object.__setattr__(self, "insured_epoch", None)
             return
         if self.offchain_executed_at is not None and self.offchain_executed_at < self.finalized_at:
             raise InvariantViolationError(
                 f"transaction {self.id!r}: offchain_executed_at precedes finalized_at"
-            )
-        if self.insured and self.insured_epoch is None:
-            raise InvariantViolationError(
-                f"transaction {self.id!r}: insured_immediate requires insured_epoch"
             )
 
     @property
     def insured(self) -> bool:
         """Whether this is insured immediate hybrid flow, the flow that bought
         coverage for its epoch."""
-        return insured_flow(self.kind, self.rule)
+        return self.kind is TxKind.HYBRID and self.rule is ConfirmationRule.INSURED_IMMEDIATE
 
 
 @dataclass(frozen=True)

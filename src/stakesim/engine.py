@@ -6,15 +6,17 @@ coverage auction, then per-tick transaction finalizations, scheduled
 off-chain executions and fork reveals. The heap holds only the epochs where
 the engine can act: epoch 0, every epoch with a bid, the attack-over epoch,
 and, pushed by each auction, the epoch its lots cover and the epoch they
-release at; under a grieving buyout, whose buyer bids in every epoch, each
-epoch schedules the next. Every other epoch is quiet. An `epoch_start`
-record goes just before the first record of each epoch, up to the
-horizon's, that has one; an epoch with no record writes none, so the trace
-grows with the run's events, not with its horizon. `run_start`,
-`bribery_probe`, `karma` and `report` belong to no epoch. A slashable
-reveal settles its slash immediately, which holds the lots active at that
-moment, and flips every transactor to the secure rule until the scenario's
-scripted attack-over epoch, which releases the held lots.
+release at; under a grieving buyout, whose buyer bids for all the coverage
+there is, an epoch that leaves some unsold schedules the next (the pool
+grows back only in an epoch that releases lots, which is scheduled
+anyway). Every other epoch is quiet. An `epoch_start` record goes just
+before the first record of each epoch, up to the horizon's, that has one;
+an epoch with no record writes none, so the trace grows with the run's
+events, not with its horizon. `run_start`, `bribery_probe` and `report`
+belong to no epoch. A slashable reveal settles its slash immediately,
+which holds the lots active at that moment, and flips every transactor to
+the secure rule until the scenario's scripted attack-over epoch, which
+releases the held lots.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
 only ever walks sorted structures and nothing is sampled. The seed only
@@ -170,6 +172,10 @@ class _Run:
         self.bids_by_epoch: dict[EpochIndex, list[InsuranceBid]] = {}
         for b in sc.bids:
             self.bids_by_epoch.setdefault(b.epoch_placed, []).append(b)
+        # a grieving buyout's buyer bids for all the coverage there is, every epoch it can
+        adversary = sc.adversary
+        grieving = adversary.strategy.kind is StrategyKind.GRIEVING_BUYOUT
+        self.grieving_buyer = min(adversary.transactors) if grieving and adversary.transactors else None
 
         self.records: list[TraceRecord] = []
         self.effective: dict[str, TransactionRecord] = {}  # each transaction under the rule it finalized with
@@ -255,23 +261,19 @@ class _Run:
         self.ledger.activate(e)
 
         bids = self.bids_by_epoch.get(e, [])
-        adversary = self.sc.adversary
-        if adversary.strategy.kind is StrategyKind.GRIEVING_BUYOUT:
-            self.schedule_epoch(e + 1)
-            buyer = min(adversary.transactors) if adversary.transactors else None
-            avail = self.ledger.available()
-            if buyer is not None and avail > 0:
-                bids = bids + [
-                    InsuranceBid(
-                        transactor=buyer,
-                        epoch_placed=e,
-                        coverage_requested=avail,
-                        premium_rate=adversary.strategy.premium_rate,
-                    )
-                ]
+        buyer = self.grieving_buyer
+        avail = self.ledger.available() if bids or buyer is not None else None
+        if buyer is not None and avail > 0:
+            bids = bids + [
+                InsuranceBid(
+                    transactor=buyer,
+                    epoch_placed=e,
+                    coverage_requested=avail,
+                    premium_rate=self.sc.adversary.strategy.premium_rate,
+                )
+            ]
         if bids:
-            avail = self.ledger.available()
-            lots = self.ledger.sell(e, bids)
+            lots = self.ledger.sell(e, bids, avail)
             # the epoch the lots cover activates them, and they release two later
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
@@ -286,6 +288,11 @@ class _Run:
             for lot in self.ledger.end_attack(e - RELEASE_LAG_EPOCHS):
                 self.rec(tick, "released", (LOT_REF, [lot], "lots"), epoch=e)
             self.reevaluate_waiting(tick)
+
+        # the pool grows back only in a scheduled epoch, one that releases
+        # lots, so the buyer bids again next epoch only while there is some
+        if buyer is not None and self.ledger.available() > 0:
+            self.schedule_epoch(e + 1)
 
     def reevaluate_waiting(self, tick: Tick):
         for tx_id in sorted(self.waiting):
@@ -327,7 +334,7 @@ class _Run:
         self.effective[tx.id] = tx if effective is rule else replace(tx, rule=effective)
         self.rec(tick, "tx_finalized", (TX_FINALIZED, self.effective[tx.id], None), rule_requested=rule.value)
         if reason is not None:
-            self.rec(tick, "rule_fallback", tx=tx.id, from_rule=rule.value, to_rule=effective.value, reason=reason)
+            self.rec(tick, "rule_fallback", tx=tx.id, reason=reason)
 
         if tx.kind is TxKind.PURE:
             return
@@ -362,7 +369,7 @@ class _Run:
         if tick > self.timeline.horizon:
             return
         self.executed[tx.id] = tick
-        self.rec(tick, "offchain_executed", tx=tx.id, rule=self.effective[tx.id].rule.value)
+        self.rec(tick, "offchain_executed", tx=tx.id)
 
     # -- forks ----------------------------------------------------------------
 
@@ -445,7 +452,6 @@ class _Run:
             scenario_hash=scenario_hash(self.sc),
             seed=self.seed,
         )
-        self.records.append(TraceRecord(horizon, "karma", dict(report.doc["karma"])))
         self.records.append(ReportRecord(horizon, "report", report.doc, report=report))
         return SimTrace(
             records=self.records,

@@ -38,12 +38,12 @@ normalized per total, not one per term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .chain import (
     EconParams,
@@ -298,7 +298,12 @@ class InsuranceLedger:
 
     # -- purchase pipeline --------------------------------------------------
 
-    def sell(self, epoch: EpochIndex, bids: Sequence[InsuranceBid]) -> list[InsuranceLot]:
+    def sell(
+        self, epoch: EpochIndex, bids: Sequence[InsuranceBid], available: Optional[Fraction] = None
+    ) -> list[InsuranceLot]:
+        """Auction `available()` coverage to `bids`, all placed at `epoch`.
+        A caller that has read `available()` for this sale passes it as
+        `available`, and the ledger does not read it again."""
         for b in bids:
             if b.transactor not in self.transactors:
                 raise InvariantViolationError(f"bid from unknown transactor {b.transactor!r}")
@@ -306,7 +311,8 @@ class InsuranceLedger:
                 raise InvariantViolationError(
                     f"bid by {b.transactor!r} placed at {b.epoch_placed}, auctioned at {epoch}"
                 )
-        available = self.available()
+        if available is None:
+            available = self.available()
         lots, unsold = _allocate(bids, available, self._backers, self._lot_seq)
         if not lots:
             return lots
@@ -531,33 +537,17 @@ def settle_slash(
         key = (h.transactor, h.covering_epoch)
         grouped[key] = grouped.get(key, Fraction(0)) + h.value
 
-    capped = {
-        key: min(harm, ledger.u(key[0], key[1])) for key, harm in sorted(grouped.items())
-    }
-    total_capped = sum(capped.values(), Fraction(0))
-    breach = total_capped > budget
-    scale = budget / total_capped if breach else Fraction(1)
-
-    claims = tuple(
-        Claim(
-            transactor=tr,
-            covering_epoch=e,
-            harm=grouped[(tr, e)],
-            capped=c,
-            paid=c * scale,
-        )
-        for (tr, e), c in capped.items()
-    )
+    claims = []
+    for (tr, e), harm in sorted(grouped.items()):
+        capped = min(harm, ledger.u(tr, e))
+        claims.append(Claim(transactor=tr, covering_epoch=e, harm=harm, capped=capped, paid=capped))
+    record = SettlementRecord(event_id=outcome.event_id, slashed=slashed, insurance_budget=budget, claims=tuple(claims))
+    if record.invariant_breach:
+        scale = budget / record.capped_total
+        record = replace(record, claims=tuple(replace(c, paid=c.capped * scale) for c in claims))
 
     ledger._book_slash(outcome.slashed)
-    ledger._pay_out({(c.transactor, c.covering_epoch) for c in claims if c.paid > 0})
-
-    record = SettlementRecord(
-        event_id=outcome.event_id,
-        slashed=slashed,
-        insurance_budget=budget,
-        claims=claims,
-    )
+    ledger._pay_out({(c.transactor, c.covering_epoch) for c in record.claims if c.paid > 0})
     ledger.settlements.append(record)
     return record
 

@@ -5,7 +5,7 @@ Machine values are exact rationals ("p/q" strings); human tables show
 fixed-point decimals. `_report_doc` lays the document out once:
 `build_report` fills it from a run, and `recompute_from_trace` from the
 run's trace, which the analyze verb diffs whole against its embedded report.
-Documents are at output version 2 (`OUTPUT_VERSION`), and `analyze` reads
+Documents are at output version 3 (`OUTPUT_VERSION`), and `analyze` reads
 only traces at that version. The per-epoch rows hold one row for each
 epoch that holds a transaction, has coverage or is uncovered, and one for
 each maximal run of quiet epochs between those, so a report grows with a
@@ -59,7 +59,6 @@ from .scenario import (
     canonical_json,
     canonical_object,
     confirmation_rule,
-    insured_epoch,
     integer,
     listing,
     parse_run_header,
@@ -363,12 +362,12 @@ def _rebuild(cls: type, fields: Mapping[str, Any], **given: Any) -> Any:
 
 def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") -> dict:
     """The report document a trace states: the one `build_report` lays out for
-    its run_start labels, transactions, lots, settlements and karma record,
-    against the bound kind of its embedded report's verdict. A settlement's
-    insurance budget, paid and burned amounts and breach flag, a party's
-    compensation and net, every claimant's karma entry, and the adversary's
-    net are derived, not read. Bad input is reported in that order, the
-    embedded report's verdict and settlements before the karma record."""
+    its run_start labels, transactions, lots and settlements, and its embedded
+    report's karma section, against the bound kind of that report's verdict.
+    A settlement's insurance budget, paid and burned amounts and breach flag,
+    a party's compensation and net, every claimant's karma entry, and the
+    adversary's net are derived, not read. Bad input is reported in that
+    order, the embedded report's verdict, settlements and karma last."""
     by_kind: dict[str, list[dict]] = {}
     for r in records:
         by_kind.setdefault(r["kind"], []).append(r)
@@ -391,11 +390,8 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     txs = []
     for r in by_kind.get("tx_finalized", ()):
         tick = read_field(r, "tick", where, integer)
-        tx = TX_FINALIZED.parse(r, where, allowed, finalized_at=tick)
-        requested = read_field(r, "rule_requested", where, confirmation_rule)
-        # fallen-back flow keeps the epoch its requested rule insured
-        insured_epoch(tx.kind, requested, tick, tx.insured_epoch, tp.t_rev, where, required=True)
-        txs.append(tx)
+        txs.append(TX_FINALIZED.parse(r, where, allowed, finalized_at=tick))
+        read_field(r, "rule_requested", where, confirmation_rule)
     timeline = ChainTimeline(horizon, tuple(sorted(txs, key=lambda t: (t.finalized_at, t.id))))
 
     where = f"{source}:auction"
@@ -414,7 +410,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     bound_kind = VERDICT.read(read_field(report, "verdict", where), f"{where}.verdict")["bound_kind"]
     for i, entry in enumerate(read_field(report, "settlements", where, listing)):
         SETTLEMENT.read(entry, f"{where}.settlements[{i}]")
-    stated = KARMA.read(_payload(first("karma", "karma record")), f"{source}:karma")
+    stated = KARMA.read(read_field(report, "karma", where), f"{where}.karma")
     # every claimant has an entry, whether or not the record lists it
     paid, listed = paid_claims(settlements), {e["party"]: e for e in stated["entries"]}
     entries = [
@@ -432,17 +428,22 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
 def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
     """Depth-first path of the first differing field, or None if equal.
 
-    Sides of one type that compare equal are settled by one `==`; only a
-    differing dict or list is walked, by sorted key or by index, to name
-    the field."""
-    if type(expected) is type(actual) and expected == actual:
+    Equality is settled on the canonical encodings, which tell `1` from
+    `true` where `==` does not; only a difference is walked, by sorted key
+    or by index, to name the field."""
+    if canonical_json(expected) == canonical_json(actual):
         return None
+    return _first_difference(expected, actual, path)
+
+
+def _first_difference(expected: Any, actual: Any, path: str) -> Optional[str]:
+    """`first_mismatch`'s walk: a leaf differs from one of another type or value."""
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(set(expected) | set(actual)):
             sub = f"{path}.{key}" if path else str(key)
             if key not in expected or key not in actual:
                 return sub
-            found = first_mismatch(expected[key], actual[key], sub)
+            found = _first_difference(expected[key], actual[key], sub)
             if found:
                 return found
         return None
@@ -450,11 +451,11 @@ def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
         if len(expected) != len(actual):
             return f"{path}.length"
         for i, (ev, av) in enumerate(zip(expected, actual)):
-            found = first_mismatch(ev, av, f"{path}[{i}]")
+            found = _first_difference(ev, av, f"{path}[{i}]")
             if found:
                 return found
         return None
-    if expected != actual:
+    if type(expected) is not type(actual) or expected != actual:
         return path or "<root>"
     return None
 
@@ -478,19 +479,19 @@ def _unsound_shares(records: Sequence[dict], *, source: str = "<trace>") -> Opti
 
 def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
     """Recompute the report from the trace and diff against it, by sorted
-    key, first the auctions' share maps, then the settlement and karma
-    records as stated, each named at the report path it feeds, then the
-    whole embedded report. A key of the report missing from the embedded
-    one is bad input. Returns the first differing field path, or None when
+    key, first the auctions' share maps, then the settlement records as
+    stated, named at the report path they feed, then the whole embedded
+    report. A key of the report missing from the embedded one is bad
+    input. Returns the first differing field path, or None when
     everything checks.
     """
     expected = recompute_from_trace(records, source=source)
-    embedded, karma = (_payload(next(r for r in records if r["kind"] == kind)) for kind in ("report", "karma"))
+    embedded = _payload(next(r for r in records if r["kind"] == "report"))
     for key in expected:
         read_field(embedded, key, f"{source}:report")
-    stated = {"settlements": [_payload(r) for r in records if r["kind"] == "settlement"], "karma": karma}
+    stated = [_payload(r) for r in records if r["kind"] == "settlement"]
     return (
         _unsound_shares(records, source=source)
-        or first_mismatch(stated, {key: expected[key] for key in stated})
+        or first_mismatch({"settlements": stated}, {"settlements": expected["settlements"]})
         or first_mismatch(embedded, expected)
     )

@@ -47,8 +47,6 @@ from .chain import (
     ValidatorState,
     build_timeline,
     epoch_bounds,
-    epoch_of,
-    insured_flow,
 )
 from .confirmation import ConfirmationDecision, DecisionStatus
 from .econ import Mechanism, PfcBound, bribe_is_dominant
@@ -413,7 +411,6 @@ _TRANSACTION = _Block(
     _Field("finalized_at", _INTEGER),
     _Field("rule", _RULE, None),
     _Field("offchain_executed_at", _OPTIONAL_INTEGER, None),
-    _Field("insured_epoch", _OPTIONAL_INTEGER, None),
 )
 # a `fork_reveal` record, and a scenario's fork event, which adds how the
 # reveal plays out
@@ -573,7 +570,6 @@ TX_FINALIZED = _Block(
     _Field("value", _VALUE),
     _Field("tx_kind", (tx_kind, _value_of), attr="kind"),
     _Field("rule_effective", _RULE_VALUE, attr="rule"),
-    _Field("insured_epoch", _OPTIONAL_INTEGER),
 )
 # a lot of an `auction` record, and the part of it a `released` record names
 _LOT_REF = (_Field("id", _TEXT), _Field("buyer", _TEXT), _Field("coverage", _VALUE))
@@ -674,7 +670,7 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
 
     path = f"{source}.transactions"
     transactions = [
-        _parse_transaction(item, timing, top["policies"], f"{path}[{i}]")
+        _parse_transaction(item, top["policies"], f"{path}[{i}]")
         for i, item in enumerate(top.pop("timeline.transactions"))
     ]
 
@@ -723,41 +719,11 @@ def _parse_validators(vdoc: Optional[list], econ: EconParams, path: str) -> list
     return validators
 
 
-def _parse_transaction(
-    item, timing: TimingParams, policies: Mapping[str, ConfirmationRule], path: str
-) -> TransactionRecord:
+def _parse_transaction(item, policies: Mapping[str, ConfirmationRule], path: str) -> TransactionRecord:
     fields = _TRANSACTION.read(item, path)
     if fields["rule"] is None:
         fields["rule"] = policies.get(fields["transactor"], policies["*"])
-    fields["insured_epoch"] = insured_epoch(
-        fields["kind"], fields["rule"], fields["finalized_at"], fields["insured_epoch"], timing.t_rev, path
-    )
     return _build(path, _TRANSACTION.make, **fields)
-
-
-def insured_epoch(
-    kind: TxKind,
-    rule: ConfirmationRule,
-    finalized_at: Tick,
-    given: Optional[EpochIndex],
-    t_rev: int,
-    path: str,
-    *,
-    required: bool = False,
-) -> Optional[EpochIndex]:
-    """The insured epoch of `kind` flow under `rule` finalized at
-    `finalized_at`: its finalization epoch if it is insured flow, else None.
-    A `given` epoch must be that one; a missing one stands for it unless
-    `required`. Bad input is a ScenarioError at `path`'s `insured_epoch`."""
-    expected = epoch_of(finalized_at, t_rev) if insured_flow(kind, rule) else None
-    if given != expected and (given is not None or required):
-        _fail(
-            f"{path}.insured_epoch",
-            "only insured_immediate hybrid flow has an insured epoch"
-            if expected is None
-            else f"{given} disagrees with finalization epoch {expected}",
-        )
-    return expected
 
 
 def _parse_fork_event(item, timing: TimingParams, path: str) -> ForkRevealEvent:

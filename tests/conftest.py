@@ -27,7 +27,23 @@ from stakesim import (
     TransactionRecord,
     ValidatorState,
     build_timeline,
+    engine,
 )
+
+
+def count_epoch_visits(monkeypatch, limit: int | None = None) -> list[int]:
+    """The epoch of every `engine._Run.on_epoch` call from now on, in order.
+    A run that makes more than `limit` calls fails at once, so an engine
+    that walks every epoch of a long horizon fails without walking it."""
+    visited, on_epoch = [], engine._Run.on_epoch
+
+    def counting_on_epoch(self, tick, e):
+        visited.append(e)
+        assert limit is None or len(visited) <= limit, f"more than {limit} epoch visits"
+        return on_epoch(self, tick, e)
+
+    monkeypatch.setattr(engine._Run, "on_epoch", counting_on_epoch)
+    return visited
 
 
 def random_timing(rng: random.Random, *, t_cr: int | None = None) -> TimingParams:
@@ -78,7 +94,6 @@ def random_window_timeline(rng: random.Random, *, max_txs: int = 50, horizon: in
                 kind=kind,
                 rule=rule,
                 finalized_at=f,
-                insured_epoch=0 if rule == "insured_immediate" else None,
             )
         )
     return build_timeline(horizon=horizon, transactions=txs)
@@ -124,7 +139,6 @@ def random_physical_timeline(
                 kind="hybrid",
                 rule=rule,
                 finalized_at=f,
-                insured_epoch=f // tp.t_rev if rule == "insured_immediate" else None,
             )
         )
     events = []

@@ -308,8 +308,8 @@ def epoch_lines_oracle(doc) -> list:
 
 def first_mismatch_oracle(expected, actual, path: str = ""):
     """Path of the first differing field by walking every dict key (in
-    sorted order) and list index, leaves compared with `!=`; None if no
-    field differs."""
+    sorted order) and list index, leaves compared by type and with `!=`;
+    None if no field differs."""
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(set(expected) | set(actual)):
             sub = f"{path}.{key}" if path else str(key)
@@ -327,7 +327,7 @@ def first_mismatch_oracle(expected, actual, path: str = ""):
             if found:
                 return found
         return None
-    if expected != actual:
+    if type(expected) is not type(actual) or expected != actual:
         return path or "<root>"
     return None
 

@@ -29,8 +29,6 @@ from oracles import gamma_set, rung_counts
 
 
 def tx(id, f, v=1, kind="hybrid", rule="immediate", **kw):
-    if rule == "insured_immediate":
-        kw.setdefault("insured_epoch", 0)
     return TransactionRecord(id=id, transactor="a", value=v, kind=kind, finalized_at=f, rule=rule, **kw)
 
 
@@ -70,24 +68,15 @@ def test_econ_params():
 def test_pure_transactions_are_normalized():
     t = TransactionRecord(
         id="p", transactor="a", value=1, kind="pure", finalized_at=3,
-        rule="secure", offchain_executed_at=9, insured_epoch=4,
+        rule="secure", offchain_executed_at=9,
     )
     assert t.rule.value == "immediate"
     assert t.offchain_executed_at is None
-    assert t.insured_epoch is None
 
 
 def test_offchain_before_finalization_rejected():
     with pytest.raises(InvariantViolationError):
         tx("x", 10, offchain_executed_at=9)
-
-
-def test_insured_requires_epoch():
-    with pytest.raises(InvariantViolationError):
-        TransactionRecord(
-            id="x", transactor="a", value=1, kind="hybrid",
-            finalized_at=0, rule="insured_immediate",
-        )
 
 
 def test_empty_timeline_is_identity():

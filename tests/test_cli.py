@@ -107,7 +107,7 @@ ECON_LINE = "  econ: 4 validators x stake 32 (total 128), gamma 1/2, tvl {}"
 # policies, a scripted strategy and fork events
 VALIDATE_OUTPUT = {
     DEMO: [
-        f"scenario dda46075cdfec6a9 {HEADER}",
+        f"scenario d7a2c3f6125e9ecb {HEADER}",
         "  horizon 60, seed 7",
         TIMING_LINE.format(3),
         ECON_LINE.format(480),
@@ -116,7 +116,7 @@ VALIDATE_OUTPUT = {
         "  adversary strategy: double_sign_at",
     ],
     str(ROOT / "scenarios" / "grieving.json"): [
-        f"scenario 39d2325e7144fa14 {HEADER}",
+        f"scenario 9379c48aa1bb2aa7 {HEADER}",
         "  horizon 60, seed 11",
         TIMING_LINE.format(0),
         ECON_LINE.format(256),
@@ -125,7 +125,7 @@ VALIDATE_OUTPUT = {
         "  adversary strategy: grieving_buyout",
     ],
     str(GOLDEN_SCENARIOS / "release-backlog.json"): [
-        f"scenario 77971d548d58e967 {HEADER}",
+        f"scenario 3c864bf6deaa8613 {HEADER}",
         "  horizon 110, seed 31",
         TIMING_LINE.format(0),
         ECON_LINE.format(300),
@@ -135,7 +135,7 @@ VALIDATE_OUTPUT = {
         "  adversary strategy: double_sign_at",
     ],
     str(GOLDEN_SCENARIOS / "horizon-cut.json"): [
-        f"scenario fc442f1e5de8e7cd {HEADER}",
+        f"scenario 0ad59da318297687 {HEADER}",
         "  horizon 60, seed 23",
         TIMING_LINE.format(0),
         ECON_LINE.format(200),
@@ -289,8 +289,13 @@ def test_analyze_rejects_a_trace_without_a_report(tmp_path, capsys):
         # a trace is read only at the output version that wrote it
         pytest.param(
             lambda h: h.update(schema_version=1),
-            ":run_start.schema_version: unsupported output version 1, expected 2",
+            ":run_start.schema_version: unsupported output version 1, expected 3",
             id="output-version-1",
+        ),
+        pytest.param(
+            lambda h: h.update(schema_version=2),
+            ":run_start.schema_version: unsupported output version 2, expected 3",
+            id="output-version-2",
         ),
         pytest.param(
             lambda h: h.pop("schema_version"), ":run_start.schema_version: missing required key", id="version-missing"
@@ -358,25 +363,20 @@ def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys,
     assert "Traceback" not in captured.err
 
 
-# analyze reads tx_finalized, settlement and karma records, and the embedded
-# report's verdict and settlement entries, through their tables: a key the table does not know, one
-# it needs, a value it cannot read, or fields that make no transaction are
-# bad input; so is an insured epoch other than the one a transaction's tick
-# and requested rule give (the demo's tx1 requested insured_immediate in
-# epoch 0 and fell back to secure, keeping its epoch)
+# analyze reads tx_finalized and settlement records, and the embedded
+# report's verdict, settlement entries and karma section, through their
+# tables: a key the table does not know (a schema-2 `insured_epoch` among
+# them), one it needs, a value it cannot read, or fields that make no
+# transaction are bad input
 UNREADABLE = [
     ("tx_finalized", lambda r: r.update(stray=1), "tx_finalized: unknown keys ['stray']"),
-    ("tx_finalized", lambda r: r.pop("insured_epoch"), "tx_finalized.insured_epoch: missing required key"),
+    ("tx_finalized", lambda r: r.update(insured_epoch=0), "tx_finalized: unknown keys ['insured_epoch']"),
     ("tx_finalized", lambda r: r.pop("rule_effective"), "tx_finalized.rule_effective: missing required key"),
     ("settlement", lambda r: r.update(stray=1), "settlement: unknown keys ['stray']"),
     ("settlement", lambda r: r.pop("breach"), "settlement.breach: missing required key"),
     ("settlement", lambda r: r["claims"][0].pop("harm"), "settlement.claims[0].harm: missing required key"),
     ("settlement", lambda r: r["claims"][0].update(x=1), "settlement.claims[0]: unknown keys ['x']"),
-    (
-        "tx_finalized",
-        lambda r: r.update(rule_effective="insured_immediate", insured_epoch=None),
-        "tx_finalized: transaction 'tx1': insured_immediate requires insured_epoch",
-    ),
+    ("tx_finalized", lambda r: r.update(value="-5"), "tx_finalized: transaction 'tx1': value must be >= 0"),
     ("report", lambda r: r["verdict"].update(stray=1), "report.verdict: unknown keys ['stray']"),
     ("report", lambda r: r["verdict"].pop("coc"), "report.verdict.coc: missing required key"),
     (
@@ -384,27 +384,19 @@ UNREADABLE = [
         lambda r: r["verdict"].update(strong_safety="yes"),
         "report.verdict.strong_safety: malformed value 'yes': expected a boolean",
     ),
-    (
-        "tx_finalized",
-        lambda r: r.update(insured_epoch=99),
-        "tx_finalized.insured_epoch: 99 disagrees with finalization epoch 0",
-    ),
-    (
-        "tx_finalized",
-        lambda r: r.update(rule_requested="secure"),
-        "tx_finalized.insured_epoch: only insured_immediate hybrid flow has an insured epoch",
-    ),
+    ("tx_finalized", lambda r: r.pop("rule_requested"), "tx_finalized.rule_requested: missing required key"),
+    ("tx_finalized", lambda r: r.update(tick=-4), "tx_finalized: transaction 'tx1': finalized_at < 0"),
     (
         "tx_finalized",
         lambda r: r.update(rule_requested="banana"),
         "tx_finalized.rule_requested: malformed value 'banana': unknown rule",
     ),
-    ("karma", lambda r: r.update(stray=1), "karma: unknown keys ['stray']"),
-    ("karma", lambda r: r["parties"][0].pop("harm"), "karma.parties[0].harm: missing required key"),
+    ("report", lambda r: r["karma"].update(stray=1), "report.karma: unknown keys ['stray']"),
+    ("report", lambda r: r["karma"]["parties"][0].pop("harm"), "report.karma.parties[0].harm: missing required key"),
     (
-        "karma",
-        lambda r: r["parties"][0].update(net="x"),
-        "karma.parties[0].net: malformed value 'x': Invalid literal for Fraction: 'x'",
+        "report",
+        lambda r: r["karma"]["parties"][0].update(net="x"),
+        "report.karma.parties[0].net: malformed value 'x': Invalid literal for Fraction: 'x'",
     ),
     # 0 == False, so only the table tells a 0 from the flag it stands for
     (
@@ -427,19 +419,14 @@ def test_analyze_refuses_a_record_its_table_cannot_read(tmp_path, capsys, kind, 
     assert captured.err == f"error: {trace}:{message}\n"
 
 
-def karma_of(record: dict) -> dict:
-    """The karma record, or the embedded report's copy of it."""
-    return record["karma"] if record["kind"] == "report" else record
-
-
 def settlement_of(record: dict) -> dict:
     """The settlement record, or the embedded report's copy of it."""
     return record["settlements"][0] if record["kind"] == "report" else record
 
 
 def drop_alice(record: dict) -> None:
-    """The demo's one claimant, alice, left out of a karma section."""
-    parties = karma_of(record)["parties"]
+    """The demo's one claimant, alice, left out of the report's karma section."""
+    parties = record["karma"]["parties"]
     parties[:] = [p for p in parties if p["party"] != "alice"]
 
 
@@ -459,23 +446,26 @@ def pay_nothing(record: dict) -> None:
         ("tx_finalized", lambda r: r.update(value="99"), "ladder[1].value"),
         ("settlement", lambda r: r.update(paid="7", burned="57"), "settlements[0].burned"),
         ("auction", lambda r: r["lots"][0].update(coverage="1"), "per_epoch[2].coverage.alice"),
-        # the report's labels, settlements and karma section are checked
-        # against the run_start, settlement and karma records
+        # the report's labels and settlements are checked against the
+        # run_start and settlement records, and its karma section against
+        # the amounts the settlements give
         ("report", lambda r: r.update(scenario_hash="0" * 64), "scenario_hash"),
         ("report", lambda r: r.update(seed=8), "seed"),
         ("report", lambda r: r["settlements"][0].update(paid="7"), "settlements[0].paid"),
         ("report", lambda r: r["karma"]["parties"][0].update(net="0"), "karma.parties[0].net"),
         ("report", lambda r: r["karma"].update(adversary_net="0"), "karma.adversary_net"),
-        ("karma", lambda r: r.update(adversary_net="0"), "karma.adversary_net"),
+        # a flag written as a number reads equal in Python, not in JSON
+        ("report", lambda r: r["per_epoch"][0].update(epoch_safe=1), "per_epoch[0].epoch_safe"),
         # both copies tampered alike: only re-deriving the amounts catches these
-        (("karma", "report"), lambda r: karma_of(r).update(adversary_net="0"), "karma.adversary_net"),
+        (("settlement", "report"), lambda r: settlement_of(r).update(burned="0"), "settlements[0].burned"),
         (("settlement", "report"), pay_nothing, "karma.parties[0].compensation"),
         (
             ("settlement", "report"),
             lambda r: settlement_of(r).update(insurance_budget="1000"),
             "settlements[0].insurance_budget",
         ),
-        (("karma", "report"), drop_alice, "karma.parties.length"),
+        # every claimant needs an entry
+        ("report", drop_alice, "karma.parties.length"),
         # the demo's capped claims (6) are within its budget (32)
         (("settlement", "report"), lambda r: settlement_of(r).update(breach=True), "settlements[0].breach"),
         # an auction's shares are each positive and sum to exactly 1
@@ -873,13 +863,6 @@ def header_only(tmp_path, capsys):
     return ["analyze", "--trace", str(trace)], str(trace)
 
 
-def without_karma(tmp_path, capsys):
-    trace = run_demo(tmp_path, capsys)
-    lines = [line for line in trace.read_text(encoding="utf-8").splitlines() if json.loads(line)["kind"] != "karma"]
-    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ["analyze", "--trace", str(trace)], str(trace)
-
-
 def write_grid(tmp_path, capsys, grid):
     path = write_doc(tmp_path, grid, "grid.json")
     return ["sweep", "--scenario", DEMO, "--grid", path, "--out", str(tmp_path / "sw")], path
@@ -908,7 +891,6 @@ def set_without_values(tmp_path, capsys):
         (lambda t, c: write_trace(t, c, '{"tick": 0}\n'), ":1: trace record needs tick and kind"),
         (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"}\n'), ": trace has no run_start record"),
         (header_only, ": trace has no embedded report"),
-        (without_karma, ": trace has no karma record"),
         (float_in("tx_finalized", lambda r: r.update(value=5.0)), ": invalid trace JSON: unexpected float 5.0"),
         (
             float_in("report", lambda r: r["per_epoch"][0].update(epoch=0.0)),
@@ -922,7 +904,7 @@ def set_without_values(tmp_path, capsys):
         (set_without_values, ": --set needs path=v1,v2,... (got 'econ.gamma')"),
     ],
     ids=[
-        "trace-json", "trace-extra", "trace-record", "trace-header", "trace-report", "trace-karma",
+        "trace-json", "trace-extra", "trace-record", "trace-header", "trace-report",
         "trace-float-value", "trace-float-epoch", "grid-object", "grid-axis", "set-axis",
     ],
 )

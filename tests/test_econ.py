@@ -114,10 +114,7 @@ def test_corruption_cost_grid():
 
 
 def tx(id, f, v, kind="hybrid", rule="immediate"):
-    return TransactionRecord(
-        id=id, transactor="a", value=Fraction(v), kind=kind, finalized_at=f, rule=rule,
-        insured_epoch=0 if rule == "insured_immediate" else None,
-    )
+    return TransactionRecord(id=id, transactor="a", value=Fraction(v), kind=kind, finalized_at=f, rule=rule)
 
 
 def test_window_sup_worked_example():
@@ -272,7 +269,7 @@ def _insured_setup(value, coverage):
     ]
     t = TransactionRecord(
         id="i1", transactor="alice", value=Fraction(value), kind="hybrid",
-        finalized_at=45, rule="insured_immediate", insured_epoch=4,
+        finalized_at=45, rule="insured_immediate",
     )
     tl = build_timeline(horizon=60, transactions=[t], validators=vals)
     ledger = InsuranceLedger(vals, ep(), transactors={"alice"})
@@ -322,7 +319,6 @@ def _random_insured_case(rng: random.Random):
                 kind=kind,
                 rule=rule,
                 finalized_at=rng.randint(0, horizon),
-                insured_epoch=0 if rule == "insured_immediate" else None,
             )
         )
     tl = build_timeline(horizon=horizon, transactions=txs)

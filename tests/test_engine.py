@@ -33,6 +33,7 @@ from stakesim.scenario import canonical_json, scenario_hash
 from conftest import (
     attack_scenario_doc,
     breach_scenario_doc,
+    count_epoch_visits,
     quiet_scenario_doc,
     random_physical_timeline,
 )
@@ -145,12 +146,12 @@ def test_double_sign_settlement_and_karma(double_sign_trace):
 def test_double_sign_rule_traffic(double_sign_trace):
     trace = double_sign_trace
     # epoch 0 has no purchasable coverage yet, so the insured transactor's
-    # first transaction falls back to the secure rule
+    # first transaction falls back to the secure rule; its tx_finalized
+    # record states both rules
     (fallback,) = records_of(trace, "rule_fallback")
-    assert fallback.payload == {
-        "tx": "tx1", "from_rule": "insured_immediate", "to_rule": "secure",
-        "reason": "no_coverage",
-    }
+    assert fallback.payload == {"tx": "tx1", "reason": "no_coverage"}
+    finalized = next(r.payload for r in records_of(trace, "tx_finalized") if r.payload["id"] == "tx1")
+    assert (finalized["rule_requested"], finalized["rule_effective"]) == ("insured_immediate", "secure")
     # the slashable reveal switches every policy to the secure rule, the
     # scripted attack end switches back
     switches = [(r.tick, r.payload["secure_mode"]) for r in records_of(trace, "policy_switch")]
@@ -390,18 +391,6 @@ def test_attack_over_releases_only_the_epochs_that_hold_a_lot(monkeypatch):
     }
 
 
-def _count_epoch_visits(monkeypatch) -> list[int]:
-    """The epoch of every `_Run.on_epoch` call from now on, in order."""
-    visited, on_epoch = [], engine._Run.on_epoch
-
-    def counting_on_epoch(self, tick, e):
-        visited.append(e)
-        return on_epoch(self, tick, e)
-
-    monkeypatch.setattr(engine._Run, "on_epoch", counting_on_epoch)
-    return visited
-
-
 def test_the_loop_visits_only_the_epochs_where_the_engine_can_act(monkeypatch):
     # the golden release-backlog case stretched to 20,002 epochs: bids in
     # epochs 0 to 6 and the attack declared over at 20,000
@@ -409,7 +398,7 @@ def test_the_loop_visits_only_the_epochs_where_the_engine_can_act(monkeypatch):
     attack_over = 20_000
     doc.update(horizon=10 * attack_over + 10, attack_over_epoch=attack_over)
     sc = parse_scenario(doc)
-    visited = _count_epoch_visits(monkeypatch)
+    visited = count_epoch_visits(monkeypatch)
     trace = run(sc)
 
     bid_epochs = {b.epoch_placed for b in sc.bids}
@@ -419,7 +408,7 @@ def test_the_loop_visits_only_the_epochs_where_the_engine_can_act(monkeypatch):
     covering = {a.payload["epoch"] + 2 for a in auctions}
     assert visited == sorted({0} | bid_epochs | covering | {c + 2 for c in covering} | {attack_over})
     # an epoch_start record only for an epoch that writes a record
-    written = sorted({r.tick // 10 for r in trace.records if r.kind not in ("run_start", "karma", "report")})
+    written = sorted({r.tick // 10 for r in trace.records if r.kind not in ("run_start", "report")})
     assert epoch_starts(trace) == [(10 * e, e) for e in written]
     assert set(written) <= set(visited) and attack_over in written
     visited.clear()
@@ -447,14 +436,21 @@ def test_an_event_past_the_horizon_writes_no_epoch_past_it():
     assert trace.to_lines() == run_every_epoch(sc).to_lines()
 
 
-def test_a_grieving_buyout_visits_every_epoch(monkeypatch):
-    # its buyer bids whatever is available in each epoch, so none is quiet
-    sc = load_scenario(str(ROOT / "scenarios" / "grieving.json"))
-    visited = _count_epoch_visits(monkeypatch)
+def test_a_grieving_buyout_visits_the_next_epoch_only_while_coverage_is_left(monkeypatch):
+    # its buyer bids for whatever is available, so an epoch that leaves some
+    # schedules the next. Every validator is slashed in epoch 2, which
+    # empties the pool for good: at 10,000 epochs the loop still stops at
+    # epoch 6, the last release an auction scheduled
+    doc = json.loads((ROOT / "scenarios" / "grieving.json").read_text(encoding="utf-8"))
+    sc = parse_scenario(dict(doc, horizon=10 * 10_000))
+    visited = count_epoch_visits(monkeypatch)
     trace = run(sc)
     assert visited == list(range(7))
-    # every validator is slashed in epoch 2, so epoch 3 sells nothing and writes no record
+    # epoch 3 sells nothing and writes no record
     assert [e for _, e in epoch_starts(trace)] == [0, 1, 2, 4, 5, 6]
+    visited.clear()
+    assert trace.to_lines() == run_every_epoch(sc).to_lines()
+    assert len(visited) == 10_001
 
 
 def test_signer_exiting_before_the_snapshot_is_not_slashed():

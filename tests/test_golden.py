@@ -35,6 +35,7 @@ from typing import Callable
 import pytest
 
 from stakesim import PfcKind, cli, parse_scenario
+from stakesim.chain import MAX_HORIZON
 from stakesim.cli import main
 from stakesim.engine import _Run, run, trace_lines
 from stakesim.errors import InvariantBreachError
@@ -50,7 +51,7 @@ from stakesim.scenario import (
     TX_FINALIZED,
 )
 
-from conftest import attack_scenario_doc, breach_scenario_doc, quiet_scenario_doc
+from conftest import attack_scenario_doc, breach_scenario_doc, count_epoch_visits, quiet_scenario_doc
 from oracles import run_every_epoch
 from perfbench import workloads
 
@@ -240,18 +241,59 @@ def _lines_or_partial(make_run) -> list[str]:
         return ["<breach>"] + trace_lines(exc.trace_records)
 
 
-@pytest.mark.parametrize("name", [*sorted(CASES), *(f"smoke/{w}" for w in workloads.WORKLOADS)])
+def _records_or_partial(make_run) -> list:
+    """The trace records of a run, or of the partial trace its breach carries."""
+    try:
+        return make_run().records
+    except InvariantBreachError as exc:
+        return exc.trace_records
+
+
+# every run case, and each benchmark workload's smoke document
+CORPUS = [*sorted(CASES), *(f"smoke/{w}" for w in workloads.WORKLOADS)]
+
+
+def corpus_doc(name: str) -> tuple[dict, bool]:
+    """The document of a `CORPUS` entry, and whether its run breaks an invariant."""
+    if name in CASES:
+        return CASES[name][0](), CASES[name][1] == 2
+    return workloads.generate(name.removeprefix("smoke/"), 1, smoke=True)[0], False
+
+
+@pytest.mark.parametrize("name", CORPUS)
 def test_skipping_quiet_epochs_keeps_every_trace_byte(name):
     # the engine visits only the epochs where it can act; the reference
     # visits every epoch, and both must write the same lines
-    if name in CASES:
-        doc, breach = CASES[name][0](), CASES[name][1] == 2
-    else:
-        doc, breach = workloads.generate(name.removeprefix("smoke/"), 1, smoke=True)[0], False
+    doc, breach = corpus_doc(name)
     sc = parse_scenario(doc)
     lines = _lines_or_partial(lambda: run(sc))
     assert lines == _lines_or_partial(lambda: run_every_epoch(sc))
     assert (lines[0] == "<breach>") == breach
+
+
+# the epochs a run visits per record it writes, at most: epoch 0 and the
+# attack-over epoch, and per auction record its own epoch, the two it
+# schedules and the next one a grieving buyer bids in
+VISITS_PER_RECORD = 4
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_longest_horizon_costs_epochs_in_proportion_to_the_records(name, monkeypatch):
+    # cost follows events, not the horizon: at MAX_HORIZON (about 4e8
+    # epochs of the corpus's t_rev) a run visits a few epochs per record,
+    # and what it writes below its own horizon does not change
+    doc, _ = corpus_doc(name)
+
+    def lines_below(horizon: int) -> tuple[int, list[str]]:
+        records = _records_or_partial(lambda: run(parse_scenario(dict(doc, horizon=horizon))))
+        kept = [r.line() for r in records if r.kind != "run_start" and r.tick < doc["horizon"]]
+        return len(records), kept
+
+    _, lines = lines_below(doc["horizon"])
+    visited = count_epoch_visits(monkeypatch, limit=VISITS_PER_RECORD * 10_000)
+    longest, longest_lines = lines_below(MAX_HORIZON)
+    assert len(visited) <= VISITS_PER_RECORD * (longest + 1), name
+    assert longest_lines == lines, name
 
 
 @functools.cache
@@ -332,11 +374,23 @@ def test_the_corpus_writes_every_record_kind():
     assert sorted(kinds - {r["kind"] for r in golden_records()}) == []
 
 
+def readme_trace_entries() -> dict[str, str]:
+    """README's "Trace records" bullets: one top-level bullet per kind,
+    opening with the kind's name, keyed by that name."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Trace records\n")[1].split("\n## ")[0]
+    return {bullet.split("`")[1]: bullet for bullet in section.split("\n- ")[1:]}
+
+
+def test_readme_documents_exactly_the_record_kinds_the_engine_writes():
+    # a kind the engine stops writing cannot stay documented
+    assert sorted(readme_trace_entries()) == sorted(engine_record_kinds())
+
+
 def test_readme_documents_every_key_of_every_trace_record():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Trace records\n")[1].split("\n## ")[0]
-    # one top-level bullet per kind, opening with the kind's name
-    entries = {bullet.split("`")[1]: bullet for bullet in section.split("\n- ")[1:]}
+    entries = readme_trace_entries()
     pairs = {(r["kind"], key) for r in golden_records() for key in r if key not in ("tick", "kind")}
     assert "`tick`" in section and "`kind`" in section
     assert sorted(f"{kind}.{key}" for kind, key in pairs if f"`{key}`" not in entries.get(kind, "")) == []

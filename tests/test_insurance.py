@@ -606,7 +606,7 @@ def test_ledger_matches_the_list_scanning_oracle():
 def insured_tx(id, value, f=21, transactor="ins"):
     return TransactionRecord(
         id=id, transactor=transactor, value=Fraction(value), kind="hybrid",
-        finalized_at=f, rule="insured_immediate", insured_epoch=f // TP.t_rev,
+        finalized_at=f, rule="insured_immediate",
     )
 
 

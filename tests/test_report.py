@@ -63,7 +63,6 @@ def _random_epoch_case(rng: random.Random):
                         kind=kind,
                         rule=rule,
                         finalized_at=tick,
-                        insured_epoch=e if rule == "insured_immediate" else None,
                     )
                 )
     timeline = build_timeline(horizon=horizon, transactions=txs)
@@ -199,7 +198,6 @@ def test_a_busy_row_asks_the_timeline_once_per_rung_that_counts_more(monkeypatch
         txs = [
             TransactionRecord(
                 id=f"t{i}", transactor="a", value=value, kind=kind, rule=rule, finalized_at=5 + i,
-                insured_epoch=1 if rule == "insured_immediate" else None,
             )
             for i, (kind, rule, value) in enumerate(flow)
         ]
@@ -403,12 +401,15 @@ def test_first_mismatch_names_a_missing_key():
 
 
 def test_first_mismatch_keeps_comparing_leaves_by_value():
-    # `True == 1` in Python, so neither a bare nor a nested pair differs
-    assert first_mismatch(True, 1) is None
-    assert first_mismatch({"f": [True]}, {"f": [1]}) is None
-    assert first_mismatch({"f": True}, {"f": 1.0}) is None
+    # `True == 1` in Python, but JSON writes `true` and `1`: a leaf of
+    # another type differs, bare or nested
+    assert first_mismatch(True, 1) == "<root>"
+    assert first_mismatch({"f": [True]}, {"f": [1]}) == "f[0]"
+    assert first_mismatch({"f": True}, {"f": 1.0}) == "f"
+    assert first_mismatch({"f": [0, 2]}, {"f": [False, 2]}) == "f[0]"
     assert first_mismatch({"f": "1"}, {"f": 1}) == "f"
     assert first_mismatch({"f": {}}, {"f": []}) == "f"
+    assert first_mismatch({"f": [True, 1]}, {"f": [True, 1]}) is None
 
 
 LEAVES = [0, 1, 1.0, True, False, None, "0", "1", "1/2"]

@@ -183,25 +183,18 @@ def test_unknown_policy_rejected():
     assert "unknown policy" in str(exc.value)
 
 
-def test_insured_epoch_autofill_and_disagreement():
+def test_a_transaction_that_names_insured_epoch_is_refused_at_its_path():
+    # insured flow is covered by the epoch it finalizes in, so no key states that epoch
     base = {
         "id": "t1", "transactor": "alice", "value": 1, "kind": "hybrid",
         "finalized_at": 25, "rule": "insured_immediate",
     }
-    sc = parse_scenario(minimal_doc(transactions=[dict(base)]))
-    assert sc.timeline.transactions[0].insured_epoch == 2  # 25 // 10
-    ok = parse_scenario(minimal_doc(transactions=[dict(base, insured_epoch=2)]))
-    assert ok.timeline.transactions[0].insured_epoch == 2
-    with pytest.raises(ScenarioError) as exc:
-        parse_scenario(minimal_doc(transactions=[dict(base, insured_epoch=7)]), source="s")
-    assert exc.value.path == "s.transactions[0].insured_epoch"
-    assert "disagrees" in str(exc.value)
-    # flow that is not insured has no insured epoch: neither other hybrid flow nor pure flow
-    for tx in (dict(base, rule="secure", insured_epoch=99), dict(base, kind="pure", insured_epoch=-5)):
+    assert parse_scenario(minimal_doc(transactions=[base])).timeline.transactions[0].insured
+    for tx in (dict(base, insured_epoch=2), dict(base, rule="secure", insured_epoch=None)):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(minimal_doc(transactions=[tx]), source="s")
-        assert exc.value.path == "s.transactions[0].insured_epoch"
-        assert "only insured_immediate hybrid flow has an insured epoch" in str(exc.value)
+        assert exc.value.path == "s.transactions[0]"
+        assert exc.value.message == "unknown keys ['insured_epoch']"
 
 
 def test_duplicate_transaction_ids_rejected():
@@ -362,7 +355,7 @@ def full_doc(strategy: dict) -> dict:
         ],
         transactions=[
             {"id": "t1", "transactor": "alice", "value": "7/2", "kind": "hybrid", "finalized_at": 25,
-             "rule": "insured_immediate", "offchain_executed_at": None, "insured_epoch": 2}
+             "rule": "insured_immediate", "offchain_executed_at": None}
         ],
         fork_events=[
             {"id": "f", "diverges_from": 10, "revealed_at": 14, "double_signers": ["v1"],
