@@ -69,7 +69,6 @@ from .scenario import (
     ECON,
     FORK_EVENT,
     LOT,
-    LOT_REF,
     NAIVE_DECISION,
     SETTLEMENT,
     SHARES,
@@ -191,6 +190,7 @@ class _Run:
         self._scheduled: set[EpochIndex] = set()
         self._last = epoch_of(self.timeline.horizon, self.tp.t_rev)  # the horizon's epoch
         self._started = -1  # the last epoch whose `epoch_start` record is written
+        self._shares = None  # the share map an `auction` record last wrote
 
     # -- plumbing ---------------------------------------------------------
 
@@ -256,7 +256,7 @@ class _Run:
     def on_epoch(self, tick: Tick, e: EpochIndex):
         released = release_lots(e, self.ledger)
         if released:
-            self.rec(tick, "released", (LOT_REF, released, "lots"), epoch=e)
+            self.rec(tick, "released", epoch=e, lots=[lot.id for lot in released])
 
         self.ledger.activate(e)
 
@@ -277,16 +277,20 @@ class _Run:
             # the epoch the lots cover activates them, and they release two later
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS)
             self.schedule_epoch(e + PURCHASE_LEAD_EPOCHS + RELEASE_LAG_EPOCHS)
-            # every lot of one sale is backed by one share map
-            shares = [(SHARES, lots[0], None)] if lots else []
+            # every lot of one sale is backed by one share map, written at the first sale under it
+            shares = []
+            if lots and lots[0].backers is not self._shares:
+                self._shares = lots[0].backers
+                shares.append((SHARES, self._shares, None))
             self.rec(tick, "auction", (LOT, lots, "lots"), *shares, epoch=e, available=frac_str(avail))
 
         if self.sc.attack_over_epoch is not None and e == self.sc.attack_over_epoch:
             if self.secure_mode:
                 self.secure_mode = False
                 self.rec(tick, "policy_switch", secure_mode=False, epoch=e)
-            for lot in self.ledger.end_attack(e - RELEASE_LAG_EPOCHS):
-                self.rec(tick, "released", (LOT_REF, [lot], "lots"), epoch=e)
+            released = self.ledger.end_attack(e - RELEASE_LAG_EPOCHS)
+            if released:
+                self.rec(tick, "released", epoch=e, lots=[lot.id for lot in released])
             self.reevaluate_waiting(tick)
 
         # the pool grows back only in a scheduled epoch, one that releases

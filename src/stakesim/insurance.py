@@ -10,30 +10,18 @@ stake returns to the pool.
 
 When a double-sign does resolve, the slashed stake settles the damage: a
 gamma share funds claims to insured transactors harmed by the reverted
-fork (capped by what each bought), and the remainder burns. Conservation is
-exact: paid + burned = slashed, always. Burning the remainder is what makes
-pure griefing unprofitable: an adversary who buys out the insurance and then
-attacks itself still loses the burned share.
+fork (capped by what each bought, by `settle_claims`, which `analyze` runs
+too), and the remainder burns. Conservation is exact: paid + burned =
+slashed, always. Burning the remainder is what makes pure griefing
+unprofitable: an adversary who buys out the insurance and then attacks
+itself still loses the burned share.
 
-The ledger files lots by covering epoch, so activating, releasing or paying
-out the lots of one epoch, or summing the coverage bought for it, reads only
-that epoch's bucket; the free pool's total is its one running sum. Sales and
-releases move stake pro rata, so each unslashed backer's free earmark is its
-weight share of the free pool: one share map, replaced only when a slash
-removes a backer, backs every lot sold under it. An auction's trace record
-writes that map's shares once, and a lot's backing is its coverage times
-each share; the map builds its shares' strings once, for the first auction
-that writes them. A lot's backing, premium and covering epoch are derived
-from what its auction decided, and the coverage bought and the premiums
-paid and earned are read off the lots.
-A share map's lost part, the shares its slashed backers hold, is read off
-the slashed validators once per slash, so a release or payout costs the
-same however many backers there are.
-
-Ledger totals of many terms (a buyer's premiums, a map's earned premium,
-the coverage one release returns) are each one `exact_sum`: the numerators
-are added as ints over the lcm of the denominators, and one Fraction is
-normalized per total, not one per term.
+The ledger (`InsuranceLedger`) files lots by covering epoch, keeps the
+free pool as one running total and splits it by one share map, replaced
+only when a slash removes a backer; a lot's backing, premium and covering
+epoch are derived from what its auction decided. The trace writes a share
+map once, at the first auction that sells under it. A total of many terms
+is one `exact_sum`: one Fraction normalized per total, not one per term.
 """
 
 from __future__ import annotations
@@ -41,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
 
 from .chain import (
     EconParams,
@@ -53,7 +40,7 @@ from .chain import (
     epoch_of,
 )
 from .errors import InvariantViolationError
-from .rational import as_fraction, exact_sum, frac_str
+from .rational import as_fraction, exact_sum
 from .resolution import ResolutionOutcome
 
 # A purchase at epoch e covers epoch e + 2: one full epoch of gap makes the
@@ -117,12 +104,6 @@ class _Backers:
         shares = self.shares
         return exact_sum(shares[v] for v in ids if v in shares)
 
-    @cached_property
-    def written(self) -> dict[str, str]:
-        """The shares as the trace writes them, built once for every
-        auction that sells under this map."""
-        return {v: frac_str(share) for v, share in self.shares.items()}
-
 
 @dataclass
 class InsuranceLot:
@@ -172,7 +153,7 @@ def _allocate(
     available: Fraction,
     backers: _Backers,
     start_seq: int,
-) -> list[InsuranceLot]:
+) -> tuple[list[InsuranceLot], Fraction]:
     """Sell up to `available` coverage to the highest premium rates, every
     lot backed by `backers`.
 
@@ -509,6 +490,33 @@ class SettlementRecord:
         return self.slashed - self.paid_total
 
 
+def settle_claims(
+    event_id: str,
+    slashed: Fraction,
+    gamma: Fraction,
+    harms: Iterable[tuple[str, EpochIndex, Fraction]],
+    bought: Callable[[str, EpochIndex], Fraction],
+) -> SettlementRecord:
+    """The settlement of a slash of `slashed`: the (transactor, covering
+    epoch, harm) `harms` summed per transactor and epoch, each sum capped at
+    the coverage `bought` for it, and every capped claim paid in full from
+    the gamma budget, or pro rata when the capped total exceeds that budget,
+    which flags an invariant breach."""
+    grouped: dict[tuple[str, EpochIndex], Fraction] = {}
+    for tr, e, harm in harms:
+        grouped[tr, e] = grouped.get((tr, e), Fraction(0)) + harm
+    budget = gamma * slashed
+    claims = []
+    for (tr, e), harm in sorted(grouped.items()):
+        capped = min(harm, bought(tr, e))
+        claims.append(Claim(transactor=tr, covering_epoch=e, harm=harm, capped=capped, paid=capped))
+    record = SettlementRecord(event_id=event_id, slashed=slashed, insurance_budget=budget, claims=tuple(claims))
+    if record.invariant_breach:
+        scale = budget / record.capped_total
+        record = replace(record, claims=tuple(replace(c, paid=c.capped * scale) for c in claims))
+    return record
+
+
 def settle_slash(
     outcome: ResolutionOutcome,
     ledger: InsuranceLedger,
@@ -520,31 +528,13 @@ def settle_slash(
 
     `harmed` lists the insured executions the reverted fork undid (the
     engine passes the insured ones among the executions it actually
-    performed). Claims are grouped per transactor and covering epoch,
-    capped at the coverage bought, and paid from the gamma budget; any
-    shortfall scales all claims pro-rata and flags the settlement as an
-    invariant breach.
+    performed). `settle_claims` settles them against the coverage the
+    ledger sold (`u`, which refuses an unknown transactor).
     """
     if not outcome.slashable:
         raise InvariantViolationError(f"event {outcome.event_id!r} is not slashable as resolved")
-    slashed = outcome.slashable_stake
-    budget = ledger.ep.gamma * slashed
-
-    grouped: dict[tuple[str, EpochIndex], Fraction] = {}
-    for h in harmed:
-        if h.transactor not in ledger.transactors:
-            raise InvariantViolationError(f"harmed transactor {h.transactor!r} unknown")
-        key = (h.transactor, h.covering_epoch)
-        grouped[key] = grouped.get(key, Fraction(0)) + h.value
-
-    claims = []
-    for (tr, e), harm in sorted(grouped.items()):
-        capped = min(harm, ledger.u(tr, e))
-        claims.append(Claim(transactor=tr, covering_epoch=e, harm=harm, capped=capped, paid=capped))
-    record = SettlementRecord(event_id=outcome.event_id, slashed=slashed, insurance_budget=budget, claims=tuple(claims))
-    if record.invariant_breach:
-        scale = budget / record.capped_total
-        record = replace(record, claims=tuple(replace(c, paid=c.capped * scale) for c in claims))
+    harms = ((h.transactor, h.covering_epoch, h.value) for h in harmed)
+    record = settle_claims(outcome.event_id, outcome.slashable_stake, ledger.ep.gamma, harms, ledger.u)
 
     ledger._book_slash(outcome.slashed)
     ledger._pay_out({(c.transactor, c.covering_epoch) for c in record.claims if c.paid > 0})

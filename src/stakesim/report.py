@@ -5,7 +5,7 @@ Machine values are exact rationals ("p/q" strings); human tables show
 fixed-point decimals. `_report_doc` lays the document out once:
 `build_report` fills it from a run, and `recompute_from_trace` from the
 run's trace, which the analyze verb diffs whole against its embedded report.
-Documents are at output version 3 (`OUTPUT_VERSION`), and `analyze` reads
+Documents are at output version 4 (`OUTPUT_VERSION`), and `analyze` reads
 only traces at that version. The per-epoch rows hold one row for each
 epoch that holds a transaction, has coverage or is uncovered, and one for
 each maximal run of quiet epochs between those, so a report grows with a
@@ -46,7 +46,8 @@ from .econ import (
     strong_safety_flags,
 )
 from .errors import ScenarioError
-from .insurance import InsuranceLedger, KarmaEntry, KarmaSummary, SettlementRecord, coverage_map, paid_claims
+from .insurance import PURCHASE_LEAD_EPOCHS, InsuranceLedger, KarmaEntry, KarmaSummary, SettlementRecord
+from .insurance import coverage_map, paid_claims, settle_claims
 from .rational import as_fraction, exact_sum, frac_decimal, frac_str
 from .scenario import (
     KARMA,
@@ -332,11 +333,9 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
         if not line:
             continue
         try:
-            rec, end = _TRACE_JSON.raw_decode(line)
+            rec = _TRACE_JSON.decode(line)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid trace JSON: {exc.msg}", path=f"{source}:{n}")
-        if end < len(line):
-            raise ScenarioError("invalid trace JSON: Extra data", path=f"{source}:{n}")
         if not isinstance(rec, dict) or "kind" not in rec or "tick" not in rec:
             raise ScenarioError("trace record needs tick and kind", path=f"{source}:{n}")
         records.append(rec)
@@ -345,8 +344,8 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
     return records
 
 
-# what `analyze` needs of a lot: (buyer, covering_epoch, coverage)
-_COVERED = tuple(map(LOT.field, ("buyer", "covering_epoch", "coverage")))
+# what `analyze` needs of a lot: its buyer and coverage
+_BUYER, _COVERAGE = map(LOT.field, ("buyer", "coverage"))
 _SHARES = SHARES.field("shares")
 _HEAD = frozenset(("tick", "kind"))
 
@@ -364,10 +363,11 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     """The report document a trace states: the one `build_report` lays out for
     its run_start labels, transactions, lots and settlements, and its embedded
     report's karma section, against the bound kind of that report's verdict.
-    A settlement's insurance budget, paid and burned amounts and breach flag,
-    a party's compensation and net, every claimant's karma entry, and the
-    adversary's net are derived, not read. Bad input is reported in that
-    order, the embedded report's verdict, settlements and karma last."""
+    A lot's covering epoch, each settlement's claims, budget, totals and
+    breach flag (by `settle_claims`, as the run settled them), a party's
+    compensation and net, every claimant's karma entry, and the adversary's
+    net are derived, not read. Bad input is reported in that order, the
+    embedded report's verdict, settlements and karma last."""
     by_kind: dict[str, list[dict]] = {}
     for r in records:
         by_kind.setdefault(r["kind"], []).append(r)
@@ -397,14 +397,21 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     where = f"{source}:auction"
     lots = []
     for r in by_kind.get("auction", ()):
+        covering = read_field(r, "epoch", where, integer) + PURCHASE_LEAD_EPOCHS
         for i, lot in enumerate(read_field(r, "lots", where, listing)):
             at = f"{where}.lots[{i}]"
-            lots.append(tuple(f.read(lot, at) for f in _COVERED))
+            lots.append((_BUYER.read(lot, at), covering, _COVERAGE.read(lot, at)))
+    coverage = coverage_map(lots)
+
+    def bought(transactor: str, epoch: EpochIndex) -> Fraction:
+        # what `InsuranceLedger.u` read: each lot for epoch c sells at c - 2, before any claim against c
+        return coverage.get(epoch, {}).get(transactor, Fraction(0))
 
     settlements = []
     for r in by_kind.get("settlement", ()):
         read = SETTLEMENT.read(_payload(r), f"{source}:settlement")
-        settlements.append(_rebuild(SettlementRecord, read, insurance_budget=ep.gamma * read["slashed"]))
+        harms = [(c.transactor, c.covering_epoch, c.harm) for c in read["claims"]]
+        settlements.append(settle_claims(read["event_id"], read["slashed"], ep.gamma, harms, bought))
 
     where, report = f"{source}:report", first("report", "embedded report")
     bound_kind = VERDICT.read(read_field(report, "verdict", where), f"{where}.verdict")["bound_kind"]
@@ -421,7 +428,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     ]
     karma = _rebuild(KarmaSummary, stated, entries=tuple(entries))
 
-    sections = _checked_sections(timeline, tp, ep, coverage_map(lots), settlements)
+    sections = _checked_sections(timeline, tp, ep, coverage, settlements)
     return _report_doc(labels, sections, sections["verdicts"][bound_kind], settlements, karma)
 
 
@@ -461,19 +468,17 @@ def _first_difference(expected: Any, actual: Any, path: str) -> Optional[str]:
 
 
 def _unsound_shares(records: Sequence[dict], *, source: str = "<trace>") -> Optional[str]:
-    """The path of the first auction that sold lots under shares that are
-    not all positive or do not sum to exactly 1, or None. Consecutive
-    auctions under one share map write equal maps, so each distinct map is
-    read once. A map that sums to 1 but names the wrong backers or weights
-    passes: only replaying the ledger could tell."""
-    where, last = f"{source}:auction", None
+    """The path of the first auction that writes shares that are not all
+    positive or do not sum to exactly 1, or None. An auction that sells
+    lots before any map is written is bad input. A map that sums to 1 but
+    names the wrong backers or weights passes: only replaying the ledger
+    could tell."""
+    where, written = f"{source}:auction", False
     for i, r in enumerate(r for r in records if r["kind"] == "auction"):
-        if not r.get("lots") or last is not None and r.get("shares") == last:
-            continue
-        last = r.get("shares")
-        shares = _SHARES.read(r, where).shares.values()
-        if not all(share > 0 for share in shares) or exact_sum(shares) != 1:
-            return f"auction[{i}].shares"
+        if "shares" in r or r.get("lots") and not written:
+            written, shares = True, _SHARES.read(r, where).values()
+            if not all(share > 0 for share in shares) or exact_sum(shares) != 1:
+                return f"auction[{i}].shares"
     return None
 
 

@@ -51,7 +51,7 @@ from .chain import (
 from .confirmation import ConfirmationDecision, DecisionStatus
 from .econ import Mechanism, PfcBound, bribe_is_dominant
 from .errors import InvariantViolationError, ScenarioError, StakesimError
-from .insurance import PURCHASE_LEAD_EPOCHS, Claim, InsuranceBid, _Backers
+from .insurance import PURCHASE_LEAD_EPOCHS, Claim, InsuranceBid
 from .rational import as_fraction, exact_sum, frac_str
 from .version import SCHEMA_VERSION
 
@@ -550,8 +550,9 @@ _DOCUMENT = _Block(
 # -- the output tables --------------------------------------------------------
 #
 # `make` is the object's class where the keys rebuild it, and `dict` where
-# a key is derived (a lot's covering epoch, a settlement's paid and burned,
-# an entry's net) or an object lies below it (the verdict's bound).
+# a key is derived (a settlement's paid and burned, an entry's net), an
+# object lies below it (the verdict's bound) or another record holds the
+# rest (a lot's epoch and share map are its auction's).
 
 _RULE_VALUE = (confirmation_rule, _value_of)
 _STATUS = (_lookup(_members(DecisionStatus), "status"), _value_of)
@@ -571,18 +572,15 @@ TX_FINALIZED = _Block(
     _Field("tx_kind", (tx_kind, _value_of), attr="kind"),
     _Field("rule_effective", _RULE_VALUE, attr="rule"),
 )
-# a lot of an `auction` record, and the part of it a `released` record names
-_LOT_REF = (_Field("id", _TEXT), _Field("buyer", _TEXT), _Field("coverage", _VALUE))
-LOT_REF = _Block(dict, *_LOT_REF)
-LOT = _Block(dict, *_LOT_REF, *_values("premium_rate", "premium_paid"), _Field("covering_epoch", _INTEGER))
-# an `auction` record's backer shares, written once for every lot it sold:
-# a lot's backing is its coverage times each share. It is read from and
-# written through the lots' share map, which builds its strings once.
+# a lot of an `auction` record, as the auction sold it
+LOT = _Block(dict, _Field("id", _TEXT), _Field("buyer", _TEXT), *_values("coverage", "premium_rate"))
+# a share map, which an `auction` record writes at the first sale under it:
+# a lot's backing is its coverage times each share of the map last written
 _SHARE_MAP = (
-    lambda doc: _Backers({v: as_fraction(share) for v, share in _mapping(doc).items()}),
-    attrgetter("written"),
+    lambda doc: {v: as_fraction(share) for v, share in _mapping(doc).items()},
+    lambda shares: {v: frac_str(share) for v, share in shares.items()},
 )
-SHARES = _Block(dict, _Field("shares", _SHARE_MAP, attr="backers"))
+SHARES = _Block(dict, _Field("shares", _SHARE_MAP))
 # a `settlement` record and a report's settlement entry
 _CLAIM = _Block(
     Claim, _Field("transactor", _TEXT), _Field("covering_epoch", _INTEGER), *_values("harm", "capped", "paid")

@@ -11,4 +11,4 @@ __version__ = "0.1.0"
 SCHEMA_VERSION = 1
 
 # Version stamped into a trace's run_start record and into report documents.
-OUTPUT_VERSION = 3
+OUTPUT_VERSION = 4

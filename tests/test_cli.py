@@ -14,12 +14,10 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import stakesim.cli as cli
-import stakesim.report
 from stakesim.chain import PfcKind
 from stakesim.cli import main
 from stakesim.errors import ScenarioError
@@ -28,7 +26,6 @@ from stakesim.scenario import canonical_json, load_scenario
 from stakesim.version import __version__
 
 from conftest import breach_scenario_doc, long_busy_demo_doc, quiet_scenario_doc
-from perfbench import workloads
 
 ROOT = Path(__file__).parent.parent
 DEMO = str(ROOT / "scenarios" / "double-sign.json")
@@ -172,12 +169,29 @@ def _unknown_policy(doc: dict) -> None:
     doc["policies"]["alice"] = "reckless"
 
 
+def _offchain_past_horizon(doc: dict) -> None:
+    doc["transactions"][0]["offchain_executed_at"] = doc["horizon"] + 1
+
+
+def _exit_past_horizon(doc: dict) -> None:
+    doc["validators"] = [{"id": f"v{n}", "stake": 32} for n in range(1, 5)]
+    doc["validators"][0]["exit_tick"] = doc["horizon"] + 1
+
+
 # the demo scenario, broken one way, and the whole of `validate`'s stderr
 # after "error: <file>"
 BAD_DOCUMENTS = {
     "duplicate-transaction": (_duplicate_transaction, ": duplicate transaction id 'tx1'"),
     "transaction-past-horizon": (_transaction_past_horizon, ": transaction 'tx1': finalized_at beyond horizon"),
     "unknown-policy": (_unknown_policy, ".policies.alice: malformed value 'reckless': unknown policy"),
+    "offchain-past-horizon": (_offchain_past_horizon, ": transaction 'tx1': offchain tick beyond horizon"),
+    "exit-past-horizon": (_exit_past_horizon, ": validator 'v1': exit_tick beyond horizon"),
+    "negative-t-cr": (lambda doc: doc["timing"].update(t_cr=-1), ".timing: t_cr must be >= 0, got -1"),
+    "negative-slash-delay": (
+        lambda doc: doc["timing"].update(slash_delay=-1),
+        ".timing: slash_delay must be >= 0, got -1",
+    ),
+    "negative-attack-over": (lambda doc: doc.update(attack_over_epoch=-1), ".attack_over_epoch: must be >= 0"),
 }
 
 
@@ -283,19 +297,23 @@ def test_analyze_rejects_a_trace_without_a_report(tmp_path, capsys):
     [
         (lambda h: h["timing"].update(t_rev=0), ":run_start.timing: t_rev must be >= 1, got 0"),
         (lambda h: h["econ"].update(gamma="x"), ":run_start.econ.gamma: malformed value 'x'"),
+        # a header value must be written as the run wrote it, not only read equal
+        pytest.param(
+            lambda h: h["econ"].update(gamma="2/4"),
+            ":run_start.econ.gamma: expected canonical '1/2', got '2/4'",
+            id="econ-gamma-not-canonical",
+        ),
         pytest.param(
             lambda h: h["econ"].pop("gamma"), ":run_start.econ.gamma: missing required key", id="econ-gamma-missing"
         ),
         # a trace is read only at the output version that wrote it
-        pytest.param(
-            lambda h: h.update(schema_version=1),
-            ":run_start.schema_version: unsupported output version 1, expected 3",
-            id="output-version-1",
-        ),
-        pytest.param(
-            lambda h: h.update(schema_version=2),
-            ":run_start.schema_version: unsupported output version 2, expected 3",
-            id="output-version-2",
+        *(
+            pytest.param(
+                lambda h, v=version: h.update(schema_version=v),
+                f":run_start.schema_version: unsupported output version {version}, expected 4",
+                id=f"output-version-{version}",
+            )
+            for version in (1, 2, 3)
         ),
         pytest.param(
             lambda h: h.pop("schema_version"), ":run_start.schema_version: missing required key", id="version-missing"
@@ -440,12 +458,29 @@ def pay_nothing(record: dict) -> None:
     record["claims"][0]["paid"] = "0"
 
 
+def claim_of(record: dict) -> dict:
+    """The demo's one claim, alice's, in the settlement record or the report's copy."""
+    return settlement_of(record)["claims"][0]
+
+
+def underpay(record: dict) -> None:
+    """Alice's claim, capped at 6 within a budget of 32, paid 5, and every
+    amount that sums it rewritten to agree: the settlement's paid and
+    burned, or the report's copy, totals and alice's compensation and net."""
+    if record["kind"] == "report":
+        record["totals"].update(paid="5", burned="59")
+        record["karma"]["parties"][0].update(compensation="5", net="-3/2")
+    settlement_of(record).update(paid="5", burned="59")
+    claim_of(record)["paid"] = "5"
+
+
 @pytest.mark.parametrize(
     "kind,tamper,field",
     [
         ("tx_finalized", lambda r: r.update(value="99"), "ladder[1].value"),
         ("settlement", lambda r: r.update(paid="7", burned="57"), "settlements[0].burned"),
-        ("auction", lambda r: r["lots"][0].update(coverage="1"), "per_epoch[2].coverage.alice"),
+        # more coverage than alice's claim of 6 moves only the epoch's row
+        ("auction", lambda r: r["lots"][0].update(coverage="11"), "per_epoch[2].coverage.alice"),
         # the report's labels and settlements are checked against the
         # run_start and settlement records, and its karma section against
         # the amounts the settlements give
@@ -458,7 +493,7 @@ def pay_nothing(record: dict) -> None:
         ("report", lambda r: r["per_epoch"][0].update(epoch_safe=1), "per_epoch[0].epoch_safe"),
         # both copies tampered alike: only re-deriving the amounts catches these
         (("settlement", "report"), lambda r: settlement_of(r).update(burned="0"), "settlements[0].burned"),
-        (("settlement", "report"), pay_nothing, "karma.parties[0].compensation"),
+        (("settlement", "report"), pay_nothing, "settlements[0].burned"),
         (
             ("settlement", "report"),
             lambda r: settlement_of(r).update(insurance_budget="1000"),
@@ -473,6 +508,15 @@ def pay_nothing(record: dict) -> None:
         ("auction", lambda r: r.update(shares={"v1": "2", "v2": "-1"}), "auction[0].shares"),
         ("auction", lambda r: r.update(shares={"v1": "1/2", "v2": "1/2", "v3": "0"}), "auction[0].shares"),
         ("auction", lambda r: r.update(shares={}), "auction[0].shares"),
+        # a claim is capped at the coverage bought and paid in full within
+        # the budget, so its amounts are re-derived, not read
+        (("settlement", "report"), underpay, "settlements[0].burned"),
+        (("settlement", "report"), lambda r: claim_of(r).update(capped="5"), "settlements[0].claims[0].capped"),
+        (("settlement", "report"), lambda r: claim_of(r).update(paid="5"), "settlements[0].claims[0].paid"),
+        # less coverage than her claim moves the claim, which the settlement shows first
+        ("auction", lambda r: r["lots"][0].update(coverage="1"), "settlements[0].burned"),
+        # an auction's epoch gives its lots' covering epoch: one later leaves the claim's epoch uncovered
+        ("auction", lambda r: r.update(epoch=1), "settlements[0].burned"),
     ],
 )
 def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
@@ -484,33 +528,18 @@ def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind
 
 
 def test_analyze_checks_each_distinct_share_map(tmp_path, capsys):
-    # the demo's two auctions write one map; a later auction's own map is read too
+    # the demo's second auction sells under the map its first one wrote;
+    # a map written there too is checked as well
     trace = run_demo(tmp_path, capsys)
     lines = trace.read_text().splitlines()
     i = [n for n, line in enumerate(lines) if json.loads(line)["kind"] == "auction"][1]
     record = json.loads(lines[i])
-    record["shares"] = {v: "1/5" for v in record["shares"]}
+    assert record["lots"] and "shares" not in record
+    record["shares"] = {"v1": "1/5", "v2": "1/5"}
     lines[i] = canonical_json(record)
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["analyze", "--trace", str(trace)]) == 3
     assert capsys.readouterr().out == f"{trace}: MISMATCH at auction[1].shares\n"
-
-
-def test_analyze_reads_each_distinct_share_map_once(tmp_path, capsys, monkeypatch):
-    doc, _ = workloads.generate("insurance_market", 1)
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
-    trace = tmp_path / "out" / "trace.jsonl"
-    sold = [r for r in map(json.loads, trace.read_text().splitlines()) if r["kind"] == "auction" and r["lots"]]
-    maps = [shares for n, shares in enumerate(r["shares"] for r in sold) if n == 0 or shares != sold[n - 1]["shares"]]
-    reads = []
-    field = stakesim.report._SHARES
-    counted = SimpleNamespace(read=lambda doc, path: reads.append(doc) or field.read(doc, path))
-    monkeypatch.setattr(stakesim.report, "_SHARES", counted)
-    assert main(["analyze", "--trace", str(trace)]) == 0
-    assert len(sold) > 300 and len(maps) == 3
-    assert [r["shares"] for r in reads] == maps
 
 
 # Every case but the flag's keeps coc > pfc_value true in the tampered verdict
@@ -888,6 +917,8 @@ def set_without_values(tmp_path, capsys):
     [
         (lambda t, c: write_trace(t, c, "not json\n"), ":1: invalid trace JSON: Expecting value"),
         (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"} 5\n'), ":1: invalid trace JSON: Extra data"),
+        # a blank line is skipped, but counted
+        (lambda t, c: write_trace(t, c, "\n  \nnot json\n"), ":3: invalid trace JSON: Expecting value"),
         (lambda t, c: write_trace(t, c, '{"tick": 0}\n'), ":1: trace record needs tick and kind"),
         (lambda t, c: write_trace(t, c, '{"tick": 0, "kind": "report"}\n'), ": trace has no run_start record"),
         (header_only, ": trace has no embedded report"),
@@ -904,7 +935,7 @@ def set_without_values(tmp_path, capsys):
         (set_without_values, ": --set needs path=v1,v2,... (got 'econ.gamma')"),
     ],
     ids=[
-        "trace-json", "trace-extra", "trace-record", "trace-header", "trace-report",
+        "trace-json", "trace-extra", "trace-blank-line", "trace-record", "trace-header", "trace-report",
         "trace-float-value", "trace-float-epoch", "grid-object", "grid-axis", "set-axis",
     ],
 )

@@ -44,7 +44,6 @@ from stakesim.scenario import (
     DECISION,
     FORK_EVENT,
     LOT,
-    LOT_REF,
     NAIVE_DECISION,
     SETTLEMENT,
     SHARES,
@@ -323,24 +322,32 @@ def test_each_epochs_start_directly_precedes_its_first_record(name):
     assert starts == sorted((e, i) for e, i in firsts.items() if e <= last), name
 
 
-def test_an_auction_writes_the_shares_each_lot_it_sold_is_backed_by():
-    # a lot's backing is its coverage times each share, and a sale of no lot writes no shares
-    sold = 0
+def test_an_auction_writes_the_shares_of_a_new_map_that_backs_the_lots_it_sold():
+    # a lot's backing is its coverage times each share of the map last
+    # written, and only the first sale under a map writes it
+    sold, maps = 0, 0
     for name, (make_doc, code, _) in sorted(CASES.items()):
         if code != 0:
             continue
         trace = run(parse_scenario(make_doc()))
         backing = {lot.id: lot.backing for lot in trace.ledger.lots}
+        backers = {lot.id: lot.backers for lot in trace.ledger.lots}
+        shares, last = None, None
         for r in trace.records:
             if r.kind != "auction":
                 continue
             payload = json.loads(r.line())
-            assert ("shares" in payload) == bool(payload["lots"]), name
-            for lot in payload["lots"]:
+            lots = payload["lots"]
+            new_map = bool(lots) and backers[lots[0]["id"]] is not last
+            assert ("shares" in payload) == new_map, name
+            if new_map:
+                shares, last = payload["shares"], backers[lots[0]["id"]]
+                maps += 1
+            for lot in lots:
                 coverage = Fraction(lot["coverage"])
-                assert {v: coverage * Fraction(s) for v, s in payload["shares"].items()} == backing[lot["id"]], name
+                assert {v: coverage * Fraction(s) for v, s in shares.items()} == backing[lot["id"]], name
                 sold += 1
-    assert sold
+    assert sold > maps > 1
 
 
 def test_a_longer_quiet_horizon_writes_no_more_lines_or_rows():
@@ -478,7 +485,6 @@ def test_a_records_line_is_the_one_it_had_when_appended():
 # many objects each writes into one record's line
 _RECORD_TABLES = {
     "LOT": (LOT, lambda r: len(r["lots"]) if r["kind"] == "auction" else 0),
-    "LOT_REF": (LOT_REF, lambda r: len(r["lots"]) if r["kind"] == "released" else 0),
     "SHARES": (SHARES, lambda r: "shares" in r),
     "TX_FINALIZED": (TX_FINALIZED, lambda r: r["kind"] == "tx_finalized"),
     "DECISION": (DECISION, lambda r: r["kind"] == "decision"),

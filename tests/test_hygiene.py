@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import importlib.util
 import operator
+import re
 import sys
 from pathlib import Path
 
@@ -291,7 +292,7 @@ def test_an_output_table_rebuilds_its_class_from_init_fields_only():
 
     tables = [t for t in vars(scenario).values() if isinstance(t, scenario._Block)]
     tables += scenario._STRATEGIES.values()
-    assert len(tables) == 26
+    assert len(tables) == 25
     for table in tables:
         if table.make is not dict:
             init = {f.name for f in dataclasses.fields(table.make) if f.init}
@@ -332,3 +333,43 @@ def test_every_package_error_is_exported_and_raised_by_name():
             if isinstance(target, ast.Name) and target.id.endswith("Error") and not hasattr(builtins, target.id):
                 named.add(target.id)
     assert named and named <= defined
+
+
+# how the docs state the output version: "output version N" and
+# "`schema_version` is not N", over any line break
+_VERSION_STATEMENTS = re.compile(r"output\s+version\s+(\d+)|`schema_version`\s+is\s+not\s+(\d+)")
+
+
+def stated_output_versions(text: str) -> list[int]:
+    """Each output version `text` states, in order."""
+    return [int(a or b) for a, b in _VERSION_STATEMENTS.findall(text)]
+
+
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def docstrings(source: str) -> list[str]:
+    """The module's, and each class's and function's, docstring in `source`."""
+    nodes = (n for n in ast.walk(ast.parse(source)) if isinstance(n, _DOCUMENTED))
+    return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+def test_output_version_statements_are_detected():
+    text = "at output version 3 (`OUTPUT_VERSION`);\na `schema_version` is not\n 5, or output\nversion 12"
+    assert stated_output_versions(text) == [3, 5, 12]
+    assert docstrings('"""output version 1"""\ndef f():\n    """output version 2"""\n    x = "output version 9"\n') == [
+        "output version 1",
+        "output version 2",
+    ]
+
+
+def test_the_docs_state_the_current_output_version():
+    """README.md and the package's docstrings name the output version
+    `version.OUTPUT_VERSION` holds, so a bump cannot leave one stale."""
+    from stakesim.version import OUTPUT_VERSION
+
+    texts = {"README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
+    texts |= {p.name: "\n".join(docstrings(p.read_text(encoding="utf-8"))) for p in SOURCES}
+    stated = {name: stated_output_versions(text) for name, text in texts.items()}
+    assert stated["README.md"] and stated["report.py"]
+    assert {name: versions for name, versions in stated.items() if set(versions) - {OUTPUT_VERSION}} == {}

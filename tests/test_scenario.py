@@ -267,8 +267,10 @@ def test_strategy_validation():
         ({"kind": "double_sign_at", "tick": 26, "stake_fraction": "1/2", "bribe_fail": 1}, "bribe_fail"),
         ({"kind": "double_sign_at", "tick": 26, "stake_fraction": "1/2", "premium_rate": "1/10"}, "premium_rate"),
         ({"kind": "grieving_buyout", "premium_rate": "1/10", "attack_epoch": 2, "tick": 5}, "tick"),
+        # a strategy that names no kind is of kind none, which takes no tick
+        ({"tick": 26}, "tick"),
     ],
-    ids=lambda x: x if isinstance(x, str) else x["kind"],
+    ids=lambda x: x if isinstance(x, str) else x.get("kind", "no-kind"),
 )
 def test_a_field_of_another_strategy_kind_is_an_unknown_key(strategy, stray):
     with pytest.raises(ScenarioError) as exc:
