@@ -2,7 +2,8 @@
 
 Verbs:
   run       simulate one scenario, write trace + machine + human reports
-  sweep     run a scenario template across a parameter grid
+  sweep     run a scenario template across a parameter grid, one event
+            loop per group of points that differ only on REPORT_ONLY paths
   analyze   recompute a trace's report from its raw records and diff them
   validate  parse a scenario and print its diagnostics
 
@@ -21,11 +22,12 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import cache, partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
 from .chain import PfcKind
-from .engine import run as run_engine, trace_lines
+from .engine import report_run, run as run_engine, trace_lines
 from .errors import InvariantBreachError, ScenarioError, StakesimError
 from .rational import frac_str
 from .report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
@@ -127,38 +129,52 @@ def _set_path(doc: dict, path: str, value: Any, source: str) -> None:
     node[leaf] = value
 
 
-def _sweep_point(
-    template: dict, keys: list[str], seed: int | None, bound_kind: PfcKind, out: Path, job: tuple[int, tuple]
-) -> dict:
-    """Run grid point `job` = (n, combo), the template with each dotted
-    path in `keys` set to its value in `combo`; write its report to `out`
-    and return its sweep.json row, so a pool worker sends the parent a row
-    and never a report.
+# the dotted paths only the report reads (the steal_tvl rung, the verdict and
+# the report's labels): grid points that differ only there share one event loop
+REPORT_ONLY = ("econ.tvl", "seed")
 
-    A domain error (StakesimError) becomes the row's `error`, with no
-    report; any other exception is a bug and propagates. The point's
-    document shares the template's objects but for its top-level object
-    and each object on an overridden path, which are copied; the template
-    is never edited, so points can run in any order or process. Only the
-    report is written, so the run's trace records never build a payload.
+
+def _sweep_group(
+    template: dict, keys: list[str], seed: int | None, bound_kind: PfcKind, out: Path, group: list[tuple[int, tuple]]
+) -> list[dict]:
+    """Run each grid point (n, combo) of `group`, the template with each
+    dotted path in `keys` set to its value in `combo`; write its report to
+    `out` and return its sweep.json row, so a pool worker sends the parent
+    rows and never a report.
+
+    The points of a group differ only on `REPORT_ONLY` paths. Each is set
+    and parsed on its own; the first to run leads, and each later one builds
+    only its report, from the leader's event loop. A domain error
+    (StakesimError) becomes the point's `error`, with no report, and any
+    other exception is a bug and propagates. A point's document shares the
+    template's objects but for its top-level object and each object on an
+    overridden path, which are copied, so the template is never edited.
+    Only reports are written, so no trace record builds a payload.
     """
-    n, combo = job
-    overrides = dict(zip(keys, combo))
-    row = {"point": n, "overrides": overrides, "ok": True, "error": None}
-    doc = dict(template)
-    source = f"<sweep point {n}>"
-    try:
-        for path, value in overrides.items():
-            _set_path(doc, path, value, source)
-        report = run_engine(parse_scenario(doc, source=source), seed=seed, bound_kind=bound_kind).report
-    except StakesimError as exc:  # record, keep sweeping
-        row.update(ok=False, error=f"{type(exc).__name__}: {exc}")
-        return row
-    name = f"report-{n:04d}.json"
-    (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
-    v = report.doc["verdict"]
-    row.update(report=name, cryptoeconomically_safe=v["cryptoeconomically_safe"], strong_safety=v["strong_safety"])
-    return row
+    rows, loop = [], None
+    for n, combo in group:
+        overrides = dict(zip(keys, combo))
+        row = {"point": n, "overrides": overrides, "ok": True, "error": None}
+        rows.append(row)
+        doc = dict(template)
+        source = f"<sweep point {n}>"
+        try:
+            for path, value in overrides.items():
+                _set_path(doc, path, value, source)
+            scenario = parse_scenario(doc, source=source)
+            if loop is None:
+                loop = run_engine(scenario, seed=seed, bound_kind=bound_kind)
+                report = loop.report
+            else:
+                report = report_run(loop, scenario, seed, bound_kind)
+        except StakesimError as exc:  # record, keep sweeping
+            row.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+            continue
+        name = f"report-{n:04d}.json"
+        (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
+        v = report.doc["verdict"]
+        row.update(report=name, cryptoeconomically_safe=v["cryptoeconomically_safe"], strong_safety=v["strong_safety"])
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -175,20 +191,25 @@ def _usable_cpus() -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = read_object(read_input(args.scenario, "scenario"), args.scenario)
     grid = _grid_from_args(args)
-    # sweep order: keys as given, values in listed order, rightmost fastest
-    jobs = list(enumerate(itertools.product(*grid.values())))
-    workers = min(len(jobs), _usable_cpus())
+    # sweep order: keys as given, values in listed order, rightmost fastest;
+    # a group holds the points whose values agree but on REPORT_ONLY paths,
+    # each value named by its place on its axis
+    axes = [range(len(values)) if key not in REPORT_ONLY else [None] * len(values) for key, values in grid.items()]
+    groups: dict[tuple, list] = {}
+    for n, (combo, at) in enumerate(zip(itertools.product(*grid.values()), itertools.product(*axes))):
+        groups.setdefault(at, []).append((n, combo))
+    workers = min(len(groups), _usable_cpus())
     with _output_dir(args.out) as out:
-        point_row = partial(_sweep_point, doc, list(grid), args.seed, BOUND_ALIASES[args.bound], out)
+        group_rows = partial(_sweep_group, doc, list(grid), args.seed, BOUND_ALIASES[args.bound], out)
         if workers <= 1:
-            index = list(map(point_row, jobs))
+            done = map(group_rows, groups.values())
         else:
             # fork, not spawn: a spawned worker imports stakesim afresh
             # (about 0.1 s on a 2-vCPU VM), as long as a small grid's points
-            # take. map keeps point order; a killed worker raises
-            # BrokenProcessPool.
+            # take. A killed worker raises BrokenProcessPool.
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                index = list(pool.map(point_row, jobs))
+                done = list(pool.map(group_rows, groups.values()))
+        index = sorted(itertools.chain.from_iterable(done), key=itemgetter("point"))
         (out / "sweep.json").write_text(canonical_json({"points": index}) + "\n", encoding="utf-8")
     ok = sum(1 for r in index if r["ok"])
     sys.stdout.write(f"swept {len(index)} points ({ok} ok, {len(index) - ok} failed) -> {out}\n")

@@ -20,7 +20,9 @@ releases the held lots.
 
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
 only ever walks sorted structures and nothing is sampled. The seed only
-labels the run_start record and the report.
+labels the run_start record and the report, and the econ block's `tvl`
+reaches only run_start and the report, so `report_run` can build the
+report of a scenario that differs only there from another run's loop.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .insurance import (
     RELEASE_LAG_EPOCHS,
     InsuranceBid,
     InsuranceLedger,
+    KarmaSummary,
     RevertedExecution,
     coverage_check,
     karma_report,
@@ -136,15 +139,17 @@ class ReportRecord(TraceRecord):
 
 @dataclass
 class SimTrace:
-    """Ordered event log plus the final report, the run's effective
-    timeline it was built from, and the ledger's final state."""
+    """Ordered event log plus the final report, and what the report is
+    built from: the run's effective timeline, the ledger's final state and
+    the karma section."""
 
     records: list[TraceRecord]
-    report: ReportDocument
     timeline: ChainTimeline  # effective: each transaction under the rule it finalized with
     ledger: InsuranceLedger
+    karma: KarmaSummary
     executed: dict[str, Tick]
     reverted: set[str]
+    report: ReportDocument = field(init=False)
 
     def to_lines(self) -> list[str]:
         return trace_lines(self.records)
@@ -440,31 +445,16 @@ class _Run:
         timeline = replace(
             self.timeline, transactions=tuple(self.effective[tx.id] for tx in self.timeline.transactions)
         )
-
         karma = karma_report(
             self.ledger,
             reverted_executions=self.reverted_executions,
             adversary_validators=sorted(self.adversary_validators),
             adversary_transactors=sorted(self.sc.adversary.transactors),
         )
-        report = build_report(
-            timeline,
-            self.ledger,
-            self.tp,
-            karma,
-            self.bound_kind,
-            scenario_hash=scenario_hash(self.sc),
-            seed=self.seed,
-        )
-        self.records.append(ReportRecord(horizon, "report", report.doc, report=report))
-        return SimTrace(
-            records=self.records,
-            report=report,
-            timeline=timeline,
-            ledger=self.ledger,
-            executed=self.executed,
-            reverted=self.reverted,
-        )
+        trace = SimTrace(self.records, timeline, self.ledger, karma, self.executed, self.reverted)
+        trace.report = report_run(trace, self.sc, self.seed, self.bound_kind)
+        self.records.append(ReportRecord(horizon, "report", trace.report.doc, report=trace.report))
+        return trace
 
 
 def run(
@@ -473,5 +463,25 @@ def run(
     bound_kind: PfcKind = PfcKind.REORG_HYBRID_SECURE_RULE,
 ) -> SimTrace:
     """Simulate one scenario to its horizon and report on it."""
-    actual_seed = scenario.seed if seed is None else seed
-    return _Run(scenario, actual_seed, bound_kind).run()
+    return _Run(scenario, scenario.seed if seed is None else seed, bound_kind).run()
+
+
+def report_run(
+    trace: SimTrace,
+    scenario: Scenario,
+    seed: Optional[int] = None,
+    bound_kind: PfcKind = PfcKind.REORG_HYBRID_SECURE_RULE,
+) -> ReportDocument:
+    """The report `run(scenario, seed, bound_kind)` gives, built from the
+    event loop of `trace`: a run of `scenario`, or of one that differs from
+    it only on paths the loop does not read (`cli.REPORT_ONLY`)."""
+    return build_report(
+        trace.timeline,
+        trace.ledger,
+        scenario.timing,
+        scenario.econ,
+        trace.karma,
+        bound_kind,
+        scenario_hash=scenario_hash(scenario),
+        seed=scenario.seed if seed is None else seed,
+    )

@@ -230,6 +230,7 @@ def build_report(
     timeline: ChainTimeline,
     ledger: InsuranceLedger,
     tp: TimingParams,
+    ep: EconParams,
     karma: KarmaSummary,
     bound_kind: PfcKind,
     *,
@@ -237,8 +238,9 @@ def build_report(
     seed: int,
 ) -> ReportDocument:
     """Assemble the full safety report for a run's effective `timeline`,
-    the lots and settlements of its `ledger`, under the run's timing `tp`."""
-    ep, coverage = ledger.ep, ledger.coverage()
+    the lots and settlements of its `ledger`, under the run's timing `tp`
+    and judged against its economics `ep`."""
+    coverage = ledger.coverage()
     verdict = VERDICT.write(safety_verdict(timeline, tp, ep, coverage, bound_kind))
     sections = _checked_sections(timeline, tp, ep, coverage, ledger.settlements)
     labels = (OUTPUT_VERSION, __version__, scenario_hash, seed)
@@ -333,7 +335,9 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
         if not line:
             continue
         try:
-            rec = _TRACE_JSON.decode(line)
+            rec, end = _TRACE_JSON.raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid trace JSON: {exc.msg}", path=f"{source}:{n}")
         if not isinstance(rec, dict) or "kind" not in rec or "tick" not in rec:
@@ -344,8 +348,8 @@ def parse_trace(lines: Sequence[str], *, source: str = "<trace>") -> list[dict]:
     return records
 
 
-# what `analyze` needs of a lot: its buyer and coverage
-_BUYER, _COVERAGE = map(LOT.field, ("buyer", "coverage"))
+# what `analyze` needs of a lot: its buyer, coverage and premium rate
+_BUYER, _COVERAGE, _RATE = map(LOT.field, ("buyer", "coverage", "premium_rate"))
 _SHARES = SHARES.field("shares")
 _HEAD = frozenset(("tick", "kind"))
 
@@ -365,9 +369,10 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     report's karma section, against the bound kind of that report's verdict.
     A lot's covering epoch, each settlement's claims, budget, totals and
     breach flag (by `settle_claims`, as the run settled them), a party's
-    compensation and net, every claimant's karma entry, and the adversary's
-    net are derived, not read. Bad input is reported in that order, the
-    embedded report's verdict, settlements and karma last."""
+    premiums paid (the exact sum of its lots' coverage times premium rate),
+    compensation and net, every buyer's and claimant's karma entry, and the
+    adversary's net are derived, not read. Bad input is reported in that
+    order, the embedded report's verdict, settlements and karma last."""
     by_kind: dict[str, list[dict]] = {}
     for r in records:
         by_kind.setdefault(r["kind"], []).append(r)
@@ -395,13 +400,21 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     timeline = ChainTimeline(horizon, tuple(sorted(txs, key=lambda t: (t.finalized_at, t.id))))
 
     where = f"{source}:auction"
-    lots = []
+    lots, rated = [], {}  # rated: {(buyer, premium rate as written): (rate, [coverage])}
     for r in by_kind.get("auction", ()):
         covering = read_field(r, "epoch", where, integer) + PURCHASE_LEAD_EPOCHS
         for i, lot in enumerate(read_field(r, "lots", where, listing)):
             at = f"{where}.lots[{i}]"
-            lots.append((_BUYER.read(lot, at), covering, _COVERAGE.read(lot, at)))
+            buyer, amount, text = _BUYER.read(lot, at), _COVERAGE.read(lot, at), lot.get("premium_rate")
+            lots.append((buyer, covering, amount))
+            key = buyer, text if isinstance(text, (str, int)) else None  # each rate read once per buyer
+            if key not in rated:
+                rated[key] = _RATE.read(lot, at), []
+            rated[key][1].append(amount)
     coverage = coverage_map(lots)
+    premiums: dict[str, list[Fraction]] = {}  # each buyer's premiums, one per rate
+    for (buyer, _), (rate, amounts) in rated.items():
+        premiums.setdefault(buyer, []).append(rate * exact_sum(amounts))
 
     def bought(transactor: str, epoch: EpochIndex) -> Fraction:
         # what `InsuranceLedger.u` read: each lot for epoch c sells at c - 2, before any claim against c
@@ -418,14 +431,12 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     for i, entry in enumerate(read_field(report, "settlements", where, listing)):
         SETTLEMENT.read(entry, f"{where}.settlements[{i}]")
     stated = KARMA.read(read_field(report, "karma", where), f"{where}.karma")
-    # every claimant has an entry, whether or not the record lists it
+    # every buyer and claimant has an entry, whether or not the record lists it
     paid, listed = paid_claims(settlements), {e["party"]: e for e in stated["entries"]}
-    entries = [
-        _rebuild(KarmaEntry, listed[party], compensation=paid.get(party, Fraction(0)))
-        if party in listed
-        else KarmaEntry(party, compensation=paid[party])
-        for party in sorted(listed.keys() | paid.keys())
-    ]
+    entries = []
+    for party in sorted(listed.keys() | paid.keys() | premiums.keys()):
+        derived = {"premiums_paid": exact_sum(premiums.get(party, ())), "compensation": paid.get(party, Fraction(0))}
+        entries.append(_rebuild(KarmaEntry, listed[party], **derived) if party in listed else KarmaEntry(party, **derived))
     karma = _rebuild(KarmaSummary, stated, entries=tuple(entries))
 
     sections = _checked_sections(timeline, tp, ep, coverage, settlements)

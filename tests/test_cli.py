@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,9 @@ import pytest
 import stakesim.cli as cli
 from stakesim.chain import PfcKind
 from stakesim.cli import main
+from stakesim.engine import run
 from stakesim.errors import ScenarioError
-from stakesim.rational import as_fraction
+from stakesim.rational import as_fraction, frac_str
 from stakesim.scenario import canonical_json, load_scenario
 from stakesim.version import __version__
 
@@ -354,6 +356,8 @@ MALFORMED_BODY_RECORDS = [
     (lambda r: r.update(tx_kind="mixed"), "tx_finalized.tx_kind: malformed value 'mixed'"),
     (lambda r: r["lots"][0].pop("coverage"), "auction.lots[0].coverage: missing required key"),
     (lambda r: r["lots"].insert(0, 7), "auction.lots[0]: expected an object"),
+    (lambda r: r["lots"][0].update(premium_rate="x"), "auction.lots[0].premium_rate: malformed value 'x'"),
+    (lambda r: r["lots"][0].update(premium_rate=[1]), "auction.lots[0].premium_rate: malformed value [1]"),
     (lambda r: r.update(lots={}), "auction.lots: malformed value {}"),
     (lambda r: r.pop("shares"), "auction.shares: missing required key"),
     (lambda r: r["shares"].update(v1="x"), "auction.shares: malformed value"),
@@ -458,6 +462,14 @@ def pay_nothing(record: dict) -> None:
     record["claims"][0]["paid"] = "0"
 
 
+def premiums_unpaid(record: dict) -> None:
+    """Alice's premiums paid, 1/2 for her two lots, stated as 0, and her net
+    rewritten to agree."""
+    alice = record["karma"]["parties"][0]
+    assert alice["party"] == "alice" and alice["premiums_paid"] == "1/2"
+    alice.update(premiums_paid="0", net=frac_str(as_fraction(alice["net"]) + Fraction(1, 2)))
+
+
 def claim_of(record: dict) -> dict:
     """The demo's one claim, alice's, in the settlement record or the report's copy."""
     return settlement_of(record)["claims"][0]
@@ -479,8 +491,9 @@ def underpay(record: dict) -> None:
     [
         ("tx_finalized", lambda r: r.update(value="99"), "ladder[1].value"),
         ("settlement", lambda r: r.update(paid="7", burned="57"), "settlements[0].burned"),
-        # more coverage than alice's claim of 6 moves only the epoch's row
-        ("auction", lambda r: r["lots"][0].update(coverage="11"), "per_epoch[2].coverage.alice"),
+        # more coverage than alice's claim of 6, at the same premium (1/5),
+        # moves only the epoch's row
+        ("auction", lambda r: r["lots"][0].update(coverage="11", premium_rate="1/55"), "per_epoch[2].coverage.alice"),
         # the report's labels and settlements are checked against the
         # run_start and settlement records, and its karma section against
         # the amounts the settlements give
@@ -517,6 +530,9 @@ def underpay(record: dict) -> None:
         ("auction", lambda r: r["lots"][0].update(coverage="1"), "settlements[0].burned"),
         # an auction's epoch gives its lots' covering epoch: one later leaves the claim's epoch uncovered
         ("auction", lambda r: r.update(epoch=1), "settlements[0].burned"),
+        # a premium is its lot's coverage times its rate, so a buyer's premiums paid are derived
+        ("auction", lambda r: r["lots"][0].update(premium_rate="1/40"), "karma.parties[0].net"),
+        ("report", premiums_unpaid, "karma.parties[0].net"),
     ],
 )
 def test_analyze_finds_a_tampered_value_in_a_table_record(tmp_path, capsys, kind, tamper, field):
@@ -661,7 +677,7 @@ def test_sweep_refuses_a_template_that_is_not_an_object_as_run_does(tmp_path, ca
 def _serial_sweep(template: dict, grid: dict, out: Path) -> list[dict]:
     out.mkdir()
     jobs = enumerate(itertools.product(*grid.values()))
-    return [cli._sweep_point(template, list(grid), None, PfcKind.REORG_HYBRID_SECURE_RULE, out, job) for job in jobs]
+    return [cli._sweep_group(template, list(grid), None, PfcKind.REORG_HYBRID_SECURE_RULE, out, [job])[0] for job in jobs]
 
 
 def test_a_serial_sweep_leaves_its_template_as_it_was(tmp_path):
@@ -766,6 +782,34 @@ def test_a_pooled_sweep_writes_what_a_serial_one_does(tmp_path, capsys, monkeypa
     rows = json.loads(pooled["sweep.json"])["points"]
     assert [(r["point"], r["ok"]) for r in rows] == [(0, True), (1, True), (2, False), (3, True), (4, True)]
     assert rows[2]["error"] == "ScenarioError: <sweep point 2>.econ: gamma must lie in [0, 1], got 3/2"
+
+
+# over the breach document: gamma 1/2 breaks its settlement and 3/2 is out of
+# range, and a tvl of -1 fails the first points of each group, so a later one leads
+REPORT_ONLY_GRID = {"econ.gamma": ["1/2", "3/4", "3/2"], "econ.tvl": [-1, 300, 1000000007], "seed": [5, 12345]}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_sweep_writes_what_running_each_point_alone_writes(tmp_path, capsys, monkeypatch, cpus):
+    template = breach_scenario_doc()
+    alone = tmp_path / "alone"
+    rows = _serial_sweep(template, REPORT_ONLY_GRID, alone)
+    (alone / "sweep.json").write_text(canonical_json({"points": rows}) + "\n", encoding="utf-8")
+    assert [r["ok"] for r in rows] == [False] * 6 + [False, False] + [True] * 4 + [False] * 6
+    assert rows[0]["error"].startswith("ScenarioError: <sweep point 0>.econ: tvl must be")
+    assert rows[2]["error"].startswith("InvariantBreachError: INVARIANT-BREACH")
+
+    pools, loops = _pooled(monkeypatch), []
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "run_engine", lambda *args, **kw: loops.append(args) or run(*args, **kw))
+    axes = [f"{path}={','.join(map(str, values))}" for path, values in REPORT_ONLY_GRID.items()]
+    sets = [arg for axis in axes for arg in ("--set", axis)]
+    out = tmp_path / "swept"
+    assert main(["sweep", "--scenario", write_doc(tmp_path, template), *sets, "--out", str(out)]) == 0
+    assert _outputs(out) == _outputs(alone)
+    assert pools == [2] * (cpus - 1)
+    # in process, each breaking point leads its group anew and the rest share one loop
+    assert len(loops) == (4 + 1 if cpus == 1 else 0)
 
 
 def test_no_pool_worker_outlives_a_sweep(tmp_path, capsys, monkeypatch):

@@ -552,10 +552,11 @@ def test_oversold_coverage_halts_loudly():
 
 def sweep_rows(template: dict, grid: dict[str, list], out: Path) -> list[dict]:
     """Each grid point's sweep.json row, run one after another through the
-    sweep verb's per-point function, with its reports written to `out`."""
+    sweep verb's per-group function, each point a group of its own, with
+    its reports written to `out`."""
     out.mkdir(exist_ok=True)
     jobs = enumerate(itertools.product(*grid.values()))
-    return [cli._sweep_point(template, list(grid), None, PfcKind.REORG_HYBRID_SECURE_RULE, out, job) for job in jobs]
+    return [cli._sweep_group(template, list(grid), None, PfcKind.REORG_HYBRID_SECURE_RULE, out, [job])[0] for job in jobs]
 
 
 def test_gamma_sweep_preserves_conservation(tmp_path):

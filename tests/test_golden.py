@@ -37,9 +37,9 @@ import pytest
 from stakesim import PfcKind, cli, parse_scenario
 from stakesim.chain import MAX_HORIZON
 from stakesim.cli import main
-from stakesim.engine import _Run, run, trace_lines
+from stakesim.engine import _Run, report_run, run, trace_lines
 from stakesim.errors import InvariantBreachError
-from stakesim.report import compare_trace_to_report, parse_trace, render_text
+from stakesim.report import BOUND_ALIASES, compare_trace_to_report, parse_trace, render_text
 from stakesim.scenario import (
     DECISION,
     FORK_EVENT,
@@ -268,6 +268,39 @@ def test_skipping_quiet_epochs_keeps_every_trace_byte(name):
     lines = _lines_or_partial(lambda: run(sc))
     assert lines == _lines_or_partial(lambda: run_every_epoch(sc))
     assert (lines[0] == "<breach>") == breach
+
+
+# a value of each report-only path that no corpus document gives it
+REPORT_ONLY_VALUES = {"econ.tvl": 10**9 + 7, "seed": 12345}
+
+
+def loop_lines(sc) -> list[str]:
+    """The lines a run's event loop writes: its trace, or the partial trace
+    its breach carries, less the run_start and report records."""
+    lines = _lines_or_partial(lambda: run(sc))
+    return [line for line in lines if line == "<breach>" or json.loads(line)["kind"] not in ("run_start", "report")]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_event_loop_reads_no_report_only_key(name):
+    # a sweep builds each point's report from the event loop of the point
+    # that leads its group, which may differ from it on these paths, so a
+    # change to one must move no line but the run's labels, and the report
+    # built from the other run's loop must be the changed run's own
+    assert REPORT_ONLY_VALUES.keys() == set(cli.REPORT_ONLY)
+    doc, breach = corpus_doc(name)
+    sc = parse_scenario(doc)
+    lines = loop_lines(sc)
+    for path, value in REPORT_ONLY_VALUES.items():
+        changed = dict(doc)
+        cli._set_path(changed, path, value, name)
+        other = parse_scenario(changed)
+        assert loop_lines(other) == lines, (name, path)
+        if breach:
+            continue
+        for kind in BOUND_ALIASES.values():
+            fresh = run(other, bound_kind=kind).report.to_json()
+            assert report_run(run(sc, bound_kind=kind), other, None, kind).to_json() == fresh, (name, path, kind)
 
 
 # the epochs a run visits per record it writes, at most: epoch 0 and the
@@ -519,7 +552,7 @@ def test_a_trace_builds_each_payload_once_and_a_sweep_point_none(table_writes, t
             seen[name] += written[name]
             table_writes[name] = 0
         # a sweep point writes only its report, so it builds no payload
-        row = cli._sweep_point(doc, ["seed"], None, PfcKind.REORG_HYBRID_SECURE_RULE, tmp_path, (0, (3,)))
+        (row,) = cli._sweep_group(doc, ["seed"], None, PfcKind.REORG_HYBRID_SECURE_RULE, tmp_path, [(0, (3,))])
         assert row["ok"] is (case != "breach"), case
         assert table_writes == dict.fromkeys(_RECORD_TABLES, 0), case
     assert all(seen.values()), seen
