@@ -3,7 +3,9 @@
 Verbs:
   run       simulate one scenario, write trace + machine + human reports
   sweep     run a scenario template across a parameter grid, one event
-            loop per group of points that differ only on REPORT_ONLY paths
+            loop per group of points that differ only on REPORT_ONLY paths;
+            the loop's first report builds the sections the loop settles,
+            and each later point only its labels, steal_tvl rung and verdict
   analyze   recompute a trace's report from its raw records and diff them
   validate  parse a scenario and print its diagnostics
 
@@ -144,12 +146,16 @@ def _sweep_group(
 
     The points of a group differ only on `REPORT_ONLY` paths. Each is set
     and parsed on its own; the first to run leads, and each later one builds
-    only its report, from the leader's event loop. A domain error
-    (StakesimError) becomes the point's `error`, with no report, and any
-    other exception is a bug and propagates. A point's document shares the
-    template's objects but for its top-level object and each object on an
-    overridden path, which are copied, so the template is never edited.
-    Only reports are written, so no trace record builds a payload.
+    only its report, from the leader's event loop. The leader's report
+    builds the loop part, every section the loop settles, with its
+    encodings; a later report builds only its point part, its labels,
+    `steal_tvl` rung and verdict, and shares the rest (`engine.report_run`).
+    A domain error (StakesimError) becomes the point's `error`, with no
+    report, and any other exception is a bug and propagates. A point's
+    document shares the template's objects but for its top-level object
+    and each object on an overridden path, which are copied, so the
+    template is never edited. Only reports are written, so no trace record
+    builds a payload.
     """
     rows, loop = [], None
     for n, combo in group:

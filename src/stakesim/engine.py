@@ -82,7 +82,6 @@ from .scenario import (
     canonical_json,
     canonical_object,
     scenario_hash,
-    strategy_events,
 )
 from .version import OUTPUT_VERSION, __version__
 
@@ -141,7 +140,8 @@ class ReportRecord(TraceRecord):
 class SimTrace:
     """Ordered event log plus the final report, and what the report is
     built from: the run's effective timeline, the ledger's final state and
-    the karma section."""
+    the karma section. `report` is None only while `run` builds it; every
+    later report of the loop (`report_run`) shares its loop part."""
 
     records: list[TraceRecord]
     timeline: ChainTimeline  # effective: each transaction under the rule it finalized with
@@ -149,7 +149,7 @@ class SimTrace:
     karma: KarmaSummary
     executed: dict[str, Tick]
     reverted: set[str]
-    report: ReportDocument = field(init=False)
+    report: Optional[ReportDocument] = field(default=None, init=False)
 
     def to_lines(self) -> list[str]:
         return trace_lines(self.records)
@@ -165,7 +165,7 @@ class _Run:
         self.tp = sc.timing
         self.ep = sc.econ
 
-        extra, self.probe_log = strategy_events(sc)
+        extra, self.probe_log = sc._scripted
         self.timeline = build_timeline(
             horizon=sc.timeline.horizon,
             transactions=sc.timeline.transactions,
@@ -474,7 +474,15 @@ def report_run(
 ) -> ReportDocument:
     """The report `run(scenario, seed, bound_kind)` gives, built from the
     event loop of `trace`: a run of `scenario`, or of one that differs from
-    it only on paths the loop does not read (`cli.REPORT_ONLY`)."""
+    it only on paths the loop does not read (`cli.REPORT_ONLY`).
+
+    The loop's first report, `trace.report`, builds the loop part
+    (`report.LoopSections`): every section the loop settles, with its
+    encodings. A later report builds only its point part, its labels, its
+    `steal_tvl` rung and its verdict, and joins them to that part. The
+    part is keyed on the timing and the econ block but `tvl`, so a
+    scenario that differs elsewhere gets a part of its own, not a wrong
+    report."""
     return build_report(
         trace.timeline,
         trace.ledger,
@@ -484,4 +492,5 @@ def report_run(
         bound_kind,
         scenario_hash=scenario_hash(scenario),
         seed=scenario.seed if seed is None else seed,
+        loop=None if trace.report is None else trace.report.loop,
     )

@@ -2,9 +2,17 @@
 re-derivation of the document from a raw trace.
 
 Machine values are exact rationals ("p/q" strings); human tables show
-fixed-point decimals. `_report_doc` lays the document out once:
-`build_report` fills it from a run, and `recompute_from_trace` from the
-run's trace, which the analyze verb diffs whole against its embedded report.
+fixed-point decimals. A report has two parts. The loop part
+(`LoopSections`, built by `_checked_sections`) is what the run's event
+loop settles under its timing and its econ block but `tvl`: the cost of
+corruption, the ladder's window rungs, the strong-safety flags, the
+per-epoch rows, the totals, the settlements and the karma section. The
+point part is the labels, the `steal_tvl` rung and the verdict against
+the run's bound kind. `_report_doc` lays the document out once:
+`build_report` fills it from a run, sharing the loop part of an earlier
+report of the same loop and its encodings, and `recompute_from_trace`
+from the run's trace, which the analyze verb diffs whole against its
+embedded report.
 Documents are at output version 4 (`OUTPUT_VERSION`), and `analyze` reads
 only traces at that version. The per-epoch rows hold one row for each
 epoch that holds a transaction, has coverage or is uncovered, and one for
@@ -21,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -39,6 +47,7 @@ from .chain import (
 )
 from .econ import (
     Mechanism,
+    PfcBound,
     SafetyVerdict,
     cost_of_corruption,
     pfc_ladder,
@@ -91,19 +100,65 @@ _SUM_COLUMNS = {
 _NO_LOAD = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """A report document. Its fields are encoded once, on first use, and
-    shared by report.json, the trace's `report` record and a sweep point's
-    report; the encodings live and die with this object."""
+@dataclass(frozen=True, eq=False)
+class LoopSections:
+    """The loop part of a report: what its run's event loop settles under
+    the run's timing and its econ block but `tvl`. That is the ladder's
+    window rungs, the slashing cost of corruption and the strong-safety
+    flags that every verdict reads, and the `coc`, `per_epoch`, `totals`,
+    `settlements` and `karma` sections as every report of the loop holds
+    them (`doc`), encoded once, on first use (`fields`). `key` is what the
+    part reads beside the loop, so a report under another timing or
+    economics builds its own part."""
 
+    key: tuple
+    windows: tuple[PfcBound, ...]
+    coc: Fraction
+    strong: bool
+    buffer_ok: bool
     doc: dict
 
     @cached_property
     def fields(self) -> dict[str, str]:
-        """Each top-level field of the document, canonically encoded, so
-        that `canonical_object(self.fields) == canonical_json(self.doc)`."""
         return {key: canonical_json(value) for key, value in self.doc.items()}
+
+    def ladder(self, tvl: Fraction) -> tuple[PfcBound, ...]:
+        """The PfcBound ladder whose `steal_tvl` rung is `tvl`."""
+        return (PfcBound(PfcKind.STEAL_TVL, tvl), *self.windows)
+
+    def verdict(self, tvl: Fraction, bound_kind: PfcKind) -> SafetyVerdict:
+        """The verdict against rung `bound_kind` of `ladder(tvl)`: the flags
+        and the cost of corruption read no rung but the uninsured-load one,
+        which is the loop's."""
+        bound = next(b for b in self.ladder(tvl) if b.kind is bound_kind)
+        return SafetyVerdict(self.coc, bound, self.strong, self.buffer_ok)
+
+
+def _loop_key(tp: TimingParams, ep: EconParams) -> tuple:
+    """What a report's loop part reads beside its event loop."""
+    return tp, dataclasses.replace(ep, tvl=Fraction(0))
+
+
+@dataclass(frozen=True)
+class ReportDocument:
+    """A report document. Its fields are encoded once, on first use, and
+    shared by report.json, the trace's `report` record and a sweep point's
+    report; the encodings live and die with this object, but for those of
+    its loop part (`loop`), which every report of one event loop shares."""
+
+    doc: dict
+    loop: Optional[LoopSections] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def fields(self) -> dict[str, str]:
+        """Each top-level field of the document, canonically encoded, so
+        that `canonical_object(self.fields) == canonical_json(self.doc)`;
+        a field that is its loop part's own object takes the part's encoding."""
+        shared = {} if self.loop is None else self.loop.doc
+        return {
+            key: self.loop.fields[key] if key in shared and shared[key] is value else canonical_json(value)
+            for key, value in self.doc.items()
+        }
 
     def to_json(self) -> str:
         """The canonical JSON of the document, as report.json holds it."""
@@ -194,36 +249,46 @@ def _checked_sections(
     ep: EconParams,
     coverage: Mapping[EpochIndex, Mapping[str, Fraction]],
     settlements: Sequence[SettlementRecord],
-) -> dict:
-    """The report sections and per-bound-kind verdicts `analyze` re-derives, from
-    a timeline, its coverage map and its settlements, whose amounts the totals sum."""
+    karma: KarmaSummary,
+) -> LoopSections:
+    """The loop part of a report, which `analyze` re-derives too: from a
+    timeline, its coverage map, its settlements, whose amounts the totals
+    sum, and its karma section."""
     ladder = pfc_ladder(timeline, tp, ep)
     strong, buffer_ok, uncovered = strong_safety_flags(timeline, tp, ep, ladder, coverage)
-    coc = cost_of_corruption(Mechanism.SLASHING, ep)
-    return {
+    doc = {
         "coc": {m.value: frac_str(cost_of_corruption(m, ep)) for m in Mechanism},
-        "ladder": list(map(PFC_BOUND.write, ladder)),
-        "verdicts": {b.kind: VERDICT.write(SafetyVerdict(coc, b, strong, buffer_ok)) for b in ladder},
         "per_epoch": _epoch_rows(timeline, tp, ep, coverage, uncovered),
         "totals": {
             key: frac_str(exact_sum(map(attrgetter(attr), settlements)))
             for key, attr in (("slashed", "slashed"), ("paid", "paid_total"), ("burned", "burned"))
         },
+        "settlements": list(map(SETTLEMENT.write, settlements)),
+        "karma": KARMA.write(karma),
     }
+    coc = cost_of_corruption(Mechanism.SLASHING, ep)
+    return LoopSections(_loop_key(tp, ep), ladder[1:], coc, strong, buffer_ok, doc)
 
 
 # what a report says of its run, as the run's run_start record states it too, and how analyze reads each
 _LABELS = {"schema_version": integer, "tool_version": text, "scenario_hash": text, "seed": integer}
 
 
-def _report_doc(labels: Sequence, sections: dict, verdict: dict, settlements: list, karma: KarmaSummary) -> dict:
-    """The report document: the `_LABELS` values in order, the
-    `_checked_sections` but their per-bound-kind verdicts, the verdict
-    against the run's bound kind, and the settlements and karma section
-    as their tables write them."""
-    doc = dict(zip(_LABELS, labels), **sections, verdict=verdict)
-    del doc["verdicts"]
-    return dict(doc, settlements=list(map(SETTLEMENT.write, settlements)), karma=KARMA.write(karma))
+def _report_doc(labels: Sequence, loop: LoopSections, tvl: Fraction, verdict: SafetyVerdict) -> dict:
+    """The report document: the `_LABELS` values in order, the sections
+    of `loop`, its ladder under a `steal_tvl` rung of `tvl`, and the
+    `verdict`."""
+    shared = loop.doc
+    return dict(
+        zip(_LABELS, labels),
+        coc=shared["coc"],
+        ladder=list(map(PFC_BOUND.write, loop.ladder(tvl))),
+        per_epoch=shared["per_epoch"],
+        totals=shared["totals"],
+        verdict=VERDICT.write(verdict),
+        settlements=shared["settlements"],
+        karma=shared["karma"],
+    )
 
 
 def build_report(
@@ -236,15 +301,24 @@ def build_report(
     *,
     scenario_hash: str,
     seed: int,
+    loop: Optional[LoopSections] = None,
 ) -> ReportDocument:
     """Assemble the full safety report for a run's effective `timeline`,
     the lots and settlements of its `ledger`, under the run's timing `tp`
-    and judged against its economics `ep`."""
-    coverage = ledger.coverage()
-    verdict = VERDICT.write(safety_verdict(timeline, tp, ep, coverage, bound_kind))
-    sections = _checked_sections(timeline, tp, ep, coverage, ledger.settlements)
+    and judged against its economics `ep`.
+
+    `loop` is the loop part of an earlier report of the same run. Built
+    under `tp` and `ep` but for its `tvl`, it is shared: only the labels,
+    the `steal_tvl` rung and the verdict are built. Otherwise the part is
+    built here, and the verdict judged by `safety_verdict`."""
+    if loop is None or loop.key != _loop_key(tp, ep):
+        coverage = ledger.coverage()
+        verdict = safety_verdict(timeline, tp, ep, coverage, bound_kind)
+        loop = _checked_sections(timeline, tp, ep, coverage, ledger.settlements, karma)
+    else:
+        verdict = loop.verdict(ep.tvl, bound_kind)
     labels = (OUTPUT_VERSION, __version__, scenario_hash, seed)
-    return ReportDocument(_report_doc(labels, sections, verdict, ledger.settlements, karma))
+    return ReportDocument(_report_doc(labels, loop, ep.tvl, verdict), loop)
 
 
 _line_cells = itemgetter(*_SUM_COLUMNS, "epoch_safe")
@@ -439,8 +513,8 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
         entries.append(_rebuild(KarmaEntry, listed[party], **derived) if party in listed else KarmaEntry(party, **derived))
     karma = _rebuild(KarmaSummary, stated, entries=tuple(entries))
 
-    sections = _checked_sections(timeline, tp, ep, coverage, settlements)
-    return _report_doc(labels, sections, sections["verdicts"][bound_kind], settlements, karma)
+    loop = _checked_sections(timeline, tp, ep, coverage, settlements, karma)
+    return _report_doc(labels, loop, ep.tvl, loop.verdict(ep.tvl, bound_kind))
 
 
 def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:

@@ -153,6 +153,13 @@ class Scenario:
         `replace` ignore it (a `replace`d scenario hashes anew)."""
         return hashlib.sha256(canonical_json(scenario_to_doc(self)).encode()).hexdigest()
 
+    @cached_property
+    def _scripted(self) -> tuple[list[ForkRevealEvent], Optional[dict]]:
+        """`strategy_events` of this scenario, which `parse_scenario` checks
+        and `run` builds into its chain, worked out once and kept as `_hash`
+        is. Neither reader edits the list or the probe log."""
+        return strategy_events(self)
+
     def transactors(self) -> frozenset[str]:
         ids = {t.transactor for t in self.timeline.transactions}
         ids.update(b.transactor for b in self.bids)
@@ -691,7 +698,7 @@ def parse_scenario(doc: Any, *, source: str = "<memory>") -> Scenario:
         f"{source}.adversary.strategy",
         lambda: build_timeline(
             horizon=horizon,
-            fork_events=list(timeline.fork_events) + strategy_events(sc)[0],
+            fork_events=list(timeline.fork_events) + sc._scripted[0],
             validators=validators,
         ),
     )

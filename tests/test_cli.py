@@ -19,9 +19,11 @@ from pathlib import Path
 import pytest
 
 import stakesim.cli as cli
+import stakesim.report as report_module
 from stakesim.chain import PfcKind
 from stakesim.cli import main
 from stakesim.engine import run
+from stakesim.report import BOUND_ALIASES
 from stakesim.errors import ScenarioError
 from stakesim.rational import as_fraction, frac_str
 from stakesim.scenario import canonical_json, load_scenario
@@ -674,10 +676,12 @@ def test_sweep_refuses_a_template_that_is_not_an_object_as_run_does(tmp_path, ca
     assert capsys.readouterr().err == captured.err
 
 
-def _serial_sweep(template: dict, grid: dict, out: Path) -> list[dict]:
+def _serial_sweep(
+    template: dict, grid: dict, out: Path, bound_kind: PfcKind = PfcKind.REORG_HYBRID_SECURE_RULE
+) -> list[dict]:
     out.mkdir()
     jobs = enumerate(itertools.product(*grid.values()))
-    return [cli._sweep_group(template, list(grid), None, PfcKind.REORG_HYBRID_SECURE_RULE, out, [job])[0] for job in jobs]
+    return [cli._sweep_group(template, list(grid), None, bound_kind, out, [job])[0] for job in jobs]
 
 
 def test_a_serial_sweep_leaves_its_template_as_it_was(tmp_path):
@@ -785,31 +789,46 @@ def test_a_pooled_sweep_writes_what_a_serial_one_does(tmp_path, capsys, monkeypa
 
 
 # over the breach document: gamma 1/2 breaks its settlement and 3/2 is out of
-# range, and a tvl of -1 fails the first points of each group, so a later one leads
-REPORT_ONLY_GRID = {"econ.gamma": ["1/2", "3/4", "3/2"], "econ.tvl": [-1, 300, 1000000007], "seed": [5, 12345]}
+# range, and a tvl of -1 fails the first points of each group, so a later one
+# leads; a tvl of 30 is below the cost of corruption (128/3) and 10^9+7 above it
+REPORT_ONLY_GRID = {"econ.gamma": ["1/2", "3/4", "3/2"], "econ.tvl": [-1, 30, 1000000007], "seed": [5, 12345]}
 
 
+@pytest.mark.parametrize("bound", ["secure", "tvl"])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_sweep_writes_what_running_each_point_alone_writes(tmp_path, capsys, monkeypatch, cpus):
+def test_a_sweep_writes_what_running_each_point_alone_writes(tmp_path, capsys, monkeypatch, cpus, bound):
     template = breach_scenario_doc()
     alone = tmp_path / "alone"
-    rows = _serial_sweep(template, REPORT_ONLY_GRID, alone)
+    rows = _serial_sweep(template, REPORT_ONLY_GRID, alone, BOUND_ALIASES[bound])
     (alone / "sweep.json").write_text(canonical_json({"points": rows}) + "\n", encoding="utf-8")
     assert [r["ok"] for r in rows] == [False] * 6 + [False, False] + [True] * 4 + [False] * 6
     assert rows[0]["error"].startswith("ScenarioError: <sweep point 0>.econ: tvl must be")
     assert rows[2]["error"].startswith("InvariantBreachError: INVARIANT-BREACH")
+    # under the tvl bound the verdict reads tvl, so the one group that runs judges its points apart
+    safe = [r["cryptoeconomically_safe"] for r in rows if r["ok"]]
+    assert safe == ([True, True, False, False] if bound == "tvl" else [True] * 4)
 
-    pools, loops = _pooled(monkeypatch), []
+    pools, loops, finished, parts = _pooled(monkeypatch), [], [], []
+
+    def run_engine(*args, **kwargs):
+        loops.append(args)
+        finished.append(run(*args, **kwargs))
+        return finished[-1]
+
+    sections = report_module._checked_sections
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(cli, "run_engine", lambda *args, **kw: loops.append(args) or run(*args, **kw))
+    monkeypatch.setattr(cli, "run_engine", run_engine)
+    monkeypatch.setattr(report_module, "_checked_sections", lambda *args: parts.append(args) or sections(*args))
     axes = [f"{path}={','.join(map(str, values))}" for path, values in REPORT_ONLY_GRID.items()]
     sets = [arg for axis in axes for arg in ("--set", axis)]
     out = tmp_path / "swept"
-    assert main(["sweep", "--scenario", write_doc(tmp_path, template), *sets, "--out", str(out)]) == 0
+    assert main(["sweep", "--scenario", write_doc(tmp_path, template), *sets, "--bound", bound, "--out", str(out)]) == 0
     assert _outputs(out) == _outputs(alone)
     assert pools == [2] * (cpus - 1)
-    # in process, each breaking point leads its group anew and the rest share one loop
+    # in process, each breaking point leads its group anew and the rest share
+    # one loop, whose first report builds the sections every later one shares
     assert len(loops) == (4 + 1 if cpus == 1 else 0)
+    assert len(parts) == len(finished) == (1 if cpus == 1 else 0)
 
 
 def test_no_pool_worker_outlives_a_sweep(tmp_path, capsys, monkeypatch):

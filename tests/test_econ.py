@@ -30,6 +30,7 @@ from stakesim import (
 from stakesim import econ
 from stakesim.chain import WINDOW_KINDS
 from stakesim.econ import strong_safety_flags
+from stakesim.insurance import KarmaSummary
 from stakesim.report import _checked_sections
 from stakesim.errors import InvariantViolationError
 
@@ -373,11 +374,10 @@ def test_strong_safety_matches_the_oracle_on_random_cases():
         assert (v.strong_safety, v.uninsured_buffer_ok) == bare
 
         # the report's sections, as `build_report` makes them from its ledger's coverage map
-        sections = _checked_sections(tl, tp, econ, coverage, [])
-        rows = [row["insured_ok"] for row in rows_by_epoch(sections["per_epoch"], tp.t_rev)]
+        loop = _checked_sections(tl, tp, econ, coverage, [], KarmaSummary((), frozenset(), Fraction(0)))
+        rows = [row["insured_ok"] for row in rows_by_epoch(loop.doc["per_epoch"], tp.t_rev)]
         assert rows == insured_ok_oracle(tl.transactions, tl.horizon, tp.t_rev, coverage)
-        verdicts = sections["verdicts"].values()
-        assert {(v["strong_safety"], v["uninsured_buffer_ok"]) for v in verdicts} == {expected}
+        assert (loop.strong, loop.buffer_ok) == expected
 
         seen["strong"].add(expected[0])
         seen["buffer"].add(expected[1])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -301,6 +302,29 @@ def test_the_event_loop_reads_no_report_only_key(name):
         for kind in BOUND_ALIASES.values():
             fresh = run(other, bound_kind=kind).report.to_json()
             assert report_run(run(sc, bound_kind=kind), other, None, kind).to_json() == fresh, (name, path, kind)
+
+
+# paths the loop part of a report reads beside the event loop, with a value
+# the demo does not give them
+LOOP_PART_VALUES = {"econ.gamma": 1, "econ.stake_per_validator": 64, "timing.t_rev": 12}
+
+
+@pytest.mark.parametrize("path", LOOP_PART_VALUES)
+def test_a_report_under_other_timing_or_economics_builds_its_own_loop_part(path):
+    # `report_run` shares the trace's loop part only with a scenario that
+    # differs from the loop's on REPORT_ONLY paths; one that breaks that
+    # contract must get the report a trace with no shared part gives
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    changed = dict(doc)
+    cli._set_path(changed, path, LOOP_PART_VALUES[path], path)
+    other = parse_scenario(changed)
+    trace = run(parse_scenario(doc))
+    bare = dataclasses.replace(trace)  # the same loop, with no report yet
+    own = report_run(bare, other)
+    assert report_run(trace, other).to_json() == own.to_json()
+    assert own.loop is not trace.report.loop
+    # the change reaches the report beyond its scenario_hash label
+    assert dict(own.doc, scenario_hash=None) != dict(trace.report.doc, scenario_hash=None)
 
 
 # the epochs a run visits per record it writes, at most: epoch 0 and the

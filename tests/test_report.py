@@ -21,6 +21,7 @@ from stakesim import (
 from stakesim.chain import WINDOW_KINDS
 from stakesim.econ import pfc_ladder, strong_safety_flags
 from stakesim.engine import ReportRecord, run
+from stakesim.insurance import KarmaSummary
 from stakesim.report import ReportDocument, _checked_sections, _epoch_rows, first_mismatch
 from stakesim.scenario import canonical_json, parse_scenario
 
@@ -32,6 +33,7 @@ from test_golden import CASES
 DEMO = Path(__file__).parent.parent / "scenarios" / "double-sign.json"
 DEMO_T_REV = json.loads(DEMO.read_text(encoding="utf-8"))["timing"]["t_rev"]
 RULES = ["immediate", "secure", "bridge", "insured_immediate"]
+NO_KARMA = KarmaSummary((), frozenset(), Fraction(0))
 
 
 # -- per-epoch rows ---------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_epoch_rows_match_the_per_filter_oracle():
     seen.update(edges=False, shared_tick=False, quiet_coverage=False, long_quiet=False)
     for _ in range(300):
         timeline, tp, econ, coverage, busy = _random_epoch_case(rng)
-        spans = _checked_sections(timeline, tp, econ, coverage, [])["per_epoch"]
+        spans = _checked_sections(timeline, tp, econ, coverage, [], NO_KARMA).doc["per_epoch"]
         rows = rows_by_epoch(spans, tp.t_rev)
         assert rows == epoch_rows_oracle(timeline, tp.t_rev, econ, coverage)
         uncovered = {row["epoch"] for row in rows if not row["insured_ok"]}
