@@ -22,7 +22,8 @@ Identical (scenario, seed) pairs produce byte-identical traces: iteration
 only ever walks sorted structures and nothing is sampled. The seed only
 labels the run_start record and the report, and the econ block's `tvl`
 reaches only run_start and the report, so `report_run` can build the
-report of a scenario that differs only there from another run's loop.
+report of a scenario that differs only there from another run's loop,
+on that run's report's loop part.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .insurance import (
     RELEASE_LAG_EPOCHS,
     InsuranceBid,
     InsuranceLedger,
-    KarmaSummary,
     RevertedExecution,
     coverage_check,
     karma_report,
@@ -139,17 +139,16 @@ class ReportRecord(TraceRecord):
 @dataclass
 class SimTrace:
     """Ordered event log plus the final report, and what the report is
-    built from: the run's effective timeline, the ledger's final state and
-    the karma section. `report` is None only while `run` builds it; every
-    later report of the loop (`report_run`) shares its loop part."""
+    built from: the run's effective timeline and the ledger's final state.
+    Every later report of the loop (`report_run`) shares `report`'s loop
+    part."""
 
     records: list[TraceRecord]
     timeline: ChainTimeline  # effective: each transaction under the rule it finalized with
     ledger: InsuranceLedger
-    karma: KarmaSummary
     executed: dict[str, Tick]
     reverted: set[str]
-    report: Optional[ReportDocument] = field(default=None, init=False)
+    report: ReportDocument
 
     def to_lines(self) -> list[str]:
         return trace_lines(self.records)
@@ -451,10 +450,18 @@ class _Run:
             adversary_validators=sorted(self.adversary_validators),
             adversary_transactors=sorted(self.sc.adversary.transactors),
         )
-        trace = SimTrace(self.records, timeline, self.ledger, karma, self.executed, self.reverted)
-        trace.report = report_run(trace, self.sc, self.seed, self.bound_kind)
-        self.records.append(ReportRecord(horizon, "report", trace.report.doc, report=trace.report))
-        return trace
+        report = build_report(
+            timeline,
+            self.ledger,
+            self.tp,
+            self.ep,
+            karma,
+            self.bound_kind,
+            scenario_hash=scenario_hash(self.sc),
+            seed=self.seed,
+        )
+        self.records.append(ReportRecord(horizon, "report", report.doc, report=report))
+        return SimTrace(self.records, timeline, self.ledger, self.executed, self.reverted, report)
 
 
 def run(
@@ -472,25 +479,12 @@ def report_run(
     seed: Optional[int] = None,
     bound_kind: PfcKind = PfcKind.REORG_HYBRID_SECURE_RULE,
 ) -> ReportDocument:
-    """The report `run(scenario, seed, bound_kind)` gives, built from the
-    event loop of `trace`: a run of `scenario`, or of one that differs from
-    it only on paths the loop does not read (`cli.REPORT_ONLY`).
-
-    The loop's first report, `trace.report`, builds the loop part
-    (`report.LoopSections`): every section the loop settles, with its
-    encodings. A later report builds only its point part, its labels, its
-    `steal_tvl` rung and its verdict, and joins them to that part. The
-    part is keyed on the timing and the econ block but `tvl`, so a
-    scenario that differs elsewhere gets a part of its own, not a wrong
-    report."""
-    return build_report(
-        trace.timeline,
-        trace.ledger,
-        scenario.timing,
-        scenario.econ,
-        trace.karma,
-        bound_kind,
-        scenario_hash=scenario_hash(scenario),
-        seed=scenario.seed if seed is None else seed,
-        loop=None if trace.report is None else trace.report.loop,
-    )
+    """The report `run(scenario, seed, bound_kind)` gives, built on the
+    loop part of `trace.report` (`report.LoopSections`): `trace` is a run
+    of `scenario`, or of one that differs from it only on paths the event
+    loop does not read (`cli.REPORT_ONLY`), as the points of a sweep group
+    do. Only the point part is built: the labels, the `steal_tvl` rung and
+    the verdict."""
+    loop, tvl = trace.report.loop, scenario.econ.tvl
+    labels = (OUTPUT_VERSION, __version__, scenario_hash(scenario), scenario.seed if seed is None else seed)
+    return loop.report(labels, tvl, loop.verdict(tvl, bound_kind))

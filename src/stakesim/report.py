@@ -2,17 +2,18 @@
 re-derivation of the document from a raw trace.
 
 Machine values are exact rationals ("p/q" strings); human tables show
-fixed-point decimals. A report has two parts. The loop part
-(`LoopSections`, built by `_checked_sections`) is what the run's event
+fixed-point decimals. A report (`ReportDocument`) is two parts. The loop
+part (`LoopSections`, built by `_checked_sections`) is what the run's event
 loop settles under its timing and its econ block but `tvl`: the cost of
 corruption, the ladder's window rungs, the strong-safety flags, the
 per-epoch rows, the totals, the settlements and the karma section. The
-point part is the labels, the `steal_tvl` rung and the verdict against
-the run's bound kind. `_report_doc` lays the document out once:
-`build_report` fills it from a run, sharing the loop part of an earlier
-report of the same loop and its encodings, and `recompute_from_trace`
-from the run's trace, which the analyze verb diffs whole against its
-embedded report.
+point part is the labels, the ladder under the run's `steal_tvl` rung and
+the verdict against the run's bound kind. `LoopSections.report` joins a
+point part to its loop part, and so makes every report: `build_report`'s
+from a run, each later report of the same loop (`engine.report_run`),
+which shares the part and its encodings, and `recompute_from_trace`'s from
+the run's trace, which the analyze verb diffs whole against its embedded
+report.
 Documents are at output version 4 (`OUTPUT_VERSION`), and `analyze` reads
 only traces at that version. The per-epoch rows hold one row for each
 epoch that holds a transaction, has coverage or is uncovered, and one for
@@ -29,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -100,6 +101,10 @@ _SUM_COLUMNS = {
 _NO_LOAD = Fraction(0)
 
 
+# what a report says of its run, as the run's run_start record states it too, and how analyze reads each
+_LABELS = {"schema_version": integer, "tool_version": text, "scenario_hash": text, "seed": integer}
+
+
 @dataclass(frozen=True, eq=False)
 class LoopSections:
     """The loop part of a report: what its run's event loop settles under
@@ -107,11 +112,8 @@ class LoopSections:
     window rungs, the slashing cost of corruption and the strong-safety
     flags that every verdict reads, and the `coc`, `per_epoch`, `totals`,
     `settlements` and `karma` sections as every report of the loop holds
-    them (`doc`), encoded once, on first use (`fields`). `key` is what the
-    part reads beside the loop, so a report under another timing or
-    economics builds its own part."""
+    them (`doc`), encoded once, on first use (`fields`)."""
 
-    key: tuple
     windows: tuple[PfcBound, ...]
     coc: Fraction
     strong: bool
@@ -133,32 +135,34 @@ class LoopSections:
         bound = next(b for b in self.ladder(tvl) if b.kind is bound_kind)
         return SafetyVerdict(self.coc, bound, self.strong, self.buffer_ok)
 
-
-def _loop_key(tp: TimingParams, ep: EconParams) -> tuple:
-    """What a report's loop part reads beside its event loop."""
-    return tp, dataclasses.replace(ep, tvl=Fraction(0))
+    def report(self, labels: Sequence, tvl: Fraction, verdict: SafetyVerdict) -> ReportDocument:
+        """The report of this loop whose point part is the `_LABELS` values
+        `labels`, in order, the ladder under a `steal_tvl` rung of `tvl` and
+        the `verdict`."""
+        ladder = list(map(PFC_BOUND.write, self.ladder(tvl)))
+        return ReportDocument(self, dict(zip(_LABELS, labels), ladder=ladder, verdict=VERDICT.write(verdict)))
 
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """A report document. Its fields are encoded once, on first use, and
-    shared by report.json, the trace's `report` record and a sweep point's
-    report; the encodings live and die with this object, but for those of
-    its loop part (`loop`), which every report of one event loop shares."""
+    """A report document: its loop part `loop`, which every report of one
+    event loop shares, and its own point part `point`. Its fields are
+    encoded once, on first use, and shared by report.json, the trace's
+    `report` record and a sweep point's report; the point part's encodings
+    live and die with this object, the loop part's with the part."""
 
-    doc: dict
-    loop: Optional[LoopSections] = field(default=None, repr=False, compare=False)
+    loop: LoopSections
+    point: dict
+
+    @cached_property
+    def doc(self) -> dict:
+        return {**self.point, **self.loop.doc}
 
     @cached_property
     def fields(self) -> dict[str, str]:
         """Each top-level field of the document, canonically encoded, so
-        that `canonical_object(self.fields) == canonical_json(self.doc)`;
-        a field that is its loop part's own object takes the part's encoding."""
-        shared = {} if self.loop is None else self.loop.doc
-        return {
-            key: self.loop.fields[key] if key in shared and shared[key] is value else canonical_json(value)
-            for key, value in self.doc.items()
-        }
+        that `canonical_object(self.fields) == canonical_json(self.doc)`."""
+        return {**{key: canonical_json(value) for key, value in self.point.items()}, **self.loop.fields}
 
     def to_json(self) -> str:
         """The canonical JSON of the document, as report.json holds it."""
@@ -267,28 +271,7 @@ def _checked_sections(
         "karma": KARMA.write(karma),
     }
     coc = cost_of_corruption(Mechanism.SLASHING, ep)
-    return LoopSections(_loop_key(tp, ep), ladder[1:], coc, strong, buffer_ok, doc)
-
-
-# what a report says of its run, as the run's run_start record states it too, and how analyze reads each
-_LABELS = {"schema_version": integer, "tool_version": text, "scenario_hash": text, "seed": integer}
-
-
-def _report_doc(labels: Sequence, loop: LoopSections, tvl: Fraction, verdict: SafetyVerdict) -> dict:
-    """The report document: the `_LABELS` values in order, the sections
-    of `loop`, its ladder under a `steal_tvl` rung of `tvl`, and the
-    `verdict`."""
-    shared = loop.doc
-    return dict(
-        zip(_LABELS, labels),
-        coc=shared["coc"],
-        ladder=list(map(PFC_BOUND.write, loop.ladder(tvl))),
-        per_epoch=shared["per_epoch"],
-        totals=shared["totals"],
-        verdict=VERDICT.write(verdict),
-        settlements=shared["settlements"],
-        karma=shared["karma"],
-    )
+    return LoopSections(ladder[1:], coc, strong, buffer_ok, doc)
 
 
 def build_report(
@@ -301,24 +284,14 @@ def build_report(
     *,
     scenario_hash: str,
     seed: int,
-    loop: Optional[LoopSections] = None,
 ) -> ReportDocument:
     """Assemble the full safety report for a run's effective `timeline`,
     the lots and settlements of its `ledger`, under the run's timing `tp`
-    and judged against its economics `ep`.
-
-    `loop` is the loop part of an earlier report of the same run. Built
-    under `tp` and `ep` but for its `tvl`, it is shared: only the labels,
-    the `steal_tvl` rung and the verdict are built. Otherwise the part is
-    built here, and the verdict judged by `safety_verdict`."""
-    if loop is None or loop.key != _loop_key(tp, ep):
-        coverage = ledger.coverage()
-        verdict = safety_verdict(timeline, tp, ep, coverage, bound_kind)
-        loop = _checked_sections(timeline, tp, ep, coverage, ledger.settlements, karma)
-    else:
-        verdict = loop.verdict(ep.tvl, bound_kind)
-    labels = (OUTPUT_VERSION, __version__, scenario_hash, seed)
-    return ReportDocument(_report_doc(labels, loop, ep.tvl, verdict), loop)
+    and judged by `safety_verdict` against its economics `ep`."""
+    coverage = ledger.coverage()
+    verdict = safety_verdict(timeline, tp, ep, coverage, bound_kind)
+    loop = _checked_sections(timeline, tp, ep, coverage, ledger.settlements, karma)
+    return loop.report((OUTPUT_VERSION, __version__, scenario_hash, seed), ep.tvl, verdict)
 
 
 _line_cells = itemgetter(*_SUM_COLUMNS, "epoch_safe")
@@ -446,17 +419,23 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     premiums paid (the exact sum of its lots' coverage times premium rate),
     compensation and net, every buyer's and claimant's karma entry, and the
     adversary's net are derived, not read. Bad input is reported in that
-    order, the embedded report's verdict, settlements and karma last."""
+    order, the embedded report's verdict, settlements and karma last. A
+    trace holds one run_start record, its first, and one report, its last."""
     by_kind: dict[str, list[dict]] = {}
     for r in records:
         by_kind.setdefault(r["kind"], []).append(r)
 
-    def first(kind: str, what: str) -> dict:
-        if kind not in by_kind:
+    def only(kind: str, what: str, place: str) -> dict:
+        found = by_kind.get(kind)
+        if not found:
             raise ScenarioError(f"trace has no {what}", path=source)
-        return by_kind[kind][0]
+        if len(found) > 1:
+            raise ScenarioError(f"a second {what}; a trace holds one", path=f"{source}:{kind}[1]")
+        if found[0] is not records[0 if place == "first" else -1]:
+            raise ScenarioError(f"the {what} must be the trace's {place} record", path=f"{source}:{kind}")
+        return found[0]
 
-    header, where = first("run_start", "run_start record"), f"{source}:run_start"
+    header, where = only("run_start", "run_start record", "first"), f"{source}:run_start"
     version = read_field(header, "schema_version", where, integer)
     if version != OUTPUT_VERSION:
         message = f"unsupported output version {version}, expected {OUTPUT_VERSION}"
@@ -500,7 +479,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
         harms = [(c.transactor, c.covering_epoch, c.harm) for c in read["claims"]]
         settlements.append(settle_claims(read["event_id"], read["slashed"], ep.gamma, harms, bought))
 
-    where, report = f"{source}:report", first("report", "embedded report")
+    where, report = f"{source}:report", only("report", "embedded report", "last")
     bound_kind = VERDICT.read(read_field(report, "verdict", where), f"{where}.verdict")["bound_kind"]
     for i, entry in enumerate(read_field(report, "settlements", where, listing)):
         SETTLEMENT.read(entry, f"{where}.settlements[{i}]")
@@ -514,7 +493,7 @@ def recompute_from_trace(records: Sequence[dict], *, source: str = "<trace>") ->
     karma = _rebuild(KarmaSummary, stated, entries=tuple(entries))
 
     loop = _checked_sections(timeline, tp, ep, coverage, settlements, karma)
-    return _report_doc(labels, loop, ep.tvl, loop.verdict(ep.tvl, bound_kind))
+    return loop.report(labels, ep.tvl, loop.verdict(ep.tvl, bound_kind)).doc
 
 
 def first_mismatch(expected: Any, actual: Any, path: str = "") -> Optional[str]:
@@ -576,7 +555,7 @@ def compare_trace_to_report(records: Sequence[dict], *, source: str = "<trace>")
     everything checks.
     """
     expected = recompute_from_trace(records, source=source)
-    embedded = _payload(next(r for r in records if r["kind"] == "report"))
+    embedded = _payload(records[-1])  # the one report, as `recompute_from_trace` checked
     for key in expected:
         read_field(embedded, key, f"{source}:report")
     stated = [_payload(r) for r in records if r["kind"] == "settlement"]

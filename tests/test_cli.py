@@ -372,14 +372,40 @@ MALFORMED_BODY_RECORDS = [
 ]
 
 
+def second_report(lines: list[str]) -> list[str]:
+    """The lines with a copy of the report appended, its verdict flipped."""
+    report = json.loads(lines[-1])
+    report["verdict"]["cryptoeconomically_safe"] = not report["verdict"]["cryptoeconomically_safe"]
+    return [*lines, canonical_json(report)]
+
+
+# a trace holds one run_start record, its first, and one report, its last;
+# each tamper rewrites the list of a trace's lines
+MISPLACED_RECORDS = [
+    (second_report, "report[1]: a second embedded report; a trace holds one"),
+    (lambda lines: [lines[0], *lines], "run_start[1]: a second run_start record; a trace holds one"),
+    (
+        lambda lines: [lines[0], lines[-1], *lines[1:-1]],
+        "report: the embedded report must be the trace's last record",
+    ),
+    (
+        lambda lines: [lines[1], lines[0], *lines[2:]],
+        "run_start: the run_start record must be the trace's first record",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "tamper,message",
-    MALFORMED_BODY_RECORDS,
-    ids=[message.split(":")[0] for _, message in MALFORMED_BODY_RECORDS],
+    MALFORMED_BODY_RECORDS + MISPLACED_RECORDS,
+    ids=[message.split(":")[0] for _, message in MALFORMED_BODY_RECORDS + MISPLACED_RECORDS],
 )
 def test_analyze_rejects_a_malformed_body_record_with_its_path(tmp_path, capsys, tamper, message):
     trace = run_demo(tmp_path, capsys)
-    tamper_first(trace, message.split(".")[0], tamper)
+    if (tamper, message) in MISPLACED_RECORDS:
+        trace.write_text("\n".join(tamper(trace.read_text().splitlines())) + "\n", encoding="utf-8")
+    else:
+        tamper_first(trace, message.split(".")[0], tamper)
     assert main(["analyze", "--trace", str(trace)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

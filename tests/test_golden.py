@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import ast
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -301,30 +301,66 @@ def test_the_event_loop_reads_no_report_only_key(name):
             continue
         for kind in BOUND_ALIASES.values():
             fresh = run(other, bound_kind=kind).report.to_json()
-            assert report_run(run(sc, bound_kind=kind), other, None, kind).to_json() == fresh, (name, path, kind)
+            trace = run(sc, bound_kind=kind)
+            later = report_run(trace, other, None, kind)
+            assert later.to_json() == fresh, (name, path, kind)
+            # a later report holds its leader's loop part, and with it the part's encodings
+            assert later.loop is trace.report.loop
+            for key in ("coc", "per_epoch", "totals", "settlements", "karma"):
+                assert later.fields[key] is trace.report.fields[key], (name, path, kind, key)
 
 
-# paths the loop part of a report reads beside the event loop, with a value
-# the demo does not give them
-LOOP_PART_VALUES = {"econ.gamma": 1, "econ.stake_per_validator": 64, "timing.t_rev": 12}
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-@pytest.mark.parametrize("path", LOOP_PART_VALUES)
-def test_a_report_under_other_timing_or_economics_builds_its_own_loop_part(path):
-    # `report_run` shares the trace's loop part only with a scenario that
-    # differs from the loop's on REPORT_ONLY paths; one that breaks that
-    # contract must get the report a trace with no shared part gives
-    doc = json.loads(DEMO.read_text(encoding="utf-8"))
-    changed = dict(doc)
-    cli._set_path(changed, path, LOOP_PART_VALUES[path], path)
-    other = parse_scenario(changed)
-    trace = run(parse_scenario(doc))
-    bare = dataclasses.replace(trace)  # the same loop, with no report yet
-    own = report_run(bare, other)
-    assert report_run(trace, other).to_json() == own.to_json()
-    assert own.loop is not trace.report.loop
-    # the change reaches the report beyond its scenario_hash label
-    assert dict(own.doc, scenario_hash=None) != dict(trace.report.doc, scenario_hash=None)
+def scale_money(doc: dict, c: Fraction) -> dict:
+    """A copy of a scenario document with every money input times `c`: the
+    econ block's stake, reward, bribes and tvl, each validator's stake, each
+    transaction's value, each bid's coverage, each fork's
+    `double_signer_stake` and the strategy's bribes."""
+    doc = copy.deepcopy(doc)
+    money = [
+        (doc["econ"], ("stake_per_validator", "reward", "bribe_fail", "bribe_success", "tvl")),
+        (doc.get("adversary", {}).get("strategy", {}), ("bribe_fail", "bribe_success")),
+        *((validator, ("stake",)) for validator in doc.get("validators") or ()),
+        *((tx, ("value",)) for tx in doc.get("transactions", ())),
+        *((bid, ("coverage",)) for bid in doc.get("insurance_bids", ())),
+        *((fork, ("double_signer_stake",)) for fork in doc.get("fork_events", ())),
+    ]
+    for obj, keys in money:
+        for key in keys:
+            if obj.get(key) is not None:
+                obj[key] = str(Fraction(obj[key]) * c)
+    return doc
+
+
+def money_violations(base, scaled, c: Fraction, path: str = "") -> tuple[list[str], int]:
+    """The paths where `scaled` is not `base` with each rational string times
+    `c` and every other leaf the same, and how many nonzero rationals scaled."""
+    if isinstance(base, dict) and isinstance(scaled, dict) and base.keys() == scaled.keys():
+        found = [money_violations(base[k], scaled[k], c, f"{path}.{k}") for k in base]
+    elif isinstance(base, list) and isinstance(scaled, list) and len(base) == len(scaled):
+        found = [money_violations(b, s, c, f"{path}[{i}]") for i, (b, s) in enumerate(zip(base, scaled))]
+    elif isinstance(base, str) and RATIONAL.fullmatch(base):
+        ok = isinstance(scaled, str) and RATIONAL.fullmatch(scaled) and Fraction(scaled) == Fraction(base) * c
+        return ([] if ok else [path]), int(base != "0")
+    else:
+        return ([] if type(base) is type(scaled) and base == scaled else [path]), 0
+    return [p for bad, _ in found for p in bad], sum(n for _, n in found)
+
+
+@pytest.mark.parametrize("name", [name for name in CORPUS if not corpus_doc(name)[1]])
+def test_scaling_every_money_input_scales_every_money_value_of_the_report(name):
+    # a metamorphic relation that shares no code with the report: money has
+    # no unit, so times c in, times c out; every flag, count, tick and name
+    # stays, and only the scenario's hash moves
+    doc, _ = corpus_doc(name)
+    base = run(parse_scenario(doc)).report.doc
+    for c in (Fraction(3), Fraction(1, 7)):
+        scaled = dict(run(parse_scenario(scale_money(doc, c))).report.doc, scenario_hash=base["scenario_hash"])
+        bad, scaled_values = money_violations(base, scaled, c)
+        assert bad == [], (name, c)
+        assert scaled_values > 0, (name, c)
 
 
 # the epochs a run visits per record it writes, at most: epoch 0 and the

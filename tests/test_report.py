@@ -4,6 +4,7 @@ reports, against brute-force references and by call counts."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -329,7 +330,8 @@ def test_random_row_sets_encode_and_render_as_before():
     )
     for _ in range(300):
         rows = _random_rows(rng)
-        _check_outputs(ReportDocument(doc=dict(base.doc, per_epoch=rows)))
+        loop = dataclasses.replace(base.loop, doc=dict(base.loop.doc, per_epoch=rows))
+        _check_outputs(ReportDocument(loop, base.point))
         shapes = [tuple(v for k, v in row.items() if k not in ("epoch", "window")) for row in rows]
         seen["coverage"] |= any(row["coverage"] for row in rows)
         seen["non_ascii_coverage"] |= any(not tr.isascii() for row in rows for tr in row["coverage"])
@@ -343,18 +345,19 @@ def test_random_row_sets_encode_and_render_as_before():
 
 def test_no_encoding_or_rendering_memo_outlives_its_call_or_document(monkeypatch):
     trace = _long_demo()
-    doc = copy.deepcopy(trace.report.doc)
-    doc["per_epoch"][3].update(sum_all="1234567/7", epoch_safe=False)  # a value no other line shows
+    sections = copy.deepcopy(trace.report.loop.doc)
+    sections["per_epoch"][3].update(sum_all="1234567/7", epoch_safe=False)  # a value no other line shows
     encoded = []
     real_json = report.canonical_json
     monkeypatch.setattr(report, "canonical_json", lambda d: encoded.append(d) or real_json(d))
-    first = ReportDocument(doc=doc)
+    first = ReportDocument(dataclasses.replace(trace.report.loop, doc=sections), trace.report.point)
     text = first.to_json()
     n = len(encoded)
     assert first.to_json() == text and len(encoded) == n  # the document keeps its own encoding
-    second = ReportDocument(doc=doc)
-    assert second.to_json() == text and len(encoded) == 2 * n  # a second document encodes anew
+    second = ReportDocument(dataclasses.replace(trace.report.loop, doc=sections), trace.report.point)
+    assert second.to_json() == text and len(encoded) == 2 * n  # a second document of a second part encodes anew
     assert second.fields is not first.fields
+    doc = first.doc
 
     converted = []
     real_decimal = report.frac_decimal
