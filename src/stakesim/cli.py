@@ -228,8 +228,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     path = Path(args.trace)
-    records = parse_trace(read_input(str(path), "trace", str.splitlines), source=str(path))
-    mismatch = compare_trace_to_report(records, source=str(path))
+    lines = read_input(str(path), "trace", str.splitlines)
+    records = parse_trace(lines, source=str(path))
+    mismatch = compare_trace_to_report(records, source=str(path), line=lines[-1])
     if mismatch is None:
         sys.stdout.write(f"{path}: report verified against trace\n")
         return 0

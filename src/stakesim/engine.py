@@ -65,7 +65,7 @@ from .insurance import (
     settle_slash,
 )
 from .rational import frac_str
-from .report import ReportDocument, build_report
+from .report import ReportDocument, build_report, report_line
 from .resolution import RevealClass, resolve
 from .scenario import (
     DECISION,
@@ -80,7 +80,6 @@ from .scenario import (
     Scenario,
     StrategyKind,
     canonical_json,
-    canonical_object,
     scenario_hash,
 )
 from .version import OUTPUT_VERSION, __version__
@@ -132,8 +131,7 @@ class ReportRecord(TraceRecord):
     report: ReportDocument = field(repr=False, compare=False)
 
     def line(self) -> str:
-        head = {"tick": canonical_json(self.tick), "kind": canonical_json(self.kind)}
-        return canonical_object({**head, **self.report.fields})
+        return report_line(self.tick, self.report.fields)
 
 
 @dataclass

@@ -3,13 +3,29 @@
 All monetary quantities are `fractions.Fraction`. Machine-readable output
 serializes them as "numerator/denominator" strings; human-readable output
 uses fixed-point decimals rendered deterministically (no locale).
+
+`as_fraction` and `frac_str` are the one exact-value codec: the scenario
+field tables, the trace writers, the report rows, the scenario hash and
+`analyze` all read and write values through them. A document repeats a
+few values many times (a market's bids at a handful of premium rates), so
+each function keeps a memo of the last `MEMO_SIZE` distinct values it
+read or wrote. `as_fraction` keys its memo by type and value, so `True`
+never reads as the `1` beside it; `frac_str` keys on the numerator and
+denominator, whose hash costs less than a `Fraction`'s. A memo changes no
+result: a failed parse is not kept, and what a call returns never depends
+on the calls before it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable
+
+# how many distinct values each memo keeps, least recently used first out;
+# one run reads and writes a few hundred
+MEMO_SIZE = 1024
 
 
 def as_fraction(x) -> Fraction:
@@ -19,10 +35,8 @@ def as_fraction(x) -> Fraction:
     floats, which are read as their shortest decimal literal so that "0.1"
     means 1/10 rather than the binary float.
     """
-    if type(x) is int:  # the commonest input, a JSON integer
-        return Fraction(x)
-    if isinstance(x, str):
-        return _parse(x.strip())
+    if type(x) is int or isinstance(x, str):  # a JSON integer or string
+        return _read(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -32,6 +46,12 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))
     raise TypeError(f"cannot interpret {x!r} as an exact value")
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _read(x: int | str) -> Fraction:
+    """`as_fraction` of an int or a string, each distinct one read once."""
+    return Fraction(x) if type(x) is int else _parse(x.strip())
 
 
 def _parse(s: str) -> Fraction:
@@ -56,7 +76,14 @@ def frac_str(x: Fraction) -> str:
     """Serialize exactly: "3/4", or "5" when the denominator is 1."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _write(x.numerator, x.denominator)
+
+
+# a Fraction's numerator and denominator are always ints, so the key needs no type
+@lru_cache(maxsize=MEMO_SIZE)
+def _write(num: int, den: int) -> str:
+    """`frac_str` of num/den in lowest terms, each distinct value written once."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def frac_decimal(x: Fraction, places: int = 6) -> str:

@@ -29,6 +29,7 @@ from stakesim import (
     build_timeline,
     engine,
 )
+from stakesim import rational
 
 
 def count_epoch_visits(monkeypatch, limit: int | None = None) -> list[int]:
@@ -44,6 +45,12 @@ def count_epoch_visits(monkeypatch, limit: int | None = None) -> list[int]:
 
     monkeypatch.setattr(engine._Run, "on_epoch", counting_on_epoch)
     return visited
+
+
+def clear_codec_memos() -> None:
+    """Empty the exact-value codec's memos, as in a fresh process."""
+    rational._read.cache_clear()
+    rational._write.cache_clear()
 
 
 def random_timing(rng: random.Random, *, t_cr: int | None = None) -> TimingParams:

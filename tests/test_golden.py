@@ -49,9 +49,10 @@ from stakesim.scenario import (
     SETTLEMENT,
     SHARES,
     TX_FINALIZED,
+    scenario_hash,
 )
 
-from conftest import attack_scenario_doc, breach_scenario_doc, count_epoch_visits, quiet_scenario_doc
+from conftest import attack_scenario_doc, breach_scenario_doc, clear_codec_memos, count_epoch_visits, quiet_scenario_doc
 from oracles import run_every_epoch
 from perfbench import workloads
 
@@ -269,6 +270,25 @@ def test_skipping_quiet_epochs_keeps_every_trace_byte(name):
     lines = _lines_or_partial(lambda: run(sc))
     assert lines == _lines_or_partial(lambda: run_every_epoch(sc))
     assert (lines[0] == "<breach>") == breach
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_run_writes_the_same_bytes_after_its_values_were_memoized(name):
+    # the exact-value codec's memos outlive a run: a run right after they
+    # were emptied and one that finds every value of its document in them
+    # must parse, hash, write and verify alike
+    doc, breach = corpus_doc(name)
+
+    def output() -> tuple:
+        sc = parse_scenario(doc)
+        lines = _lines_or_partial(lambda: run(sc))
+        verdict = None if breach else compare_trace_to_report(parse_trace(lines), line=lines[-1])
+        return scenario_hash(sc), lines, verdict
+
+    clear_codec_memos()
+    cold = output()
+    assert output() == cold
+    assert cold[2] is None
 
 
 # a value of each report-only path that no corpus document gives it

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from stakesim import as_fraction, frac_decimal, frac_str
-from stakesim.rational import exact_sum
+from stakesim import as_fraction, frac_decimal, frac_str, rational
+from stakesim.rational import MEMO_SIZE, exact_sum
 
+from conftest import clear_codec_memos
 from oracles import frac_decimal_oracle
 
 
@@ -36,7 +37,10 @@ def outcome(parse, text: str):
      "1e3", "1_000", "1/2_0", "\u0663", "\u00b2", "3 /4", "-1/-2", "1/-2", "9" * 5000, "-1/" + "9" * 5000],
 )
 def test_a_string_reads_as_fraction_reads_it(text):
-    assert outcome(as_fraction, text) == outcome(Fraction, text.strip())
+    want = outcome(Fraction, text.strip())
+    assert outcome(as_fraction, text) == want
+    # again: a memo hit, or a failed parse, which the memo does not keep, made again
+    assert outcome(as_fraction, text) == want
 
 
 def test_floats_go_through_their_shortest_decimal_repr():
@@ -50,6 +54,36 @@ def test_bool_is_rejected():
         as_fraction(True)
 
 
+def test_bool_is_rejected_after_the_int_it_equals_was_read():
+    # True == 1 and hash(True) == hash(1): the memo's key must tell them apart
+    for value, flag in ((1, True), (0, False)):
+        assert as_fraction(value) == value
+        with pytest.raises(TypeError):
+            as_fraction(flag)
+
+
+def test_a_repeated_value_is_read_and_written_once():
+    clear_codec_memos()
+    for _ in range(3):
+        assert as_fraction("1/50") == Fraction(1, 50) and as_fraction(7) == 7
+        assert frac_str(Fraction(1, 50)) == "1/50"
+    assert rational._read.cache_info()[:2] == (4, 2)  # hits, misses
+    assert rational._write.cache_info()[:2] == (2, 1)
+
+
+def test_a_value_read_before_the_memos_filled_still_reads_right():
+    clear_codec_memos()
+    assert as_fraction("3/7") == Fraction(3, 7) and frac_str(Fraction(3, 7)) == "3/7"
+    for n in range(1, 2 * MEMO_SIZE):
+        assert as_fraction(f"{n}/{n + 1}") == Fraction(n, n + 1)
+        assert frac_str(Fraction(n, n + 1)) == f"{n}/{n + 1}"
+    # the first values are gone from the memos, which hold no more than the bound
+    assert rational._read.cache_info().currsize == rational._write.cache_info().currsize == MEMO_SIZE
+    value = as_fraction("3/7")
+    assert type(value) is Fraction and value == Fraction(3, 7)
+    assert frac_str(Fraction(3, 7)) == "3/7"
+
+
 @pytest.mark.parametrize(
     "value,expected",
     [
@@ -61,6 +95,12 @@ def test_bool_is_rejected():
 )
 def test_canonical_string(value, expected):
     assert frac_str(value) == expected
+
+
+def test_equal_fractions_write_one_string():
+    # a Fraction is kept in lowest terms, so the memo's numerator and denominator are its value
+    assert frac_str(Fraction(2, 4)) == frac_str(Fraction(1, 2)) == "1/2"
+    assert frac_str(Fraction(-6, 3)) == frac_str(-2) == "-2"
 
 
 def test_string_round_trips():

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import stakesim.report as report
 from stakesim import (
     EconParams,
@@ -23,13 +25,20 @@ from stakesim.chain import WINDOW_KINDS
 from stakesim.econ import pfc_ladder, strong_safety_flags
 from stakesim.engine import ReportRecord, run
 from stakesim.insurance import KarmaSummary
-from stakesim.report import ReportDocument, _checked_sections, _epoch_rows, first_mismatch
+from stakesim.report import (
+    ReportDocument,
+    _checked_sections,
+    _epoch_rows,
+    compare_trace_to_report,
+    first_mismatch,
+    parse_trace,
+)
 from stakesim.scenario import canonical_json, parse_scenario
 
 from conftest import assert_rows_are_maximal, long_busy_demo_doc, rows_by_epoch
 from oracles import epoch_lines_oracle, epoch_rows_by_row, epoch_rows_oracle, first_mismatch_oracle
 from perfbench import workloads
-from test_golden import CASES
+from test_golden import CASES, CORPUS, corpus_doc
 
 DEMO = Path(__file__).parent.parent / "scenarios" / "double-sign.json"
 DEMO_T_REV = json.loads(DEMO.read_text(encoding="utf-8"))["timing"]["t_rev"]
@@ -468,3 +477,30 @@ def test_first_mismatch_matches_the_full_walk_on_random_documents():
             assert first_mismatch(a, b, "doc") == want, (a, b)
             outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", [name for name in CORPUS if not corpus_doc(name)[1]])
+def test_analyze_walks_the_embedded_report_only_when_its_line_is_not_as_written(name, monkeypatch):
+    lines = run(parse_scenario(corpus_doc(name)[0])).to_lines()
+    records = parse_trace(lines)
+    walked = []
+
+    def walking(expected, actual, path=""):
+        walked.append(sorted(actual))
+        return first_mismatch(expected, actual, path)
+
+    monkeypatch.setattr(report, "first_mismatch", walking)
+    # the line as the run wrote it: only the settlement records are walked
+    assert compare_trace_to_report(records, line=lines[-1]) is None
+    assert walked == [["settlements"]]
+    # the same report, not as written: walked, and it verifies
+    for line in (json.dumps(records[-1]), None):
+        walked.clear()
+        assert compare_trace_to_report(records, line=line) is None
+        assert len(walked) == 2
+    # a changed report: the walk names the field whether or not the line is given
+    changed = copy.deepcopy(records)
+    changed[-1]["totals"]["paid"] = "7/3"
+    found = compare_trace_to_report(changed)
+    assert found == "totals.paid"
+    assert compare_trace_to_report(changed, line=canonical_json(changed[-1])) == found
